@@ -15,13 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .born import conventional_oracle, dual_born_report
-from .dynamics import (
-    check_pmc,
-    check_sapmc,
-    evolve_factorized,
-    evolve_full,
-)
-from .icqc import run as icqc_run
+from .dynamics import check_pmc, check_sapmc
+from .icqc import CapacityError, run as icqc_run
+from .linalg import HermitianSpectrum, StateVector, seeded_random, subseed
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -34,7 +30,7 @@ from .scenario import (
     parse_times,
     parse_vector,
 )
-from .serialize import complex_to_pairs, dumps, write_csv, write_json
+from .serialize import complex_to_pairs, write_csv, write_json
 from .suite import run_property_suite
 from .trinary import (
     TrinaryState,
@@ -72,25 +68,13 @@ def cmd_validate(scenario: Scenario, out_dir: Path) -> int:
         "complete": report.complete,
         "branch_labels": [lab if lab is not None else "custom" for lab in labels],
     }
-    write_json(out_dir / "completeness.json", doc)
-    sys.stdout.write(dumps(doc))
+    sys.stdout.write(write_json(out_dir / "completeness.json", doc))
     return 0 if report.complete else 1
 
 
-def _segment_state(segments, state, t, mode):
-    """State at absolute time t under a piecewise-constant schedule."""
-    remaining = t
-    current = state
-    for duration, h, _ in segments:
-        step = min(duration, remaining)
-        if mode == "factorized":
-            current = evolve_factorized(h, current, step)
-        else:
-            current = evolve_full(h, current, step)
-        remaining -= step
-        if remaining <= 0:
-            return current
-    raise ScenarioError(f"schedule is shorter than requested time {t}")
+def _dense_evolve(full: HermitianSpectrum, state: TrinaryState, t: float) -> TrinaryState:
+    amp = full.propagator(t) @ state.dense.amplitudes
+    return TrinaryState.from_dense(state.dims, StateVector(amp))
 
 
 def cmd_evolve(scenario: Scenario, out_dir: Path) -> int:
@@ -119,21 +103,37 @@ def cmd_evolve(scenario: Scenario, out_dir: Path) -> int:
                     }
                 )
 
+    # Per segment, one dense decomposition and (when every segment satisfies the
+    # condition) one factorized propagator, dropped before the next segment's.
+    # A time is one step from the start of its segment, as in evolve_schedule.
     s_psa = np.zeros(len(times))
     s_branches = np.zeros((len(times), dims.d_p))
     deviation = None
-    for i, t in enumerate(times):
-        full_state = _segment_state(segments, state, t, "full")
-        if pmc_ok:
-            fact_state = _segment_state(segments, state, t, "factorized")
-            dev = float(
-                np.max(np.abs(fact_state.dense.amplitudes - full_state.dense.amplitudes))
-            )
-            deviation = dev if deviation is None else max(deviation, dev)
-            current = fact_state
-        else:
-            current = full_state
-        s_psa[i], s_branches[i] = dual_entropies(current)
+    remaining = list(times)
+    i = 0
+    full_start = fact_start = state
+    for duration, h, _ in segments:
+        full = HermitianSpectrum.of(h.full_operator().entries)
+        fact = h.propagator() if pmc_ok else None
+        while i < len(times) and remaining[i] <= duration:
+            step = min(duration, remaining[i])
+            current = _dense_evolve(full, full_start, step)
+            if fact is not None:
+                fact_state = fact.evolve(fact_start, step)
+                dev = float(np.max(np.abs(fact_state.dense.amplitudes - current.dense.amplitudes)))
+                deviation = dev if deviation is None else max(deviation, dev)
+                current = fact_state
+            s_psa[i], s_branches[i] = dual_entropies(current)
+            i += 1
+        if i == len(times):
+            break
+        remaining[i:] = [r - duration for r in remaining[i:]]
+        full_start = _dense_evolve(full, full_start, duration)
+        if fact is not None:
+            fact_start = fact.evolve(fact_start, duration)
+        del full, fact
+    else:
+        raise ScenarioError(f"schedule is shorter than requested time {times[i]}")
 
     rows = [
         [t, s_psa[i]] + [s_branches[i, r] for r in range(dims.d_p)]
@@ -157,8 +157,7 @@ def cmd_evolve(scenario: Scenario, out_dir: Path) -> int:
         "final_S_PSA": float(s_psa[-1]),
         "monotone_psa": bool(np.all(np.diff(s_psa) >= -1e-9)),
     }
-    write_json(out_dir / "summary.json", doc)
-    sys.stdout.write(dumps(doc))
+    sys.stdout.write(write_json(out_dir / "summary.json", doc))
     if not pmc_ok:
         sys.stderr.write("warning: measurability condition violated; dense evolution used\n")
     return 0
@@ -174,9 +173,6 @@ def cmd_born(scenario: Scenario, out_dir: Path) -> int:
     chi = parse_vector(g, dims.d_p, "g")
     system = payload.get("system_state", "uniform")
     if system == "random":
-        from .linalg import seeded_random
-        from .suite import subseed
-
         psi = seeded_random("state", dims.d_s, subseed(scenario.seed, 3))
     else:
         psi = parse_vector(system, dims.d_s, "system_state")
@@ -204,8 +200,7 @@ def cmd_born(scenario: Scenario, out_dir: Path) -> int:
         "conventional_outcomes_sorted": oracle_rows,
         "max_outcome_deviation": max_dev,
     }
-    write_json(out_dir / "born_report.json", doc)
-    sys.stdout.write(dumps(doc))
+    sys.stdout.write(write_json(out_dir / "born_report.json", doc))
     return 0
 
 
@@ -227,8 +222,7 @@ def cmd_icqc(scenario: Scenario, out_dir: Path) -> int:
     }
     if scenario.payload.get("emit_state"):
         doc["final_state"] = complex_to_pairs(report.final_state.dense.amplitudes)
-    write_json(out_dir / "icqc_report.json", doc)
-    sys.stdout.write(dumps(doc))
+    sys.stdout.write(write_json(out_dir / "icqc_report.json", doc))
     return 0
 
 
@@ -266,8 +260,7 @@ def cmd_suite(scenario: Scenario, out_dir: Path) -> int:
         "properties": [r.as_dict() for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    write_json(out_dir / "suite_report.json", doc)
-    sys.stdout.write(dumps(doc))
+    sys.stdout.write(write_json(out_dir / "suite_report.json", doc))
     failures = [r.name for r in results if not r.passed]
     if failures:
         sys.stderr.write("failed properties: " + ", ".join(failures) + "\n")
@@ -307,6 +300,9 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](scenario, Path(args.out))
     except ScenarioError as exc:
         sys.stderr.write(f"scenario error: {exc}\n")
+        return 2
+    except CapacityError as exc:
+        sys.stderr.write(f"capacity error: {exc}\n")
         return 2
 
 

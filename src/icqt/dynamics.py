@@ -5,7 +5,9 @@ block per programming basis state acting on S x A.  When the programmed part
 commutes with H_P (the measurability condition) the propagator factorizes
 into a programming-side propagator times independent per-branch propagators,
 and evolution runs block-by-block without ever forming the full-space matrix.
-``evolve_full`` is the dense brute-force reference for exactly that claim.
+``FactorizedPropagator`` is that propagator, decomposed once per Hamiltonian
+and shared by every factorized path; ``evolve_full`` is the dense brute-force
+reference for exactly that claim.
 
 Time dependence is piecewise constant: a schedule is a list of
 (duration, hamiltonian) segments evolved back to back.
@@ -21,6 +23,7 @@ import numpy as np
 from .linalg import (
     DimensionError,
     HermiticityError,
+    HermitianSpectrum,
     Operator,
     StateVector,
     commutator_norm,
@@ -103,6 +106,12 @@ class TrinaryHamiltonian:
         h = np.kron(self.h_p.entries, np.eye(self.dims.d_sa)) + self.programmed_part().entries
         return Operator(h)
 
+    def propagator(self) -> FactorizedPropagator:
+        """The factorized propagator; exact only when ``check_pmc`` holds."""
+        return FactorizedPropagator(
+            self.h_p.entries, [b.entries for b in self.blocks], self.programming_basis
+        )
+
 
 @dataclass(frozen=True)
 class ProgrammedBlockStructure:
@@ -160,42 +169,53 @@ def check_sapmc(block: ProgrammedBlockStructure) -> CommutatorCheck:
     return CommutatorCheck(commutator_norm=norm, satisfied=norm <= COMMUTATION_TOL)
 
 
-def _eig(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh(entries)
+class FactorizedPropagator:
+    """exp(-i H t) for H = H_prog (x) I + sum_n |e_n><e_n| (x) B_n, decomposed once.
 
-
-def _expi(eig: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
-    w, v = eig
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def _program_propagate(
-    h_program: np.ndarray, psi: np.ndarray, t: float
-) -> np.ndarray:
-    """Apply exp(-i h_program t) to the program index of a (d_q, d_t) matrix."""
-    off = h_program - np.diag(np.diag(h_program))
-    if np.max(np.abs(off)) <= _DIAG_TOL:
-        # exact per-component phases: keeps empty program components at exact zero
-        phases = np.exp(-1j * np.real(np.diag(h_program)) * t)
-        return phases[:, None] * psi
-    return _expi(_eig(h_program), t) @ psi
-
-
-def _blockwise_propagate(
-    h_program: np.ndarray,
-    block_eigs: Sequence[tuple[np.ndarray, np.ndarray]],
-    psi: np.ndarray,
-    t: float,
-) -> np.ndarray:
-    """Factorized propagator on a (program_dim, target_dim) amplitude matrix.
-
-    The program-side propagator acts first, then every program component is
-    evolved by its own block propagator; no full-space matrix is built.
+    ``blocks[n]`` is conditioned on column n of ``basis`` (the computational
+    basis when None).  When H_prog commutes with the programmed part, the
+    propagator is the program-side propagator followed by one block
+    propagator per program state.  Construction diagonalises the program side
+    once and all blocks in one batched ``eigh``; ``apply`` then costs one
+    matrix product per block and never forms a full-space matrix.  A program
+    side that is diagonal (within _DIAG_TOL) in ``basis`` evolves by exact
+    per-component phases, so empty program components stay exactly zero.
     """
-    out = _program_propagate(h_program, psi, t)
-    for n, eig in enumerate(block_eigs):
-        out[n] = _expi(eig, t) @ out[n]
-    return out
+
+    def __init__(
+        self,
+        h_program: np.ndarray,
+        blocks: Sequence[np.ndarray],
+        basis: np.ndarray | None = None,
+    ):
+        if basis is not None:
+            h_program = basis.conj().T @ h_program @ basis
+        self._basis = basis
+        self._energies = np.real(np.diag(h_program))
+        diagonal = np.max(np.abs(h_program - np.diag(np.diag(h_program)))) <= _DIAG_TOL
+        self._program = None if diagonal else HermitianSpectrum.of(h_program)
+        w, v = np.linalg.eigh(np.stack(blocks))  # one batched eigh for all blocks
+        self._blocks = [HermitianSpectrum(wn, vn) for wn, vn in zip(w, v)]
+
+    def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
+        """Evolve a (program_dim, target_dim) amplitude matrix for time t."""
+        w = self._basis
+        if w is not None:
+            psi = w.conj().T @ psi
+        if self._program is None:
+            out = np.exp(-1j * self._energies * t)[:, None] * psi
+        else:
+            out = self._program.propagator(t) @ psi
+        for n, block in enumerate(self._blocks):
+            out[n] = block.propagator(t) @ out[n]
+        if w is not None:
+            out = w @ out
+        return out
+
+    def evolve(self, state: TrinaryState, t: float) -> TrinaryState:
+        """``apply`` on the (d_p, d_sa) amplitude matrix of a trinary state."""
+        out = self.apply(state.as_matrix(), t)
+        return TrinaryState.from_dense(state.dims, StateVector(out.reshape(-1)))
 
 
 def evolve_full(h: TrinaryHamiltonian, state: TrinaryState, t: float) -> TrinaryState:
@@ -222,18 +242,7 @@ def evolve_factorized(
             raise FactorizationPreconditionError(
                 f"measurability condition violated (commutator norm {chk.commutator_norm:.3e})"
             )
-    psi = state.as_matrix()
-    w = h.programming_basis
-    if w is not None:
-        psi = w.conj().T @ psi
-        h_program = w.conj().T @ h.h_p.entries @ w
-    else:
-        h_program = h.h_p.entries
-    block_eigs = [_eig(b.entries) for b in h.blocks]
-    out = _blockwise_propagate(h_program, block_eigs, psi, t)
-    if w is not None:
-        out = w @ out
-    return TrinaryState.from_dense(state.dims, StateVector(out.reshape(-1)))
+    return h.propagator().evolve(state, t)
 
 
 def evolve_programmed_block(
@@ -248,20 +257,17 @@ def evolve_programmed_block(
             raise FactorizationPreconditionError(
                 f"programmed measurability violated (commutator norm {chk.commutator_norm:.3e})"
             )
-    psi = sa_state.amplitudes.reshape(block.d_s, block.d_a)
-    b = block.s_basis
-    psi = b.conj().T @ psi
-    h_program = b.conj().T @ block.h_s.entries @ b
-    eigs = [_eig(g.entries) for g in block.a_generators]
-    out = _blockwise_propagate(h_program, eigs, psi, t)
-    out = b @ out
+    prop = FactorizedPropagator(
+        block.h_s.entries, [g.entries for g in block.a_generators], block.s_basis
+    )
+    out = prop.apply(sa_state.amplitudes.reshape(block.d_s, block.d_a), t)
     return StateVector(out.reshape(-1))
 
 
 def evolve(h: TrinaryHamiltonian, state: TrinaryState, t: float) -> TrinaryState:
     """Factorized when the measurability condition holds, dense otherwise."""
     if check_pmc(h).satisfied:
-        return evolve_factorized(h, state, t)
+        return evolve_factorized(h, state, t, force=True)  # the condition was just checked
     return evolve_full(h, state, t)
 
 
@@ -305,17 +311,10 @@ def evolve_swapped_factorized(
             raise FactorizationPreconditionError(
                 f"measurability condition violated (commutator norm {norm:.3e})"
             )
-    psi = state.as_matrix().T  # (d_sa, d_p): SA is now the program side
     if sa_basis is not None:
-        basis = _check_orthonormal(np.asarray(sa_basis, dtype=complex), dims.d_sa, "SA basis")
-        psi = basis.conj().T @ psi
-        h_program = basis.conj().T @ h_sa.entries @ basis
-    else:
-        h_program = h_sa.entries
-    eigs = [_eig(b.entries) for b in blocks_on_p]
-    out = _blockwise_propagate(h_program, eigs, psi, t)
-    if sa_basis is not None:
-        out = basis @ out
+        sa_basis = _check_orthonormal(np.asarray(sa_basis, dtype=complex), dims.d_sa, "SA basis")
+    prop = FactorizedPropagator(h_sa.entries, [b.entries for b in blocks_on_p], sa_basis)
+    out = prop.apply(state.as_matrix().T, t)  # (d_sa, d_p): SA is now the program side
     return TrinaryState.from_dense(dims, StateVector(out.T.reshape(-1)))
 
 
@@ -376,29 +375,18 @@ def entanglement_trajectory(
     if len(times) == 0 or times[0] != 0.0 or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must ascend and start at 0")
     factorized = check_pmc(h).satisfied
-
     if factorized:
-        psi0 = state.as_matrix()
-        w = h.programming_basis
-        if w is not None:
-            psi0 = w.conj().T @ psi0
-            h_program = w.conj().T @ h.h_p.entries @ w
-        else:
-            h_program = h.h_p.entries
-        block_eigs = [_eig(b.entries) for b in h.blocks]
+        prop = h.propagator()
     else:
-        full_eig = _eig(h.full_operator().entries)
+        full = HermitianSpectrum.of(h.full_operator().entries)
 
     s_psa = np.zeros(len(times))
     s_branches = np.zeros((len(times), h.dims.d_p))
     for k, t in enumerate(times):
         if factorized:
-            out = _blockwise_propagate(h_program, block_eigs, psi0, t)
-            if w is not None:
-                out = w @ out
-            st = TrinaryState.from_dense(h.dims, StateVector(out.reshape(-1)))
+            st = prop.evolve(state, t)
         else:
-            amp = _expi(full_eig, t) @ state.dense.amplitudes
+            amp = full.propagator(t) @ state.dense.amplitudes
             st = TrinaryState.from_dense(h.dims, StateVector(amp))
         s_psa[k], s_branches[k] = dual_entropies(st)
     return EntanglementTrajectory(

@@ -46,7 +46,10 @@ class CapacityError(ValueError):
 
 def max_total_dim() -> int:
     """Capacity cap on the full-space dimension; ICQT_MAX_DIM overrides."""
-    return int(os.environ.get("ICQT_MAX_DIM", DEFAULT_MAX_DIM))
+    raw = os.environ.get("ICQT_MAX_DIM", str(DEFAULT_MAX_DIM))
+    if not raw.isdigit():
+        raise CapacityError(f"ICQT_MAX_DIM must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def _rotation(kind: str, angle: float) -> np.ndarray:

@@ -72,15 +72,6 @@ class StateVector:
     def uniform(dim: int) -> StateVector:
         return StateVector(np.full(dim, 1.0 / np.sqrt(dim), dtype=complex))
 
-    @staticmethod
-    def from_array(a) -> StateVector:
-        """Normalize an arbitrary nonzero vector into a StateVector."""
-        arr = np.asarray(a, dtype=complex)
-        nrm = np.linalg.norm(arr)
-        if nrm == 0:
-            raise NormalizationError("cannot normalize the zero vector")
-        return StateVector(arr / nrm)
-
     def inner(self, other: StateVector) -> complex:
         if other.dim != self.dim:
             raise DimensionError("inner product of unequal dims")
@@ -251,13 +242,32 @@ def shannon_entropy(probs: Sequence[float]) -> float:
     return float(max(0.0, -np.sum(p * np.log(p))))
 
 
+@dataclass(frozen=True)
+class HermitianSpectrum:
+    """Eigendecomposition H = V diag(w) V^dagger of a Hermitian matrix, taken once.
+
+    Every propagator exp(-i H t) is then V diag(exp(-i w t)) V^dagger, so
+    evolving to many times costs one ``eigh`` in total.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+    @staticmethod
+    def of(h: np.ndarray) -> HermitianSpectrum:
+        return HermitianSpectrum(*np.linalg.eigh(h))
+
+    def propagator(self, t: float) -> np.ndarray:
+        """exp(-i H t) as a dense matrix."""
+        w, v = self.values, self.vectors
+        return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
 def hermitian_propagator(h: Operator, t: float) -> Operator:
     """exp(-i H t) for Hermitian H, via eigendecomposition."""
     if not h.is_hermitian():
         raise HermiticityError("propagator generator must be Hermitian")
-    w, v = np.linalg.eigh(h.entries)
-    phases = np.exp(-1j * w * t)
-    return Operator((v * phases) @ v.conj().T)
+    return Operator(HermitianSpectrum.of(h.entries).propagator(t))
 
 
 def commutator_norm(a: Operator, b: Operator) -> float:
@@ -289,7 +299,6 @@ def seeded_random(kind: Literal["state", "unitary", "hermitian"], dim: int, seed
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def random_orthonormal_basis(dim: int, seed) -> np.ndarray:
-    """Columns form a random orthonormal basis of C^dim."""
-    op = seeded_random("unitary", dim, seed)
-    return op.entries
+def subseed(root: int, *path: int) -> int:
+    """Deterministic child seed from a root seed and an integer path."""
+    return int(np.random.SeedSequence([int(root), *[int(p) for p in path]]).generate_state(1)[0])

@@ -14,10 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .icqc import GateOp, IcqcConfig, tomographic_program_n1
-from .linalg import Operator, StateVector, seeded_random
+from .linalg import Operator, StateVector, seeded_random, subseed
 from .serialize import pairs_to_complex
-from .suite import subseed
-from .trinary import TrinaryDims, TrinaryState, standard_basis
+from .trinary import TrinaryDims, TrinaryState, _check_orthonormal, standard_basis
 from .dynamics import ProgrammedBlockStructure, TrinaryHamiltonian, random_trinary_hamiltonian
 
 SCHEMA_VERSION = 1
@@ -50,11 +49,9 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     kind = data.get("kind")
     if kind not in KINDS:
         raise ScenarioError(f"kind must be one of {KINDS}, got {kind!r}")
-    seed = data.get("seed", 0)
+    seed = data.get("seed", 0) if seed_override is None else seed_override
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0 or seed >= 2**64:
         raise ScenarioError("seed must be an unsigned 64-bit integer")
-    if seed_override is not None:
-        seed = seed_override
     return Scenario(kind=kind, seed=seed, payload=data)
 
 
@@ -109,7 +106,10 @@ def parse_basis(obj, dim: int, what: str) -> tuple[np.ndarray, str | None]:
             return standard_basis(obj, dim), obj
         except ValueError as exc:
             raise ScenarioError(f"{what}: {exc}") from exc
-    return parse_matrix(obj, dim, what), None
+    try:
+        return _check_orthonormal(parse_matrix(obj, dim, what), dim, what), None
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def parse_branch_bases(payload: dict, dims: TrinaryDims) -> tuple[list[np.ndarray], list[str | None]]:
@@ -198,7 +198,7 @@ def parse_segments(
         if not isinstance(seg, dict) or "duration" not in seg or "hamiltonian" not in seg:
             raise ScenarioError(f"segments[{k}] needs 'duration' and 'hamiltonian'")
         duration = seg["duration"]
-        if not isinstance(duration, (int, float)) or duration < 0:
+        if not isinstance(duration, (int, float)) or not duration >= 0:
             raise ScenarioError(f"segments[{k}].duration must be nonnegative")
         h, structures = parse_hamiltonian(seg["hamiltonian"], dims, subseed(seed, 8, k))
         out.append((float(duration), h, structures))
@@ -211,8 +211,8 @@ def parse_times(payload: dict) -> tuple[float, ...]:
         raise ScenarioError("times must be a nonempty list")
     times = []
     for t in raw:
-        if not isinstance(t, (int, float)) or isinstance(t, bool):
-            raise ScenarioError("times must be numbers")
+        if not isinstance(t, (int, float)) or isinstance(t, bool) or not np.isfinite(t):
+            raise ScenarioError("times must be finite numbers")
         times.append(float(t))
     if times[0] != 0.0 or any(b < a for a, b in zip(times, times[1:])):
         raise ScenarioError("times must ascend and start at 0")

@@ -64,8 +64,11 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def write_json(path: str | Path, obj) -> None:
-    _atomic_write(Path(path), dumps(obj))
+def write_json(path: str | Path, obj) -> str:
+    """Write ``dumps(obj)`` to path and return that text."""
+    text = dumps(obj)
+    _atomic_write(Path(path), text)
+    return text
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -91,8 +94,10 @@ def complex_to_pairs(array: np.ndarray) -> list:
 
 
 def pairs_to_complex(data) -> np.ndarray:
-    """Inverse of complex_to_pairs; validates the [re, im] leaf shape."""
+    """Inverse of complex_to_pairs; validates the [re, im] leaf shape and finiteness."""
     arr = np.asarray(data, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise ValueError("complex data must be nested [re, im] pairs")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("complex data must be finite")
     return arr[..., 0] + 1j * arr[..., 1]

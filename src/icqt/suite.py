@@ -33,6 +33,7 @@ from .linalg import (
     schmidt_decompose,
     seeded_random,
     shannon_entropy,
+    subseed,
     tensor_product,
 )
 from .trinary import (
@@ -52,11 +53,6 @@ CREATION_MIN = 1e-6
 
 DEFAULT_DIMS = (TrinaryDims(2, 2, 4), TrinaryDims(3, 3, 9))
 EVOLUTION_TIMES = (0.1, 0.5, 1.0, 2.0)
-
-
-def subseed(root: int, *path: int) -> int:
-    """Deterministic child seed from a root seed and an integer path."""
-    return int(np.random.SeedSequence([int(root), *[int(p) for p in path]]).generate_state(1)[0])
 
 
 @dataclass(frozen=True)

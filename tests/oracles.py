@@ -114,3 +114,21 @@ def pauli_projectors():
         "X": [np.outer(v, v.conj()) for v in (x0, x1)],
         "Y": [np.outer(v, v.conj()) for v in (y0, y1)],
     }
+
+
+def schedule_walk(segments, state, t, evolve):
+    """State at absolute time t, replaying every segment from t = 0.
+
+    ``segments`` holds (duration, hamiltonian) pairs evolved back to back and
+    ``evolve(h, state, step)`` is one closed-form segment step; each earlier
+    segment is stepped for its full duration, the last one for the rest of t.
+    """
+    remaining = t
+    current = state
+    for duration, h in segments:
+        step = min(duration, remaining)
+        current = evolve(h, current, step)
+        remaining -= step
+        if remaining <= 0:
+            return current
+    raise ValueError(f"schedule is shorter than requested time {t}")

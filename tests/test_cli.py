@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 
 from icqt.cli import main
-from icqt.scenario import ScenarioError, load_scenario, parse_vector
-from icqt.serialize import complex_to_pairs, dumps, pairs_to_complex
+from icqt.dynamics import check_pmc, evolve_factorized, evolve_full
+from icqt.scenario import (
+    ScenarioError,
+    load_scenario,
+    parse_dims,
+    parse_initial_state,
+    parse_segments,
+    parse_vector,
+)
+from icqt.serialize import complex_to_pairs, dumps, pairs_to_complex, write_json
+from icqt.trinary import dual_entropies
+from oracles import schedule_walk
 
 
 def write_scenario(tmp_path, name, payload):
@@ -65,6 +75,11 @@ class TestSerialize:
 
     def test_negative_zero_folded(self):
         assert "-0" not in dumps({"x": -0.0})
+
+    def test_write_json_returns_the_written_text(self, tmp_path):
+        doc = {"b": [1.5, None], "a": "x"}
+        text = write_json(tmp_path / "r.json", doc)
+        assert text == dumps(doc) == (tmp_path / "r.json").read_text()
 
 
 class TestValidateCommand:
@@ -173,6 +188,72 @@ class TestEvolveCommand:
         assert doc["pmc_fallback"] is True
         assert doc["factorized_full_max_deviation"] is None
         assert "warning" in captured.err
+
+    def test_segment_walk_equals_replay_from_zero(self, tmp_path, capsys):
+        # a coupled segment, a custom programming basis, t = 0 and times on
+        # segment boundaries (0.5, 0.75 and the schedule's end 1.25)
+        rng = np.random.default_rng(11)
+        basis = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        h_p = basis @ np.diag([0.4, -0.9, 1.3, 0.2]) @ basis.conj().T
+
+        def herm(m):
+            return 0.5 * (m + m.conj().T)
+
+        blocks = [herm(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) for _ in range(4)]
+        custom = {
+            "h_p": complex_to_pairs(h_p),
+            "blocks": [complex_to_pairs(b) for b in blocks],
+            "programming_basis": complex_to_pairs(basis),
+        }
+        payload = base(
+            "dynamics",
+            dims=[2, 2, 4],
+            times=[0.0, 0.25, 0.5, 0.6, 0.75, 1.0, 1.25],
+            segments=[
+                {"duration": 0.5, "hamiltonian": {"random": "pmc"}},
+                {"duration": 0.25, "hamiltonian": custom},
+                {"duration": 0.5, "hamiltonian": {"random": "coupled"}},
+            ],
+        )
+        path = write_scenario(tmp_path, "e.json", payload)
+        out = tmp_path / "out"
+        assert main(["evolve", path, "--out", str(out)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+
+        dims = parse_dims(payload)
+        segments = [(d, h) for d, h, _ in parse_segments(payload, dims, 7)]
+        assert all(check_pmc(h).satisfied for _, h in segments)
+        state = parse_initial_state(payload, dims, 7)
+        rows, deviation = [], 0.0
+        for t in payload["times"]:
+            full = schedule_walk(segments, state, t, evolve_full)
+            fact = schedule_walk(segments, state, t, evolve_factorized)
+            amp_diff = np.abs(fact.dense.amplitudes - full.dense.amplitudes)
+            deviation = max(deviation, float(np.max(amp_diff)))
+            s_psa, s_branches = dual_entropies(fact)
+            rows.append([t, s_psa, *s_branches])
+        got = [
+            [float(x) for x in line.split(",")]
+            for line in (out / "trajectory.csv").read_text().splitlines()[1:]
+        ]
+        assert got == rows
+        assert doc["factorized_full_max_deviation"] == deviation
+        assert doc["final_S_PSA"] == rows[-1][1]
+
+    def test_time_past_schedule_end_exit_two(self, tmp_path, capsys):
+        payload = base(
+            "dynamics",
+            dims=[2, 2, 4],
+            times=[0.0, 0.5, 0.8],
+            segments=[
+                {"duration": 0.5, "hamiltonian": {"random": "pmc"}},
+                {"duration": 0.25, "hamiltonian": {"random": "coupled"}},
+            ],
+        )
+        path = write_scenario(tmp_path, "e.json", payload)
+        assert main(["evolve", path, "--out", str(tmp_path / "out")]) == 2
+        assert "shorter than requested time 0.8" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_segments_and_sapmc_report(self, tmp_path, capsys):
         from icqt.dynamics import random_block_structure
@@ -332,7 +413,7 @@ class TestSuiteCommand:
 
 class TestSeedSplitting:
     def test_subseed_deterministic_and_distinct(self):
-        from icqt.suite import subseed
+        from icqt.linalg import subseed
 
         assert subseed(7, 1, 2) == subseed(7, 1, 2)
         values = {subseed(7, k) for k in range(32)}
@@ -341,19 +422,32 @@ class TestSeedSplitting:
 
 
 class TestDeterminism:
-    def test_byte_identical_reports(self, tmp_path):
-        payload = base(
-            "dynamics", dims=[2, 2, 4], times=[0.0, 0.4], hamiltonian={"random": "pmc"}
-        )
-        path = write_scenario(tmp_path, "d.json", payload)
-        main(["evolve", path, "--out", str(tmp_path / "a")])
-        main(["evolve", path, "--out", str(tmp_path / "b")])
-        assert (tmp_path / "a" / "summary.json").read_bytes() == (
-            tmp_path / "b" / "summary.json"
-        ).read_bytes()
-        assert (tmp_path / "a" / "trajectory.csv").read_bytes() == (
-            tmp_path / "b" / "trajectory.csv"
-        ).read_bytes()
+    COMMANDS = [
+        (
+            "evolve",
+            base("dynamics", dims=[2, 2, 4], times=[0.0, 0.4], hamiltonian={"random": "pmc"}),
+        ),
+        ("validate", base("trinary-build", dims=[2, 2, 4], branch_bases=["Z", "X", "Y", "Z"])),
+        (
+            "born",
+            base("born", dims=[2, 2, 4], branch_bases=["Z", "X", "Y", "Z"], system_state="random"),
+        ),
+        ("icqc", base("icqc", n=1, program={"random": {"depth": 2}}, emit_state=True)),
+    ]
+
+    def test_byte_identical_reports(self, tmp_path, capsys):
+        # every report file and stdout; suite is left out while its report
+        # carries elapsed_s timings
+        for command, payload in self.COMMANDS:
+            path = write_scenario(tmp_path, f"{command}.json", payload)
+            runs = []
+            for out in ("a", "b"):
+                out_dir = tmp_path / command / out
+                assert main([command, path, "--out", str(out_dir)]) == 0
+                files = [(f.name, f.read_bytes()) for f in sorted(out_dir.iterdir())]
+                runs.append((capsys.readouterr().out, files))
+            assert runs[0][1], command
+            assert runs[0] == runs[1], command
 
     def test_seed_override_changes_report(self, tmp_path):
         payload = base(
@@ -365,3 +459,57 @@ class TestDeterminism:
         assert (tmp_path / "a" / "summary.json").read_bytes() != (
             tmp_path / "b" / "summary.json"
         ).read_bytes()
+
+
+class TestInputErrors:
+    """Malformed input exits 2 with a one-line message, never a traceback."""
+
+    def run_bad(self, tmp_path, capsys, command, payload, *extra):
+        path = write_scenario(tmp_path, "bad.json", payload)
+        code = main([command, path, "--out", str(tmp_path / "out"), *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+        return err
+
+    def test_icqc_above_capacity(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ICQT_MAX_DIM", "255")
+        err = self.run_bad(tmp_path, capsys, "icqc", base("icqc", n=2, program={"random": {}}))
+        assert "exceeds the cap 255" in err
+
+    def test_max_dim_not_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ICQT_MAX_DIM", "abc")
+        err = self.run_bad(tmp_path, capsys, "icqc", base("icqc", n=1, program={"random": {}}))
+        assert "ICQT_MAX_DIM" in err
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        payload = base("dynamics", dims=[2, 2, 4], times=[0.0], hamiltonian={"random": "pmc"})
+        err = self.run_bad(tmp_path, capsys, "evolve", payload, "--seed", "-1")
+        assert "seed must be" in err
+
+    def test_negative_seed_override_not_reported(self, tmp_path, capsys):
+        payload = base("trinary-build", dims=[2, 2, 4], branch_bases=["Z", "X", "Y", "Z"])
+        self.run_bad(tmp_path, capsys, "validate", payload, "--seed", "-1")
+
+    def test_nan_system_state(self, tmp_path, capsys):
+        payload = base(
+            "born",
+            dims=[2, 2, 4],
+            branch_bases=["Z", "X", "Y", "Z"],
+            system_state=[[float("nan"), 0.0], [1.0, 0.0]],
+        )
+        err = self.run_bad(tmp_path, capsys, "born", payload)
+        assert "system_state" in err
+
+    def test_non_orthonormal_basis_matrix(self, tmp_path, capsys):
+        skew = complex_to_pairs(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        payload = base("trinary-build", dims=[2, 2, 4], branch_bases=["Z", "X", skew, "Z"])
+        err = self.run_bad(tmp_path, capsys, "validate", payload)
+        assert "branch_bases[2]" in err
+
+    def test_non_finite_time(self, tmp_path, capsys):
+        payload = base(
+            "dynamics", dims=[2, 2, 4], times=[0.0, float("inf")], hamiltonian={"random": "pmc"}
+        )
+        self.run_bad(tmp_path, capsys, "evolve", payload)

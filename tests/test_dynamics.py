@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from icqt import dynamics
 from icqt.dynamics import (
     FactorizationPreconditionError,
+    FactorizedPropagator,
     ProgrammedBlockStructure,
     TrinaryHamiltonian,
     check_pmc,
@@ -252,6 +254,30 @@ class TestEvolveFactorized:
         out = evolve_factorized(h, random_state(DIMS, 25), 2.0)
         assert abs(np.linalg.norm(out.dense.amplitudes) - 1) <= 1e-10
 
+    def test_one_propagator_serves_every_time(self):
+        basis = seeded_random("unitary", 4, 26).entries
+        h_p = Operator(basis @ np.diag([0.3, -1.1, 0.7, 2.0]).astype(complex) @ basis.conj().T)
+        blocks = tuple(seeded_random("hermitian", 4, 27 + n) for n in range(4))
+        h = TrinaryHamiltonian(dims=DIMS, h_p=h_p, blocks=blocks, programming_basis=basis)
+        state = random_state(DIMS, 31)
+        prop = h.propagator()
+        for t in (0.0, 0.4, 1.3):
+            got = prop.evolve(state, t).dense.amplitudes
+            assert np.array_equal(got, evolve_factorized(h, state, t).dense.amplitudes)
+
+    def test_batched_blocks_equal_per_block_formula(self):
+        # the batched eigh must reproduce per-block eigh exactly, so that
+        # reports stay byte-identical to the per-block implementation
+        h = random_trinary_hamiltonian(TrinaryDims(2, 3, 5), 32, kind="coupled")
+        w = seeded_random("unitary", 5, 33).entries
+        psi = seeded_random("state", 30, 34).amplitudes.reshape(5, 6)
+        prop = FactorizedPropagator(h.h_p.entries, [b.entries for b in h.blocks], w)
+        for t in (0.0, 0.7):
+            want = expm_hermitian(w.conj().T @ h.h_p.entries @ w, t) @ (w.conj().T @ psi)
+            for n, b in enumerate(h.blocks):
+                want[n] = expm_hermitian(b.entries, t) @ want[n]
+            assert np.array_equal(prop.apply(psi, t), w @ want)
+
 
 class TestEvolveProgrammedBlock:
     def test_zero_generators_pure_s_evolution(self):
@@ -386,6 +412,18 @@ class TestEvolveDispatch:
         a = evolve(h, state, 0.6)
         b = evolve_full(h, state, 0.6)
         assert np.array_equal(a.dense.amplitudes, b.dense.amplitudes)
+
+    def test_checks_the_condition_once(self, monkeypatch):
+        calls = []
+
+        def counting_check(h):
+            calls.append(h)
+            return check_pmc(h)
+
+        monkeypatch.setattr(dynamics, "check_pmc", counting_check)
+        h = random_trinary_hamiltonian(DIMS, 94, kind="coupled")
+        evolve(h, random_state(DIMS, 95), 0.6)
+        assert len(calls) == 1
 
 
 class TestSchedule:

@@ -12,6 +12,7 @@ from icqt.linalg import (
     StateVector,
     commutator_norm,
     entanglement_entropy,
+    HermitianSpectrum,
     hermitian_propagator,
     partial_trace,
     schmidt_decompose,
@@ -197,6 +198,12 @@ class TestPropagator:
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermiticityError):
             hermitian_propagator(Operator(np.array([[0, 1], [0, 0]], dtype=complex)), 1.0)
+
+    def test_spectrum_reused_across_times(self):
+        h = seeded_random("hermitian", 5, 14)
+        spectrum = HermitianSpectrum.of(h.entries)
+        for t in (0.0, 0.3, 1.7):
+            assert np.array_equal(spectrum.propagator(t), hermitian_propagator(h, t).entries)
 
     @given(st.integers(0, 30), st.floats(0.1, 2.0), st.floats(0.1, 2.0))
     @settings(max_examples=20, deadline=None)
