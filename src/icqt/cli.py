@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .born import conventional_oracle, dual_born_report
-from .dynamics import check_pmc, check_sapmc
+from .dynamics import DensePropagator, check_pmc, check_sapmc
 from .icqc import CapacityError, run as icqc_run
-from .linalg import HermitianSpectrum, StateVector, seeded_random, subseed
+from .linalg import seeded_random, subseed
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -72,11 +72,6 @@ def cmd_validate(scenario: Scenario, out_dir: Path) -> int:
     return 0 if report.complete else 1
 
 
-def _dense_evolve(full: HermitianSpectrum, state: TrinaryState, t: float) -> TrinaryState:
-    amp = full.propagator(t) @ state.dense.amplitudes
-    return TrinaryState.from_dense(state.dims, StateVector(amp))
-
-
 def cmd_evolve(scenario: Scenario, out_dir: Path) -> int:
     payload = scenario.payload
     dims = parse_dims(payload)
@@ -113,11 +108,11 @@ def cmd_evolve(scenario: Scenario, out_dir: Path) -> int:
     i = 0
     full_start = fact_start = state
     for duration, h, _ in segments:
-        full = HermitianSpectrum.of(h.full_operator().entries)
+        full = DensePropagator(h)
         fact = h.propagator() if pmc_ok else None
         while i < len(times) and remaining[i] <= duration:
             step = min(duration, remaining[i])
-            current = _dense_evolve(full, full_start, step)
+            current = full.evolve(full_start, step)
             if fact is not None:
                 fact_state = fact.evolve(fact_start, step)
                 dev = float(np.max(np.abs(fact_state.dense.amplitudes - current.dense.amplitudes)))
@@ -128,7 +123,7 @@ def cmd_evolve(scenario: Scenario, out_dir: Path) -> int:
         if i == len(times):
             break
         remaining[i:] = [r - duration for r in remaining[i:]]
-        full_start = _dense_evolve(full, full_start, duration)
+        full_start = full.evolve(full_start, duration)
         if fact is not None:
             fact_start = fact.evolve(fact_start, duration)
         del full, fact

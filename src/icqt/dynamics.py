@@ -6,8 +6,8 @@ commutes with H_P (the measurability condition) the propagator factorizes
 into a programming-side propagator times independent per-branch propagators,
 and evolution runs block-by-block without ever forming the full-space matrix.
 ``FactorizedPropagator`` is that propagator, decomposed once per Hamiltonian
-and shared by every factorized path; ``evolve_full`` is the dense brute-force
-reference for exactly that claim.
+and shared by every factorized path; ``DensePropagator`` (and ``evolve_full``
+on top of it) is the dense brute-force reference for exactly that claim.
 
 Time dependence is piecewise constant: a schedule is a list of
 (duration, hamiltonian) segments evolved back to back.
@@ -27,7 +27,6 @@ from .linalg import (
     Operator,
     StateVector,
     commutator_norm,
-    hermitian_propagator,
     seeded_random,
 )
 from .trinary import TrinaryDims, TrinaryState, _check_orthonormal, dual_entropies
@@ -218,12 +217,27 @@ class FactorizedPropagator:
         return TrinaryState.from_dense(state.dims, StateVector(out.reshape(-1)))
 
 
+class DensePropagator:
+    """exp(-i H t) of a trinary Hamiltonian on the full space, decomposed once.
+
+    The brute-force reference for ``FactorizedPropagator``: it diagonalises
+    the densely assembled ``full_operator`` with one ``eigh``, so it is exact
+    whether or not the measurability condition holds, at (d_p d_sa)^3 cost.
+    """
+
+    def __init__(self, h: TrinaryHamiltonian):
+        self._spectrum = HermitianSpectrum.of(h.full_operator().entries)
+
+    def evolve(self, state: TrinaryState, t: float) -> TrinaryState:
+        amp = self._spectrum.propagator(t) @ state.dense.amplitudes
+        return TrinaryState.from_dense(state.dims, StateVector(amp))
+
+
 def evolve_full(h: TrinaryHamiltonian, state: TrinaryState, t: float) -> TrinaryState:
     """Dense full-space propagator: the brute-force oracle."""
     if h.dims != state.dims:
         raise DimensionError("hamiltonian and state dims differ")
-    u = hermitian_propagator(h.full_operator(), t)
-    return TrinaryState.from_dense(state.dims, u.apply(state.dense))
+    return DensePropagator(h).evolve(state, t)
 
 
 def evolve_factorized(
@@ -375,20 +389,12 @@ def entanglement_trajectory(
     if len(times) == 0 or times[0] != 0.0 or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must ascend and start at 0")
     factorized = check_pmc(h).satisfied
-    if factorized:
-        prop = h.propagator()
-    else:
-        full = HermitianSpectrum.of(h.full_operator().entries)
+    prop = h.propagator() if factorized else DensePropagator(h)
 
     s_psa = np.zeros(len(times))
     s_branches = np.zeros((len(times), h.dims.d_p))
     for k, t in enumerate(times):
-        if factorized:
-            st = prop.evolve(state, t)
-        else:
-            amp = full.propagator(t) @ state.dense.amplitudes
-            st = TrinaryState.from_dense(h.dims, StateVector(amp))
-        s_psa[k], s_branches[k] = dual_entropies(st)
+        s_psa[k], s_branches[k] = dual_entropies(prop.evolve(state, t))
     return EntanglementTrajectory(
         times=times, s_psa=s_psa, s_sa_branches=s_branches, used_factorized=factorized
     )

@@ -47,9 +47,10 @@ class CapacityError(ValueError):
 def max_total_dim() -> int:
     """Capacity cap on the full-space dimension; ICQT_MAX_DIM overrides."""
     raw = os.environ.get("ICQT_MAX_DIM", str(DEFAULT_MAX_DIM))
-    if not raw.isdigit():
-        raise CapacityError(f"ICQT_MAX_DIM must be a nonnegative integer, got {raw!r}")
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise CapacityError(f"ICQT_MAX_DIM must be an integer, got {raw!r}") from exc
 
 
 def _rotation(kind: str, angle: float) -> np.ndarray:

@@ -478,10 +478,17 @@ class TestInputErrors:
         err = self.run_bad(tmp_path, capsys, "icqc", base("icqc", n=2, program={"random": {}}))
         assert "exceeds the cap 255" in err
 
-    def test_max_dim_not_an_integer(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ICQT_MAX_DIM", "abc")
+    @pytest.mark.parametrize("raw", ["abc", "\u00b2", "4.0e3"])
+    def test_max_dim_not_an_integer(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("ICQT_MAX_DIM", raw)
         err = self.run_bad(tmp_path, capsys, "icqc", base("icqc", n=1, program={"random": {}}))
         assert "ICQT_MAX_DIM" in err
+
+    @pytest.mark.parametrize("raw", [" 4096", "4096\n", "+4096"])
+    def test_max_dim_read_as_int_reads_it(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("ICQT_MAX_DIM", raw)
+        path = write_scenario(tmp_path, "ok.json", base("icqc", n=1, program={"random": {}}))
+        assert main(["icqc", path, "--out", str(tmp_path / "out")]) == 0
 
     def test_negative_seed_override(self, tmp_path, capsys):
         payload = base("dynamics", dims=[2, 2, 4], times=[0.0], hamiltonian={"random": "pmc"})

@@ -3,6 +3,7 @@ import pytest
 
 from icqt import dynamics
 from icqt.dynamics import (
+    DensePropagator,
     FactorizationPreconditionError,
     FactorizedPropagator,
     ProgrammedBlockStructure,
@@ -424,6 +425,17 @@ class TestEvolveDispatch:
         h = random_trinary_hamiltonian(DIMS, 94, kind="coupled")
         evolve(h, random_state(DIMS, 95), 0.6)
         assert len(calls) == 1
+
+    def test_dense_propagator_serves_every_time(self):
+        # One decomposition, reused: equal (not close) to a fresh dense
+        # propagator per time, for a Hamiltonian that violates the condition.
+        h = random_trinary_hamiltonian(DIMS, 96, kind="violating")
+        state = random_state(DIMS, 97)
+        prop = DensePropagator(h)
+        for t in (0.0, 0.3, 1.7):
+            want = hermitian_propagator(h.full_operator(), t).apply(state.dense)
+            assert np.array_equal(prop.evolve(state, t).dense.amplitudes, want.amplitudes)
+            assert np.array_equal(evolve_full(h, state, t).dense.amplitudes, want.amplitudes)
 
 
 class TestSchedule:
