@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import StateVector, schmidt_decompose
+from .linalg import StateVector, schmidt_coefficients, schmidt_decompose
 from .trinary import EMPTY_BRANCH_TOL, TrinaryState
 
 CLAMP_TOL = 1e-12
@@ -50,20 +50,25 @@ class OutcomeTable:
     degenerate: bool
 
 
+def _outcome_row(coefficients: np.ndarray, d_s: int) -> tuple[np.ndarray, bool]:
+    """A branch's outcome probabilities, padded to d_s, and its degeneracy flag."""
+    probs = _clamp(coefficients**2)
+    padded = np.zeros(d_s)
+    padded[: probs.size] = probs
+    nonzero = coefficients[coefficients > EMPTY_BRANCH_TOL]
+    return padded, bool(np.any(np.abs(np.diff(nonzero)) < DEGENERACY_TOL))
+
+
 def outcome_probabilities(state: TrinaryState, branch: int) -> OutcomeTable:
     """Outcome distribution of the measurement carried by one branch."""
-    weights = state.branch_weights()
-    if weights[branch] <= EMPTY_BRANCH_TOL:
+    row = state.as_matrix()[branch]
+    if np.sum(np.abs(row) ** 2) <= EMPTY_BRANCH_TOL:
         raise EmptyBranchError(f"branch {branch} carries no weight")
     sa = state.branch_state(branch)
     sd = schmidt_decompose(sa, (state.dims.d_s, state.dims.d_a))
-    probs = _clamp(sd.coefficients**2)
-    padded = np.zeros(state.dims.d_s)
-    padded[: probs.size] = probs
-    nonzero = sd.coefficients[sd.coefficients > EMPTY_BRANCH_TOL]
-    degenerate = bool(np.any(np.abs(np.diff(nonzero)) < DEGENERACY_TOL))
+    probs, degenerate = _outcome_row(sd.coefficients, state.dims.d_s)
     return OutcomeTable(
-        probabilities=padded,
+        probabilities=probs,
         measured_basis=sd.left_basis,
         degenerate=degenerate,
     )
@@ -90,31 +95,25 @@ class DualBornReport:
     outcome_probs: np.ndarray  # shape (d_p, d_s)
     degenerate: tuple[bool, ...]
     empty: tuple[bool, ...]
-    branch_observable_labels: tuple[str | None, ...] | None = None
 
 
-def dual_born_report(
-    state: TrinaryState, labels: tuple[str | None, ...] | None = None
-) -> DualBornReport:
-    """Assemble the full dual-probability report for a trinary state."""
-    d_p, d_s = state.dims.d_p, state.dims.d_s
+def dual_born_report(state: TrinaryState) -> DualBornReport:
+    """Assemble the full dual-probability report for a trinary state.
+
+    Row r is ``outcome_probabilities(state, r)`` without the measured basis.
+    """
+    d_p, d_s, d_a = state.dims.d_p, state.dims.d_s, state.dims.d_a
     decision = decision_probabilities(state)
+    empty = tuple(bool(w <= EMPTY_BRANCH_TOL) for w in decision)
     outcome = np.zeros((d_p, d_s))
-    degenerate = []
-    empty = []
+    degenerate = [False] * d_p
     for r in range(d_p):
-        if decision[r] <= EMPTY_BRANCH_TOL:
-            empty.append(True)
-            degenerate.append(False)
-            continue
-        table = outcome_probabilities(state, r)
-        outcome[r] = table.probabilities
-        degenerate.append(table.degenerate)
-        empty.append(False)
+        if not empty[r]:
+            coefficients = schmidt_coefficients(state.branch_state(r), (d_s, d_a))
+            outcome[r], degenerate[r] = _outcome_row(coefficients, d_s)
     return DualBornReport(
         decision_probs=decision,
         outcome_probs=outcome,
         degenerate=tuple(degenerate),
-        empty=tuple(empty),
-        branch_observable_labels=labels,
+        empty=empty,
     )

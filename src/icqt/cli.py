@@ -55,7 +55,7 @@ def cmd_validate(scenario: Scenario, out_dir: Path) -> int:
     probe = None
     if "probe_apparatus" in scenario.payload:
         probe = parse_vector(scenario.payload["probe_apparatus"], dims.d_a, "probe_apparatus")
-    pu = build_programmed_unitary(dims, bases, labels=labels)
+    pu = build_programmed_unitary(dims, bases)
     report = validate_informational_completeness(pu, probe)
     doc = {
         "kind": scenario.kind,
@@ -162,7 +162,7 @@ def cmd_born(scenario: Scenario, out_dir: Path) -> int:
     payload = scenario.payload
     dims = parse_dims(payload)
     bases, labels = parse_branch_bases(payload, dims)
-    pu = build_programmed_unitary(dims, bases, labels=labels)
+    pu = build_programmed_unitary(dims, bases)
 
     g = payload.get("g", "uniform")
     chi = parse_vector(g, dims.d_p, "g")
@@ -174,7 +174,7 @@ def cmd_born(scenario: Scenario, out_dir: Path) -> int:
     phi = parse_vector(payload.get("apparatus_state", "basis0"), dims.d_a, "apparatus_state")
 
     state = apply_programmed(pu, TrinaryState.from_product(dims, chi, psi, phi))
-    report = dual_born_report(state, labels=tuple(labels))
+    report = dual_born_report(state)
 
     max_dev = 0.0
     oracle_rows = []

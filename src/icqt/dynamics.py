@@ -240,37 +240,33 @@ def evolve_full(h: TrinaryHamiltonian, state: TrinaryState, t: float) -> Trinary
     return DensePropagator(h).evolve(state, t)
 
 
-def evolve_factorized(
-    h: TrinaryHamiltonian, state: TrinaryState, t: float, force: bool = False
-) -> TrinaryState:
+def evolve_factorized(h: TrinaryHamiltonian, state: TrinaryState, t: float) -> TrinaryState:
     """Blockwise dual evolution; requires the measurability condition.
 
-    ``force=True`` skips the condition and applies the factorized formula
-    anyway (used to demonstrate that the condition is not vacuous).
+    ``h.propagator().evolve(state, t)`` is the same formula without the check
+    (used to demonstrate that the condition is not vacuous).
     """
     if h.dims != state.dims:
         raise DimensionError("hamiltonian and state dims differ")
-    if not force:
-        chk = check_pmc(h)
-        if not chk.satisfied:
-            raise FactorizationPreconditionError(
-                f"measurability condition violated (commutator norm {chk.commutator_norm:.3e})"
-            )
+    chk = check_pmc(h)
+    if not chk.satisfied:
+        raise FactorizationPreconditionError(
+            f"measurability condition violated (commutator norm {chk.commutator_norm:.3e})"
+        )
     return h.propagator().evolve(state, t)
 
 
 def evolve_programmed_block(
-    block: ProgrammedBlockStructure, sa_state: StateVector, t: float, force: bool = False
+    block: ProgrammedBlockStructure, sa_state: StateVector, t: float
 ) -> StateVector:
     """Second-level factorized evolution of one S x A block."""
     if sa_state.dim != block.d_s * block.d_a:
         raise DimensionError("state does not live on this block's S x A space")
-    if not force:
-        chk = check_sapmc(block)
-        if not chk.satisfied:
-            raise FactorizationPreconditionError(
-                f"programmed measurability violated (commutator norm {chk.commutator_norm:.3e})"
-            )
+    chk = check_sapmc(block)
+    if not chk.satisfied:
+        raise FactorizationPreconditionError(
+            f"programmed measurability violated (commutator norm {chk.commutator_norm:.3e})"
+        )
     prop = FactorizedPropagator(
         block.h_s.entries, [g.entries for g in block.a_generators], block.s_basis
     )
@@ -280,8 +276,10 @@ def evolve_programmed_block(
 
 def evolve(h: TrinaryHamiltonian, state: TrinaryState, t: float) -> TrinaryState:
     """Factorized when the measurability condition holds, dense otherwise."""
+    if h.dims != state.dims:
+        raise DimensionError("hamiltonian and state dims differ")
     if check_pmc(h).satisfied:
-        return evolve_factorized(h, state, t, force=True)  # the condition was just checked
+        return h.propagator().evolve(state, t)
     return evolve_full(h, state, t)
 
 
@@ -303,7 +301,6 @@ def evolve_swapped_factorized(
     state: TrinaryState,
     t: float,
     sa_basis: np.ndarray | None = None,
-    force: bool = False,
 ) -> TrinaryState:
     """Symmetric variant where S x A programs the evolution of P.
 
@@ -319,12 +316,11 @@ def evolve_swapped_factorized(
         if b.dim != dims.d_p:
             raise DimensionError("swapped blocks must act on the programming space")
         _require_hermitian(b.entries, f"swapped block {m}")
-    if not force:
-        norm = _swapped_pmc_norm(h_sa, blocks_on_p, sa_basis, dims)
-        if norm > COMMUTATION_TOL:
-            raise FactorizationPreconditionError(
-                f"measurability condition violated (commutator norm {norm:.3e})"
-            )
+    norm = _swapped_pmc_norm(h_sa, blocks_on_p, sa_basis, dims)
+    if norm > COMMUTATION_TOL:
+        raise FactorizationPreconditionError(
+            f"measurability condition violated (commutator norm {norm:.3e})"
+        )
     if sa_basis is not None:
         sa_basis = _check_orthonormal(np.asarray(sa_basis, dtype=complex), dims.d_sa, "SA basis")
     prop = FactorizedPropagator(h_sa.entries, [b.entries for b in blocks_on_p], sa_basis)

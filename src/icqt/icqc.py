@@ -53,6 +53,16 @@ def max_total_dim() -> int:
         raise CapacityError(f"ICQT_MAX_DIM must be an integer, got {raw!r}") from exc
 
 
+def check_capacity(total: int, what: str) -> None:
+    """Refuse a full-space dimension ``total`` (written ``what``) above the cap."""
+    cap = max_total_dim()
+    if total > cap:
+        raise CapacityError(
+            f"full dimension {what} = {total} exceeds the cap {cap} "
+            f"(set ICQT_MAX_DIM to raise it)"
+        )
+
+
 def _rotation(kind: str, angle: float) -> np.ndarray:
     c, s = np.cos(angle / 2), np.sin(angle / 2)
     if kind == "RX":
@@ -216,13 +226,7 @@ def init_state(n: int, initial: str = "uniform") -> TrinaryState:
     """Uniform superposition on every register (or all-zeros with 'zeros')."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = 2 ** (4 * n)
-    cap = max_total_dim()
-    if total > cap:
-        raise CapacityError(
-            f"full dimension 2^{4 * n} = {total} exceeds the cap {cap} "
-            f"(set ICQT_MAX_DIM to raise it)"
-        )
+    check_capacity(2 ** (4 * n), f"2^{4 * n}")
     dims = TrinaryDims(d_s=2**n, d_a=2**n, d_p=4**n)
     if initial == "uniform":
         chi = StateVector.uniform(dims.d_p)

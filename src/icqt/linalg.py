@@ -215,21 +215,39 @@ def partial_trace(
     return DensityMatrix(reduced)
 
 
-def schmidt_decompose(psi: StateVector, dims: tuple[int, int]) -> SchmidtDecomposition:
-    """Schmidt decomposition of a pure state across the (dimL, dimR) cut."""
+def _cut_matrix(psi: StateVector, dims: tuple[int, int]) -> np.ndarray:
     dim_l, dim_r = dims
     if dim_l * dim_r != psi.dim:
         raise DimensionError(f"{dims} does not factor dim {psi.dim}")
-    matrix = psi.amplitudes.reshape(dim_l, dim_r)
-    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+    return psi.amplitudes.reshape(dim_l, dim_r)
+
+
+def schmidt_decompose(psi: StateVector, dims: tuple[int, int]) -> SchmidtDecomposition:
+    """Schmidt decomposition of a pure state across the (dimL, dimR) cut."""
+    u, s, vh = np.linalg.svd(_cut_matrix(psi, dims), full_matrices=False)
     left = tuple(StateVector(u[:, k]) for k in range(s.size))
     right = tuple(StateVector(vh[k, :]) for k in range(s.size))
     return SchmidtDecomposition(coefficients=s, left_basis=left, right_basis=right, cut=dims)
 
 
+def schmidt_coefficients(psi: StateVector, dims: tuple[int, int]) -> np.ndarray:
+    """Descending Schmidt coefficients across the (dimL, dimR) cut, without bases.
+
+    They come from the same full SVD as ``schmidt_decompose``, so they equal
+    its coefficients bit for bit; the singular vectors are discarded.  Should
+    that SVD not converge, the values-only SVD, which takes a different
+    LAPACK path, is used instead.
+    """
+    matrix = _cut_matrix(psi, dims)
+    try:
+        return np.linalg.svd(matrix, full_matrices=False)[1]
+    except np.linalg.LinAlgError:
+        return np.linalg.svd(matrix, compute_uv=False)
+
+
 def entanglement_entropy(psi: StateVector, dims: tuple[int, int]) -> float:
     """Von Neumann entropy (nats) of either reduced state of a pure state."""
-    s = schmidt_decompose(psi, dims).coefficients
+    s = schmidt_coefficients(psi, dims)
     p = s * s
     p = p[p > 0]
     return float(max(0.0, -np.sum(p * np.log(p))))

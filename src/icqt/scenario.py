@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .icqc import GateOp, IcqcConfig, tomographic_program_n1
+from .icqc import GateOp, IcqcConfig, check_capacity, tomographic_program_n1
 from .linalg import Operator, StateVector, seeded_random, subseed
 from .serialize import pairs_to_complex
 from .trinary import TrinaryDims, TrinaryState, _check_orthonormal, standard_basis
@@ -63,7 +63,9 @@ def parse_dims(payload: dict) -> TrinaryDims:
         or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
     ):
         raise ScenarioError("dims must be a list [d_s, d_a, d_p] of positive integers")
-    return TrinaryDims(d_s=dims[0], d_a=dims[1], d_p=dims[2])
+    d_s, d_a, d_p = dims
+    check_capacity(d_s * d_a * d_p, f"{d_s}*{d_a}*{d_p}")
+    return TrinaryDims(d_s=d_s, d_a=d_a, d_p=d_p)
 
 
 def parse_matrix(obj, dim: int, what: str) -> np.ndarray:
@@ -285,6 +287,7 @@ def parse_icqc_config(payload: dict, seed: int) -> IcqcConfig:
     n = payload.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ScenarioError("n must be a positive integer")
+    check_capacity(2 ** (4 * n), f"2^{4 * n}")
     gates = parse_gate_list(payload.get("gates"), "gates")
     p_circuit = parse_gate_list(payload.get("p_circuit"), "p_circuit")
     initial = payload.get("initial", "uniform")

@@ -18,7 +18,6 @@ from .linalg import (
     Operator,
     StateVector,
     entanglement_entropy,
-    schmidt_decompose,
 )
 
 BASIS_ORTHO_TOL = 1e-10
@@ -131,7 +130,6 @@ class ProgramBranch:
 
     index: int
     branch_unitary: Operator
-    label: str | None = None
 
     def __post_init__(self):
         if not self.branch_unitary.is_unitary():
@@ -169,40 +167,35 @@ class ProgrammedUnitary:
 
 
 def build_programmed_unitary(
-    dims: TrinaryDims,
-    branch_bases: Sequence[np.ndarray],
-    labels: Sequence[str] | None = None,
+    dims: TrinaryDims, branch_bases: Sequence[np.ndarray]
 ) -> ProgrammedUnitary:
     """Programmed unitary whose branch r pointer-measures branch_bases[r]."""
     if len(branch_bases) != dims.d_p:
         raise BranchCountError(
             f"need {dims.d_p} branch bases, got {len(branch_bases)}"
         )
-    if labels is not None and len(labels) != dims.d_p:
-        raise BranchCountError("labels length must match d_p")
-    branches = []
-    for r, basis in enumerate(branch_bases):
-        u = build_pointer_measurement(basis, dims.d_a)
-        label = labels[r] if labels is not None else None
-        branches.append(ProgramBranch(index=r, branch_unitary=u, label=label))
-    return ProgrammedUnitary(dims=dims, branches=tuple(branches))
+    branches = tuple(
+        ProgramBranch(index=r, branch_unitary=build_pointer_measurement(basis, dims.d_a))
+        for r, basis in enumerate(branch_bases)
+    )
+    return ProgrammedUnitary(dims=dims, branches=branches)
 
 
 @dataclass(frozen=True)
 class TrinaryState:
-    """Pure state of P x S x A with an optional branch view.
+    """Pure state of P x S x A: amplitudes plus an optional branch view.
 
-    ``branch_view`` holds (g_r, |r,SA>) pairs such that the dense state is
-    sum_r g_r |r,P> (x) |r,SA>.  With ``p_basis`` unset the P-side vectors are
-    the programming (computational) basis and the view has d_p entries; after
-    ``to_schmidt_form`` the view is over the Schmidt basis carried in
-    ``p_basis`` and has min(d_p, d_sa) entries.
+    Row r of ``as_matrix`` (over the programming basis) is g_r |psi_r,SA>.
+    ``branch_view`` keeps the pairs (g_r, |psi_r,SA>) a state was built from:
+    a branch state kept from its construction and the renormalised row
+    differ in the last bits, and the Born report prints them to 17 digits.
+    Only ``from_branches`` builds a view and only ``apply_programmed`` keeps
+    one.  The P|(SA) Schmidt form is ``schmidt_decompose(dense, (d_p, d_sa))``.
     """
 
     dims: TrinaryDims
     dense: StateVector
     branch_view: tuple[tuple[complex, StateVector], ...] | None = None
-    p_basis: tuple[StateVector, ...] | None = None
 
     def __post_init__(self):
         if self.dense.dim != self.dims.total:
@@ -210,22 +203,17 @@ class TrinaryState:
                 f"dense dim {self.dense.dim} != d_p*d_s*d_a = {self.dims.total}"
             )
         if self.branch_view is not None:
-            weights = np.array([abs(g) ** 2 for g, _ in self.branch_view])
-            if abs(weights.sum() - 1.0) > BRANCH_VIEW_TOL:
+            g = np.array([c for c, _ in self.branch_view], dtype=complex)
+            if abs(np.sum(np.abs(g) ** 2) - 1.0) > BRANCH_VIEW_TOL:
                 raise ValueError("branch weights do not sum to 1")
-            if np.max(np.abs(self._reassemble() - self.dense.amplitudes)) > BRANCH_VIEW_TOL:
+            rows = _branch_rows(g, self.branch_view)
+            if rows.shape != (self.dims.d_p, self.dims.d_sa):
+                raise DimensionError(
+                    f"branch view has shape {rows.shape}, "
+                    f"expected ({self.dims.d_p}, {self.dims.d_sa})"
+                )
+            if np.max(np.abs(rows - self.as_matrix())) > BRANCH_VIEW_TOL:
                 raise ValueError("branch view does not reconstruct the dense state")
-
-    def _reassemble(self) -> np.ndarray:
-        amp = np.zeros(self.dims.total, dtype=complex)
-        for r, (g, sa) in enumerate(self.branch_view):
-            p_vec = (
-                self.p_basis[r].amplitudes
-                if self.p_basis is not None
-                else np.eye(self.dims.d_p, dtype=complex)[r]
-            )
-            amp += g * np.kron(p_vec, sa.amplitudes)
-        return amp
 
     @staticmethod
     def from_product(
@@ -235,29 +223,18 @@ class TrinaryState:
         if (chi.dim, psi.dim, phi.dim) != (dims.d_p, dims.d_s, dims.d_a):
             raise DimensionError("factor dims do not match TrinaryDims")
         sa = StateVector(np.kron(psi.amplitudes, phi.amplitudes))
-        dense = StateVector(np.kron(chi.amplitudes, sa.amplitudes))
-        view = tuple((complex(chi.amplitudes[r]), sa) for r in range(dims.d_p))
-        return TrinaryState(dims=dims, dense=dense, branch_view=view)
+        return TrinaryState.from_branches(dims, [(g, sa) for g in chi.amplitudes])
 
     @staticmethod
     def from_branches(
-        dims: TrinaryDims,
-        pairs: Sequence[tuple[complex, StateVector]],
-        p_basis: Sequence[StateVector] | None = None,
+        dims: TrinaryDims, pairs: Sequence[tuple[complex, StateVector]]
     ) -> TrinaryState:
-        amp = np.zeros(dims.total, dtype=complex)
-        for r, (g, sa) in enumerate(pairs):
-            p_vec = (
-                p_basis[r].amplitudes
-                if p_basis is not None
-                else np.eye(dims.d_p, dtype=complex)[r]
-            )
-            amp += g * np.kron(p_vec, sa.amplitudes)
+        """sum_r g_r |r,P> (x) |psi_r,SA> from the pairs (g_r, |psi_r,SA>)."""
+        g = np.array([c for c, _ in pairs], dtype=complex)
         return TrinaryState(
             dims=dims,
-            dense=StateVector(amp),
-            branch_view=tuple((complex(g), sa) for g, sa in pairs),
-            p_basis=tuple(p_basis) if p_basis is not None else None,
+            dense=StateVector(_branch_rows(g, pairs).reshape(-1)),
+            branch_view=tuple((complex(c), sa) for c, sa in pairs),
         )
 
     @staticmethod
@@ -275,13 +252,20 @@ class TrinaryState:
 
     def branch_state(self, r: int) -> StateVector:
         """Normalized S x A state conditioned on programming index r."""
-        if self.branch_view is not None and self.p_basis is None:
+        if self.branch_view is not None:
             return self.branch_view[r][1]
         row = self.as_matrix()[r]
         nrm = np.linalg.norm(row)
         if nrm * nrm <= EMPTY_BRANCH_TOL:
             raise ValueError(f"branch {r} carries no weight")
         return StateVector(row / nrm)
+
+
+def _branch_rows(
+    g: np.ndarray, pairs: Sequence[tuple[complex, StateVector]]
+) -> np.ndarray:
+    """The (branches, d_sa) amplitude matrix with rows g_r |psi_r,SA>."""
+    return g[:, None] * np.array([sa.amplitudes for _, sa in pairs])
 
 
 def dual_entropies(state: TrinaryState) -> tuple[float, np.ndarray]:
@@ -303,7 +287,7 @@ def apply_programmed(pu: ProgrammedUnitary, state: TrinaryState) -> TrinaryState
     """Apply a programmed unitary block-wise (no full-space matrix is built)."""
     if pu.dims != state.dims:
         raise DimensionError("programmed unitary and state dims differ")
-    if state.branch_view is not None and state.p_basis is None:
+    if state.branch_view is not None:
         pairs = [
             (g, StateVector(pu.branch_matrix(r) @ sa.amplitudes))
             for r, (g, sa) in enumerate(state.branch_view)
@@ -314,24 +298,6 @@ def apply_programmed(pu: ProgrammedUnitary, state: TrinaryState) -> TrinaryState
     for r in range(pu.dims.d_p):
         out[r] = pu.branch_matrix(r) @ rows[r]
     return TrinaryState.from_dense(state.dims, StateVector(out.reshape(-1)))
-
-
-def to_schmidt_form(state: TrinaryState) -> TrinaryState:
-    """Rewrite the branch view in the Schmidt form of the P|(SA) cut.
-
-    Coefficients become real, nonnegative and descending, the branch states
-    orthonormal; the dense amplitudes are untouched.  The P-side Schmidt
-    basis rides along in ``p_basis`` (it equals the programming basis only
-    when the reduced state on P is already diagonal there).
-    """
-    sd = schmidt_decompose(state.dense, (state.dims.d_p, state.dims.d_sa))
-    pairs = [(complex(c), rv) for c, rv in zip(sd.coefficients, sd.right_basis)]
-    return TrinaryState(
-        dims=state.dims,
-        dense=state.dense,
-        branch_view=tuple(pairs),
-        p_basis=sd.left_basis,
-    )
 
 
 def pointer_readout_operators(branch_unitary: Operator, d_a: int, probe_a: StateVector) -> list[np.ndarray]:

@@ -12,6 +12,7 @@ from icqt.linalg import (
     StateVector,
     entanglement_entropy,
     partial_trace,
+    schmidt_decompose,
     seeded_random,
     shannon_entropy,
     tensor_product,
@@ -22,7 +23,6 @@ from icqt.trinary import (
     apply_programmed,
     build_programmed_unitary,
     standard_basis,
-    to_schmidt_form,
 )
 from oracles import born_probabilities
 
@@ -140,13 +140,27 @@ class TestConventionalOracle:
 class TestDualBornReport:
     def test_zxyz_on_plus(self):
         state, bases = zxyz_state(StateVector.uniform(4), PLUS)
-        report = dual_born_report(state, labels=("Z", "X", "Y", "Z"))
+        report = dual_born_report(state)
         assert np.allclose(report.decision_probs, [0.25] * 4, atol=1e-12)
         assert np.allclose(report.outcome_probs[0], [0.5, 0.5], atol=1e-10)
         assert np.allclose(report.outcome_probs[1], [1.0, 0.0], atol=1e-10)
         for r in range(4):
             conv = np.sort(conventional_oracle(PLUS, bases[r]))[::-1]
             assert np.max(np.abs(report.outcome_probs[r] - conv)) <= 1e-10
+
+    def test_rows_equal_outcome_tables(self):
+        states = [TrinaryState.from_dense(DIMS, seeded_random("state", 16, k)) for k in range(5)]
+        states.append(zxyz_state(StateVector.uniform(4), PLUS)[0])  # degenerate rows
+        states.append(zxyz_state(StateVector.basis(4, 1), PLUS)[0])  # empty branches
+        reports = [dual_born_report(state) for state in states]
+        assert any(reports[-2].degenerate) and any(reports[-1].empty)
+        for state, report in zip(states, reports):
+            for r in range(4):
+                if report.empty[r]:
+                    continue
+                table = outcome_probabilities(state, r)
+                assert report.outcome_probs[r].tobytes() == table.probabilities.tobytes()
+                assert report.degenerate[r] == table.degenerate
 
     def test_single_branch_deterministic(self):
         dims = TrinaryDims(2, 2, 1)
@@ -206,10 +220,8 @@ class TestShannonIdentity:
 
     def test_after_to_schmidt_form(self):
         # a generic state brought to Schmidt form satisfies the identity too
-        state = to_schmidt_form(
-            TrinaryState.from_dense(DIMS, seeded_random("state", 16, 42))
-        )
-        g2 = np.array([abs(g) ** 2 for g, _ in state.branch_view])
+        state = TrinaryState.from_dense(DIMS, seeded_random("state", 16, 42))
+        g2 = schmidt_decompose(state.dense, (4, 4)).coefficients ** 2
         assert abs(
             shannon_entropy(g2) - entanglement_entropy(state.dense, (4, 4))
         ) <= 1e-9

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from icqt.cli import main
 from icqt.dynamics import check_pmc, evolve_factorized, evolve_full
+from icqt.icqc import CapacityError, init_state
 from icqt.scenario import (
     ScenarioError,
     load_scenario,
@@ -477,6 +479,50 @@ class TestInputErrors:
         monkeypatch.setenv("ICQT_MAX_DIM", "255")
         err = self.run_bad(tmp_path, capsys, "icqc", base("icqc", n=2, program={"random": {}}))
         assert "exceeds the cap 255" in err
+
+    def run_over_cap(self, tmp_path, capsys, command, payload):
+        """Exit 2 on the cap before any allocation of the refused size."""
+        tracemalloc.start()
+        try:
+            err = self.run_bad(tmp_path, capsys, command, payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "exceeds the cap" in err
+        assert peak < 2**20
+        return err
+
+    def test_dims_above_capacity(self, tmp_path, capsys):
+        # a dense born run at these dims would need about 12 GB
+        payload = base("born", dims=[30, 30, 900], branch_bases=["Z"] * 900)
+        err = self.run_over_cap(tmp_path, capsys, "born", payload)
+        assert "30*30*900 = 810000" in err
+
+    def test_icqc_above_capacity_before_the_program_table(self, tmp_path, capsys):
+        # n = 8 would build a 4^8-circuit random program first
+        payload = base("icqc", n=8, program={"random": {"depth": 3}})
+        err = self.run_over_cap(tmp_path, capsys, "icqc", payload)
+        assert "2^32" in err
+
+    def test_init_state_above_capacity(self, tmp_path, capsys, monkeypatch):
+        # n = 8 unchecked would allocate 2^32 amplitudes (64 GiB)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="2\\^32"):
+                init_state(8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # through the CLI: the suite's icqc battery runs an n = 2 register
+        monkeypatch.setenv("ICQT_MAX_DIM", "255")
+        counts = dict.fromkeys(
+            ("factorization_cases", "converse_cases", "block_cases", "born_cases",
+             "creation_cases", "shannon_cases", "schmidt_roundtrips"), 1
+        )
+        payload = base("property-suite", dims_list=[[2, 2, 4]], **counts)
+        err = self.run_bad(tmp_path, capsys, "suite", payload)
+        assert "2^8 = 256 exceeds the cap 255" in err
 
     @pytest.mark.parametrize("raw", ["abc", "\u00b2", "4.0e3"])
     def test_max_dim_not_an_integer(self, tmp_path, capsys, monkeypatch, raw):

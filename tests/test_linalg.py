@@ -161,6 +161,34 @@ class TestEntropy:
             psi = seeded_random("state", 8, seed)
             assert 0 <= entanglement_entropy(psi, (2, 4)) <= np.log(2) + 1e-9
 
+    @staticmethod
+    def coefficient_entropy(psi, dims):
+        s = schmidt_decompose(psi, dims).coefficients
+        p = s * s
+        p = p[p > 0]
+        return float(max(0.0, -np.sum(p * np.log(p))))
+
+    def test_equals_entropy_of_schmidt_coefficients(self):
+        for seed, dims in enumerate([(3, 4), (4, 3), (2, 8), (5, 5), (1, 6)]):
+            psi = seeded_random("state", dims[0] * dims[1], seed)
+            assert entanglement_entropy(psi, dims) == self.coefficient_entropy(psi, dims)
+        assert entanglement_entropy(BELL, (2, 2)) == self.coefficient_entropy(BELL, (2, 2))
+
+    def test_values_only_svd_when_the_full_svd_does_not_converge(self, monkeypatch):
+        full_svd = np.linalg.svd
+
+        def unconverged(a, full_matrices=True, compute_uv=True, **kwargs):
+            if compute_uv:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return full_svd(a, full_matrices=full_matrices, compute_uv=False, **kwargs)
+
+        psi = seeded_random("state", 12, 7)
+        want = self.coefficient_entropy(psi, (3, 4))
+        monkeypatch.setattr(np.linalg, "svd", unconverged)
+        with pytest.raises(np.linalg.LinAlgError):
+            schmidt_decompose(psi, (3, 4))
+        assert abs(entanglement_entropy(psi, (3, 4)) - want) <= 1e-14
+
     @given(st.integers(0, 40))
     @settings(max_examples=20, deadline=None)
     def test_local_unitary_invariance(self, seed):

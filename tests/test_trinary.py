@@ -3,7 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from icqt.linalg import Operator, StateVector, entanglement_entropy, schmidt_decompose, seeded_random
+from icqt.linalg import (
+    DimensionError,
+    Operator,
+    StateVector,
+    entanglement_entropy,
+    schmidt_decompose,
+    seeded_random,
+)
 from icqt.trinary import (
     BranchCountError,
     PointerCapacityError,
@@ -17,7 +24,6 @@ from icqt.trinary import (
     dual_entropies,
     pointer_readout_operators,
     standard_basis,
-    to_schmidt_form,
     validate_informational_completeness,
 )
 from oracles import dense_programmed_matrix, operator_span_rank, pauli_projectors
@@ -28,7 +34,7 @@ PLUS = StateVector(np.array([1, 1], dtype=complex) / np.sqrt(2))
 
 def zxyz_unitary(dims=DIMS224):
     bases = [standard_basis(b, dims.d_s) for b in ("Z", "X", "Y", "Z")]
-    return build_programmed_unitary(dims, bases, labels=("Z", "X", "Y", "Z"))
+    return build_programmed_unitary(dims, bases)
 
 
 class TestDims:
@@ -138,6 +144,19 @@ class TestTrinaryState:
         weights = state.branch_weights()
         assert np.max(np.abs(weights - np.abs(chi.amplitudes) ** 2)) < 1e-12
 
+    def test_from_product_dense_is_kron(self):
+        minus_i = StateVector(np.array([1, -1j], dtype=complex) / np.sqrt(2))
+        factors = [
+            (seeded_random("state", 4, 3 * k), seeded_random("state", 2, 3 * k + 1),
+             seeded_random("state", 2, 3 * k + 2))
+            for k in range(5)
+        ]
+        factors.append((StateVector.basis(4, 2), minus_i, StateVector.basis(2, 1)))
+        for chi, psi, phi in factors:
+            state = TrinaryState.from_product(DIMS224, chi, psi, phi)
+            want = np.kron(chi.amplitudes, np.kron(psi.amplitudes, phi.amplitudes))
+            assert state.dense.amplitudes.tobytes() == want.tobytes()  # bitwise, zero signs too
+
     def test_branch_view_must_reconstruct(self):
         pairs = [(1.0, StateVector.basis(4, 0)), (0.0, StateVector.basis(4, 1))]
         with pytest.raises(ValueError):
@@ -145,6 +164,12 @@ class TestTrinaryState:
                 dims=TrinaryDims(2, 2, 2),
                 dense=StateVector.basis(8, 5),  # inconsistent with the pairs
                 branch_view=tuple(pairs),
+            )
+        with pytest.raises(DimensionError):
+            TrinaryState(
+                dims=TrinaryDims(2, 2, 2),
+                dense=StateVector.basis(8, 0),
+                branch_view=tuple(pairs + [(0.0, StateVector.basis(4, 2))]),  # one pair too many
             )
 
     def test_empty_branch_state_raises(self):
@@ -200,43 +225,46 @@ class TestApplyProgrammed:
             assert np.all(s_branches <= np.log(2) + 1e-9)
 
 
+def schmidt_form(state):
+    """The Schmidt form of a trinary state's P|(SA) cut."""
+    return schmidt_decompose(state.dense, (state.dims.d_p, state.dims.d_sa))
+
+
 class TestToSchmidtForm:
     def test_phase_absorption(self):
         sa = [StateVector.basis(4, k) for k in range(4)]
         g = [1j / np.sqrt(2), 1 / np.sqrt(2), 0.0, 0.0]
         state = TrinaryState.from_branches(DIMS224, list(zip(g, sa)))
-        out = to_schmidt_form(state)
-        got_g = np.array([gr for gr, _ in out.branch_view])
-        assert np.allclose(got_g, [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0], atol=1e-12)
-        assert np.max(np.abs(out.dense.amplitudes - state.dense.amplitudes)) == 0
+        before = state.dense.amplitudes.copy()
+        sd = schmidt_form(state)
+        assert np.allclose(sd.coefficients, [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0], atol=1e-12)
+        assert np.max(np.abs(state.dense.amplitudes - before)) == 0
+        # the phase of g_0 went into the basis vectors
+        assert np.max(np.abs(sd.reconstruct().amplitudes - before)) < 1e-12
 
     def test_idempotent_on_dense(self):
         state = TrinaryState.from_dense(DIMS224, seeded_random("state", 16, 9))
-        once = to_schmidt_form(state)
-        twice = to_schmidt_form(once)
-        assert np.max(np.abs(once.dense.amplitudes - twice.dense.amplitudes)) < 1e-12
+        once = schmidt_form(state)
+        twice = schmidt_decompose(once.reconstruct(), (4, 4))
+        assert np.max(np.abs(once.coefficients - twice.coefficients)) < 1e-12
 
     def test_seeded_reconstruction(self):
         state = TrinaryState.from_dense(DIMS224, seeded_random("state", 16, 11))
-        out = to_schmidt_form(state)
+        sd = schmidt_form(state)
         rebuilt = np.zeros(16, dtype=complex)
-        for r, (g, sa) in enumerate(out.branch_view):
-            rebuilt += g * np.kron(out.p_basis[r].amplitudes, sa.amplitudes)
+        for c, pv, sa in zip(sd.coefficients, sd.left_basis, sd.right_basis):
+            rebuilt += c * np.kron(pv.amplitudes, sa.amplitudes)
         assert np.max(np.abs(rebuilt - state.dense.amplitudes)) <= 1e-10
 
     def test_branch_states_orthonormal(self):
         state = TrinaryState.from_dense(DIMS224, seeded_random("state", 16, 13))
-        out = to_schmidt_form(state)
-        vs = [sa for _, sa in out.branch_view]
+        vs = schmidt_form(state).right_basis
         gram = np.array([[u.inner(v) for v in vs] for u in vs])
         assert np.max(np.abs(gram - np.eye(len(vs)))) < 1e-10
 
     def test_coefficients_descending(self):
-        out = to_schmidt_form(
-            TrinaryState.from_dense(DIMS224, seeded_random("state", 16, 15))
-        )
-        g = np.array([abs(gr) for gr, _ in out.branch_view])
-        assert np.all(np.diff(g) <= 1e-15)
+        sd = schmidt_form(TrinaryState.from_dense(DIMS224, seeded_random("state", 16, 15)))
+        assert np.all(np.diff(np.abs(sd.coefficients)) <= 1e-15)
 
 
 class TestCompleteness:
