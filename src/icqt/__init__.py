@@ -1,7 +1,6 @@
 """Desk-scale simulator and verifier for trinary (P-S-A) quantum systems."""
 
 from .linalg import (
-    DensityMatrix,
     DimensionError,
     HermiticityError,
     KindMismatchError,
@@ -12,7 +11,6 @@ from .linalg import (
     commutator_norm,
     entanglement_entropy,
     hermitian_propagator,
-    partial_trace,
     schmidt_decompose,
     seeded_random,
     shannon_entropy,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import StateVector, schmidt_coefficients, schmidt_decompose
-from .trinary import EMPTY_BRANCH_TOL, TrinaryState
+from .linalg import StateVector, branch_schmidt_coefficients, schmidt_decompose
+from .trinary import EMPTY_BRANCH_TOL, TrinaryState, branch_spectra
 
 CLAMP_TOL = 1e-12
 DEGENERACY_TOL = 1e-8
@@ -40,13 +40,14 @@ class OutcomeTable:
     """Per-branch outcome statistics.
 
     ``probabilities`` are descending squared Schmidt coefficients padded with
-    zeros to d_s; ``measured_basis`` holds the matching S-side Schmidt
-    vectors.  ``degenerate`` flags repeated Schmidt values, in which case the
-    basis is not unique and should not be read as a sharp observable.
+    zeros to d_s; column k of ``measured_basis`` (d_s x min(d_s, d_a)) is the
+    S-side Schmidt vector of probability k.  ``degenerate`` flags repeated
+    Schmidt values, in which case the basis is not unique and should not be
+    read as a sharp observable.
     """
 
     probabilities: np.ndarray
-    measured_basis: tuple[StateVector, ...]
+    measured_basis: np.ndarray
     degenerate: bool
 
 
@@ -69,7 +70,7 @@ def outcome_probabilities(state: TrinaryState, branch: int) -> OutcomeTable:
     probs, degenerate = _outcome_row(sd.coefficients, state.dims.d_s)
     return OutcomeTable(
         probabilities=probs,
-        measured_basis=sd.left_basis,
+        measured_basis=sd.u,
         degenerate=degenerate,
     )
 
@@ -100,17 +101,26 @@ class DualBornReport:
 def dual_born_report(state: TrinaryState) -> DualBornReport:
     """Assemble the full dual-probability report for a trinary state.
 
-    Row r is ``outcome_probabilities(state, r)`` without the measured basis.
+    Row r holds the probabilities of ``outcome_probabilities(state, r)``.
     """
-    d_p, d_s, d_a = state.dims.d_p, state.dims.d_s, state.dims.d_a
+    if state.branch_view is None:
+        spectra = branch_spectra(state)
+    else:
+        rows = np.array([sa.amplitudes for _, sa in state.branch_view])
+        spectra = branch_schmidt_coefficients(rows, (state.dims.d_s, state.dims.d_a))
+    return _dual_born_report(state, spectra)
+
+
+def _dual_born_report(state: TrinaryState, spectra: np.ndarray) -> DualBornReport:
+    """``dual_born_report`` from the Schmidt coefficients of every branch state."""
+    d_p, d_s = state.dims.d_p, state.dims.d_s
     decision = decision_probabilities(state)
     empty = tuple(bool(w <= EMPTY_BRANCH_TOL) for w in decision)
     outcome = np.zeros((d_p, d_s))
     degenerate = [False] * d_p
     for r in range(d_p):
         if not empty[r]:
-            coefficients = schmidt_coefficients(state.branch_state(r), (d_s, d_a))
-            outcome[r], degenerate[r] = _outcome_row(coefficients, d_s)
+            outcome[r], degenerate[r] = _outcome_row(spectra[r], d_s)
     return DualBornReport(
         decision_probs=decision,
         outcome_probs=outcome,

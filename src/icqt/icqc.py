@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .born import DualBornReport, dual_born_report
-from .linalg import StateVector
-from .trinary import TrinaryDims, TrinaryState, dual_entropies
+from .born import DualBornReport, _dual_born_report
+from .linalg import StateVector, entanglement_entropy
+from .trinary import TrinaryDims, TrinaryState, branch_entropies, branch_spectra
 
 DEFAULT_MAX_DIM = 4096
 
@@ -284,18 +284,28 @@ class IcqcRunReport:
 
 
 def run(config: IcqcConfig) -> IcqcRunReport:
-    """init -> gate stage -> programmed stage -> dual entropies and Born report."""
+    """init -> gate stage -> programmed stage -> dual entropies and Born report.
+
+    The entropies and the report equal ``dual_entropies`` and
+    ``dual_born_report`` of the final state, from one set of branch spectra.
+    """
     state = init_state(config.n, config.initial)
     if config.gate_sequence:
         state = apply_gates(state, config.gate_sequence, config.n)
     state = apply_programmed_op(state, config)
-    s_psa, branches = dual_entropies(state)
+    dims = state.dims
+    # the P|(SA) SVD goes first, as in dual_entropies: its freed work memory
+    # then covers the batched branch SVD, so the peak stays the P|(SA) one
+    s_psa = entanglement_entropy(state.dense, (dims.d_p, dims.d_sa))
+    # the state has no branch view, so both reports read the same spectra
+    spectra = branch_spectra(state)
+    branches = branch_entropies(spectra)
     return IcqcRunReport(
         final_state=state,
         s_psa=s_psa,
         s_sa_branches=branches,
         mean_s_sa=float(np.mean(branches)),
-        born=dual_born_report(state),
+        born=_dual_born_report(state, spectra),
     )
 
 

@@ -37,7 +37,7 @@ def _as_complex(a, ndim: int) -> np.ndarray:
     arr = np.array(a, dtype=complex, order="C")  # owned copy, safe to freeze
     if arr.ndim != ndim:
         raise DimensionError(f"expected {ndim}-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError("non-finite entries")
     arr.setflags(write=False)
     return arr
@@ -76,9 +76,6 @@ class StateVector:
         if other.dim != self.dim:
             raise DimensionError("inner product of unequal dims")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def projector(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -125,53 +122,22 @@ class Operator:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_complex(self.entries, 2)
-        if arr.shape[0] != arr.shape[1]:
-            raise DimensionError(f"density matrix must be square, got {arr.shape}")
-        if np.max(np.abs(arr - arr.conj().T)) > HERMITICITY_TOL:
-            raise HermiticityError("density matrix is not Hermitian")
-        tr = complex(np.trace(arr))
-        if abs(tr - 1.0) > NORM_TOL:
-            raise ValueError(f"trace {tr!r} != 1")
-        if float(np.min(np.linalg.eigvalsh(arr))) < -1e-10:
-            raise ValueError("density matrix has a negative eigenvalue")
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending real spectrum."""
-        return np.linalg.eigvalsh(self.entries)
-
-    def diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.entries))
-
-
-@dataclass(frozen=True)
 class SchmidtDecomposition:
-    """Bipartite Schmidt form: coefficients plus paired orthonormal bases.
+    """Bipartite Schmidt form: the arrays of one SVD of the cut matrix.
 
-    coefficients are nonnegative and descending; reconstruction is
-    sum_k c_k |left_k> x |right_k|.
+    ``coefficients`` are nonnegative and descending; the paired orthonormal
+    bases are the columns of ``u`` (d_l x k) and the rows of ``vh``
+    (k x d_r), so reconstruction is sum_k c_k u[:, k] x vh[k].
     """
 
+    u: np.ndarray
     coefficients: np.ndarray
-    left_basis: tuple[StateVector, ...]
-    right_basis: tuple[StateVector, ...]
+    vh: np.ndarray
     cut: tuple[int, int]
 
     def __post_init__(self):
-        coeffs = np.array(self.coefficients, dtype=float)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
+        for arr in (self.u, self.coefficients, self.vh):
+            arr.setflags(write=False)
 
     @property
     def rank(self) -> int:
@@ -180,8 +146,8 @@ class SchmidtDecomposition:
     def reconstruct(self) -> StateVector:
         dim_l, dim_r = self.cut
         amp = np.zeros(dim_l * dim_r, dtype=complex)
-        for c, lv, rv in zip(self.coefficients, self.left_basis, self.right_basis):
-            amp += c * np.kron(lv.amplitudes, rv.amplitudes)
+        for k, c in enumerate(self.coefficients):
+            amp += c * np.outer(self.u[:, k], self.vh[k]).ravel()
         return StateVector(amp)
 
 
@@ -196,25 +162,6 @@ def tensor_product(a, b):
     )
 
 
-def partial_trace(
-    rho: DensityMatrix, dims: tuple[int, int], keep: Literal["left", "right"]
-) -> DensityMatrix:
-    """Trace out one side of a bipartite density matrix."""
-    dim_l, dim_r = dims
-    if dim_l * dim_r != rho.dim:
-        raise DimensionError(f"{dims} does not factor dim {rho.dim}")
-    blocks = rho.entries.reshape(dim_l, dim_r, dim_l, dim_r)
-    if keep == "left":
-        reduced = np.einsum("ikjk->ij", blocks)
-    elif keep == "right":
-        reduced = np.einsum("kikj->ij", blocks)
-    else:
-        raise ValueError(f"keep must be 'left' or 'right', got {keep!r}")
-    # symmetrize away round-off so the DensityMatrix invariants hold exactly
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    return DensityMatrix(reduced)
-
-
 def _cut_matrix(psi: StateVector, dims: tuple[int, int]) -> np.ndarray:
     dim_l, dim_r = dims
     if dim_l * dim_r != psi.dim:
@@ -225,32 +172,49 @@ def _cut_matrix(psi: StateVector, dims: tuple[int, int]) -> np.ndarray:
 def schmidt_decompose(psi: StateVector, dims: tuple[int, int]) -> SchmidtDecomposition:
     """Schmidt decomposition of a pure state across the (dimL, dimR) cut."""
     u, s, vh = np.linalg.svd(_cut_matrix(psi, dims), full_matrices=False)
-    left = tuple(StateVector(u[:, k]) for k in range(s.size))
-    right = tuple(StateVector(vh[k, :]) for k in range(s.size))
-    return SchmidtDecomposition(coefficients=s, left_basis=left, right_basis=right, cut=dims)
+    return SchmidtDecomposition(u=u, coefficients=s, vh=vh, cut=dims)
 
 
-def schmidt_coefficients(psi: StateVector, dims: tuple[int, int]) -> np.ndarray:
-    """Descending Schmidt coefficients across the (dimL, dimR) cut, without bases.
+def _singular_values(matrix: np.ndarray) -> np.ndarray:
+    """Descending singular values from the full SVD; values-only if it fails.
 
-    They come from the same full SVD as ``schmidt_decompose``, so they equal
-    its coefficients bit for bit; the singular vectors are discarded.  Should
-    that SVD not converge, the values-only SVD, which takes a different
-    LAPACK path, is used instead.
+    The full SVD gives the bits ``schmidt_decompose`` gives.  The values-only
+    SVD takes a different LAPACK path, so it serves only when the full one
+    does not converge.
     """
-    matrix = _cut_matrix(psi, dims)
     try:
         return np.linalg.svd(matrix, full_matrices=False)[1]
     except np.linalg.LinAlgError:
         return np.linalg.svd(matrix, compute_uv=False)
 
 
+def schmidt_coefficients(psi: StateVector, dims: tuple[int, int]) -> np.ndarray:
+    """Descending Schmidt coefficients across the (dimL, dimR) cut, without bases.
+
+    They equal the coefficients of ``schmidt_decompose`` bit for bit.
+    """
+    return _singular_values(_cut_matrix(psi, dims))
+
+
+def branch_schmidt_coefficients(rows: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Schmidt coefficients across the (dimL, dimR) cut of every row of a matrix.
+
+    Row i of the result is ``schmidt_coefficients`` of rows[i], bit for bit:
+    one batched full SVD of the (k, dimL, dimR) stack runs the same LAPACK
+    call on each matrix.  Should it not converge, the rows are taken one at a
+    time, so every row that converges alone keeps its bits.
+    """
+    stack = rows.reshape(-1, *dims)
+    try:
+        return np.linalg.svd(stack, full_matrices=False)[1]
+    except np.linalg.LinAlgError:
+        return np.array([_singular_values(m) for m in stack])
+
+
 def entanglement_entropy(psi: StateVector, dims: tuple[int, int]) -> float:
     """Von Neumann entropy (nats) of either reduced state of a pure state."""
     s = schmidt_coefficients(psi, dims)
-    p = s * s
-    p = p[p > 0]
-    return float(max(0.0, -np.sum(p * np.log(p))))
+    return shannon_entropy(s * s)
 
 
 def shannon_entropy(probs: Sequence[float]) -> float:

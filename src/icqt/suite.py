@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .born import conventional_oracle, decision_probabilities, outcome_probabilities
+from .born import conventional_oracle, decision_probabilities, dual_born_report
 from .dynamics import (
     DensePropagator,
     FactorizationPreconditionError,
@@ -196,12 +196,12 @@ def born_battery(seed: int, cases_per_dim: int = 100, d_values=(2, 3)) -> Proper
                 pu,
                 TrinaryState.from_product(dims, chi, psi, StateVector.basis(d, 0)),
             )
-            dec = decision_probabilities(state)
+            report = dual_born_report(state)
+            dec = report.decision_probs
             worst = max(worst, float(np.max(np.abs(dec - np.abs(chi.amplitudes) ** 2))))
             for r in range(dims.d_p):
-                table = outcome_probabilities(state, r)
                 conv = np.sort(conventional_oracle(psi, bases[r]))[::-1]
-                worst = max(worst, float(np.max(np.abs(table.probabilities - conv))))
+                worst = max(worst, float(np.max(np.abs(report.outcome_probs[r] - conv))))
             total += 1
     return PropertyResult(
         name="born-emergence",

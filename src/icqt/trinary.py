@@ -17,7 +17,9 @@ from .linalg import (
     DimensionError,
     Operator,
     StateVector,
+    branch_schmidt_coefficients,
     entanglement_entropy,
+    shannon_entropy,
 )
 
 BASIS_ORTHO_TOL = 1e-10
@@ -268,19 +270,32 @@ def _branch_rows(
     return g[:, None] * np.array([sa.amplitudes for _, sa in pairs])
 
 
+def branch_spectra(state: TrinaryState) -> np.ndarray:
+    """S|A Schmidt coefficients of every row of ``as_matrix`` over its own norm.
+
+    Each row is divided by its own ``np.linalg.norm``, as ``branch_state``
+    divides it without a branch view, and all rows share one batched SVD.
+    A row whose squared norm is at most EMPTY_BRANCH_TOL gets all zeros.
+    """
+    dims = state.dims
+    units = np.zeros((dims.d_p, dims.d_sa), dtype=complex)
+    for r, row in enumerate(state.as_matrix()):
+        nrm = np.linalg.norm(row)
+        if nrm * nrm > EMPTY_BRANCH_TOL:
+            units[r] = row / nrm
+    return branch_schmidt_coefficients(units, (dims.d_s, dims.d_a))
+
+
+def branch_entropies(spectra: np.ndarray) -> np.ndarray:
+    """S|A entropy (nats) of each branch from its row of ``branch_spectra``."""
+    return np.array([shannon_entropy(s * s) for s in spectra])
+
+
 def dual_entropies(state: TrinaryState) -> tuple[float, np.ndarray]:
     """P|(SA) entropy plus each nonempty branch's S|A entropy (0 when empty)."""
     dims = state.dims
     s_psa = entanglement_entropy(state.dense, (dims.d_p, dims.d_sa))
-    rows = state.as_matrix()
-    branch = np.zeros(dims.d_p)
-    for r in range(dims.d_p):
-        nrm = np.linalg.norm(rows[r])
-        if nrm * nrm > EMPTY_BRANCH_TOL:
-            branch[r] = entanglement_entropy(
-                StateVector(rows[r] / nrm), (dims.d_s, dims.d_a)
-            )
-    return s_psa, branch
+    return s_psa, branch_entropies(branch_spectra(state))
 
 
 def apply_programmed(pu: ProgrammedUnitary, state: TrinaryState) -> TrinaryState:

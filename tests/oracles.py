@@ -1,11 +1,24 @@
 """Independent reference implementations used to check the library.
 
-Nothing here imports library internals beyond plain data access; every
-routine recomputes its quantity from first principles (index formulas,
-explicit integration, dense matrix assembly) so agreement is meaningful.
+Nothing here imports library internals beyond plain data access, except
+that the per-branch loop reference repeats the library's one-state
+entropy once per branch; every other routine recomputes its quantity from
+first principles (index formulas, explicit integration, dense matrix
+assembly) so agreement is meaningful.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from icqt.linalg import (
+    HERMITICITY_TOL,
+    NORM_TOL,
+    DimensionError,
+    HermiticityError,
+    StateVector,
+    entanglement_entropy,
+)
 
 
 def kron_entry_vector(a: np.ndarray, b: np.ndarray, i: int, j: int) -> complex:
@@ -34,11 +47,77 @@ def reduced_density(psi: np.ndarray, dims: tuple[int, int], keep: str) -> np.nda
     return m.T @ m.conj()
 
 
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Hermitian, unit-trace, positive-semidefinite matrix."""
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        arr = np.array(self.entries, dtype=complex)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise DimensionError(f"density matrix must be square, got {arr.shape}")
+        if np.max(np.abs(arr - arr.conj().T)) > HERMITICITY_TOL:
+            raise HermiticityError("density matrix is not Hermitian")
+        tr = complex(np.trace(arr))
+        if abs(tr - 1.0) > NORM_TOL:
+            raise ValueError(f"trace {tr!r} != 1")
+        if float(np.min(np.linalg.eigvalsh(arr))) < -1e-10:
+            raise ValueError("density matrix has a negative eigenvalue")
+        object.__setattr__(self, "entries", arr)
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending real spectrum."""
+        return np.linalg.eigvalsh(self.entries)
+
+    def diagonal(self) -> np.ndarray:
+        return np.real(np.diag(self.entries))
+
+
+def projector(psi: StateVector) -> DensityMatrix:
+    """|psi><psi| of a state vector."""
+    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+
+def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> DensityMatrix:
+    """Trace out one side of a bipartite density matrix."""
+    dim_l, dim_r = dims
+    if dim_l * dim_r != rho.dim:
+        raise DimensionError(f"{dims} does not factor dim {rho.dim}")
+    blocks = rho.entries.reshape(dim_l, dim_r, dim_l, dim_r)
+    if keep == "left":
+        reduced = np.einsum("ikjk->ij", blocks)
+    elif keep == "right":
+        reduced = np.einsum("kikj->ij", blocks)
+    else:
+        raise ValueError(f"keep must be 'left' or 'right', got {keep!r}")
+    # symmetrize away round-off so the DensityMatrix invariants hold exactly
+    reduced = 0.5 * (reduced + reduced.conj().T)
+    return DensityMatrix(reduced)
+
+
 def eigenvalue_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy from the eigenvalues of a density matrix."""
     w = np.linalg.eigvalsh(rho)
     w = w[w > 1e-15]
     return float(-np.sum(w * np.log(w)))
+
+
+def branch_entropies_loop(rows: np.ndarray, dims: tuple[int, int], empty_tol: float) -> np.ndarray:
+    """S|A entropy of each row over its own norm, one Schmidt decomposition per row.
+
+    A row whose squared norm is at most ``empty_tol`` gets 0.
+    """
+    out = np.zeros(rows.shape[0])
+    for r, row in enumerate(rows):
+        nrm = np.linalg.norm(row)
+        if nrm * nrm > empty_tol:
+            out[r] = entanglement_entropy(StateVector(row / nrm), dims)
+    return out
 
 
 def rk4_propagator(h: np.ndarray, t: float, dt: float = 1e-4) -> np.ndarray:

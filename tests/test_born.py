@@ -11,7 +11,6 @@ from icqt.born import (
 from icqt.linalg import (
     StateVector,
     entanglement_entropy,
-    partial_trace,
     schmidt_decompose,
     seeded_random,
     shannon_entropy,
@@ -24,7 +23,7 @@ from icqt.trinary import (
     build_programmed_unitary,
     standard_basis,
 )
-from oracles import born_probabilities
+from oracles import born_probabilities, partial_trace, projector
 
 DIMS = TrinaryDims(2, 2, 4)
 PLUS = StateVector(np.array([1, 1], dtype=complex) / np.sqrt(2))
@@ -50,7 +49,7 @@ class TestDecisionProbabilities:
     def test_matches_partial_trace_diagonal(self):
         state = TrinaryState.from_dense(DIMS, seeded_random("state", 16, 3))
         probs = decision_probabilities(state)
-        rho_p = partial_trace(state.dense.projector(), (4, 4), "left")
+        rho_p = partial_trace(projector(state.dense), (4, 4), "left")
         assert np.max(np.abs(probs - rho_p.diagonal())) <= 1e-10
 
     def test_sums_to_one(self):
@@ -96,8 +95,8 @@ class TestOutcomeProbabilities:
         table = outcome_probabilities(state, 0)
         assert not table.degenerate
         conv = conventional_oracle(psi, bases[0])
-        for prob, vec in zip(table.probabilities, table.measured_basis):
-            overlaps = np.abs(bases[0].conj().T @ vec.amplitudes)
+        for prob, vec in zip(table.probabilities, table.measured_basis.T):
+            overlaps = np.abs(bases[0].conj().T @ vec)
             j = int(np.argmax(overlaps))
             assert overlaps[j] > 1 - 1e-10
             assert abs(prob - conv[j]) <= 1e-10

@@ -451,6 +451,25 @@ class TestDeterminism:
             assert runs[0][1], command
             assert runs[0] == runs[1], command
 
+    def test_suite_byte_identical_but_timings(self, tmp_path, capsys):
+        # the "elapsed_s" lines are wall-clock timings; every other byte repeats
+        counts = ("factorization", "converse", "block", "born", "creation", "shannon")
+        payload = base("property-suite", schmidt_roundtrips=20, **{f"{c}_cases": 2 for c in counts})
+        path = write_scenario(tmp_path, "suite.json", payload)
+
+        def untimed(data: bytes):
+            return [line for line in data.splitlines() if b'"elapsed_s"' not in line]
+
+        runs = []
+        for out in ("a", "b"):
+            report = tmp_path / out / "suite_report.json"
+            assert main(["suite", path, "--out", str(report.parent)]) == 0
+            stdout = capsys.readouterr().out
+            runs.append((untimed(stdout.encode()), untimed(report.read_bytes())))
+            assert [p.name for p in report.parent.iterdir()] == ["suite_report.json"]
+        assert b'"all_passed": true' in b"".join(runs[0][1])
+        assert runs[0] == runs[1]
+
     def test_seed_override_changes_report(self, tmp_path):
         payload = base(
             "dynamics", dims=[2, 2, 4], times=[0.0, 0.4], hamiltonian={"random": "pmc"}

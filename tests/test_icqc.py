@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from icqt.born import dual_born_report
 from icqt.icqc import (
     CapacityError,
     GateOp,
@@ -15,8 +16,8 @@ from icqt.icqc import (
     tomographic_program_n1,
 )
 from icqt.linalg import StateVector, entanglement_entropy, seeded_random
-from icqt.trinary import TrinaryState, build_pointer_measurement, standard_basis
-from oracles import dense_programmed_matrix
+from icqt.trinary import EMPTY_BRANCH_TOL, TrinaryState, build_pointer_measurement, standard_basis
+from oracles import branch_entropies_loop, dense_programmed_matrix
 
 
 def identity_program(n):
@@ -262,6 +263,33 @@ class TestRun:
             if not report.born.empty[r]:
                 assert abs(report.born.outcome_probs[r].sum() - 1) <= 1e-9
         assert 0 <= report.s_psa <= np.log(16) + 1e-9
+
+    def test_branch_spectra_taken_once(self, monkeypatch):
+        # one SVD for the P|(SA) cut, one batched SVD shared by both reports
+        svd = np.linalg.svd
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        cfg = IcqcConfig(
+            n=2,
+            gate_sequence=(GateOp("H", (("S", 0),)), GateOp("CNOT", (("S", 0), ("A", 0)))),
+            program_table=tuple(
+                (GateOp("RY", (("S", p % 2),), angle=0.1 * p),) for p in range(16)
+            ),
+        )
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        report = run(cfg)
+        assert sorted(calls) == [(16, 4, 4), (16, 16)]
+        want = branch_entropies_loop(
+            report.final_state.as_matrix(), (4, 4), EMPTY_BRANCH_TOL
+        )
+        assert np.array_equal(report.s_sa_branches, want)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        alone = dual_born_report(report.final_state)
+        assert np.array_equal(report.born.outcome_probs, alone.outcome_probs)
 
 
 class TestPointerBranchCircuits:

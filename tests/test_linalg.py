@@ -10,16 +10,23 @@ from icqt.linalg import (
     NormalizationError,
     Operator,
     StateVector,
+    branch_schmidt_coefficients,
     commutator_norm,
     entanglement_entropy,
     HermitianSpectrum,
     hermitian_propagator,
-    partial_trace,
+    schmidt_coefficients,
     schmidt_decompose,
     seeded_random,
     tensor_product,
 )
-from oracles import eigenvalue_entropy, reduced_density, rk4_propagator
+from oracles import (
+    eigenvalue_entropy,
+    partial_trace,
+    projector,
+    reduced_density,
+    rk4_propagator,
+)
 
 BELL = StateVector(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
@@ -81,36 +88,36 @@ class TestPartialTrace:
     def test_product_state(self):
         psi = seeded_random("state", 3, 1)
         phi = seeded_random("state", 2, 2)
-        rho = tensor_product(psi, phi).projector()
+        rho = projector(tensor_product(psi, phi))
         left = partial_trace(rho, (3, 2), "left")
-        assert np.max(np.abs(left.entries - psi.projector().entries)) < 1e-12
+        assert np.max(np.abs(left.entries - projector(psi).entries)) < 1e-12
 
     def test_bell_state(self):
-        rho = partial_trace(BELL.projector(), (2, 2), "left")
+        rho = partial_trace(projector(BELL), (2, 2), "left")
         assert np.max(np.abs(rho.entries - np.eye(2) / 2)) < 1e-12
 
     def test_trace_order_independence(self):
         # reduce a 3-party state to party 0: in one shot, or two parties one at a time
         psi = seeded_random("state", 2 * 3 * 4, 7)
-        rho = psi.projector()
+        rho = projector(psi)
         a = partial_trace(rho, (2, 12), "left")
         b = partial_trace(partial_trace(rho, (6, 4), "left"), (2, 3), "left")
         assert np.max(np.abs(a.entries - b.entries)) < 1e-12
 
     def test_trace_preserved(self):
-        rho = seeded_random("state", 12, 3).projector()
+        rho = projector(seeded_random("state", 12, 3))
         out = partial_trace(rho, (3, 4), "right")
         assert abs(np.trace(out.entries) - 1) < 1e-12
 
     def test_non_factorizable(self):
         with pytest.raises(DimensionError):
-            partial_trace(seeded_random("state", 6, 1).projector(), (4, 2), "left")
+            partial_trace(projector(seeded_random("state", 6, 1)), (4, 2), "left")
 
     def test_spectra_match_schmidt(self):
         psi = seeded_random("state", 12, 9)
         coeffs = schmidt_decompose(psi, (3, 4)).coefficients
         for keep in ("left", "right"):
-            w = np.sort(partial_trace(psi.projector(), (3, 4), keep).eigenvalues())[::-1]
+            w = np.sort(partial_trace(projector(psi), (3, 4), keep).eigenvalues())[::-1]
             assert np.max(np.abs(w[: len(coeffs)] - coeffs**2)) < 1e-10
 
 
@@ -133,14 +140,60 @@ class TestSchmidt:
 
     def test_bases_orthonormal(self):
         sd = schmidt_decompose(seeded_random("state", 12, 6), (3, 4))
-        for basis in (sd.left_basis, sd.right_basis):
-            g = np.array([[u.inner(v) for v in basis] for u in basis])
-            assert np.max(np.abs(g - np.eye(len(basis)))) < 1e-10
+        for basis in (sd.u, sd.vh.T):
+            g = basis.conj().T @ basis
+            assert np.max(np.abs(g - np.eye(basis.shape[1]))) < 1e-10
 
     def test_coefficients_descending_nonnegative(self):
         sd = schmidt_decompose(seeded_random("state", 16, 8), (4, 4))
         assert np.all(sd.coefficients >= 0)
         assert np.all(np.diff(sd.coefficients) <= 0)
+
+    def test_builds_no_state_vector(self, monkeypatch):
+        psi = seeded_random("state", 12, 6)
+        built = []
+        post_init = StateVector.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(StateVector, "__post_init__", counting)
+        sd = schmidt_decompose(psi, (3, 4))
+        assert built == []
+        assert sd.u.shape == (3, 3) and sd.vh.shape == (3, 4)
+
+
+class TestBranchSchmidtCoefficients:
+    @staticmethod
+    def rows(k, d_l, d_r):
+        return np.array(
+            [seeded_random("state", d_l * d_r, 1000 * k + i).amplitudes for i in range(k)]
+        )
+
+    @staticmethod
+    def per_row(rows, dims):
+        return np.array([schmidt_coefficients(StateVector(row), dims) for row in rows])
+
+    @pytest.mark.parametrize("k, d_l, d_r", [(81, 9, 9), (16, 4, 4), (7, 3, 4), (1, 2, 2)])
+    def test_equals_per_row_coefficients(self, k, d_l, d_r):
+        rows = self.rows(k, d_l, d_r)
+        got = branch_schmidt_coefficients(rows, (d_l, d_r))
+        assert got.shape == (k, min(d_l, d_r))
+        assert np.array_equal(got, self.per_row(rows, (d_l, d_r)))
+
+    def test_rows_one_at_a_time_when_the_stack_does_not_converge(self, monkeypatch):
+        rows = self.rows(7, 3, 4)
+        want = self.per_row(rows, (3, 4))
+        svd = np.linalg.svd
+
+        def unconverged_stack(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", unconverged_stack)
+        assert np.array_equal(branch_schmidt_coefficients(rows, (3, 4)), want)
 
 
 class TestEntropy:

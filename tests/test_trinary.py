@@ -12,6 +12,7 @@ from icqt.linalg import (
     seeded_random,
 )
 from icqt.trinary import (
+    EMPTY_BRANCH_TOL,
     BranchCountError,
     PointerCapacityError,
     ProgramBranch,
@@ -26,7 +27,12 @@ from icqt.trinary import (
     standard_basis,
     validate_informational_completeness,
 )
-from oracles import dense_programmed_matrix, operator_span_rank, pauli_projectors
+from oracles import (
+    branch_entropies_loop,
+    dense_programmed_matrix,
+    operator_span_rank,
+    pauli_projectors,
+)
 
 DIMS224 = TrinaryDims(2, 2, 4)
 PLUS = StateVector(np.array([1, 1], dtype=complex) / np.sqrt(2))
@@ -225,6 +231,46 @@ class TestApplyProgrammed:
             assert np.all(s_branches <= np.log(2) + 1e-9)
 
 
+class TestDualEntropies:
+    @staticmethod
+    def reference(state):
+        dims = state.dims
+        return (
+            entanglement_entropy(state.dense, (dims.d_p, dims.d_sa)),
+            branch_entropies_loop(state.as_matrix(), (dims.d_s, dims.d_a), EMPTY_BRANCH_TOL),
+        )
+
+    @staticmethod
+    def assert_equal(got, want):
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("dims", [DIMS224, TrinaryDims(3, 3, 9), TrinaryDims(2, 3, 5)])
+    def test_equals_per_branch_loop(self, dims):
+        for seed in range(3):
+            state = TrinaryState.from_dense(dims, seeded_random("state", dims.total, seed))
+            self.assert_equal(dual_entropies(state), self.reference(state))
+
+    def test_branch_view_is_not_read(self):
+        # the entropies come from the renormalised rows, as the loop takes them
+        state = TrinaryState.from_product(
+            DIMS224, StateVector.uniform(4), PLUS, StateVector.basis(2, 0)
+        )
+        out = apply_programmed(zxyz_unitary(), state)
+        assert out.branch_view is not None
+        self.assert_equal(dual_entropies(out), self.reference(out))
+
+    def test_empty_branch_is_exactly_zero(self):
+        dims = TrinaryDims(3, 3, 9)
+        amps = seeded_random("state", dims.total, 21).amplitudes.copy()
+        amps[4 * dims.d_sa : 5 * dims.d_sa] = 0.0
+        state = TrinaryState.from_dense(dims, StateVector(amps / np.linalg.norm(amps)))
+        got = dual_entropies(state)
+        assert got[1][4] == 0.0
+        assert np.all(np.delete(got[1], 4) > 0)
+        self.assert_equal(got, self.reference(state))
+
+
 def schmidt_form(state):
     """The Schmidt form of a trinary state's P|(SA) cut."""
     return schmidt_decompose(state.dense, (state.dims.d_p, state.dims.d_sa))
@@ -252,14 +298,14 @@ class TestToSchmidtForm:
         state = TrinaryState.from_dense(DIMS224, seeded_random("state", 16, 11))
         sd = schmidt_form(state)
         rebuilt = np.zeros(16, dtype=complex)
-        for c, pv, sa in zip(sd.coefficients, sd.left_basis, sd.right_basis):
-            rebuilt += c * np.kron(pv.amplitudes, sa.amplitudes)
+        for c, pv, sa in zip(sd.coefficients, sd.u.T, sd.vh):
+            rebuilt += c * np.kron(pv, sa)
         assert np.max(np.abs(rebuilt - state.dense.amplitudes)) <= 1e-10
 
     def test_branch_states_orthonormal(self):
         state = TrinaryState.from_dense(DIMS224, seeded_random("state", 16, 13))
-        vs = schmidt_form(state).right_basis
-        gram = np.array([[u.inner(v) for v in vs] for u in vs])
+        vs = schmidt_form(state).vh
+        gram = vs.conj() @ vs.T
         assert np.max(np.abs(gram - np.eye(len(vs)))) < 1e-10
 
     def test_coefficients_descending(self):
