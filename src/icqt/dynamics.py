@@ -7,7 +7,10 @@ into a programming-side propagator times independent per-branch propagators,
 and evolution runs block-by-block without ever forming the full-space matrix.
 ``FactorizedPropagator`` is that propagator, decomposed once per Hamiltonian
 and shared by every factorized path; ``DensePropagator`` (and ``evolve_full``
-on top of it) is the dense brute-force reference for exactly that claim.
+on top of it) is the dense brute-force reference for exactly that claim.  The
+measurability checks work block by block as well
+(``conditioned_commutator_norm``), so the one full-space matrix built here is
+the one the dense reference diagonalises.
 
 Time dependence is piecewise constant: a schedule is a list of
 (duration, hamiltonian) segments evolved back to back.
@@ -26,7 +29,6 @@ from .linalg import (
     HermitianSpectrum,
     Operator,
     StateVector,
-    commutator_norm,
     seeded_random,
 )
 from .trinary import TrinaryDims, TrinaryState, _check_orthonormal, dual_entropies
@@ -85,25 +87,25 @@ class TrinaryHamiltonian:
             )
             object.__setattr__(self, "programming_basis", basis)
 
-    def _basis(self) -> np.ndarray:
-        if self.programming_basis is None:
-            return np.eye(self.dims.d_p, dtype=complex)
-        return self.programming_basis
-
-    def programmed_part(self) -> Operator:
-        """sum_n |e_n><e_n| (x) block_n on the full space."""
-        w = self._basis()
-        total = self.dims.total
-        out = np.zeros((total, total), dtype=complex)
-        for n in range(self.dims.d_p):
-            proj = np.outer(w[:, n], w[:, n].conj())
-            out += np.kron(proj, self.blocks[n].entries)
-        return Operator(out)
-
     def full_operator(self) -> Operator:
-        """H_P (x) I plus the programmed part, densely assembled."""
-        h = np.kron(self.h_p.entries, np.eye(self.dims.d_sa)) + self.programmed_part().entries
-        return Operator(h)
+        """H_P (x) I plus sum_n |e_n><e_n| (x) block_n on the full space.
+
+        The blocks are written into a (d_p, d_sa, d_p, d_sa) view and H_P is
+        added on its S x A diagonal: entry for entry the same matrix as the
+        ``np.kron`` form, without a full-space temporary per term.
+        """
+        d_p, d_sa = self.dims.d_p, self.dims.d_sa
+        out = np.zeros((d_p, d_sa, d_p, d_sa), dtype=complex)
+        w = self.programming_basis
+        for n, b in enumerate(self.blocks):
+            if w is None:
+                out[n, :, n, :] = b.entries
+            else:
+                proj = np.outer(w[:, n], w[:, n].conj())
+                out += proj[:, None, :, None] * b.entries[None, :, None, :]
+        diag = np.arange(d_sa)
+        out[:, diag, :, diag] += self.h_p.entries
+        return Operator(out.reshape(self.dims.total, self.dims.total))
 
     def propagator(self) -> FactorizedPropagator:
         """The factorized propagator; exact only when ``check_pmc`` holds."""
@@ -154,17 +156,43 @@ class ProgrammedBlockStructure:
         return Operator(out)
 
 
+def conditioned_commutator_norm(
+    h_program: np.ndarray,
+    blocks: Sequence[np.ndarray],
+    basis: np.ndarray | None = None,
+) -> float:
+    """Max-entry norm of [sum_n |e_n><e_n| (x) B_n, H_prog (x) I], blockwise.
+
+    The norm is taken in the conditioning basis (the columns e_n of
+    ``basis``, computational when None), where block (n, m) of the
+    commutator is h'[n, m] (B_n - B_m) with h' = basis^dagger H_prog basis.
+    The difference form is exactly 0 wherever h'[n, m] or B_n - B_m is.  One
+    row of blocks at a time, so memory is len(blocks) * d_block^2 and no
+    full-space matrix is formed.
+    """
+    if basis is not None:
+        h_program = basis.conj().T @ h_program @ basis
+    stack = np.stack(blocks)
+    norm = 0.0
+    for n in range(len(stack)):
+        row = h_program[n][:, None, None] * (stack[n] - stack)
+        norm = max(norm, float(np.max(np.abs(row))))
+    return norm
+
+
 def check_pmc(h: TrinaryHamiltonian) -> CommutatorCheck:
     """Measurability of the programming side: [programmed part, H_P (x) I]."""
-    h_p_full = Operator(np.kron(h.h_p.entries, np.eye(h.dims.d_sa)))
-    norm = commutator_norm(h.programmed_part(), h_p_full)
+    norm = conditioned_commutator_norm(
+        h.h_p.entries, [b.entries for b in h.blocks], h.programming_basis
+    )
     return CommutatorCheck(commutator_norm=norm, satisfied=norm <= COMMUTATION_TOL)
 
 
 def check_sapmc(block: ProgrammedBlockStructure) -> CommutatorCheck:
     """Programmed measurability inside one block: [block, H_S (x) I]."""
-    h_s_full = Operator(np.kron(block.h_s.entries, np.eye(block.d_a)))
-    norm = commutator_norm(block.assemble(), h_s_full)
+    norm = conditioned_commutator_norm(
+        block.h_s.entries, [g.entries for g in block.a_generators], block.s_basis
+    )
     return CommutatorCheck(commutator_norm=norm, satisfied=norm <= COMMUTATION_TOL)
 
 
@@ -223,13 +251,14 @@ class DensePropagator:
     The brute-force reference for ``FactorizedPropagator``: it diagonalises
     the densely assembled ``full_operator`` with one ``eigh``, so it is exact
     whether or not the measurability condition holds, at (d_p d_sa)^3 cost.
+    Each ``evolve`` applies the spectrum to the state without forming U(t).
     """
 
     def __init__(self, h: TrinaryHamiltonian):
         self._spectrum = HermitianSpectrum.of(h.full_operator().entries)
 
     def evolve(self, state: TrinaryState, t: float) -> TrinaryState:
-        amp = self._spectrum.propagator(t) @ state.dense.amplitudes
+        amp = self._spectrum.apply(state.dense.amplitudes, t)
         return TrinaryState.from_dense(state.dims, StateVector(amp))
 
 
@@ -316,46 +345,17 @@ def evolve_swapped_factorized(
         if b.dim != dims.d_p:
             raise DimensionError("swapped blocks must act on the programming space")
         _require_hermitian(b.entries, f"swapped block {m}")
-    norm = _swapped_pmc_norm(h_sa, blocks_on_p, sa_basis, dims)
+    if sa_basis is not None:
+        sa_basis = _check_orthonormal(np.asarray(sa_basis, dtype=complex), dims.d_sa, "SA basis")
+    blocks = [b.entries for b in blocks_on_p]
+    norm = conditioned_commutator_norm(h_sa.entries, blocks, sa_basis)
     if norm > COMMUTATION_TOL:
         raise FactorizationPreconditionError(
             f"measurability condition violated (commutator norm {norm:.3e})"
         )
-    if sa_basis is not None:
-        sa_basis = _check_orthonormal(np.asarray(sa_basis, dtype=complex), dims.d_sa, "SA basis")
-    prop = FactorizedPropagator(h_sa.entries, [b.entries for b in blocks_on_p], sa_basis)
+    prop = FactorizedPropagator(h_sa.entries, blocks, sa_basis)
     out = prop.apply(state.as_matrix().T, t)  # (d_sa, d_p): SA is now the program side
     return TrinaryState.from_dense(dims, StateVector(out.T.reshape(-1)))
-
-
-def swapped_full_operator(
-    h_sa: Operator,
-    blocks_on_p: Sequence[Operator],
-    dims: TrinaryDims,
-    sa_basis: np.ndarray | None = None,
-) -> Operator:
-    """Dense oracle for the swapped-role Hamiltonian, in P x SA index order."""
-    basis = (
-        np.eye(dims.d_sa, dtype=complex)
-        if sa_basis is None
-        else np.asarray(sa_basis, dtype=complex)
-    )
-    out = np.kron(np.eye(dims.d_p), h_sa.entries)
-    for m in range(dims.d_sa):
-        proj = np.outer(basis[:, m], basis[:, m].conj())
-        out = out + np.kron(blocks_on_p[m].entries, proj)
-    return Operator(out)
-
-
-def _swapped_pmc_norm(
-    h_sa: Operator,
-    blocks_on_p: Sequence[Operator],
-    sa_basis: np.ndarray | None,
-    dims: TrinaryDims,
-) -> float:
-    full = swapped_full_operator(h_sa, blocks_on_p, dims, sa_basis)
-    programmed = Operator(full.entries - np.kron(np.eye(dims.d_p), h_sa.entries))
-    return commutator_norm(programmed, Operator(np.kron(np.eye(dims.d_p), h_sa.entries)))
 
 
 @dataclass(frozen=True)

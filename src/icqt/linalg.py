@@ -244,6 +244,15 @@ class HermitianSpectrum:
         w, v = self.values, self.vectors
         return (v * np.exp(-1j * w * t)) @ v.conj().T
 
+    def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
+        """exp(-i H t) psi for a vector psi, without forming exp(-i H t).
+
+        Two matrix-vector products, O(dim^2) per time; V^dagger psi is taken
+        as conj(V^T conj(psi)) so no conjugated copy of V is made.
+        """
+        w, v = self.values, self.vectors
+        return v @ (np.exp(-1j * w * t) * (v.T @ psi.conj()).conj())
+
 
 def hermitian_propagator(h: Operator, t: float) -> Operator:
     """exp(-i H t) for Hermitian H, via eigendecomposition."""

@@ -242,7 +242,7 @@ def parse_initial_state(payload: dict, dims: TrinaryDims, seed: int) -> TrinaryS
     if "product" in obj:
         prod = obj["product"]
         for key in ("chi", "system", "apparatus"):
-            if key not in prod:
+            if not isinstance(prod, dict) or key not in prod:
                 raise ScenarioError(f"initial_state.product needs '{key}'")
         return TrinaryState.from_product(
             dims,
@@ -254,8 +254,8 @@ def parse_initial_state(payload: dict, dims: TrinaryDims, seed: int) -> TrinaryS
 
 
 def parse_gate(obj, what: str) -> GateOp:
-    if not isinstance(obj, dict) or "kind" not in obj or "targets" not in obj:
-        raise ScenarioError(f"{what} must be an object with 'kind' and 'targets'")
+    if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str) or "targets" not in obj:
+        raise ScenarioError(f"{what} must be an object with a 'kind' name and 'targets'")
     targets = obj["targets"]
     if not isinstance(targets, list) or not all(
         isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) and isinstance(t[1], int)

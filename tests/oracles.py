@@ -161,6 +161,50 @@ def dense_trinary_hamiltonian(h_p: np.ndarray, blocks, basis: np.ndarray | None 
     return full
 
 
+def programmed_part(h) -> np.ndarray:
+    """sum_n |e_n><e_n| (x) block_n of a TrinaryHamiltonian, by np.kron per term."""
+    d_p = h.dims.d_p
+    w = np.eye(d_p, dtype=complex) if h.programming_basis is None else h.programming_basis
+    out = np.zeros((h.dims.total, h.dims.total), dtype=complex)
+    for n in range(d_p):
+        proj = np.outer(w[:, n], w[:, n].conj())
+        out += np.kron(proj, h.blocks[n].entries)
+    return out
+
+
+def swapped_full_operator(h_sa, blocks_on_p, dims, sa_basis=None) -> np.ndarray:
+    """I (x) h_sa + sum_m B_m (x) |f_m><f_m| in P x SA index order, by np.kron."""
+    basis = np.eye(dims.d_sa, dtype=complex) if sa_basis is None else np.asarray(sa_basis)
+    out = np.kron(np.eye(dims.d_p), h_sa.entries)
+    for m in range(dims.d_sa):
+        proj = np.outer(basis[:, m], basis[:, m].conj())
+        out = out + np.kron(blocks_on_p[m].entries, proj)
+    return out
+
+
+def dense_commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """Max-entry magnitude of AB - BA on the full space."""
+    return float(np.max(np.abs(a @ b - b @ a)))
+
+
+def dense_pmc_norm(h) -> float:
+    """[programmed part, H_P (x) I] of a TrinaryHamiltonian, densely."""
+    return dense_commutator_norm(programmed_part(h), np.kron(h.h_p.entries, np.eye(h.dims.d_sa)))
+
+
+def dense_sapmc_norm(block) -> float:
+    """[block, H_S (x) I] of a ProgrammedBlockStructure, densely."""
+    h_s_full = np.kron(block.h_s.entries, np.eye(block.d_a))
+    return dense_commutator_norm(block.assemble().entries, h_s_full)
+
+
+def dense_swapped_norm(h_sa, blocks_on_p, dims, sa_basis=None) -> float:
+    """[sum_m B_m (x) |f_m><f_m|, I (x) h_sa] of the swapped roles, densely."""
+    h_full = np.kron(np.eye(dims.d_p), h_sa.entries)
+    programmed = swapped_full_operator(h_sa, blocks_on_p, dims, sa_basis) - h_full
+    return dense_commutator_norm(programmed, h_full)
+
+
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T

@@ -499,6 +499,20 @@ class TestInputErrors:
         err = self.run_bad(tmp_path, capsys, "icqc", base("icqc", n=2, program={"random": {}}))
         assert "exceeds the cap 255" in err
 
+    @pytest.mark.parametrize("kind", [["H"], 3, None])
+    def test_gate_kind_not_a_name(self, tmp_path, capsys, kind):
+        gates = [{"kind": kind, "targets": [["P", 0]]}]
+        payload = base("icqc", n=1, gates=gates, program={"random": {}})
+        assert "gates[0]" in self.run_bad(tmp_path, capsys, "icqc", payload)
+
+    @pytest.mark.parametrize("product", [5, "chi system apparatus", ["chi", "system", "apparatus"]])
+    def test_product_state_not_an_object(self, tmp_path, capsys, product):
+        payload = base(
+            "dynamics", dims=[2, 1, 2], times=[0.0], hamiltonian={"random": "pmc"},
+            initial_state={"product": product},
+        )
+        assert "initial_state.product" in self.run_bad(tmp_path, capsys, "evolve", payload)
+
     def run_over_cap(self, tmp_path, capsys, command, payload):
         """Exit 2 on the cap before any allocation of the refused size."""
         tracemalloc.start()

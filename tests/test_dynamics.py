@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from icqt import dynamics
 from icqt.dynamics import (
+    COMMUTATION_TOL,
     DensePropagator,
     FactorizationPreconditionError,
     FactorizedPropagator,
@@ -19,17 +22,25 @@ from icqt.dynamics import (
     evolve_swapped_factorized,
     random_block_structure,
     random_trinary_hamiltonian,
-    swapped_full_operator,
 )
 from icqt.linalg import (
     HermiticityError,
+    HermitianSpectrum,
     Operator,
     StateVector,
     hermitian_propagator,
     seeded_random,
 )
 from icqt.trinary import TrinaryDims, TrinaryState, standard_basis
-from oracles import dense_trinary_hamiltonian, expm_hermitian
+from oracles import (
+    dense_pmc_norm,
+    dense_sapmc_norm,
+    dense_swapped_norm,
+    dense_trinary_hamiltonian,
+    expm_hermitian,
+    programmed_part,
+    swapped_full_operator,
+)
 
 DIMS = TrinaryDims(2, 2, 4)
 
@@ -61,6 +72,16 @@ class TestTrinaryHamiltonian:
             h.h_p.entries, [b.entries for b in h.blocks]
         )
         assert np.max(np.abs(h.full_operator().entries - want)) < 1e-14
+
+    @pytest.mark.parametrize("kind", ["pmc", "coupled", "violating"])
+    @pytest.mark.parametrize("custom_basis", [False, True])
+    def test_full_operator_equals_kron_form(self, kind, custom_basis):
+        # the dense reference diagonalises the kron form, entry for entry
+        h = random_trinary_hamiltonian(TrinaryDims(2, 3, 5), 9, kind=kind)
+        if custom_basis:
+            h = in_programming_basis(h, 10)
+        want = np.kron(h.h_p.entries, np.eye(h.dims.d_sa)) + programmed_part(h)
+        assert np.array_equal(h.full_operator().entries, want)
 
     def test_full_operator_hermitian(self):
         h = random_trinary_hamiltonian(DIMS, 4, kind="violating")
@@ -147,6 +168,90 @@ class TestCheckSapmc:
             proj = np.outer(block.s_basis[:, i], block.s_basis[:, i].conj())
             want = want + np.kron(proj, block.a_generators[i].entries)
         assert np.max(np.abs(block.assemble().entries - want)) <= 1e-12
+
+
+CHECK_DS = (2, 3, 4)
+CHECK_CASES = 60
+
+
+def in_programming_basis(h, seed):
+    """``h`` conjugated into a seeded programming basis, blocks conditioned on it."""
+    w = seeded_random("unitary", h.dims.d_p, seed).entries
+    h_p = Operator(w @ h.h_p.entries @ w.conj().T)
+    return TrinaryHamiltonian(dims=h.dims, h_p=h_p, blocks=h.blocks, programming_basis=w)
+
+
+def swapped_case(dims, seed, kind):
+    """(h_sa, blocks on P, SA basis); h_sa is diagonal in the basis unless violating."""
+    rng = np.random.default_rng(seed)
+    f = seeded_random("unitary", dims.d_sa, rng.integers(2**32)).entries
+    blocks = tuple(
+        seeded_random("hermitian", dims.d_p, rng.integers(2**32)) for _ in range(dims.d_sa)
+    )
+    if kind == "pmc":
+        h_sa = Operator(f @ np.diag(rng.normal(size=dims.d_sa)) @ f.conj().T)
+    else:
+        h_sa = seeded_random("hermitian", dims.d_sa, rng.integers(2**32))
+    return h_sa, blocks, f
+
+
+class TestBlockwiseChecks:
+    """The blockwise norms against the dense commutator of tests/oracles.py."""
+
+    @pytest.mark.parametrize("d", CHECK_DS)
+    @pytest.mark.parametrize("kind", ["pmc", "coupled"])
+    def test_computational_basis_exactly_zero_as_dense(self, d, kind):
+        for i in range(CHECK_CASES):
+            h = random_trinary_hamiltonian(TrinaryDims(d, d, d), 1000 * d + i, kind=kind)
+            assert dense_pmc_norm(h) == 0.0
+            assert check_pmc(h).commutator_norm == 0.0
+
+    @pytest.mark.parametrize("d", CHECK_DS)
+    def test_violating_norm_within_rounding_of_dense(self, d):
+        eps = np.finfo(float).eps
+        for i in range(CHECK_CASES):
+            h = random_trinary_hamiltonian(TrinaryDims(d, d, d), 2000 * d + i, kind="violating")
+            max_b = max(float(np.max(np.abs(b.entries))) for b in h.blocks)
+            bound = 4 * eps * float(np.max(np.abs(h.h_p.entries))) * max_b
+            chk = check_pmc(h)
+            assert not chk.satisfied
+            assert abs(chk.commutator_norm - dense_pmc_norm(h)) <= bound
+
+    @pytest.mark.parametrize("d", CHECK_DS)
+    @pytest.mark.parametrize("kind", ["pmc", "coupled", "violating"])
+    def test_programming_basis_verdict_as_dense(self, d, kind):
+        for i in range(CHECK_CASES):
+            h = random_trinary_hamiltonian(TrinaryDims(d, d, d), 3000 * d + i, kind=kind)
+            h = in_programming_basis(h, 4000 * d + i)
+            satisfied = check_pmc(h).satisfied
+            assert satisfied == (dense_pmc_norm(h) <= COMMUTATION_TOL)
+            assert satisfied == (kind != "violating")
+
+    @pytest.mark.parametrize("d", CHECK_DS)
+    @pytest.mark.parametrize("kind", ["sapmc", "shared", "violating"])
+    def test_s_basis_verdict_as_dense(self, d, kind):
+        for i in range(CHECK_CASES):
+            block = random_block_structure(d, d, 5000 * d + i, kind=kind)
+            chk = check_sapmc(block)
+            assert chk.satisfied == (dense_sapmc_norm(block) <= COMMUTATION_TOL)
+            assert chk.satisfied == (kind != "violating")
+            if kind == "shared":  # identical generators: every difference block is 0
+                assert chk.commutator_norm == 0.0
+
+    @pytest.mark.parametrize("d", CHECK_DS)
+    @pytest.mark.parametrize("kind", ["pmc", "violating"])
+    def test_sa_basis_verdict_as_dense(self, d, kind):
+        dims = TrinaryDims(d, d, d)
+        state = random_state(dims, 6000 * d)
+        for i in range(CHECK_CASES):
+            h_sa, blocks, f = swapped_case(dims, 7000 * d + i, kind)
+            dense_ok = dense_swapped_norm(h_sa, blocks, dims, f) <= COMMUTATION_TOL
+            assert dense_ok == (kind == "pmc")
+            if dense_ok:
+                evolve_swapped_factorized(h_sa, blocks, state, 0.5, sa_basis=f)
+            else:
+                with pytest.raises(FactorizationPreconditionError):
+                    evolve_swapped_factorized(h_sa, blocks, state, 0.5, sa_basis=f)
 
 
 class TestEvolveFull:
@@ -278,6 +383,20 @@ class TestEvolveFactorized:
             for n, b in enumerate(h.blocks):
                 want[n] = expm_hermitian(b.entries, t) @ want[n]
             assert np.array_equal(prop.apply(psi, t), w @ want)
+
+    def test_checked_evolution_forms_no_full_space_matrix(self):
+        # total 1296: one total x total complex matrix is 26.9 MB; the check
+        # and the evolution together stay below a quarter of one
+        dims = TrinaryDims(6, 6, 36)
+        h = random_trinary_hamiltonian(dims, 98, kind="coupled")
+        state = random_state(dims, 99)
+        tracemalloc.start()
+        try:
+            evolve_factorized(h, state, 0.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dims.total**2 * 16 / 4
 
 
 class TestEvolveProgrammedBlock:
@@ -428,14 +547,18 @@ class TestEvolveDispatch:
 
     def test_dense_propagator_serves_every_time(self):
         # One decomposition, reused: equal (not close) to a fresh dense
-        # propagator per time, for a Hamiltonian that violates the condition.
+        # spectrum applied at each time, and within 1e-13 of the explicit
+        # propagator, for a Hamiltonian that violates the condition.
         h = random_trinary_hamiltonian(DIMS, 96, kind="violating")
         state = random_state(DIMS, 97)
         prop = DensePropagator(h)
         for t in (0.0, 0.3, 1.7):
-            want = hermitian_propagator(h.full_operator(), t).apply(state.dense)
-            assert np.array_equal(prop.evolve(state, t).dense.amplitudes, want.amplitudes)
-            assert np.array_equal(evolve_full(h, state, t).dense.amplitudes, want.amplitudes)
+            fresh = HermitianSpectrum.of(h.full_operator().entries)
+            want = fresh.apply(state.dense.amplitudes, t)
+            assert np.array_equal(prop.evolve(state, t).dense.amplitudes, want)
+            assert np.array_equal(evolve_full(h, state, t).dense.amplitudes, want)
+            oracle = hermitian_propagator(h.full_operator(), t).apply(state.dense)
+            assert np.max(np.abs(want - oracle.amplitudes)) <= 1e-13
 
 
 class TestSchedule:
@@ -468,7 +591,7 @@ class TestSwappedRoles:
         state = random_state(DIMS, 39)
         out = evolve_swapped_factorized(h_sa, blocks_p, state, 0.6)
         full = swapped_full_operator(h_sa, blocks_p, DIMS)
-        want = hermitian_propagator(full, 0.6).apply(state.dense)
+        want = hermitian_propagator(Operator(full), 0.6).apply(state.dense)
         assert np.max(np.abs(out.dense.amplitudes - want.amplitudes)) <= 1e-9
 
     def test_precondition_enforced(self):

@@ -286,6 +286,13 @@ class TestPropagator:
         for t in (0.0, 0.3, 1.7):
             assert np.array_equal(spectrum.propagator(t), hermitian_propagator(h, t).entries)
 
+    def test_spectrum_apply_matches_propagator(self):
+        h = seeded_random("hermitian", 6, 15)
+        spectrum = HermitianSpectrum.of(h.entries)
+        psi = seeded_random("state", 6, 16).amplitudes
+        for t in (0.0, 0.4, 2.3):
+            assert np.max(np.abs(spectrum.apply(psi, t) - spectrum.propagator(t) @ psi)) <= 1e-13
+
     @given(st.integers(0, 30), st.floats(0.1, 2.0), st.floats(0.1, 2.0))
     @settings(max_examples=20, deadline=None)
     def test_group_law(self, seed, t1, t2):

@@ -1,0 +1,112 @@
+"""Fuzz of scenario parsing through the CLI, in process.
+
+Each example starts from a small valid scenario of one kind, replaces or
+drops parts of it at random with arbitrary JSON, and runs the matching
+command.  Whatever the input, the CLI keeps its contract: exit 0, 1 or 2,
+exactly one stderr line on exit 2, and never a traceback.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from icqt.cli import main
+
+COUNTS = dict.fromkeys(
+    ("factorization_cases", "converse_cases", "block_cases", "born_cases",
+     "creation_cases", "shannon_cases", "schmidt_roundtrips"), 1
+)
+
+VALID = {
+    "validate": {
+        "schema": 1, "kind": "trinary-build", "seed": 1, "dims": [2, 2, 4],
+        "branch_bases": ["Z", "X", "Y", "Z"], "probe_apparatus": "basis0",
+    },
+    "evolve": {
+        "schema": 1, "kind": "dynamics", "seed": 2, "dims": [2, 1, 2],
+        "times": [0.0, 0.5, 1.0],
+        "segments": [
+            {"duration": 0.5, "hamiltonian": {"random": "pmc"}},
+            {"duration": 1.0, "hamiltonian": {
+                "h_p": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+                "blocks": [
+                    [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+                    [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                ],
+                "programming_basis": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+            }},
+        ],
+        "initial_state": {"product": {"chi": "uniform", "system": "basis1", "apparatus": "basis0"}},
+    },
+    "born": {
+        "schema": 1, "kind": "born", "seed": 3, "dims": [2, 2, 2],
+        "branch_bases": ["Z", [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],
+        "g": "uniform", "system_state": [[0.6, 0], [0.8, 0]], "apparatus_state": "basis0",
+    },
+    "icqc": {
+        "schema": 1, "kind": "icqc", "seed": 4, "n": 1, "initial": "zeros",
+        "gates": [{"kind": "H", "targets": [["P", 0]]},
+                  {"kind": "RY", "targets": [["S", 0]], "angle": 0.3}],
+        "program": {"random": {"depth": 2}},
+    },
+    "suite": {
+        "schema": 1, "kind": "property-suite", "seed": 5, "dims_list": [[2, 2, 4]], **COUNTS,
+    },
+}
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 6),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([float("nan"), float("inf"), -0.0, 1e300]),
+    st.sampled_from(["Z", "X", "Y", "basis0", "basis9", "uniform", "pmc", "random", ""]),
+    st.text(max_size=3),
+)
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+def mutate(data, value):
+    """Replace (1 in 6) or recurse into value; dict keys are dropped 1 in 10."""
+    if data.draw(st.integers(0, 5)) == 0:
+        return data.draw(JSON)
+    if isinstance(value, dict):
+        return {k: mutate(data, v) for k, v in value.items() if data.draw(st.integers(0, 9))}
+    if isinstance(value, list):
+        return [mutate(data, v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+@settings(
+    max_examples=40,
+    deadline=5000,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_mutated_scenario_keeps_the_exit_contract(monkeypatch, command, data):
+    monkeypatch.setenv("ICQT_MAX_DIM", "256")  # small operators whatever the dims say
+    payload = mutate(data, VALID[command])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), "--out", tmp])
+    stderr = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr
+    if code == 2:
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
