@@ -20,7 +20,6 @@ from .trinary import (
     BranchCountError,
     CompletenessReport,
     PointerCapacityError,
-    ProgramBranch,
     ProgrammedUnitary,
     TrinaryDims,
     TrinaryState,

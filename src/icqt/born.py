@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import StateVector, branch_schmidt_coefficients, schmidt_decompose
+from .linalg import StateVector, schmidt_decompose
 from .trinary import EMPTY_BRANCH_TOL, TrinaryState, branch_spectra
 
 CLAMP_TOL = 1e-12
@@ -101,14 +101,11 @@ class DualBornReport:
 def dual_born_report(state: TrinaryState) -> DualBornReport:
     """Assemble the full dual-probability report for a trinary state.
 
-    Row r holds the probabilities of ``outcome_probabilities(state, r)``.
+    Row r holds the probabilities of ``outcome_probabilities(state, r)``,
+    read from the amplitudes alone: every branch spectrum comes from one
+    ``branch_spectra`` pass over the rows.
     """
-    if state.branch_view is None:
-        spectra = branch_spectra(state)
-    else:
-        rows = np.array([sa.amplitudes for _, sa in state.branch_view])
-        spectra = branch_schmidt_coefficients(rows, (state.dims.d_s, state.dims.d_a))
-    return _dual_born_report(state, spectra)
+    return _dual_born_report(state, branch_spectra(state))
 
 
 def _dual_born_report(state: TrinaryState, spectra: np.ndarray) -> DualBornReport:

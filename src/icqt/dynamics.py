@@ -29,12 +29,12 @@ from .linalg import (
     HermitianSpectrum,
     Operator,
     StateVector,
+    random_hermitian,
     seeded_random,
 )
 from .trinary import TrinaryDims, TrinaryState, _check_orthonormal, dual_entropies
 
 COMMUTATION_TOL = 1e-10
-HERMITICITY_TOL = 1e-12
 _DIAG_TOL = 1e-13  # below this the programming Hamiltonian counts as diagonal
 
 
@@ -42,11 +42,9 @@ class FactorizationPreconditionError(ValueError):
     """Factorized evolution requested while the measurability condition fails."""
 
 
-def _require_hermitian(entries: np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(entries, dtype=complex)
-    if np.max(np.abs(arr - arr.conj().T)) > HERMITICITY_TOL:
+def _require_hermitian(op: Operator, what: str) -> None:
+    if not op.is_hermitian():
         raise HermiticityError(f"{what} is not Hermitian")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -72,13 +70,13 @@ class TrinaryHamiltonian:
     def __post_init__(self):
         if self.h_p.dim != self.dims.d_p:
             raise DimensionError("h_p must act on the programming space")
-        _require_hermitian(self.h_p.entries, "h_p")
+        _require_hermitian(self.h_p, "h_p")
         if len(self.blocks) != self.dims.d_p:
             raise DimensionError(f"need {self.dims.d_p} blocks, got {len(self.blocks)}")
         for n, b in enumerate(self.blocks):
             if b.dim != self.dims.d_sa:
                 raise DimensionError(f"block {n} must act on S x A")
-            _require_hermitian(b.entries, f"block {n}")
+            _require_hermitian(b, f"block {n}")
         if self.programming_basis is not None:
             basis = _check_orthonormal(
                 np.asarray(self.programming_basis, dtype=complex),
@@ -137,8 +135,8 @@ class ProgrammedBlockStructure:
         for i, g in enumerate(self.a_generators):
             if g.dim != d_a:
                 raise DimensionError("apparatus generators must share one dim")
-            _require_hermitian(g.entries, f"apparatus generator {i}")
-        _require_hermitian(self.h_s.entries, "h_s")
+            _require_hermitian(g, f"apparatus generator {i}")
+        _require_hermitian(self.h_s, "h_s")
 
     @property
     def d_s(self) -> int:
@@ -340,11 +338,11 @@ def evolve_swapped_factorized(
     dims = state.dims
     if h_sa.dim != dims.d_sa or len(blocks_on_p) != dims.d_sa:
         raise DimensionError("swapped-role dims do not match the state")
-    _require_hermitian(h_sa.entries, "h_sa")
+    _require_hermitian(h_sa, "h_sa")
     for m, b in enumerate(blocks_on_p):
         if b.dim != dims.d_p:
             raise DimensionError("swapped blocks must act on the programming space")
-        _require_hermitian(b.entries, f"swapped block {m}")
+        _require_hermitian(b, f"swapped block {m}")
     if sa_basis is not None:
         sa_basis = _check_orthonormal(np.asarray(sa_basis, dtype=complex), dims.d_sa, "SA basis")
     blocks = [b.entries for b in blocks_on_p]
@@ -409,34 +407,27 @@ def random_trinary_hamiltonian(
     """
     rng = np.random.default_rng(seed)
     d_p, d_sa = dims.d_p, dims.d_sa
-
-    def herm(dim: int) -> Operator:
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        return Operator(0.5 * (m + m.conj().T))
-
     if kind == "pmc":
         h_p = Operator(np.diag(rng.normal(size=d_p)).astype(complex))
-        blocks = tuple(herm(d_sa) for _ in range(d_p))
+        blocks = tuple(random_hermitian(rng, d_sa) for _ in range(d_p))
     elif kind == "coupled":
         h_p_entries = np.zeros((d_p, d_p), dtype=complex)
         blocks_list: list[Operator] = [None] * d_p  # type: ignore[list-item]
         pairs = [(i, i + 1) for i in range(0, d_p - 1, 2)]
         leftovers = [d_p - 1] if d_p % 2 else []
         for i, j in pairs:
-            sub = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            sub = 0.5 * (sub + sub.conj().T)
-            h_p_entries[np.ix_([i, j], [i, j])] = sub
-            shared = herm(d_sa)
+            h_p_entries[np.ix_([i, j], [i, j])] = random_hermitian(rng, 2).entries
+            shared = random_hermitian(rng, d_sa)
             blocks_list[i] = shared
             blocks_list[j] = shared
         for i in leftovers:
             h_p_entries[i, i] = rng.normal()
-            blocks_list[i] = herm(d_sa)
+            blocks_list[i] = random_hermitian(rng, d_sa)
         h_p = Operator(h_p_entries)
         blocks = tuple(blocks_list)
     elif kind == "violating":
         h_p = seeded_random("hermitian", d_p, rng.integers(2**32))
-        blocks = tuple(herm(d_sa) for _ in range(d_p))
+        blocks = tuple(random_hermitian(rng, d_sa) for _ in range(d_p))
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return TrinaryHamiltonian(dims=dims, h_p=h_p, blocks=blocks)
@@ -453,23 +444,18 @@ def random_block_structure(
     generic H_S against distinct generators.
     """
     rng = np.random.default_rng(seed)
-
-    def herm(dim: int) -> Operator:
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        return Operator(0.5 * (m + m.conj().T))
-
     basis = seeded_random("unitary", d_s, rng.integers(2**32)).entries
     if kind == "sapmc":
         h_s = Operator(basis @ np.diag(rng.normal(size=d_s)).astype(complex) @ basis.conj().T)
-        gens = tuple(herm(d_a) for _ in range(d_s))
+        gens = tuple(random_hermitian(rng, d_a) for _ in range(d_s))
     elif kind == "shared":
-        h_s = herm(d_s)
-        shared = herm(d_a)
+        h_s = random_hermitian(rng, d_s)
+        shared = random_hermitian(rng, d_a)
         gens = tuple(shared for _ in range(d_s))
         basis = np.eye(d_s, dtype=complex)
     elif kind == "violating":
-        h_s = herm(d_s)
-        gens = tuple(herm(d_a) for _ in range(d_s))
+        h_s = random_hermitian(rng, d_s)
+        gens = tuple(random_hermitian(rng, d_a) for _ in range(d_s))
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return ProgrammedBlockStructure(s_basis=basis, a_generators=gens, h_s=h_s)

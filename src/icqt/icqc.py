@@ -53,12 +53,12 @@ def max_total_dim() -> int:
         raise CapacityError(f"ICQT_MAX_DIM must be an integer, got {raw!r}") from exc
 
 
-def check_capacity(total: int, what: str) -> None:
-    """Refuse a full-space dimension ``total`` (written ``what``) above the cap."""
+def check_capacity(total: int, what: str, quantity: str = "full dimension") -> None:
+    """Refuse a ``quantity`` ``total`` (written ``what``) above the cap."""
     cap = max_total_dim()
     if total > cap:
         raise CapacityError(
-            f"full dimension {what} = {total} exceeds the cap {cap} "
+            f"{quantity} {what} = {total} exceeds the cap {cap} "
             f"(set ICQT_MAX_DIM to raise it)"
         )
 
@@ -287,7 +287,8 @@ def run(config: IcqcConfig) -> IcqcRunReport:
     """init -> gate stage -> programmed stage -> dual entropies and Born report.
 
     The entropies and the report equal ``dual_entropies`` and
-    ``dual_born_report`` of the final state, from one set of branch spectra.
+    ``dual_born_report`` of the final state bit for bit: both read one
+    ``branch_spectra`` pass over its amplitudes.
     """
     state = init_state(config.n, config.initial)
     if config.gate_sequence:
@@ -297,7 +298,6 @@ def run(config: IcqcConfig) -> IcqcRunReport:
     # the P|(SA) SVD goes first, as in dual_entropies: its freed work memory
     # then covers the batched branch SVD, so the peak stays the P|(SA) one
     s_psa = entanglement_entropy(state.dense, (dims.d_p, dims.d_sa))
-    # the state has no branch view, so both reports read the same spectra
     spectra = branch_spectra(state)
     branches = branch_entropies(spectra)
     return IcqcRunReport(

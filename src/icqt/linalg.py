@@ -72,11 +72,6 @@ class StateVector:
     def uniform(dim: int) -> StateVector:
         return StateVector(np.full(dim, 1.0 / np.sqrt(dim), dtype=complex))
 
-    def inner(self, other: StateVector) -> complex:
-        if other.dim != self.dim:
-            raise DimensionError("inner product of unequal dims")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True)
 class Operator:
@@ -97,9 +92,6 @@ class Operator:
     @staticmethod
     def identity(dim: int) -> Operator:
         return Operator(np.eye(dim, dtype=complex))
-
-    def dagger(self) -> Operator:
-        return Operator(self.entries.conj().T)
 
     def is_unitary(self, tol: float = UNITARITY_TOL) -> bool:
         gram = self.entries.conj().T @ self.entries
@@ -285,9 +277,18 @@ def seeded_random(kind: Literal["state", "unitary", "hermitian"], dim: int, seed
         q = q * (d / np.abs(d))
         return Operator(q)
     if kind == "hermitian":
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        return Operator(0.5 * (m + m.conj().T))
+        return random_hermitian(rng, dim)
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def random_hermitian(rng: np.random.Generator, dim: int) -> Operator:
+    """Hermitian (M + M^dagger) / 2 of a complex Gaussian M drawn from ``rng``.
+
+    The real parts of M are drawn before the imaginary parts; every seeded
+    Hamiltonian's bits depend on that order.
+    """
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return Operator(0.5 * (m + m.conj().T))
 
 
 def subseed(root: int, *path: int) -> int:

@@ -300,6 +300,8 @@ def parse_icqc_config(payload: dict, seed: int) -> IcqcConfig:
         depth = program["random"].get("depth", 3) if isinstance(program["random"], dict) else 3
         if not isinstance(depth, int) or depth < 0:
             raise ScenarioError("program.random.depth must be a nonnegative integer")
+        # the table holds 4^n circuits of depth + 1 gates each
+        check_capacity(4**n * (depth + 1), f"4^{n}*({depth}+1)", "random program gate count")
         rng = np.random.default_rng(subseed(seed, 9))
         table = []
         for _ in range(4**n):

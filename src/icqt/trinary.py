@@ -25,7 +25,6 @@ from .linalg import (
 BASIS_ORTHO_TOL = 1e-10
 GRAM_RANK_TOL = 1e-8
 EMPTY_BRANCH_TOL = 1e-14
-BRANCH_VIEW_TOL = 1e-10
 
 
 class PointerCapacityError(ValueError):
@@ -127,36 +126,26 @@ def build_pointer_measurement(basis: np.ndarray, d_a: int) -> Operator:
 
 
 @dataclass(frozen=True)
-class ProgramBranch:
-    """One block of a programmed unitary: what happens if P reads ``index``."""
-
-    index: int
-    branch_unitary: Operator
-
-    def __post_init__(self):
-        if not self.branch_unitary.is_unitary():
-            raise ValueError(f"branch {self.index} is not unitary")
-
-
-@dataclass(frozen=True)
 class ProgrammedUnitary:
     """Block family {(|r,P>, U_SA(r))}; one unitary per programming state."""
 
     dims: TrinaryDims
-    branches: tuple[ProgramBranch, ...]
+    branches: tuple[Operator, ...]
 
     def __post_init__(self):
         if len(self.branches) != self.dims.d_p:
             raise BranchCountError(
                 f"got {len(self.branches)} branches for d_p = {self.dims.d_p}"
             )
-        for r, br in enumerate(self.branches):
-            if br.branch_unitary.dim != self.dims.d_sa:
-                raise DimensionError(f"branch {r} acts on dim {br.branch_unitary.dim}, "
+        for r, u in enumerate(self.branches):
+            if u.dim != self.dims.d_sa:
+                raise DimensionError(f"branch {r} acts on dim {u.dim}, "
                                      f"expected {self.dims.d_sa}")
+            if not u.is_unitary():
+                raise ValueError(f"branch {r} is not unitary")
 
     def branch_matrix(self, r: int) -> np.ndarray:
-        return self.branches[r].branch_unitary.entries
+        return self.branches[r].entries
 
     def densify(self) -> Operator:
         """Full block-diagonal unitary on P x S x A (test/oracle use)."""
@@ -176,46 +165,28 @@ def build_programmed_unitary(
         raise BranchCountError(
             f"need {dims.d_p} branch bases, got {len(branch_bases)}"
         )
-    branches = tuple(
-        ProgramBranch(index=r, branch_unitary=build_pointer_measurement(basis, dims.d_a))
-        for r, basis in enumerate(branch_bases)
-    )
+    branches = tuple(build_pointer_measurement(basis, dims.d_a) for basis in branch_bases)
     return ProgrammedUnitary(dims=dims, branches=branches)
 
 
 @dataclass(frozen=True)
 class TrinaryState:
-    """Pure state of P x S x A: amplitudes plus an optional branch view.
+    """Pure state of P x S x A, held as its amplitudes only.
 
-    Row r of ``as_matrix`` (over the programming basis) is g_r |psi_r,SA>.
-    ``branch_view`` keeps the pairs (g_r, |psi_r,SA>) a state was built from:
-    a branch state kept from its construction and the renormalised row
-    differ in the last bits, and the Born report prints them to 17 digits.
-    Only ``from_branches`` builds a view and only ``apply_programmed`` keeps
-    one.  The P|(SA) Schmidt form is ``schmidt_decompose(dense, (d_p, d_sa))``.
+    Row r of ``as_matrix`` (over the programming basis) is g_r |psi_r,SA>,
+    so the matrix is the trinary form sum_r g_r |r,P> (x) |psi_r,SA> and
+    every report reads it alone.  The P|(SA) Schmidt form is
+    ``schmidt_decompose(dense, (d_p, d_sa))``.
     """
 
     dims: TrinaryDims
     dense: StateVector
-    branch_view: tuple[tuple[complex, StateVector], ...] | None = None
 
     def __post_init__(self):
         if self.dense.dim != self.dims.total:
             raise DimensionError(
                 f"dense dim {self.dense.dim} != d_p*d_s*d_a = {self.dims.total}"
             )
-        if self.branch_view is not None:
-            g = np.array([c for c, _ in self.branch_view], dtype=complex)
-            if abs(np.sum(np.abs(g) ** 2) - 1.0) > BRANCH_VIEW_TOL:
-                raise ValueError("branch weights do not sum to 1")
-            rows = _branch_rows(g, self.branch_view)
-            if rows.shape != (self.dims.d_p, self.dims.d_sa):
-                raise DimensionError(
-                    f"branch view has shape {rows.shape}, "
-                    f"expected ({self.dims.d_p}, {self.dims.d_sa})"
-                )
-            if np.max(np.abs(rows - self.as_matrix())) > BRANCH_VIEW_TOL:
-                raise ValueError("branch view does not reconstruct the dense state")
 
     @staticmethod
     def from_product(
@@ -224,8 +195,8 @@ class TrinaryState:
         """Separable start |chi,P> (x) |psi,S> (x) |phi,A>."""
         if (chi.dim, psi.dim, phi.dim) != (dims.d_p, dims.d_s, dims.d_a):
             raise DimensionError("factor dims do not match TrinaryDims")
-        sa = StateVector(np.kron(psi.amplitudes, phi.amplitudes))
-        return TrinaryState.from_branches(dims, [(g, sa) for g in chi.amplitudes])
+        amps = np.kron(chi.amplitudes, np.kron(psi.amplitudes, phi.amplitudes))
+        return TrinaryState.from_dense(dims, StateVector(amps))
 
     @staticmethod
     def from_branches(
@@ -233,11 +204,12 @@ class TrinaryState:
     ) -> TrinaryState:
         """sum_r g_r |r,P> (x) |psi_r,SA> from the pairs (g_r, |psi_r,SA>)."""
         g = np.array([c for c, _ in pairs], dtype=complex)
-        return TrinaryState(
-            dims=dims,
-            dense=StateVector(_branch_rows(g, pairs).reshape(-1)),
-            branch_view=tuple((complex(c), sa) for c, sa in pairs),
-        )
+        rows = g[:, None] * np.array([sa.amplitudes for _, sa in pairs])
+        if rows.shape != (dims.d_p, dims.d_sa):
+            raise DimensionError(
+                f"branch pairs give shape {rows.shape}, expected ({dims.d_p}, {dims.d_sa})"
+            )
+        return TrinaryState.from_dense(dims, StateVector(rows.reshape(-1)))
 
     @staticmethod
     def from_dense(dims: TrinaryDims, dense: StateVector) -> TrinaryState:
@@ -254,8 +226,6 @@ class TrinaryState:
 
     def branch_state(self, r: int) -> StateVector:
         """Normalized S x A state conditioned on programming index r."""
-        if self.branch_view is not None:
-            return self.branch_view[r][1]
         row = self.as_matrix()[r]
         nrm = np.linalg.norm(row)
         if nrm * nrm <= EMPTY_BRANCH_TOL:
@@ -263,18 +233,11 @@ class TrinaryState:
         return StateVector(row / nrm)
 
 
-def _branch_rows(
-    g: np.ndarray, pairs: Sequence[tuple[complex, StateVector]]
-) -> np.ndarray:
-    """The (branches, d_sa) amplitude matrix with rows g_r |psi_r,SA>."""
-    return g[:, None] * np.array([sa.amplitudes for _, sa in pairs])
-
-
 def branch_spectra(state: TrinaryState) -> np.ndarray:
     """S|A Schmidt coefficients of every row of ``as_matrix`` over its own norm.
 
     Each row is divided by its own ``np.linalg.norm``, as ``branch_state``
-    divides it without a branch view, and all rows share one batched SVD.
+    divides it, and all rows share one batched SVD.
     A row whose squared norm is at most EMPTY_BRANCH_TOL gets all zeros.
     """
     dims = state.dims
@@ -302,12 +265,6 @@ def apply_programmed(pu: ProgrammedUnitary, state: TrinaryState) -> TrinaryState
     """Apply a programmed unitary block-wise (no full-space matrix is built)."""
     if pu.dims != state.dims:
         raise DimensionError("programmed unitary and state dims differ")
-    if state.branch_view is not None:
-        pairs = [
-            (g, StateVector(pu.branch_matrix(r) @ sa.amplitudes))
-            for r, (g, sa) in enumerate(state.branch_view)
-        ]
-        return TrinaryState.from_branches(state.dims, pairs)
     rows = state.as_matrix()
     out = np.empty_like(rows)
     for r in range(pu.dims.d_p):
@@ -359,8 +316,8 @@ def validate_informational_completeness(
     if probe_a is None:
         probe_a = StateVector.basis(dims.d_a, 0)
     ops = []
-    for br in pu.branches:
-        for e in pointer_readout_operators(br.branch_unitary, dims.d_a, probe_a):
+    for u in pu.branches:
+        for e in pointer_readout_operators(u, dims.d_a, probe_a):
             if np.max(np.abs(e)) > EMPTY_BRANCH_TOL:
                 ops.append(e.reshape(-1))
     if ops:

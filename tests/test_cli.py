@@ -11,6 +11,7 @@ from icqt.scenario import (
     ScenarioError,
     load_scenario,
     parse_dims,
+    parse_icqc_config,
     parse_initial_state,
     parse_segments,
     parse_vector,
@@ -536,6 +537,19 @@ class TestInputErrors:
         payload = base("icqc", n=8, program={"random": {"depth": 3}})
         err = self.run_over_cap(tmp_path, capsys, "icqc", payload)
         assert "2^32" in err
+
+    def test_random_program_depth_above_capacity(self, tmp_path, capsys):
+        # depth 10^9 at n = 1 would build 4 * (10^9 + 1) gates before the run
+        payload = base("icqc", n=1, program={"random": {"depth": 10**9}})
+        err = self.run_over_cap(tmp_path, capsys, "icqc", payload)
+        assert "gate count 4^1*(1000000000+1) = 4000000004" in err
+
+    def test_random_program_depth_at_the_cap(self, monkeypatch):
+        monkeypatch.setenv("ICQT_MAX_DIM", "256")
+        config = parse_icqc_config({"n": 1, "program": {"random": {"depth": 63}}}, 1)
+        assert sum(len(circuit) for circuit in config.program_table) == 256
+        with pytest.raises(CapacityError, match="= 260 exceeds the cap 256"):
+            parse_icqc_config({"n": 1, "program": {"random": {"depth": 64}}}, 1)
 
     def test_init_state_above_capacity(self, tmp_path, capsys, monkeypatch):
         # n = 8 unchecked would allocate 2^32 amplitudes (64 GiB)

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from icqt.born import dual_born_report
 from icqt.linalg import (
     DimensionError,
     Operator,
@@ -15,7 +17,6 @@ from icqt.trinary import (
     EMPTY_BRANCH_TOL,
     BranchCountError,
     PointerCapacityError,
-    ProgramBranch,
     ProgrammedUnitary,
     TrinaryDims,
     TrinaryState,
@@ -138,15 +139,18 @@ class TestProgrammedUnitary:
                 assert np.all(block == 0)
 
     def test_non_unitary_branch_rejected(self):
-        with pytest.raises(ValueError):
-            ProgramBranch(index=0, branch_unitary=Operator(np.ones((4, 4))))
+        branches = (Operator(np.ones((4, 4))),) + (Operator.identity(4),) * 3
+        with pytest.raises(ValueError, match="branch 0 is not unitary"):
+            ProgrammedUnitary(dims=DIMS224, branches=branches)
 
 
 class TestTrinaryState:
-    def test_from_product_branch_view(self):
+    def test_fields_are_dims_and_amplitudes(self):
+        assert [f.name for f in dataclasses.fields(TrinaryState)] == ["dims", "dense"]
+
+    def test_from_product_weights(self):
         chi = seeded_random("state", 4, 1)
         state = TrinaryState.from_product(DIMS224, chi, PLUS, StateVector.basis(2, 0))
-        assert len(state.branch_view) == 4
         weights = state.branch_weights()
         assert np.max(np.abs(weights - np.abs(chi.amplitudes) ** 2)) < 1e-12
 
@@ -163,20 +167,16 @@ class TestTrinaryState:
             want = np.kron(chi.amplitudes, np.kron(psi.amplitudes, phi.amplitudes))
             assert state.dense.amplitudes.tobytes() == want.tobytes()  # bitwise, zero signs too
 
-    def test_branch_view_must_reconstruct(self):
+    def test_from_branches_checks_shape(self):
+        dims = TrinaryDims(2, 2, 2)
         pairs = [(1.0, StateVector.basis(4, 0)), (0.0, StateVector.basis(4, 1))]
-        with pytest.raises(ValueError):
-            TrinaryState(
-                dims=TrinaryDims(2, 2, 2),
-                dense=StateVector.basis(8, 5),  # inconsistent with the pairs
-                branch_view=tuple(pairs),
-            )
+        want = np.zeros(8, dtype=complex)
+        want[0] = 1.0
+        assert np.array_equal(TrinaryState.from_branches(dims, pairs).dense.amplitudes, want)
         with pytest.raises(DimensionError):
-            TrinaryState(
-                dims=TrinaryDims(2, 2, 2),
-                dense=StateVector.basis(8, 0),
-                branch_view=tuple(pairs + [(0.0, StateVector.basis(4, 2))]),  # one pair too many
-            )
+            TrinaryState.from_branches(dims, pairs + [(0.0, StateVector.basis(4, 2))])  # one pair too many
+        with pytest.raises(DimensionError):
+            TrinaryState.from_branches(dims, [(1.0, StateVector.basis(2, 0))] * 2)  # pairs on S only
 
     def test_empty_branch_state_raises(self):
         state = TrinaryState.from_dense(
@@ -188,10 +188,7 @@ class TestTrinaryState:
 
 class TestApplyProgrammed:
     def test_inert_program(self):
-        branches = tuple(
-            ProgramBranch(index=r, branch_unitary=Operator.identity(4)) for r in range(4)
-        )
-        pu = ProgrammedUnitary(dims=DIMS224, branches=branches)
+        pu = ProgrammedUnitary(dims=DIMS224, branches=(Operator.identity(4),) * 4)
         state = TrinaryState.from_product(
             DIMS224, StateVector.basis(4, 0), PLUS, StateVector.basis(2, 0)
         )
@@ -200,7 +197,7 @@ class TestApplyProgrammed:
         assert s_psa < 1e-12
         assert np.all(s_branches < 1e-12)
 
-    def test_matches_dense_oracle_with_branch_view(self):
+    def test_matches_dense_oracle_product_state(self):
         pu = zxyz_unitary()
         state = TrinaryState.from_product(
             DIMS224, StateVector.uniform(4), PLUS, StateVector.basis(2, 0)
@@ -251,13 +248,12 @@ class TestDualEntropies:
             state = TrinaryState.from_dense(dims, seeded_random("state", dims.total, seed))
             self.assert_equal(dual_entropies(state), self.reference(state))
 
-    def test_branch_view_is_not_read(self):
+    def test_programmed_product_state(self):
         # the entropies come from the renormalised rows, as the loop takes them
         state = TrinaryState.from_product(
             DIMS224, StateVector.uniform(4), PLUS, StateVector.basis(2, 0)
         )
         out = apply_programmed(zxyz_unitary(), state)
-        assert out.branch_view is not None
         self.assert_equal(dual_entropies(out), self.reference(out))
 
     def test_empty_branch_is_exactly_zero(self):
@@ -269,6 +265,73 @@ class TestDualEntropies:
         assert got[1][4] == 0.0
         assert np.all(np.delete(got[1], 4) > 0)
         self.assert_equal(got, self.reference(state))
+
+
+class TestAmplitudesOnly:
+    """A state's reports depend on its amplitudes only, bit for bit."""
+
+    DIMS = (DIMS224, TrinaryDims(3, 3, 9))
+
+    @staticmethod
+    def programs(dims):
+        seeded = [seeded_random("unitary", dims.d_s, 40 + r).entries for r in range(dims.d_p)]
+        pus = [build_programmed_unitary(dims, seeded)]
+        if dims == DIMS224:
+            pus.append(zxyz_unitary())
+        return pus
+
+    @staticmethod
+    def built_states(dims):
+        """from_product and from_branches states, one with an empty branch."""
+        d_p, d_s, d_a, d_sa = dims.d_p, dims.d_s, dims.d_a, dims.d_sa
+        states = [
+            TrinaryState.from_product(
+                dims, StateVector.uniform(d_p), StateVector.uniform(d_s), StateVector.basis(d_a, 0)
+            ),
+            TrinaryState.from_product(
+                dims, seeded_random("state", d_p, 1), seeded_random("state", d_s, 2),
+                seeded_random("state", d_a, 3),
+            ),
+        ]
+        sa = [seeded_random("state", d_sa, 10 + r) for r in range(d_p)]
+        g = seeded_random("state", d_p, 4).amplitudes.copy()
+        states.append(TrinaryState.from_branches(dims, list(zip(g, sa))))
+        g[1] = 0.0
+        states.append(TrinaryState.from_branches(dims, list(zip(g / np.linalg.norm(g), sa))))
+        return states
+
+    def cases(self):
+        for dims in self.DIMS:
+            for state in self.built_states(dims):
+                yield state
+                for pu in self.programs(dims):
+                    yield apply_programmed(pu, state)
+
+    @staticmethod
+    def twin(state):
+        return TrinaryState.from_dense(state.dims, state.dense)
+
+    def test_born_report(self):
+        for state in self.cases():
+            got, want = dual_born_report(state), dual_born_report(self.twin(state))
+            assert got.decision_probs.tobytes() == want.decision_probs.tobytes()
+            assert got.outcome_probs.tobytes() == want.outcome_probs.tobytes()
+            assert (got.degenerate, got.empty) == (want.degenerate, want.empty)
+
+    def test_dual_entropies(self):
+        for state in self.cases():
+            (s_psa, branches), (w_psa, w_branches) = (
+                dual_entropies(state), dual_entropies(self.twin(state))
+            )
+            assert s_psa == w_psa
+            assert branches.tobytes() == w_branches.tobytes()
+
+    def test_apply_programmed(self):
+        for state in self.cases():
+            for pu in self.programs(state.dims):
+                got = apply_programmed(pu, state).dense.amplitudes
+                want = apply_programmed(pu, self.twin(state)).dense.amplitudes
+                assert got.tobytes() == want.tobytes()
 
 
 def schmidt_form(state):
