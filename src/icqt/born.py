@@ -101,9 +101,10 @@ class DualBornReport:
 def dual_born_report(state: TrinaryState) -> DualBornReport:
     """Assemble the full dual-probability report for a trinary state.
 
-    Row r holds the probabilities of ``outcome_probabilities(state, r)``,
-    read from the amplitudes alone: every branch spectrum comes from one
-    ``branch_spectra`` pass over the rows.
+    Row r holds the probabilities of ``outcome_probabilities(state, r)``
+    within the bound documented in ``linalg._singular_values`` (a
+    values-only SVD against the full one), read from the amplitudes alone:
+    every branch spectrum comes from one ``branch_spectra`` pass over the rows.
     """
     return _dual_born_report(state, branch_spectra(state))
 

@@ -168,22 +168,27 @@ def schmidt_decompose(psi: StateVector, dims: tuple[int, int]) -> SchmidtDecompo
 
 
 def _singular_values(matrix: np.ndarray) -> np.ndarray:
-    """Descending singular values from the full SVD; values-only if it fails.
+    """Descending singular values from the values-only SVD; full SVD if it fails.
 
-    The full SVD gives the bits ``schmidt_decompose`` gives.  The values-only
-    SVD takes a different LAPACK path, so it serves only when the full one
-    does not converge.
+    The values-only SVD computes no singular vectors.  It takes a different
+    LAPACK path from the full SVD of ``schmidt_decompose``, so the two agree
+    within a bound, not bit for bit: each is exact for A + E with
+    ``||E||_2 <= max(m, n) * eps * ||A||_2``, and singular values are
+    perfectly conditioned (Weyl: ``|s_k(A + E) - s_k(A)| <= ||E||_2``), so
+    the k-th values differ by at most ``2 * max(m, n) * eps * ||A||_2``.
+    The full SVD serves only when the values-only one does not converge.
     """
     try:
-        return np.linalg.svd(matrix, full_matrices=False)[1]
-    except np.linalg.LinAlgError:
         return np.linalg.svd(matrix, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return np.linalg.svd(matrix, full_matrices=False)[1]
 
 
 def schmidt_coefficients(psi: StateVector, dims: tuple[int, int]) -> np.ndarray:
     """Descending Schmidt coefficients across the (dimL, dimR) cut, without bases.
 
-    They equal the coefficients of ``schmidt_decompose`` bit for bit.
+    They equal the coefficients of ``schmidt_decompose`` within the bound
+    documented in ``_singular_values``.
     """
     return _singular_values(_cut_matrix(psi, dims))
 
@@ -192,13 +197,15 @@ def branch_schmidt_coefficients(rows: np.ndarray, dims: tuple[int, int]) -> np.n
     """Schmidt coefficients across the (dimL, dimR) cut of every row of a matrix.
 
     Row i of the result is ``schmidt_coefficients`` of rows[i], bit for bit:
-    one batched full SVD of the (k, dimL, dimR) stack runs the same LAPACK
-    call on each matrix.  Should it not converge, the rows are taken one at a
-    time, so every row that converges alone keeps its bits.
+    one batched values-only SVD of the (k, dimL, dimR) stack runs the same
+    LAPACK call on each matrix.  Should it not converge, the rows are taken
+    one at a time, so every row that converges alone keeps its bits.  Each
+    row equals the coefficients of ``schmidt_decompose`` within the bound
+    documented in ``_singular_values``.
     """
     stack = rows.reshape(-1, *dims)
     try:
-        return np.linalg.svd(stack, full_matrices=False)[1]
+        return np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError:
         return np.array([_singular_values(m) for m in stack])
 

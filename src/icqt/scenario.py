@@ -297,8 +297,10 @@ def parse_icqc_config(payload: dict, seed: int) -> IcqcConfig:
             raise ScenarioError("the tomographic-zxyz program is defined for n = 1")
         table = tomographic_program_n1()
     elif isinstance(program, dict) and "random" in program:
-        depth = program["random"].get("depth", 3) if isinstance(program["random"], dict) else 3
-        if not isinstance(depth, int) or depth < 0:
+        if not isinstance(program["random"], dict):
+            raise ScenarioError("program.random must be an object")
+        depth = program["random"].get("depth", 3)
+        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
             raise ScenarioError("program.random.depth must be a nonnegative integer")
         # the table holds 4^n circuits of depth + 1 gates each
         check_capacity(4**n * (depth + 1), f"4^{n}*({depth}+1)", "random program gate count")

@@ -1,10 +1,9 @@
 """Independent reference implementations used to check the library.
 
-Nothing here imports library internals beyond plain data access, except
-that the per-branch loop reference repeats the library's one-state
-entropy once per branch; every other routine recomputes its quantity from
-first principles (index formulas, explicit integration, dense matrix
-assembly) so agreement is meaningful.
+Nothing here imports library internals beyond plain data access; every
+routine recomputes its quantity from first principles (index formulas,
+explicit integration, dense matrix assembly, the full SVD) so agreement is
+meaningful.
 """
 
 from dataclasses import dataclass
@@ -17,8 +16,9 @@ from icqt.linalg import (
     DimensionError,
     HermiticityError,
     StateVector,
-    entanglement_entropy,
 )
+
+EPS = np.finfo(float).eps
 
 
 def kron_entry_vector(a: np.ndarray, b: np.ndarray, i: int, j: int) -> complex:
@@ -107,8 +107,19 @@ def eigenvalue_entropy(rho: np.ndarray) -> float:
     return float(-np.sum(w * np.log(w)))
 
 
+def full_svd_entropy(matrix: np.ndarray) -> float:
+    """Entropy (nats) of the squared singular values of the full SVD of a matrix.
+
+    The full SVD computes the singular vectors too, a different LAPACK path
+    from a values-only SVD; the two agree within ``entropy_bound``.
+    """
+    p = np.linalg.svd(matrix, full_matrices=False)[1] ** 2
+    p = p[p > 0]
+    return float(max(0.0, -np.sum(p * np.log(p))))
+
+
 def branch_entropies_loop(rows: np.ndarray, dims: tuple[int, int], empty_tol: float) -> np.ndarray:
-    """S|A entropy of each row over its own norm, one Schmidt decomposition per row.
+    """S|A entropy of each row over its own norm, one full SVD per row.
 
     A row whose squared norm is at most ``empty_tol`` gets 0.
     """
@@ -116,8 +127,45 @@ def branch_entropies_loop(rows: np.ndarray, dims: tuple[int, int], empty_tol: fl
     for r, row in enumerate(rows):
         nrm = np.linalg.norm(row)
         if nrm * nrm > empty_tol:
-            out[r] = entanglement_entropy(StateVector(row / nrm), dims)
+            out[r] = full_svd_entropy((row / nrm).reshape(dims))
     return out
+
+
+def singular_value_bound(shape: tuple[int, int]) -> float:
+    """Largest gap between the singular values of two backward-stable SVDs of a unit state.
+
+    Each SVD of an m x n matrix A is exact for some A + E with
+    ||E||_2 <= max(m, n) * eps * ||A||_2, and singular values are perfectly
+    conditioned (Weyl: |s_k(A + E) - s_k(A)| <= ||E||_2; Golub & Van Loan,
+    Matrix Computations, section 8.6).  So the k-th values of the two SVDs
+    differ by at most 2 * max(m, n) * eps * ||A||_2, and ||A||_2 <= 1 for
+    the cut matrix of a unit state, whose Frobenius norm is 1.
+    """
+    return 2 * max(shape) * EPS
+
+
+def squared_value_bound(shape: tuple[int, int]) -> float:
+    """Gap between squared singular values (Born rows) of two SVDs of a unit state.
+
+    With d = ``singular_value_bound`` and both values in [0, 1 + d],
+    |a^2 - b^2| = |a - b| (a + b) <= d (2 + d); rounding the two squares adds
+    at most eps <= d / 2.  In all that is at most 3 d.
+    """
+    return 3 * singular_value_bound(shape)
+
+
+def entropy_bound(shape: tuple[int, int]) -> float:
+    """Gap between the entropies -sum p ln p of two SVDs of a unit state.
+
+    Each of the k = min(m, n) probabilities moves by at most
+    e = ``squared_value_bound``, and |x ln x - y ln y| <= -e ln e whenever
+    |x - y| <= e <= 1/e (the continuity step of Fannes' inequality), so the
+    exact entropies differ by at most k (-e ln e).  Evaluating the sum in
+    floating point costs each side at most (k + 1) eps H, with H <= ln k.
+    """
+    k = min(shape)
+    e = squared_value_bound(shape)
+    return k * -e * np.log(e) + 2 * (k + 1) * EPS * np.log(max(k, 2))
 
 
 def rk4_propagator(h: np.ndarray, t: float, dt: float = 1e-4) -> np.ndarray:

@@ -544,6 +544,16 @@ class TestInputErrors:
         err = self.run_over_cap(tmp_path, capsys, "icqc", payload)
         assert "gate count 4^1*(1000000000+1) = 4000000004" in err
 
+    @pytest.mark.parametrize("depth", [True, False])
+    def test_random_program_depth_a_boolean(self, tmp_path, capsys, depth):
+        payload = base("icqc", n=1, program={"random": {"depth": depth}})
+        assert "program.random.depth" in self.run_bad(tmp_path, capsys, "icqc", payload)
+
+    @pytest.mark.parametrize("spec", [[], 3, "deep", None])
+    def test_random_program_not_an_object(self, tmp_path, capsys, spec):
+        payload = base("icqc", n=1, program={"random": spec})
+        assert "program.random must be an object" in self.run_bad(tmp_path, capsys, "icqc", payload)
+
     def test_random_program_depth_at_the_cap(self, monkeypatch):
         monkeypatch.setenv("ICQT_MAX_DIM", "256")
         config = parse_icqc_config({"n": 1, "program": {"random": {"depth": 63}}}, 1)

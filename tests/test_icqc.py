@@ -16,8 +16,19 @@ from icqt.icqc import (
     tomographic_program_n1,
 )
 from icqt.linalg import StateVector, entanglement_entropy, seeded_random
-from icqt.trinary import EMPTY_BRANCH_TOL, TrinaryState, build_pointer_measurement, standard_basis
-from oracles import branch_entropies_loop, dense_programmed_matrix
+from icqt.trinary import (
+    EMPTY_BRANCH_TOL,
+    TrinaryState,
+    build_pointer_measurement,
+    dual_entropies,
+    standard_basis,
+)
+from oracles import (
+    branch_entropies_loop,
+    dense_programmed_matrix,
+    entropy_bound,
+    full_svd_entropy,
+)
 
 
 def identity_program(n):
@@ -265,12 +276,13 @@ class TestRun:
         assert 0 <= report.s_psa <= np.log(16) + 1e-9
 
     def test_branch_spectra_taken_once(self, monkeypatch):
-        # one SVD for the P|(SA) cut, one batched SVD shared by both reports
+        # one values-only SVD for the P|(SA) cut, one batched values-only SVD
+        # shared by both reports: no singular vector is computed and thrown away
         svd = np.linalg.svd
         calls = []
 
         def counting(a, *args, **kwargs):
-            calls.append(np.shape(a))
+            calls.append((np.shape(a), kwargs.get("compute_uv", True)))
             return svd(a, *args, **kwargs)
 
         cfg = IcqcConfig(
@@ -282,12 +294,15 @@ class TestRun:
         )
         monkeypatch.setattr(np.linalg, "svd", counting)
         report = run(cfg)
-        assert sorted(calls) == [(16, 4, 4), (16, 16)]
-        want = branch_entropies_loop(
-            report.final_state.as_matrix(), (4, 4), EMPTY_BRANCH_TOL
-        )
-        assert np.array_equal(report.s_sa_branches, want)
+        assert sorted(calls) == [((16, 4, 4), False), ((16, 16), False)]
         monkeypatch.setattr(np.linalg, "svd", svd)
+        rows = report.final_state.as_matrix()
+        assert abs(report.s_psa - full_svd_entropy(rows)) <= entropy_bound((16, 16))
+        want = branch_entropies_loop(rows, (4, 4), EMPTY_BRANCH_TOL)
+        assert np.max(np.abs(report.s_sa_branches - want)) <= entropy_bound((4, 4))
+        s_psa, branches = dual_entropies(report.final_state)
+        assert report.s_psa == s_psa
+        assert np.array_equal(report.s_sa_branches, branches)
         alone = dual_born_report(report.final_state)
         assert np.array_equal(report.born.outcome_probs, alone.outcome_probs)
 

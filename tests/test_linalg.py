@@ -22,10 +22,12 @@ from icqt.linalg import (
 )
 from oracles import (
     eigenvalue_entropy,
+    entropy_bound,
     partial_trace,
     projector,
     reduced_density,
     rk4_propagator,
+    singular_value_bound,
 )
 
 BELL = StateVector(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
@@ -195,6 +197,29 @@ class TestBranchSchmidtCoefficients:
         monkeypatch.setattr(np.linalg, "svd", unconverged_stack)
         assert np.array_equal(branch_schmidt_coefficients(rows, (3, 4)), want)
 
+    @staticmethod
+    def decomposed(rows, dims):
+        return np.array([schmidt_decompose(StateVector(row), dims).coefficients for row in rows])
+
+    @pytest.mark.parametrize("k, d_l, d_r", [(81, 9, 9), (16, 4, 4), (7, 3, 4)])
+    def test_within_bound_of_schmidt_decompose(self, k, d_l, d_r):
+        rows = self.rows(k, d_l, d_r)
+        gap = branch_schmidt_coefficients(rows, (d_l, d_r)) - self.decomposed(rows, (d_l, d_r))
+        assert np.max(np.abs(gap)) <= singular_value_bound((d_l, d_r))
+
+    def test_full_svd_per_row_when_no_values_only_svd_converges(self, monkeypatch):
+        rows = self.rows(7, 3, 4)
+        want = self.decomposed(rows, (3, 4))
+        svd = np.linalg.svd
+
+        def unconverged(a, *args, compute_uv=True, **kwargs):
+            if not compute_uv:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", unconverged)
+        assert np.array_equal(branch_schmidt_coefficients(rows, (3, 4)), want)
+
 
 class TestEntropy:
     def test_product_zero(self):
@@ -221,26 +246,44 @@ class TestEntropy:
         p = p[p > 0]
         return float(max(0.0, -np.sum(p * np.log(p))))
 
+    CUTS = [(3, 4), (4, 3), (2, 8), (5, 5), (1, 6)]
+
     def test_equals_entropy_of_schmidt_coefficients(self):
-        for seed, dims in enumerate([(3, 4), (4, 3), (2, 8), (5, 5), (1, 6)]):
-            psi = seeded_random("state", dims[0] * dims[1], seed)
-            assert entanglement_entropy(psi, dims) == self.coefficient_entropy(psi, dims)
-        assert entanglement_entropy(BELL, (2, 2)) == self.coefficient_entropy(BELL, (2, 2))
+        """Within ``entropy_bound`` of the full SVD that ``schmidt_decompose`` takes.
 
-    def test_values_only_svd_when_the_full_svd_does_not_converge(self, monkeypatch):
-        full_svd = np.linalg.svd
+        The values-only SVD takes another LAPACK path, so the bits may differ;
+        the coefficients of a unit state differ by at most
+        ``singular_value_bound`` (Weyl), and the entropies by the bound
+        propagated through -p ln p (see ``oracles.entropy_bound``).
+        """
+        cases = [
+            (seeded_random("state", m * n, seed), (m, n)) for seed, (m, n) in enumerate(self.CUTS)
+        ]
+        cases.append((BELL, (2, 2)))
+        for psi, dims in cases:
+            gap = schmidt_coefficients(psi, dims) - schmidt_decompose(psi, dims).coefficients
+            assert np.max(np.abs(gap)) <= singular_value_bound(dims)
+            got, want = entanglement_entropy(psi, dims), self.coefficient_entropy(psi, dims)
+            assert abs(got - want) <= entropy_bound(dims)
 
-        def unconverged(a, full_matrices=True, compute_uv=True, **kwargs):
-            if compute_uv:
+    def test_full_svd_when_the_values_only_svd_does_not_converge(self, monkeypatch):
+        values_only_calls = []
+        svd = np.linalg.svd
+
+        def unconverged(a, *args, compute_uv=True, **kwargs):
+            if not compute_uv:
+                values_only_calls.append(np.shape(a))
                 raise np.linalg.LinAlgError("SVD did not converge")
-            return full_svd(a, full_matrices=full_matrices, compute_uv=False, **kwargs)
+            return svd(a, *args, **kwargs)
 
-        psi = seeded_random("state", 12, 7)
-        want = self.coefficient_entropy(psi, (3, 4))
         monkeypatch.setattr(np.linalg, "svd", unconverged)
-        with pytest.raises(np.linalg.LinAlgError):
-            schmidt_decompose(psi, (3, 4))
-        assert abs(entanglement_entropy(psi, (3, 4)) - want) <= 1e-14
+        for seed, dims in enumerate(self.CUTS):
+            psi = seeded_random("state", dims[0] * dims[1], seed)
+            # the fallback is the full SVD of schmidt_decompose, so the bits agree
+            want = schmidt_decompose(psi, dims).coefficients
+            assert np.array_equal(schmidt_coefficients(psi, dims), want)
+            assert entanglement_entropy(psi, dims) == self.coefficient_entropy(psi, dims)
+        assert values_only_calls == [dims for dims in self.CUTS for _ in range(2)]
 
     @given(st.integers(0, 40))
     @settings(max_examples=20, deadline=None)

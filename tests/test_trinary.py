@@ -31,6 +31,8 @@ from icqt.trinary import (
 from oracles import (
     branch_entropies_loop,
     dense_programmed_matrix,
+    entropy_bound,
+    full_svd_entropy,
     operator_span_rank,
     pauli_projectors,
 )
@@ -229,43 +231,81 @@ class TestApplyProgrammed:
 
 
 class TestDualEntropies:
-    @staticmethod
-    def reference(state):
-        dims = state.dims
-        return (
-            entanglement_entropy(state.dense, (dims.d_p, dims.d_sa)),
-            branch_entropies_loop(state.as_matrix(), (dims.d_s, dims.d_a), EMPTY_BRANCH_TOL),
-        )
+    """``dual_entropies`` against one full SVD per cut, within ``entropy_bound``.
+
+    The library takes values-only SVDs and the oracle full ones, so the
+    entropies agree within the derived bound; an empty branch is exactly 0
+    on both sides.
+    """
+
+    DIMS = (DIMS224, TrinaryDims(3, 3, 9))
 
     @staticmethod
-    def assert_equal(got, want):
-        assert got[0] == want[0]
-        assert np.array_equal(got[1], want[1])
+    def assert_close(state):
+        dims = state.dims
+        s_psa, branches = dual_entropies(state)
+        want = full_svd_entropy(state.as_matrix())
+        assert abs(s_psa - want) <= entropy_bound((dims.d_p, dims.d_sa))
+        want = branch_entropies_loop(state.as_matrix(), (dims.d_s, dims.d_a), EMPTY_BRANCH_TOL)
+        assert np.max(np.abs(branches - want)) <= entropy_bound((dims.d_s, dims.d_a))
+        return branches, want
+
+    @staticmethod
+    def degenerate_program(dims):
+        """Z and X (Fourier) pointer measurements in turn, zxyz at (2, 2, 4)."""
+        if dims == DIMS224:
+            return zxyz_unitary()
+        bases = [standard_basis("ZX"[r % 2], dims.d_s) for r in range(dims.d_p)]
+        return build_programmed_unitary(dims, bases)
 
     @pytest.mark.parametrize("dims", [DIMS224, TrinaryDims(3, 3, 9), TrinaryDims(2, 3, 5)])
     def test_equals_per_branch_loop(self, dims):
         for seed in range(3):
             state = TrinaryState.from_dense(dims, seeded_random("state", dims.total, seed))
-            self.assert_equal(dual_entropies(state), self.reference(state))
+            self.assert_close(state)
 
     def test_programmed_product_state(self):
         # the entropies come from the renormalised rows, as the loop takes them
         state = TrinaryState.from_product(
             DIMS224, StateVector.uniform(4), PLUS, StateVector.basis(2, 0)
         )
-        out = apply_programmed(zxyz_unitary(), state)
-        self.assert_equal(dual_entropies(out), self.reference(out))
+        self.assert_close(apply_programmed(zxyz_unitary(), state))
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_degenerate_branches(self, dims):
+        # S uniform: every Z branch has equal Schmidt values, every X branch one
+        state = TrinaryState.from_product(
+            dims, StateVector.uniform(dims.d_p), StateVector.uniform(dims.d_s),
+            StateVector.basis(dims.d_a, 0),
+        )
+        out = apply_programmed(self.degenerate_program(dims), state)
+        assert any(dual_born_report(out).degenerate)
+        branches, _ = self.assert_close(out)
+        assert abs(branches[0] - np.log(dims.d_s)) <= entropy_bound((dims.d_s, dims.d_a))
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_rank_deficient_branches(self, dims):
+        # every branch of rank 1 or 2 (below min(d_s, d_a) at (3, 3, 9))
+        rng = np.random.default_rng(30)
+        rows = []
+        for r in range(dims.d_p):
+            rank = 1 + r % 2
+            left = rng.normal(size=(dims.d_s, rank)) + 1j * rng.normal(size=(dims.d_s, rank))
+            right = rng.normal(size=(rank, dims.d_a)) + 1j * rng.normal(size=(rank, dims.d_a))
+            rows.append((left @ right).ravel())
+        amps = np.array(rows).ravel()
+        state = TrinaryState.from_dense(dims, StateVector(amps / np.linalg.norm(amps)))
+        branches, _ = self.assert_close(state)
+        assert branches[0] <= entropy_bound((dims.d_s, dims.d_a))
 
     def test_empty_branch_is_exactly_zero(self):
-        dims = TrinaryDims(3, 3, 9)
-        amps = seeded_random("state", dims.total, 21).amplitudes.copy()
-        amps[4 * dims.d_sa : 5 * dims.d_sa] = 0.0
-        state = TrinaryState.from_dense(dims, StateVector(amps / np.linalg.norm(amps)))
-        got = dual_entropies(state)
-        assert got[1][4] == 0.0
-        assert np.all(np.delete(got[1], 4) > 0)
-        self.assert_equal(got, self.reference(state))
-
+        for dims in self.DIMS:
+            amps = seeded_random("state", dims.total, 21).amplitudes.copy()
+            amps[1 * dims.d_sa : 2 * dims.d_sa] = 0.0
+            state = TrinaryState.from_dense(dims, StateVector(amps / np.linalg.norm(amps)))
+            branches, want = self.assert_close(state)
+            assert branches[1] == want[1] == 0.0
+            assert np.all(np.delete(branches, 1) > 0)
 
 class TestAmplitudesOnly:
     """A state's reports depend on its amplitudes only, bit for bit."""
