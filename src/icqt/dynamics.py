@@ -5,12 +5,13 @@ block per programming basis state acting on S x A.  When the programmed part
 commutes with H_P (the measurability condition) the propagator factorizes
 into a programming-side propagator times independent per-branch propagators,
 and evolution runs block-by-block without ever forming the full-space matrix.
-``FactorizedPropagator`` is that propagator, decomposed once per Hamiltonian
-and shared by every factorized path; ``DensePropagator`` (and ``evolve_full``
-on top of it) is the dense brute-force reference for exactly that claim.  The
-measurability checks work block by block as well
-(``conditioned_commutator_norm``), so the one full-space matrix built here is
-the one the dense reference diagonalises.
+The form H_prog (x) I + sum_n |e_n><e_n| (x) B_n serves three levels: P
+conditions S x A (``TrinaryHamiltonian``), S conditions A in one block
+(``ProgrammedBlockStructure``), and S x A conditions P in the swapped variant.
+They share one core over (H_prog, blocks, basis): one validator, one
+assembler, the blockwise check (``conditioned_commutator_norm``) and one
+checked path to the ``FactorizedPropagator``.  ``DensePropagator`` (and
+``evolve_full``) is the dense brute-force reference for exactly that claim.
 
 Time dependence is piecewise constant: a schedule is a list of
 (duration, hamiltonian) segments evolved back to back.
@@ -42,15 +43,68 @@ class FactorizationPreconditionError(ValueError):
     """Factorized evolution requested while the measurability condition fails."""
 
 
-def _require_hermitian(op: Operator, what: str) -> None:
-    if not op.is_hermitian():
-        raise HermiticityError(f"{what} is not Hermitian")
-
-
 @dataclass(frozen=True)
 class CommutatorCheck:
     commutator_norm: float
     satisfied: bool
+
+
+def _validate_conditioned(h_program: Operator, blocks: Sequence[Operator], basis, dims, names):
+    """Check the (H_prog, blocks, basis) of one level; return the basis as complex.
+
+    ``dims`` is (program dim, block dim), a block dim of None meaning the first
+    block's; ``names`` name the program side, a block and the basis in messages.
+    """
+    (program_dim, block_dim), (program, block, basis_name) = dims, names
+    if h_program.dim != program_dim:
+        raise DimensionError(f"{program} must be {program_dim}x{program_dim}")
+    if not h_program.is_hermitian():
+        raise HermiticityError(f"{program} is not Hermitian")
+    if len(blocks) != program_dim:
+        raise DimensionError(f"need {program_dim} {block}s, got {len(blocks)}")
+    block_dim = blocks[0].dim if block_dim is None else block_dim
+    for n, b in enumerate(blocks):
+        if b.dim != block_dim:
+            raise DimensionError(f"{block} {n} must be {block_dim}x{block_dim}")
+        if not b.is_hermitian():
+            raise HermiticityError(f"{block} {n} is not Hermitian")
+    if basis is None:
+        return None
+    return _check_orthonormal(np.asarray(basis, dtype=complex), program_dim, basis_name)
+
+
+def _assemble_conditioned(h_program, blocks, basis) -> Operator:
+    """H_prog (x) I + sum_n |e_n><e_n| (x) B_n as one dense matrix.
+
+    The blocks are written into a (d, d_block, d, d_block) view, then H_prog is
+    added on its block diagonal: entry for entry the Kronecker form with the
+    programmed terms summed first, without a full-space temporary per term.
+    """
+    d, b = len(blocks), blocks[0].shape[0]
+    out = np.zeros((d, b, d, b), dtype=complex)
+    for n, block in enumerate(blocks):
+        if basis is None:
+            out[n, :, n, :] = block
+        else:
+            proj = np.outer(basis[:, n], basis[:, n].conj())
+            out += proj[:, None, :, None] * block[None, :, None, :]
+    diag = np.arange(b)
+    out[:, diag, :, diag] += h_program
+    return Operator(out.reshape(d * b, d * b))
+
+
+def _commutator_check(h_program, blocks, basis) -> CommutatorCheck:
+    norm = conditioned_commutator_norm(h_program, blocks, basis)
+    return CommutatorCheck(commutator_norm=norm, satisfied=norm <= COMMUTATION_TOL)
+
+
+def _checked_propagator(check: CommutatorCheck, triple) -> FactorizedPropagator:
+    """The factorized propagator of ``triple``, whose measurability ``check`` must hold."""
+    if not check.satisfied:
+        raise FactorizationPreconditionError(
+            f"measurability condition violated (commutator norm {check.commutator_norm:.3e})"
+        )
+    return FactorizedPropagator(*triple)
 
 
 @dataclass(frozen=True)
@@ -68,48 +122,23 @@ class TrinaryHamiltonian:
     programming_basis: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.h_p.dim != self.dims.d_p:
-            raise DimensionError("h_p must act on the programming space")
-        _require_hermitian(self.h_p, "h_p")
-        if len(self.blocks) != self.dims.d_p:
-            raise DimensionError(f"need {self.dims.d_p} blocks, got {len(self.blocks)}")
-        for n, b in enumerate(self.blocks):
-            if b.dim != self.dims.d_sa:
-                raise DimensionError(f"block {n} must act on S x A")
-            _require_hermitian(b, f"block {n}")
-        if self.programming_basis is not None:
-            basis = _check_orthonormal(
-                np.asarray(self.programming_basis, dtype=complex),
-                self.dims.d_p,
-                "programming basis",
-            )
-            object.__setattr__(self, "programming_basis", basis)
+        basis = _validate_conditioned(
+            self.h_p, self.blocks, self.programming_basis, (self.dims.d_p, self.dims.d_sa),
+            ("h_p", "block", "programming basis"),
+        )
+        object.__setattr__(self, "programming_basis", basis)
+
+    @property
+    def _triple(self):
+        return self.h_p.entries, [b.entries for b in self.blocks], self.programming_basis
 
     def full_operator(self) -> Operator:
-        """H_P (x) I plus sum_n |e_n><e_n| (x) block_n on the full space.
-
-        The blocks are written into a (d_p, d_sa, d_p, d_sa) view and H_P is
-        added on its S x A diagonal: entry for entry the same matrix as the
-        ``np.kron`` form, without a full-space temporary per term.
-        """
-        d_p, d_sa = self.dims.d_p, self.dims.d_sa
-        out = np.zeros((d_p, d_sa, d_p, d_sa), dtype=complex)
-        w = self.programming_basis
-        for n, b in enumerate(self.blocks):
-            if w is None:
-                out[n, :, n, :] = b.entries
-            else:
-                proj = np.outer(w[:, n], w[:, n].conj())
-                out += proj[:, None, :, None] * b.entries[None, :, None, :]
-        diag = np.arange(d_sa)
-        out[:, diag, :, diag] += self.h_p.entries
-        return Operator(out.reshape(self.dims.total, self.dims.total))
+        """H_P (x) I plus sum_n |e_n><e_n| (x) block_n on the full space."""
+        return _assemble_conditioned(*self._triple)
 
     def propagator(self) -> FactorizedPropagator:
         """The factorized propagator; exact only when ``check_pmc`` holds."""
-        return FactorizedPropagator(
-            self.h_p.entries, [b.entries for b in self.blocks], self.programming_basis
-        )
+        return FactorizedPropagator(*self._triple)
 
 
 @dataclass(frozen=True)
@@ -125,18 +154,11 @@ class ProgrammedBlockStructure:
     h_s: Operator
 
     def __post_init__(self):
-        basis = _check_orthonormal(
-            np.asarray(self.s_basis, dtype=complex), self.d_s, "S basis"
+        basis = _validate_conditioned(
+            self.h_s, self.a_generators, self.s_basis, (self.d_s, None),
+            ("h_s", "apparatus generator", "S basis"),
         )
         object.__setattr__(self, "s_basis", basis)
-        if len(self.a_generators) != self.d_s:
-            raise DimensionError(f"need {self.d_s} apparatus generators")
-        d_a = self.a_generators[0].dim
-        for i, g in enumerate(self.a_generators):
-            if g.dim != d_a:
-                raise DimensionError("apparatus generators must share one dim")
-            _require_hermitian(g, f"apparatus generator {i}")
-        _require_hermitian(self.h_s, "h_s")
 
     @property
     def d_s(self) -> int:
@@ -146,12 +168,12 @@ class ProgrammedBlockStructure:
     def d_a(self) -> int:
         return self.a_generators[0].dim
 
+    @property
+    def _triple(self):
+        return self.h_s.entries, [g.entries for g in self.a_generators], self.s_basis
+
     def assemble(self) -> Operator:
-        out = np.kron(self.h_s.entries, np.eye(self.d_a))
-        for i in range(self.d_s):
-            proj = np.outer(self.s_basis[:, i], self.s_basis[:, i].conj())
-            out = out + np.kron(proj, self.a_generators[i].entries)
-        return Operator(out)
+        return _assemble_conditioned(*self._triple)
 
 
 def conditioned_commutator_norm(
@@ -180,18 +202,12 @@ def conditioned_commutator_norm(
 
 def check_pmc(h: TrinaryHamiltonian) -> CommutatorCheck:
     """Measurability of the programming side: [programmed part, H_P (x) I]."""
-    norm = conditioned_commutator_norm(
-        h.h_p.entries, [b.entries for b in h.blocks], h.programming_basis
-    )
-    return CommutatorCheck(commutator_norm=norm, satisfied=norm <= COMMUTATION_TOL)
+    return _commutator_check(*h._triple)
 
 
 def check_sapmc(block: ProgrammedBlockStructure) -> CommutatorCheck:
     """Programmed measurability inside one block: [block, H_S (x) I]."""
-    norm = conditioned_commutator_norm(
-        block.h_s.entries, [g.entries for g in block.a_generators], block.s_basis
-    )
-    return CommutatorCheck(commutator_norm=norm, satisfied=norm <= COMMUTATION_TOL)
+    return _commutator_check(*block._triple)
 
 
 class FactorizedPropagator:
@@ -275,12 +291,7 @@ def evolve_factorized(h: TrinaryHamiltonian, state: TrinaryState, t: float) -> T
     """
     if h.dims != state.dims:
         raise DimensionError("hamiltonian and state dims differ")
-    chk = check_pmc(h)
-    if not chk.satisfied:
-        raise FactorizationPreconditionError(
-            f"measurability condition violated (commutator norm {chk.commutator_norm:.3e})"
-        )
-    return h.propagator().evolve(state, t)
+    return _checked_propagator(check_pmc(h), h._triple).evolve(state, t)
 
 
 def evolve_programmed_block(
@@ -289,14 +300,7 @@ def evolve_programmed_block(
     """Second-level factorized evolution of one S x A block."""
     if sa_state.dim != block.d_s * block.d_a:
         raise DimensionError("state does not live on this block's S x A space")
-    chk = check_sapmc(block)
-    if not chk.satisfied:
-        raise FactorizationPreconditionError(
-            f"programmed measurability violated (commutator norm {chk.commutator_norm:.3e})"
-        )
-    prop = FactorizedPropagator(
-        block.h_s.entries, [g.entries for g in block.a_generators], block.s_basis
-    )
+    prop = _checked_propagator(check_sapmc(block), block._triple)
     out = prop.apply(sa_state.amplitudes.reshape(block.d_s, block.d_a), t)
     return StateVector(out.reshape(-1))
 
@@ -336,22 +340,11 @@ def evolve_swapped_factorized(
     Hermitian P-space generator per SA programming state.
     """
     dims = state.dims
-    if h_sa.dim != dims.d_sa or len(blocks_on_p) != dims.d_sa:
-        raise DimensionError("swapped-role dims do not match the state")
-    _require_hermitian(h_sa, "h_sa")
-    for m, b in enumerate(blocks_on_p):
-        if b.dim != dims.d_p:
-            raise DimensionError("swapped blocks must act on the programming space")
-        _require_hermitian(b, f"swapped block {m}")
-    if sa_basis is not None:
-        sa_basis = _check_orthonormal(np.asarray(sa_basis, dtype=complex), dims.d_sa, "SA basis")
-    blocks = [b.entries for b in blocks_on_p]
-    norm = conditioned_commutator_norm(h_sa.entries, blocks, sa_basis)
-    if norm > COMMUTATION_TOL:
-        raise FactorizationPreconditionError(
-            f"measurability condition violated (commutator norm {norm:.3e})"
-        )
-    prop = FactorizedPropagator(h_sa.entries, blocks, sa_basis)
+    sa_basis = _validate_conditioned(
+        h_sa, blocks_on_p, sa_basis, (dims.d_sa, dims.d_p), ("h_sa", "swapped block", "SA basis")
+    )
+    triple = (h_sa.entries, [b.entries for b in blocks_on_p], sa_basis)
+    prop = _checked_propagator(_commutator_check(*triple), triple)
     out = prop.apply(state.as_matrix().T, t)  # (d_sa, d_p): SA is now the program side
     return TrinaryState.from_dense(dims, StateVector(out.T.reshape(-1)))
 

@@ -199,6 +199,7 @@ class IcqcConfig:
                 f"program table needs {4 ** self.n} entries, got {len(self.program_table)}"
             )
         d_sa = 4**self.n
+        circuits = [("gate sequence", self.gate_sequence, REGISTERS)]
         for p, entry in enumerate(self.program_table):
             if isinstance(entry, np.ndarray):
                 if self.n != 1:
@@ -206,16 +207,19 @@ class IcqcConfig:
                 if entry.shape != (d_sa, d_sa):
                     raise ValueError(f"branch {p} matrix must be {d_sa}x{d_sa}")
             else:
-                for gate in entry:
-                    for reg, _ in gate.targets:
-                        if reg == "P":
-                            raise ValueError(
-                                f"branch {p} touches the programming register"
-                            )
-        for gate in self.post_program_p_circuit:
-            for reg, _ in gate.targets:
-                if reg != "P":
-                    raise ValueError("post-program circuit may touch P only")
+                circuits.append((f"branch {p}", entry, ("S", "A")))
+        circuits.append(("post-program circuit", self.post_program_p_circuit, ("P",)))
+        sizes = {"P": n_p, "S": self.n, "A": n_a}
+        for where, gates, allowed in circuits:
+            for gate in gates:
+                for reg, q in gate.targets:
+                    if reg not in allowed:
+                        raise ValueError(f"{where} may not touch register {reg}")
+                    if not 0 <= q < sizes[reg]:
+                        raise ValueError(
+                            f"{where}: qubit {q} out of range for register {reg} "
+                            f"of size {sizes[reg]}"
+                        )
 
     @property
     def dims(self) -> TrinaryDims:

@@ -93,12 +93,12 @@ class Operator:
     def identity(dim: int) -> Operator:
         return Operator(np.eye(dim, dtype=complex))
 
-    def is_unitary(self, tol: float = UNITARITY_TOL) -> bool:
+    def is_unitary(self) -> bool:
         gram = self.entries.conj().T @ self.entries
-        return bool(np.max(np.abs(gram - np.eye(self.dim))) <= tol)
+        return bool(np.max(np.abs(gram - np.eye(self.dim))) <= UNITARITY_TOL)
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= HERMITICITY_TOL)
 
     def apply(self, psi: StateVector) -> StateVector:
         if psi.dim != self.dim:

@@ -34,6 +34,11 @@ class Scenario:
     payload: dict
 
 
+def _is_number(x) -> bool:
+    """A JSON int or float; booleans are not numbers here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenario:
     p = Path(path)
     if not p.is_file():
@@ -200,7 +205,7 @@ def parse_segments(
         if not isinstance(seg, dict) or "duration" not in seg or "hamiltonian" not in seg:
             raise ScenarioError(f"segments[{k}] needs 'duration' and 'hamiltonian'")
         duration = seg["duration"]
-        if not isinstance(duration, (int, float)) or not duration >= 0:
+        if not _is_number(duration) or not duration >= 0:
             raise ScenarioError(f"segments[{k}].duration must be nonnegative")
         h, structures = parse_hamiltonian(seg["hamiltonian"], dims, subseed(seed, 8, k))
         out.append((float(duration), h, structures))
@@ -213,7 +218,7 @@ def parse_times(payload: dict) -> tuple[float, ...]:
         raise ScenarioError("times must be a nonempty list")
     times = []
     for t in raw:
-        if not isinstance(t, (int, float)) or isinstance(t, bool) or not np.isfinite(t):
+        if not _is_number(t) or not np.isfinite(t):
             raise ScenarioError("times must be finite numbers")
         times.append(float(t))
     if times[0] != 0.0 or any(b < a for a, b in zip(times, times[1:])):
@@ -258,13 +263,13 @@ def parse_gate(obj, what: str) -> GateOp:
         raise ScenarioError(f"{what} must be an object with a 'kind' name and 'targets'")
     targets = obj["targets"]
     if not isinstance(targets, list) or not all(
-        isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) and isinstance(t[1], int)
+        isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) and type(t[1]) is int
         for t in targets
     ):
         raise ScenarioError(f"{what}.targets must be [register, qubit] pairs")
     angle = obj.get("angle")
-    if angle is not None and not isinstance(angle, (int, float)):
-        raise ScenarioError(f"{what}.angle must be a number")
+    if angle is not None and not (_is_number(angle) and np.isfinite(angle)):
+        raise ScenarioError(f"{what}.angle must be a finite number")
     try:
         return GateOp(
             kind=obj["kind"],

@@ -10,14 +10,14 @@ reproduces the same numbers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .born import conventional_oracle, decision_probabilities, dual_born_report
 from .dynamics import (
     DensePropagator,
-    FactorizationPreconditionError,
+    _checked_propagator,
     check_pmc,
     entanglement_trajectory,
     evolve_full,
@@ -27,6 +27,7 @@ from .dynamics import (
 )
 from .icqc import GateOp, IcqcConfig, apply_programmed_op, init_state, run
 from .linalg import (
+    Operator,
     StateVector,
     entanglement_entropy,
     hermitian_propagator,
@@ -37,6 +38,7 @@ from .linalg import (
     tensor_product,
 )
 from .trinary import (
+    ProgrammedUnitary,
     TrinaryDims,
     TrinaryState,
     apply_programmed,
@@ -52,6 +54,7 @@ SCHMIDT_TOL = 1e-10
 CREATION_MIN = 1e-6
 
 DEFAULT_DIMS = (TrinaryDims(2, 2, 4), TrinaryDims(3, 3, 9))
+SQUARE_D = (2, 3)  # d of the (d, d) block and (d, d, d^2) Born batteries
 EVOLUTION_TIMES = (0.1, 0.5, 1.0, 2.0)
 
 
@@ -66,15 +69,7 @@ class PropertyResult:
     notes: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "worst": self.worst,
-            "threshold": self.threshold,
-            "cases": self.cases,
-            "elapsed_s": self.elapsed_s,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _random_separable(dims: TrinaryDims, seed: int) -> TrinaryState:
@@ -97,12 +92,11 @@ def factorization_battery(
         for i in range(cases_per_dims):
             kind = "pmc" if i % 2 == 0 else "coupled"
             h = random_trinary_hamiltonian(dims, subseed(seed, 10, d_idx, i), kind=kind)
-            if not check_pmc(h).satisfied:
-                raise FactorizationPreconditionError(f"{kind} case {i} breaks measurability")
+            fact = _checked_propagator(check_pmc(h), h._triple)
             state = TrinaryState.from_dense(
                 dims, seeded_random("state", dims.total, subseed(seed, 11, d_idx, i))
             )
-            full, fact = DensePropagator(h), h.propagator()
+            full = DensePropagator(h)
             for t in EVOLUTION_TIMES:
                 a = full.evolve(state, t).dense.amplitudes
                 b = fact.evolve(state, t).dense.amplitudes
@@ -118,9 +112,10 @@ def factorization_battery(
     )
 
 
-def converse_battery(seed: int, cases: int = 10, dims: TrinaryDims = DEFAULT_DIMS[0]) -> PropertyResult:
+def converse_battery(seed: int, cases: int = 10) -> PropertyResult:
     """With pmc violated, the unchecked factorized formula must visibly diverge."""
     t0 = time.perf_counter()
+    dims = DEFAULT_DIMS[0]
     smallest = np.inf
     for i in range(cases):
         h = random_trinary_hamiltonian(dims, subseed(seed, 20, i), kind="violating")
@@ -141,12 +136,12 @@ def converse_battery(seed: int, cases: int = 10, dims: TrinaryDims = DEFAULT_DIM
     )
 
 
-def block_battery(seed: int, cases_per_dim: int = 50, d_values=(2, 3)) -> PropertyResult:
+def block_battery(seed: int, cases_per_dim: int = 50) -> PropertyResult:
     """Second-level factorized block evolution vs the dense block exponential."""
     t0 = time.perf_counter()
     worst = 0.0
     total = 0
-    for d in d_values:
+    for d in SQUARE_D:
         for i in range(cases_per_dim):
             kind = "sapmc" if i % 2 == 0 else "shared"
             block = random_block_structure(d, d, subseed(seed, 30, d, i), kind=kind)
@@ -178,12 +173,12 @@ def _branch_basis_set(d: int, d_p: int, seed: int) -> list[np.ndarray]:
     return bases[:d_p]
 
 
-def born_battery(seed: int, cases_per_dim: int = 100, d_values=(2, 3)) -> PropertyResult:
+def born_battery(seed: int, cases_per_dim: int = 100) -> PropertyResult:
     """Branch-wise emergence of the textbook Born rule, plus decision weights."""
     t0 = time.perf_counter()
     worst = 0.0
     total = 0
-    for d in d_values:
+    for d in SQUARE_D:
         dims = TrinaryDims(d, d, d * d)
         bases = _branch_basis_set(d, dims.d_p, subseed(seed, 41, d))
         pu = build_programmed_unitary(dims, bases)
@@ -324,10 +319,8 @@ def icqc_battery(seed: int) -> PropertyResult:
     )
     state = init_state(1)
     got = apply_programmed_op(state, IcqcConfig(n=1, program_table=table))
-    dense = np.zeros((16, 16), dtype=complex)
-    for p in range(4):
-        dense[p * 4 : (p + 1) * 4, p * 4 : (p + 1) * 4] = table[p]
-    want = dense @ state.dense.amplitudes
+    dense = ProgrammedUnitary(state.dims, tuple(Operator(m) for m in table)).densify()
+    want = dense.entries @ state.dense.amplitudes
     worst = max(worst, float(np.max(np.abs(got.dense.amplitudes - want))))
     # n = 2: full run with a seeded 16-branch circuit program
     rng = np.random.default_rng(subseed(seed, 81))

@@ -240,10 +240,17 @@ def dense_pmc_norm(h) -> float:
     return dense_commutator_norm(programmed_part(h), np.kron(h.h_p.entries, np.eye(h.dims.d_sa)))
 
 
+def dense_block(block) -> np.ndarray:
+    """The S x A matrix of a ProgrammedBlockStructure, by ``dense_trinary_hamiltonian``."""
+    return dense_trinary_hamiltonian(
+        block.h_s.entries, [g.entries for g in block.a_generators], block.s_basis
+    )
+
+
 def dense_sapmc_norm(block) -> float:
     """[block, H_S (x) I] of a ProgrammedBlockStructure, densely."""
     h_s_full = np.kron(block.h_s.entries, np.eye(block.d_a))
-    return dense_commutator_norm(block.assemble().entries, h_s_full)
+    return dense_commutator_norm(dense_block(block), h_s_full)
 
 
 def dense_swapped_norm(h_sa, blocks_on_p, dims, sa_basis=None) -> float:

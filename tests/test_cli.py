@@ -506,6 +506,34 @@ class TestInputErrors:
         payload = base("icqc", n=1, gates=gates, program={"random": {}})
         assert "gates[0]" in self.run_bad(tmp_path, capsys, "icqc", payload)
 
+    @pytest.mark.parametrize(
+        "field, target",
+        [("gates", ["S", 3]), ("program", ["S", -2]), ("p_circuit", ["P", 7])],
+    )
+    def test_qubit_out_of_range(self, tmp_path, capsys, field, target):
+        # n = 1: S and A hold one qubit each, P holds two
+        gate = [{"kind": "X", "targets": [target]}]
+        payload = base("icqc", n=1, program={"random": {}})
+        payload[field] = [gate, [], [], []] if field == "program" else gate
+        err = self.run_bad(tmp_path, capsys, "icqc", payload)
+        assert f"qubit {target[1]} out of range for register {target[0]}" in err
+
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf"), True])
+    def test_gate_angle_not_a_finite_number(self, tmp_path, capsys, angle):
+        gates = [{"kind": "RY", "targets": [["S", 0]], "angle": angle}]
+        payload = base("icqc", n=1, gates=gates, program={"random": {}})
+        assert "gates[0].angle" in self.run_bad(tmp_path, capsys, "icqc", payload)
+
+    def test_gate_qubit_a_boolean(self, tmp_path, capsys):
+        gates = [{"kind": "X", "targets": [["P", True]]}]  # P holds two qubits at n = 1
+        payload = base("icqc", n=1, gates=gates, program={"random": {}})
+        assert "gates[0].targets" in self.run_bad(tmp_path, capsys, "icqc", payload)
+
+    def test_segment_duration_a_boolean(self, tmp_path, capsys):
+        segments = [{"duration": True, "hamiltonian": {"random": "pmc"}}]
+        payload = base("dynamics", dims=[2, 1, 2], times=[0.0], segments=segments)
+        assert "segments[0].duration" in self.run_bad(tmp_path, capsys, "evolve", payload)
+
     @pytest.mark.parametrize("product", [5, "chi system apparatus", ["chi", "system", "apparatus"]])
     def test_product_state_not_an_object(self, tmp_path, capsys, product):
         payload = base(

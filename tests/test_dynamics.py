@@ -24,6 +24,7 @@ from icqt.dynamics import (
     random_trinary_hamiltonian,
 )
 from icqt.linalg import (
+    DimensionError,
     HermiticityError,
     HermitianSpectrum,
     Operator,
@@ -33,6 +34,7 @@ from icqt.linalg import (
 )
 from icqt.trinary import TrinaryDims, TrinaryState, standard_basis
 from oracles import (
+    dense_block,
     dense_pmc_norm,
     dense_sapmc_norm,
     dense_swapped_norm,
@@ -110,6 +112,57 @@ class TestTrinaryHamiltonian:
             np.zeros((4, 4)), [b.entries for b in h.blocks], basis
         )
         assert np.max(np.abs(h.full_operator().entries - want)) < 1e-12
+
+
+def build_level(level, h_program, blocks, basis):
+    """One conditioned Hamiltonian (3 program states, 2-dim blocks) at each level."""
+    if level == "P|SA":
+        dims = TrinaryDims(2, 1, 3)
+        return TrinaryHamiltonian(dims=dims, h_p=h_program, blocks=blocks, programming_basis=basis)
+    if level == "S|A":
+        return ProgrammedBlockStructure(s_basis=basis, a_generators=blocks, h_s=h_program)
+    state = random_state(TrinaryDims(3, 1, 2), 1)
+    return evolve_swapped_factorized(h_program, blocks, state, 0.5, sa_basis=basis)
+
+
+class TestConditionedValidation:
+    """The three levels share one validator: each fault raises the same error at each."""
+
+    GOOD = (
+        Operator(np.diag([1.0, 2.0, 3.0])),
+        tuple(seeded_random("hermitian", 2, 50 + n) for n in range(3)),
+        np.eye(3),
+    )
+
+    @pytest.mark.parametrize("level", ["P|SA", "S|A", "SA|P"])
+    @pytest.mark.parametrize(
+        "fault, error",
+        [
+            (None, None),
+            ("program not Hermitian", HermiticityError),
+            ("block not Hermitian", HermiticityError),
+            ("too few blocks", DimensionError),
+            ("block of another dim", DimensionError),
+            ("basis not orthonormal", ValueError),
+        ],
+    )
+    def test_fault(self, level, fault, error):
+        h_program, blocks, basis = self.GOOD
+        if fault == "program not Hermitian":
+            h_program = Operator(np.triu(np.ones((3, 3))))
+        elif fault == "block not Hermitian":
+            blocks = (blocks[0], Operator(np.triu(np.ones((2, 2)))), blocks[2])
+        elif fault == "too few blocks":
+            blocks = blocks[:2]
+        elif fault == "block of another dim":
+            blocks = blocks[:2] + (Operator.identity(3),)
+        elif fault == "basis not orthonormal":
+            basis = np.triu(np.ones((3, 3)))
+        if error is None:
+            build_level(level, h_program, blocks, basis)
+        else:
+            with pytest.raises(error):
+                build_level(level, h_program, blocks, basis)
 
 
 class TestCheckPmc:
@@ -429,7 +482,7 @@ class TestEvolveProgrammedBlock:
         )
         sa = StateVector(np.kron([1, 1] / np.sqrt(2), [1, 0]).astype(complex))
         out = evolve_programmed_block(block, sa, 1.0)
-        want = expm_hermitian(block.assemble().entries, 1.0) @ sa.amplitudes
+        want = expm_hermitian(dense_block(block), 1.0) @ sa.amplitudes
         assert np.max(np.abs(out.amplitudes - want)) <= 1e-9
         assert entanglement_entropy(out, (2, 2)) > 0.1
 
@@ -445,7 +498,7 @@ class TestEvolveProgrammedBlock:
         block = random_block_structure(d, d, 5, kind=kind)
         sa = seeded_random("state", d * d, 6)
         out = evolve_programmed_block(block, sa, 1.4)
-        want = expm_hermitian(block.assemble().entries, 1.4) @ sa.amplitudes
+        want = expm_hermitian(dense_block(block), 1.4) @ sa.amplitudes
         assert np.max(np.abs(out.amplitudes - want)) <= 1e-9
 
     def test_precondition_enforced(self):

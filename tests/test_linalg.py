@@ -317,7 +317,7 @@ class TestPropagator:
 
     def test_unitary(self):
         u = hermitian_propagator(seeded_random("hermitian", 6, 3), 1.2)
-        assert u.is_unitary(1e-10)
+        assert u.is_unitary()
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermiticityError):
@@ -374,7 +374,7 @@ class TestSeededRandom:
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
     def test_unitary_is_unitary(self):
-        assert seeded_random("unitary", 8, 1).is_unitary(1e-10)
+        assert seeded_random("unitary", 8, 1).is_unitary()
 
     def test_hermitian_exact(self):
         h = seeded_random("hermitian", 6, 2).entries

@@ -123,7 +123,7 @@ class TestPointerMeasurement:
 
 class TestProgrammedUnitary:
     def test_zxyz_densify_unitary(self):
-        assert zxyz_unitary().densify().is_unitary(1e-10)
+        assert zxyz_unitary().densify().is_unitary()
 
     def test_all_z_constructs(self):
         pu = build_programmed_unitary(DIMS224, [standard_basis("Z", 2)] * 4)
