@@ -35,18 +35,18 @@ from .dynamics import (
     EntanglementTrajectory,
     FactorizationPreconditionError,
     ProgrammedBlockStructure,
+    ScheduleError,
     TrinaryHamiltonian,
     check_pmc,
     check_sapmc,
     entanglement_trajectory,
-    evolve,
     evolve_factorized,
     evolve_full,
     evolve_programmed_block,
-    evolve_schedule,
     evolve_swapped_factorized,
     random_block_structure,
     random_trinary_hamiltonian,
+    schedule_states,
 )
 from .born import (
     DualBornReport,

@@ -10,12 +10,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .born import conventional_oracle, dual_born_report
-from .dynamics import DensePropagator, check_pmc, check_sapmc
+from .dynamics import (
+    DensePropagator,
+    ScheduleError,
+    TrinaryHamiltonian,
+    check_pmc,
+    check_sapmc,
+    schedule_states,
+)
 from .icqc import CapacityError, run as icqc_run
 from .linalg import seeded_random, subseed
 from .scenario import (
@@ -81,54 +89,28 @@ def cmd_evolve(scenario: Scenario, out_dir: Path) -> int:
 
     pmc_checks = [check_pmc(h) for _, h, _ in segments]
     pmc_ok = all(c.satisfied for c in pmc_checks)
-    sapmc_doc = None
-    if any(s is not None for _, _, structures in segments for s in structures):
-        sapmc_doc = []
-        for k, (_, _, structures) in enumerate(segments):
-            for n, structure in enumerate(structures):
-                if structure is None:
-                    continue
-                chk = check_sapmc(structure)
-                sapmc_doc.append(
-                    {
-                        "segment": k,
-                        "block": n,
-                        "commutator_norm": chk.commutator_norm,
-                        "satisfied": chk.satisfied,
-                    }
-                )
+    sapmc_doc = [
+        {"segment": k, "block": n, **asdict(check_sapmc(structure))}
+        for k, (_, _, structures) in enumerate(segments)
+        for n, structure in enumerate(structures)
+        if structure is not None
+    ] or None  # null when no block is structured
 
-    # Per segment, one dense decomposition and (when every segment satisfies the
-    # condition) one factorized propagator, dropped before the next segment's.
-    # A time is one step from the start of its segment, as in evolve_schedule.
+    # The dense reference walk, zipped with the factorized walk when every
+    # segment satisfies the condition; the report reads the last of each pair.
+    schedule = [(duration, h) for duration, h, _ in segments]
+    walks = [schedule_states(schedule, state, times, DensePropagator)]
+    if pmc_ok:
+        walks.append(schedule_states(schedule, state, times, TrinaryHamiltonian.propagator))
     s_psa = np.zeros(len(times))
     s_branches = np.zeros((len(times), dims.d_p))
-    deviation = None
-    remaining = list(times)
-    i = 0
-    full_start = fact_start = state
-    for duration, h, _ in segments:
-        full = DensePropagator(h)
-        fact = h.propagator() if pmc_ok else None
-        while i < len(times) and remaining[i] <= duration:
-            step = min(duration, remaining[i])
-            current = full.evolve(full_start, step)
-            if fact is not None:
-                fact_state = fact.evolve(fact_start, step)
-                dev = float(np.max(np.abs(fact_state.dense.amplitudes - current.dense.amplitudes)))
-                deviation = dev if deviation is None else max(deviation, dev)
-                current = fact_state
-            s_psa[i], s_branches[i] = dual_entropies(current)
-            i += 1
-        if i == len(times):
-            break
-        remaining[i:] = [r - duration for r in remaining[i:]]
-        full_start = full.evolve(full_start, duration)
-        if fact is not None:
-            fact_start = fact.evolve(fact_start, duration)
-        del full, fact
-    else:
-        raise ScenarioError(f"schedule is shorter than requested time {times[i]}")
+    deviations = []
+    for i, pair in enumerate(zip(*walks)):
+        full, current = pair[0], pair[-1]
+        if pmc_ok:
+            deviations.append(float(np.max(np.abs(current.dense.amplitudes - full.dense.amplitudes))))
+        s_psa[i], s_branches[i] = dual_entropies(current)
+    deviation = max(deviations, default=None)
 
     rows = [
         [t, s_psa[i]] + [s_branches[i, r] for r in range(dims.d_p)]
@@ -142,10 +124,7 @@ def cmd_evolve(scenario: Scenario, out_dir: Path) -> int:
         "seed": scenario.seed,
         "dims": [dims.d_s, dims.d_a, dims.d_p],
         "times": list(times),
-        "pmc": [
-            {"segment": k, "commutator_norm": c.commutator_norm, "satisfied": c.satisfied}
-            for k, c in enumerate(pmc_checks)
-        ],
+        "pmc": [{"segment": k, **asdict(c)} for k, c in enumerate(pmc_checks)],
         "sapmc": sapmc_doc,
         "pmc_fallback": not pmc_ok,
         "factorized_full_max_deviation": deviation,
@@ -293,7 +272,7 @@ def main(argv=None) -> int:
                 f"command '{args.command}' needs kind '{expected}', scenario says '{scenario.kind}'"
             )
         return _HANDLERS[args.command](scenario, Path(args.out))
-    except ScenarioError as exc:
+    except (ScenarioError, ScheduleError) as exc:
         sys.stderr.write(f"scenario error: {exc}\n")
         return 2
     except CapacityError as exc:

@@ -13,14 +13,15 @@ assembler, the blockwise check (``conditioned_commutator_norm``) and one
 checked path to the ``FactorizedPropagator``.  ``DensePropagator`` (and
 ``evolve_full``) is the dense brute-force reference for exactly that claim.
 
-Time dependence is piecewise constant: a schedule is a list of
-(duration, hamiltonian) segments evolved back to back.
+Time dependence is piecewise constant: ``schedule_states`` walks a list of
+(duration, hamiltonian) segments back to back with the propagator it is given.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +42,10 @@ _DIAG_TOL = 1e-13  # below this the programming Hamiltonian counts as diagonal
 
 class FactorizationPreconditionError(ValueError):
     """Factorized evolution requested while the measurability condition fails."""
+
+
+class ScheduleError(ValueError):
+    """A schedule with a negative duration, or one that ends before a requested time."""
 
 
 @dataclass(frozen=True)
@@ -305,25 +310,41 @@ def evolve_programmed_block(
     return StateVector(out.reshape(-1))
 
 
-def evolve(h: TrinaryHamiltonian, state: TrinaryState, t: float) -> TrinaryState:
-    """Factorized when the measurability condition holds, dense otherwise."""
-    if h.dims != state.dims:
-        raise DimensionError("hamiltonian and state dims differ")
-    if check_pmc(h).satisfied:
-        return h.propagator().evolve(state, t)
-    return evolve_full(h, state, t)
+def schedule_states(
+    segments: Sequence[tuple[float, TrinaryHamiltonian]], state: TrinaryState,
+    times: Sequence[float],
+    propagator: Callable[[TrinaryHamiltonian], DensePropagator | FactorizedPropagator],
+) -> Iterator[TrinaryState]:
+    """Yield the state at each time (ascending from 0) under back-to-back segments.
 
+    ``propagator(h)`` decomposes a segment once; each is dropped before the next
+    is built.  A time is one step from the state at the start of its segment.
+    Every time is mapped to its segment first, so a schedule that ends too
+    early raises ``ScheduleError`` before any segment is decomposed.
+    """
+    times = [float(t) for t in times]
+    if not times or times[0] != 0.0 or any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError("times must ascend and start at 0")
+    if not all(duration >= 0 for duration, _ in segments):
+        raise ScheduleError("segment durations must be nonnegative")
+    steps, remaining = [], times  # steps[k]: the steps of the times in segment k
+    for duration, _ in segments:
+        inside = bisect.bisect_right(remaining, duration)  # remaining ascends like times
+        steps.append([min(duration, r) for r in remaining[:inside]])
+        remaining = [r - duration for r in remaining[inside:]]
+        if not remaining:
+            break
+    else:
+        raise ScheduleError(f"schedule is shorter than requested time {times[-len(remaining)]}")
 
-def evolve_schedule(
-    segments: Sequence[tuple[float, TrinaryHamiltonian]], state: TrinaryState
-) -> TrinaryState:
-    """Piecewise-constant time dependence, one closed-form segment at a time."""
-    current = state
-    for duration, h in segments:
-        if duration < 0:
-            raise ValueError("segment durations must be nonnegative")
-        current = evolve(h, current, duration)
-    return current
+    start = state
+    for k, ((duration, h), segment_steps) in enumerate(zip(segments, steps)):
+        prop = propagator(h)
+        for step in segment_steps:
+            yield prop.evolve(start, step)
+        if k + 1 < len(steps):
+            start = prop.evolve(start, duration)
+        del prop
 
 
 def evolve_swapped_factorized(
@@ -362,26 +383,19 @@ class EntanglementTrajectory:
         object.__setattr__(self, "s_psa", np.asarray(self.s_psa, dtype=float))
         object.__setattr__(self, "s_sa_branches", np.asarray(self.s_sa_branches, dtype=float))
 
-    @property
-    def monotone_psa(self) -> bool:
-        """Whether the P|(SA) entropy never decreased (recorded, not promised)."""
-        return bool(np.all(np.diff(self.s_psa) >= -1e-9))
-
 
 def entanglement_trajectory(
     h: TrinaryHamiltonian, state: TrinaryState, times: Sequence[float]
 ) -> EntanglementTrajectory:
     """Record dual entropies at the given times (ascending, starting at 0)."""
     times = tuple(float(t) for t in times)
-    if len(times) == 0 or times[0] != 0.0 or any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("times must ascend and start at 0")
     factorized = check_pmc(h).satisfied
-    prop = h.propagator() if factorized else DensePropagator(h)
+    propagator = TrinaryHamiltonian.propagator if factorized else DensePropagator
 
     s_psa = np.zeros(len(times))
     s_branches = np.zeros((len(times), h.dims.d_p))
-    for k, t in enumerate(times):
-        s_psa[k], s_branches[k] = dual_entropies(prop.evolve(state, t))
+    for k, current in enumerate(schedule_states([(np.inf, h)], state, times, propagator)):
+        s_psa[k], s_branches[k] = dual_entropies(current)
     return EntanglementTrajectory(
         times=times, s_psa=s_psa, s_sa_branches=s_branches, used_factorized=factorized
     )

@@ -292,6 +292,9 @@ def parse_icqc_config(payload: dict, seed: int) -> IcqcConfig:
     n = payload.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ScenarioError("n must be a positive integer")
+    for key in ("n_a", "n_p"):
+        if key in payload and type(payload[key]) is not int:  # bool, float or string
+            raise ScenarioError(f"{key} must be an integer")
     check_capacity(2 ** (4 * n), f"2^{4 * n}")
     gates = parse_gate_list(payload.get("gates"), "gates")
     p_circuit = parse_gate_list(payload.get("p_circuit"), "p_circuit")

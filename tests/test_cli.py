@@ -243,7 +243,15 @@ class TestEvolveCommand:
         assert doc["factorized_full_max_deviation"] == deviation
         assert doc["final_S_PSA"] == rows[-1][1]
 
-    def test_time_past_schedule_end_exit_two(self, tmp_path, capsys):
+    def test_time_past_schedule_end_exit_two(self, tmp_path, capsys, monkeypatch):
+        eigh_calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            eigh_calls.append(args)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         payload = base(
             "dynamics",
             dims=[2, 2, 4],
@@ -257,6 +265,7 @@ class TestEvolveCommand:
         assert main(["evolve", path, "--out", str(tmp_path / "out")]) == 2
         assert "shorter than requested time 0.8" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+        assert eigh_calls == []  # refused before any segment was decomposed
 
     def test_segments_and_sapmc_report(self, tmp_path, capsys):
         from icqt.dynamics import random_block_structure
@@ -528,6 +537,13 @@ class TestInputErrors:
         gates = [{"kind": "X", "targets": [["P", True]]}]  # P holds two qubits at n = 1
         payload = base("icqc", n=1, gates=gates, program={"random": {}})
         assert "gates[0].targets" in self.run_bad(tmp_path, capsys, "icqc", payload)
+
+    @pytest.mark.parametrize("field", ["n_a", "n_p"])
+    @pytest.mark.parametrize("value", [True, 2.0, "1"])
+    def test_register_size_not_an_integer(self, tmp_path, capsys, field, value):
+        # true and 2.0 equal the register sizes 1 and 2 at n = 1
+        payload = base("icqc", n=1, program={"random": {}}, **{field: value})
+        assert f"{field} must be an integer" in self.run_bad(tmp_path, capsys, "icqc", payload)
 
     def test_segment_duration_a_boolean(self, tmp_path, capsys):
         segments = [{"duration": True, "hamiltonian": {"random": "pmc"}}]

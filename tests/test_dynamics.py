@@ -10,18 +10,18 @@ from icqt.dynamics import (
     FactorizationPreconditionError,
     FactorizedPropagator,
     ProgrammedBlockStructure,
+    ScheduleError,
     TrinaryHamiltonian,
     check_pmc,
     check_sapmc,
     entanglement_trajectory,
-    evolve,
     evolve_factorized,
     evolve_full,
     evolve_programmed_block,
-    evolve_schedule,
     evolve_swapped_factorized,
     random_block_structure,
     random_trinary_hamiltonian,
+    schedule_states,
 )
 from icqt.linalg import (
     DimensionError,
@@ -32,7 +32,7 @@ from icqt.linalg import (
     hermitian_propagator,
     seeded_random,
 )
-from icqt.trinary import TrinaryDims, TrinaryState, standard_basis
+from icqt.trinary import TrinaryDims, TrinaryState, dual_entropies, standard_basis
 from oracles import (
     dense_block,
     dense_pmc_norm,
@@ -41,6 +41,7 @@ from oracles import (
     dense_trinary_hamiltonian,
     expm_hermitian,
     programmed_part,
+    schedule_walk,
     swapped_full_operator,
 )
 
@@ -572,19 +573,31 @@ class TestTrajectory:
 
 
 class TestEvolveDispatch:
-    def test_picks_factorized_when_condition_holds(self):
-        h = random_trinary_hamiltonian(DIMS, 90, kind="pmc")
-        state = random_state(DIMS, 91)
-        a = evolve(h, state, 0.6)
-        b = evolve_factorized(h, state, 0.6)
-        assert np.array_equal(a.dense.amplitudes, b.dense.amplitudes)
+    """entanglement_trajectory picks its propagator with one measurability check."""
 
-    def test_falls_back_to_dense(self):
+    def assert_states_of(self, monkeypatch, h, prop, used_factorized):
+        # the states whose entropies the trajectory records equal prop's
+        seen = []
+
+        def recording_entropies(state):
+            seen.append(state)
+            return dual_entropies(state)
+
+        monkeypatch.setattr(dynamics, "dual_entropies", recording_entropies)
+        state, times = random_state(DIMS, 91), [0.0, 0.6]
+        traj = entanglement_trajectory(h, state, times)
+        assert traj.used_factorized is used_factorized
+        assert len(seen) == len(times)
+        for t, got in zip(times, seen):
+            assert np.array_equal(got.dense.amplitudes, prop.evolve(state, t).dense.amplitudes)
+
+    def test_picks_factorized_when_condition_holds(self, monkeypatch):
+        h = random_trinary_hamiltonian(DIMS, 90, kind="pmc")
+        self.assert_states_of(monkeypatch, h, h.propagator(), True)
+
+    def test_falls_back_to_dense(self, monkeypatch):
         h = random_trinary_hamiltonian(DIMS, 92, kind="violating")
-        state = random_state(DIMS, 93)
-        a = evolve(h, state, 0.6)
-        b = evolve_full(h, state, 0.6)
-        assert np.array_equal(a.dense.amplitudes, b.dense.amplitudes)
+        self.assert_states_of(monkeypatch, h, DensePropagator(h), False)
 
     def test_checks_the_condition_once(self, monkeypatch):
         calls = []
@@ -595,7 +608,7 @@ class TestEvolveDispatch:
 
         monkeypatch.setattr(dynamics, "check_pmc", counting_check)
         h = random_trinary_hamiltonian(DIMS, 94, kind="coupled")
-        evolve(h, random_state(DIMS, 95), 0.6)
+        entanglement_trajectory(h, random_state(DIMS, 95), [0.0, 0.3, 0.6])
         assert len(calls) == 1
 
     def test_dense_propagator_serves_every_time(self):
@@ -614,27 +627,107 @@ class TestEvolveDispatch:
             assert np.max(np.abs(want - oracle.amplitudes)) <= 1e-13
 
 
+# The dense walk and the factorized walk, each with the closed-form segment
+# step that the oracle replays from t = 0.
+WALKS = {
+    "dense": (DensePropagator, evolve_full),
+    "factorized": (TrinaryHamiltonian.propagator, evolve_factorized),
+}
+
+
 class TestSchedule:
+    """schedule_states against oracles.schedule_walk, state for state with ==."""
+
+    def assert_walk_matches(self, segments, state, times, walk):
+        propagator, step = WALKS[walk]
+        got = list(schedule_states(segments, state, times, propagator))
+        assert len(got) == len(times)
+        for t, out in zip(times, got):
+            want = schedule_walk(segments, state, t, step)
+            assert np.array_equal(out.dense.amplitudes, want.dense.amplitudes)
+
     def test_two_segments_match_manual(self):
-        h1 = random_trinary_hamiltonian(DIMS, 34, kind="pmc")
-        h2 = random_trinary_hamiltonian(DIMS, 35, kind="pmc")
+        # t = 0, inside each segment, on the boundary and at the schedule end
+        segments = [
+            (0.5, random_trinary_hamiltonian(DIMS, 34, kind="pmc")),
+            (0.7, random_trinary_hamiltonian(DIMS, 35, kind="coupled")),
+        ]
         state = random_state(DIMS, 36)
-        out = evolve_schedule([(0.5, h1), (0.7, h2)], state)
-        want = evolve(h2, evolve(h1, state, 0.5), 0.7)
-        assert np.max(np.abs(out.dense.amplitudes - want.dense.amplitudes)) < 1e-12
+        for walk in WALKS:
+            self.assert_walk_matches(segments, state, [0.0, 0.2, 0.5, 0.9, 1.2], walk)
+
+    @pytest.mark.parametrize("walk", sorted(WALKS))
+    def test_zero_duration_segments(self, walk):
+        # zero-duration segments first, in the middle and last; t = 0 falls
+        # in the first one and t = 0.5 on the boundary before the middle one
+        kinds = ["pmc", "coupled", "pmc", "coupled", "pmc"]
+        durations = [0.0, 0.5, 0.0, 0.75, 0.0]
+        segments = [
+            (d, random_trinary_hamiltonian(DIMS, 44 + k, kind=kind))
+            for k, (d, kind) in enumerate(zip(durations, kinds))
+        ]
+        state = random_state(DIMS, 49)
+        self.assert_walk_matches(segments, state, [0.0, 0.0, 0.3, 0.5, 0.8, 1.25], walk)
+
+    def test_violating_segment_evolves_densely(self):
+        segments = [
+            (0.3, random_trinary_hamiltonian(DIMS, 41, kind="pmc")),
+            (0.4, random_trinary_hamiltonian(DIMS, 42, kind="violating")),
+            (0.5, random_trinary_hamiltonian(DIMS, 40, kind="coupled")),
+        ]
+        state = random_state(DIMS, 43)
+        self.assert_walk_matches(segments, state, [0.0, 0.3, 0.5, 0.7, 1.0], "dense")
 
     def test_rejects_negative_duration(self):
         h = random_trinary_hamiltonian(DIMS, 37, kind="pmc")
         with pytest.raises(ValueError):
-            evolve_schedule([(-0.1, h)], random_state(DIMS, 38))
+            next(schedule_states([(-0.1, h)], random_state(DIMS, 38), [0.0], DensePropagator))
 
-    def test_violating_segment_evolves_densely(self):
-        h_ok = random_trinary_hamiltonian(DIMS, 41, kind="pmc")
-        h_bad = random_trinary_hamiltonian(DIMS, 42, kind="violating")
-        state = random_state(DIMS, 43)
-        out = evolve_schedule([(0.3, h_ok), (0.4, h_bad)], state)
-        want = evolve_full(h_bad, evolve_full(h_ok, state, 0.3), 0.4)
-        assert np.max(np.abs(out.dense.amplitudes - want.dense.amplitudes)) <= 1e-9
+    def test_decomposes_each_segment_reached_once(self):
+        built = []
+
+        def propagator(h):
+            built.append(h)
+            return DensePropagator(h)
+
+        hs = [random_trinary_hamiltonian(DIMS, 50 + k, kind="violating") for k in range(4)]
+        segments = [(0.5, h) for h in hs]
+        list(schedule_states(segments, random_state(DIMS, 54), [0.0, 0.2, 0.4, 1.2], propagator))
+        assert [id(h) for h in built] == [id(h) for h in hs[:3]]
+
+    def test_too_short_schedule_raises_before_any_decomposition(self):
+        built = []
+        h = random_trinary_hamiltonian(DIMS, 55, kind="pmc")
+        walk = schedule_states(
+            [(0.5, h), (0.25, h)], random_state(DIMS, 56), [0.0, 0.5, 0.8], built.append
+        )
+        with pytest.raises(ScheduleError, match="shorter than requested time 0.8"):
+            next(walk)
+        assert built == []
+
+    def test_drops_each_decomposition_before_the_next(self):
+        # total 1296: one total x total complex matrix is 26.9 MB, and a live
+        # dense decomposition holds at least its eigenvector matrix.  Walking a
+        # second segment while the first one's decomposition were still alive
+        # would add that whole matrix to the peak of walking one segment; the
+        # bound allows half of it (about 1.2x that peak).
+        dims = TrinaryDims(6, 6, 36)
+        h1 = random_trinary_hamiltonian(dims, 57, kind="violating")
+        h2 = random_trinary_hamiltonian(dims, 58, kind="violating")
+        state = random_state(dims, 59)
+
+        def walk_peak(segments, times):
+            tracemalloc.start()
+            try:
+                for _ in schedule_states(segments, state, times, DensePropagator):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = walk_peak([(0.4, h1)], [0.0, 0.3])
+        two = walk_peak([(0.4, h1), (0.4, h2)], [0.0, 0.3, 0.6])
+        assert two < one + dims.total**2 * 16 / 2
 
 
 class TestSwappedRoles:

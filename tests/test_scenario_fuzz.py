@@ -2,12 +2,15 @@
 
 Each example starts from a small valid scenario of one kind, replaces or
 drops parts of it at random with arbitrary JSON, and runs the matching
-command.  Whatever the input, the CLI keeps its contract: exit 0, 1 or 2,
+command.  An evolve scenario first draws its schedule (segments of zero and
+nonzero durations, times on, between and past the segment boundaries) and is
+then mutated or run as drawn.  Whatever the input, the CLI keeps its contract: exit 0, 1 or 2,
 exactly one stderr line on exit 2, and never a traceback.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -89,6 +92,21 @@ def mutate(data, value):
     return value
 
 
+HAMILTONIANS = [seg["hamiltonian"] for seg in VALID["evolve"]["segments"]] + [{"random": "violating"}]
+
+
+def draw_schedule(data, payload):
+    """``payload`` with drawn segments and times; the last time may fall past the end."""
+    durations = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=4))
+    ends = list(itertools.accumulate(durations))
+    points = sorted({0.0, *ends, *(end + 0.125 for end in ends)})
+    times = [0.0] + sorted(data.draw(st.lists(st.sampled_from(points), max_size=4)))
+    segments = [
+        {"duration": d, "hamiltonian": data.draw(st.sampled_from(HAMILTONIANS))} for d in durations
+    ]
+    return dict(payload, times=times, segments=segments)
+
+
 @pytest.mark.parametrize("command", sorted(VALID))
 @settings(
     max_examples=40,
@@ -98,7 +116,11 @@ def mutate(data, value):
 @given(data=st.data())
 def test_mutated_scenario_keeps_the_exit_contract(monkeypatch, command, data):
     monkeypatch.setenv("ICQT_MAX_DIM", "256")  # small operators whatever the dims say
-    payload = mutate(data, VALID[command])
+    payload = VALID[command]
+    if command == "evolve":
+        payload = draw_schedule(data, payload)
+    if command != "evolve" or data.draw(st.booleans()):  # a drawn schedule may run as drawn
+        payload = mutate(data, payload)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(payload))
