@@ -14,14 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import StateVector, schmidt_decompose
-from .trinary import EMPTY_BRANCH_TOL, TrinaryState, branch_spectra
+from .trinary import EMPTY_BRANCH_TOL, EmptyBranchError, TrinaryState, _empty, branch_spectra
 
 CLAMP_TOL = 1e-12
 DEGENERACY_TOL = 1e-8
-
-
-class EmptyBranchError(ValueError):
-    """Requested branch carries (numerically) zero weight."""
 
 
 def _clamp(p: np.ndarray) -> np.ndarray:
@@ -51,28 +47,24 @@ class OutcomeTable:
     degenerate: bool
 
 
-def _outcome_row(coefficients: np.ndarray, d_s: int) -> tuple[np.ndarray, bool]:
-    """A branch's outcome probabilities, padded to d_s, and its degeneracy flag."""
-    probs = _clamp(coefficients**2)
-    padded = np.zeros(d_s)
-    padded[: probs.size] = probs
-    nonzero = coefficients[coefficients > EMPTY_BRANCH_TOL]
-    return padded, bool(np.any(np.abs(np.diff(nonzero)) < DEGENERACY_TOL))
+def _outcome_rows(spectra: np.ndarray, d_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome probabilities (padded to d_s) and degeneracy flags of rows of coefficients.
+
+    Coefficients descend, so a row is degenerate iff two neighbours lie within
+    DEGENERACY_TOL and the smaller exceeds EMPTY_BRANCH_TOL; a zero row is not.
+    """
+    probs = np.zeros((len(spectra), d_s))
+    probs[:, : spectra.shape[1]] = _clamp(spectra**2)
+    close = np.abs(np.diff(spectra, axis=1)) < DEGENERACY_TOL
+    return probs, np.any(close & (spectra[:, 1:] > EMPTY_BRANCH_TOL), axis=1)
 
 
 def outcome_probabilities(state: TrinaryState, branch: int) -> OutcomeTable:
-    """Outcome distribution of the measurement carried by one branch."""
-    row = state.as_matrix()[branch]
-    if np.sum(np.abs(row) ** 2) <= EMPTY_BRANCH_TOL:
-        raise EmptyBranchError(f"branch {branch} carries no weight")
+    """Outcome distribution of one branch; EmptyBranchError exactly for an empty one."""
     sa = state.branch_state(branch)
     sd = schmidt_decompose(sa, (state.dims.d_s, state.dims.d_a))
-    probs, degenerate = _outcome_row(sd.coefficients, state.dims.d_s)
-    return OutcomeTable(
-        probabilities=probs,
-        measured_basis=sd.u,
-        degenerate=degenerate,
-    )
+    probs, degenerate = _outcome_rows(sd.coefficients[None], state.dims.d_s)
+    return OutcomeTable(probabilities=probs[0], measured_basis=sd.u, degenerate=bool(degenerate[0]))
 
 
 def conventional_oracle(psi_s: StateVector, basis: np.ndarray) -> np.ndarray:
@@ -99,29 +91,20 @@ class DualBornReport:
 
 
 def dual_born_report(state: TrinaryState) -> DualBornReport:
-    """Assemble the full dual-probability report for a trinary state.
+    """The full dual-probability report of a state, from one ``branch_spectra`` pass.
 
-    Row r holds the probabilities of ``outcome_probabilities(state, r)``
-    within the bound documented in ``linalg._singular_values`` (a
-    values-only SVD against the full one), read from the amplitudes alone:
-    every branch spectrum comes from one ``branch_spectra`` pass over the rows.
+    Row r holds the probabilities of ``outcome_probabilities(state, r)`` within the bound
+    documented in ``linalg._singular_values`` (a values-only SVD against the full one).
     """
     return _dual_born_report(state, branch_spectra(state))
 
 
 def _dual_born_report(state: TrinaryState, spectra: np.ndarray) -> DualBornReport:
     """``dual_born_report`` from the Schmidt coefficients of every branch state."""
-    d_p, d_s = state.dims.d_p, state.dims.d_s
-    decision = decision_probabilities(state)
-    empty = tuple(bool(w <= EMPTY_BRANCH_TOL) for w in decision)
-    outcome = np.zeros((d_p, d_s))
-    degenerate = [False] * d_p
-    for r in range(d_p):
-        if not empty[r]:
-            outcome[r], degenerate[r] = _outcome_row(spectra[r], d_s)
+    outcome, degenerate = _outcome_rows(spectra, state.dims.d_s)
     return DualBornReport(
-        decision_probs=decision,
+        decision_probs=decision_probabilities(state),
         outcome_probs=outcome,
-        degenerate=tuple(degenerate),
-        empty=empty,
+        degenerate=tuple(bool(x) for x in degenerate),
+        empty=tuple(bool(x) for x in _empty(state.as_matrix())),
     )

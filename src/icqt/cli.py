@@ -155,13 +155,9 @@ def cmd_born(scenario: Scenario, out_dir: Path) -> int:
     state = apply_programmed(pu, TrinaryState.from_product(dims, chi, psi, phi))
     report = dual_born_report(state)
 
-    max_dev = 0.0
-    oracle_rows = []
-    for r in range(dims.d_p):
-        conv = np.sort(conventional_oracle(psi, bases[r]))[::-1]
-        oracle_rows.append([float(x) for x in conv])
-        if not report.empty[r]:
-            max_dev = max(max_dev, float(np.max(np.abs(report.outcome_probs[r] - conv))))
+    conv = [np.sort(conventional_oracle(psi, basis))[::-1] for basis in bases]
+    live = ~np.array(report.empty)
+    max_dev = float(np.max(np.abs(report.outcome_probs - conv)[live], initial=0.0))
     doc = {
         "kind": scenario.kind,
         "seed": scenario.seed,
@@ -171,7 +167,7 @@ def cmd_born(scenario: Scenario, out_dir: Path) -> int:
         "branch_labels": [lab if lab is not None else "custom" for lab in labels],
         "degenerate": list(report.degenerate),
         "empty": list(report.empty),
-        "conventional_outcomes_sorted": oracle_rows,
+        "conventional_outcomes_sorted": [[float(x) for x in row] for row in conv],
         "max_outcome_deviation": max_dev,
     }
     sys.stdout.write(write_json(out_dir / "born_report.json", doc))

@@ -20,6 +20,7 @@ Time dependence is piecewise constant: ``schedule_states`` walks a list of
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -222,8 +223,8 @@ class FactorizedPropagator:
     basis when None).  When H_prog commutes with the programmed part, the
     propagator is the program-side propagator followed by one block
     propagator per program state.  Construction diagonalises the program side
-    once and all blocks in one batched ``eigh``; ``apply`` then costs one
-    matrix product per block and never forms a full-space matrix.  A program
+    once and all blocks in one batched ``eigh``; ``apply`` then forms and applies
+    every block propagator in one batched product each, never a full-space matrix.  A program
     side that is diagonal (within _DIAG_TOL) in ``basis`` evolves by exact
     per-component phases, so empty program components stay exactly zero.
     """
@@ -241,7 +242,7 @@ class FactorizedPropagator:
         diagonal = np.max(np.abs(h_program - np.diag(np.diag(h_program)))) <= _DIAG_TOL
         self._program = None if diagonal else HermitianSpectrum.of(h_program)
         w, v = np.linalg.eigh(np.stack(blocks))  # one batched eigh for all blocks
-        self._blocks = [HermitianSpectrum(wn, vn) for wn, vn in zip(w, v)]
+        self._w, self._v_conj = w, v.conj()  # so V^dagger is a view: a step allocates 2 stacks
 
     def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
         """Evolve a (program_dim, target_dim) amplitude matrix for time t."""
@@ -252,8 +253,10 @@ class FactorizedPropagator:
             out = np.exp(-1j * self._energies * t)[:, None] * psi
         else:
             out = self._program.propagator(t) @ psi
-        for n, block in enumerate(self._blocks):
-            out[n] = block.propagator(t) @ out[n]
+        props = np.conjugate(self._v_conj)  # V exactly, then V_n diag(exp(-i w_n t)) V_n^dagger
+        props *= np.exp(-1j * self._w * t)[:, None, :]
+        props = props @ self._v_conj.swapaxes(-1, -2)
+        out = (props @ out[..., None])[..., 0]
         if w is not None:
             out = w @ out
         return out
@@ -318,24 +321,27 @@ def schedule_states(
     """Yield the state at each time (ascending from 0) under back-to-back segments.
 
     ``propagator(h)`` decomposes a segment once; each is dropped before the next
-    is built.  A time is one step from the state at the start of its segment.
-    Every time is mapped to its segment first, so a schedule that ends too
-    early raises ``ScheduleError`` before any segment is decomposed.
+    is built.  A time lies in the first segment whose end (``math.fsum`` of the durations
+    so far) is at or past it, one step from that segment's start: the time minus the
+    earlier durations, clamped to [0, duration].  Every time is mapped first, so a
+    too-short schedule raises ``ScheduleError`` before any segment is decomposed.
     """
     times = [float(t) for t in times]
     if not times or times[0] != 0.0 or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must ascend and start at 0")
     if not all(duration >= 0 for duration, _ in segments):
         raise ScheduleError("segment durations must be nonnegative")
-    steps, remaining = [], times  # steps[k]: the steps of the times in segment k
-    for duration, _ in segments:
-        inside = bisect.bisect_right(remaining, duration)  # remaining ascends like times
-        steps.append([min(duration, r) for r in remaining[:inside]])
-        remaining = [r - duration for r in remaining[inside:]]
-        if not remaining:
-            break
-    else:
-        raise ScheduleError(f"schedule is shorter than requested time {times[-len(remaining)]}")
+    durations = [duration for duration, _ in segments]
+    ends = [math.fsum(durations[: k + 1]) for k in range(len(durations))]
+    steps = [[] for _ in durations]  # steps[k]: the steps of the times in segment k
+    for t in times:
+        k = bisect.bisect_left(ends, t)
+        if k == len(ends):
+            raise ScheduleError(f"schedule is shorter than requested time {t}")
+        for duration in durations[:k]:
+            t -= duration
+        steps[k].append(min(max(t, 0.0), durations[k]))
+    del steps[k + 1 :]  # the segments past the last time are never decomposed
 
     start = state
     for k, ((duration, h), segment_steps) in enumerate(zip(segments, steps)):

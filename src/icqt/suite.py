@@ -194,9 +194,8 @@ def born_battery(seed: int, cases_per_dim: int = 100) -> PropertyResult:
             report = dual_born_report(state)
             dec = report.decision_probs
             worst = max(worst, float(np.max(np.abs(dec - np.abs(chi.amplitudes) ** 2))))
-            for r in range(dims.d_p):
-                conv = np.sort(conventional_oracle(psi, bases[r]))[::-1]
-                worst = max(worst, float(np.max(np.abs(report.outcome_probs[r] - conv))))
+            conv = [np.sort(conventional_oracle(psi, basis))[::-1] for basis in bases]
+            worst = max(worst, float(np.max(np.abs(report.outcome_probs - conv))))
             total += 1
     return PropertyResult(
         name="born-emergence",
@@ -335,11 +334,9 @@ def icqc_battery(seed: int) -> PropertyResult:
         program.append(tuple(circ))
     gates = (GateOp("H", (("S", 0),)), GateOp("CNOT", (("S", 0), ("A", 0))))
     report = run(IcqcConfig(n=2, gate_sequence=gates, program_table=tuple(program)))
-    row_err = abs(float(np.sum(report.born.decision_probs)) - 1.0)
-    for r in range(16):
-        if not report.born.empty[r]:
-            row_err = max(row_err, abs(float(np.sum(report.born.outcome_probs[r])) - 1.0))
-    worst = max(worst, row_err)
+    live = ~np.array(report.born.empty)
+    sums = [np.sum(report.born.decision_probs), *report.born.outcome_probs[live].sum(axis=1)]
+    worst = max(worst, float(np.max(np.abs(np.array(sums) - 1.0))))
     passed = law_enforced and worst <= FACTORIZATION_TOL
     return PropertyResult(
         name="icqc-structure",

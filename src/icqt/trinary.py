@@ -35,6 +35,10 @@ class BranchCountError(ValueError):
     """Number of program branches does not match the programming dimension."""
 
 
+class EmptyBranchError(ValueError):
+    """Requested branch carries (numerically) zero weight."""
+
+
 @dataclass(frozen=True)
 class TrinaryDims:
     """Dimension triple (d_s, d_a, d_p) with the validity predicates."""
@@ -144,17 +148,12 @@ class ProgrammedUnitary:
             if not u.is_unitary():
                 raise ValueError(f"branch {r} is not unitary")
 
-    def branch_matrix(self, r: int) -> np.ndarray:
-        return self.branches[r].entries
-
     def densify(self) -> Operator:
         """Full block-diagonal unitary on P x S x A (test/oracle use)."""
-        d_sa, total = self.dims.d_sa, self.dims.total
-        full = np.zeros((total, total), dtype=complex)
-        for r in range(self.dims.d_p):
-            sl = slice(r * d_sa, (r + 1) * d_sa)
-            full[sl, sl] = self.branch_matrix(r)
-        return Operator(full)
+        d_p, d_sa = self.dims.d_p, self.dims.d_sa
+        full = np.zeros((d_p, d_sa, d_p, d_sa), dtype=complex)
+        full[np.arange(d_p), :, np.arange(d_p), :] = [u.entries for u in self.branches]
+        return Operator(full.reshape(d_p * d_sa, d_p * d_sa))
 
 
 def build_programmed_unitary(
@@ -221,32 +220,45 @@ class TrinaryState:
 
     def branch_weights(self) -> np.ndarray:
         """|g_r|^2 per programming basis state (rows of the dense state)."""
-        rows = self.as_matrix()
-        return np.sum(np.abs(rows) ** 2, axis=1)
+        return _weights(self.as_matrix())
 
     def branch_state(self, r: int) -> StateVector:
         """Normalized S x A state conditioned on programming index r."""
-        row = self.as_matrix()[r]
-        nrm = np.linalg.norm(row)
-        if nrm * nrm <= EMPTY_BRANCH_TOL:
-            raise ValueError(f"branch {r} carries no weight")
-        return StateVector(row / nrm)
+        row = self.as_matrix()[r : r + 1]  # a one-row stack keeps this O(d_sa)
+        if _empty(row)[0]:
+            raise EmptyBranchError(f"branch {r} carries no weight")
+        return StateVector(_unit_rows(row)[0])
+
+
+def _weights(rows: np.ndarray) -> np.ndarray:
+    """|g_r|^2 of each row of a stack of amplitude rows."""
+    return np.sum(np.abs(rows) ** 2, axis=1)
+
+
+def _empty(rows: np.ndarray) -> np.ndarray:
+    """icqt's one emptiness rule: a row is empty iff its weight is at most EMPTY_BRANCH_TOL."""
+    return _weights(rows) <= EMPTY_BRANCH_TOL
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Every row of a stack over its own 2-norm; an empty row becomes zeros (over inf).
+
+    The norm is ``np.linalg.norm(row)`` bit for bit: both are sqrt(re . re + im . im)
+    from BLAS dot products, here batched over strided views of the rows.
+    """
+    re, im = rows.real, rows.imag
+    norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
+    norms[_empty(rows)] = np.inf
+    return rows / norms
 
 
 def branch_spectra(state: TrinaryState) -> np.ndarray:
-    """S|A Schmidt coefficients of every row of ``as_matrix`` over its own norm.
+    """S|A Schmidt coefficients of every row over its own norm, in one batched SVD.
 
-    Each row is divided by its own ``np.linalg.norm``, as ``branch_state``
-    divides it, and all rows share one batched SVD.
-    A row whose squared norm is at most EMPTY_BRANCH_TOL gets all zeros.
+    The rows are normalized as ``branch_state`` normalizes them; an empty one gets zeros.
     """
     dims = state.dims
-    units = np.zeros((dims.d_p, dims.d_sa), dtype=complex)
-    for r, row in enumerate(state.as_matrix()):
-        nrm = np.linalg.norm(row)
-        if nrm * nrm > EMPTY_BRANCH_TOL:
-            units[r] = row / nrm
-    return branch_schmidt_coefficients(units, (dims.d_s, dims.d_a))
+    return branch_schmidt_coefficients(_unit_rows(state.as_matrix()), (dims.d_s, dims.d_a))
 
 
 def branch_entropies(spectra: np.ndarray) -> np.ndarray:
@@ -265,10 +277,8 @@ def apply_programmed(pu: ProgrammedUnitary, state: TrinaryState) -> TrinaryState
     """Apply a programmed unitary block-wise (no full-space matrix is built)."""
     if pu.dims != state.dims:
         raise DimensionError("programmed unitary and state dims differ")
-    rows = state.as_matrix()
-    out = np.empty_like(rows)
-    for r in range(pu.dims.d_p):
-        out[r] = pu.branch_matrix(r) @ rows[r]
+    stack = np.stack([u.entries for u in pu.branches])
+    out = stack @ state.as_matrix()[..., None]  # one matrix-vector product per branch
     return TrinaryState.from_dense(state.dims, StateVector(out.reshape(-1)))
 
 

@@ -6,6 +6,7 @@ explicit integration, dense matrix assembly, the full SVD) so agreement is
 meaningful.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,14 +122,51 @@ def full_svd_entropy(matrix: np.ndarray) -> float:
 def branch_entropies_loop(rows: np.ndarray, dims: tuple[int, int], empty_tol: float) -> np.ndarray:
     """S|A entropy of each row over its own norm, one full SVD per row.
 
-    A row whose squared norm is at most ``empty_tol`` gets 0.
+    A row whose weight sum |x|^2 is at most ``empty_tol`` gets 0.
     """
-    out = np.zeros(rows.shape[0])
+    return np.array([full_svd_entropy(u.reshape(dims)) for u in unit_rows_loop(rows, empty_tol)])
+
+
+def unit_rows_loop(rows: np.ndarray, empty_tol: float) -> np.ndarray:
+    """Each row over its own ``np.linalg.norm``, one row at a time.
+
+    A row whose weight sum |x|^2 is at most ``empty_tol`` stays all zeros.
+    """
+    units = np.zeros_like(rows)
     for r, row in enumerate(rows):
-        nrm = np.linalg.norm(row)
-        if nrm * nrm > empty_tol:
-            out[r] = full_svd_entropy((row / nrm).reshape(dims))
-    return out
+        if np.sum(np.abs(row) ** 2) > empty_tol:
+            units[r] = row / np.linalg.norm(row)
+    return units
+
+
+def branch_spectra_loop(rows: np.ndarray, dims: tuple[int, int], empty_tol: float) -> np.ndarray:
+    """Values-only Schmidt coefficients of each row of ``unit_rows_loop``, one SVD per row."""
+    units = unit_rows_loop(rows, empty_tol)
+    return np.array([np.linalg.svd(u.reshape(dims), compute_uv=False) for u in units])
+
+
+def dual_born_loop(rows: np.ndarray, dims: tuple[int, int], empty_tol: float, degeneracy_tol: float):
+    """(decision row, outcome rows, degenerate flags, empty flags), one branch at a time.
+
+    Row r's weight is sum |x|^2; an empty row (weight at most ``empty_tol``)
+    keeps a zero outcome row and no degeneracy.  Otherwise its outcome row is
+    the squared coefficients of ``branch_spectra_loop`` padded to dims[0], and
+    it is degenerate when two neighbouring coefficients above ``empty_tol``
+    lie within ``degeneracy_tol``.
+    """
+    spectra = branch_spectra_loop(rows, dims, empty_tol)
+    decision = np.array([np.sum(np.abs(row) ** 2) for row in rows])
+    outcome = np.zeros((rows.shape[0], dims[0]))
+    degenerate, empty = [], []
+    for r, s in enumerate(spectra):
+        empty.append(bool(decision[r] <= empty_tol))
+        if empty[r]:
+            degenerate.append(False)
+            continue
+        outcome[r, : s.size] = s**2
+        nonzero = s[s > empty_tol]
+        degenerate.append(bool(np.any(np.abs(np.diff(nonzero)) < degeneracy_tol)))
+    return decision, outcome, tuple(degenerate), tuple(empty)
 
 
 def singular_value_bound(shape: tuple[int, int]) -> float:
@@ -265,6 +303,27 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
+def apply_programmed_loop(branch_matrices, rows: np.ndarray) -> np.ndarray:
+    """Branch matrix r times amplitude row r, one product per branch."""
+    return np.array([m @ row for m, row in zip(branch_matrices, rows)])
+
+
+def factorized_apply_loop(h_program: np.ndarray, blocks, psi: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) psi for H = H_prog (x) I + sum_n |n><n| (x) B_n, one block at a time.
+
+    The computational conditioning basis only.  A diagonal H_prog evolves by
+    per-component phases, any other by ``expm_hermitian``; then row n is
+    multiplied by ``expm_hermitian(B_n, t)``.
+    """
+    if np.count_nonzero(h_program - np.diag(np.diag(h_program))) == 0:
+        out = np.exp(-1j * np.real(np.diag(h_program)) * t)[:, None] * psi
+    else:
+        out = expm_hermitian(h_program, t) @ psi
+    for n, block in enumerate(blocks):
+        out[n] = expm_hermitian(block, t) @ out[n]
+    return out
+
+
 def born_probabilities(psi: np.ndarray, basis_columns: np.ndarray) -> np.ndarray:
     """|<b_j|psi>|^2 computed per column with explicit inner products."""
     return np.array(
@@ -298,15 +357,16 @@ def schedule_walk(segments, state, t, evolve):
     """State at absolute time t, replaying every segment from t = 0.
 
     ``segments`` holds (duration, hamiltonian) pairs evolved back to back and
-    ``evolve(h, state, step)`` is one closed-form segment step; each earlier
-    segment is stepped for its full duration, the last one for the rest of t.
+    ``evolve(h, state, step)`` is one closed-form segment step.  t lies in the
+    first segment whose end, the exact sum of the durations up to it, is at
+    or past t; each earlier segment is stepped for its full duration and that
+    one for the rest of t, clamped to [0, duration].
     """
     remaining = t
     current = state
-    for duration, h in segments:
-        step = min(duration, remaining)
-        current = evolve(h, current, step)
-        remaining -= step
-        if remaining <= 0:
-            return current
+    for k, (duration, h) in enumerate(segments):
+        if math.fsum(d for d, _ in segments[: k + 1]) >= t:
+            return evolve(h, current, min(max(remaining, 0.0), duration))
+        current = evolve(h, current, duration)
+        remaining -= duration
     raise ValueError(f"schedule is shorter than requested time {t}")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ from icqt.trinary import (
     TrinaryDims,
     TrinaryState,
     apply_programmed,
+    branch_spectra,
     build_programmed_unitary,
+    dual_entropies,
     standard_basis,
 )
 from oracles import born_probabilities, partial_trace, projector, squared_value_bound
@@ -197,6 +201,33 @@ class TestDualBornReport:
         report = dual_born_report(state)
         assert report.empty == (True, False, True, True)
         assert np.all(report.outcome_probs[2] == 0)
+
+
+class TestOneEmptinessRule:
+    def test_flags_agree_around_the_tolerance(self):
+        """The report's ``empty`` flag, a zero ``branch_spectra`` row, a zero
+        branch entropy and EmptyBranchError mark the same branches.
+
+        |g_1| = sqrt(1e-14) (1 + k 2^-52) for |k| <= 8 puts |g_1|^2 on both
+        sides of EMPTY_BRANCH_TOL.
+        """
+        dims = TrinaryDims(2, 2, 2)
+        flags = []
+        for seed, k in itertools.product(range(6), range(-8, 9)):
+            g1 = np.sqrt(1e-14) * (1 + k * 2.0**-52)
+            sa = seeded_random("state", 4, seed)
+            state = TrinaryState.from_branches(dims, [(np.sqrt(1 - g1 * g1), sa), (g1, sa)])
+            empty = dual_born_report(state).empty[1]
+            assert empty == (not branch_spectra(state)[1].any())
+            assert empty == (dual_entropies(state)[1][1] == 0)
+            try:
+                outcome_probabilities(state, 1)
+                raised = False
+            except EmptyBranchError:
+                raised = True
+            assert empty == raised
+            flags.append(empty)
+        assert set(flags) == {False, True}
 
 
 class TestClamping:

@@ -267,6 +267,33 @@ class TestEvolveCommand:
         assert not (tmp_path / "out").exists()
         assert eigh_calls == []  # refused before any segment was decomposed
 
+    def test_time_at_a_decimal_schedule_end(self, tmp_path, capsys, monkeypatch):
+        # 1.1 - 0.5 rounds to 0.6000000000000001 > 0.6, yet 1.1 is the
+        # schedule's end: it steps the second segment whole, and the third
+        # segment, never reached, is never decomposed
+        eigh_calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            eigh_calls.append(args)
+            return eigh(*args, **kwargs)
+
+        segments = [
+            {"duration": 0.5, "hamiltonian": {"random": "pmc"}},
+            {"duration": 0.6, "hamiltonian": {"random": "coupled"}},
+        ]
+        payload = base("dynamics", dims=[2, 1, 2], times=[0.0, 1.1], segments=segments)
+        path = write_scenario(tmp_path, "e.json", payload)
+        assert main(["evolve", path, "--out", str(tmp_path / "two")]) == 0
+        capsys.readouterr()
+
+        segments.append({"duration": 1.0, "hamiltonian": {"random": "violating"}})
+        path = write_scenario(tmp_path, "e3.json", payload)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        assert main(["evolve", path, "--out", str(tmp_path / "three")]) == 0
+        assert "dense evolution used" in capsys.readouterr().err
+        assert len(eigh_calls) == 2  # the dense walk decomposes segments 0 and 1 only
+
     def test_segments_and_sapmc_report(self, tmp_path, capsys):
         from icqt.dynamics import random_block_structure
 
@@ -335,6 +362,28 @@ class TestBornCommand:
         for row, empty in zip(doc["outcome_probs"], doc["empty"]):
             if not empty:
                 assert abs(sum(row) - 1) <= 1e-10
+
+    def test_faint_branch_has_its_own_outcome_row(self, tmp_path, capsys):
+        # |g_1|^2 lies just above EMPTY_BRANCH_TOL, so branch 1 is not empty
+        # and its row is the Born row of the system state, not zeros
+        payload = base(
+            "born",
+            seed=0,
+            dims=[2, 2, 2],
+            branch_bases=["Z", "Z"],
+            g=[[0.999999999999995, 0.0], [1e-07, 0.0]],
+            system_state=[
+                [-1.7134394379643105, 0.3426915696456793],
+                [-0.14102266511302244, -0.7608710875064288],
+            ],
+        )
+        path = write_scenario(tmp_path, "b.json", payload)
+        assert main(["born", path, "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["empty"] == [False, False]
+        assert doc["max_outcome_deviation"] <= 1e-10
+        for row, empty in zip(doc["outcome_probs"], doc["empty"]):
+            assert empty or abs(sum(row) - 1) <= 1e-10
 
     def test_explicit_matrix_basis(self, tmp_path, capsys):
         # one branch measured in an explicit custom basis instead of a named one

@@ -40,6 +40,7 @@ from oracles import (
     dense_swapped_norm,
     dense_trinary_hamiltonian,
     expm_hermitian,
+    factorized_apply_loop,
     programmed_part,
     schedule_walk,
     swapped_full_operator,
@@ -453,6 +454,38 @@ class TestEvolveFactorized:
         assert peak < dims.total**2 * 16 / 4
 
 
+class TestFactorizedPropagatorBatched:
+    """``FactorizedPropagator.apply`` equals its block-by-block loop, bit for bit."""
+
+    DIMS = [TrinaryDims(d, d, d * d) for d in (2, 3, 5)] + [TrinaryDims(8, 8, 64)]  # 64 x 64
+
+    @pytest.mark.parametrize("dims", DIMS, ids=str)
+    @pytest.mark.parametrize("kind", ["pmc", "coupled"])
+    def test_equals_block_loop(self, dims, kind):
+        h = random_trinary_hamiltonian(dims, 70, kind=kind)
+        psi = random_state(dims, 71).as_matrix()
+        prop = h.propagator()
+        blocks = [b.entries for b in h.blocks]
+        for t in (0.0, 0.3, 1.7):
+            want = factorized_apply_loop(h.h_p.entries, blocks, psi, t)
+            assert np.array_equal(prop.apply(psi, t), want)
+
+    def test_step_allocates_two_stacks(self):
+        # the scaled eigenvectors and the propagators, each the size of the
+        # eigenvector stack; V^dagger is a view, not a third copy
+        dims = TrinaryDims(8, 8, 64)
+        prop = random_trinary_hamiltonian(dims, 72, kind="pmc").propagator()
+        psi = random_state(dims, 73).as_matrix()
+        tracemalloc.start()
+        try:
+            prop.apply(psi, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stack = dims.d_p * dims.d_sa**2 * 16
+        assert peak < 2.5 * stack
+
+
 class TestEvolveProgrammedBlock:
     def test_zero_generators_pure_s_evolution(self):
         d = 2
@@ -677,6 +710,31 @@ class TestSchedule:
         ]
         state = random_state(DIMS, 43)
         self.assert_walk_matches(segments, state, [0.0, 0.3, 0.5, 0.7, 1.0], "dense")
+
+    def test_time_at_a_decimal_schedule_end(self):
+        # 1.1 - 0.5 rounds to 0.6000000000000001 > 0.6, yet 1.1 is where the
+        # second segment ends: it steps that segment whole, and the third one
+        # is never decomposed
+        built = []
+
+        def propagator(h):
+            built.append(h)
+            return DensePropagator(h)
+
+        segments = [
+            (0.5, random_trinary_hamiltonian(DIMS, 60, kind="pmc")),
+            (0.6, random_trinary_hamiltonian(DIMS, 61, kind="coupled")),
+            (1.0, random_trinary_hamiltonian(DIMS, 62, kind="violating")),
+        ]
+        state = random_state(DIMS, 63)
+        *_, got = schedule_states(segments, state, [0.0, 1.1], propagator)
+        want = DensePropagator(segments[1][1]).evolve(
+            DensePropagator(segments[0][1]).evolve(state, 0.5), 0.6
+        )
+        assert np.array_equal(got.dense.amplitudes, want.dense.amplitudes)
+        assert [id(h) for h in built] == [id(h) for _, h in segments[:2]]
+        for walk in WALKS:
+            self.assert_walk_matches(segments[:2], state, [0.0, 0.5, 1.1], walk)
 
     def test_rejects_negative_duration(self):
         h = random_trinary_hamiltonian(DIMS, 37, kind="pmc")

@@ -38,6 +38,18 @@ class TestStateVector:
         with pytest.raises(NormalizationError):
             StateVector(np.array([1.0, 1.0], dtype=complex))
 
+    def test_accepts_a_large_unit_vector(self):
+        """4 entries of sqrt((1 - 2^19 2^-56) / 4), then 2^19 of sqrt(2^-56): 8 MB.
+
+        The squared norm is 1 exactly.  The check sums pairwise, within about
+        1e-15 here; a sequential sum (``np.linalg.norm``) is off by 3.6e-12,
+        beyond NORM_TOL.
+        """
+        n = 2**19
+        amps = np.full(4 + n, np.sqrt(2.0**-56), dtype=complex)
+        amps[:4] = np.sqrt((1 - n * 2.0**-56) / 4)
+        assert np.array_equal(StateVector(amps).amplitudes, amps)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             StateVector(np.array([np.nan, 0.0], dtype=complex))

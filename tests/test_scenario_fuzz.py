@@ -1,11 +1,15 @@
 """Fuzz of scenario parsing through the CLI, in process.
 
-Each example starts from a small valid scenario of one kind, replaces or
-drops parts of it at random with arbitrary JSON, and runs the matching
-command.  An evolve scenario first draws its schedule (segments of zero and
-nonzero durations, times on, between and past the segment boundaries) and is
-then mutated or run as drawn.  Whatever the input, the CLI keeps its contract: exit 0, 1 or 2,
-exactly one stderr line on exit 2, and never a traceback.
+Each example draws a small valid scenario of one kind, then either runs it
+as drawn or replaces or drops parts of it at random with arbitrary JSON, and
+runs the matching command.  The draws cover dims, named bases, gates,
+programs and property-suite dims; an evolve scenario draws its schedule
+(segments of zero and nonzero durations, times on, between and past the
+segment boundaries), and a born scenario draws its branch amplitudes g from
+0, 0.5, 1 and values around 1e-7, whose squares straddle the empty-branch
+tolerance.  Whatever the input, the CLI keeps its contract: exit 0, 1 or 2,
+exactly one stderr line on exit 2, and never a traceback.  A born report
+that exits 0 has every nonempty outcome row summing to 1.
 """
 
 import contextlib
@@ -107,6 +111,69 @@ def draw_schedule(data, payload):
     return dict(payload, times=times, segments=segments)
 
 
+DIMS = [[2, 2, 4], [2, 2, 2], [3, 3, 9], [2, 3, 3], [1, 1, 1]]
+TINY = [1e-7 * (1 + k * 2.0**-52) for k in range(-8, 9)]
+FLOATS = st.floats(-2, 2, allow_nan=False)
+
+
+def draw_bases(data, d_s, d_p):
+    names = ["Z", "X", "Y"] if d_s == 2 else ["Z", "X"]
+    return [data.draw(st.sampled_from(names)) for _ in range(d_p)]
+
+
+def draw_validate(data, payload):
+    d_s, _, d_p = dims = data.draw(st.sampled_from(DIMS))
+    probe = data.draw(st.sampled_from(["basis0", "uniform"]))
+    return dict(payload, dims=dims, branch_bases=draw_bases(data, d_s, d_p), probe_apparatus=probe)
+
+
+def draw_born(data, payload):
+    d_s, _, d_p = dims = data.draw(st.sampled_from(DIMS[:4]))
+    g = [[data.draw(st.sampled_from([0.0, 0.5, 1.0, *TINY])), 0.0] for _ in range(d_p)]
+    system = [[data.draw(FLOATS), data.draw(FLOATS)] for _ in range(d_s)]
+    return dict(
+        payload, dims=dims, branch_bases=draw_bases(data, d_s, d_p), g=g, system_state=system
+    )
+
+
+def draw_gate(data, sizes):
+    """One valid gate on the registers of ``sizes`` (register name to qubit count)."""
+    qubits = [[reg, q] for reg, size in sizes.items() for q in range(size)]
+    kind = data.draw(st.sampled_from(["H", "X", "S", "T", "RY", "RZ", "CNOT"]))
+    if kind == "CNOT":  # every register set drawn from has at least two qubits
+        pair = data.draw(st.lists(st.sampled_from(qubits), min_size=2, max_size=2, unique_by=str))
+        return {"kind": kind, "targets": pair}
+    gate = {"kind": kind, "targets": [data.draw(st.sampled_from(qubits))]}
+    if kind in ("RY", "RZ"):
+        gate["angle"] = data.draw(FLOATS)
+    return gate
+
+
+def draw_icqc(data, payload):
+    n = data.draw(st.sampled_from([1, 2]))
+    sizes = {"P": 2 * n, "S": n, "A": n}
+    programs = [{"random": {"depth": depth}} for depth in range(4)]
+    program = data.draw(st.sampled_from(programs + ["tomographic-zxyz"] * (n == 1)))
+    return dict(
+        payload, seed=data.draw(st.integers(0, 2**32)), n=n,
+        initial=data.draw(st.sampled_from(["zeros", "uniform"])),
+        gates=[draw_gate(data, sizes) for _ in range(data.draw(st.integers(0, 3)))],
+        p_circuit=[draw_gate(data, {"P": 2 * n}) for _ in range(data.draw(st.integers(0, 2)))],
+        program=program,
+    )
+
+
+def draw_suite(data, payload):
+    dims_list = data.draw(st.lists(st.sampled_from(DIMS[:3]), min_size=1, max_size=2))
+    return dict(payload, seed=data.draw(st.integers(0, 2**32)), dims_list=dims_list)
+
+
+DRAWS = {
+    "validate": draw_validate, "evolve": draw_schedule, "born": draw_born,
+    "icqc": draw_icqc, "suite": draw_suite,
+}
+
+
 @pytest.mark.parametrize("command", sorted(VALID))
 @settings(
     max_examples=40,
@@ -116,10 +183,8 @@ def draw_schedule(data, payload):
 @given(data=st.data())
 def test_mutated_scenario_keeps_the_exit_contract(monkeypatch, command, data):
     monkeypatch.setenv("ICQT_MAX_DIM", "256")  # small operators whatever the dims say
-    payload = VALID[command]
-    if command == "evolve":
-        payload = draw_schedule(data, payload)
-    if command != "evolve" or data.draw(st.booleans()):  # a drawn schedule may run as drawn
+    payload = DRAWS[command](data, VALID[command])
+    if data.draw(st.booleans()):  # else the drawn scenario runs as drawn
         payload = mutate(data, payload)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
@@ -127,8 +192,13 @@ def test_mutated_scenario_keeps_the_exit_contract(monkeypatch, command, data):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, str(path), "--out", tmp])
+        report = Path(tmp) / "born_report.json"
+        born = json.loads(report.read_text()) if command == "born" and code == 0 else None
     stderr = err.getvalue()
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr
     if code == 2:
         assert stderr.count("\n") == 1 and stderr.endswith("\n")
+    if born is not None:
+        for row, empty in zip(born["outcome_probs"], born["empty"]):
+            assert empty or abs(sum(row) - 1.0) <= 1e-10

@@ -1,10 +1,11 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from icqt.born import dual_born_report
+from icqt.born import DEGENERACY_TOL, EmptyBranchError, dual_born_report
 from icqt.linalg import (
     DimensionError,
     Operator,
@@ -23,18 +24,23 @@ from icqt.trinary import (
     apply_programmed,
     build_pointer_measurement,
     build_programmed_unitary,
+    branch_spectra,
     dual_entropies,
     pointer_readout_operators,
     standard_basis,
     validate_informational_completeness,
 )
 from oracles import (
+    apply_programmed_loop,
     branch_entropies_loop,
+    branch_spectra_loop,
     dense_programmed_matrix,
+    dual_born_loop,
     entropy_bound,
     full_svd_entropy,
     operator_span_rank,
     pauli_projectors,
+    unit_rows_loop,
 )
 
 DIMS224 = TrinaryDims(2, 2, 4)
@@ -205,7 +211,7 @@ class TestApplyProgrammed:
             DIMS224, StateVector.uniform(4), PLUS, StateVector.basis(2, 0)
         )
         out = apply_programmed(pu, state)
-        dense = dense_programmed_matrix([pu.branch_matrix(r) for r in range(4)])
+        dense = dense_programmed_matrix([pu.branches[r].entries for r in range(4)])
         want = dense @ state.dense.amplitudes
         assert np.max(np.abs(out.dense.amplitudes - want)) <= 1e-10
         # P|(SA) entropy agrees with the Schmidt spectrum of the dense result
@@ -217,7 +223,7 @@ class TestApplyProgrammed:
         pu = zxyz_unitary()
         state = TrinaryState.from_dense(DIMS224, seeded_random("state", 16, 3))
         out = apply_programmed(pu, state)
-        dense = dense_programmed_matrix([pu.branch_matrix(r) for r in range(4)])
+        dense = dense_programmed_matrix([pu.branches[r].entries for r in range(4)])
         want = dense @ state.dense.amplitudes
         assert np.max(np.abs(out.dense.amplitudes - want)) <= 1e-10
 
@@ -372,6 +378,90 @@ class TestAmplitudesOnly:
                 got = apply_programmed(pu, state).dense.amplitudes
                 want = apply_programmed(pu, self.twin(state)).dense.amplitudes
                 assert got.tobytes() == want.tobytes()
+
+
+class TestBatchedBranchPasses:
+    """The one-pass branch kernels equal their per-branch loops (tests/oracles.py) with ==."""
+
+    DIMS = [TrinaryDims(d, d, d * d) for d in (2, 3, 5)] + [TrinaryDims(8, 8, 64)]  # 64 x 64
+
+    @staticmethod
+    def states(dims):
+        """A seeded state; one with an empty branch and a faint one; degenerate branches."""
+        amps = seeded_random("state", dims.total, dims.total).amplitudes
+        rows = amps.reshape(dims.d_p, dims.d_sa).copy()
+        rows[1] = 0.0
+        rows[2] *= 1e-6 / np.linalg.norm(rows[2])  # weight about 1e-12, not empty
+        edge = rows.reshape(-1) / np.linalg.norm(rows)
+        # S uniform under Z and X pointer measurements: equal Schmidt values
+        bases = [standard_basis("ZX"[r % 2], dims.d_s) for r in range(dims.d_p)]
+        product = TrinaryState.from_product(
+            dims, StateVector.uniform(dims.d_p), StateVector.uniform(dims.d_s),
+            StateVector.basis(dims.d_a, 0),
+        )
+        return [
+            TrinaryState.from_dense(dims, StateVector(amps)),
+            TrinaryState.from_dense(dims, StateVector(edge)),
+            apply_programmed(build_programmed_unitary(dims, bases), product),
+        ]
+
+    @pytest.mark.parametrize("dims", DIMS, ids=str)
+    def test_branch_state(self, dims):
+        for state in self.states(dims):
+            units = unit_rows_loop(state.as_matrix(), EMPTY_BRANCH_TOL)
+            for r, unit in enumerate(units):
+                if not unit.any():
+                    with pytest.raises(EmptyBranchError):
+                        state.branch_state(r)
+                else:
+                    assert np.array_equal(state.branch_state(r).amplitudes, unit)
+
+    @pytest.mark.parametrize("dims", DIMS, ids=str)
+    def test_branch_spectra(self, dims):
+        for state in self.states(dims):
+            want = branch_spectra_loop(state.as_matrix(), (dims.d_s, dims.d_a), EMPTY_BRANCH_TOL)
+            assert np.array_equal(branch_spectra(state), want)
+
+    @pytest.mark.parametrize("dims", DIMS, ids=str)
+    def test_dual_born_report(self, dims):
+        flags = set()
+        for state in self.states(dims):
+            got = dual_born_report(state)
+            decision, outcome, degenerate, empty = dual_born_loop(
+                state.as_matrix(), (dims.d_s, dims.d_a), EMPTY_BRANCH_TOL, DEGENERACY_TOL
+            )
+            assert np.array_equal(got.decision_probs, decision)
+            assert np.array_equal(got.outcome_probs, outcome)
+            assert (got.degenerate, got.empty) == (degenerate, empty)
+            flags.update(degenerate)
+        assert flags == {False, True}
+
+    @pytest.mark.parametrize("dims", DIMS, ids=str)
+    def test_apply_programmed(self, dims):
+        seeded = [seeded_random("unitary", dims.d_s, 40 + r).entries for r in range(dims.d_p)]
+        pu = build_programmed_unitary(dims, seeded)
+        matrices = [u.entries for u in pu.branches]
+        for state in self.states(dims):
+            want = apply_programmed_loop(matrices, state.as_matrix())
+            assert np.array_equal(apply_programmed(pu, state).as_matrix(), want)
+
+    def test_branch_spectra_allocates_one_state_sized_array(self):
+        """Beyond the state, the pass holds one state-sized array: the unit rows.
+
+        The budget is the state's bytes (the weights, taken before the unit
+        rows exist, need at most two half-size real arrays), one more
+        state-sized array and the SVD output.  A copy of the nonempty rows
+        (``rows[mask]``) next to the unit rows would exceed it.
+        """
+        dims = TrinaryDims(16, 16, 256)  # a 256 x 256 amplitude matrix, 1 MB
+        state = TrinaryState.from_dense(dims, seeded_random("state", dims.total, 5))
+        tracemalloc.start()
+        try:
+            spectra = branch_spectra(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * state.dense.amplitudes.nbytes + spectra.nbytes
 
 
 def schmidt_form(state):
