@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import StateVector, schmidt_decompose
-from .trinary import EMPTY_BRANCH_TOL, EmptyBranchError, TrinaryState, _empty, branch_spectra
+from .trinary import EMPTY_BRANCH_TOL, EmptyBranchError, TrinaryState, _branch_spectra, _empty
 
 CLAMP_TOL = 1e-12
 DEGENERACY_TOL = 1e-8
@@ -96,15 +96,18 @@ def dual_born_report(state: TrinaryState) -> DualBornReport:
     Row r holds the probabilities of ``outcome_probabilities(state, r)`` within the bound
     documented in ``linalg._singular_values`` (a values-only SVD against the full one).
     """
-    return _dual_born_report(state, branch_spectra(state))
+    weights = state.branch_weights()
+    return _dual_born_report(state, _branch_spectra(state, weights), weights)
 
 
-def _dual_born_report(state: TrinaryState, spectra: np.ndarray) -> DualBornReport:
-    """``dual_born_report`` from the Schmidt coefficients of every branch state."""
+def _dual_born_report(
+    state: TrinaryState, spectra: np.ndarray, weights: np.ndarray
+) -> DualBornReport:
+    """``dual_born_report`` from the Schmidt coefficients and ``branch_weights`` of every branch."""
     outcome, degenerate = _outcome_rows(spectra, state.dims.d_s)
     return DualBornReport(
-        decision_probs=decision_probabilities(state),
+        decision_probs=_clamp(weights),
         outcome_probs=outcome,
         degenerate=tuple(bool(x) for x in degenerate),
-        empty=tuple(bool(x) for x in _empty(state.as_matrix())),
+        empty=tuple(bool(x) for x in _empty(weights)),
     )

@@ -28,6 +28,9 @@ def _render(value, indent: int) -> str:
     if isinstance(value, (list, tuple)):
         if len(value) == 0:
             return "[]"
+        if all(type(v) is float for v in value):  # the rows of every report array
+            items = [f"{inner}{v + 0.0:.17g}" for v in value]
+            return "[\n" + ",\n".join(items) + "\n" + pad + "]"
         items = [f"{inner}{_render(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(value, bool) or isinstance(value, np.bool_):

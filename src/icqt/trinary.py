@@ -225,9 +225,10 @@ class TrinaryState:
     def branch_state(self, r: int) -> StateVector:
         """Normalized S x A state conditioned on programming index r."""
         row = self.as_matrix()[r : r + 1]  # a one-row stack keeps this O(d_sa)
-        if _empty(row)[0]:
+        weight = _weights(row)
+        if _empty(weight)[0]:
             raise EmptyBranchError(f"branch {r} carries no weight")
-        return StateVector(_unit_rows(row)[0])
+        return StateVector(_unit_rows(row, weight)[0])
 
 
 def _weights(rows: np.ndarray) -> np.ndarray:
@@ -235,20 +236,22 @@ def _weights(rows: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(rows) ** 2, axis=1)
 
 
-def _empty(rows: np.ndarray) -> np.ndarray:
-    """icqt's one emptiness rule: a row is empty iff its weight is at most EMPTY_BRANCH_TOL."""
-    return _weights(rows) <= EMPTY_BRANCH_TOL
+def _empty(weights: np.ndarray) -> np.ndarray:
+    """icqt's one emptiness rule: a row is empty iff its ``_weights`` entry is at most
+    EMPTY_BRANCH_TOL."""
+    return weights <= EMPTY_BRANCH_TOL
 
 
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
+def _unit_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Every row of a stack over its own 2-norm; an empty row becomes zeros (over inf).
 
-    The norm is ``np.linalg.norm(row)`` bit for bit: both are sqrt(re . re + im . im)
-    from BLAS dot products, here batched over strided views of the rows.
+    ``weights`` are the rows' ``_weights``.  The norm is ``np.linalg.norm(row)`` bit for
+    bit: both are sqrt(re . re + im . im) from BLAS dot products, here batched over
+    strided views of the rows.
     """
     re, im = rows.real, rows.imag
     norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
-    norms[_empty(rows)] = np.inf
+    norms[_empty(weights)] = np.inf
     return rows / norms
 
 
@@ -257,8 +260,15 @@ def branch_spectra(state: TrinaryState) -> np.ndarray:
 
     The rows are normalized as ``branch_state`` normalizes them; an empty one gets zeros.
     """
+    return _branch_spectra(state, state.branch_weights())
+
+
+def _branch_spectra(state: TrinaryState, weights: np.ndarray) -> np.ndarray:
+    """``branch_spectra`` given the state's ``branch_weights``, so callers take them once."""
     dims = state.dims
-    return branch_schmidt_coefficients(_unit_rows(state.as_matrix()), (dims.d_s, dims.d_a))
+    return branch_schmidt_coefficients(
+        _unit_rows(state.as_matrix(), weights), (dims.d_s, dims.d_a)
+    )
 
 
 def branch_entropies(spectra: np.ndarray) -> np.ndarray:

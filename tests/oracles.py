@@ -39,6 +39,12 @@ def dense_kron(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
+def single_qubit_gate(arr: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
+    """out[.., i, ..] = m[i, 0] arr[.., 0, ..] + m[i, 1] arr[.., 1, ..] along one axis."""
+    half = [arr.take(j, axis=axis) for j in (0, 1)]
+    return np.stack([m[i, 0] * half[0] + m[i, 1] * half[1] for i in (0, 1)], axis=axis)
+
+
 def reduced_density(psi: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
     """Partial trace of |psi><psi| by explicit double loop."""
     d_l, d_r = dims
@@ -112,7 +118,8 @@ def full_svd_entropy(matrix: np.ndarray) -> float:
     """Entropy (nats) of the squared singular values of the full SVD of a matrix.
 
     The full SVD computes the singular vectors too, a different LAPACK path
-    from a values-only SVD; the two agree within ``entropy_bound``.
+    from a values-only SVD or the eigenvalues of a Gram matrix; each agrees
+    with it within ``entropy_bound``.
     """
     p = np.linalg.svd(matrix, full_matrices=False)[1] ** 2
     p = p[p > 0]
@@ -192,17 +199,43 @@ def squared_value_bound(shape: tuple[int, int]) -> float:
     return 3 * singular_value_bound(shape)
 
 
+def gram_eigenvalue_bound(shape: tuple[int, int]) -> float:
+    """Largest gap between an ``eigvalsh`` eigenvalue of the Gram matrix of a unit state's
+    cut and the exact squared singular value.
+
+    Let A be the k x n cut matrix with its smaller side first (k = min(shape),
+    n = max(shape)), so ||A||_F = 1 and G = conj(A) A^T has the squared
+    singular values as eigenvalues.  Each computed entry is a complex inner
+    product of length n, off by at most gamma_{n+2} (|A| |A|^T)_ij with
+    gamma_{n+2} <= (n + 2) eps (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.6, with unit roundoff eps / 2), so the Hermitian error F
+    has ||F||_2 <= ||F||_F <= (n + 2) eps || |A| ||_F^2 = (n + 2) eps.
+    ``eigvalsh`` is exact for G + F + E with ||E||_2 <= k eps ||G + F||_2,
+    the SVD's backward error in ``singular_value_bound`` at dimension k, and
+    ||G + F||_2 <= 1 + (n + 2) eps.  Eigenvalues of Hermitian matrices are
+    perfectly conditioned (Weyl: |l_i(G + F + E) - l_i(G)| <= ||F + E||_2),
+    so the gap is at most (n + 2) eps + k eps (1 + (n + 2) eps).
+    """
+    k, n = min(shape), max(shape)
+    forming = (n + 2) * EPS
+    return forming + k * EPS * (1 + forming)
+
+
 def entropy_bound(shape: tuple[int, int]) -> float:
-    """Gap between the entropies -sum p ln p of two SVDs of a unit state.
+    """Gap between the entropies -sum p ln p of a unit state's cut from two spectra, each
+    either an SVD's squared values or ``eigvalsh`` of the cut's Gram matrix.
 
     Each of the k = min(m, n) probabilities moves by at most
-    e = ``squared_value_bound``, and |x ln x - y ln y| <= -e ln e whenever
+    e = ``squared_value_bound`` (two SVDs) or e = ``gram_eigenvalue_bound``
+    plus one SVD's share of ``squared_value_bound`` (an eigenvalue against an
+    SVD), so by at most their sum.  A negative eigenvalue counts as 0, which
+    is nearer every value in [0, 1].  |x ln x - y ln y| <= -e ln e whenever
     |x - y| <= e <= 1/e (the continuity step of Fannes' inequality), so the
     exact entropies differ by at most k (-e ln e).  Evaluating the sum in
     floating point costs each side at most (k + 1) eps H, with H <= ln k.
     """
     k = min(shape)
-    e = squared_value_bound(shape)
+    e = squared_value_bound(shape) + gram_eigenvalue_bound(shape)
     return k * -e * np.log(e) + 2 * (k + 1) * EPS * np.log(max(k, 2))
 
 

@@ -79,6 +79,19 @@ class TestSerialize:
     def test_negative_zero_folded(self):
         assert "-0" not in dumps({"x": -0.0})
 
+    def test_float_lists_render_as_item_by_item(self):
+        # numpy floats are not ``float`` by type, so they take the item-by-item path
+        def as_numpy(x):
+            return [as_numpy(v) for v in x] if isinstance(x, list) else np.float64(x)
+
+        rows = [[-0.0, 0.0, 1.0 / 3.0, -2.5e-300, 1e300], [0.1, -0.0], [[7.0], [-1e-17, 2.0]]]
+        doc = {"rows": rows, "flat": rows[0], "one": [-0.0]}
+        mixed = [1.5, 2, None, -0.0]
+        numpy_doc = {key: as_numpy(value) for key, value in doc.items()}
+        assert dumps({**doc, "mixed": mixed}) == dumps({**numpy_doc, "mixed": mixed})
+        assert "-0" not in dumps(doc)
+        assert dumps({"x": [0.5, -0.0]}) == '{\n  "x": [\n    0.5,\n    0\n  ]\n}\n'
+
     def test_write_json_returns_the_written_text(self, tmp_path):
         doc = {"b": [1.5, None], "a": "x"}
         text = write_json(tmp_path / "r.json", doc)

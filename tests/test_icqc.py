@@ -24,10 +24,12 @@ from icqt.trinary import (
     standard_basis,
 )
 from oracles import (
+    EPS,
     branch_entropies_loop,
     dense_programmed_matrix,
     entropy_bound,
     full_svd_entropy,
+    single_qubit_gate,
 )
 
 
@@ -135,6 +137,23 @@ class TestApplyGates:
     def test_bounds_error(self):
         with pytest.raises(IndexError):
             apply_gates(init_state(1), [GateOp("X", (("S", 1),))], 1)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_single_qubit_gate_on_every_axis(self, n):
+        # n = 3 puts 2^11 amplitudes after qubit P0 and 1 after A2, so both
+        # forms of the kernel (a long and a short trailing length) are reached
+        dims = init_state(n).dims
+        state = TrinaryState.from_dense(dims, seeded_random("state", dims.total, 5))
+        arr = state.dense.amplitudes.reshape([2] * (4 * n))
+        layout = {"P": (0, 2 * n), "S": (2 * n, n), "A": (3 * n, n)}
+        for reg, (offset, size) in layout.items():
+            for q in range(size):
+                # RY is not symmetric and T is not real, so a transposed or
+                # conjugated gate would show
+                for gate in (GateOp("RY", ((reg, q),), angle=0.3 + q), GateOp("T", ((reg, q),))):
+                    got = apply_gates(state, [gate], n).dense.amplitudes
+                    want = single_qubit_gate(arr, gate.matrix(), offset + q).reshape(-1)
+                    assert np.max(np.abs(got - want)) <= 4 * EPS
 
 
 class TestRegisterLaw:
@@ -275,27 +294,32 @@ class TestRun:
                 assert abs(report.born.outcome_probs[r].sum() - 1) <= 1e-9
         assert 0 <= report.s_psa <= np.log(16) + 1e-9
 
+    N2_CONFIG = IcqcConfig(
+        n=2,
+        gate_sequence=(GateOp("H", (("S", 0),)), GateOp("CNOT", (("S", 0), ("A", 0)))),
+        program_table=tuple((GateOp("RY", (("S", p % 2),), angle=0.1 * p),) for p in range(16)),
+    )
+
     def test_branch_spectra_taken_once(self, monkeypatch):
-        # one values-only SVD for the P|(SA) cut, one batched values-only SVD
+        # one eigvalsh of the P|(SA) Gram matrix, one batched values-only SVD
         # shared by both reports: no singular vector is computed and thrown away
-        svd = np.linalg.svd
+        svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
         calls = []
 
-        def counting(a, *args, **kwargs):
-            calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        def counting_svd(a, *args, **kwargs):
+            calls.append(("svd", np.shape(a), kwargs.get("compute_uv", True)))
             return svd(a, *args, **kwargs)
 
-        cfg = IcqcConfig(
-            n=2,
-            gate_sequence=(GateOp("H", (("S", 0),)), GateOp("CNOT", (("S", 0), ("A", 0)))),
-            program_table=tuple(
-                (GateOp("RY", (("S", p % 2),), angle=0.1 * p),) for p in range(16)
-            ),
-        )
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        report = run(cfg)
-        assert sorted(calls) == [((16, 4, 4), False), ((16, 16), False)]
+        def counting_eigvalsh(a, *args, **kwargs):
+            calls.append(("eigvalsh", np.shape(a)))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        report = run(self.N2_CONFIG)
+        assert sorted(calls) == [("eigvalsh", (16, 16)), ("svd", (16, 4, 4), False)]
         monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         rows = report.final_state.as_matrix()
         assert abs(report.s_psa - full_svd_entropy(rows)) <= entropy_bound((16, 16))
         want = branch_entropies_loop(rows, (4, 4), EMPTY_BRANCH_TOL)
@@ -305,6 +329,14 @@ class TestRun:
         assert np.array_equal(report.s_sa_branches, branches)
         alone = dual_born_report(report.final_state)
         assert np.array_equal(report.born.outcome_probs, alone.outcome_probs)
+
+    def test_psa_entropy_of_an_n2_cut(self):
+        """The 16 x 16 P|(SA) cut, of Schmidt rank below 16, within the bound of the full SVD."""
+        report = run(self.N2_CONFIG)
+        rows = report.final_state.as_matrix()
+        assert np.linalg.matrix_rank(rows) < 16
+        assert report.s_psa >= 0
+        assert abs(report.s_psa - full_svd_entropy(rows)) <= entropy_bound((16, 16))
 
 
 class TestPointerBranchCircuits:

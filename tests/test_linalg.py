@@ -18,11 +18,13 @@ from icqt.linalg import (
     schmidt_coefficients,
     schmidt_decompose,
     seeded_random,
+    shannon_entropy,
     tensor_product,
 )
 from oracles import (
     eigenvalue_entropy,
     entropy_bound,
+    full_svd_entropy,
     partial_trace,
     projector,
     reduced_density,
@@ -294,8 +296,50 @@ class TestEntropy:
             # the fallback is the full SVD of schmidt_decompose, so the bits agree
             want = schmidt_decompose(psi, dims).coefficients
             assert np.array_equal(schmidt_coefficients(psi, dims), want)
-            assert entanglement_entropy(psi, dims) == self.coefficient_entropy(psi, dims)
-        assert values_only_calls == [dims for dims in self.CUTS for _ in range(2)]
+        assert values_only_calls == list(self.CUTS)
+
+    def test_svd_route_when_eigvalsh_does_not_converge(self, monkeypatch):
+        gram_calls = []
+
+        def unconverged(a, *args, **kwargs):
+            gram_calls.append(np.shape(a))
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
+        for seed, dims in enumerate(self.CUTS):
+            psi = seeded_random("state", dims[0] * dims[1], seed)
+            s = schmidt_coefficients(psi, dims)
+            assert entanglement_entropy(psi, dims) == shannon_entropy(s * s)
+        assert gram_calls == [(min(dims), min(dims)) for dims in self.CUTS]
+
+    # 129 rows or columns on the smaller side take two row blocks of the Gram matrix
+    GRAM_CUTS = CUTS + [(129, 131), (140, 129)]
+
+    def test_gram_entropy_within_bound_of_full_svd(self):
+        for seed, dims in enumerate(self.GRAM_CUTS):
+            psi = seeded_random("state", dims[0] * dims[1], seed)
+            got = entanglement_entropy(psi, dims)
+            want = full_svd_entropy(psi.amplitudes.reshape(dims))
+            assert got >= 0
+            assert abs(got - want) <= entropy_bound(dims)
+
+    @pytest.mark.parametrize("dims", [(4, 4), (3, 8), (8, 3), (130, 129)])
+    def test_rank_one_and_two_cuts(self, dims):
+        """Exact entropies 0 and h(c^2) of product and two-term states, within the bound.
+
+        Every other eigenvalue of the Gram matrix is a round-off zero, of either sign.
+        """
+        u = seeded_random("unitary", dims[0], 1).entries
+        v = seeded_random("unitary", dims[1], 2).entries
+        c = np.array([np.sqrt(0.7), np.sqrt(0.3)])
+        for rank, want in ((1, 0.0), (2, float(-np.sum(c**2 * np.log(c**2))))):
+            coef = c[:rank] / np.linalg.norm(c[:rank])
+            m = (u[:, :rank] * coef) @ v[:, :rank].T
+            psi = StateVector(m.reshape(-1))
+            got = entanglement_entropy(psi, dims)
+            assert got >= 0
+            assert abs(got - want) <= entropy_bound(dims)
+            assert abs(got - full_svd_entropy(m)) <= entropy_bound(dims)
 
     @given(st.integers(0, 40))
     @settings(max_examples=20, deadline=None)
