@@ -12,6 +12,7 @@ They share one core over (H_prog, blocks, basis): one validator, one
 assembler, the blockwise check (``conditioned_commutator_norm``) and one
 checked path to the ``FactorizedPropagator``.  ``DensePropagator`` (and
 ``evolve_full``) is the dense brute-force reference for exactly that claim.
+Both evolve by one formula, ``HermitianSpectrum.apply`` of a spectrum taken once.
 
 Time dependence is piecewise constant: ``schedule_states`` walks a list of
 (duration, hamiltonian) segments back to back with the propagator it is given.
@@ -223,10 +224,10 @@ class FactorizedPropagator:
     basis when None).  When H_prog commutes with the programmed part, the
     propagator is the program-side propagator followed by one block
     propagator per program state.  Construction diagonalises the program side
-    once and all blocks in one batched ``eigh``; ``apply`` then forms and applies
-    every block propagator in one batched product each, never a full-space matrix.  A program
-    side that is diagonal (within _DIAG_TOL) in ``basis`` evolves by exact
-    per-component phases, so empty program components stay exactly zero.
+    once and all blocks in one batched ``eigh``; ``apply`` steps both through
+    ``HermitianSpectrum.apply``, forming no propagator.  A program side that is
+    diagonal (within _DIAG_TOL) in ``basis`` evolves by exact per-component
+    phases instead, so empty program components stay exactly zero.
     """
 
     def __init__(
@@ -241,8 +242,7 @@ class FactorizedPropagator:
         self._energies = np.real(np.diag(h_program))
         diagonal = np.max(np.abs(h_program - np.diag(np.diag(h_program)))) <= _DIAG_TOL
         self._program = None if diagonal else HermitianSpectrum.of(h_program)
-        w, v = np.linalg.eigh(np.stack(blocks))  # one batched eigh for all blocks
-        self._w, self._v_conj = w, v.conj()  # so V^dagger is a view: a step allocates 2 stacks
+        self._blocks = HermitianSpectrum.of(np.stack(blocks))  # one batched eigh for all blocks
 
     def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
         """Evolve a (program_dim, target_dim) amplitude matrix for time t."""
@@ -252,11 +252,8 @@ class FactorizedPropagator:
         if self._program is None:
             out = np.exp(-1j * self._energies * t)[:, None] * psi
         else:
-            out = self._program.propagator(t) @ psi
-        props = np.conjugate(self._v_conj)  # V exactly, then V_n diag(exp(-i w_n t)) V_n^dagger
-        props *= np.exp(-1j * self._w * t)[:, None, :]
-        props = props @ self._v_conj.swapaxes(-1, -2)
-        out = (props @ out[..., None])[..., 0]
+            out = self._program.apply(psi, t)
+        out = self._blocks.apply(out[..., None], t)[..., 0]  # row n is one column of block n
         if w is not None:
             out = w @ out
         return out
@@ -280,7 +277,7 @@ class DensePropagator:
         self._spectrum = HermitianSpectrum.of(h.full_operator().entries)
 
     def evolve(self, state: TrinaryState, t: float) -> TrinaryState:
-        amp = self._spectrum.apply(state.dense.amplitudes, t)
+        amp = self._spectrum.apply(state.dense.amplitudes[:, None], t)[:, 0]
         return TrinaryState.from_dense(state.dims, StateVector(amp))
 
 

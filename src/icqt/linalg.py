@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -241,7 +241,7 @@ def entanglement_entropy(psi: StateVector, dims: tuple[int, int]) -> float:
     M^T conj(M) when dim_l > dim_r, for the cut matrix M.  One ``eigvalsh``
     of the complex conjugate of that Gram matrix (the same spectrum, lower
     triangle only) costs less than the values-only SVD of M.  Round-off
-    negatives are dropped by ``shannon_entropy``.  Should ``eigvalsh`` not
+    negatives are masked by ``shannon_entropy``.  Should ``eigvalsh`` not
     converge, the entropy is taken from ``schmidt_coefficients``.
 
     The Schmidt coefficients themselves stay on the SVD: a zero eigenvalue
@@ -258,19 +258,19 @@ def entanglement_entropy(psi: StateVector, dims: tuple[int, int]) -> float:
     return shannon_entropy(p)
 
 
-def shannon_entropy(probs: Sequence[float]) -> float:
-    """Shannon entropy (nats) of a probability vector."""
+def shannon_entropy(probs) -> float | np.ndarray:
+    """Shannon entropy (nats) of each probability row (..., k), a float for one row."""
     p = np.asarray(probs, dtype=float)
-    p = p[p > 0]
-    return float(max(0.0, -np.sum(p * np.log(p))))
+    p = np.where(p > 0, p, 1.0)  # entries <= 0 are masked: 1 ln 1 is exactly 0
+    h = np.maximum(0.0, -np.sum(p * np.log(p), axis=-1))
+    return float(h) if h.ndim == 0 else h
 
 
 @dataclass(frozen=True)
 class HermitianSpectrum:
-    """Eigendecomposition H = V diag(w) V^dagger of a Hermitian matrix, taken once.
+    """H = V diag(w) V^dagger of each matrix of a (..., n, n) Hermitian stack, from one ``eigh``.
 
-    Every propagator exp(-i H t) is then V diag(exp(-i w t)) V^dagger, so
-    evolving to many times costs one ``eigh`` in total.
+    Evolving to many times then costs one (batched) ``eigh`` in total.
     """
 
     values: np.ndarray
@@ -280,26 +280,23 @@ class HermitianSpectrum:
     def of(h: np.ndarray) -> HermitianSpectrum:
         return HermitianSpectrum(*np.linalg.eigh(h))
 
-    def propagator(self, t: float) -> np.ndarray:
-        """exp(-i H t) as a dense matrix."""
-        w, v = self.values, self.vectors
-        return (v * np.exp(-1j * w * t)) @ v.conj().T
+    def apply(self, x: np.ndarray, t: float) -> np.ndarray:
+        """exp(-i H t) x = V (exp(-i w t) * (V^dagger x)) for columns x of shape (..., n, k).
 
-    def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i H t) psi for a vector psi, without forming exp(-i H t).
-
-        Two matrix-vector products, O(dim^2) per time; V^dagger psi is taken
-        as conj(V^T conj(psi)) so no conjugated copy of V is made.
+        Two O(n^2 k) products per matrix and no stack-sized temporary; V^dagger x
+        is conj(V^T conj(x)), so V is never conjugated.  Each matrix of a stack
+        gets the bits it gets alone.
         """
         w, v = self.values, self.vectors
-        return v @ (np.exp(-1j * w * t) * (v.T @ psi.conj()).conj())
+        phase = np.exp(-1j * w * t)[..., None]
+        return v @ (phase * (v.swapaxes(-1, -2) @ x.conj()).conj())
 
 
 def hermitian_propagator(h: Operator, t: float) -> Operator:
-    """exp(-i H t) for Hermitian H, via eigendecomposition."""
+    """exp(-i H t) for Hermitian H: its spectrum applied to the identity."""
     if not h.is_hermitian():
         raise HermiticityError("propagator generator must be Hermitian")
-    return Operator(HermitianSpectrum.of(h.entries).propagator(t))
+    return Operator(HermitianSpectrum.of(h.entries).apply(np.eye(h.dim), t))
 
 
 def commutator_norm(a: Operator, b: Operator) -> float:

@@ -43,9 +43,9 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     p = Path(path)
     if not p.is_file():
         raise ScenarioError(f"scenario file not found: {p}")
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    try:  # JSON is UTF-8; a nesting past the interpreter's recursion limit is malformed too
+        data = json.loads(p.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ScenarioError(f"invalid JSON in {p}: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -100,10 +100,14 @@ def parse_vector(obj, dim: int, what: str) -> StateVector:
         raise ScenarioError(f"{what}: {exc}") from exc
     if v.shape != (dim,):
         raise ScenarioError(f"{what} must have length {dim}")
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
+    if not v.any():
         raise ScenarioError(f"{what} is the zero vector")
-    return StateVector(v / nrm)
+    with np.errstate(all="ignore"):  # |v|^2 may underflow to 0, be subnormal or overflow
+        unit = v / np.linalg.norm(v)
+    try:
+        return StateVector(unit)
+    except ValueError:  # non-finite entries, or a NormalizationError
+        raise ScenarioError(f"{what} cannot be normalized in double precision") from None
 
 
 def parse_basis(obj, dim: int, what: str) -> tuple[np.ndarray, str | None]:

@@ -239,6 +239,61 @@ def entropy_bound(shape: tuple[int, int]) -> float:
     return k * -e * np.log(e) + 2 * (k + 1) * EPS * np.log(max(k, 2))
 
 
+def product_bound(n: int) -> float:
+    """2-norm error of a computed product of an n x n unitary matrix V with a vector x, ||x||_2 <= 1.
+
+    Each entry is a complex inner product of length n, off by at most
+    gamma_{n+2} (|V| |x|)_i with gamma_{n+2} <= (n + 2) eps (Higham, Accuracy
+    and Stability of Numerical Algorithms, 3.6, with unit roundoff eps / 2),
+    whatever order BLAS sums in.  For unitary V, || |V| ||_2 <= ||V||_F = sqrt(n),
+    so the error is at most (n + 2) sqrt(n) eps.  Applied column by column to
+    a matrix X, the same bound holds in the Frobenius norm for ||X||_F <= 1.
+    """
+    return (n + 2) * math.sqrt(n) * EPS
+
+
+def spectral_step_bound(n: int) -> float:
+    """Largest 2-norm gap between two evaluations of exp(-i H t) x, ||x||_2 <= 1, from one
+    eigendecomposition H = V diag(w) V^dagger of an n x n Hermitian H.
+
+    The two evaluations are the matrix-free V (p * (V^dagger x)) and the formed
+    propagator U = (V diag(p)) V^dagger times x, with the same phases
+    p = exp(-i w t) (|p_j| = 1) and V unitary (``eigh`` returns V orthonormal
+    to working precision; that departure is of second order here).  In exact
+    arithmetic both are V diag(p) V^dagger x, so the gap is at most the sum
+    of their errors.  With a = ``product_bound(n)`` and complex products
+    off by at most sqrt(2) gamma_2 <= 2 eps (Higham 3.5):
+
+    - matrix-free: V^dagger x costs a, the phases 2 eps, V a second a, so its
+      error is at most (1 + a)^2 (1 + 2 eps) - 1;
+    - formed: V diag(p) is off entrywise by 2 eps |V|, and its product with
+      V^dagger by (n + 2) eps (1 + 2 eps) |V| |V^dagger|; with
+      || |V| ||_2 <= sqrt(n) that puts ||U_computed - U||_2 at most
+      f = n (2 eps + (n + 2) eps (1 + 2 eps)).  The computed U has
+      Frobenius norm at most sqrt(n) (1 + f), so its product with x costs
+      a (1 + f) more: in all (1 + f)(1 + a) - 1.
+    """
+    a = product_bound(n)
+    matrix_free = (1 + a) ** 2 * (1 + 2 * EPS) - 1
+    f = n * (2 * EPS + (n + 2) * EPS * (1 + 2 * EPS))
+    formed = (1 + f) * (1 + a) - 1
+    return matrix_free + formed
+
+
+def chained_bound(*gaps: float) -> float:
+    """Gap between two evaluations of a chain of unitary steps on a vector of norm <= 1.
+
+    If step i of evaluation A is off by at most e_i ||input|| and of B by at
+    most f_i ||input||, each evaluation is off from the exact chain by at most
+    prod(1 + e_i) - 1 (induction: the exact steps keep norms, a computed input
+    of norm <= prod_{j<i}(1 + e_j) adds e_i times that), so the two differ by
+    at most prod(1 + e_i) + prod(1 + f_i) - 2 <= prod(1 + g_i) - 1 with
+    g_i = e_i + f_i, the per-step gaps passed here.  Steps before the first
+    one whose input or formula differs are left out: they give both the same bits.
+    """
+    return math.prod(1 + g for g in gaps) - 1
+
+
 def rk4_propagator(h: np.ndarray, t: float, dt: float = 1e-4) -> np.ndarray:
     """Integrate dU/dt = -i H U from the identity with classic Runge-Kutta."""
     dim = h.shape[0]

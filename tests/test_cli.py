@@ -7,6 +7,7 @@ import pytest
 from icqt.cli import main
 from icqt.dynamics import check_pmc, evolve_factorized, evolve_full
 from icqt.icqc import CapacityError, init_state
+from icqt.linalg import seeded_random
 from icqt.scenario import (
     ScenarioError,
     load_scenario,
@@ -495,11 +496,30 @@ class TestSeedSplitting:
         assert subseed(7, 1) != subseed(8, 1)
 
 
+def coupled_segment():
+    """A segment whose H_P mixes the programming basis states pairwise in an explicit basis.
+
+    Paired states share one block, so the measurability condition holds with a
+    program side that is not diagonal in the basis (as ``random: coupled``).
+    """
+    basis = seeded_random("unitary", 4, 8).entries
+    mixing = np.zeros((4, 4), dtype=complex)
+    for k in (0, 2):
+        mixing[k : k + 2, k : k + 2] = seeded_random("hermitian", 2, 9 + k).entries
+    blocks = [seeded_random("hermitian", 4, 12 + n // 2).entries for n in range(4)]
+    hamiltonian = {
+        "h_p": complex_to_pairs(basis @ mixing @ basis.conj().T),
+        "blocks": [complex_to_pairs(b) for b in blocks],
+        "programming_basis": complex_to_pairs(basis),
+    }
+    return {"duration": 1.0, "hamiltonian": hamiltonian}
+
+
 class TestDeterminism:
     COMMANDS = [
         (
             "evolve",
-            base("dynamics", dims=[2, 2, 4], times=[0.0, 0.4], hamiltonian={"random": "pmc"}),
+            base("dynamics", dims=[2, 2, 4], times=[0.0, 0.4], segments=[coupled_segment()]),
         ),
         ("validate", base("trinary-build", dims=[2, 2, 4], branch_bases=["Z", "X", "Y", "Z"])),
         (
@@ -522,6 +542,14 @@ class TestDeterminism:
                 runs.append((capsys.readouterr().out, files))
             assert runs[0][1], command
             assert runs[0] == runs[1], command
+
+    def test_coupled_segment_runs_factorized(self):
+        # the evolve case steps a non-diagonal program side in a rotated basis
+        payload = base("dynamics", dims=[2, 2, 4], segments=[coupled_segment()])
+        (_, h, _), = parse_segments(payload, parse_dims(payload), 7)
+        assert check_pmc(h).satisfied
+        rotated = h.programming_basis.conj().T @ h.h_p.entries @ h.programming_basis
+        assert np.max(np.abs(rotated - np.diag(np.diag(rotated)))) > 0.1
 
     def test_suite_byte_identical_but_timings(self, tmp_path, capsys):
         # the "elapsed_s" lines are wall-clock timings; every other byte repeats
@@ -717,6 +745,40 @@ class TestInputErrors:
         )
         err = self.run_bad(tmp_path, capsys, "born", payload)
         assert "system_state" in err
+
+    @pytest.mark.parametrize(
+        "field, vector",
+        [
+            ("g", [[1e-160, 0], [0, 0]]),  # |v|^2 subnormal: the norm is off by 5.6e-6
+            ("g", [[1e-200, 0], [0, 0]]),  # |v|^2 underflows to 0, yet v is not zero
+            ("system_state", [[1e308, 0], [1e308, 0]]),  # |v|^2 overflows to inf
+            ("apparatus_state", [[1e308, 0], [1e308, 0]]),
+        ],
+    )
+    def test_vector_not_normalizable_in_double(self, tmp_path, capsys, field, vector):
+        payload = base("born", dims=[2, 2, 2], branch_bases=["Z", "X"], **{field: vector})
+        err = self.run_bad(tmp_path, capsys, "born", payload)
+        assert f"{field} cannot be normalized in double precision" in err
+
+    def test_tiny_vector_in_range_keeps_its_bits(self):
+        # 1e-150 squares to 1e-300, a normal double: normalized as before, not rescaled
+        v = parse_vector([[3e-150, 0], [4e-150, 0]], 2, "g")
+        raw = np.array([3e-150, 4e-150], dtype=complex)
+        assert np.array_equal(v.amplitudes, raw / np.linalg.norm(raw))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b'\xff\xfe{"schema":1}', ("[" * 100000 + "]" * 100000).encode()],
+        ids=["not-utf8", "nested-past-recursion-limit"],
+    )
+    def test_unreadable_json(self, tmp_path, capsys, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        code = main(["born", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("scenario error: invalid JSON in ")
 
     def test_non_orthonormal_basis_matrix(self, tmp_path, capsys):
         skew = complex_to_pairs(np.array([[1.0, 1.0], [0.0, 1.0]]))

@@ -24,12 +24,14 @@ from icqt.linalg import (
 from oracles import (
     eigenvalue_entropy,
     entropy_bound,
+    expm_hermitian,
     full_svd_entropy,
     partial_trace,
     projector,
     reduced_density,
     rk4_propagator,
     singular_value_bound,
+    spectral_step_bound,
 )
 
 BELL = StateVector(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
@@ -248,6 +250,26 @@ class TestEntropy:
         rho = reduced_density(psi.amplitudes, (3, 4), "left")
         assert abs(entanglement_entropy(psi, (3, 4)) - eigenvalue_entropy(rho)) <= 1e-9
 
+    def test_shannon_rows_equal_one_row_at_a_time(self):
+        # one call on a (..., k) stack repeats each row's own bits
+        rng = np.random.default_rng(5)
+        rows = rng.dirichlet(np.ones(32), size=(3, 7))
+        rows[0, :, :2] = 0.0
+        rows[1, :, 5] = -4e-17  # a round-off negative eigenvalue
+        rows[2, 3] = 0.0  # an empty branch
+        got = shannon_entropy(rows)
+        assert got.shape == (3, 7)
+        assert np.array_equal(got, [[shannon_entropy(r) for r in block] for block in rows])
+        assert got[2, 3] == 0.0
+
+    def test_shannon_masks_nonpositive_entries(self):
+        # a short row sums in order, so trailing masked terms add exact zeros
+        got = shannon_entropy([0.5, 0.25, 0.25, 0.0, -1e-17])
+        assert isinstance(got, float)
+        assert got == shannon_entropy([0.5, 0.25, 0.25])
+        assert abs(got - 1.5 * np.log(2)) <= 4 * np.finfo(float).eps
+        assert shannon_entropy([1.0, 0.0]) == 0.0
+
     def test_bounded_by_log_min_dim(self):
         for seed in range(5):
             psi = seeded_random("state", 8, seed)
@@ -383,14 +405,29 @@ class TestPropagator:
         h = seeded_random("hermitian", 5, 14)
         spectrum = HermitianSpectrum.of(h.entries)
         for t in (0.0, 0.3, 1.7):
-            assert np.array_equal(spectrum.propagator(t), hermitian_propagator(h, t).entries)
+            got = spectrum.apply(np.eye(5), t)
+            assert np.array_equal(got, hermitian_propagator(h, t).entries)
 
     def test_spectrum_apply_matches_propagator(self):
+        # matrix-free against the formed propagator of the same eigh
         h = seeded_random("hermitian", 6, 15)
         spectrum = HermitianSpectrum.of(h.entries)
         psi = seeded_random("state", 6, 16).amplitudes
         for t in (0.0, 0.4, 2.3):
-            assert np.max(np.abs(spectrum.apply(psi, t) - spectrum.propagator(t) @ psi)) <= 1e-13
+            got = spectrum.apply(psi[:, None], t)[:, 0]
+            want = expm_hermitian(h.entries, t) @ psi
+            assert np.linalg.norm(got - want) <= spectral_step_bound(6)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_batched_apply_equals_per_matrix_apply(self, k):
+        # one eigh and one apply over a stack repeat each matrix's own bits
+        rng = np.random.default_rng(17)
+        stack = np.stack([seeded_random("hermitian", 6, 18 + m).entries for m in range(4)])
+        x = rng.normal(size=(4, 6, k)) + 1j * rng.normal(size=(4, 6, k))
+        batched = HermitianSpectrum.of(stack)
+        for t in (0.0, 0.4, 2.3):
+            want = [HermitianSpectrum.of(h).apply(xm, t) for h, xm in zip(stack, x)]
+            assert np.array_equal(batched.apply(x, t), np.stack(want))
 
     @given(st.integers(0, 30), st.floats(0.1, 2.0), st.floats(0.1, 2.0))
     @settings(max_examples=20, deadline=None)

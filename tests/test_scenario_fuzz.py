@@ -5,11 +5,15 @@ as drawn or replaces or drops parts of it at random with arbitrary JSON, and
 runs the matching command.  The draws cover dims, named bases, gates,
 programs and property-suite dims; an evolve scenario draws its schedule
 (segments of zero and nonzero durations, times on, between and past the
-segment boundaries), and a born scenario draws its branch amplitudes g from
-0, 0.5, 1 and values around 1e-7, whose squares straddle the empty-branch
-tolerance.  Whatever the input, the CLI keeps its contract: exit 0, 1 or 2,
-exactly one stderr line on exit 2, and never a traceback.  A born report
-that exits 0 has every nonempty outcome row summing to 1.
+segment boundaries) and its product initial state, and a born scenario draws
+its branch amplitudes g from 0, 0.5, 1 and values around 1e-7, whose squares
+straddle the empty-branch tolerance.  Vector entries of born g and
+system_state and of the evolve product state are also drawn from 1e-200,
+1e-160 and 1e308, whose squares underflow to 0, are subnormal, or overflow:
+such a vector cannot be normalized in double precision.  Whatever the input,
+the CLI keeps its contract: exit 0, 1 or 2, exactly one stderr line on exit
+2, and never a traceback.  A born report that exits 0 has every nonempty
+outcome row summing to 1.
 """
 
 import contextlib
@@ -114,6 +118,20 @@ def draw_schedule(data, payload):
 DIMS = [[2, 2, 4], [2, 2, 2], [3, 3, 9], [2, 3, 3], [1, 1, 1]]
 TINY = [1e-7 * (1 + k * 2.0**-52) for k in range(-8, 9)]
 FLOATS = st.floats(-2, 2, allow_nan=False)
+EXTREME = st.sampled_from([1e-200, 1e-160, 1e308])
+AMPLITUDES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, *TINY]), EXTREME)
+
+
+def draw_evolve(data, payload):
+    """``draw_schedule`` plus a product initial state of named or drawn vectors."""
+    d_s, d_a, d_p = payload["dims"]
+    names = payload["initial_state"]["product"]
+    product = {
+        key: names[key] if data.draw(st.booleans())
+        else [[data.draw(AMPLITUDES), 0.0] for _ in range(dim)]
+        for key, dim in (("chi", d_p), ("system", d_s), ("apparatus", d_a))
+    }
+    return dict(draw_schedule(data, payload), initial_state={"product": product})
 
 
 def draw_bases(data, d_s, d_p):
@@ -129,8 +147,9 @@ def draw_validate(data, payload):
 
 def draw_born(data, payload):
     d_s, _, d_p = dims = data.draw(st.sampled_from(DIMS[:4]))
-    g = [[data.draw(st.sampled_from([0.0, 0.5, 1.0, *TINY])), 0.0] for _ in range(d_p)]
-    system = [[data.draw(FLOATS), data.draw(FLOATS)] for _ in range(d_s)]
+    g = [[data.draw(AMPLITUDES), 0.0] for _ in range(d_p)]
+    entries = st.one_of(FLOATS, EXTREME)
+    system = [[data.draw(entries), data.draw(entries)] for _ in range(d_s)]
     return dict(
         payload, dims=dims, branch_bases=draw_bases(data, d_s, d_p), g=g, system_state=system
     )
@@ -169,7 +188,7 @@ def draw_suite(data, payload):
 
 
 DRAWS = {
-    "validate": draw_validate, "evolve": draw_schedule, "born": draw_born,
+    "validate": draw_validate, "evolve": draw_evolve, "born": draw_born,
     "icqc": draw_icqc, "suite": draw_suite,
 }
 
