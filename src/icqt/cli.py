@@ -2,8 +2,10 @@
 
     icqt validate|evolve|born|icqc|suite <scenario.json> [--out DIR] [--seed N]
 
-Exit codes: 0 success, 1 property or validation failure, 2 input error.
-Reports are deterministic for a fixed (scenario, seed).
+Exit codes: 0 success, 1 property or validation failure, 2 input error
+(including an --out that is not a directory, or a report that cannot be
+written).  Reports are deterministic for a fixed (scenario, seed) on one
+machine at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -247,6 +249,19 @@ _HANDLERS = {
 }
 
 
+def _out_dir(raw: str) -> Path:
+    """``--out`` as a path; refused if it is, or lies under, an existing non-directory.
+
+    Checked before the scenario is loaded, so a run that could not write its
+    report does not run.
+    """
+    out = Path(raw)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {raw}: {existing} is not a directory")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="icqt",
@@ -261,18 +276,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        out_dir = _out_dir(args.out)
         scenario = load_scenario(args.scenario, seed_override=args.seed)
         expected = _COMMAND_KIND[args.command]
         if scenario.kind != expected:
             raise ScenarioError(
                 f"command '{args.command}' needs kind '{expected}', scenario says '{scenario.kind}'"
             )
-        return _HANDLERS[args.command](scenario, Path(args.out))
+        return _HANDLERS[args.command](scenario, out_dir)
     except (ScenarioError, ScheduleError) as exc:
         sys.stderr.write(f"scenario error: {exc}\n")
         return 2
     except CapacityError as exc:
         sys.stderr.write(f"capacity error: {exc}\n")
+        return 2
+    except OSError as exc:  # the --out check, or a report that could not be written
+        sys.stderr.write(f"i/o error: {exc}\n")
         return 2
 
 

@@ -313,7 +313,7 @@ def run(config: IcqcConfig) -> IcqcRunReport:
     state = apply_programmed_op(state, config)
     dims = state.dims
     # P|(SA) first, as in dual_entropies: an icqc-n5 process (seed 2026, 2 vCPU) peaked at
-    # 105.1-105.2 MB this way and at 106.2-106.4 MB the other way (ru_maxrss, 3 runs each)
+    # 91.5-91.6 MB this way and at 98.5-98.6 MB the other way (ru_maxrss, 3 runs each)
     s_psa = entanglement_entropy(state.dense, (dims.d_p, dims.d_sa))
     weights = state.branch_weights()
     spectra = _branch_spectra(state, weights)

@@ -1,4 +1,47 @@
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from icqt import linalg
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture
+def spectral_calls(monkeypatch):
+    """Every ``np.linalg.svd`` and ``eigvalsh`` call of the test, in order, as
+    ("svd", shape, dtype name, compute_uv) or ("eigvalsh", shape, dtype name)."""
+    svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+    calls = []
+
+    def recording_svd(a, *args, **kwargs):
+        calls.append(("svd", np.shape(a), np.asarray(a).dtype.name, kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        calls.append(("eigvalsh", np.shape(a), np.asarray(a).dtype.name))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    return calls
+
+
+@pytest.fixture
+def complex_typed(monkeypatch):
+    """``call(f, *args)``: f(*args) with every values-only spectrum taken in complex128.
+
+    That is how icqt takes the spectra of amplitudes with a nonzero imaginary
+    part, and how it took every spectrum before real amplitudes went to the
+    float64 kernels; on a real state it gives the spectra of its
+    complex-typed copy.
+    """
+
+    def call(f, *args):
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_real_if_exact", lambda a: a)
+            return f(*args)
+
+    return call

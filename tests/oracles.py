@@ -228,10 +228,13 @@ def entropy_bound(shape: tuple[int, int]) -> float:
     Each of the k = min(m, n) probabilities moves by at most
     e = ``squared_value_bound`` (two SVDs) or e = ``gram_eigenvalue_bound``
     plus one SVD's share of ``squared_value_bound`` (an eigenvalue against an
-    SVD), so by at most their sum.  A negative eigenvalue counts as 0, which
-    is nearer every value in [0, 1].  |x ln x - y ln y| <= -e ln e whenever
-    |x - y| <= e <= 1/e (the continuity step of Fannes' inequality), so the
-    exact entropies differ by at most k (-e ln e).  Evaluating the sum in
+    SVD), so by at most their sum.  Two Gram spectra, such as the float64 and
+    the complex128 ``eigvalsh`` of one real cut, differ by at most twice
+    ``gram_eigenvalue_bound``, which is below that sum.  A negative
+    eigenvalue counts as 0, which is nearer every value in [0, 1].
+    |x ln x - y ln y| <= -e ln e whenever |x - y| <= e <= 1/e (the
+    continuity step of Fannes' inequality), so the exact entropies differ
+    by at most k (-e ln e).  Evaluating the sum in
     floating point costs each side at most (k + 1) eps H, with H <= ln k.
     """
     k = min(shape)

@@ -27,7 +27,14 @@ from icqt.trinary import (
     dual_entropies,
     standard_basis,
 )
-from oracles import born_probabilities, partial_trace, projector, squared_value_bound
+from oracles import (
+    born_probabilities,
+    entropy_bound,
+    partial_trace,
+    projector,
+    singular_value_bound,
+    squared_value_bound,
+)
 
 DIMS = TrinaryDims(2, 2, 4)
 PLUS = StateVector(np.array([1, 1], dtype=complex) / np.sqrt(2))
@@ -201,6 +208,48 @@ class TestDualBornReport:
         report = dual_born_report(state)
         assert report.empty == (True, False, True, True)
         assert np.all(report.outcome_probs[2] == 0)
+
+
+def designed_real_state(dims: TrinaryDims, seed: int) -> TrinaryState:
+    """A real state whose branches 0 to 3 are full rank, rank one, degenerate and empty."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(dims.d_p, dims.d_sa))
+    rows[1] = np.outer(rng.normal(size=dims.d_s), rng.normal(size=dims.d_a)).ravel()
+    rows[2] = np.eye(dims.d_s, dims.d_a).ravel()  # min(d_s, d_a) equal coefficients
+    rows[3] = 0.0
+    return TrinaryState.from_dense(dims, StateVector(rows.ravel() / np.linalg.norm(rows)))
+
+
+class TestRealAmplitudes:
+    """A real state's entropies and Born report against its complex-typed copy's.
+
+    Real amplitudes take the float64 kernels, so the spectra agree within the
+    derived bounds, not bit for bit; the flags agree exactly.
+    """
+
+    @pytest.mark.parametrize(
+        "dims", [TrinaryDims(2, 2, 4), TrinaryDims(3, 4, 5), TrinaryDims(4, 3, 6), TrinaryDims(4, 4, 16)]
+    )
+    def test_within_bounds_of_the_complex_typed_copy(self, dims, complex_typed):
+        state = designed_real_state(dims, 7)
+        got_psa, got_branches = dual_entropies(state)
+        want_psa, want_branches = complex_typed(dual_entropies, state)
+        assert abs(got_psa - want_psa) <= entropy_bound((dims.d_p, dims.d_sa))
+        assert np.max(np.abs(got_branches - want_branches)) <= entropy_bound((dims.d_s, dims.d_a))
+        spectra = branch_spectra(state)
+        gap = spectra - complex_typed(branch_spectra, state)
+        assert np.max(np.abs(gap)) <= singular_value_bound((dims.d_s, dims.d_a))
+        got, want = dual_born_report(state), complex_typed(dual_born_report, state)
+        assert got.degenerate == want.degenerate
+        assert got.empty == want.empty
+        assert np.array_equal(got.decision_probs, want.decision_probs)
+        gap = got.outcome_probs - want.outcome_probs
+        assert np.max(np.abs(gap)) <= squared_value_bound((dims.d_s, dims.d_a))
+        # branch 1 is rank one, branch 2 degenerate and branch 3 empty
+        assert np.max(spectra[1, 1:]) <= singular_value_bound((dims.d_s, dims.d_a))
+        assert not got.degenerate[1] and got.degenerate[2] and got.empty[3]
+        # the measured basis comes from the full SVD and stays complex
+        assert outcome_probabilities(state, 0).measured_basis.dtype == np.complex128
 
 
 class TestOneEmptinessRule:

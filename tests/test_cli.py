@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from icqt import cli
 from icqt.cli import main
 from icqt.dynamics import check_pmc, evolve_factorized, evolve_full
 from icqt.icqc import CapacityError, init_state
@@ -580,6 +581,57 @@ class TestDeterminism:
         assert (tmp_path / "a" / "summary.json").read_bytes() != (
             tmp_path / "b" / "summary.json"
         ).read_bytes()
+
+
+class TestOutputErrors:
+    """An --out that is not a directory, or a report that cannot be written, exits 2 with
+    one line; the --out check comes before the scenario is loaded."""
+
+    SUITE = base(
+        "property-suite",
+        schmidt_roundtrips=2,
+        **{f"{c}_cases": 1 for c in ("factorization", "converse", "block", "born", "creation", "shannon")},
+    )
+    PAYLOADS = {**dict(TestDeterminism.COMMANDS), "suite": SUITE}
+    FIRST_REPORT = {
+        "evolve": "trajectory.csv",
+        "validate": "completeness.json",
+        "born": "born_report.json",
+        "icqc": "icqc_report.json",
+        "suite": "suite_report.json",
+    }
+
+    @pytest.mark.parametrize("command", FIRST_REPORT)
+    @pytest.mark.parametrize("under", ["", "x", "x/y"])
+    def test_out_is_a_file_or_lies_under_one(self, tmp_path, capsys, monkeypatch, command, under):
+        path = write_scenario(tmp_path, "s.json", self.PAYLOADS[command])
+        blocker = tmp_path / "file"
+        blocker.write_text("keep")
+
+        def not_loaded(*args, **kwargs):
+            raise AssertionError("the scenario was loaded")
+
+        monkeypatch.setattr(cli, "load_scenario", not_loaded)
+        code = main([command, path, "--out", str(blocker / under)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"i/o error: --out {blocker / under}: {blocker} is not a directory\n"
+        assert blocker.read_text() == "keep"
+
+    @pytest.mark.parametrize("command", FIRST_REPORT)
+    def test_report_write_fails(self, tmp_path, capsys, command):
+        path = write_scenario(tmp_path, "s.json", self.PAYLOADS[command])
+        out = tmp_path / "out"
+        report = self.FIRST_REPORT[command]
+        (out / report).mkdir(parents=True)  # a report file cannot replace a directory
+        code = main([command, path, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert [p.name for p in out.iterdir()] == [report]  # no temporary file is left
 
 
 class TestInputErrors:

@@ -16,6 +16,7 @@ from icqt.icqc import (
     tomographic_program_n1,
 )
 from icqt.linalg import StateVector, entanglement_entropy, seeded_random
+from icqt.scenario import parse_icqc_config
 from icqt.trinary import (
     EMPTY_BRANCH_TOL,
     TrinaryState,
@@ -30,6 +31,7 @@ from oracles import (
     entropy_bound,
     full_svd_entropy,
     single_qubit_gate,
+    squared_value_bound,
 )
 
 
@@ -300,26 +302,15 @@ class TestRun:
         program_table=tuple((GateOp("RY", (("S", p % 2),), angle=0.1 * p),) for p in range(16)),
     )
 
-    def test_branch_spectra_taken_once(self, monkeypatch):
+    def test_branch_spectra_taken_once(self, spectral_calls):
         # one eigvalsh of the P|(SA) Gram matrix, one batched values-only SVD
-        # shared by both reports: no singular vector is computed and thrown away
-        svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
-        calls = []
-
-        def counting_svd(a, *args, **kwargs):
-            calls.append(("svd", np.shape(a), kwargs.get("compute_uv", True)))
-            return svd(a, *args, **kwargs)
-
-        def counting_eigvalsh(a, *args, **kwargs):
-            calls.append(("eigvalsh", np.shape(a)))
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        # shared by both reports: no singular vector is computed and thrown away;
+        # H, CNOT and RY keep every amplitude real, so both take float64
         report = run(self.N2_CONFIG)
-        assert sorted(calls) == [("eigvalsh", (16, 16)), ("svd", (16, 4, 4), False)]
-        monkeypatch.setattr(np.linalg, "svd", svd)
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert sorted(spectral_calls) == [
+            ("eigvalsh", (16, 16), "float64"),
+            ("svd", (16, 4, 4), "float64", False),
+        ]
         rows = report.final_state.as_matrix()
         assert abs(report.s_psa - full_svd_entropy(rows)) <= entropy_bound((16, 16))
         want = branch_entropies_loop(rows, (4, 4), EMPTY_BRANCH_TOL)
@@ -337,6 +328,50 @@ class TestRun:
         assert np.linalg.matrix_rank(rows) < 16
         assert report.s_psa >= 0
         assert abs(report.s_psa - full_svd_entropy(rows)) <= entropy_bound((16, 16))
+
+    ZX_PROGRAM = tuple(pointer_branch_circuit(b) for b in ("Z", "X", "Z", "X"))
+    REAL_CONFIGS = {
+        "n2": N2_CONFIG,
+        # Z on |+> is degenerate, X on |+> rank one; branches 2 and 3 are empty
+        "zx-pointers": IcqcConfig(
+            n=1,
+            initial="zeros",
+            gate_sequence=(GateOp("H", (("S", 0),)), GateOp("H", (("P", 1),))),
+            program_table=ZX_PROGRAM,
+        ),
+        "zx-uniform": IcqcConfig(n=1, program_table=ZX_PROGRAM),
+        "random-n2": parse_icqc_config({"n": 2, "program": {"random": {"depth": 3}}}, 11),
+    }
+
+    @pytest.mark.parametrize("name", REAL_CONFIGS)
+    def test_real_run_within_bounds_of_the_complex_typed_copy(self, name, complex_typed):
+        config = self.REAL_CONFIGS[name]
+        report = run(config)
+        assert not report.final_state.dense.amplitudes.imag.any()
+        want = complex_typed(run, config)
+        d = config.dims
+        assert abs(report.s_psa - want.s_psa) <= entropy_bound((d.d_p, d.d_sa))
+        gap = report.s_sa_branches - want.s_sa_branches
+        assert np.max(np.abs(gap)) <= entropy_bound((d.d_s, d.d_a))
+        assert report.born.degenerate == want.born.degenerate
+        assert report.born.empty == want.born.empty
+        assert np.array_equal(report.born.decision_probs, want.born.decision_probs)
+        gap = report.born.outcome_probs - want.born.outcome_probs
+        assert np.max(np.abs(gap)) <= squared_value_bound((d.d_s, d.d_a))
+        if name == "zx-pointers":
+            assert report.born.degenerate == (True, False, False, False)
+            assert report.born.empty == (False, False, True, True)
+            assert report.born.outcome_probs[1, 1] <= squared_value_bound((2, 2))
+
+    def test_complex_run_keeps_its_bits(self, spectral_calls, complex_typed):
+        # the tomographic table's Y pointer (S and SDG) makes amplitudes complex
+        config = IcqcConfig(n=1, program_table=tomographic_program_n1())
+        report = run(config)
+        assert {call[2] for call in spectral_calls} == {"complex128"}
+        want = complex_typed(run, config)
+        assert report.s_psa == want.s_psa
+        assert np.array_equal(report.s_sa_branches, want.s_sa_branches)
+        assert np.array_equal(report.born.outcome_probs, want.born.outcome_probs)
 
 
 class TestPointerBranchCircuits:

@@ -37,6 +37,18 @@ from oracles import (
 BELL = StateVector(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 
 
+def real_state(dim, seed) -> StateVector:
+    """A unit state whose amplitudes are real: every imaginary part is exactly 0."""
+    x = np.random.default_rng(seed).normal(size=dim)
+    return StateVector(x / np.linalg.norm(x))
+
+
+def with_imaginary_parts(psi, imag) -> StateVector:
+    amps = psi.amplitudes.copy()
+    amps.imag = imag
+    return StateVector(amps)
+
+
 class TestStateVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(NormalizationError):
@@ -201,8 +213,9 @@ class TestBranchSchmidtCoefficients:
         assert np.array_equal(got, self.per_row(rows, (d_l, d_r)))
 
     def test_rows_one_at_a_time_when_the_stack_does_not_converge(self, monkeypatch):
-        rows = self.rows(7, 3, 4)
-        want = self.per_row(rows, (3, 4))
+        # complex rows, then real ones, which take float64 row by row
+        stacks = [self.rows(7, 3, 4), np.array([real_state(12, i).amplitudes for i in range(7)])]
+        wants = [self.per_row(rows, (3, 4)) for rows in stacks]
         svd = np.linalg.svd
 
         def unconverged_stack(a, *args, **kwargs):
@@ -211,7 +224,8 @@ class TestBranchSchmidtCoefficients:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", unconverged_stack)
-        assert np.array_equal(branch_schmidt_coefficients(rows, (3, 4)), want)
+        for rows, want in zip(stacks, wants):
+            assert np.array_equal(branch_schmidt_coefficients(rows, (3, 4)), want)
 
     @staticmethod
     def decomposed(rows, dims):
@@ -320,7 +334,7 @@ class TestEntropy:
             assert np.array_equal(schmidt_coefficients(psi, dims), want)
         assert values_only_calls == list(self.CUTS)
 
-    def test_svd_route_when_eigvalsh_does_not_converge(self, monkeypatch):
+    def test_svd_route_when_eigvalsh_does_not_converge(self, monkeypatch, spectral_calls):
         gram_calls = []
 
         def unconverged(a, *args, **kwargs):
@@ -328,11 +342,19 @@ class TestEntropy:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
-        for seed, dims in enumerate(self.CUTS):
-            psi = seeded_random("state", dims[0] * dims[1], seed)
-            s = schmidt_coefficients(psi, dims)
-            assert entanglement_entropy(psi, dims) == shannon_entropy(s * s)
-        assert gram_calls == [(min(dims), min(dims)) for dims in self.CUTS]
+        # complex states, then real ones, whose SVD route takes float64
+        makers = [
+            (lambda dim, seed: seeded_random("state", dim, seed), "complex128"),
+            (real_state, "float64"),
+        ]
+        for make, dtype in makers:
+            spectral_calls.clear()
+            for seed, dims in enumerate(self.CUTS):
+                psi = make(dims[0] * dims[1], seed)
+                s = schmidt_coefficients(psi, dims)
+                assert entanglement_entropy(psi, dims) == shannon_entropy(s * s)
+            assert {call[2] for call in spectral_calls} == {dtype}
+        assert gram_calls == [(min(dims), min(dims)) for dims in self.CUTS] * 2
 
     # 129 rows or columns on the smaller side take two row blocks of the Gram matrix
     GRAM_CUTS = CUTS + [(129, 131), (140, 129)]
@@ -373,6 +395,78 @@ class TestEntropy:
         assert abs(
             entanglement_entropy(u.apply(psi), (3, 4)) - entanglement_entropy(psi, (3, 4))
         ) <= 1e-9
+
+
+class TestRealAmplitudes:
+    """The values-only kernels take float64 when every imaginary part is exactly zero."""
+
+    @staticmethod
+    def kernels(psi):
+        """Every values-only kernel on a 12-dim state: the entropy, the coefficients and the
+        coefficients of its three rows of 4 as 2 x 2 cuts."""
+        return (
+            entanglement_entropy(psi, (3, 4)),
+            schmidt_coefficients(psi, (3, 4)),
+            branch_schmidt_coefficients(psi.amplitudes.reshape(3, 4), (2, 2)),
+        )
+
+    @staticmethod
+    def dtypes(calls):
+        return [call[2] for call in calls]
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_imaginary_parts_reach_float64_kernels(self, zero, spectral_calls):
+        psi = with_imaginary_parts(real_state(12, 1), zero)
+        assert np.all(np.signbit(psi.amplitudes.imag) == np.signbit(zero))
+        self.kernels(psi)
+        assert [call[:2] for call in spectral_calls] == [
+            ("eigvalsh", (3, 3)), ("svd", (3, 4)), ("svd", (3, 2, 2))
+        ]
+        assert self.dtypes(spectral_calls) == ["float64"] * 3
+        # the state and its Schmidt vectors stay complex
+        sd = schmidt_decompose(psi, (3, 4))
+        assert psi.amplitudes.dtype == sd.u.dtype == sd.vh.dtype == np.complex128
+
+    def test_one_tiny_imaginary_part_keeps_the_complex_kernels_and_bits(
+        self, spectral_calls, complex_typed
+    ):
+        imag = np.zeros(12)
+        imag[5] = 1e-300
+        psi = with_imaginary_parts(real_state(12, 1), imag)
+        got = self.kernels(psi)
+        assert self.dtypes(spectral_calls) == ["complex128"] * 3
+        for g, want in zip(got, complex_typed(self.kernels, psi)):
+            assert np.array_equal(g, want)
+
+    # (1, 6) and (6, 1) are rank one; 129 rows on the smaller side take two Gram row blocks
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 4), (4, 3), (5, 5), (1, 6), (6, 1), (129, 131)])
+    def test_within_bounds_of_the_complex_typed_copy(self, dims, complex_typed):
+        rank_deficient = real_state(dims[0], 3).amplitudes[:, None] * real_state(dims[1], 4).amplitudes
+        for psi in (real_state(dims[0] * dims[1], sum(dims)), StateVector(rank_deficient.reshape(-1))):
+            got = entanglement_entropy(psi, dims)
+            want = complex_typed(entanglement_entropy, psi, dims)
+            assert abs(got - want) <= entropy_bound(dims)
+            gap = schmidt_coefficients(psi, dims) - complex_typed(schmidt_coefficients, psi, dims)
+            assert np.max(np.abs(gap)) <= singular_value_bound(dims)
+
+    def test_full_svd_when_no_values_only_svd_converges(self, monkeypatch, spectral_calls):
+        psi = real_state(12, 2)
+        rows = psi.amplitudes.reshape(3, 4)
+        svd = np.linalg.svd
+
+        def unconverged(a, *args, compute_uv=True, **kwargs):
+            if not compute_uv:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", unconverged)
+        want = np.linalg.svd(rows.real, full_matrices=False)[1]
+        assert np.array_equal(schmidt_coefficients(psi, (3, 4)), want)
+        per_row = [np.linalg.svd(r.real.reshape(2, 2), full_matrices=False)[1] for r in rows]
+        assert np.array_equal(branch_schmidt_coefficients(rows, (2, 2)), per_row)
+        assert set(self.dtypes(spectral_calls)) == {"float64"}
+        gap = schmidt_coefficients(psi, (3, 4)) - schmidt_decompose(psi, (3, 4)).coefficients
+        assert np.max(np.abs(gap)) <= singular_value_bound((3, 4))
 
 
 class TestPropagator:
