@@ -50,15 +50,6 @@ from .trinary import (
     validate_informational_completeness,
 )
 
-_COMMAND_KIND = {
-    "validate": "trinary-build",
-    "evolve": "dynamics",
-    "born": "born",
-    "icqc": "icqc",
-    "suite": "property-suite",
-}
-
-
 def cmd_validate(scenario: Scenario, out_dir: Path) -> int:
     dims = parse_dims(scenario.payload)
     bases, labels = parse_branch_bases(scenario.payload, dims)
@@ -240,12 +231,13 @@ def cmd_suite(scenario: Scenario, out_dir: Path) -> int:
     return 0
 
 
-_HANDLERS = {
-    "validate": cmd_validate,
-    "evolve": cmd_evolve,
-    "born": cmd_born,
-    "icqc": cmd_icqc,
-    "suite": cmd_suite,
+# command: (the scenario kind it runs, its handler)
+_COMMANDS = {
+    "validate": ("trinary-build", cmd_validate),
+    "evolve": ("dynamics", cmd_evolve),
+    "born": ("born", cmd_born),
+    "icqc": ("icqc", cmd_icqc),
+    "suite": ("property-suite", cmd_suite),
 }
 
 
@@ -268,8 +260,8 @@ def main(argv=None) -> int:
         description="Trinary quantum system simulator and verification suite",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name, help=f"run a {_COMMAND_KIND[name]} scenario")
+    for name, (kind, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=f"run a {kind} scenario")
         p.add_argument("scenario", help="path to the scenario JSON file")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
@@ -278,12 +270,12 @@ def main(argv=None) -> int:
     try:
         out_dir = _out_dir(args.out)
         scenario = load_scenario(args.scenario, seed_override=args.seed)
-        expected = _COMMAND_KIND[args.command]
+        expected, handler = _COMMANDS[args.command]
         if scenario.kind != expected:
             raise ScenarioError(
                 f"command '{args.command}' needs kind '{expected}', scenario says '{scenario.kind}'"
             )
-        return _HANDLERS[args.command](scenario, out_dir)
+        return handler(scenario, out_dir)
     except (ScenarioError, ScheduleError) as exc:
         sys.stderr.write(f"scenario error: {exc}\n")
         return 2

@@ -179,15 +179,15 @@ def _sa_layout(n: int) -> dict[str, tuple[int, int]]:
 class IcqcConfig:
     """Run configuration: registers, gate stage, and the programmed stage.
 
-    ``program_table`` needs exactly 4^n entries, each a branch circuit (gate
-    list) on S and A; raw 4x4 matrices are accepted for n = 1 only, as dense
-    test oracles.  The optional P-only circuit is applied after the branch
-    stage.  Register sizes other than n_a = n and n_p = 2n are rejected.
+    ``program_table`` needs exactly 4^n entries, each a branch circuit: a
+    sequence of ``GateOp`` on S and A.  The optional P-only circuit is applied
+    after the branch stage.  Register sizes other than n_a = n and n_p = 2n
+    are rejected.
     """
 
     n: int
     gate_sequence: tuple[GateOp, ...] = ()
-    program_table: tuple = ()
+    program_table: tuple[tuple[GateOp, ...], ...] = ()
     post_program_p_circuit: tuple[GateOp, ...] = ()
     initial: str = "uniform"
     n_a: int | None = None
@@ -211,20 +211,17 @@ class IcqcConfig:
             raise ValueError(
                 f"program table needs {4 ** self.n} entries, got {len(self.program_table)}"
             )
-        d_sa = 4**self.n
-        circuits = [("gate sequence", self.gate_sequence, REGISTERS)]
-        for p, entry in enumerate(self.program_table):
-            if isinstance(entry, np.ndarray):
-                if self.n != 1:
-                    raise ValueError("raw-matrix branches are allowed for n = 1 only")
-                if entry.shape != (d_sa, d_sa):
-                    raise ValueError(f"branch {p} matrix must be {d_sa}x{d_sa}")
-            else:
-                circuits.append((f"branch {p}", entry, ("S", "A")))
-        circuits.append(("post-program circuit", self.post_program_p_circuit, ("P",)))
+        circuits = [
+            ("gate sequence", self.gate_sequence, REGISTERS),
+            *((f"branch {p}", entry, ("S", "A")) for p, entry in enumerate(self.program_table)),
+            ("post-program circuit", self.post_program_p_circuit, ("P",)),
+        ]
         sizes = {"P": n_p, "S": self.n, "A": n_a}
         for where, gates, allowed in circuits:
             for gate in gates:
+                if not isinstance(gate, GateOp):
+                    kind = type(gate).__name__
+                    raise ValueError(f"{where} must be a circuit of GateOp, got {kind}")
                 for reg, q in gate.targets:
                     if reg not in allowed:
                         raise ValueError(f"{where} may not touch register {reg}")
@@ -236,7 +233,33 @@ class IcqcConfig:
 
     @property
     def dims(self) -> TrinaryDims:
-        return TrinaryDims(d_s=2**self.n, d_a=2**self.n, d_p=4**self.n)
+        return _register_dims(self.n)
+
+
+def _register_dims(n: int) -> TrinaryDims:
+    """Dims of the n-qubit registers: S and A of 2^n levels, P of 4^n."""
+    return TrinaryDims(d_s=2**n, d_a=2**n, d_p=4**n)
+
+
+def random_program(n: int, depth: int, rng: np.random.Generator) -> tuple[tuple[GateOp, ...], ...]:
+    """A seeded table of 4^n branch circuits, drawn from ``rng`` branch by branch.
+
+    Each circuit is ``depth`` RY gates, each on a random S or A qubit at an angle
+    uniform in [0, pi), then one CNOT from a random S qubit to a random A qubit.
+    """
+    table = []
+    for _ in range(4**n):
+        circ = [
+            GateOp(
+                "RY",
+                ((("S", "A")[int(rng.integers(2))], int(rng.integers(n))),),
+                angle=float(rng.uniform(0, np.pi)),
+            )
+            for _ in range(depth)
+        ]
+        circ.append(GateOp("CNOT", (("S", int(rng.integers(n))), ("A", int(rng.integers(n))))))
+        table.append(tuple(circ))
+    return tuple(table)
 
 
 def init_state(n: int, initial: str = "uniform") -> TrinaryState:
@@ -244,7 +267,7 @@ def init_state(n: int, initial: str = "uniform") -> TrinaryState:
     if n < 1:
         raise ValueError("n must be >= 1")
     check_capacity(2 ** (4 * n), f"2^{4 * n}")
-    dims = TrinaryDims(d_s=2**n, d_a=2**n, d_p=4**n)
+    dims = _register_dims(n)
     if initial == "uniform":
         chi = StateVector.uniform(dims.d_p)
         psi = StateVector.uniform(dims.d_s)
@@ -258,9 +281,13 @@ def init_state(n: int, initial: str = "uniform") -> TrinaryState:
     return TrinaryState.from_product(dims, chi, psi, phi)
 
 
-def apply_gates(state: TrinaryState, gates: Sequence[GateOp], n: int) -> TrinaryState:
-    """Standard state-vector gate application over all three registers."""
-    if state.dims.total != 2 ** (4 * n):
+def apply_gates(state: TrinaryState, gates: Sequence[GateOp]) -> TrinaryState:
+    """Standard state-vector gate application over all three registers.
+
+    The register size n is read off ``state.dims``, which must be (2^n, 2^n, 4^n).
+    """
+    n = state.dims.d_s.bit_length() - 1
+    if n < 1 or state.dims != _register_dims(n):
         raise ValueError("state does not match an n-qubit trinary register layout")
     arr = state.dense.amplitudes.reshape([2] * (4 * n))
     arr = _apply_gates_nd(arr, gates, _full_layout(n))
@@ -279,15 +306,12 @@ def apply_programmed_op(state: TrinaryState, config: IcqcConfig) -> TrinaryState
         raise ValueError("state dims do not match the configuration")
     rows = state.as_matrix().copy()
     sa_layout = _sa_layout(n)
-    for p, entry in enumerate(config.program_table):
-        if isinstance(entry, np.ndarray):
-            rows[p] = entry @ rows[p]
-        else:
-            block = rows[p].reshape([2] * (2 * n))
-            rows[p] = _apply_gates_nd(block, entry, sa_layout).reshape(-1)
+    for p, circuit in enumerate(config.program_table):
+        block = rows[p].reshape([2] * (2 * n))
+        rows[p] = _apply_gates_nd(block, circuit, sa_layout).reshape(-1)
     out = TrinaryState.from_dense(dims, StateVector(rows.reshape(-1)))
     if config.post_program_p_circuit:
-        out = apply_gates(out, config.post_program_p_circuit, n)
+        out = apply_gates(out, config.post_program_p_circuit)
     return out
 
 
@@ -309,7 +333,7 @@ def run(config: IcqcConfig) -> IcqcRunReport:
     """
     state = init_state(config.n, config.initial)
     if config.gate_sequence:
-        state = apply_gates(state, config.gate_sequence, config.n)
+        state = apply_gates(state, config.gate_sequence)
     state = apply_programmed_op(state, config)
     dims = state.dims
     # P|(SA) first, as in dual_entropies: an icqc-n5 process (seed 2026, 2 vCPU) peaked at

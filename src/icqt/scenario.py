@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .icqc import GateOp, IcqcConfig, check_capacity, tomographic_program_n1
+from .icqc import GateOp, IcqcConfig, check_capacity, random_program, tomographic_program_n1
 from .linalg import Operator, StateVector, seeded_random, subseed
 from .serialize import pairs_to_complex
 from .trinary import TrinaryDims, TrinaryState, _check_orthonormal, standard_basis
@@ -316,22 +316,7 @@ def parse_icqc_config(payload: dict, seed: int) -> IcqcConfig:
             raise ScenarioError("program.random.depth must be a nonnegative integer")
         # the table holds 4^n circuits of depth + 1 gates each
         check_capacity(4**n * (depth + 1), f"4^{n}*({depth}+1)", "random program gate count")
-        rng = np.random.default_rng(subseed(seed, 9))
-        table = []
-        for _ in range(4**n):
-            circ = [
-                GateOp(
-                    "RY",
-                    ((("S", "A")[int(rng.integers(2))], int(rng.integers(n))),),
-                    angle=float(rng.uniform(0, np.pi)),
-                )
-                for _ in range(depth)
-            ]
-            circ.append(
-                GateOp("CNOT", (("S", int(rng.integers(n))), ("A", int(rng.integers(n)))))
-            )
-            table.append(tuple(circ))
-        table = tuple(table)
+        table = random_program(n, depth, np.random.default_rng(subseed(seed, 9)))
     elif isinstance(program, list):
         table = tuple(
             parse_gate_list(entry, f"program[{p}]") for p, entry in enumerate(program)

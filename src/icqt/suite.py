@@ -25,9 +25,8 @@ from .dynamics import (
     random_block_structure,
     random_trinary_hamiltonian,
 )
-from .icqc import GateOp, IcqcConfig, apply_programmed_op, init_state, run
+from .icqc import GateOp, IcqcConfig, apply_programmed_op, random_program, run, tomographic_program_n1
 from .linalg import (
-    Operator,
     StateVector,
     entanglement_entropy,
     hermitian_propagator,
@@ -38,7 +37,6 @@ from .linalg import (
     tensor_product,
 )
 from .trinary import (
-    ProgrammedUnitary,
     TrinaryDims,
     TrinaryState,
     apply_programmed,
@@ -312,28 +310,18 @@ def icqc_battery(seed: int) -> PropertyResult:
         IcqcConfig(n=1, program_table=tuple([()] * 4), n_a=2)
     except ValueError:
         law_enforced = True
-    # n = 1: blockwise application vs the assembled block-diagonal matrix
-    table = tuple(
-        seeded_random("unitary", 4, subseed(seed, 80, p)).entries for p in range(4)
-    )
-    state = init_state(1)
-    got = apply_programmed_op(state, IcqcConfig(n=1, program_table=table))
-    dense = ProgrammedUnitary(state.dims, tuple(Operator(m) for m in table)).densify()
+    # n = 1: the tomographic circuits vs the dense block-diagonal pointer unitaries
+    config = IcqcConfig(n=1, program_table=tomographic_program_n1())
+    state = TrinaryState.from_dense(config.dims, seeded_random("state", 16, subseed(seed, 80)))
+    got = apply_programmed_op(state, config)
+    bases = [standard_basis(b, 2) for b in ("Z", "X", "Y", "Z")]
+    dense = build_programmed_unitary(config.dims, bases).densify()
     want = dense.entries @ state.dense.amplitudes
     worst = max(worst, float(np.max(np.abs(got.dense.amplitudes - want))))
     # n = 2: full run with a seeded 16-branch circuit program
-    rng = np.random.default_rng(subseed(seed, 81))
-    program = []
-    for _ in range(16):
-        circ = [
-            GateOp("RY", ((("S", "A")[int(rng.integers(2))], int(rng.integers(2))),),
-                   angle=float(rng.uniform(0, np.pi)))
-            for _ in range(3)
-        ]
-        circ.append(GateOp("CNOT", (("S", int(rng.integers(2))), ("A", int(rng.integers(2))))))
-        program.append(tuple(circ))
+    program = random_program(2, 3, np.random.default_rng(subseed(seed, 81)))
     gates = (GateOp("H", (("S", 0),)), GateOp("CNOT", (("S", 0), ("A", 0))))
-    report = run(IcqcConfig(n=2, gate_sequence=gates, program_table=tuple(program)))
+    report = run(IcqcConfig(n=2, gate_sequence=gates, program_table=program))
     live = ~np.array(report.born.empty)
     sums = [np.sum(report.born.decision_probs), *report.born.outcome_probs[live].sum(axis=1)]
     worst = max(worst, float(np.max(np.abs(np.array(sums) - 1.0))))

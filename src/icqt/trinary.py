@@ -90,7 +90,11 @@ def standard_basis(name: str, dim: int) -> np.ndarray:
         return np.eye(dim, dtype=complex)
     if name == "X":
         j = np.arange(dim)
-        return np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
+        b = np.exp(2j * np.pi * np.outer(j, j) / dim)
+        quarters = 4 * (np.outer(j, j) % dim)  # the phase in quarter turns, times dim
+        exact = quarters % dim == 0  # entries that are exactly +-1 or +-i
+        b[exact] = np.array([1, 1j, -1, -1j])[quarters[exact] // dim]
+        return b / np.sqrt(dim)
     if name == "Y":
         if dim != 2:
             raise ValueError("Y basis is only defined for dim 2")
@@ -292,25 +296,22 @@ def apply_programmed(pu: ProgrammedUnitary, state: TrinaryState) -> TrinaryState
     return TrinaryState.from_dense(state.dims, StateVector(out.reshape(-1)))
 
 
-def pointer_readout_operators(branch_unitary: Operator, d_a: int, probe_a: StateVector) -> list[np.ndarray]:
-    """Induced system measurement operators of one branch.
+def pointer_readout_operators(pu: ProgrammedUnitary, probe_a: StateVector) -> np.ndarray:
+    """Induced system measurement operators of every branch, as a (d_p, d_a, d_s, d_s) stack.
 
-    For each apparatus reading ``a`` this returns
-    K_a^dag K_a with K_a = (I (x) <a|) U (I (x) |probe_a>), i.e. the
-    probability operator for the pointer to land on ``a`` when the apparatus
-    starts in the probe state.  For a pointer measurement these are exactly
-    the projectors onto the measured basis.
+    Entry [r, a] is K^dag K with K = (I (x) <a|) U_r (I (x) |probe_a>), i.e.
+    the probability operator for the pointer of branch r to land on ``a``
+    when the apparatus starts in the probe state.  For a pointer measurement
+    these are exactly the projectors onto the measured basis.
     """
-    d_sa = branch_unitary.dim
-    if d_sa % d_a != 0:
-        raise DimensionError("branch dim is not divisible by apparatus dim")
-    d_s = d_sa // d_a
-    if probe_a.dim != d_a:
+    dims = pu.dims
+    if probe_a.dim != dims.d_a:
         raise DimensionError("probe state must live on the apparatus")
-    u = branch_unitary.entries.reshape(d_s, d_a, d_s, d_a)
-    # K_a[s_out, s_in] = sum_a_in U[s_out, a, s_in, a_in] probe[a_in]
-    kraus = np.einsum("iasb,b->ias", u, probe_a.amplitudes)
-    return [kraus[:, a, :].conj().T @ kraus[:, a, :] for a in range(d_a)]
+    u = np.stack([b.entries for b in pu.branches])
+    u = u.reshape(dims.d_p, dims.d_s, dims.d_a, dims.d_s, dims.d_a)
+    # K_{r,a}[s_out, s_in] = sum_a_in U_r[s_out, a, s_in, a_in] probe[a_in]
+    kraus = np.einsum("riasb,b->rias", u, probe_a.amplitudes)
+    return np.einsum("rias,riat->rast", kraus.conj(), kraus)
 
 
 @dataclass(frozen=True)
@@ -328,24 +329,17 @@ def validate_informational_completeness(
 ) -> CompletenessReport:
     """Check whether the program suffices to measure a complete operator set.
 
-    The induced measurement operators of every branch are collected and the
-    rank of their Hilbert-Schmidt Gram matrix is compared against d_s^2.
-    Both dimension predicates are reported separately.
+    The induced measurement operators E of every branch are taken in one
+    batched pass, and the rank of the d_s^2 x d_s^2 frame operator
+    F = sum_E vec(E) vec(E)^dag (the rank of their span) is compared against
+    d_s^2.  Both dimension predicates are reported separately.
     """
     dims = pu.dims
     if probe_a is None:
         probe_a = StateVector.basis(dims.d_a, 0)
-    ops = []
-    for u in pu.branches:
-        for e in pointer_readout_operators(u, dims.d_a, probe_a):
-            if np.max(np.abs(e)) > EMPTY_BRANCH_TOL:
-                ops.append(e.reshape(-1))
-    if ops:
-        stacked = np.array(ops)
-        gram = stacked @ stacked.conj().T
-        rank = int(np.sum(np.linalg.svd(gram, compute_uv=False) > GRAM_RANK_TOL))
-    else:
-        rank = 0
+    ops = pointer_readout_operators(pu, probe_a).reshape(-1, dims.d_s * dims.d_s)
+    frame = ops.T @ ops.conj()
+    rank = int(np.sum(np.linalg.eigvalsh(frame) > GRAM_RANK_TOL))
     dims_ok = dims.measurability_valid
     return CompletenessReport(
         dims_ok=dims_ok,

@@ -429,6 +429,16 @@ def operator_span_rank(operators, tol: float = 1e-8) -> int:
     return int(np.sum(np.linalg.svd(gram, compute_uv=False) > tol))
 
 
+def readout_operators_loop(branch_matrix: np.ndarray, d_s: int, d_a: int, probe: np.ndarray) -> list:
+    """K_a^dag K_a for each apparatus reading a, K_a = (I (x) <a|) U (I (x) |probe>), by np.kron."""
+    lift = dense_kron(np.eye(d_s), probe.reshape(d_a, 1))
+    ops = []
+    for a in range(d_a):
+        k = dense_kron(np.eye(d_s), np.eye(d_a)[a : a + 1]) @ branch_matrix @ lift
+        ops.append(k.conj().T @ k)
+    return ops
+
+
 def pauli_projectors():
     """Rank-1 projectors of the three qubit Pauli eigenbases."""
     z0 = np.array([1, 0], dtype=complex)

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from icqt.icqc import GateOp, IcqcConfig, apply_programmed_op, init_state, run
+from icqt.icqc import GateOp, IcqcConfig, apply_programmed_op, run, tomographic_program_n1
 from icqt.linalg import seeded_random
 from icqt.suite import (
     block_battery,
@@ -19,8 +19,14 @@ from icqt.suite import (
     schmidt_battery,
     shannon_identity_battery,
 )
-from icqt.trinary import TrinaryDims, build_programmed_unitary, standard_basis, validate_informational_completeness
-from oracles import dense_programmed_matrix
+from icqt.trinary import (
+    TrinaryDims,
+    TrinaryState,
+    build_programmed_unitary,
+    standard_basis,
+    validate_informational_completeness,
+)
+from oracles import dense_kron, dense_programmed_matrix, pauli_projectors
 
 SEED = 20260809
 
@@ -138,11 +144,16 @@ def test_criterion_8_icqc_structure():
         IcqcConfig(n=1, program_table=tuple([()] * 4), n_a=2)
     except ValueError:
         law = True
-    # n = 1 blockwise vs dense 16x16 block-diagonal oracle
-    table = tuple(seeded_random("unitary", 4, SEED + p).entries for p in range(4))
-    state = init_state(1)
-    got = apply_programmed_op(state, IcqcConfig(n=1, program_table=table))
-    want = dense_programmed_matrix(list(table)) @ state.dense.amplitudes
+    # n = 1: the tomographic branch circuits vs the dense 16x16 block-diagonal
+    # matrix of their pointer unitaries sum_j P_j (x) X^j, built here
+    config = IcqcConfig(n=1, program_table=tomographic_program_n1())
+    state = TrinaryState.from_dense(config.dims, seeded_random("state", 16, SEED))
+    got = apply_programmed_op(state, config)
+    shift_powers = (np.eye(2), np.array([[0, 1], [1, 0]]))
+    pointers = [
+        sum(dense_kron(p, x) for p, x in zip(pauli_projectors()[b], shift_powers)) for b in "ZXYZ"
+    ]
+    want = dense_programmed_matrix(pointers) @ state.dense.amplitudes
     dev = float(np.max(np.abs(got.dense.amplitudes - want)))
     # n = 2 full run under 10 s with normalized report rows
     rng = np.random.default_rng(SEED)

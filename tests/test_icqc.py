@@ -12,13 +12,15 @@ from icqt.icqc import (
     apply_programmed_op,
     init_state,
     pointer_branch_circuit,
+    random_program,
     run,
     tomographic_program_n1,
 )
-from icqt.linalg import StateVector, entanglement_entropy, seeded_random
+from icqt.linalg import StateVector, entanglement_entropy, seeded_random, subseed
 from icqt.scenario import parse_icqc_config
 from icqt.trinary import (
     EMPTY_BRANCH_TOL,
+    TrinaryDims,
     TrinaryState,
     build_pointer_measurement,
     dual_entropies,
@@ -95,7 +97,7 @@ class TestInitState:
 class TestApplyGates:
     def test_x_flips_bit(self):
         state = init_state(1, "zeros")
-        out = apply_gates(state, [GateOp("X", (("S", 0),))], 1)
+        out = apply_gates(state, [GateOp("X", (("S", 0),))])
         # S qubit 0 flips the S index: position p=0, s=1, a=0 -> 1*2 + 0
         want = np.zeros(16, dtype=complex)
         want[2] = 1.0
@@ -104,7 +106,7 @@ class TestApplyGates:
     def test_h_involution(self):
         state = init_state(1)
         gates = [GateOp("H", (("A", 0),))] * 2
-        out = apply_gates(state, gates, 1)
+        out = apply_gates(state, gates)
         assert np.max(np.abs(out.dense.amplitudes - state.dense.amplitudes)) <= 1e-12
 
     def test_cnot_bell_pair(self):
@@ -112,7 +114,6 @@ class TestApplyGates:
         out = apply_gates(
             state,
             [GateOp("H", (("S", 0),)), GateOp("CNOT", (("S", 0), ("A", 0)))],
-            1,
         )
         # branch p=0 holds a Bell pair across the S|A cut
         sa = out.as_matrix()[0]
@@ -122,23 +123,27 @@ class TestApplyGates:
     def test_gate_algebra_on_random_state(self):
         state = TrinaryState.from_dense(init_state(1).dims, seeded_random("state", 16, 3))
         for gates in ([GateOp("H", (("P", 1),))] * 2, [GateOp("CNOT", (("P", 0), ("A", 0)))] * 2):
-            out = apply_gates(state, gates, 1)
+            out = apply_gates(state, gates)
             assert np.max(np.abs(out.dense.amplitudes - state.dense.amplitudes)) <= 1e-12
 
     def test_hh_conjugation_swaps_cnot_direction(self):
         state = TrinaryState.from_dense(init_state(1).dims, seeded_random("state", 16, 4))
         h_both = [GateOp("H", (("S", 0),)), GateOp("H", (("A", 0),))]
-        conjugated = apply_gates(
-            state, h_both + [GateOp("CNOT", (("S", 0), ("A", 0)))] + h_both, 1
-        )
-        reversed_cnot = apply_gates(state, [GateOp("CNOT", (("A", 0), ("S", 0)))], 1)
+        conjugated = apply_gates(state, h_both + [GateOp("CNOT", (("S", 0), ("A", 0)))] + h_both)
+        reversed_cnot = apply_gates(state, [GateOp("CNOT", (("A", 0), ("S", 0)))])
         assert np.max(
             np.abs(conjugated.dense.amplitudes - reversed_cnot.dense.amplitudes)
         ) <= 1e-12
 
     def test_bounds_error(self):
         with pytest.raises(IndexError):
-            apply_gates(init_state(1), [GateOp("X", (("S", 1),))], 1)
+            apply_gates(init_state(1), [GateOp("X", (("S", 1),))])
+
+    @pytest.mark.parametrize("dims", [TrinaryDims(3, 3, 9), TrinaryDims(2, 2, 16)])
+    def test_state_off_the_register_layout(self, dims):
+        state = TrinaryState.from_dense(dims, seeded_random("state", dims.total, 6))
+        with pytest.raises(ValueError, match="register layout"):
+            apply_gates(state, [GateOp("X", (("S", 0),))])
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_single_qubit_gate_on_every_axis(self, n):
@@ -153,7 +158,7 @@ class TestApplyGates:
                 # RY is not symmetric and T is not real, so a transposed or
                 # conjugated gate would show
                 for gate in (GateOp("RY", ((reg, q),), angle=0.3 + q), GateOp("T", ((reg, q),))):
-                    got = apply_gates(state, [gate], n).dense.amplitudes
+                    got = apply_gates(state, [gate]).dense.amplitudes
                     want = single_qubit_gate(arr, gate.matrix(), offset + q).reshape(-1)
                     assert np.max(np.abs(got - want)) <= 4 * EPS
 
@@ -172,10 +177,11 @@ class TestRegisterLaw:
         with pytest.raises(ValueError):
             IcqcConfig(n=1, program_table=tuple([()] * 3))
 
-    def test_matrix_branches_only_for_n1(self):
-        table = tuple([np.eye(16, dtype=complex)] * 16)
-        with pytest.raises(ValueError):
-            IcqcConfig(n=2, program_table=table)
+    def test_matrix_branch_rejected_by_name(self):
+        # a branch is always a circuit; a raw 4x4 matrix is not one
+        table = ((), np.eye(4, dtype=complex), (), ())
+        with pytest.raises(ValueError, match="branch 1 must be a circuit of GateOp"):
+            IcqcConfig(n=1, program_table=table)
 
     def test_branch_cannot_touch_p(self):
         bad = ((GateOp("X", (("P", 0),)),),) + tuple([()] * 3)
@@ -209,17 +215,6 @@ class TestApplyProgrammedOp:
         want = dense_programmed_matrix(blocks) @ state.dense.amplitudes
         assert np.max(np.abs(out.dense.amplitudes - want)) <= 1e-12
 
-    def test_matrix_branches_match_circuits(self):
-        circuits = tomographic_program_n1()
-        matrices = tuple(
-            build_pointer_measurement(standard_basis(b, 2), 2).entries
-            for b in ("Z", "X", "Y", "Z")
-        )
-        state = init_state(1)
-        a = apply_programmed_op(state, IcqcConfig(n=1, program_table=circuits))
-        b = apply_programmed_op(state, IcqcConfig(n=1, program_table=matrices))
-        assert np.max(np.abs(a.dense.amplitudes - b.dense.amplitudes)) <= 1e-12
-
     def test_tomographic_program_born_row(self):
         cfg = IcqcConfig(
             n=1,
@@ -237,18 +232,19 @@ class TestApplyProgrammedOp:
         assert np.allclose(report.born.outcome_probs[1], [1.0, 0.0], atol=1e-10)
 
     def test_post_program_p_circuit_applied_after(self):
-        table = tuple(
-            seeded_random("unitary", 4, 200 + p).entries for p in range(4)
-        )
+        table = tomographic_program_n1()
         p_circ = (GateOp("H", (("P", 0),)),)
-        state = init_state(1)
+        state = TrinaryState.from_dense(init_state(1).dims, seeded_random("state", 16, 200))
         combined = apply_programmed_op(
             state, IcqcConfig(n=1, program_table=table, post_program_p_circuit=p_circ)
         )
         stepwise = apply_gates(
-            apply_programmed_op(state, IcqcConfig(n=1, program_table=table)), p_circ, 1
+            apply_programmed_op(state, IcqcConfig(n=1, program_table=table)), p_circ
         )
-        assert np.max(np.abs(combined.dense.amplitudes - stepwise.dense.amplitudes)) <= 1e-12
+        assert np.array_equal(combined.dense.amplitudes, stepwise.dense.amplitudes)
+        # H on P0 mixes branches with different circuits, so the order shows
+        before = apply_programmed_op(apply_gates(state, p_circ), IcqcConfig(n=1, program_table=table))
+        assert np.max(np.abs(combined.dense.amplitudes - before.dense.amplitudes)) > 0.1
 
     def test_memory_contract_no_full_space_matrix(self):
         # n=3: a dense program matrix would need 4096^2 complexes (256 MiB);
@@ -372,6 +368,26 @@ class TestRun:
         assert report.s_psa == want.s_psa
         assert np.array_equal(report.s_sa_branches, want.s_sa_branches)
         assert np.array_equal(report.born.outcome_probs, want.born.outcome_probs)
+
+
+class TestRandomProgram:
+    def test_draw_order_pinned(self):
+        # register, qubit and angle of each RY, then the CNOT's qubits, branch by branch
+        def ry(reg, angle):
+            return GateOp("RY", ((reg, 0),), angle=angle)
+
+        cnot = GateOp("CNOT", (("S", 0), ("A", 0)))
+        assert random_program(1, 2, np.random.default_rng(7)) == (
+            (ry("A", 2.818680285825393), ry("A", 2.436888465969028), cnot),
+            (ry("A", 0.9430001955324466), ry("S", 2.7443490865749487), cnot),
+            (ry("A", 2.5799651661104637), ry("S", 2.5040674617684413), cnot),
+            (ry("S", 0.952004445895042), ry("S", 0.8746998575470308), cnot),
+        )
+
+    def test_scenario_table_is_the_generator_at_subseed_nine(self):
+        config = parse_icqc_config({"n": 2, "program": {"random": {"depth": 3}}}, 11)
+        want = random_program(2, 3, np.random.default_rng(subseed(11, 9)))
+        assert config.program_table == want
 
 
 class TestPointerBranchCircuits:

@@ -40,6 +40,7 @@ from oracles import (
     full_svd_entropy,
     operator_span_rank,
     pauli_projectors,
+    readout_operators_loop,
     unit_rows_loop,
 )
 
@@ -538,12 +539,44 @@ class TestCompleteness:
             assert validate_informational_completeness(pu).tomographic_rank == 4
 
     def test_readout_operators_are_projectors(self):
-        basis = standard_basis("X", 2)
-        u = build_pointer_measurement(basis, 2)
-        ops = pointer_readout_operators(u, 2, StateVector.basis(2, 0))
-        for j, e in enumerate(ops):
-            want = np.outer(basis[:, j], basis[:, j].conj())
-            assert np.max(np.abs(e - want)) < 1e-12
+        names = ("Z", "X", "Y", "Z")
+        ops = pointer_readout_operators(zxyz_unitary(), StateVector.basis(2, 0))
+        assert ops.shape == (4, 2, 2, 2)
+        for r, name in enumerate(names):
+            basis = standard_basis(name, 2)
+            for j in range(2):
+                want = np.outer(basis[:, j], basis[:, j].conj())
+                assert np.max(np.abs(ops[r, j] - want)) < 1e-12
+
+    @staticmethod
+    def random_unitaries(dims, seed):
+        return ProgrammedUnitary(
+            dims,
+            tuple(seeded_random("unitary", dims.d_sa, seed + r) for r in range(dims.d_p)),
+        )
+
+    @pytest.mark.parametrize("triple", [(2, 2, 4), (3, 3, 9), (2, 3, 6), (4, 4, 16)])
+    @pytest.mark.parametrize("program", ["random", "z-pointers", "zx-pointers"])
+    def test_frame_rank_equals_the_loop_span_rank(self, triple, program):
+        # random branch unitaries reach the full rank d_s^2; Z pointers alone span
+        # d_s projectors, Z and X pointers 2 d_s - 1 (the identity is shared)
+        dims = TrinaryDims(*triple)
+        if program == "random":
+            pu = self.random_unitaries(dims, 300)
+        else:
+            names = "ZX" if program == "zx-pointers" else "Z"
+            bases = [standard_basis(names[r % len(names)], dims.d_s) for r in range(dims.d_p)]
+            pu = build_programmed_unitary(dims, bases)
+        probe = seeded_random("state", dims.d_a, 301)
+        ops = [
+            e
+            for u in pu.branches
+            for e in readout_operators_loop(u.entries, dims.d_s, dims.d_a, probe.amplitudes)
+        ]
+        rank = validate_informational_completeness(pu, probe).tomographic_rank
+        assert rank == operator_span_rank(ops)
+        want = {"random": dims.d_s**2, "z-pointers": dims.d_s, "zx-pointers": 2 * dims.d_s - 1}
+        assert rank == want[program]
 
 
 class TestStandardBasis:
@@ -554,7 +587,33 @@ class TestStandardBasis:
         with pytest.raises(ValueError):
             standard_basis("Y", 3)
 
-    @pytest.mark.parametrize("name,dim", [("Z", 3), ("X", 3), ("X", 5), ("Y", 2)])
+    @pytest.mark.parametrize(
+        "name,dim", [("Z", 3), ("X", 2), ("X", 3), ("X", 4), ("X", 5), ("X", 8), ("Y", 2)]
+    )
     def test_orthonormal(self, name, dim):
         b = standard_basis(name, dim)
         assert np.max(np.abs(b.conj().T @ b - np.eye(dim))) < 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_fourier_quarter_turns_exact(self, dim):
+        # entry (j, k) is exp(2 pi i jk / dim) / sqrt(dim); at a whole number q of
+        # quarter turns it is i^q / sqrt(dim), with no round-off in either part
+        b = standard_basis("X", dim)
+        for j, k in itertools.product(range(dim), repeat=2):
+            quarters, rest = divmod(4 * (j * k % dim), dim)
+            if rest == 0:
+                assert b[j, k] == [1, 1j, -1, -1j][quarters] / np.sqrt(dim)
+
+    def test_zx_pointers_keep_a_real_state_real(self, spectral_calls):
+        # Z and X pointers on a real start: every amplitude stays real, so the
+        # P|(SA) Gram eigvalsh and the branch SVD take float64
+        bases = [standard_basis(b, 2) for b in ("Z", "X", "Z", "X")]
+        psi = StateVector(np.array([0.6, 0.8], dtype=complex))
+        start = TrinaryState.from_product(DIMS224, StateVector.uniform(4), psi, StateVector.basis(2, 0))
+        state = apply_programmed(build_programmed_unitary(DIMS224, bases), start)
+        assert not state.dense.amplitudes.imag.any()
+        dual_entropies(state)
+        assert sorted(spectral_calls) == [
+            ("eigvalsh", (4, 4), "float64"),
+            ("svd", (4, 2, 2), "float64", False),
+        ]
