@@ -90,6 +90,18 @@ class DualBornReport:
     empty: tuple[bool, ...]
 
 
+def textbook_comparison(report: DualBornReport, psi_s: StateVector, bases: list) -> tuple[np.ndarray, float]:
+    """The textbook rows of ``psi_s``, one per branch basis, and the report's distance from them.
+
+    Row r is ``conventional_oracle(psi_s, bases[r])`` sorted descending, as the report's
+    outcome rows are.  The distance is the largest entry gap over the nonempty branches
+    (0.0 when every branch is empty): an empty branch has no outcome row to compare.
+    """
+    rows = np.array([np.sort(conventional_oracle(psi_s, b))[::-1] for b in bases])
+    live = ~np.array(report.empty)
+    return rows, float(np.max(np.abs(report.outcome_probs - rows)[live], initial=0.0))
+
+
 def dual_born_report(state: TrinaryState) -> DualBornReport:
     """The full dual-probability report of a state, from one ``branch_spectra`` pass.
 

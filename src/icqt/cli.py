@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .born import conventional_oracle, dual_born_report
+from .born import dual_born_report, textbook_comparison
 from .dynamics import (
     DensePropagator,
     ScheduleError,
@@ -37,6 +37,7 @@ from .scenario import (
     parse_icqc_config,
     parse_initial_state,
     parse_segments,
+    parse_suite_options,
     parse_times,
     parse_vector,
 )
@@ -62,12 +63,9 @@ def cmd_validate(scenario: Scenario, out_dir: Path) -> int:
         "kind": scenario.kind,
         "seed": scenario.seed,
         "dims": [dims.d_s, dims.d_a, dims.d_p],
-        "dims_ok": report.dims_ok,
-        "minimal_dims_ok": report.minimal_dims_ok,
-        "tomographic_rank": report.tomographic_rank,
+        **asdict(report),
         "required_rank": dims.d_s * dims.d_s,
-        "complete": report.complete,
-        "branch_labels": [lab if lab is not None else "custom" for lab in labels],
+        "branch_labels": labels,
     }
     sys.stdout.write(write_json(out_dir / "completeness.json", doc))
     return 0 if report.complete else 1
@@ -101,7 +99,7 @@ def cmd_evolve(scenario: Scenario, out_dir: Path) -> int:
     for i, pair in enumerate(zip(*walks)):
         full, current = pair[0], pair[-1]
         if pmc_ok:
-            deviations.append(float(np.max(np.abs(current.dense.amplitudes - full.dense.amplitudes))))
+            deviations.append(np.max(np.abs(current.dense.amplitudes - full.dense.amplitudes)))
         s_psa[i], s_branches[i] = dual_entropies(current)
     deviation = max(deviations, default=None)
 
@@ -116,13 +114,13 @@ def cmd_evolve(scenario: Scenario, out_dir: Path) -> int:
         "kind": scenario.kind,
         "seed": scenario.seed,
         "dims": [dims.d_s, dims.d_a, dims.d_p],
-        "times": list(times),
+        "times": times,
         "pmc": [{"segment": k, **asdict(c)} for k, c in enumerate(pmc_checks)],
         "sapmc": sapmc_doc,
         "pmc_fallback": not pmc_ok,
         "factorized_full_max_deviation": deviation,
-        "final_S_PSA": float(s_psa[-1]),
-        "monotone_psa": bool(np.all(np.diff(s_psa) >= -1e-9)),
+        "final_S_PSA": s_psa[-1],
+        "monotone_psa": np.all(np.diff(s_psa) >= -1e-9),
     }
     sys.stdout.write(write_json(out_dir / "summary.json", doc))
     if not pmc_ok:
@@ -148,19 +146,14 @@ def cmd_born(scenario: Scenario, out_dir: Path) -> int:
     state = apply_programmed(pu, TrinaryState.from_product(dims, chi, psi, phi))
     report = dual_born_report(state)
 
-    conv = [np.sort(conventional_oracle(psi, basis))[::-1] for basis in bases]
-    live = ~np.array(report.empty)
-    max_dev = float(np.max(np.abs(report.outcome_probs - conv)[live], initial=0.0))
+    conv, max_dev = textbook_comparison(report, psi, bases)
     doc = {
         "kind": scenario.kind,
         "seed": scenario.seed,
         "dims": [dims.d_s, dims.d_a, dims.d_p],
-        "decision_probs": [float(x) for x in report.decision_probs],
-        "outcome_probs": [[float(x) for x in row] for row in report.outcome_probs],
-        "branch_labels": [lab if lab is not None else "custom" for lab in labels],
-        "degenerate": list(report.degenerate),
-        "empty": list(report.empty),
-        "conventional_outcomes_sorted": [[float(x) for x in row] for row in conv],
+        **asdict(report),
+        "branch_labels": labels,
+        "conventional_outcomes_sorted": conv,
         "max_outcome_deviation": max_dev,
     }
     sys.stdout.write(write_json(out_dir / "born_report.json", doc))
@@ -176,12 +169,9 @@ def cmd_icqc(scenario: Scenario, out_dir: Path) -> int:
         "n": config.n,
         "registers": {"n_s": config.n, "n_a": config.n_a, "n_p": config.n_p},
         "s_psa": report.s_psa,
-        "s_sa_branches": [float(x) for x in report.s_sa_branches],
+        "s_sa_branches": report.s_sa_branches,
         "mean_s_sa": report.mean_s_sa,
-        "decision_probs": [float(x) for x in report.born.decision_probs],
-        "outcome_probs": [[float(x) for x in row] for row in report.born.outcome_probs],
-        "degenerate": list(report.born.degenerate),
-        "empty": list(report.born.empty),
+        **asdict(report.born),
     }
     if scenario.payload.get("emit_state"):
         doc["final_state"] = complex_to_pairs(report.final_state.dense.amplitudes)
@@ -190,37 +180,11 @@ def cmd_icqc(scenario: Scenario, out_dir: Path) -> int:
 
 
 def cmd_suite(scenario: Scenario, out_dir: Path) -> int:
-    payload = scenario.payload
-    dims_list = payload.get("dims_list")
-    if dims_list is None:
-        dims = None
-    else:
-        if not isinstance(dims_list, list) or not dims_list:
-            raise ScenarioError("dims_list must be a nonempty list of [d_s, d_a, d_p]")
-        dims = tuple(parse_dims({"dims": d}) for d in dims_list)
-
-    def count(key: str, default: int) -> int:
-        value = payload.get(key, default)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ScenarioError(f"{key} must be a positive integer")
-        return value
-
-    kwargs = dict(
-        factorization_cases=count("factorization_cases", 50),
-        converse_cases=count("converse_cases", 10),
-        block_cases=count("block_cases", 50),
-        born_cases=count("born_cases", 100),
-        creation_cases=count("creation_cases", 20),
-        shannon_cases=count("shannon_cases", 100),
-        schmidt_roundtrips=count("schmidt_roundtrips", 1000),
-    )
-    if dims is not None:
-        kwargs["dims_list"] = dims
-    results = run_property_suite(scenario.seed, **kwargs)
+    results = run_property_suite(scenario.seed, **parse_suite_options(scenario.payload))
     doc = {
         "kind": scenario.kind,
         "seed": scenario.seed,
-        "properties": [r.as_dict() for r in results],
+        "properties": [asdict(r) for r in results],
         "all_passed": all(r.passed for r in results),
     }
     sys.stdout.write(write_json(out_dir / "suite_report.json", doc))

@@ -77,7 +77,7 @@ def _validate_conditioned(h_program: Operator, blocks: Sequence[Operator], basis
             raise HermiticityError(f"{block} {n} is not Hermitian")
     if basis is None:
         return None
-    return _check_orthonormal(np.asarray(basis, dtype=complex), program_dim, basis_name)
+    return _check_orthonormal(basis, program_dim, basis_name)
 
 
 def _assemble_conditioned(h_program, blocks, basis) -> Operator:

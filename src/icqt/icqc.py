@@ -218,6 +218,8 @@ class IcqcConfig:
         ]
         sizes = {"P": n_p, "S": self.n, "A": n_a}
         for where, gates, allowed in circuits:
+            if isinstance(gates, GateOp):
+                raise ValueError(f"{where} must be a circuit of GateOp, got a single GateOp")
             for gate in gates:
                 if not isinstance(gate, GateOp):
                     kind = type(gate).__name__

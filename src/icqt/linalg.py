@@ -83,6 +83,14 @@ class StateVector:
         return StateVector(np.full(dim, 1.0 / np.sqrt(dim), dtype=complex))
 
 
+def is_unitary_matrix(m: np.ndarray) -> bool:
+    """icqt's one unitarity rule: max|M^dagger M - I| <= UNITARITY_TOL for a square M.
+
+    A NaN or inf entry makes the deviation NaN or inf, and the comparison fails.
+    """
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= UNITARITY_TOL)
+
+
 @dataclass(frozen=True)
 class Operator:
     """Square complex matrix acting on a dim-dimensional space."""
@@ -104,8 +112,7 @@ class Operator:
         return Operator(np.eye(dim, dtype=complex))
 
     def is_unitary(self) -> bool:
-        gram = self.entries.conj().T @ self.entries
-        return bool(np.max(np.abs(gram - np.eye(self.dim))) <= UNITARITY_TOL)
+        return is_unitary_matrix(self.entries)
 
     def is_hermitian(self) -> bool:
         return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= HERMITICITY_TOL)
@@ -209,23 +216,14 @@ def _singular_values(matrix: np.ndarray) -> np.ndarray:
         return np.linalg.svd(matrix, full_matrices=False)[1]
 
 
-def schmidt_coefficients(psi: StateVector, dims: tuple[int, int]) -> np.ndarray:
-    """Descending Schmidt coefficients across the (dimL, dimR) cut, without bases.
-
-    They equal the coefficients of ``schmidt_decompose`` within the bound
-    documented in ``_singular_values``; a real cut (``_real_if_exact``) is
-    taken in float64.
-    """
-    return _singular_values(_real_if_exact(_cut_matrix(psi, dims)))
-
-
 def branch_schmidt_coefficients(rows: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Schmidt coefficients across the (dimL, dimR) cut of every row of a matrix.
+    """Descending Schmidt coefficients, without bases, across the (dimL, dimR) cut of every
+    row of a matrix.
 
     The whole stack is real or complex (``_real_if_exact``).  Row i of the
-    result is ``schmidt_coefficients`` of rows[i], bit for bit, when both
-    take the same dtype: one batched values-only SVD of the (k, dimL, dimR)
-    stack runs the same LAPACK call on each matrix.  Should it not converge,
+    result is the one-row result of rows[i], bit for bit, when both take the
+    same dtype: one batched values-only SVD of the (k, dimL, dimR) stack runs
+    the same LAPACK call on each matrix.  Should it not converge,
     the rows are taken one at a time in the stack's dtype, so every row that
     converges alone keeps its bits.  Each row equals the coefficients of
     ``schmidt_decompose`` within the bound documented in ``_singular_values``.
@@ -265,7 +263,7 @@ def entanglement_entropy(psi: StateVector, dims: tuple[int, int]) -> float:
     (``_real_if_exact``) gives a real Gram matrix and a float64 ``eigvalsh``.
     Round-off negatives are masked by ``shannon_entropy``.  Should
     ``eigvalsh`` not converge, the entropy is taken from the values-only SVD
-    of M, in M's dtype: that is ``schmidt_coefficients``.
+    of M, in M's dtype, as ``branch_schmidt_coefficients`` takes it for one row.
 
     The Schmidt coefficients themselves stay on the SVD: a zero eigenvalue
     of +-4e-17 would read as a coefficient of about 6e-9, above the Born

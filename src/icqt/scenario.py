@@ -16,6 +16,7 @@ import numpy as np
 from .icqc import GateOp, IcqcConfig, check_capacity, random_program, tomographic_program_n1
 from .linalg import Operator, StateVector, seeded_random, subseed
 from .serialize import pairs_to_complex
+from .suite import DEFAULT_COUNTS
 from .trinary import TrinaryDims, TrinaryState, _check_orthonormal, standard_basis
 from .dynamics import ProgrammedBlockStructure, TrinaryHamiltonian, random_trinary_hamiltonian
 
@@ -39,6 +40,11 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; booleans are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenario:
     p = Path(path)
     if not p.is_file():
@@ -55,7 +61,7 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     if kind not in KINDS:
         raise ScenarioError(f"kind must be one of {KINDS}, got {kind!r}")
     seed = data.get("seed", 0) if seed_override is None else seed_override
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0 or seed >= 2**64:
+    if not _is_int(seed) or seed < 0 or seed >= 2**64:
         raise ScenarioError("seed must be an unsigned 64-bit integer")
     return Scenario(kind=kind, seed=seed, payload=data)
 
@@ -65,7 +71,7 @@ def parse_dims(payload: dict) -> TrinaryDims:
     if (
         not isinstance(dims, list)
         or len(dims) != 3
-        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
+        or not all(_is_int(d) and d >= 1 for d in dims)
     ):
         raise ScenarioError("dims must be a list [d_s, d_a, d_p] of positive integers")
     d_s, d_a, d_p = dims
@@ -123,7 +129,8 @@ def parse_basis(obj, dim: int, what: str) -> tuple[np.ndarray, str | None]:
         raise ScenarioError(str(exc)) from exc
 
 
-def parse_branch_bases(payload: dict, dims: TrinaryDims) -> tuple[list[np.ndarray], list[str | None]]:
+def parse_branch_bases(payload: dict, dims: TrinaryDims) -> tuple[list[np.ndarray], list[str]]:
+    """One basis per programming state, with its label: the basis name, or "custom" for a matrix."""
     raw = payload.get("branch_bases")
     if not isinstance(raw, list) or len(raw) != dims.d_p:
         raise ScenarioError(f"branch_bases must list {dims.d_p} bases (one per programming state)")
@@ -131,7 +138,7 @@ def parse_branch_bases(payload: dict, dims: TrinaryDims) -> tuple[list[np.ndarra
     for r, obj in enumerate(raw):
         basis, label = parse_basis(obj, dims.d_s, f"branch_bases[{r}]")
         bases.append(basis)
-        labels.append(label)
+        labels.append("custom" if label is None else label)
     return bases, labels
 
 
@@ -267,7 +274,7 @@ def parse_gate(obj, what: str) -> GateOp:
         raise ScenarioError(f"{what} must be an object with a 'kind' name and 'targets'")
     targets = obj["targets"]
     if not isinstance(targets, list) or not all(
-        isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) and type(t[1]) is int
+        isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) and _is_int(t[1])
         for t in targets
     ):
         raise ScenarioError(f"{what}.targets must be [register, qubit] pairs")
@@ -294,10 +301,10 @@ def parse_gate_list(obj, what: str) -> tuple[GateOp, ...]:
 
 def parse_icqc_config(payload: dict, seed: int) -> IcqcConfig:
     n = payload.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ScenarioError("n must be a positive integer")
     for key in ("n_a", "n_p"):
-        if key in payload and type(payload[key]) is not int:  # bool, float or string
+        if key in payload and not _is_int(payload[key]):
             raise ScenarioError(f"{key} must be an integer")
     check_capacity(2 ** (4 * n), f"2^{4 * n}")
     gates = parse_gate_list(payload.get("gates"), "gates")
@@ -312,7 +319,7 @@ def parse_icqc_config(payload: dict, seed: int) -> IcqcConfig:
         if not isinstance(program["random"], dict):
             raise ScenarioError("program.random must be an object")
         depth = program["random"].get("depth", 3)
-        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+        if not _is_int(depth) or depth < 0:
             raise ScenarioError("program.random.depth must be a nonnegative integer")
         # the table holds 4^n circuits of depth + 1 gates each
         check_capacity(4**n * (depth + 1), f"4^{n}*({depth}+1)", "random program gate count")
@@ -337,3 +344,20 @@ def parse_icqc_config(payload: dict, seed: int) -> IcqcConfig:
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
+
+
+def parse_suite_options(payload: dict) -> dict:
+    """The ``run_property_suite`` keyword arguments a property-suite scenario sets: ``dims_list``
+    and the counts of DEFAULT_COUNTS it names."""
+    options = {}
+    dims_list = payload.get("dims_list")
+    if dims_list is not None:
+        if not isinstance(dims_list, list) or not dims_list:
+            raise ScenarioError("dims_list must be a nonempty list of [d_s, d_a, d_p]")
+        options["dims_list"] = tuple(parse_dims({"dims": d}) for d in dims_list)
+    for key in DEFAULT_COUNTS:
+        if key in payload:
+            if not _is_int(payload[key]) or payload[key] < 1:
+                raise ScenarioError(f"{key} must be a positive integer")
+            options[key] = payload[key]
+    return options

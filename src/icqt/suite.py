@@ -10,11 +10,11 @@ reproduces the same numbers.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .born import conventional_oracle, decision_probabilities, dual_born_report
+from .born import decision_probabilities, dual_born_report, textbook_comparison
 from .dynamics import (
     DensePropagator,
     _checked_propagator,
@@ -54,6 +54,16 @@ CREATION_MIN = 1e-6
 DEFAULT_DIMS = (TrinaryDims(2, 2, 4), TrinaryDims(3, 3, 9))
 SQUARE_D = (2, 3)  # d of the (d, d) block and (d, d, d^2) Born batteries
 EVOLUTION_TIMES = (0.1, 0.5, 1.0, 2.0)
+# Each battery's case count in ``run_property_suite``, keyed by the keyword that overrides it
+DEFAULT_COUNTS = {
+    "factorization_cases": 50,  # per dims
+    "converse_cases": 10,
+    "block_cases": 50,  # per d of SQUARE_D
+    "born_cases": 100,  # per d of SQUARE_D
+    "creation_cases": 20,
+    "shannon_cases": 100,
+    "schmidt_roundtrips": 1000,
+}
 
 
 @dataclass(frozen=True)
@@ -66,9 +76,6 @@ class PropertyResult:
     elapsed_s: float
     notes: str = ""
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def _random_separable(dims: TrinaryDims, seed: int) -> TrinaryState:
     return TrinaryState.from_product(
@@ -80,7 +87,7 @@ def _random_separable(dims: TrinaryDims, seed: int) -> TrinaryState:
 
 
 def factorization_battery(
-    seed: int, dims_list=DEFAULT_DIMS, cases_per_dims: int = 50
+    seed: int, cases_per_dims: int, dims_list=DEFAULT_DIMS
 ) -> PropertyResult:
     """Factorized evolution must match the dense propagator when pmc holds."""
     t0 = time.perf_counter()
@@ -110,7 +117,7 @@ def factorization_battery(
     )
 
 
-def converse_battery(seed: int, cases: int = 10) -> PropertyResult:
+def converse_battery(seed: int, cases: int) -> PropertyResult:
     """With pmc violated, the unchecked factorized formula must visibly diverge."""
     t0 = time.perf_counter()
     dims = DEFAULT_DIMS[0]
@@ -134,7 +141,7 @@ def converse_battery(seed: int, cases: int = 10) -> PropertyResult:
     )
 
 
-def block_battery(seed: int, cases_per_dim: int = 50) -> PropertyResult:
+def block_battery(seed: int, cases_per_dim: int) -> PropertyResult:
     """Second-level factorized block evolution vs the dense block exponential."""
     t0 = time.perf_counter()
     worst = 0.0
@@ -171,7 +178,7 @@ def _branch_basis_set(d: int, d_p: int, seed: int) -> list[np.ndarray]:
     return bases[:d_p]
 
 
-def born_battery(seed: int, cases_per_dim: int = 100) -> PropertyResult:
+def born_battery(seed: int, cases_per_dim: int) -> PropertyResult:
     """Branch-wise emergence of the textbook Born rule, plus decision weights."""
     t0 = time.perf_counter()
     worst = 0.0
@@ -192,8 +199,7 @@ def born_battery(seed: int, cases_per_dim: int = 100) -> PropertyResult:
             report = dual_born_report(state)
             dec = report.decision_probs
             worst = max(worst, float(np.max(np.abs(dec - np.abs(chi.amplitudes) ** 2))))
-            conv = [np.sort(conventional_oracle(psi, basis))[::-1] for basis in bases]
-            worst = max(worst, float(np.max(np.abs(report.outcome_probs - conv))))
+            worst = max(worst, textbook_comparison(report, psi, bases)[1])
             total += 1
     return PropertyResult(
         name="born-emergence",
@@ -205,9 +211,7 @@ def born_battery(seed: int, cases_per_dim: int = 100) -> PropertyResult:
     )
 
 
-def bounds_and_creation_battery(
-    seed: int, cases: int = 20, dims_list=DEFAULT_DIMS
-) -> PropertyResult:
+def bounds_and_creation_battery(seed: int, cases: int, dims_list=DEFAULT_DIMS) -> PropertyResult:
     """Entropy bounds along trajectories plus entanglement creation at t=0.1."""
     t0 = time.perf_counter()
     weakest_creation = np.inf
@@ -240,9 +244,7 @@ def bounds_and_creation_battery(
     )
 
 
-def shannon_identity_battery(
-    seed: int, cases: int = 100, dims_list=DEFAULT_DIMS
-) -> PropertyResult:
+def shannon_identity_battery(seed: int, cases: int, dims_list=DEFAULT_DIMS) -> PropertyResult:
     """Shannon entropy of the decision row equals the P|(SA) entanglement."""
     t0 = time.perf_counter()
     worst = 0.0
@@ -267,7 +269,7 @@ def shannon_identity_battery(
     )
 
 
-def schmidt_battery(seed: int, roundtrips: int = 1000) -> PropertyResult:
+def schmidt_battery(seed: int, roundtrips: int) -> PropertyResult:
     """Decompose/reconstruct roundtrips and local-unitary entropy invariance."""
     t0 = time.perf_counter()
     worst = 0.0
@@ -337,24 +339,19 @@ def icqc_battery(seed: int) -> PropertyResult:
     )
 
 
-def run_property_suite(
-    seed: int,
-    dims_list=DEFAULT_DIMS,
-    factorization_cases: int = 50,
-    converse_cases: int = 10,
-    block_cases: int = 50,
-    born_cases: int = 100,
-    creation_cases: int = 20,
-    shannon_cases: int = 100,
-    schmidt_roundtrips: int = 1000,
-) -> list[PropertyResult]:
+def run_property_suite(seed: int, dims_list=DEFAULT_DIMS, **counts: int) -> list[PropertyResult]:
+    """Every battery in report order; ``counts`` override entries of DEFAULT_COUNTS by name."""
+    unknown = sorted(set(counts) - set(DEFAULT_COUNTS))
+    if unknown:
+        raise TypeError(f"run_property_suite() got unknown counts {unknown}")
+    c = {**DEFAULT_COUNTS, **counts}
     return [
-        factorization_battery(seed, dims_list, factorization_cases),
-        converse_battery(seed, converse_cases),
-        block_battery(seed, block_cases),
-        born_battery(seed, born_cases),
-        bounds_and_creation_battery(seed, creation_cases, dims_list),
-        shannon_identity_battery(seed, shannon_cases, dims_list),
-        schmidt_battery(seed, schmidt_roundtrips),
+        factorization_battery(seed, c["factorization_cases"], dims_list),
+        converse_battery(seed, c["converse_cases"]),
+        block_battery(seed, c["block_cases"]),
+        born_battery(seed, c["born_cases"]),
+        bounds_and_creation_battery(seed, c["creation_cases"], dims_list),
+        shannon_identity_battery(seed, c["shannon_cases"], dims_list),
+        schmidt_battery(seed, c["schmidt_roundtrips"]),
         icqc_battery(seed),
     ]

@@ -19,10 +19,10 @@ from .linalg import (
     StateVector,
     branch_schmidt_coefficients,
     entanglement_entropy,
+    is_unitary_matrix,
     shannon_entropy,
 )
 
-BASIS_ORTHO_TOL = 1e-10
 GRAM_RANK_TOL = 1e-8
 EMPTY_BRANCH_TOL = 1e-14
 
@@ -75,7 +75,7 @@ def _check_orthonormal(basis: np.ndarray, dim: int, what: str) -> np.ndarray:
     b = np.asarray(basis, dtype=complex)
     if b.shape != (dim, dim):
         raise DimensionError(f"{what} must be a {dim}x{dim} matrix of basis columns")
-    if np.max(np.abs(b.conj().T @ b - np.eye(dim))) > BASIS_ORTHO_TOL:
+    if not is_unitary_matrix(b):
         raise ValueError(f"{what} columns are not orthonormal")
     return b
 
@@ -116,13 +116,12 @@ def build_pointer_measurement(basis: np.ndarray, d_a: int) -> Operator:
     applying the result to |psi> (x) |0,A> leaves the apparatus pointing at
     the measured basis index.
     """
-    b = np.asarray(basis, dtype=complex)
-    d_s = b.shape[0]
+    d_s = len(basis)
     if d_a < d_s:
         raise PointerCapacityError(
             f"apparatus dim {d_a} < system dim {d_s}: not enough pointer positions"
         )
-    b = _check_orthonormal(b, d_s, "pointer basis")
+    b = _check_orthonormal(basis, d_s, "pointer basis")
     shift = cyclic_shift(d_a).entries
     u = np.zeros((d_s * d_a, d_s * d_a), dtype=complex)
     power = np.eye(d_a, dtype=complex)

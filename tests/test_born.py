@@ -9,6 +9,7 @@ from icqt.born import (
     decision_probabilities,
     dual_born_report,
     outcome_probabilities,
+    textbook_comparison,
 )
 from icqt.linalg import (
     StateVector,
@@ -18,6 +19,7 @@ from icqt.linalg import (
     shannon_entropy,
     tensor_product,
 )
+from icqt.suite import BORN_TOL
 from icqt.trinary import (
     TrinaryDims,
     TrinaryState,
@@ -145,6 +147,29 @@ class TestConventionalOracle:
         assert np.max(
             np.abs(conventional_oracle(psi, basis) - born_probabilities(psi.amplitudes, basis))
         ) < 1e-14
+
+
+class TestTextbookComparison:
+    PSI = seeded_random("state", 2, 3)
+
+    def test_no_empty_branch_gives_the_plain_max(self):
+        state, bases = zxyz_state(seeded_random("state", 4, 4), self.PSI)
+        report = dual_born_report(state)
+        assert not any(report.empty)
+        rows, gap = textbook_comparison(report, self.PSI, bases)
+        assert np.array_equal(rows, [np.sort(conventional_oracle(self.PSI, b))[::-1] for b in bases])
+        assert gap == np.max(np.abs(report.outcome_probs - rows))
+        assert gap <= BORN_TOL
+
+    def test_an_empty_branch_is_skipped(self):
+        g = StateVector(np.array([0.6, 0.0, 0.8, 0.0], dtype=complex))
+        state, bases = zxyz_state(g, self.PSI)
+        report = dual_born_report(state)
+        assert report.empty == (False, True, False, True)
+        rows, gap = textbook_comparison(report, self.PSI, bases)
+        assert gap == np.max(np.abs(report.outcome_probs[[0, 2]] - rows[[0, 2]]))
+        # an empty branch's zero row is at least 1/d_s from its textbook row
+        assert np.max(np.abs(report.outcome_probs - rows)) >= 0.5 > gap
 
 
 class TestDualBornReport:

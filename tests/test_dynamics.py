@@ -137,6 +137,7 @@ class TestConditionedValidation:
         tuple(seeded_random("hermitian", 2, 50 + n) for n in range(3)),
         np.eye(3),
     )
+    BASIS_NAMES = {"P|SA": "programming basis", "S|A": "S basis", "SA|P": "SA basis"}
 
     @pytest.mark.parametrize("level", ["P|SA", "S|A", "SA|P"])
     @pytest.mark.parametrize(
@@ -148,6 +149,9 @@ class TestConditionedValidation:
             ("too few blocks", DimensionError),
             ("block of another dim", DimensionError),
             ("basis not orthonormal", ValueError),
+            # a NaN or inf entry makes the unitarity deviation NaN, which no comparison passes
+            ("basis with a NaN entry", ValueError),
+            ("basis with an inf entry", ValueError),
         ],
     )
     def test_fault(self, level, fault, error):
@@ -162,10 +166,16 @@ class TestConditionedValidation:
             blocks = blocks[:2] + (Operator.identity(3),)
         elif fault == "basis not orthonormal":
             basis = np.triu(np.ones((3, 3)))
+        elif fault is not None and fault.startswith("basis with"):
+            basis = np.eye(3)
+            basis[0, 0] = np.nan if "NaN" in fault else np.inf
         if error is None:
             build_level(level, h_program, blocks, basis)
         else:
-            with pytest.raises(error):
+            match = None
+            if fault.startswith("basis"):
+                match = f"^{self.BASIS_NAMES[level]} columns are not orthonormal$"
+            with pytest.raises(error, match=match):
                 build_level(level, h_program, blocks, basis)
 
 

@@ -183,6 +183,14 @@ class TestRegisterLaw:
         with pytest.raises(ValueError, match="branch 1 must be a circuit of GateOp"):
             IcqcConfig(n=1, program_table=table)
 
+    def test_single_gate_rejected_as_a_circuit(self):
+        # a lone GateOp is not a sequence of gates, wherever a circuit is expected
+        gate = GateOp("X", (("S", 0),))
+        with pytest.raises(ValueError, match="^branch 0 must be a circuit of GateOp, got a single GateOp$"):
+            IcqcConfig(n=1, program_table=(gate, (), (), ()))
+        with pytest.raises(ValueError, match="^gate sequence must be a circuit of GateOp, got a single GateOp$"):
+            IcqcConfig(n=1, gate_sequence=gate, program_table=identity_program(1))
+
     def test_branch_cannot_touch_p(self):
         bad = ((GateOp("X", (("P", 0),)),),) + tuple([()] * 3)
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from icqt.linalg import (
     entanglement_entropy,
     HermitianSpectrum,
     hermitian_propagator,
-    schmidt_coefficients,
     schmidt_decompose,
     seeded_random,
     shannon_entropy,
@@ -35,6 +34,11 @@ from oracles import (
 )
 
 BELL = StateVector(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
+
+
+def one_row_coefficients(psi, dims):
+    """Descending Schmidt coefficients of one state, from the one-row ``branch_schmidt_coefficients``."""
+    return branch_schmidt_coefficients(psi.amplitudes[None], dims)[0]
 
 
 def real_state(dim, seed) -> StateVector:
@@ -203,7 +207,7 @@ class TestBranchSchmidtCoefficients:
 
     @staticmethod
     def per_row(rows, dims):
-        return np.array([schmidt_coefficients(StateVector(row), dims) for row in rows])
+        return np.array([one_row_coefficients(StateVector(row), dims) for row in rows])
 
     @pytest.mark.parametrize("k, d_l, d_r", [(81, 9, 9), (16, 4, 4), (7, 3, 4), (1, 2, 2)])
     def test_equals_per_row_coefficients(self, k, d_l, d_r):
@@ -311,7 +315,7 @@ class TestEntropy:
         ]
         cases.append((BELL, (2, 2)))
         for psi, dims in cases:
-            gap = schmidt_coefficients(psi, dims) - schmidt_decompose(psi, dims).coefficients
+            gap = one_row_coefficients(psi, dims) - schmidt_decompose(psi, dims).coefficients
             assert np.max(np.abs(gap)) <= singular_value_bound(dims)
             got, want = entanglement_entropy(psi, dims), self.coefficient_entropy(psi, dims)
             assert abs(got - want) <= entropy_bound(dims)
@@ -331,8 +335,9 @@ class TestEntropy:
             psi = seeded_random("state", dims[0] * dims[1], seed)
             # the fallback is the full SVD of schmidt_decompose, so the bits agree
             want = schmidt_decompose(psi, dims).coefficients
-            assert np.array_equal(schmidt_coefficients(psi, dims), want)
-        assert values_only_calls == list(self.CUTS)
+            assert np.array_equal(one_row_coefficients(psi, dims), want)
+        # the one-row stack, then its row alone
+        assert values_only_calls == [shape for dims in self.CUTS for shape in ((1, *dims), dims)]
 
     def test_svd_route_when_eigvalsh_does_not_converge(self, monkeypatch, spectral_calls):
         gram_calls = []
@@ -351,7 +356,7 @@ class TestEntropy:
             spectral_calls.clear()
             for seed, dims in enumerate(self.CUTS):
                 psi = make(dims[0] * dims[1], seed)
-                s = schmidt_coefficients(psi, dims)
+                s = one_row_coefficients(psi, dims)
                 assert entanglement_entropy(psi, dims) == shannon_entropy(s * s)
             assert {call[2] for call in spectral_calls} == {dtype}
         assert gram_calls == [(min(dims), min(dims)) for dims in self.CUTS] * 2
@@ -406,7 +411,7 @@ class TestRealAmplitudes:
         coefficients of its three rows of 4 as 2 x 2 cuts."""
         return (
             entanglement_entropy(psi, (3, 4)),
-            schmidt_coefficients(psi, (3, 4)),
+            one_row_coefficients(psi, (3, 4)),
             branch_schmidt_coefficients(psi.amplitudes.reshape(3, 4), (2, 2)),
         )
 
@@ -420,7 +425,7 @@ class TestRealAmplitudes:
         assert np.all(np.signbit(psi.amplitudes.imag) == np.signbit(zero))
         self.kernels(psi)
         assert [call[:2] for call in spectral_calls] == [
-            ("eigvalsh", (3, 3)), ("svd", (3, 4)), ("svd", (3, 2, 2))
+            ("eigvalsh", (3, 3)), ("svd", (1, 3, 4)), ("svd", (3, 2, 2))
         ]
         assert self.dtypes(spectral_calls) == ["float64"] * 3
         # the state and its Schmidt vectors stay complex
@@ -446,7 +451,7 @@ class TestRealAmplitudes:
             got = entanglement_entropy(psi, dims)
             want = complex_typed(entanglement_entropy, psi, dims)
             assert abs(got - want) <= entropy_bound(dims)
-            gap = schmidt_coefficients(psi, dims) - complex_typed(schmidt_coefficients, psi, dims)
+            gap = one_row_coefficients(psi, dims) - complex_typed(one_row_coefficients, psi, dims)
             assert np.max(np.abs(gap)) <= singular_value_bound(dims)
 
     def test_full_svd_when_no_values_only_svd_converges(self, monkeypatch, spectral_calls):
@@ -461,11 +466,11 @@ class TestRealAmplitudes:
 
         monkeypatch.setattr(np.linalg, "svd", unconverged)
         want = np.linalg.svd(rows.real, full_matrices=False)[1]
-        assert np.array_equal(schmidt_coefficients(psi, (3, 4)), want)
+        assert np.array_equal(one_row_coefficients(psi, (3, 4)), want)
         per_row = [np.linalg.svd(r.real.reshape(2, 2), full_matrices=False)[1] for r in rows]
         assert np.array_equal(branch_schmidt_coefficients(rows, (2, 2)), per_row)
         assert set(self.dtypes(spectral_calls)) == {"float64"}
-        gap = schmidt_coefficients(psi, (3, 4)) - schmidt_decompose(psi, (3, 4)).coefficients
+        gap = one_row_coefficients(psi, (3, 4)) - schmidt_decompose(psi, (3, 4)).coefficients
         assert np.max(np.abs(gap)) <= singular_value_bound((3, 4))
 
 

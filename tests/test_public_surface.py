@@ -1,9 +1,12 @@
-"""Every name ``icqt`` exports has a caller in the package or is documented library API.
+"""Every name ``icqt`` exports has a caller in the package or is documented library API,
+and every top-level function or class of the package has a caller or is exported.
 
-A caller is a use of the name in code (a name or an attribute) in a module of
-``src/icqt`` other than ``__init__.py``; an import, a ``def``/``class`` line or
-a mention in a docstring is not one.  The exports with no caller are the
-names of the README's "Library API" paragraph, no more and no fewer.
+A caller is a load of the bare name in code (``ast.Name`` in ``Load``
+context) in a module of ``src/icqt`` other than ``__init__.py``; an import, a
+``def``/``class`` line, an attribute or field of the same spelling (such as
+``CommutatorCheck.commutator_norm``) or a mention in a docstring is not one.
+The exports with no caller are the names of the README's "Library API"
+paragraph, no more and no fewer.
 """
 
 import ast
@@ -30,11 +33,19 @@ def names_used_in_package() -> set[str]:
         if path.name == "__init__.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
     return used
+
+
+def top_level_definitions() -> list[str]:
+    """Every function and class defined at the top level of a module of the package."""
+    return [
+        node.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
 
 
 def library_api_names() -> set[str]:
@@ -53,3 +64,8 @@ def test_every_export_has_a_caller_or_is_library_api():
 def test_library_api_lists_only_exports_without_a_caller():
     used = names_used_in_package()
     assert library_api_names() == {name for name in exported_names() if name not in used}
+
+
+def test_every_definition_has_a_caller_or_is_exported():
+    used, exported = names_used_in_package(), set(exported_names())
+    assert [name for name in top_level_definitions() if name not in used | exported] == []

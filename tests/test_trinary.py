@@ -117,6 +117,13 @@ class TestPointerMeasurement:
         with pytest.raises(PointerCapacityError):
             build_pointer_measurement(standard_basis("Z", 3), 2)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 2.0])
+    def test_rejects_a_basis_that_is_not_orthonormal(self, entry):
+        basis = np.eye(2, dtype=complex)
+        basis[1, 1] = entry
+        with pytest.raises(ValueError, match="^pointer basis columns are not orthonormal$"):
+            build_pointer_measurement(basis, 2)
+
     def test_branch_schmidt_equals_input_amplitudes(self):
         # pointer branch on |psi>|0>: Schmidt coefficients are sorted |<j|psi>|
         basis = seeded_random("unitary", 3, 5).entries
