@@ -33,6 +33,7 @@ from .linalg import (
     HermitianSpectrum,
     Operator,
     StateVector,
+    component_spectrum,
     random_hermitian,
     seeded_random,
 )
@@ -193,16 +194,25 @@ def conditioned_commutator_norm(
     The norm is taken in the conditioning basis (the columns e_n of
     ``basis``, computational when None), where block (n, m) of the
     commutator is h'[n, m] (B_n - B_m) with h' = basis^dagger H_prog basis.
-    The difference form is exactly 0 wherever h'[n, m] or B_n - B_m is.  One
-    row of blocks at a time, so memory is len(blocks) * d_block^2 and no
-    full-space matrix is formed.
+    The difference form is exactly 0 wherever h'[n, m] or B_n - B_m is, so a
+    row takes only the m with h'[n, m] != 0: the blocks are finite, each
+    skipped block is exactly 0 and the max keeps its bits.  A row without
+    zeros is taken whole, without the gather.  One row of blocks at a time,
+    so memory is len(blocks) * d_block^2 and no full-space matrix is formed.
     """
     if basis is not None:
         h_program = basis.conj().T @ h_program @ basis
     stack = np.stack(blocks)
     norm = 0.0
     for n in range(len(stack)):
-        row = h_program[n][:, None, None] * (stack[n] - stack)
+        coupling = h_program[n]
+        coupled = np.flatnonzero(coupling)
+        if coupled.size == 0:
+            continue
+        if coupled.size < coupling.size:
+            row = coupling[coupled, None, None] * (stack[n] - stack[coupled])
+        else:
+            row = coupling[:, None, None] * (stack[n] - stack)
         norm = max(norm, float(np.max(np.abs(row))))
     return norm
 
@@ -267,14 +277,18 @@ class FactorizedPropagator:
 class DensePropagator:
     """exp(-i H t) of a trinary Hamiltonian on the full space, decomposed once.
 
-    The brute-force reference for ``FactorizedPropagator``: it diagonalises
-    the densely assembled ``full_operator`` with one ``eigh``, so it is exact
-    whether or not the measurability condition holds, at (d_p d_sa)^3 cost.
-    Each ``evolve`` applies the spectrum to the state without forming U(t).
+    The brute-force reference for ``FactorizedPropagator``: it assembles the
+    dense ``full_operator`` and diagonalises it by the connected components
+    of its exact zero pattern (``component_spectrum``), so it is exact
+    whether or not the measurability condition holds, at sum_k c_k^3 cost
+    over the component sizes c_k, (d_p d_sa)^3 for a matrix of one component.
+    The components come from the assembled entries alone, not from the
+    blocks or the factorization.  Each ``evolve`` applies the spectrum to the
+    state without forming U(t).
     """
 
     def __init__(self, h: TrinaryHamiltonian):
-        self._spectrum = HermitianSpectrum.of(h.full_operator().entries)
+        self._spectrum = component_spectrum(h.full_operator().entries)
 
     def evolve(self, state: TrinaryState, t: float) -> TrinaryState:
         amp = self._spectrum.apply(state.dense.amplitudes[:, None], t)[:, 0]

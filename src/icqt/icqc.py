@@ -207,6 +207,8 @@ class IcqcConfig:
         object.__setattr__(self, "n_p", n_p)
         if self.initial not in ("uniform", "zeros"):
             raise ValueError("initial must be 'uniform' or 'zeros'")
+        if isinstance(self.program_table, GateOp):
+            raise ValueError("program table must be a table of circuits, got a single GateOp")
         if len(self.program_table) != 4**self.n:
             raise ValueError(
                 f"program table needs {4 ** self.n} entries, got {len(self.program_table)}"

@@ -369,6 +369,22 @@ def dense_pmc_norm(h) -> float:
     return dense_commutator_norm(programmed_part(h), np.kron(h.h_p.entries, np.eye(h.dims.d_sa)))
 
 
+def every_block_commutator_norm(h_program: np.ndarray, blocks, basis: np.ndarray | None = None) -> float:
+    """Max-entry norm of the commutator blocks h'[n, m] (B_n - B_m), h' = basis^dagger H basis,
+    taking every (n, m): a whole row of blocks per n, zero couplings included.
+
+    The same arithmetic per entry as a blockwise check that skips zero
+    couplings, so the two norms agree bit for bit when the blocks are finite.
+    """
+    if basis is not None:
+        h_program = basis.conj().T @ h_program @ basis
+    stack = np.stack(blocks)
+    return max(
+        float(np.max(np.abs(h_program[n][:, None, None] * (stack[n] - stack))))
+        for n in range(len(stack))
+    )
+
+
 def dense_block(block) -> np.ndarray:
     """The S x A matrix of a ProgrammedBlockStructure, by ``dense_trinary_hamiltonian``."""
     return dense_trinary_hamiltonian(

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from oracles import (
     dense_sapmc_norm,
     dense_swapped_norm,
     dense_trinary_hamiltonian,
+    every_block_commutator_norm,
     expm_hermitian,
     factorized_apply_loop,
     product_bound,
@@ -169,14 +171,16 @@ class TestConditionedValidation:
         elif fault is not None and fault.startswith("basis with"):
             basis = np.eye(3)
             basis[0, 0] = np.nan if "NaN" in fault else np.inf
-        if error is None:
-            build_level(level, h_program, blocks, basis)
-        else:
-            match = None
-            if fault.startswith("basis"):
-                match = f"^{self.BASIS_NAMES[level]} columns are not orthonormal$"
-            with pytest.raises(error, match=match):
+        with warnings.catch_warnings():  # each fault is refused without a warning
+            warnings.simplefilter("error")
+            if error is None:
                 build_level(level, h_program, blocks, basis)
+            else:
+                match = None
+                if fault.startswith("basis"):
+                    match = f"^{self.BASIS_NAMES[level]} columns are not orthonormal$"
+                with pytest.raises(error, match=match):
+                    build_level(level, h_program, blocks, basis)
 
 
 class TestCheckPmc:
@@ -306,6 +310,33 @@ class TestBlockwiseChecks:
                 assert chk.commutator_norm == 0.0
 
     @pytest.mark.parametrize("d", CHECK_DS)
+    @pytest.mark.parametrize("kind", ["pmc", "coupled", "violating", "banded", "custom basis"])
+    def test_zero_couplings_skipped_bit_for_bit(self, d, kind):
+        # "banded": a tridiagonal H_P against distinct blocks, so rows mix zero
+        # and nonzero couplings and the norm is not 0
+        for i in range(CHECK_CASES // 4):
+            dims, seed = TrinaryDims(d, d, d), 8000 * d + i
+            if kind == "banded":
+                h = random_trinary_hamiltonian(dims, seed, kind="violating")
+                h_p = np.triu(np.tril(h.h_p.entries, 1), -1)
+                h = TrinaryHamiltonian(dims=dims, h_p=Operator(h_p), blocks=h.blocks)
+            elif kind == "custom basis":
+                h = in_programming_basis(random_trinary_hamiltonian(dims, seed, kind="pmc"), seed)
+            else:
+                h = random_trinary_hamiltonian(dims, seed, kind=kind)
+            norm = check_pmc(h).commutator_norm
+            assert norm == every_block_commutator_norm(*h._triple)
+            if kind in ("pmc", "coupled"):
+                assert norm == dense_pmc_norm(h) == 0.0
+
+    @pytest.mark.parametrize("d", CHECK_DS)
+    @pytest.mark.parametrize("kind", ["sapmc", "shared", "violating"])
+    def test_s_basis_zero_couplings_skipped_bit_for_bit(self, d, kind):
+        for i in range(CHECK_CASES // 4):
+            block = random_block_structure(d, d, 9000 * d + i, kind=kind)
+            assert check_sapmc(block).commutator_norm == every_block_commutator_norm(*block._triple)
+
+    @pytest.mark.parametrize("d", CHECK_DS)
     @pytest.mark.parametrize("kind", ["pmc", "violating"])
     def test_sa_basis_verdict_as_dense(self, d, kind):
         dims = TrinaryDims(d, d, d)
@@ -343,9 +374,17 @@ class TestEvolveFull:
         out = evolve_full(h, random_state(DIMS, 7), 1.0)
         assert abs(np.linalg.norm(out.dense.amplitudes) - 1) <= 1e-10
 
-    def test_matches_eigendecomposition_oracle(self):
-        h = random_trinary_hamiltonian(DIMS, 8, kind="violating")
-        state = random_state(DIMS, 9)
+    @pytest.mark.parametrize("kind", ["pmc", "coupled", "violating", "custom basis"])
+    def test_matches_eigendecomposition_oracle(self, kind):
+        # the split reference against one whole-matrix eigh: at d_p = 3, d_sa = 4
+        # pmc has 3 exact-zero components of 4, coupled one of 8 and one of 4,
+        # violating and a custom programming basis one of 12
+        dims = TrinaryDims(2, 2, 3)
+        if kind == "custom basis":
+            h = in_programming_basis(random_trinary_hamiltonian(dims, 8, kind="pmc"), 10)
+        else:
+            h = random_trinary_hamiltonian(dims, 8, kind=kind)
+        state = random_state(dims, 9)
         want = expm_hermitian(h.full_operator().entries, 0.9) @ state.dense.amplitudes
         out = evolve_full(h, state, 0.9)
         assert np.max(np.abs(out.dense.amplitudes - want)) < 1e-12

@@ -190,6 +190,8 @@ class TestRegisterLaw:
             IcqcConfig(n=1, program_table=(gate, (), (), ()))
         with pytest.raises(ValueError, match="^gate sequence must be a circuit of GateOp, got a single GateOp$"):
             IcqcConfig(n=1, gate_sequence=gate, program_table=identity_program(1))
+        with pytest.raises(ValueError, match="^program table must be a table of circuits, got a single GateOp$"):
+            IcqcConfig(n=1, program_table=gate)
 
     def test_branch_cannot_touch_p(self):
         bad = ((GateOp("X", (("P", 0),)),),) + tuple([()] * 3)

@@ -12,9 +12,11 @@ from icqt.linalg import (
     StateVector,
     branch_schmidt_coefficients,
     commutator_norm,
+    component_spectrum,
     entanglement_entropy,
     HermitianSpectrum,
     hermitian_propagator,
+    random_hermitian,
     schmidt_decompose,
     seeded_random,
     shannon_entropy,
@@ -535,6 +537,56 @@ class TestPropagator:
         combined = hermitian_propagator(h, t1 + t2).entries
         split = hermitian_propagator(h, t1).entries @ hermitian_propagator(h, t2).entries
         assert np.max(np.abs(combined - split)) <= 1e-9
+
+
+def permuted_block_diagonal(sizes, seed) -> np.ndarray:
+    """A seeded Hermitian that is block-diagonal, with blocks of ``sizes``, after a random
+    permutation of its indices."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    order = rng.permutation(n)
+    h = np.zeros((n, n), dtype=complex)
+    for block, size in enumerate(sizes):
+        members = order[sum(sizes[:block]) : sum(sizes[: block + 1])]
+        h[np.ix_(members, members)] = random_hermitian(rng, size).entries
+    return h
+
+
+class TestComponentSpectrum:
+    """The spectrum by exact-zero components against one whole-matrix eigh."""
+
+    SIZES = (8, 1, 5, 2, 5)  # unequal sizes; the two of 5 share one batched eigh
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_values_permute_the_whole_spectrum(self, seed):
+        h = permuted_block_diagonal(self.SIZES, seed)
+        values = component_spectrum(h).values
+        assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh(h))) < 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_apply_matches_the_whole_matrix_formula(self, seed):
+        h = permuted_block_diagonal(self.SIZES, seed)
+        spectrum = component_spectrum(h)
+        x = seeded_random("state", h.shape[0], seed).amplitudes
+        for t in (0.0, 0.4, 2.3):
+            want = expm_hermitian(h, t) @ x
+            assert np.max(np.abs(spectrum.apply(x[:, None], t)[:, 0] - want)) < 1e-12
+
+    @pytest.mark.parametrize("seed", [6, 7, 8])
+    def test_reads_the_lower_triangle_as_the_whole_eigh(self, seed):
+        # two chains under a random permutation, given by their lower triangle
+        # alone: eigh reads that triangle, so the components must come from the
+        # symmetrized pattern and keep the whole matrix's index order
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(9)
+        h = np.zeros((9, 9), dtype=complex)
+        for chain in (order[:6], order[6:]):
+            h[chain, chain] = rng.normal(size=chain.size)
+            links = (np.maximum(chain[1:], chain[:-1]), np.minimum(chain[1:], chain[:-1]))
+            h[links] = rng.normal(size=chain.size - 1) + 1j * rng.normal(size=chain.size - 1)
+        want, got = HermitianSpectrum.of(h), component_spectrum(h)
+        assert np.max(np.abs(np.sort(got.values) - want.values)) < 1e-12
+        assert np.max(np.abs(got.apply(np.eye(9), 1.3) - want.apply(np.eye(9), 1.3))) < 1e-12
 
 
 class TestCommutatorNorm:

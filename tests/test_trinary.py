@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -121,8 +122,10 @@ class TestPointerMeasurement:
     def test_rejects_a_basis_that_is_not_orthonormal(self, entry):
         basis = np.eye(2, dtype=complex)
         basis[1, 1] = entry
-        with pytest.raises(ValueError, match="^pointer basis columns are not orthonormal$"):
-            build_pointer_measurement(basis, 2)
+        with warnings.catch_warnings():  # refused without a warning
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^pointer basis columns are not orthonormal$"):
+                build_pointer_measurement(basis, 2)
 
     def test_branch_schmidt_equals_input_amplitudes(self):
         # pointer branch on |psi>|0>: Schmidt coefficients are sorted |<j|psi>|
