@@ -31,6 +31,7 @@ from .linalg import seeded_random, subseed
 from .scenario import (
     Scenario,
     ScenarioError,
+    check_finite_evolution,
     load_scenario,
     parse_branch_bases,
     parse_dims,
@@ -76,6 +77,7 @@ def cmd_evolve(scenario: Scenario, out_dir: Path) -> int:
     dims = parse_dims(payload)
     times = parse_times(payload)
     segments = parse_segments(payload, dims, scenario.seed)
+    check_finite_evolution(segments, times[-1])
     state = parse_initial_state(payload, dims, scenario.seed)
 
     pmc_checks = [check_pmc(h) for _, h, _ in segments]

@@ -22,6 +22,7 @@ from .linalg import StateVector, entanglement_entropy
 from .trinary import TrinaryDims, TrinaryState, _branch_spectra, branch_entropies
 
 DEFAULT_MAX_DIM = 4096
+_SHOWN_BITS = 64  # a refused total of more bits is named by its formula alone
 
 _SQ2 = 1.0 / sqrt(2.0)
 _FIXED_GATES = {
@@ -57,13 +58,21 @@ def max_total_dim() -> int:
 
 
 def check_capacity(total: int, what: str, quantity: str = "full dimension") -> None:
-    """Refuse a ``quantity`` ``total`` (written ``what``) above the cap."""
+    """Refuse a ``quantity`` ``total`` (written ``what``) above the cap.  Its value is shown
+    up to _SHOWN_BITS bits; Python writes no integer past 4,300 digits."""
     cap = max_total_dim()
     if total > cap:
+        shown = f" = {total}" if total.bit_length() <= _SHOWN_BITS else ""
         raise CapacityError(
-            f"{quantity} {what} = {total} exceeds the cap {cap} "
-            f"(set ICQT_MAX_DIM to raise it)"
+            f"{quantity} {what}{shown} exceeds the cap {cap} (set ICQT_MAX_DIM to raise it)"
         )
+
+
+def check_register_capacity(n: int) -> None:
+    """``check_capacity`` of 2^(4n), the full dimension of n-qubit registers.  Any power past
+    2^max(cap bits, _SHOWN_BITS) is refused alike, so none larger is built (500 MB at n = 10^9)."""
+    exponent = min(4 * n, max(max_total_dim().bit_length(), _SHOWN_BITS))
+    check_capacity(2**exponent, f"2^{4 * n}")
 
 
 def _rotation(kind: str, angle: float) -> np.ndarray:
@@ -100,16 +109,12 @@ class GateOp:
                 raise ValueError("CNOT takes (control, target)")
             if self.angle is not None:
                 raise ValueError("CNOT takes no angle")
-        elif self.kind in _FIXED_GATES:
+        elif self.kind in _FIXED_GATES or self.kind in _ROTATIONS:
             if len(targets) != 1:
                 raise ValueError(f"{self.kind} takes one target")
-            if self.angle is not None:
-                raise ValueError(f"{self.kind} takes no angle")
-        elif self.kind in _ROTATIONS:
-            if len(targets) != 1:
-                raise ValueError(f"{self.kind} takes one target")
-            if self.angle is None:
-                raise ValueError(f"{self.kind} needs an angle")
+            if (self.angle is None) == (self.kind in _ROTATIONS):
+                need = "needs an" if self.angle is None else "takes no"
+                raise ValueError(f"{self.kind} {need} angle")
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
 
@@ -270,19 +275,13 @@ def init_state(n: int, initial: str = "uniform") -> TrinaryState:
     """Uniform superposition on every register (or all-zeros with 'zeros')."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    check_capacity(2 ** (4 * n), f"2^{4 * n}")
+    check_register_capacity(n)
     dims = _register_dims(n)
-    if initial == "uniform":
-        chi = StateVector.uniform(dims.d_p)
-        psi = StateVector.uniform(dims.d_s)
-        phi = StateVector.uniform(dims.d_a)
-    elif initial == "zeros":
-        chi = StateVector.basis(dims.d_p, 0)
-        psi = StateVector.basis(dims.d_s, 0)
-        phi = StateVector.basis(dims.d_a, 0)
-    else:
+    if initial not in ("uniform", "zeros"):
         raise ValueError("initial must be 'uniform' or 'zeros'")
-    return TrinaryState.from_product(dims, chi, psi, phi)
+    factors = [StateVector.uniform(d) if initial == "uniform" else StateVector.basis(d, 0)
+               for d in (dims.d_p, dims.d_s, dims.d_a)]
+    return TrinaryState.from_product(dims, *factors)
 
 
 def apply_gates(state: TrinaryState, gates: Sequence[GateOp]) -> TrinaryState:
@@ -364,13 +363,8 @@ def pointer_branch_circuit(basis_name: str) -> tuple[GateOp, ...]:
         h = GateOp("H", (("S", 0),))
         return (h, cnot, h)
     if basis_name == "Y":
-        return (
-            GateOp("SDG", (("S", 0),)),
-            GateOp("H", (("S", 0),)),
-            cnot,
-            GateOp("H", (("S", 0),)),
-            GateOp("S", (("S", 0),)),
-        )
+        s0 = (("S", 0),)
+        return (GateOp("SDG", s0), GateOp("H", s0), cnot, GateOp("H", s0), GateOp("S", s0))
     raise ValueError(f"unknown basis name {basis_name!r}")
 
 

@@ -316,8 +316,8 @@ class HermitianSpectrum:
         return v @ (phase * (v.swapaxes(-1, -2) @ x.conj()).conj())
 
 
-def _zero_pattern_components(h: np.ndarray) -> list[np.ndarray]:
-    """Ascending index arrays of the connected components of (h != 0) | (h != 0)^T.
+def _zero_pattern_components(h: np.ndarray) -> dict[int, list[np.ndarray]]:
+    """Ascending index arrays of the connected components of (h != 0) | (h != 0)^T, by size.
 
     The pattern is symmetrized because ``eigh`` reads one triangle only.  One
     breadth-first pass: each row is read once, as a frontier member.
@@ -325,7 +325,7 @@ def _zero_pattern_components(h: np.ndarray) -> list[np.ndarray]:
     nonzero = h != 0
     coupled = nonzero | nonzero.T
     unseen = np.ones(h.shape[0], dtype=bool)
-    components = []
+    by_size: dict[int, list[np.ndarray]] = {}
     for root in range(h.shape[0]):
         if not unseen[root]:
             continue
@@ -335,37 +335,28 @@ def _zero_pattern_components(h: np.ndarray) -> list[np.ndarray]:
             frontier = np.flatnonzero(coupled[frontier].any(axis=0) & unseen)
             unseen[frontier] = False
             members = np.concatenate((members, frontier))
-        components.append(np.sort(members))
-    return components
+        by_size.setdefault(members.size, []).append(np.sort(members))
+    return by_size
 
 
-def component_spectrum(h: np.ndarray) -> HermitianSpectrum:
-    """The spectrum of a Hermitian h from its exact-zero components: one batched ``eigh``
-    per component size.
+def component_spectrum(h: np.ndarray) -> list[tuple[np.ndarray, HermitianSpectrum]]:
+    """A Hermitian h by its exact-zero components: per component size c, the (k, c) stack of
+    the k components' indices and one batched ``eigh`` of their c x c submatrices.
 
-    A matrix that is block-diagonal after a permutation has the direct sum of
-    its blocks' eigendecompositions, so each component's values and vectors
-    are scattered into ``values`` and into the rows and columns of a zero
-    ``vectors`` that the component spans.  The cost is sum_k c_k^3 over the
-    component sizes c_k instead of n^3.  A matrix of one component is
-    decomposed whole, so it gets the bits of ``HermitianSpectrum.of``.
+    Up to a permutation h is the direct sum of those submatrices, so their spectra are h's:
+    sum_k c_k^3 work and sum_k c_k^2 entries, not n^3 and n^2.  One component is one group.
     """
-    components = _zero_pattern_components(h)
-    if len(components) == 1:
-        return HermitianSpectrum.of(h)
-    by_size: dict[int, list[np.ndarray]] = {}
-    for members in components:
-        by_size.setdefault(members.size, []).append(members)
-    n = h.shape[0]
-    values = np.empty(n)
-    vectors = np.zeros((n, n), dtype=np.result_type(h.dtype, np.float64))
-    for group in by_size.values():
-        rows = np.stack(group)[:, :, None]  # (k, c, 1): component k's indices
-        cols = rows.swapaxes(1, 2)
-        w, v = np.linalg.eigh(h[rows, cols])
-        values[rows[..., 0]] = w
-        vectors[rows, cols] = v
-    return HermitianSpectrum(values, vectors)
+    stacks = [np.stack(group) for group in _zero_pattern_components(h).values()]
+    return [(i, HermitianSpectrum.of(h[i[:, :, None], i[:, None, :]])) for i in stacks]
+
+
+def apply_component_spectrum(groups, x: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) x for columns x (n, m) and ``groups = component_spectrum(H)``: each group's
+    rows of x are gathered, stepped by ``HermitianSpectrum.apply`` and scattered back."""
+    out = np.empty(x.shape, dtype=complex)
+    for index, spectrum in groups:
+        out[index] = spectrum.apply(x[index], t)
+    return out
 
 
 def hermitian_propagator(h: Operator, t: float) -> Operator:

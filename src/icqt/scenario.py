@@ -8,12 +8,15 @@ matrices lists of rows of pairs.  Measurement bases may instead be named
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .icqc import GateOp, IcqcConfig, check_capacity, random_program, tomographic_program_n1
+from .icqc import GateOp, IcqcConfig, check_capacity, check_register_capacity, random_program
+from .icqc import tomographic_program_n1
 from .linalg import Operator, StateVector, seeded_random, subseed
 from .serialize import pairs_to_complex
 from .suite import DEFAULT_COUNTS
@@ -35,9 +38,10 @@ class Scenario:
     payload: dict
 
 
-def _is_number(x) -> bool:
-    """A JSON int or float; booleans are not numbers here."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_finite(x) -> bool:
+    """A JSON int or float that a double holds finitely: no boolean, NaN or inf, and no
+    integer past the double range (which ``float`` and ``np.isfinite`` refuse by raising)."""
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
 def _is_int(x) -> bool:
@@ -49,9 +53,9 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     p = Path(path)
     if not p.is_file():
         raise ScenarioError(f"scenario file not found: {p}")
-    try:  # JSON is UTF-8; a nesting past the interpreter's recursion limit is malformed too
+    try:  # not UTF-8, nested past the recursion limit or an integer past the digit limit
         data = json.loads(p.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"invalid JSON in {p}: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -158,12 +162,11 @@ def _parse_block(obj, dims: TrinaryDims, what: str) -> tuple[Operator, Programme
         )
         h_s = Operator(parse_matrix(obj["h_s"], dims.d_s, f"{what}.h_s"))
         try:
-            structure = ProgrammedBlockStructure(
-                s_basis=s_basis, a_generators=a_generators, h_s=h_s
-            )
+            structure = ProgrammedBlockStructure(s_basis, a_generators, h_s)
+            with np.errstate(over="ignore"):  # an overflow is refused as non-finite entries
+                return structure.assemble(), structure
         except ValueError as exc:
             raise ScenarioError(f"{what}: {exc}") from exc
-        return structure.assemble(), structure
     return Operator(parse_matrix(obj, dims.d_sa, what)), None
 
 
@@ -216,11 +219,24 @@ def parse_segments(
         if not isinstance(seg, dict) or "duration" not in seg or "hamiltonian" not in seg:
             raise ScenarioError(f"segments[{k}] needs 'duration' and 'hamiltonian'")
         duration = seg["duration"]
-        if not _is_number(duration) or not duration >= 0:
+        if not (_is_finite(duration) or duration == math.inf) or duration < 0:
             raise ScenarioError(f"segments[{k}].duration must be nonnegative")
         h, structures = parse_hamiltonian(seg["hamiltonian"], dims, subseed(seed, 8, k))
         out.append((float(duration), h, structures))
     return out
+
+
+def check_finite_evolution(segments, horizon: float) -> None:
+    """Refuse a segment whose evolution up to time ``horizon`` overflows a double:
+    (d_p max|h_p| + d_sa max_n max|B_n|) max(horizon, 1) bounds every entry of its
+    assembled matrix and every phase w t, so it must be finite."""
+    for k, (_, h, _) in enumerate(segments):
+        with np.errstate(over="ignore"):  # |re + i im| may overflow alone
+            peak_p = float(np.max(np.abs(h.h_p.entries)))
+            peak_b = max(float(np.max(np.abs(b.entries))) for b in h.blocks)
+        bound = (h.dims.d_p * peak_p + h.dims.d_sa * peak_b) * max(horizon, 1.0)
+        if not math.isfinite(bound):
+            raise ScenarioError(f"segment {k}: the Hamiltonian overflows a double by t = {horizon}")
 
 
 def parse_times(payload: dict) -> tuple[float, ...]:
@@ -229,7 +245,7 @@ def parse_times(payload: dict) -> tuple[float, ...]:
         raise ScenarioError("times must be a nonempty list")
     times = []
     for t in raw:
-        if not _is_number(t) or not np.isfinite(t):
+        if not _is_finite(t):
             raise ScenarioError("times must be finite numbers")
         times.append(float(t))
     if times[0] != 0.0 or any(b < a for a, b in zip(times, times[1:])):
@@ -279,7 +295,7 @@ def parse_gate(obj, what: str) -> GateOp:
     ):
         raise ScenarioError(f"{what}.targets must be [register, qubit] pairs")
     angle = obj.get("angle")
-    if angle is not None and not (_is_number(angle) and np.isfinite(angle)):
+    if angle is not None and not _is_finite(angle):
         raise ScenarioError(f"{what}.angle must be a finite number")
     try:
         return GateOp(
@@ -306,7 +322,7 @@ def parse_icqc_config(payload: dict, seed: int) -> IcqcConfig:
     for key in ("n_a", "n_p"):
         if key in payload and not _is_int(payload[key]):
             raise ScenarioError(f"{key} must be an integer")
-    check_capacity(2 ** (4 * n), f"2^{4 * n}")
+    check_register_capacity(n)
     gates = parse_gate_list(payload.get("gates"), "gates")
     p_circuit = parse_gate_list(payload.get("p_circuit"), "p_circuit")
     initial = payload.get("initial", "uniform")

@@ -98,7 +98,10 @@ def complex_to_pairs(array: np.ndarray) -> list:
 
 def pairs_to_complex(data) -> np.ndarray:
     """Inverse of complex_to_pairs; validates the [re, im] leaf shape and finiteness."""
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except OverflowError:  # an integer past the double range
+        raise ValueError("complex data must be finite") from None
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise ValueError("complex data must be nested [re, im] pairs")
     if not np.all(np.isfinite(arr)):

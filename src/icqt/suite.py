@@ -92,7 +92,6 @@ def factorization_battery(
     """Factorized evolution must match the dense propagator when pmc holds."""
     t0 = time.perf_counter()
     worst = 0.0
-    total = 0
     for d_idx, dims in enumerate(dims_list):
         for i in range(cases_per_dims):
             kind = "pmc" if i % 2 == 0 else "coupled"
@@ -106,13 +105,12 @@ def factorization_battery(
                 a = full.evolve(state, t).dense.amplitudes
                 b = fact.evolve(state, t).dense.amplitudes
                 worst = max(worst, float(np.max(np.abs(a - b))))
-            total += 1
     return PropertyResult(
         name="factorization",
         passed=worst <= FACTORIZATION_TOL,
         worst=worst,
         threshold=FACTORIZATION_TOL,
-        cases=total,
+        cases=len(dims_list) * cases_per_dims,
         elapsed_s=time.perf_counter() - t0,
     )
 
@@ -145,7 +143,6 @@ def block_battery(seed: int, cases_per_dim: int) -> PropertyResult:
     """Second-level factorized block evolution vs the dense block exponential."""
     t0 = time.perf_counter()
     worst = 0.0
-    total = 0
     for d in SQUARE_D:
         for i in range(cases_per_dim):
             kind = "sapmc" if i % 2 == 0 else "shared"
@@ -155,13 +152,12 @@ def block_battery(seed: int, cases_per_dim: int) -> PropertyResult:
             got = evolve_programmed_block(block, sa, t).amplitudes
             want = hermitian_propagator(block.assemble(), t).apply(sa).amplitudes
             worst = max(worst, float(np.max(np.abs(got - want))))
-            total += 1
     return PropertyResult(
         name="block-factorization",
         passed=worst <= FACTORIZATION_TOL,
         worst=worst,
         threshold=FACTORIZATION_TOL,
-        cases=total,
+        cases=len(SQUARE_D) * cases_per_dim,
         elapsed_s=time.perf_counter() - t0,
     )
 
@@ -182,7 +178,6 @@ def born_battery(seed: int, cases_per_dim: int) -> PropertyResult:
     """Branch-wise emergence of the textbook Born rule, plus decision weights."""
     t0 = time.perf_counter()
     worst = 0.0
-    total = 0
     for d in SQUARE_D:
         dims = TrinaryDims(d, d, d * d)
         bases = _branch_basis_set(d, dims.d_p, subseed(seed, 41, d))
@@ -200,13 +195,12 @@ def born_battery(seed: int, cases_per_dim: int) -> PropertyResult:
             dec = report.decision_probs
             worst = max(worst, float(np.max(np.abs(dec - np.abs(chi.amplitudes) ** 2))))
             worst = max(worst, textbook_comparison(report, psi, bases)[1])
-            total += 1
     return PropertyResult(
         name="born-emergence",
         passed=worst <= BORN_TOL,
         worst=worst,
         threshold=BORN_TOL,
-        cases=total,
+        cases=len(SQUARE_D) * cases_per_dim,
         elapsed_s=time.perf_counter() - t0,
     )
 
@@ -216,7 +210,6 @@ def bounds_and_creation_battery(seed: int, cases: int, dims_list=DEFAULT_DIMS) -
     t0 = time.perf_counter()
     weakest_creation = np.inf
     worst_bound = 0.0
-    total = 0
     times = (0.0, 0.05, 0.1)
     for i in range(cases):
         dims = dims_list[i % len(dims_list)]
@@ -231,14 +224,13 @@ def bounds_and_creation_battery(seed: int, cases: int, dims_list=DEFAULT_DIMS) -
             float(-np.min(traj.s_sa_branches)),
         )
         weakest_creation = min(weakest_creation, float(traj.s_psa[-1]))
-        total += 1
     passed = weakest_creation > CREATION_MIN and worst_bound <= ENTROPY_TOL
     return PropertyResult(
         name="bounds-and-creation",
         passed=passed,
         worst=weakest_creation,
         threshold=CREATION_MIN,
-        cases=total,
+        cases=cases,
         elapsed_s=time.perf_counter() - t0,
         notes=f"worst is the smallest S_PSA(0.1); max bound excess {worst_bound:.3e}",
     )

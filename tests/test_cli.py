@@ -29,6 +29,9 @@ def write_scenario(tmp_path, name, payload):
     return str(path)
 
 
+ID2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
 def base(kind, **extra):
     doc = {"schema": 1, "kind": kind, "seed": 7}
     doc.update(extra)
@@ -843,3 +846,76 @@ class TestInputErrors:
             "dynamics", dims=[2, 2, 4], times=[0.0, float("inf")], hamiltonian={"random": "pmc"}
         )
         self.run_bad(tmp_path, capsys, "evolve", payload)
+
+    @pytest.mark.parametrize("huge", [10**400, -(10**400)], ids=["plus", "minus"])
+    @pytest.mark.parametrize(
+        "command, field, payload",
+        [
+            ("evolve", "times", lambda x: base(
+                "dynamics", dims=[2, 1, 2], times=[0.0, x], hamiltonian={"random": "pmc"})),
+            ("evolve", "segments[0].duration", lambda x: base(
+                "dynamics", dims=[2, 1, 2], times=[0.0],
+                segments=[{"duration": x, "hamiltonian": {"random": "pmc"}}])),
+            ("evolve", "hamiltonian.h_p", lambda x: base(
+                "dynamics", dims=[2, 1, 2], times=[0.0],
+                hamiltonian={"h_p": [[[x, 0], [0, 0]], [[0, 0], [1, 0]]], "blocks": [ID2, ID2]})),
+            ("icqc", "gates[0].angle", lambda x: base(
+                "icqc", n=1, program={"random": {}},
+                gates=[{"kind": "RY", "targets": [["S", 0]], "angle": x}])),
+            ("born", "system_state", lambda x: base(
+                "born", dims=[2, 2, 2], branch_bases=["Z", "X"], system_state=[[x, 0], [0, 0]])),
+        ],
+        ids=["time", "duration", "matrix-entry", "angle", "vector-entry"],
+    )
+    def test_integer_past_the_double_range(self, tmp_path, capsys, command, field, payload, huge):
+        # a JSON integer is exact: 10^400 passes an isinstance check, yet float() overflows
+        assert field in self.run_bad(tmp_path, capsys, command, payload(huge))
+
+    def test_integer_literal_past_the_digit_limit(self, tmp_path, capsys):
+        # json.dumps refuses to write such an integer, and json.loads to read it
+        path = tmp_path / "bad.json"
+        path.write_text('{"schema": 1, "kind": "icqc", "seed": 7, "n": ' + "9" * 4301 + "}")
+        code = main(["icqc", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("scenario error: invalid JSON in ")
+
+    @pytest.mark.parametrize("n", [4000, 10**9])
+    def test_icqc_total_past_the_printable_digits(self, tmp_path, capsys, n):
+        # 2^16000 has 4,817 digits, past what Python writes in decimal; 2^(4 * 10^9)
+        # would take 500 MB, so it is refused from its exponent
+        payload = base("icqc", n=n, program={"random": {}})
+        err = self.run_over_cap(tmp_path, capsys, "icqc", payload)
+        assert f"full dimension 2^{4 * n} exceeds the cap 4096" in err
+        with pytest.raises(CapacityError, match=f"2\\^{4 * n} exceeds"):
+            init_state(n)
+
+    @pytest.mark.parametrize("digits", [500, 1500])
+    def test_dims_total_past_the_printable_digits(self, tmp_path, capsys, digits):
+        # dims products of 1,501 and 4,501 digits: the second is past what Python
+        # writes in decimal, and neither is written out
+        payload = base("born", dims=[10**digits] * 3, branch_bases=["Z"])
+        err = self.run_over_cap(tmp_path, capsys, "born", payload)
+        assert err.endswith(" exceeds the cap 4096 (set ICQT_MAX_DIM to raise it)\n")
+        assert len(err) < 3 * digits + 200
+
+    BIG = complex_to_pairs(np.diag([1.5e308, 1.5e308]))
+    ONE = complex_to_pairs(np.diag([1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "hamiltonian, times, message",
+        [
+            ({"h_p": BIG, "blocks": [BIG, BIG]}, [0.0, 1.0],  # entries of 1.5e308 + 1.5e308
+             "segment 0: the Hamiltonian overflows a double by t = 1.0"),
+            ({"h_p": ONE, "blocks": [ONE, ONE]}, [0.0, 1e308],  # phases w t past 1.8e308
+             "segment 0: the Hamiltonian overflows a double by t = 1e+308"),
+            ({"h_p": ONE, "blocks": [{"s_basis": "Z", "a_generators": [[[[1.5e308, 0]]]] * 2,
+                                      "h_s": BIG}] * 2}, [0.0],
+             "hamiltonian.blocks[0]: non-finite entries"),
+        ],
+        ids=["entries", "phases", "structured-block"],
+    )
+    def test_hamiltonian_overflowing_a_double(self, tmp_path, capsys, hamiltonian, times, message):
+        payload = base("dynamics", dims=[2, 1, 2], times=times, hamiltonian=hamiltonian)
+        assert message in self.run_bad(tmp_path, capsys, "evolve", payload)

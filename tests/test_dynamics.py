@@ -389,6 +389,23 @@ class TestEvolveFull:
         out = evolve_full(h, state, 0.9)
         assert np.max(np.abs(out.dense.amplitudes - want)) < 1e-12
 
+    def test_dense_reference_keeps_only_its_components(self):
+        # the dense reference assembles one full matrix (26.9 MB at total 1296),
+        # copies none of it and drops it once decomposed: its 36 components of
+        # 36 keep 36 * 36^2 entries per spectrum, under a tenth of one matrix
+        dims = TrinaryDims(6, 6, 36)
+        h = random_trinary_hamiltonian(dims, 5, kind="pmc")
+        full = dims.total**2 * 16
+        tracemalloc.start()
+        try:
+            prop = DensePropagator(h)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * full
+        assert kept < 0.1 * full
+        del prop
+
 
 class TestEvolveFactorized:
     def test_single_branch_reduces_to_bipartite(self):

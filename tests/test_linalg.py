@@ -10,6 +10,7 @@ from icqt.linalg import (
     NormalizationError,
     Operator,
     StateVector,
+    apply_component_spectrum,
     branch_schmidt_coefficients,
     commutator_norm,
     component_spectrum,
@@ -560,17 +561,29 @@ class TestComponentSpectrum:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_values_permute_the_whole_spectrum(self, seed):
         h = permuted_block_diagonal(self.SIZES, seed)
-        values = component_spectrum(h).values
+        groups = component_spectrum(h)
+        assert sorted(index.shape for index, _ in groups) == [(1, 1), (1, 2), (1, 8), (2, 5)]
+        values = np.concatenate([spectrum.values.ravel() for _, spectrum in groups])
         assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh(h))) < 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_indices_partition_the_space(self, seed):
+        h = permuted_block_diagonal(self.SIZES, seed)
+        groups = component_spectrum(h)
+        every = np.concatenate([index.ravel() for index, _ in groups])
+        assert np.array_equal(np.sort(every), np.arange(h.shape[0]))
+        for index, spectrum in groups:
+            assert spectrum.vectors.shape == (*index.shape, index.shape[1])
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_apply_matches_the_whole_matrix_formula(self, seed):
         h = permuted_block_diagonal(self.SIZES, seed)
-        spectrum = component_spectrum(h)
+        groups = component_spectrum(h)
         x = seeded_random("state", h.shape[0], seed).amplitudes
         for t in (0.0, 0.4, 2.3):
             want = expm_hermitian(h, t) @ x
-            assert np.max(np.abs(spectrum.apply(x[:, None], t)[:, 0] - want)) < 1e-12
+            got = apply_component_spectrum(groups, x[:, None], t)[:, 0]
+            assert np.max(np.abs(got - want)) < 1e-12
 
     @pytest.mark.parametrize("seed", [6, 7, 8])
     def test_reads_the_lower_triangle_as_the_whole_eigh(self, seed):
@@ -584,9 +597,22 @@ class TestComponentSpectrum:
             h[chain, chain] = rng.normal(size=chain.size)
             links = (np.maximum(chain[1:], chain[:-1]), np.minimum(chain[1:], chain[:-1]))
             h[links] = rng.normal(size=chain.size - 1) + 1j * rng.normal(size=chain.size - 1)
-        want, got = HermitianSpectrum.of(h), component_spectrum(h)
-        assert np.max(np.abs(np.sort(got.values) - want.values)) < 1e-12
-        assert np.max(np.abs(got.apply(np.eye(9), 1.3) - want.apply(np.eye(9), 1.3))) < 1e-12
+        groups = component_spectrum(h)
+        values = np.concatenate([spectrum.values.ravel() for _, spectrum in groups])
+        assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh(h))) < 1e-12
+        got = apply_component_spectrum(groups, np.eye(9), 1.3)
+        assert np.max(np.abs(got - expm_hermitian(h, 1.3))) < 1e-12
+
+    def test_one_component_is_one_group_with_the_whole_bits(self):
+        h = seeded_random("hermitian", 7, 4).entries
+        ((index, spectrum),) = component_spectrum(h)
+        want = HermitianSpectrum.of(h)
+        assert np.array_equal(index, np.arange(7)[None])
+        assert np.array_equal(spectrum.values[0], want.values)
+        assert np.array_equal(spectrum.vectors[0], want.vectors)
+        x = seeded_random("state", 7, 5).amplitudes[:, None]
+        got = apply_component_spectrum([(index, spectrum)], x, 0.7)
+        assert np.array_equal(got, want.apply(x, 0.7))
 
 
 class TestCommutatorNorm:

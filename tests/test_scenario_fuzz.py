@@ -10,7 +10,11 @@ its branch amplitudes g from 0, 0.5, 1 and values around 1e-7, whose squares
 straddle the empty-branch tolerance.  Vector entries of born g and
 system_state and of the evolve product state are also drawn from 1e-200,
 1e-160 and 1e308, whose squares underflow to 0, are subnormal, or overflow:
-such a vector cannot be normalized in double precision.  Whatever the input,
+such a vector cannot be normalized in double precision.  Integers past the
+double range (+-10^400) and past Python's 4,300-digit limit for reading an
+integer literal are drawn as scalars, vector entries, gate angles, times and
+durations; the second is written into the file as raw text, since
+``json.dumps`` refuses it.  Whatever the input,
 the CLI keeps its contract: exit 0, 1 or 2, exactly one stderr line on exit
 2, and never a traceback.  A born report that exits 0 has every nonempty
 outcome row summing to 1.
@@ -71,12 +75,18 @@ VALID = {
     },
 }
 
+# Integers a double cannot hold, and one that json cannot read: RAW_HUGE stands
+# for it in the payload and is replaced by its literal in the written text.
+RAW_HUGE = "<a 4,301-digit integer>"
+HUGE = st.sampled_from([10**400, -(10**400), RAW_HUGE])
+
 SCALARS = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 6),
     st.floats(-1e3, 1e3),
     st.sampled_from([float("nan"), float("inf"), -0.0, 1e300]),
+    HUGE,
     st.sampled_from(["Z", "X", "Y", "basis0", "basis9", "uniform", "pmc", "random", ""]),
     st.text(max_size=3),
 )
@@ -112,13 +122,19 @@ def draw_schedule(data, payload):
     segments = [
         {"duration": d, "hamiltonian": data.draw(st.sampled_from(HAMILTONIANS))} for d in durations
     ]
+    if data.draw(st.integers(0, 7)) == 0:  # a huge last time or duration, past the arithmetic above
+        k = data.draw(st.integers(0, len(times) + len(segments) - 1))
+        if k < len(times):
+            times[-1] = data.draw(HUGE)
+        else:
+            segments[k - len(times)]["duration"] = data.draw(HUGE)
     return dict(payload, times=times, segments=segments)
 
 
 DIMS = [[2, 2, 4], [2, 2, 2], [3, 3, 9], [2, 3, 3], [1, 1, 1]]
 TINY = [1e-7 * (1 + k * 2.0**-52) for k in range(-8, 9)]
 FLOATS = st.floats(-2, 2, allow_nan=False)
-EXTREME = st.sampled_from([1e-200, 1e-160, 1e308])
+EXTREME = st.one_of(st.sampled_from([1e-200, 1e-160, 1e308]), HUGE)
 AMPLITUDES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, *TINY]), EXTREME)
 
 
@@ -164,7 +180,7 @@ def draw_gate(data, sizes):
         return {"kind": kind, "targets": pair}
     gate = {"kind": kind, "targets": [data.draw(st.sampled_from(qubits))]}
     if kind in ("RY", "RZ"):
-        gate["angle"] = data.draw(FLOATS)
+        gate["angle"] = data.draw(st.one_of(FLOATS, HUGE))
     return gate
 
 
@@ -207,7 +223,7 @@ def test_mutated_scenario_keeps_the_exit_contract(monkeypatch, command, data):
         payload = mutate(data, payload)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload).replace(json.dumps(RAW_HUGE), "9" * 4301))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, str(path), "--out", tmp])
