@@ -9,10 +9,10 @@ The form H_prog (x) I + sum_n |e_n><e_n| (x) B_n serves three levels: P
 conditions S x A (``TrinaryHamiltonian``), S conditions A in one block
 (``ProgrammedBlockStructure``), and S x A conditions P in the swapped variant.
 They share one core over (H_prog, blocks, basis): one validator, one
-assembler, the blockwise check (``conditioned_commutator_norm``) and one
-checked path to the ``FactorizedPropagator``.  ``DensePropagator`` (and
-``evolve_full``) is the dense brute-force reference for exactly that claim.
-Both evolve by one formula, ``HermitianSpectrum.apply`` of a spectrum taken once.
+assembler, one conditioning frame h' = basis^dagger H_prog basis, the
+blockwise check (``conditioned_commutator_norm``) and one checked path to the
+``FactorizedPropagator``.  ``DensePropagator`` (and ``evolve_full``), the dense
+reference for that claim, splits H by the program states h' does not couple.
 
 Time dependence is piecewise constant: ``schedule_states`` walks a list of
 (duration, hamiltonian) segments back to back with the propagator it is given.
@@ -33,8 +33,6 @@ from .linalg import (
     HermitianSpectrum,
     Operator,
     StateVector,
-    apply_component_spectrum,
-    component_spectrum,
     random_hermitian,
     seeded_random,
 )
@@ -87,19 +85,42 @@ def _assemble_conditioned(h_program, blocks, basis) -> np.ndarray:
 
     The blocks are written into a (d, d_block, d, d_block) view, then H_prog is
     added on its block diagonal: entry for entry the Kronecker form with the
-    programmed terms summed first, without a full-space temporary per term.
+    programmed terms summed first.  With basis None, leading batch axes of
+    ``h_program`` and ``blocks`` give one such matrix per batch index.
     """
-    d, b = len(blocks), blocks[0].shape[0]
-    out = np.zeros((d, b, d, b), dtype=complex)
-    for n, block in enumerate(blocks):
+    *batch, d, b, _ = np.shape(blocks)
+    out = np.zeros((*batch, d, b, d, b), dtype=complex)
+    for n, block in enumerate(np.moveaxis(blocks, -3, 0)):
         if basis is None:
-            out[n, :, n, :] = block
+            out[..., n, :, n, :] = block
         else:
             proj = np.outer(basis[:, n], basis[:, n].conj())
             out += proj[:, None, :, None] * block[None, :, None, :]
-    diag = np.arange(b)
-    out[:, diag, :, diag] += h_program
-    return out.reshape(d * b, d * b)
+    out[..., range(b), :, range(b)] += h_program
+    return out.reshape(*batch, d * b, d * b)
+
+
+def _conditioning_frame(h_program: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
+    """h' = basis^dagger H_prog basis: the program side over the conditioning states."""
+    return h_program if basis is None else basis.conj().T @ h_program @ basis
+
+
+def _zero_pattern_components(h: np.ndarray) -> list[np.ndarray]:
+    """The connected components of (h != 0) | (h != 0)^T, symmetrized because ``eigh``
+    reads one triangle only: per size g, the (k, g) stack of the k components' ascending
+    indices.  One breadth-first pass from each unseen root reads each row once."""
+    coupled = (h != 0) | (h != 0).T
+    unseen = np.ones(h.shape[0], dtype=bool)
+    by_size: dict[int, list[np.ndarray]] = {}
+    for root in range(h.shape[0]):
+        if unseen[root]:
+            members = frontier = np.array([root])
+            while frontier.size:
+                unseen[frontier] = False
+                frontier = np.flatnonzero(coupled[frontier].any(axis=0) & unseen)
+                members = np.concatenate((members, frontier))
+            by_size.setdefault(members.size, []).append(np.sort(members))
+    return [np.stack(group) for group in by_size.values()]
 
 
 def _commutator_check(h_program, blocks, basis) -> CommutatorCheck:
@@ -201,8 +222,7 @@ def conditioned_commutator_norm(
     zeros is taken whole, without the gather.  One row of blocks at a time,
     so memory is len(blocks) * d_block^2 and no full-space matrix is formed.
     """
-    if basis is not None:
-        h_program = basis.conj().T @ h_program @ basis
+    h_program = _conditioning_frame(h_program, basis)
     stack = np.stack(blocks)
     norm = 0.0
     for n in range(len(stack)):
@@ -228,46 +248,24 @@ def check_sapmc(block: ProgrammedBlockStructure) -> CommutatorCheck:
     return _commutator_check(*block._triple)
 
 
-class FactorizedPropagator:
+class _ConditionedPropagator:
     """exp(-i H t) for H = H_prog (x) I + sum_n |e_n><e_n| (x) B_n, decomposed once.
 
-    ``blocks[n]`` is conditioned on column n of ``basis`` (the computational
-    basis when None).  When H_prog commutes with the programmed part, the
-    propagator is the program-side propagator followed by one block
-    propagator per program state.  Construction diagonalises the program side
-    once and all blocks in one batched ``eigh``; ``apply`` steps both through
-    ``HermitianSpectrum.apply``, forming no propagator.  A program side that is
-    diagonal (within _DIAG_TOL) in ``basis`` evolves by exact per-component
-    phases instead, so empty program components stay exactly zero.
+    ``blocks[n]`` is conditioned on column n of ``basis`` (computational when None).
+    Over those states H reads h' (x) I plus the block diagonal of the B_n, and a
+    subclass decomposes (h', blocks) and steps in that frame.
     """
 
-    def __init__(
-        self,
-        h_program: np.ndarray,
-        blocks: Sequence[np.ndarray],
-        basis: np.ndarray | None = None,
-    ):
-        if basis is not None:
-            h_program = basis.conj().T @ h_program @ basis
+    def __init__(self, h_program: np.ndarray, blocks: Sequence[np.ndarray], basis):
         self._basis = basis
-        self._energies = np.real(np.diag(h_program))
-        diagonal = np.max(np.abs(h_program - np.diag(np.diag(h_program)))) <= _DIAG_TOL
-        self._program = None if diagonal else HermitianSpectrum.of(h_program)
-        self._blocks = HermitianSpectrum.of(np.stack(blocks))  # one batched eigh for all blocks
+        self._decompose(_conditioning_frame(h_program, basis), np.stack(blocks))
 
     def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
         """Evolve a (program_dim, target_dim) amplitude matrix for time t."""
         w = self._basis
-        if w is not None:
-            psi = w.conj().T @ psi
-        if self._program is None:
-            out = np.exp(-1j * self._energies * t)[:, None] * psi
-        else:
-            out = self._program.apply(psi, t)
-        out = self._blocks.apply(out[..., None], t)[..., 0]  # row n is one column of block n
-        if w is not None:
-            out = w @ out
-        return out
+        if w is None:
+            return self._step(psi, t)
+        return w @ self._step(w.conj().T @ psi, t)
 
     def evolve(self, state: TrinaryState, t: float) -> TrinaryState:
         """``apply`` on the (d_p, d_sa) amplitude matrix of a trinary state."""
@@ -275,29 +273,58 @@ class FactorizedPropagator:
         return TrinaryState.from_dense(state.dims, StateVector(out.reshape(-1)))
 
 
-class DensePropagator:
-    """exp(-i H t) of a trinary Hamiltonian on the full space, decomposed once.
+class FactorizedPropagator(_ConditionedPropagator):
+    """When H_prog commutes with the programmed part: the program-side propagator, then
+    one block propagator per program state, from one ``eigh`` of h' and one batched
+    ``eigh`` of the blocks.  An h' diagonal within _DIAG_TOL evolves by exact
+    per-component phases instead, so empty program components stay exactly zero.
+    """
 
-    The brute-force reference for ``FactorizedPropagator``, exact whether or not
-    the measurability condition holds: the full-space matrix is diagonalised by
-    the connected components of its exact zero pattern, taken from its entries
-    alone (``component_spectrum``), at sum_k c_k^3 cost, and dropped.  Each
-    ``evolve`` steps the state through the spectra's sum_k c_k^2 entries.
+    def _decompose(self, h_program: np.ndarray, blocks: np.ndarray) -> None:
+        self._energies = np.real(np.diag(h_program))
+        diagonal = np.max(np.abs(h_program - np.diag(np.diag(h_program)))) <= _DIAG_TOL
+        self._program = None if diagonal else HermitianSpectrum.of(h_program)
+        self._blocks = HermitianSpectrum.of(blocks)  # one batched eigh for all blocks
+
+    def _step(self, psi: np.ndarray, t: float) -> np.ndarray:
+        if self._program is None:
+            out = np.exp(-1j * self._energies * t)[:, None] * psi
+        else:
+            out = self._program.apply(psi, t)
+        return self._blocks.apply(out[..., None], t)[..., 0]  # row n is one column of block n
+
+
+class DensePropagator(_ConditionedPropagator):
+    """Exact whether or not the measurability condition holds: the brute-force reference.
+
+    H is the direct sum of one (g d_sa)^2 matrix per connected component of the exact
+    zero pattern of h'.  Per component size g, one assembler call builds them and one
+    batched ``eigh`` diagonalises them, at sum_k (g_k d_sa)^3 cost.  A step gathers each
+    component's amplitudes, applies its spectrum and scatters them back.
     """
 
     def __init__(self, h: TrinaryHamiltonian):
-        full = _assemble_conditioned(*h._triple)
-        if not np.isfinite(full).all():  # finite blocks may still sum past the double range
-            raise ValueError("non-finite entries")
-        self._groups = component_spectrum(full)
+        super().__init__(*h._triple)
 
-    def evolve(self, state: TrinaryState, t: float) -> TrinaryState:
-        amp = apply_component_spectrum(self._groups, state.dense.amplitudes[:, None], t)[:, 0]
-        return TrinaryState.from_dense(state.dims, StateVector(amp))
+    def _decompose(self, h_program: np.ndarray, blocks: np.ndarray) -> None:
+        self._groups = []  # per component size: the (k, g) program states and their spectra
+        for index in _zero_pattern_components(h_program):
+            program = h_program[index[:, :, None], index[:, None, :]]
+            stack = _assemble_conditioned(program, blocks[index], None)
+            if not np.isfinite(stack).all():  # finite blocks may still sum past the double range
+                raise ValueError("non-finite entries")
+            self._groups.append((index, HermitianSpectrum.of(stack)))
+
+    def _step(self, psi: np.ndarray, t: float) -> np.ndarray:
+        out = np.empty(psi.shape, dtype=complex)
+        for index, spectrum in self._groups:
+            x = psi[index].reshape(*spectrum.values.shape, 1)
+            out[index] = spectrum.apply(x, t).reshape(*index.shape, -1)
+        return out
 
 
 def evolve_full(h: TrinaryHamiltonian, state: TrinaryState, t: float) -> TrinaryState:
-    """Dense full-space propagator: the brute-force oracle."""
+    """One step of ``DensePropagator``: the brute-force oracle."""
     if h.dims != state.dims:
         raise DimensionError("hamiltonian and state dims differ")
     return DensePropagator(h).evolve(state, t)

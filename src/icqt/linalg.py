@@ -316,49 +316,6 @@ class HermitianSpectrum:
         return v @ (phase * (v.swapaxes(-1, -2) @ x.conj()).conj())
 
 
-def _zero_pattern_components(h: np.ndarray) -> dict[int, list[np.ndarray]]:
-    """Ascending index arrays of the connected components of (h != 0) | (h != 0)^T, by size.
-
-    The pattern is symmetrized because ``eigh`` reads one triangle only.  One
-    breadth-first pass: each row is read once, as a frontier member.
-    """
-    nonzero = h != 0
-    coupled = nonzero | nonzero.T
-    unseen = np.ones(h.shape[0], dtype=bool)
-    by_size: dict[int, list[np.ndarray]] = {}
-    for root in range(h.shape[0]):
-        if not unseen[root]:
-            continue
-        unseen[root] = False
-        members = frontier = np.array([root])
-        while frontier.size:
-            frontier = np.flatnonzero(coupled[frontier].any(axis=0) & unseen)
-            unseen[frontier] = False
-            members = np.concatenate((members, frontier))
-        by_size.setdefault(members.size, []).append(np.sort(members))
-    return by_size
-
-
-def component_spectrum(h: np.ndarray) -> list[tuple[np.ndarray, HermitianSpectrum]]:
-    """A Hermitian h by its exact-zero components: per component size c, the (k, c) stack of
-    the k components' indices and one batched ``eigh`` of their c x c submatrices.
-
-    Up to a permutation h is the direct sum of those submatrices, so their spectra are h's:
-    sum_k c_k^3 work and sum_k c_k^2 entries, not n^3 and n^2.  One component is one group.
-    """
-    stacks = [np.stack(group) for group in _zero_pattern_components(h).values()]
-    return [(i, HermitianSpectrum.of(h[i[:, :, None], i[:, None, :]])) for i in stacks]
-
-
-def apply_component_spectrum(groups, x: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) x for columns x (n, m) and ``groups = component_spectrum(H)``: each group's
-    rows of x are gathered, stepped by ``HermitianSpectrum.apply`` and scattered back."""
-    out = np.empty(x.shape, dtype=complex)
-    for index, spectrum in groups:
-        out[index] = spectrum.apply(x[index], t)
-    return out
-
-
 def hermitian_propagator(h: Operator, t: float) -> Operator:
     """exp(-i H t) for Hermitian H: its spectrum applied to the identity."""
     if not h.is_hermitian():

@@ -226,17 +226,32 @@ def parse_segments(
     return out
 
 
+def _peak(operators) -> float:
+    """The largest entry magnitude of any of ``operators``."""
+    with np.errstate(over="ignore"):  # |re + i im| may overflow alone
+        return max(float(np.max(np.abs(op.entries))) for op in operators)
+
+
 def check_finite_evolution(segments, horizon: float) -> None:
-    """Refuse a segment whose evolution up to time ``horizon`` overflows a double:
-    (d_p max|h_p| + d_sa max_n max|B_n|) max(horizon, 1) bounds every entry of its
-    assembled matrix and every phase w t, so it must be finite."""
-    for k, (_, h, _) in enumerate(segments):
-        with np.errstate(over="ignore"):  # |re + i im| may overflow alone
-            peak_p = float(np.max(np.abs(h.h_p.entries)))
-            peak_b = max(float(np.max(np.abs(b.entries))) for b in h.blocks)
+    """Refuse a segment whose evolution to time ``horizon`` or whose measurability check
+    overflows a double: (d_p max|h_p| + d_sa max_n max|B_n|) max(horizon, 1) bounds every
+    assembled entry and phase w t, and 2 d_p max|h_p| max_n max|B_n| every commutator entry
+    h'[n, m] (B_n - B_m), as |h'| <= d_p max|h_p| in any basis; alike for structured blocks."""
+    for k, (_, h, structures) in enumerate(segments):
+        peak_p, peak_b = _peak([h.h_p]), _peak(h.blocks)
         bound = (h.dims.d_p * peak_p + h.dims.d_sa * peak_b) * max(horizon, 1.0)
         if not math.isfinite(bound):
             raise ScenarioError(f"segment {k}: the Hamiltonian overflows a double by t = {horizon}")
+        levels = [("", h.dims.d_p, peak_p, peak_b)] + [
+            (f"hamiltonian.blocks[{n}]: ", s.d_s, _peak([s.h_s]), _peak(s.a_generators))
+            for n, s in enumerate(structures)
+            if s is not None
+        ]
+        for what, dim, peak_program, peak_block in levels:
+            if not math.isfinite(2 * dim * peak_program * peak_block):
+                raise ScenarioError(
+                    f"segment {k}: {what}the measurability commutator overflows a double"
+                )
 
 
 def parse_times(payload: dict) -> tuple[float, ...]:

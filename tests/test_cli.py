@@ -902,6 +902,8 @@ class TestInputErrors:
 
     BIG = complex_to_pairs(np.diag([1.5e308, 1.5e308]))
     ONE = complex_to_pairs(np.diag([1.0, 2.0]))
+    HUGE = complex_to_pairs(np.diag([1e200, 0]))
+    SWAP = complex_to_pairs(np.array([[0, 1e200], [1e200, 0]]))
 
     @pytest.mark.parametrize(
         "hamiltonian, times, message",
@@ -913,8 +915,14 @@ class TestInputErrors:
             ({"h_p": ONE, "blocks": [{"s_basis": "Z", "a_generators": [[[[1.5e308, 0]]]] * 2,
                                       "h_s": BIG}] * 2}, [0.0],
              "hamiltonian.blocks[0]: non-finite entries"),
+            ({"h_p": SWAP, "blocks": [HUGE, complex_to_pairs(np.diag([-1e200, 0]))]}, [0.0],
+             "segment 0: the measurability commutator overflows a double"),  # 1e200 * 2e200
+            ({"h_p": ONE, "blocks": [{"s_basis": "Z", "a_generators": [[[[1e200, 0]]],
+                                                                        [[[-1e200, 0]]]],
+                                      "h_s": SWAP}] * 2}, [0.0],
+             "segment 0: hamiltonian.blocks[0]: the measurability commutator overflows a double"),
         ],
-        ids=["entries", "phases", "structured-block"],
+        ids=["entries", "phases", "structured-block", "commutator", "structured-commutator"],
     )
     def test_hamiltonian_overflowing_a_double(self, tmp_path, capsys, hamiltonian, times, message):
         payload = base("dynamics", dims=[2, 1, 2], times=times, hamiltonian=hamiltonian)

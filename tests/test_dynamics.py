@@ -30,6 +30,7 @@ from icqt.linalg import (
     Operator,
     StateVector,
     hermitian_propagator,
+    random_hermitian,
     seeded_random,
 )
 from icqt.trinary import TrinaryDims, TrinaryState, dual_entropies, standard_basis
@@ -245,11 +246,22 @@ CHECK_DS = (2, 3, 4)
 CHECK_CASES = 60
 
 
-def in_programming_basis(h, seed):
-    """``h`` conjugated into a seeded programming basis, blocks conditioned on it."""
-    w = seeded_random("unitary", h.dims.d_p, seed).entries
+def conditioned_on(h, w):
+    """``h`` conjugated into the programming basis ``w``, blocks conditioned on it."""
     h_p = Operator(w @ h.h_p.entries @ w.conj().T)
     return TrinaryHamiltonian(dims=h.dims, h_p=h_p, blocks=h.blocks, programming_basis=w)
+
+
+def in_programming_basis(h, seed):
+    """``h`` conditioned on a seeded unitary programming basis."""
+    return conditioned_on(h, seeded_random("unitary", h.dims.d_p, seed).entries)
+
+
+def relabelled_basis(d, seed):
+    """Computational states, permuted and rephased: a seeded programming basis in which
+    a diagonal h_p stays exactly diagonal."""
+    rng = np.random.default_rng(seed)
+    return np.eye(d)[:, rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
 
 
 def swapped_case(dims, seed, kind):
@@ -374,14 +386,26 @@ class TestEvolveFull:
         out = evolve_full(h, random_state(DIMS, 7), 1.0)
         assert abs(np.linalg.norm(out.dense.amplitudes) - 1) <= 1e-10
 
-    @pytest.mark.parametrize("kind", ["pmc", "coupled", "violating", "custom basis"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["pmc", "coupled", "violating", "custom basis", "relabelled basis", "sparse blocks"],
+    )
     def test_matches_eigendecomposition_oracle(self, kind):
         # the split reference against one whole-matrix eigh: at d_p = 3, d_sa = 4
-        # pmc has 3 exact-zero components of 4, coupled one of 8 and one of 4,
-        # violating and a custom programming basis one of 12
+        # pmc and a relabelled programming basis have 3 program groups of 4,
+        # coupled one of 8 and one of 4 (also with diagonal blocks, which the
+        # whole matrix's zero pattern would split further), violating and a
+        # custom basis one of 12
         dims = TrinaryDims(2, 2, 3)
         if kind == "custom basis":
             h = in_programming_basis(random_trinary_hamiltonian(dims, 8, kind="pmc"), 10)
+        elif kind == "relabelled basis":
+            pmc = random_trinary_hamiltonian(dims, 8, kind="pmc")
+            h = conditioned_on(pmc, relabelled_basis(dims.d_p, 10))
+        elif kind == "sparse blocks":
+            coupled = random_trinary_hamiltonian(dims, 8, kind="coupled")
+            blocks = tuple(Operator(np.diag(np.diag(b.entries))) for b in coupled.blocks)
+            h = TrinaryHamiltonian(dims=dims, h_p=coupled.h_p, blocks=blocks)
         else:
             h = random_trinary_hamiltonian(dims, 8, kind=kind)
         state = random_state(dims, 9)
@@ -389,22 +413,56 @@ class TestEvolveFull:
         out = evolve_full(h, state, 0.9)
         assert np.max(np.abs(out.dense.amplitudes - want)) < 1e-12
 
-    def test_dense_reference_keeps_only_its_components(self):
-        # the dense reference assembles one full matrix (26.9 MB at total 1296),
-        # copies none of it and drops it once decomposed: its 36 components of
-        # 36 keep 36 * 36^2 entries per spectrum, under a tenth of one matrix
-        dims = TrinaryDims(6, 6, 36)
-        h = random_trinary_hamiltonian(dims, 5, kind="pmc")
-        full = dims.total**2 * 16
+    @staticmethod
+    def build_memory(h) -> tuple[int, int]:
+        """(kept, peak) bytes traced while ``DensePropagator(h)`` is built."""
         tracemalloc.start()
         try:
-            prop = DensePropagator(h)
-            kept, peak = tracemalloc.get_traced_memory()
+            prop = DensePropagator(h)  # noqa: F841 (alive while the memory is read)
+            return tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * full
+
+    def test_dense_reference_keeps_only_its_components(self):
+        # one full matrix is 26.9 MB at total 1296; the 36 program groups of
+        # 36 build and keep 36 * 36^2 entries per stack, and no full matrix
+        dims = TrinaryDims(6, 6, 36)
+        kept, peak = self.build_memory(random_trinary_hamiltonian(dims, 5, kind="pmc"))
+        full = dims.total**2 * 16
+        assert peak < 0.1 * full
         assert kept < 0.1 * full
-        del prop
+
+    def test_custom_basis_reference_builds_in_its_frame(self):
+        # blocks conditioned on relabelled programming states: the reference
+        # assembles each group's matrix over those states, and neither the
+        # full matrix nor a full-space temporary per programmed term
+        dims = TrinaryDims(6, 6, 36)
+        pmc = random_trinary_hamiltonian(dims, 5, kind="pmc")
+        h = conditioned_on(pmc, relabelled_basis(dims.d_p, 6))
+        _, peak = self.build_memory(h)
+        assert peak < 0.1 * dims.total**2 * 16
+
+    @pytest.mark.parametrize("seed", [6, 7, 8])
+    def test_reads_program_couplings_from_the_lower_triangle(self, seed):
+        # two chains of program states under a random permutation, linked in the
+        # lower triangle of h_p alone (within the Hermiticity tolerance 1e-12) and
+        # sharing one block: eigh reads that triangle, so the groups must come
+        # from the symmetrized pattern, or a chain would split and miss a
+        # transfer of about the links times t = 40
+        rng = np.random.default_rng(seed)
+        dims = TrinaryDims(2, 1, 9)
+        order = rng.permutation(dims.d_p)
+        h_p = np.zeros((dims.d_p, dims.d_p), dtype=complex)
+        for chain in (order[:6], order[6:]):
+            links = (np.maximum(chain[1:], chain[:-1]), np.minimum(chain[1:], chain[:-1]))
+            h_p[links] = 9e-13 * np.exp(2j * np.pi * rng.random(chain.size - 1))
+        block = random_hermitian(rng, dims.d_sa)
+        h = TrinaryHamiltonian(dims=dims, h_p=Operator(h_p), blocks=(block,) * dims.d_p)
+        state = random_state(dims, seed)
+        for t in (1.3, 40.0):
+            want = expm_hermitian(h.full_operator().entries, t) @ state.dense.amplitudes
+            got = evolve_full(h, state, t).dense.amplitudes
+            assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestEvolveFactorized:

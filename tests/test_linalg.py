@@ -10,10 +10,8 @@ from icqt.linalg import (
     NormalizationError,
     Operator,
     StateVector,
-    apply_component_spectrum,
     branch_schmidt_coefficients,
     commutator_norm,
-    component_spectrum,
     entanglement_entropy,
     HermitianSpectrum,
     hermitian_propagator,
@@ -23,6 +21,8 @@ from icqt.linalg import (
     shannon_entropy,
     tensor_product,
 )
+from icqt.dynamics import DensePropagator, TrinaryHamiltonian
+from icqt.trinary import TrinaryDims, TrinaryState
 from oracles import (
     eigenvalue_entropy,
     entropy_bound,
@@ -540,79 +540,67 @@ class TestPropagator:
         assert np.max(np.abs(combined - split)) <= 1e-9
 
 
-def permuted_block_diagonal(sizes, seed) -> np.ndarray:
-    """A seeded Hermitian that is block-diagonal, with blocks of ``sizes``, after a random
-    permutation of its indices."""
+def program_grouped(sizes, seed) -> TrinaryHamiltonian:
+    """A seeded Hamiltonian on dims (2, 1, sum(sizes)) whose h_p is block-diagonal, with
+    blocks of ``sizes``, after a random permutation of the program states."""
     rng = np.random.default_rng(seed)
-    n = sum(sizes)
-    order = rng.permutation(n)
-    h = np.zeros((n, n), dtype=complex)
-    for block, size in enumerate(sizes):
-        members = order[sum(sizes[:block]) : sum(sizes[: block + 1])]
-        h[np.ix_(members, members)] = random_hermitian(rng, size).entries
-    return h
+    dims = TrinaryDims(2, 1, sum(sizes))
+    h_p = np.zeros((dims.d_p, dims.d_p), dtype=complex)
+    for members in np.split(rng.permutation(dims.d_p), np.cumsum(sizes)[:-1]):
+        h_p[np.ix_(members, members)] = random_hermitian(rng, members.size).entries
+    blocks = tuple(random_hermitian(rng, dims.d_sa) for _ in range(dims.d_p))
+    return TrinaryHamiltonian(dims=dims, h_p=Operator(h_p), blocks=blocks)
 
 
 class TestComponentSpectrum:
-    """The spectrum by exact-zero components against one whole-matrix eigh."""
+    """The reference spectrum by exact-zero components of the program side against one
+    whole-matrix eigh: ``DensePropagator._groups`` holds, per group size g, the (k, g)
+    program states of the k groups and one batched spectrum of their (g d_sa)^2 matrices."""
 
     SIZES = (8, 1, 5, 2, 5)  # unequal sizes; the two of 5 share one batched eigh
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_values_permute_the_whole_spectrum(self, seed):
-        h = permuted_block_diagonal(self.SIZES, seed)
-        groups = component_spectrum(h)
+        h = program_grouped(self.SIZES, seed)
+        groups = DensePropagator(h)._groups
         assert sorted(index.shape for index, _ in groups) == [(1, 1), (1, 2), (1, 8), (2, 5)]
         values = np.concatenate([spectrum.values.ravel() for _, spectrum in groups])
-        assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh(h))) < 1e-12
+        whole = np.linalg.eigvalsh(h.full_operator().entries)
+        assert np.max(np.abs(np.sort(values) - whole)) < 1e-12
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_indices_partition_the_space(self, seed):
-        h = permuted_block_diagonal(self.SIZES, seed)
-        groups = component_spectrum(h)
+        h = program_grouped(self.SIZES, seed)
+        groups = DensePropagator(h)._groups
         every = np.concatenate([index.ravel() for index, _ in groups])
-        assert np.array_equal(np.sort(every), np.arange(h.shape[0]))
+        assert np.array_equal(np.sort(every), np.arange(h.dims.d_p))
         for index, spectrum in groups:
-            assert spectrum.vectors.shape == (*index.shape, index.shape[1])
+            g = index.shape[1] * h.dims.d_sa
+            assert spectrum.vectors.shape == (index.shape[0], g, g)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_apply_matches_the_whole_matrix_formula(self, seed):
-        h = permuted_block_diagonal(self.SIZES, seed)
-        groups = component_spectrum(h)
-        x = seeded_random("state", h.shape[0], seed).amplitudes
+        h = program_grouped(self.SIZES, seed)
+        prop = DensePropagator(h)
+        x = seeded_random("state", h.dims.total, seed)
+        state = TrinaryState.from_dense(h.dims, x)
         for t in (0.0, 0.4, 2.3):
-            want = expm_hermitian(h, t) @ x
-            got = apply_component_spectrum(groups, x[:, None], t)[:, 0]
+            want = expm_hermitian(h.full_operator().entries, t) @ x.amplitudes
+            got = prop.evolve(state, t).dense.amplitudes
             assert np.max(np.abs(got - want)) < 1e-12
 
-    @pytest.mark.parametrize("seed", [6, 7, 8])
-    def test_reads_the_lower_triangle_as_the_whole_eigh(self, seed):
-        # two chains under a random permutation, given by their lower triangle
-        # alone: eigh reads that triangle, so the components must come from the
-        # symmetrized pattern and keep the whole matrix's index order
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(9)
-        h = np.zeros((9, 9), dtype=complex)
-        for chain in (order[:6], order[6:]):
-            h[chain, chain] = rng.normal(size=chain.size)
-            links = (np.maximum(chain[1:], chain[:-1]), np.minimum(chain[1:], chain[:-1]))
-            h[links] = rng.normal(size=chain.size - 1) + 1j * rng.normal(size=chain.size - 1)
-        groups = component_spectrum(h)
-        values = np.concatenate([spectrum.values.ravel() for _, spectrum in groups])
-        assert np.max(np.abs(np.sort(values) - np.linalg.eigvalsh(h))) < 1e-12
-        got = apply_component_spectrum(groups, np.eye(9), 1.3)
-        assert np.max(np.abs(got - expm_hermitian(h, 1.3))) < 1e-12
-
     def test_one_component_is_one_group_with_the_whole_bits(self):
-        h = seeded_random("hermitian", 7, 4).entries
-        ((index, spectrum),) = component_spectrum(h)
-        want = HermitianSpectrum.of(h)
+        dims = TrinaryDims(2, 1, 7)
+        blocks = tuple(seeded_random("hermitian", dims.d_sa, 10 + n) for n in range(dims.d_p))
+        h = TrinaryHamiltonian(dims=dims, h_p=seeded_random("hermitian", 7, 4), blocks=blocks)
+        ((index, spectrum),) = DensePropagator(h)._groups
+        want = HermitianSpectrum.of(h.full_operator().entries)
         assert np.array_equal(index, np.arange(7)[None])
         assert np.array_equal(spectrum.values[0], want.values)
         assert np.array_equal(spectrum.vectors[0], want.vectors)
-        x = seeded_random("state", 7, 5).amplitudes[:, None]
-        got = apply_component_spectrum([(index, spectrum)], x, 0.7)
-        assert np.array_equal(got, want.apply(x, 0.7))
+        x = seeded_random("state", dims.total, 5)
+        got = DensePropagator(h).evolve(TrinaryState.from_dense(dims, x), 0.7)
+        assert np.array_equal(got.dense.amplitudes, want.apply(x.amplitudes[:, None], 0.7)[:, 0])
 
 
 class TestCommutatorNorm:
