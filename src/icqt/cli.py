@@ -35,6 +35,7 @@ from .scenario import (
     load_scenario,
     parse_branch_bases,
     parse_dims,
+    parse_emit_state,
     parse_icqc_config,
     parse_initial_state,
     parse_segments,
@@ -164,6 +165,7 @@ def cmd_born(scenario: Scenario, out_dir: Path) -> int:
 
 def cmd_icqc(scenario: Scenario, out_dir: Path) -> int:
     config = parse_icqc_config(scenario.payload, scenario.seed)
+    emit_state = parse_emit_state(scenario.payload)
     report = icqc_run(config)
     doc = {
         "kind": scenario.kind,
@@ -175,7 +177,7 @@ def cmd_icqc(scenario: Scenario, out_dir: Path) -> int:
         "mean_s_sa": report.mean_s_sa,
         **asdict(report.born),
     }
-    if scenario.payload.get("emit_state"):
+    if emit_state:
         doc["final_state"] = complex_to_pairs(report.final_state.dense.amplitudes)
     sys.stdout.write(write_json(out_dir / "icqc_report.json", doc))
     return 0

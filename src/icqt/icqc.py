@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .born import DualBornReport, _dual_born_report
-from .linalg import StateVector, entanglement_entropy
-from .trinary import TrinaryDims, TrinaryState, _branch_spectra, branch_entropies
+from .linalg import StateVector, _check_unit, entanglement_entropy
+from .trinary import TrinaryDims, TrinaryState, _branch_spectra, _product_into, branch_entropies
 
 DEFAULT_MAX_DIM = 4096
 _SHOWN_BITS = 64  # a refused total of more bits is named by its formula alone
@@ -133,8 +133,8 @@ def _register_axis(reg: str, qubit: int, layout: dict[str, tuple[int, int]]) -> 
     return offset + qubit
 
 
-def _apply_single(arr: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
-    """The 2x2 gate m on one qubit axis of a (2, ..., 2) array, as a new C-ordered array.
+def _apply_single(arr: np.ndarray, m: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """Write the 2x2 gate m on one qubit axis of the C-ordered amplitudes ``arr`` into ``out``.
 
     The axis splits the amplitudes into (2**axis, 2, rest).  A long rest takes one
     batched ``m @``; below _BATCHED_REST numpy's batched matmul would make one tiny
@@ -143,32 +143,39 @@ def _apply_single(arr: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
     block = arr.reshape(2**axis, 2, -1)
     rest = block.shape[2]
     if rest >= _BATCHED_REST:
-        return (m @ block).reshape(arr.shape)
+        np.matmul(m, block, out=out.reshape(block.shape))
+        return
     wide = (m[:, None, :, None] * np.eye(rest)[None, :, None, :]).reshape(2 * rest, 2 * rest)
-    return (block.reshape(-1, 2 * rest) @ wide.T).reshape(arr.shape)
+    np.matmul(block.reshape(-1, 2 * rest), wide.T, out=out.reshape(-1, 2 * rest))
 
 
-def _apply_cnot(arr: np.ndarray, control: int, target: int) -> np.ndarray:
-    out = arr.copy()
-    sel: list = [slice(None)] * arr.ndim
+def _apply_cnot(arr: np.ndarray, control: int, target: int, out: np.ndarray) -> None:
+    """Write CNOT on the qubit axes (control, target) of the amplitudes ``arr`` into ``out``."""
+    shape = [2] * (arr.size.bit_length() - 1)
+    src, dst = arr.reshape(shape), out.reshape(shape)
+    sel: list = [slice(None)] * len(shape)
+    sel[control] = 0
+    dst[tuple(sel)] = src[tuple(sel)]
     sel[control] = 1
     one = tuple(sel)
-    out[one] = np.flip(arr[one], axis=target - (1 if target > control else 0))
-    return out
+    dst[one] = np.flip(src[one], axis=target - (1 if target > control else 0))
 
 
 def _apply_gates_nd(
-    arr: np.ndarray, gates: Sequence[GateOp], layout: dict[str, tuple[int, int]]
+    arr: np.ndarray, gates: Sequence[GateOp], layout: dict[str, tuple[int, int]], spare: np.ndarray
 ) -> np.ndarray:
+    """Apply ``gates`` to the C-ordered amplitudes ``arr``, writing each gate's result into
+    the other of ``arr`` and ``spare`` (same size); returns the one that holds the result."""
     for gate in gates:
         if gate.kind == "CNOT":
             (creg, cq), (treg, tq) = gate.targets
             c = _register_axis(creg, cq, layout)
             t = _register_axis(treg, tq, layout)
-            arr = _apply_cnot(arr, c, t)
+            _apply_cnot(arr, c, t, spare)
         else:
             reg, q = gate.targets[0]
-            arr = _apply_single(arr, gate.matrix(), _register_axis(reg, q, layout))
+            _apply_single(arr, gate.matrix(), _register_axis(reg, q, layout), spare)
+        arr, spare = spare, arr
     return arr
 
 
@@ -271,51 +278,74 @@ def random_program(n: int, depth: int, rng: np.random.Generator) -> tuple[tuple[
     return tuple(table)
 
 
-def init_state(n: int, initial: str = "uniform") -> TrinaryState:
-    """Uniform superposition on every register (or all-zeros with 'zeros')."""
+def _initial_factors(n: int, initial: str) -> tuple[StateVector, StateVector, StateVector]:
+    """The P, S and A factors of the uniform (or all-zeros with 'zeros') start of n-qubit
+    registers, after the capacity check."""
     if n < 1:
         raise ValueError("n must be >= 1")
     check_register_capacity(n)
     dims = _register_dims(n)
     if initial not in ("uniform", "zeros"):
         raise ValueError("initial must be 'uniform' or 'zeros'")
-    factors = [StateVector.uniform(d) if initial == "uniform" else StateVector.basis(d, 0)
-               for d in (dims.d_p, dims.d_s, dims.d_a)]
-    return TrinaryState.from_product(dims, *factors)
+    return tuple(StateVector.uniform(d) if initial == "uniform" else StateVector.basis(d, 0)
+                 for d in (dims.d_p, dims.d_s, dims.d_a))
+
+
+def init_state(n: int, initial: str = "uniform") -> TrinaryState:
+    """Uniform superposition on every register (or all-zeros with 'zeros')."""
+    factors = _initial_factors(n, initial)
+    return TrinaryState.from_product(_register_dims(n), *factors)
 
 
 def apply_gates(state: TrinaryState, gates: Sequence[GateOp]) -> TrinaryState:
     """Standard state-vector gate application over all three registers.
 
     The register size n is read off ``state.dims``, which must be (2^n, 2^n, 4^n).
+    The gates alternate between a copy of the amplitudes and one spare array.
     """
     n = state.dims.d_s.bit_length() - 1
     if n < 1 or state.dims != _register_dims(n):
         raise ValueError("state does not match an n-qubit trinary register layout")
-    arr = state.dense.amplitudes.reshape([2] * (4 * n))
-    arr = _apply_gates_nd(arr, gates, _full_layout(n))
-    return TrinaryState.from_dense(state.dims, StateVector(arr.reshape(-1)))
+    amps = state.dense.amplitudes.copy()
+    out = _apply_gates_nd(amps, gates, _full_layout(n), np.empty_like(amps))
+    return TrinaryState.from_dense(state.dims, StateVector._owning(out))
+
+
+def _programmed_stage(amps: np.ndarray, config: IcqcConfig) -> np.ndarray:
+    """The branch circuits on the rows of ``amps``, in place, then the optional P-only
+    circuit; returns the array that holds the result (``amps`` or, after a P-only
+    circuit, possibly its one spare).
+
+    Each row is one S x A block of 4^n amplitudes; its circuit alternates between the
+    row and one spare row.  The finite and norm check runs between the two stages.
+    """
+    n = config.n
+    rows = amps.reshape(config.dims.d_p, config.dims.d_sa)
+    sa_layout = _sa_layout(n)
+    spare = np.empty(config.dims.d_sa, dtype=complex)
+    for p, circuit in enumerate(config.program_table):
+        row = rows[p]
+        if _apply_gates_nd(row, circuit, sa_layout, spare) is spare:
+            row[...] = spare
+    if not config.post_program_p_circuit:
+        return amps
+    _check_unit(amps)
+    layout = _full_layout(n)
+    return _apply_gates_nd(amps, config.post_program_p_circuit, layout, np.empty_like(amps))
 
 
 def apply_programmed_op(state: TrinaryState, config: IcqcConfig) -> TrinaryState:
     """Branch circuits conditioned on P, then the optional P-only circuit.
 
-    Works row by row over programming values; per-branch workspace is one
-    S x A block of 4^n amplitudes.
+    Works row by row over programming values on one copy of the amplitudes: each
+    row is rewritten in place, with one spare S x A row of 4^n amplitudes as
+    workspace, and the copy becomes the new state.  A P-only circuit adds one
+    spare of the state's size.
     """
-    n = config.n
-    dims = config.dims
-    if state.dims != dims:
+    if state.dims != config.dims:
         raise ValueError("state dims do not match the configuration")
-    rows = state.as_matrix().copy()
-    sa_layout = _sa_layout(n)
-    for p, circuit in enumerate(config.program_table):
-        block = rows[p].reshape([2] * (2 * n))
-        rows[p] = _apply_gates_nd(block, circuit, sa_layout).reshape(-1)
-    out = TrinaryState.from_dense(dims, StateVector(rows.reshape(-1)))
-    if config.post_program_p_circuit:
-        out = apply_gates(out, config.post_program_p_circuit)
-    return out
+    out = _programmed_stage(state.dense.amplitudes.copy(), config)
+    return TrinaryState.from_dense(state.dims, StateVector._owning(out))
 
 
 @dataclass(frozen=True)
@@ -330,17 +360,30 @@ class IcqcRunReport:
 def run(config: IcqcConfig) -> IcqcRunReport:
     """init -> gate stage -> programmed stage -> dual entropies and Born report.
 
+    The stages hold at most two state-sized arrays: the initial amplitudes are
+    written straight into one buffer (bit for bit ``init_state``), the gate
+    stage alternates between it and one spare, and the programmed stage
+    rewrites the buffer's rows in place (``apply_gates`` and
+    ``apply_programmed_op`` run the same kernels on a copy).  The finite and
+    norm check runs on the buffer at the end of each stage, and the buffer
+    becomes the final state, read-only, without a copy.
+
     The entropies and the report equal ``dual_entropies`` and
     ``dual_born_report`` of the final state bit for bit: both read one
     ``branch_spectra`` pass over its amplitudes and one ``branch_weights``.
     """
-    state = init_state(config.n, config.initial)
+    n, dims = config.n, config.dims
+    factors = _initial_factors(n, config.initial)
+    amps = np.empty(dims.total, dtype=complex)
+    _product_into(amps, *factors)
+    _check_unit(amps)
     if config.gate_sequence:
-        state = apply_gates(state, config.gate_sequence)
-    state = apply_programmed_op(state, config)
-    dims = state.dims
+        amps = _apply_gates_nd(amps, config.gate_sequence, _full_layout(n), np.empty_like(amps))
+        _check_unit(amps)
+    amps = _programmed_stage(amps, config)
+    state = TrinaryState.from_dense(dims, StateVector._owning(amps))
     # P|(SA) first, as in dual_entropies: an icqc-n5 process (seed 2026, 2 vCPU) peaked at
-    # 91.5-91.6 MB this way and at 98.5-98.6 MB the other way (ru_maxrss, 3 runs each)
+    # 81.5-82.1 MB this way and at 82.1-82.4 MB the other way (ru_maxrss, 3 runs each)
     s_psa = entanglement_entropy(state.dense, (dims.d_p, dims.d_sa))
     weights = state.branch_weights()
     spectra = _branch_spectra(state, weights)

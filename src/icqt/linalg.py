@@ -41,14 +41,31 @@ class HermiticityError(ValueError):
     """Operator that must be Hermitian is not."""
 
 
+def _check_finite(arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite entries")
+
+
 def _as_complex(a, ndim: int) -> np.ndarray:
     arr = np.array(a, dtype=complex, order="C")  # owned copy, safe to freeze
     if arr.ndim != ndim:
         raise DimensionError(f"expected {ndim}-d array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite entries")
+    _check_finite(arr)
     arr.setflags(write=False)
     return arr
+
+
+def _check_unit(arr: np.ndarray) -> None:
+    """icqt's one state rule for a C-contiguous 1-d complex128 array: nonempty, finite
+    entries, and a squared norm within NORM_TOL of 1."""
+    if arr.size < 1:
+        raise DimensionError("empty state vector")
+    _check_finite(arr)
+    re_im = arr.view(np.float64)
+    chunks = (re_im[i : i + _NORM_CHUNK] for i in range(0, re_im.size, _NORM_CHUNK))
+    squared = math.fsum(float(np.sum(c * c)) for c in chunks)  # chunk sums added exactly
+    if abs(squared - 1.0) > NORM_TOL:
+        raise NormalizationError(f"squared norm {squared!r} != 1")
 
 
 @dataclass(frozen=True)
@@ -58,15 +75,36 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = _as_complex(self.amplitudes, 1)
-        if arr.size < 1:
-            raise DimensionError("empty state vector")
-        re_im = arr.view(np.float64)
-        chunks = (re_im[i : i + _NORM_CHUNK] for i in range(0, re_im.size, _NORM_CHUNK))
-        squared = math.fsum(float(np.sum(c * c)) for c in chunks)  # chunk sums added exactly
-        if abs(squared - 1.0) > NORM_TOL:
-            raise NormalizationError(f"squared norm {squared!r} != 1")
+        arr = np.array(self.amplitudes, dtype=complex, order="C")  # owned copy, safe to freeze
+        if arr.ndim != 1:
+            raise DimensionError(f"expected 1-d array, got shape {arr.shape}")
+        _check_unit(arr)
+        arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
+
+    @classmethod
+    def _owning(cls, arr: np.ndarray) -> StateVector:
+        """The state of ``arr`` itself, without a copy, checked as ``StateVector(arr)`` is.
+
+        ``arr`` must be a fresh array that no one else writes: a 1-d complex128
+        array that owns its C-contiguous data.  It is frozen here, so no later
+        write can reach the state.  A view, another dtype or layout is refused.
+        """
+        if not (
+            isinstance(arr, np.ndarray)
+            and arr.dtype == np.complex128
+            and arr.ndim == 1
+            and arr.flags.c_contiguous
+            and arr.flags.owndata
+        ):
+            raise ValueError(
+                "an owned state takes a 1-d complex128 array that owns its C-contiguous data"
+            )
+        _check_unit(arr)
+        arr.setflags(write=False)
+        psi = object.__new__(cls)
+        object.__setattr__(psi, "amplitudes", arr)
+        return psi
 
     @property
     def dim(self) -> int:
@@ -188,8 +226,8 @@ def schmidt_decompose(psi: StateVector, dims: tuple[int, int]) -> SchmidtDecompo
 
 
 def _real_if_exact(a: np.ndarray) -> np.ndarray:
-    """A contiguous copy of the real part of ``a`` when every imaginary part is exactly zero
-    (-0.0 too), else ``a`` itself.
+    """A contiguous copy of the real part of a complex ``a`` when every imaginary part is
+    exactly zero (-0.0 too), else ``a`` itself; a real ``a`` is returned as it is.
 
     The values-only kernels read amplitudes through this: on real data the
     float64 LAPACK and BLAS routines give the same spectrum as the complex
@@ -199,6 +237,8 @@ def _real_if_exact(a: np.ndarray) -> np.ndarray:
     slows the Gram products and the batched SVD: by 20 to 40 ms of about
     0.2 s on a 1024 x 1024 cut and its 1024 branches of 32 x 32 (2 vCPU).
     """
+    if not np.iscomplexobj(a):
+        return a
     return np.ascontiguousarray(a.real) if not a.imag.any() else a
 
 
@@ -243,7 +283,8 @@ def _conj_gram_lower(a: np.ndarray) -> np.ndarray:
     at a time.
 
     Each block of a complex A conjugates only its own rows; a real A is read as it
-    is, and the transposed factor is a view.
+    is, and the transposed factor is a view.  Each product is written straight
+    into its block of the Gram matrix.
     """
     k = a.shape[0]
     complex_a = np.iscomplexobj(a)
@@ -251,7 +292,7 @@ def _conj_gram_lower(a: np.ndarray) -> np.ndarray:
     for lo in range(0, k, _GRAM_ROWS):
         hi = min(lo + _GRAM_ROWS, k)
         rows = a[lo:hi].conj() if complex_a else a[lo:hi]
-        gram[lo:hi, :hi] = rows @ a[:hi].T
+        np.matmul(rows, a[:hi].T, out=gram[lo:hi, :hi])
     return gram
 
 
@@ -267,6 +308,8 @@ def entanglement_entropy(psi: StateVector, dims: tuple[int, int]) -> float:
     Round-off negatives are masked by ``shannon_entropy``.  Should
     ``eigvalsh`` not converge, the entropy is taken from the values-only SVD
     of M, in M's dtype, as ``branch_schmidt_coefficients`` takes it for one row.
+    The real copy of M is dropped before ``eigvalsh``, so it never sits under
+    the solver's workspace; the fallback takes it again.
 
     The Schmidt coefficients themselves stay on the SVD: a zero eigenvalue
     of +-4e-17 would read as a coefficient of about 6e-9, above the Born
@@ -274,10 +317,12 @@ def entanglement_entropy(psi: StateVector, dims: tuple[int, int]) -> float:
     neighbour, so every rank-deficient branch would read as degenerate.
     """
     m = _real_if_exact(_cut_matrix(psi, dims))
+    gram = _conj_gram_lower(m if m.shape[0] <= m.shape[1] else m.T)
+    del m
     try:
-        p = np.linalg.eigvalsh(_conj_gram_lower(m if m.shape[0] <= m.shape[1] else m.T))
+        p = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError:
-        s = _singular_values(m)
+        s = _singular_values(_real_if_exact(_cut_matrix(psi, dims)))
         p = s * s
     return shannon_entropy(p)
 

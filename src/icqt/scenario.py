@@ -377,6 +377,17 @@ def parse_icqc_config(payload: dict, seed: int) -> IcqcConfig:
         raise ScenarioError(str(exc)) from exc
 
 
+def parse_emit_state(payload: dict) -> bool:
+    """The icqc ``emit_state`` flag: absent or null is false, as for ``gates``; any other
+    value must be a JSON ``true`` or ``false``."""
+    emit = payload.get("emit_state")
+    if emit is None:
+        return False
+    if not isinstance(emit, bool):
+        raise ScenarioError("emit_state must be true or false")
+    return emit
+
+
 def parse_suite_options(payload: dict) -> dict:
     """The ``run_property_suite`` keyword arguments a property-suite scenario sets: ``dims_list``
     and the counts of DEFAULT_COUNTS it names."""

@@ -197,8 +197,9 @@ class TrinaryState:
         """Separable start |chi,P> (x) |psi,S> (x) |phi,A>."""
         if (chi.dim, psi.dim, phi.dim) != (dims.d_p, dims.d_s, dims.d_a):
             raise DimensionError("factor dims do not match TrinaryDims")
-        amps = np.kron(chi.amplitudes, np.kron(psi.amplitudes, phi.amplitudes))
-        return TrinaryState.from_dense(dims, StateVector(amps))
+        amps = np.empty(dims.total, dtype=complex)
+        _product_into(amps, chi, psi, phi)
+        return TrinaryState.from_dense(dims, StateVector._owning(amps))
 
     @staticmethod
     def from_branches(
@@ -234,6 +235,13 @@ class TrinaryState:
         return StateVector(_unit_rows(row, weight)[0])
 
 
+def _product_into(out: np.ndarray, chi: StateVector, psi: StateVector, phi: StateVector) -> None:
+    """Write the amplitudes of |chi> (x) |psi> (x) |phi> into ``out``, bit for bit
+    ``np.kron(chi, np.kron(psi, phi))``: numpy's kron is this one broadcast product."""
+    sa = np.kron(psi.amplitudes, phi.amplitudes)
+    np.multiply(chi.amplitudes[:, None], sa, out=out.reshape(chi.dim, sa.size))
+
+
 def _weights(rows: np.ndarray) -> np.ndarray:
     """|g_r|^2 of each row of a stack of amplitude rows."""
     return np.sum(np.abs(rows) ** 2, axis=1)
@@ -245,8 +253,8 @@ def _empty(weights: np.ndarray) -> np.ndarray:
     return weights <= EMPTY_BRANCH_TOL
 
 
-def _unit_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Every row of a stack over its own 2-norm; an empty row becomes zeros (over inf).
+def _row_norms(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The 2-norm of every row of a stack as a (k, 1) column, inf for an empty row.
 
     ``weights`` are the rows' ``_weights``.  The norm is ``np.linalg.norm(row)`` bit for
     bit: both are sqrt(re . re + im . im) from BLAS dot products, here batched over
@@ -255,7 +263,33 @@ def _unit_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     re, im = rows.real, rows.imag
     norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
     norms[_empty(weights)] = np.inf
-    return rows / norms
+    return norms
+
+
+def _unit_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Every complex row of a stack over its own 2-norm (``_row_norms``); an empty row
+    becomes zeros (over inf).  ``branch_state`` and every complex branch spectrum read it."""
+    return rows / _row_norms(rows, weights)
+
+
+def _real_unit_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
+    """The real part of ``_unit_rows(rows, weights)`` bit for bit, as float64, when every
+    imaginary part of it is zero; else None.
+
+    For the rows of a unit state (every norm at most 1 within NORM_TOL, so no nonzero
+    imaginary part times 1 / c rounds to zero) those imaginary parts are all zero
+    exactly when no nonempty row has a nonzero imaginary part (-0.0 is zero; an
+    empty row becomes zeros).  numpy divides a complex entry by a real c as
+    (re + im * 0.0) * (1 / c), not re / c, so the real rows are built in that
+    order, and no complex quotient is formed.
+    """
+    re, im = rows.real, rows.imag
+    if (np.any(im, axis=1) & ~_empty(weights)).any():
+        return None
+    unit = im * 0.0
+    unit += re
+    unit *= 1.0 / _row_norms(rows, weights)
+    return unit
 
 
 def branch_spectra(state: TrinaryState) -> np.ndarray:
@@ -267,11 +301,17 @@ def branch_spectra(state: TrinaryState) -> np.ndarray:
 
 
 def _branch_spectra(state: TrinaryState, weights: np.ndarray) -> np.ndarray:
-    """``branch_spectra`` given the state's ``branch_weights``, so callers take them once."""
+    """``branch_spectra`` given the state's ``branch_weights``, so callers take them once.
+
+    Real unit rows (``_real_unit_rows``) go to the float64 kernel as they are, so the
+    stack is never formed in complex; otherwise the complex ``_unit_rows`` go.
+    """
     dims = state.dims
-    return branch_schmidt_coefficients(
-        _unit_rows(state.as_matrix(), weights), (dims.d_s, dims.d_a)
-    )
+    rows = state.as_matrix()
+    unit = _real_unit_rows(rows, weights)
+    if unit is None:
+        unit = _unit_rows(rows, weights)
+    return branch_schmidt_coefficients(unit, (dims.d_s, dims.d_a))
 
 
 def branch_entropies(spectra: np.ndarray) -> np.ndarray:

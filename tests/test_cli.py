@@ -461,6 +461,13 @@ class TestIcqcCommand:
         amp = pairs_to_complex(doc["final_state"])
         assert np.allclose(amp, 0.25)
 
+    @pytest.mark.parametrize("emit_state", [None, False])
+    def test_emit_state_null_or_false_writes_no_state(self, tmp_path, capsys, emit_state):
+        payload = base("icqc", n=1, program=[[] for _ in range(4)], emit_state=emit_state)
+        path = write_scenario(tmp_path, "i.json", payload)
+        assert main(["icqc", path, "--out", str(tmp_path / "out")]) == 0
+        assert "final_state" not in json.loads(capsys.readouterr().out)
+
     def test_random_program_runs(self, tmp_path, capsys):
         payload = base("icqc", n=2, program={"random": {"depth": 2}})
         path = write_scenario(tmp_path, "i.json", payload)
@@ -677,6 +684,13 @@ class TestInputErrors:
         gates = [{"kind": "RY", "targets": [["S", 0]], "angle": angle}]
         payload = base("icqc", n=1, gates=gates, program={"random": {}})
         assert "gates[0].angle" in self.run_bad(tmp_path, capsys, "icqc", payload)
+
+    @pytest.mark.parametrize("emit_state", ["false", 1, 0, []], ids=["string", "one", "zero", "list"])
+    def test_emit_state_not_a_boolean(self, tmp_path, capsys, emit_state):
+        # "false" and 1 are truthy and once wrote the full final_state with exit 0
+        payload = base("icqc", n=1, program={"random": {}}, emit_state=emit_state)
+        err = self.run_bad(tmp_path, capsys, "icqc", payload)
+        assert err.startswith("scenario error: emit_state must be true or false")
 
     def test_gate_qubit_a_boolean(self, tmp_path, capsys):
         gates = [{"kind": "X", "targets": [["P", True]]}]  # P holds two qubits at n = 1

@@ -16,7 +16,7 @@ from icqt.icqc import (
     run,
     tomographic_program_n1,
 )
-from icqt.linalg import StateVector, entanglement_entropy, seeded_random, subseed
+from icqt.linalg import _NORM_CHUNK, StateVector, entanglement_entropy, seeded_random, subseed
 from icqt.scenario import parse_icqc_config
 from icqt.trinary import (
     EMPTY_BRANCH_TOL,
@@ -85,6 +85,18 @@ class TestInitState:
     def test_zeros(self):
         state = init_state(1, "zeros")
         assert state.dense.amplitudes[0] == 1.0
+
+    @pytest.mark.parametrize("initial", ["uniform", "zeros"])
+    def test_run_start_is_the_kron_product_bit_for_bit(self, initial):
+        # run writes the start straight into its buffer; an empty program keeps it
+        n = 2
+        factors = [StateVector.uniform(d) if initial == "uniform" else StateVector.basis(d, 0)
+                   for d in (16, 4, 4)]
+        want = np.kron(factors[0].amplitudes, np.kron(factors[1].amplitudes, factors[2].amplitudes))
+        config = IcqcConfig(n=n, program_table=identity_program(n), initial=initial)
+        for got in (run(config).final_state, init_state(n, initial)):
+            assert np.all(got.dense.amplitudes == want)
+            assert got.dense.amplitudes.tobytes() == want.tobytes()
 
     def test_capacity_cap(self, monkeypatch):
         monkeypatch.setenv("ICQT_MAX_DIM", "256")
@@ -256,22 +268,29 @@ class TestApplyProgrammedOp:
         before = apply_programmed_op(apply_gates(state, p_circ), IcqcConfig(n=1, program_table=table))
         assert np.max(np.abs(combined.dense.amplitudes - before.dense.amplitudes)) > 0.1
 
-    def test_memory_contract_no_full_space_matrix(self):
-        # n=3: a dense program matrix would need 4096^2 complexes (256 MiB);
-        # the blockwise path must stay below a small fraction of that
-        cfg = IcqcConfig(
-            n=3,
-            program_table=tuple(
-                ((GateOp("RY", (("S", p % 3),), angle=0.1 + p / 64),),)[0]
-                for p in range(64)
-            ),
-        )
-        state = init_state(3)
-        tracemalloc.start()
-        apply_programmed_op(state, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak < 32 * 2**20
+    def test_memory_contract_no_full_space_matrix(self, monkeypatch):
+        """One copy of the state and no full-space matrix (4096^2 complexes, 256 MiB, at n=3).
+
+        Beside the copy, apply_programmed_op holds one S x A row, and the norm check
+        squares one chunk of at most _NORM_CHUNK reals at a time: a whole state at
+        n=3, 1/32 of one at n=5.
+        """
+        monkeypatch.setenv("ICQT_MAX_DIM", str(2**20))
+        for n in (3, 5):
+            cfg = IcqcConfig(
+                n=n,
+                program_table=tuple(
+                    (GateOp("RY", (("S", p % n),), angle=0.1 + p / 64),) for p in range(4**n)
+                ),
+            )
+            state = init_state(n)
+            tracemalloc.start()
+            apply_programmed_op(state, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            size = state.dense.amplitudes.nbytes
+            squares = 8 * min(2 * state.dense.dim, _NORM_CHUNK)
+            assert peak <= 1.1 * size + squares
 
 
 class TestRun:
@@ -379,6 +398,48 @@ class TestRun:
         assert np.array_equal(report.s_sa_branches, want.s_sa_branches)
         assert np.array_equal(report.born.outcome_probs, want.born.outcome_probs)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_run_holds_two_states(self, n, monkeypatch):
+        # the icqc-n5 benchmark scenario: gates on all registers, then a random table;
+        # the buffer and its spare through the gate stage, then the P|(SA) step's
+        # state, real cut copy and real Gram matrix of half a state each
+        monkeypatch.setenv("ICQT_MAX_DIM", str(2**20))
+        scenario = {
+            "n": n,
+            "gates": [
+                {"kind": "H", "targets": [["S", 0]]},
+                {"kind": "CNOT", "targets": [["S", 0], ["A", 0]]},
+                {"kind": "RY", "targets": [["P", 1]], "angle": 0.3},
+            ],
+            "program": {"random": {"depth": 4}},
+        }
+        config = parse_icqc_config(scenario, 2026)
+        tracemalloc.start()
+        run(config)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 2.1 * 16 * config.dims.total
+
+    def test_final_state_is_read_only_and_never_written_again(self):
+        config = IcqcConfig(
+            n=1,
+            gate_sequence=(GateOp("H", (("S", 0),)), GateOp("CNOT", (("S", 0), ("A", 0)))),
+            program_table=tomographic_program_n1(),
+            post_program_p_circuit=(GateOp("H", (("P", 1),)), GateOp("X", (("P", 0),))),
+        )
+        final = run(config).final_state
+        amps = final.dense.amplitudes
+        assert amps.flags.owndata and not amps.flags.writeable
+        with pytest.raises(ValueError):
+            amps[0] = 0.0
+        before = amps.tobytes()
+        later = apply_programmed_op(apply_gates(final, config.gate_sequence), config)
+        again = run(config).final_state
+        assert amps.tobytes() == before
+        for state in (later, again):
+            assert not np.shares_memory(state.dense.amplitudes, amps)
+        assert again.dense.amplitudes.tobytes() == before
+
 
 class TestRandomProgram:
     def test_draw_order_pinned(self):
@@ -410,7 +471,7 @@ class TestPointerBranchCircuits:
         for k in range(4):
             e = np.zeros(4, dtype=complex)
             e[k] = 1.0
-            cols.append(_apply_gates_nd(e.reshape(2, 2), circ, _sa_layout(1)).reshape(-1))
+            cols.append(_apply_gates_nd(e, circ, _sa_layout(1), np.empty_like(e)))
         got = np.array(cols).T
         want = build_pointer_measurement(standard_basis(name, 2), 2).entries
         assert np.max(np.abs(got - want)) <= 1e-12

@@ -87,6 +87,45 @@ class TestStateVector:
             psi.amplitudes[0] = 0.0
 
 
+class TestOwnedStateVector:
+    """``StateVector._owning`` wraps a fresh array without a copy, by StateVector's rule."""
+
+    def test_wraps_and_freezes_without_a_copy(self):
+        amps = np.full(4, 0.5, dtype=complex)
+        psi = StateVector._owning(amps)
+        assert psi.amplitudes is amps
+        assert not amps.flags.writeable
+        assert np.array_equal(psi.amplitudes, StateVector(amps).amplitudes)
+
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            np.full(8, 0.5, dtype=complex)[:4],  # a view, contiguous
+            np.full(8, 0.5, dtype=complex)[::2],  # a view, not contiguous
+            np.full(4, 0.5, dtype=np.complex64),
+            np.full(4, 0.5),
+            np.full((2, 2), 0.5, dtype=complex),
+            [0.5, 0.5, 0.5, 0.5],
+        ],
+        ids=["view", "strided", "complex64", "float64", "2-d", "list"],
+    )
+    def test_refuses_anything_but_an_owned_1d_complex128_array(self, amps):
+        with pytest.raises(ValueError, match="owns its C-contiguous data"):
+            StateVector._owning(amps)
+
+    @pytest.mark.parametrize(
+        "values", [[np.nan, 0.0], [np.inf, 0.0], [1.0, 1.0], [0.5, 0.5], []],
+        ids=["nan", "inf", "norm-2", "norm-half", "empty"],
+    )
+    def test_errors_match_the_copying_constructor(self, values):
+        with pytest.raises(ValueError) as copied:
+            StateVector(np.array(values, dtype=complex))
+        with pytest.raises(ValueError) as owned:
+            StateVector._owning(np.array(values, dtype=complex))
+        assert type(owned.value) is type(copied.value)
+        assert str(owned.value) == str(copied.value)
+
+
 class TestTensorProduct:
     def test_basis_states(self):
         out = tensor_product(StateVector.basis(2, 0), StateVector.basis(2, 0))

@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from icqt.born import DEGENERACY_TOL, EmptyBranchError, dual_born_report
+from icqt.born import DEGENERACY_TOL, EmptyBranchError, _dual_born_report, dual_born_report
 from icqt.linalg import (
     DimensionError,
     Operator,
     StateVector,
+    branch_schmidt_coefficients,
     entanglement_entropy,
     schmidt_decompose,
     seeded_random,
@@ -24,6 +25,9 @@ from icqt.trinary import (
     TrinaryState,
     apply_programmed,
     build_pointer_measurement,
+    _branch_spectra,
+    _real_unit_rows,
+    _unit_rows,
     build_programmed_unitary,
     branch_spectra,
     dual_entropies,
@@ -478,6 +482,63 @@ class TestBatchedBranchPasses:
 def schmidt_form(state):
     """The Schmidt form of a trinary state's P|(SA) cut."""
     return schmidt_decompose(state.dense, (state.dims.d_p, state.dims.d_sa))
+
+
+class TestRealTypedBranchRows:
+    """Real unit rows go to the branch SVD as float64 and give, with ==, the spectra and
+    Born report of the complex formula ``branch_schmidt_coefficients(_unit_rows(...))``."""
+
+    DIMS = [TrinaryDims(2, 3, 6), TrinaryDims(4, 4, 16)]
+
+    @staticmethod
+    def states(dims):
+        """Real (with -0.0 real parts), -0.0 imaginary parts, a nonzero imaginary part in
+        an empty row only, and complex; row 1 is empty in the first three."""
+        rows = np.random.default_rng(dims.total).normal(size=(dims.d_p, dims.d_sa))
+        rows[0, ::3] = -0.0  # (re + im * 0.0) / c is +0.0 here, re / c would be -0.0
+        rows[1] = 0.0
+        rows /= np.linalg.norm(rows)
+        real = rows.astype(complex)
+        negative_zero = real.copy()
+        negative_zero.imag[:, ::2] = -0.0
+        faint = real.copy()
+        faint[1] = 1e-9 * (1 + 1j)  # weight 2e-18 * d_sa: empty
+        faint /= np.linalg.norm(faint)
+        state = seeded_random("state", dims.total, dims.total).amplitudes
+        return {
+            name: TrinaryState.from_dense(dims, StateVector(amps.reshape(-1)))
+            for name, amps in
+            [("real", real), ("negative-zero", negative_zero), ("empty-row-imag", faint),
+             ("complex", state)]
+        }
+
+    @pytest.mark.parametrize("dims", DIMS, ids=str)
+    def test_spectra_and_report_equal_the_complex_formula(self, dims, spectral_calls):
+        for name, state in self.states(dims).items():
+            rows, weights = state.as_matrix(), state.branch_weights()
+            want = branch_schmidt_coefficients(_unit_rows(rows, weights), (dims.d_s, dims.d_a))
+            spectral_calls.clear()
+            got = _branch_spectra(state, weights)
+            dtype = "complex128" if name == "complex" else "float64"
+            assert [call[2] for call in spectral_calls] == [dtype], name
+            assert got.shape == want.shape and np.all(got == want), name
+            report = dual_born_report(state)
+            parent = _dual_born_report(state, want, weights)
+            for field in dataclasses.fields(report):
+                assert np.array_equal(getattr(report, field.name), getattr(parent, field.name))
+            unit = _real_unit_rows(rows, weights)
+            if name == "complex":
+                assert unit is None
+            else:  # the real parts of the complex quotients, bit for bit
+                want_rows = np.ascontiguousarray(_unit_rows(rows, weights).real)
+                assert unit.tobytes() == want_rows.tobytes()
+
+    def test_branch_state_keeps_the_complex_division(self):
+        state = self.states(TrinaryDims(2, 3, 6))["real"]
+        rows, weights = state.as_matrix(), state.branch_weights()
+        got = state.branch_state(0).amplitudes
+        assert got.tobytes() == (rows[:1] / np.linalg.norm(rows[0]))[0].tobytes()
+        assert got.tobytes() == _unit_rows(rows, weights)[0].tobytes()
 
 
 class TestToSchmidtForm:
