@@ -1,18 +1,17 @@
 """Trinary Hamiltonians, measurability checks, and the dual dynamics.
 
 A trinary Hamiltonian is H_P on the programming space plus one Hermitian
-block per programming basis state acting on S x A.  When the programmed part
-commutes with H_P (the measurability condition) the propagator factorizes
-into a programming-side propagator times independent per-branch propagators,
-and evolution runs block-by-block without ever forming the full-space matrix.
-The form H_prog (x) I + sum_n |e_n><e_n| (x) B_n serves three levels: P
-conditions S x A (``TrinaryHamiltonian``), S conditions A in one block
+block per programming basis state acting on S x A.  The form
+H_prog (x) I + sum_n |e_n><e_n| (x) B_n serves three levels: P conditions
+S x A (``TrinaryHamiltonian``), S conditions A in one block
 (``ProgrammedBlockStructure``), and S x A conditions P in the swapped variant.
 They share one core over (H_prog, blocks, basis): one validator, one
-assembler, one conditioning frame h' = basis^dagger H_prog basis, the
-blockwise check (``conditioned_commutator_norm``) and one checked path to the
-``FactorizedPropagator``.  ``DensePropagator`` (and ``evolve_full``), the dense
-reference for that claim, splits H by the program states h' does not couple.
+assembler, and one conditioning frame h' = basis^dagger H_prog basis, where H
+reads A + B with A = h' (x) I and B the block diagonal of the B_n.  The
+components of the exact zero pattern of h' split the blockwise check
+(``conditioned_commutator_norm``), ``FactorizedPropagator`` (A, then B) and the
+dense reference ``DensePropagator`` (A + B) alike.  When the check holds,
+[A, B] = 0 and the factorized step is exact.
 
 Time dependence is piecewise constant: ``schedule_states`` walks a list of
 (duration, hamiltonian) segments back to back with the propagator it is given.
@@ -39,7 +38,6 @@ from .linalg import (
 from .trinary import TrinaryDims, TrinaryState, _check_orthonormal, dual_entropies
 
 COMMUTATION_TOL = 1e-10
-_DIAG_TOL = 1e-13  # below this the programming Hamiltonian counts as diagonal
 
 
 class FactorizationPreconditionError(ValueError):
@@ -111,16 +109,41 @@ def _zero_pattern_components(h: np.ndarray) -> list[np.ndarray]:
     indices.  One breadth-first pass from each unseen root reads each row once."""
     coupled = (h != 0) | (h != 0).T
     unseen = np.ones(h.shape[0], dtype=bool)
-    by_size: dict[int, list[np.ndarray]] = {}
+    by_size: dict[int, list[list[int]]] = {}
     for root in range(h.shape[0]):
         if unseen[root]:
-            members = frontier = np.array([root])
+            unseen[root] = False
+            members, frontier = [root], np.flatnonzero(coupled[root] & unseen)
             while frontier.size:
                 unseen[frontier] = False
-                frontier = np.flatnonzero(coupled[frontier].any(axis=0) & unseen)
-                members = np.concatenate((members, frontier))
-            by_size.setdefault(members.size, []).append(np.sort(members))
-    return [np.stack(group) for group in by_size.values()]
+                members += frontier.tolist()
+                frontier = np.flatnonzero(np.logical_or.reduce(coupled[frontier]) & unseen)
+            by_size.setdefault(len(members), []).append(sorted(members))
+    return [np.array(group) for group in by_size.values()]
+
+
+def _component_spectra(h: np.ndarray, blocks: np.ndarray | None = None) -> list:
+    """Per component size g of h', its (k, g) program states and one batched spectrum: of
+    the k g x g submatrices of h', or with ``blocks`` of their (g d_block)^2 matrices A + B."""
+    groups = []
+    for index in _zero_pattern_components(h):
+        matrices = h[index[:, :, None], index[:, None, :]]
+        if blocks is not None:
+            matrices = _assemble_conditioned(matrices, blocks[index], None)
+        if not np.isfinite(matrices).all():  # finite blocks may still sum past the double range
+            raise ValueError("non-finite entries")
+        groups.append((index, HermitianSpectrum.of(matrices)))
+    return groups
+
+
+def _apply_components(groups, psi: np.ndarray, t: float) -> np.ndarray:
+    """Gather each component's (g, d_block) rows of ``psi``, apply its spectrum for time
+    t as columns of its matrix size n, and scatter them back."""
+    out = np.empty(psi.shape, dtype=complex)
+    for index, spectrum in groups:
+        x = psi[index].reshape(*spectrum.values.shape, -1)
+        out[index] = spectrum.apply(x, t).reshape(*index.shape, -1)
+    return out
 
 
 def _commutator_check(h_program, blocks, basis) -> CommutatorCheck:
@@ -216,25 +239,20 @@ def conditioned_commutator_norm(
     The norm is taken in the conditioning basis (the columns e_n of
     ``basis``, computational when None), where block (n, m) of the
     commutator is h'[n, m] (B_n - B_m) with h' = basis^dagger H_prog basis.
-    The difference form is exactly 0 wherever h'[n, m] or B_n - B_m is, so a
-    row takes only the m with h'[n, m] != 0: the blocks are finite, each
-    skipped block is exactly 0 and the max keeps its bits.  A row without
-    zeros is taken whole, without the gather.  One row of blocks at a time,
-    so memory is len(blocks) * d_block^2 and no full-space matrix is formed.
+    Only the rows inside a component of h' are taken: every other block, and a
+    lone state's, is exactly 0, so the max keeps its bits (a zero h'[n, m] times an
+    overflowing B_n - B_m is NaN for an exact 0, which ``fmax`` skips).  Row j of
+    every component of one size at a time: memory len(blocks) * d_block^2.
     """
     h_program = _conditioning_frame(h_program, basis)
     stack = np.stack(blocks)
     norm = 0.0
-    for n in range(len(stack)):
-        coupling = h_program[n]
-        coupled = np.flatnonzero(coupling)
-        if coupled.size == 0:
-            continue
-        if coupled.size < coupling.size:
-            row = coupling[coupled, None, None] * (stack[n] - stack[coupled])
-        else:
-            row = coupling[:, None, None] * (stack[n] - stack)
-        norm = max(norm, float(np.max(np.abs(row))))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow still reads inf
+        for index in _zero_pattern_components(h_program):
+            for n in index.T if index.shape[1] > 1 else ():
+                coupling = h_program[n[:, None], index]
+                row = coupling[..., None, None] * (stack[n][:, None] - stack[index])
+                norm = max(norm, float(np.fmax.reduce(np.abs(row), axis=None)))
     return norm
 
 
@@ -252,20 +270,22 @@ class _ConditionedPropagator:
     """exp(-i H t) for H = H_prog (x) I + sum_n |e_n><e_n| (x) B_n, decomposed once.
 
     ``blocks[n]`` is conditioned on column n of ``basis`` (computational when None).
-    Over those states H reads h' (x) I plus the block diagonal of the B_n, and a
-    subclass decomposes (h', blocks) and steps in that frame.
+    Over those states H reads A + B, A = h' (x) I and B the block diagonal of the
+    B_n.  A subclass splits (h', blocks) into factors, each a list of component
+    spectra (``_component_spectra``); a step applies them in turn in that frame.
     """
 
     def __init__(self, h_program: np.ndarray, blocks: Sequence[np.ndarray], basis):
         self._basis = basis
-        self._decompose(_conditioning_frame(h_program, basis), np.stack(blocks))
+        self._factors = self._factorize(_conditioning_frame(h_program, basis), np.stack(blocks))
 
     def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
         """Evolve a (program_dim, target_dim) amplitude matrix for time t."""
         w = self._basis
-        if w is None:
-            return self._step(psi, t)
-        return w @ self._step(w.conj().T @ psi, t)
+        psi = psi if w is None else w.conj().T @ psi
+        for groups in self._factors:
+            psi = _apply_components(groups, psi, t)
+        return psi if w is None else w @ psi
 
     def evolve(self, state: TrinaryState, t: float) -> TrinaryState:
         """``apply`` on the (d_p, d_sa) amplitude matrix of a trinary state."""
@@ -274,53 +294,29 @@ class _ConditionedPropagator:
 
 
 class FactorizedPropagator(_ConditionedPropagator):
-    """When H_prog commutes with the programmed part: the program-side propagator, then
-    one block propagator per program state, from one ``eigh`` of h' and one batched
-    ``eigh`` of the blocks.  An h' diagonal within _DIAG_TOL evolves by exact
-    per-component phases instead, so empty program components stay exactly zero.
+    """exp(-iBt) exp(-iAt), exact when H_prog commutes with the programmed part: A by the
+    components of h' (a lone state is an exact phase, so an empty program component
+    stays exactly zero), then B by one batched ``eigh`` of all blocks, one per state.
     """
 
-    def _decompose(self, h_program: np.ndarray, blocks: np.ndarray) -> None:
-        self._energies = np.real(np.diag(h_program))
-        diagonal = np.max(np.abs(h_program - np.diag(np.diag(h_program)))) <= _DIAG_TOL
-        self._program = None if diagonal else HermitianSpectrum.of(h_program)
-        self._blocks = HermitianSpectrum.of(blocks)  # one batched eigh for all blocks
-
-    def _step(self, psi: np.ndarray, t: float) -> np.ndarray:
-        if self._program is None:
-            out = np.exp(-1j * self._energies * t)[:, None] * psi
-        else:
-            out = self._program.apply(psi, t)
-        return self._blocks.apply(out[..., None], t)[..., 0]  # row n is one column of block n
+    def _factorize(self, h_program: np.ndarray, blocks: np.ndarray) -> list:
+        every_state = np.arange(len(blocks))[:, None]  # B alone: one component per state
+        return [_component_spectra(h_program), [(every_state, HermitianSpectrum.of(blocks))]]
 
 
 class DensePropagator(_ConditionedPropagator):
     """Exact whether or not the measurability condition holds: the brute-force reference.
 
-    H is the direct sum of one (g d_sa)^2 matrix per connected component of the exact
-    zero pattern of h'.  Per component size g, one assembler call builds them and one
-    batched ``eigh`` diagonalises them, at sum_k (g_k d_sa)^3 cost.  A step gathers each
-    component's amplitudes, applies its spectrum and scatters them back.
+    H is the direct sum of one (g d_sa)^2 matrix of A + B per connected component of
+    the exact zero pattern of h'.  Per component size g, one assembler call builds them
+    and one batched ``eigh`` diagonalises them, at sum_k (g_k d_sa)^3 cost.
     """
 
     def __init__(self, h: TrinaryHamiltonian):
         super().__init__(*h._triple)
 
-    def _decompose(self, h_program: np.ndarray, blocks: np.ndarray) -> None:
-        self._groups = []  # per component size: the (k, g) program states and their spectra
-        for index in _zero_pattern_components(h_program):
-            program = h_program[index[:, :, None], index[:, None, :]]
-            stack = _assemble_conditioned(program, blocks[index], None)
-            if not np.isfinite(stack).all():  # finite blocks may still sum past the double range
-                raise ValueError("non-finite entries")
-            self._groups.append((index, HermitianSpectrum.of(stack)))
-
-    def _step(self, psi: np.ndarray, t: float) -> np.ndarray:
-        out = np.empty(psi.shape, dtype=complex)
-        for index, spectrum in self._groups:
-            x = psi[index].reshape(*spectrum.values.shape, 1)
-            out[index] = spectrum.apply(x, t).reshape(*index.shape, -1)
-        return out
+    def _factorize(self, h_program: np.ndarray, blocks: np.ndarray) -> list:
+        return [_component_spectra(h_program, blocks)]
 
 
 def evolve_full(h: TrinaryHamiltonian, state: TrinaryState, t: float) -> TrinaryState:
@@ -363,8 +359,11 @@ def schedule_states(
     is built.  A time lies in the first segment whose end (``math.fsum`` of the durations
     so far) is at or past it, one step from that segment's start: the time minus the
     earlier durations, clamped to [0, duration].  Every time is mapped first, so a
-    too-short schedule raises ``ScheduleError`` before any segment is decomposed.
+    too-short schedule raises ``ScheduleError``, and a segment whose dims differ from the
+    state's ``DimensionError``, before any segment is decomposed.
     """
+    if any(h.dims != state.dims for _, h in segments):
+        raise DimensionError("hamiltonian and state dims differ")
     times = [float(t) for t in times]
     if not times or times[0] != 0.0 or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must ascend and start at 0")

@@ -194,11 +194,7 @@ class SchmidtDecomposition:
         return int(np.sum(self.coefficients > SCHMIDT_TOL))
 
     def reconstruct(self) -> StateVector:
-        dim_l, dim_r = self.cut
-        amp = np.zeros(dim_l * dim_r, dtype=complex)
-        for k, c in enumerate(self.coefficients):
-            amp += c * np.outer(self.u[:, k], self.vh[k]).ravel()
-        return StateVector(amp)
+        return StateVector(((self.u * self.coefficients) @ self.vh).reshape(-1))
 
 
 def tensor_product(a, b):

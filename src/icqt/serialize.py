@@ -14,6 +14,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+def _float_text(x) -> str:
+    """17 significant digits; +0.0 folds -0.0 into 0."""
+    return format(float(x) + 0.0, ".17g")
+
+
 def _render(value, indent: int) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -29,7 +34,7 @@ def _render(value, indent: int) -> str:
         if len(value) == 0:
             return "[]"
         if all(type(v) is float for v in value):  # the rows of every report array
-            items = [f"{inner}{v + 0.0:.17g}" for v in value]
+            items = [inner + _float_text(v) for v in value]
             return "[\n" + ",\n".join(items) + "\n" + pad + "]"
         items = [f"{inner}{_render(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
@@ -40,8 +45,7 @@ def _render(value, indent: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        out = format(float(value) + 0.0, ".17g")  # +0.0 folds -0.0 into 0
-        return out
+        return _float_text(value)
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(value, np.ndarray):
@@ -81,7 +85,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         cells = []
         for cell in row:
             if isinstance(cell, (float, np.floating)):
-                cells.append(format(float(cell) + 0.0, ".17g"))
+                cells.append(_float_text(cell))
             else:
                 cells.append(str(cell))
         lines.append(",".join(cells))

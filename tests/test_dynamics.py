@@ -341,6 +341,16 @@ class TestBlockwiseChecks:
             if kind in ("pmc", "coupled"):
                 assert norm == dense_pmc_norm(h) == 0.0
 
+    def test_zero_coupling_against_an_overflowing_difference_is_an_exact_zero(self):
+        # h' is the path 0-1-2-3, one component; B_0 - B_2 and B_1 - B_3 overflow where
+        # h' is 0, so every row holds one NaN product, yet those blocks are exactly 0
+        # and the coupled (0, 1) block, 1 * (1e308 - 5e307) = 5e307, is the norm
+        h_p = np.zeros((4, 4), dtype=complex)
+        h_p[0, 1] = h_p[1, 0] = 1.0
+        h_p[1, 2] = h_p[2, 1] = h_p[2, 3] = h_p[3, 2] = 1e-10
+        blocks = [v * np.eye(2) for v in (1e308, 5e307, -1e308, -1.5e308)]
+        assert dynamics.conditioned_commutator_norm(h_p, blocks) == 5e307
+
     @pytest.mark.parametrize("d", CHECK_DS)
     @pytest.mark.parametrize("kind", ["sapmc", "shared", "violating"])
     def test_s_basis_zero_couplings_skipped_bit_for_bit(self, d, kind):
@@ -529,6 +539,42 @@ class TestEvolveFactorized:
         rows = out.as_matrix()
         assert np.all(rows[1:] == 0)
 
+    def test_block_locality_exact_for_coupled_pairs(self):
+        # pairs (0, 1) and (2, 3) and a lone state 4: a state on the pair (2, 3)
+        # never leaks into the other components
+        dims = TrinaryDims(2, 2, 5)
+        h = random_trinary_hamiltonian(dims, 20, kind="coupled")
+        rows = np.zeros((5, 4), dtype=complex)
+        rows[2:4] = seeded_random("state", 8, 21).amplitudes.reshape(2, 4)
+        state = TrinaryState.from_dense(dims, StateVector(rows.reshape(-1)))
+        for t in (0.3, 1.1, 40.0):
+            out = evolve_factorized(h, state, t).as_matrix()
+            assert np.all(out[[0, 1, 4]] == 0)
+            assert np.any(out[2:4] != 0)
+
+    @pytest.mark.parametrize("t", [1.0, 1e4])
+    def test_tiny_coupling_is_evolved_not_dropped(self, t):
+        # h_p couples states 0 and 1 by 5e-14 and their blocks are equal, so the
+        # commutator is exactly 0; the step must still rotate rows 0 and 1 (an
+        # angle of 5e-10 at t = 1e4).  The reference applies the same factors,
+        # each by expm_hermitian: the pair, the lone states, then every block.
+        h_p = np.diag([0.3, 0.3, -0.7, 1.1]).astype(complex)
+        h_p[0, 1] = h_p[1, 0] = 5e-14
+        shared = seeded_random("hermitian", 4, 63)
+        blocks = (shared, shared, seeded_random("hermitian", 4, 64), seeded_random("hermitian", 4, 65))
+        h = TrinaryHamiltonian(dims=DIMS, h_p=Operator(h_p), blocks=blocks)
+        assert check_pmc(h).commutator_norm == 0.0
+        psi = random_state(DIMS, 66).as_matrix()
+        want = np.empty_like(psi)
+        want[:2] = expm_hermitian(h_p[:2, :2], t) @ psi[:2]
+        for n in (2, 3):
+            want[n] = expm_hermitian(h_p[n : n + 1, n : n + 1], t) @ psi[n : n + 1]
+        for n, b in enumerate(blocks):
+            want[n] = expm_hermitian(b.entries, t) @ want[n]
+        got = evolve_factorized(h, TrinaryState.from_dense(DIMS, StateVector(psi.reshape(-1))), t)
+        bound = chained_bound(spectral_step_bound(2), spectral_step_bound(4))
+        assert np.linalg.norm(got.as_matrix() - want) <= bound
+
     def test_composition(self):
         h = random_trinary_hamiltonian(DIMS, 22, kind="pmc")
         state = random_state(DIMS, 23)
@@ -685,6 +731,11 @@ class TestTrajectory:
         traj = entanglement_trajectory(h, state, [0.0, 0.5, 1.0])
         assert np.max(np.abs(traj.s_psa - traj.s_psa[0])) < 1e-10
         assert np.max(np.abs(traj.s_sa_branches - traj.s_sa_branches[0])) < 1e-10
+
+    def test_state_dims_must_match(self):
+        h = random_trinary_hamiltonian(DIMS, 26, kind="pmc")
+        with pytest.raises(DimensionError, match="dims differ"):
+            entanglement_trajectory(h, random_state(TrinaryDims(4, 1, 4), 27), [0.0, 0.5])
 
     def test_creation_from_separable(self):
         h = random_trinary_hamiltonian(DIMS, 26, kind="pmc")
@@ -894,6 +945,19 @@ class TestSchedule:
         )
         with pytest.raises(ScheduleError, match="shorter than requested time 0.8"):
             next(walk)
+        assert built == []
+
+    def test_segment_dims_differing_from_the_state_raise_before_any_decomposition(self):
+        # equal d_p and d_sa, so the amplitude matrices alone would fit: h at
+        # (d_s, d_a) = (2, 2), the state at (4, 1); a later segment is checked too
+        built = []
+        state = random_state(TrinaryDims(4, 1, 4), 60)
+        h = random_trinary_hamiltonian(TrinaryDims(4, 1, 4), 61, kind="pmc")
+        other = random_trinary_hamiltonian(DIMS, 62, kind="pmc")
+        for segments in ([(1.0, other)], [(0.5, h), (0.5, other)]):
+            walk = schedule_states(segments, state, [0.0, 0.2], built.append)
+            with pytest.raises(DimensionError, match="dims differ"):
+                next(walk)
         assert built == []
 
     def test_drops_each_decomposition_before_the_next(self):

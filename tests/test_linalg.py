@@ -593,7 +593,7 @@ def program_grouped(sizes, seed) -> TrinaryHamiltonian:
 
 class TestComponentSpectrum:
     """The reference spectrum by exact-zero components of the program side against one
-    whole-matrix eigh: ``DensePropagator._groups`` holds, per group size g, the (k, g)
+    whole-matrix eigh: ``DensePropagator._factors[0]`` holds, per group size g, the (k, g)
     program states of the k groups and one batched spectrum of their (g d_sa)^2 matrices."""
 
     SIZES = (8, 1, 5, 2, 5)  # unequal sizes; the two of 5 share one batched eigh
@@ -601,7 +601,7 @@ class TestComponentSpectrum:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_values_permute_the_whole_spectrum(self, seed):
         h = program_grouped(self.SIZES, seed)
-        groups = DensePropagator(h)._groups
+        groups = DensePropagator(h)._factors[0]
         assert sorted(index.shape for index, _ in groups) == [(1, 1), (1, 2), (1, 8), (2, 5)]
         values = np.concatenate([spectrum.values.ravel() for _, spectrum in groups])
         whole = np.linalg.eigvalsh(h.full_operator().entries)
@@ -610,7 +610,7 @@ class TestComponentSpectrum:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_indices_partition_the_space(self, seed):
         h = program_grouped(self.SIZES, seed)
-        groups = DensePropagator(h)._groups
+        groups = DensePropagator(h)._factors[0]
         every = np.concatenate([index.ravel() for index, _ in groups])
         assert np.array_equal(np.sort(every), np.arange(h.dims.d_p))
         for index, spectrum in groups:
@@ -632,7 +632,7 @@ class TestComponentSpectrum:
         dims = TrinaryDims(2, 1, 7)
         blocks = tuple(seeded_random("hermitian", dims.d_sa, 10 + n) for n in range(dims.d_p))
         h = TrinaryHamiltonian(dims=dims, h_p=seeded_random("hermitian", 7, 4), blocks=blocks)
-        ((index, spectrum),) = DensePropagator(h)._groups
+        ((index, spectrum),) = DensePropagator(h)._factors[0]
         want = HermitianSpectrum.of(h.full_operator().entries)
         assert np.array_equal(index, np.arange(7)[None])
         assert np.array_equal(spectrum.values[0], want.values)
