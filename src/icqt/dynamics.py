@@ -5,12 +5,12 @@ block per programming basis state acting on S x A.  The form
 H_prog (x) I + sum_n |e_n><e_n| (x) B_n serves three levels: P conditions
 S x A (``TrinaryHamiltonian``), S conditions A in one block
 (``ProgrammedBlockStructure``), and S x A conditions P in the swapped variant.
-They share one core over (H_prog, blocks, basis): one validator, one
-assembler, and one conditioning frame h' = basis^dagger H_prog basis, where H
-reads A + B with A = h' (x) I and B the block diagonal of the B_n.  The
-components of the exact zero pattern of h' split the blockwise check
-(``conditioned_commutator_norm``), ``FactorizedPropagator`` (A, then B) and the
-dense reference ``DensePropagator`` (A + B) alike.  When the check holds,
+They share one core, ``_Conditioned``, built once per Hamiltonian: it validates
+(H_prog, blocks, basis), frames h' = basis^dagger H_prog basis, over which H reads
+A + B with A = h' (x) I and B the block diagonal of the B_n, and labels the
+components of the exact zero pattern of h'.  The blockwise check,
+``FactorizedPropagator`` (A, then B), the dense reference ``DensePropagator``
+(A + B) and the kron-free assembler all read it.  When the check holds,
 [A, B] = 0 and the factorized step is exact.
 
 Time dependence is piecewise constant: ``schedule_states`` walks a list of
@@ -54,30 +54,6 @@ class CommutatorCheck:
     satisfied: bool
 
 
-def _validate_conditioned(h_program: Operator, blocks: Sequence[Operator], basis, dims, names):
-    """Check the (H_prog, blocks, basis) of one level; return the basis as complex.
-
-    ``dims`` is (program dim, block dim), a block dim of None meaning the first
-    block's; ``names`` name the program side, a block and the basis in messages.
-    """
-    (program_dim, block_dim), (program, block, basis_name) = dims, names
-    if h_program.dim != program_dim:
-        raise DimensionError(f"{program} must be {program_dim}x{program_dim}")
-    if not h_program.is_hermitian():
-        raise HermiticityError(f"{program} is not Hermitian")
-    if len(blocks) != program_dim:
-        raise DimensionError(f"need {program_dim} {block}s, got {len(blocks)}")
-    block_dim = blocks[0].dim if block_dim is None else block_dim
-    for n, b in enumerate(blocks):
-        if b.dim != block_dim:
-            raise DimensionError(f"{block} {n} must be {block_dim}x{block_dim}")
-        if not b.is_hermitian():
-            raise HermiticityError(f"{block} {n} is not Hermitian")
-    if basis is None:
-        return None
-    return _check_orthonormal(basis, program_dim, basis_name)
-
-
 def _assemble_conditioned(h_program, blocks, basis) -> np.ndarray:
     """H_prog (x) I + sum_n |e_n><e_n| (x) B_n as one dense array.
 
@@ -96,11 +72,6 @@ def _assemble_conditioned(h_program, blocks, basis) -> np.ndarray:
             out += proj[:, None, :, None] * block[None, :, None, :]
     out[..., range(b), :, range(b)] += h_program
     return out.reshape(*batch, d * b, d * b)
-
-
-def _conditioning_frame(h_program: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
-    """h' = basis^dagger H_prog basis: the program side over the conditioning states."""
-    return h_program if basis is None else basis.conj().T @ h_program @ basis
 
 
 def _zero_pattern_components(h: np.ndarray) -> list[np.ndarray]:
@@ -122,12 +93,12 @@ def _zero_pattern_components(h: np.ndarray) -> list[np.ndarray]:
     return [np.array(group) for group in by_size.values()]
 
 
-def _component_spectra(h: np.ndarray, blocks: np.ndarray | None = None) -> list:
+def _component_spectra(core: _Conditioned, blocks: np.ndarray | None = None) -> list:
     """Per component size g of h', its (k, g) program states and one batched spectrum: of
     the k g x g submatrices of h', or with ``blocks`` of their (g d_block)^2 matrices A + B."""
     groups = []
-    for index in _zero_pattern_components(h):
-        matrices = h[index[:, :, None], index[:, None, :]]
+    for index in core.components:
+        matrices = core.h[index[:, :, None], index[:, None, :]]
         if blocks is not None:
             matrices = _assemble_conditioned(matrices, blocks[index], None)
         if not np.isfinite(matrices).all():  # finite blocks may still sum past the double range
@@ -146,18 +117,71 @@ def _apply_components(groups, psi: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def _commutator_check(h_program, blocks, basis) -> CommutatorCheck:
-    norm = conditioned_commutator_norm(h_program, blocks, basis)
-    return CommutatorCheck(commutator_norm=norm, satisfied=norm <= COMMUTATION_TOL)
+class _Conditioned:
+    """One level's H_prog (x) I + sum_n |e_n><e_n| (x) B_n, validated, framed and labelled once.
+
+    It holds the checked ``basis`` (None: computational), H_prog as ``program``, the
+    ``blocks`` as a list of arrays, ``h`` = h' = basis^dagger H_prog basis, and
+    ``components``, the per-size stacks of the components of h' (``_zero_pattern_components``).
+    ``dims`` is (program dim, block dim), a block dim of None meaning the first
+    block's; ``names`` name the program side, a block and the basis in messages.
+    """
+
+    def __init__(self, h_program: Operator, blocks: Sequence[Operator], basis, dims, names):
+        (program_dim, block_dim), (program, block, basis_name) = dims, names
+        if h_program.dim != program_dim:
+            raise DimensionError(f"{program} must be {program_dim}x{program_dim}")
+        if not h_program.is_hermitian():
+            raise HermiticityError(f"{program} is not Hermitian")
+        if len(blocks) != program_dim:
+            raise DimensionError(f"need {program_dim} {block}s, got {len(blocks)}")
+        block_dim = blocks[0].dim if block_dim is None else block_dim
+        for n, b in enumerate(blocks):
+            if b.dim != block_dim:
+                raise DimensionError(f"{block} {n} must be {block_dim}x{block_dim}")
+            if not b.is_hermitian():
+                raise HermiticityError(f"{block} {n} is not Hermitian")
+        self.basis = None if basis is None else _check_orthonormal(basis, program_dim, basis_name)
+        self.program, self.blocks = h_program.entries, [b.entries for b in blocks]
+        w = self.basis
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing h' is refused later
+            self.h = self.program if w is None else w.conj().T @ self.program @ w
+        self.components = _zero_pattern_components(self.h)
+
+    def assemble(self) -> Operator:
+        """H_prog (x) I + sum_n |e_n><e_n| (x) B_n on the full space."""
+        return Operator(_assemble_conditioned(self.program, self.blocks, self.basis))
+
+    def check(self) -> CommutatorCheck:
+        """Max-entry norm of [sum_n |e_n><e_n| (x) B_n, H_prog (x) I], blockwise.
+
+        The norm is taken in the conditioning basis, where block (n, m) of the
+        commutator is h'[n, m] (B_n - B_m).  Only the rows inside a component of h' are
+        taken: every other block, and a lone state's, is exactly 0, as is a block whose
+        h'[n, m] is 0 (times an overflowing B_n - B_m that is NaN), so the max keeps its
+        bits.  A NaN under a nonzero h'[n, m] is a product past the double range and
+        reads inf.  Row j of every component of one size at a time: memory
+        len(blocks) * d_block^2.
+        """
+        h, stack = self.h, np.stack(self.blocks)
+        norm = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow still reads inf
+            for index in self.components:
+                for n in index.T if index.shape[1] > 1 else ():
+                    coupling = h[n[:, None], index][..., None, None]
+                    row = np.abs(coupling * (stack[n][:, None] - stack[index]))
+                    peak = float(np.max(row, where=coupling != 0, initial=0.0))
+                    norm = max(norm, math.inf if math.isnan(peak) else peak)
+        return CommutatorCheck(commutator_norm=norm, satisfied=norm <= COMMUTATION_TOL)
 
 
-def _checked_propagator(check: CommutatorCheck, triple) -> FactorizedPropagator:
-    """The factorized propagator of ``triple``, whose measurability ``check`` must hold."""
+def _checked_propagator(check: CommutatorCheck, core: _Conditioned) -> FactorizedPropagator:
+    """The factorized propagator of ``core``, whose measurability ``check`` must hold."""
     if not check.satisfied:
         raise FactorizationPreconditionError(
             f"measurability condition violated (commutator norm {check.commutator_norm:.3e})"
         )
-    return FactorizedPropagator(*triple)
+    return FactorizedPropagator(core)
 
 
 @dataclass(frozen=True)
@@ -175,23 +199,20 @@ class TrinaryHamiltonian:
     programming_basis: np.ndarray | None = None
 
     def __post_init__(self):
-        basis = _validate_conditioned(
+        core = _Conditioned(
             self.h_p, self.blocks, self.programming_basis, (self.dims.d_p, self.dims.d_sa),
             ("h_p", "block", "programming basis"),
         )
-        object.__setattr__(self, "programming_basis", basis)
-
-    @property
-    def _triple(self):
-        return self.h_p.entries, [b.entries for b in self.blocks], self.programming_basis
+        object.__setattr__(self, "programming_basis", core.basis)
+        object.__setattr__(self, "_core", core)
 
     def full_operator(self) -> Operator:
         """H_P (x) I plus sum_n |e_n><e_n| (x) block_n on the full space."""
-        return Operator(_assemble_conditioned(*self._triple))
+        return self._core.assemble()
 
     def propagator(self) -> FactorizedPropagator:
         """The factorized propagator; exact only when ``check_pmc`` holds."""
-        return FactorizedPropagator(*self._triple)
+        return FactorizedPropagator(self)
 
 
 @dataclass(frozen=True)
@@ -207,11 +228,12 @@ class ProgrammedBlockStructure:
     h_s: Operator
 
     def __post_init__(self):
-        basis = _validate_conditioned(
+        core = _Conditioned(
             self.h_s, self.a_generators, self.s_basis, (self.d_s, None),
             ("h_s", "apparatus generator", "S basis"),
         )
-        object.__setattr__(self, "s_basis", basis)
+        object.__setattr__(self, "s_basis", core.basis)
+        object.__setattr__(self, "_core", core)
 
     @property
     def d_s(self) -> int:
@@ -221,63 +243,33 @@ class ProgrammedBlockStructure:
     def d_a(self) -> int:
         return self.a_generators[0].dim
 
-    @property
-    def _triple(self):
-        return self.h_s.entries, [g.entries for g in self.a_generators], self.s_basis
-
     def assemble(self) -> Operator:
-        return Operator(_assemble_conditioned(*self._triple))
-
-
-def conditioned_commutator_norm(
-    h_program: np.ndarray,
-    blocks: Sequence[np.ndarray],
-    basis: np.ndarray | None = None,
-) -> float:
-    """Max-entry norm of [sum_n |e_n><e_n| (x) B_n, H_prog (x) I], blockwise.
-
-    The norm is taken in the conditioning basis (the columns e_n of
-    ``basis``, computational when None), where block (n, m) of the
-    commutator is h'[n, m] (B_n - B_m) with h' = basis^dagger H_prog basis.
-    Only the rows inside a component of h' are taken: every other block, and a
-    lone state's, is exactly 0, so the max keeps its bits (a zero h'[n, m] times an
-    overflowing B_n - B_m is NaN for an exact 0, which ``fmax`` skips).  Row j of
-    every component of one size at a time: memory len(blocks) * d_block^2.
-    """
-    h_program = _conditioning_frame(h_program, basis)
-    stack = np.stack(blocks)
-    norm = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow still reads inf
-        for index in _zero_pattern_components(h_program):
-            for n in index.T if index.shape[1] > 1 else ():
-                coupling = h_program[n[:, None], index]
-                row = coupling[..., None, None] * (stack[n][:, None] - stack[index])
-                norm = max(norm, float(np.fmax.reduce(np.abs(row), axis=None)))
-    return norm
+        return self._core.assemble()
 
 
 def check_pmc(h: TrinaryHamiltonian) -> CommutatorCheck:
     """Measurability of the programming side: [programmed part, H_P (x) I]."""
-    return _commutator_check(*h._triple)
+    return h._core.check()
 
 
 def check_sapmc(block: ProgrammedBlockStructure) -> CommutatorCheck:
     """Programmed measurability inside one block: [block, H_S (x) I]."""
-    return _commutator_check(*block._triple)
+    return block._core.check()
 
 
 class _ConditionedPropagator:
     """exp(-i H t) for H = H_prog (x) I + sum_n |e_n><e_n| (x) B_n, decomposed once.
 
-    ``blocks[n]`` is conditioned on column n of ``basis`` (computational when None).
-    Over those states H reads A + B, A = h' (x) I and B the block diagonal of the
-    B_n.  A subclass splits (h', blocks) into factors, each a list of component
-    spectra (``_component_spectra``); a step applies them in turn in that frame.
+    ``h`` is a Hamiltonian of any level, or a bare ``_Conditioned`` core (the swapped
+    level).  Over the conditioning states H reads A + B; a subclass splits the core into
+    factors, each a list of component spectra (``_component_spectra``); a step applies
+    them in turn in that frame.
     """
 
-    def __init__(self, h_program: np.ndarray, blocks: Sequence[np.ndarray], basis):
-        self._basis = basis
-        self._factors = self._factorize(_conditioning_frame(h_program, basis), np.stack(blocks))
+    def __init__(self, h):
+        core = h if isinstance(h, _Conditioned) else h._core
+        self._basis = core.basis
+        self._factors = self._factorize(core)
 
     def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
         """Evolve a (program_dim, target_dim) amplitude matrix for time t."""
@@ -299,9 +291,10 @@ class FactorizedPropagator(_ConditionedPropagator):
     stays exactly zero), then B by one batched ``eigh`` of all blocks, one per state.
     """
 
-    def _factorize(self, h_program: np.ndarray, blocks: np.ndarray) -> list:
-        every_state = np.arange(len(blocks))[:, None]  # B alone: one component per state
-        return [_component_spectra(h_program), [(every_state, HermitianSpectrum.of(blocks))]]
+    def _factorize(self, core: _Conditioned) -> list:
+        every_state = np.arange(len(core.blocks))[:, None]  # B alone: one component per state
+        blocks = HermitianSpectrum.of(np.stack(core.blocks))
+        return [_component_spectra(core), [(every_state, blocks)]]
 
 
 class DensePropagator(_ConditionedPropagator):
@@ -312,11 +305,8 @@ class DensePropagator(_ConditionedPropagator):
     and one batched ``eigh`` diagonalises them, at sum_k (g_k d_sa)^3 cost.
     """
 
-    def __init__(self, h: TrinaryHamiltonian):
-        super().__init__(*h._triple)
-
-    def _factorize(self, h_program: np.ndarray, blocks: np.ndarray) -> list:
-        return [_component_spectra(h_program, blocks)]
+    def _factorize(self, core: _Conditioned) -> list:
+        return [_component_spectra(core, np.stack(core.blocks))]
 
 
 def evolve_full(h: TrinaryHamiltonian, state: TrinaryState, t: float) -> TrinaryState:
@@ -334,7 +324,7 @@ def evolve_factorized(h: TrinaryHamiltonian, state: TrinaryState, t: float) -> T
     """
     if h.dims != state.dims:
         raise DimensionError("hamiltonian and state dims differ")
-    return _checked_propagator(check_pmc(h), h._triple).evolve(state, t)
+    return _checked_propagator(check_pmc(h), h._core).evolve(state, t)
 
 
 def evolve_programmed_block(
@@ -343,7 +333,7 @@ def evolve_programmed_block(
     """Second-level factorized evolution of one S x A block."""
     if sa_state.dim != block.d_s * block.d_a:
         raise DimensionError("state does not live on this block's S x A space")
-    prop = _checked_propagator(check_sapmc(block), block._triple)
+    prop = _checked_propagator(check_sapmc(block), block._core)
     out = prop.apply(sa_state.amplitudes.reshape(block.d_s, block.d_a), t)
     return StateVector(out.reshape(-1))
 
@@ -405,11 +395,10 @@ def evolve_swapped_factorized(
     Hermitian P-space generator per SA programming state.
     """
     dims = state.dims
-    sa_basis = _validate_conditioned(
+    core = _Conditioned(
         h_sa, blocks_on_p, sa_basis, (dims.d_sa, dims.d_p), ("h_sa", "swapped block", "SA basis")
     )
-    triple = (h_sa.entries, [b.entries for b in blocks_on_p], sa_basis)
-    prop = _checked_propagator(_commutator_check(*triple), triple)
+    prop = _checked_propagator(core.check(), core)
     out = prop.apply(state.as_matrix().T, t)  # (d_sa, d_p): SA is now the program side
     return TrinaryState.from_dense(dims, StateVector(out.T.reshape(-1)))
 

@@ -163,13 +163,6 @@ class Operator:
             raise DimensionError("operator/state dim mismatch")
         return StateVector(self.entries @ psi.amplitudes)
 
-    def __matmul__(self, other: Operator) -> Operator:
-        if not isinstance(other, Operator):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise DimensionError("operator dim mismatch")
-        return Operator(self.entries @ other.entries)
-
 
 @dataclass(frozen=True)
 class SchmidtDecomposition:

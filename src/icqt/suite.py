@@ -96,7 +96,7 @@ def factorization_battery(
         for i in range(cases_per_dims):
             kind = "pmc" if i % 2 == 0 else "coupled"
             h = random_trinary_hamiltonian(dims, subseed(seed, 10, d_idx, i), kind=kind)
-            fact = _checked_propagator(check_pmc(h), h._triple)
+            fact = _checked_propagator(check_pmc(h), h._core)
             state = TrinaryState.from_dense(
                 dims, seeded_random("state", dims.total, subseed(seed, 11, d_idx, i))
             )

@@ -926,6 +926,10 @@ class TestInputErrors:
              "segment 0: the Hamiltonian overflows a double by t = 1.0"),
             ({"h_p": ONE, "blocks": [ONE, ONE]}, [0.0, 1e308],  # phases w t past 1.8e308
              "segment 0: the Hamiltonian overflows a double by t = 1e+308"),
+            ({"h_p": complex_to_pairs(np.full((2, 2), 1e308)), "blocks": [ONE, ONE],
+              "programming_basis": complex_to_pairs(np.array([[1, 1], [1, -1]]) / np.sqrt(2))},
+             [0.0, 1.0],  # h'[0, 0] = 2e308 overflows, silently, when h is built
+             "segment 0: the Hamiltonian overflows a double by t = 1.0"),
             ({"h_p": ONE, "blocks": [{"s_basis": "Z", "a_generators": [[[[1.5e308, 0]]]] * 2,
                                       "h_s": BIG}] * 2}, [0.0],
              "hamiltonian.blocks[0]: non-finite entries"),
@@ -936,7 +940,7 @@ class TestInputErrors:
                                       "h_s": SWAP}] * 2}, [0.0],
              "segment 0: hamiltonian.blocks[0]: the measurability commutator overflows a double"),
         ],
-        ids=["entries", "phases", "structured-block", "commutator", "structured-commutator"],
+        ids=["entries", "phases", "framed", "structured-block", "commutator", "structured-commutator"],
     )
     def test_hamiltonian_overflowing_a_double(self, tmp_path, capsys, hamiltonian, times, message):
         payload = base("dynamics", dims=[2, 1, 2], times=times, hamiltonian=hamiltonian)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 
@@ -5,11 +6,12 @@ import numpy as np
 import pytest
 
 from icqt import dynamics
+from icqt.cli import main
 from icqt.dynamics import (
     COMMUTATION_TOL,
+    CommutatorCheck,
     DensePropagator,
     FactorizationPreconditionError,
-    FactorizedPropagator,
     ProgrammedBlockStructure,
     ScheduleError,
     TrinaryHamiltonian,
@@ -337,7 +339,8 @@ class TestBlockwiseChecks:
             else:
                 h = random_trinary_hamiltonian(dims, seed, kind=kind)
             norm = check_pmc(h).commutator_norm
-            assert norm == every_block_commutator_norm(*h._triple)
+            core = h._core
+            assert norm == every_block_commutator_norm(core.program, core.blocks, core.basis)
             if kind in ("pmc", "coupled"):
                 assert norm == dense_pmc_norm(h) == 0.0
 
@@ -348,15 +351,30 @@ class TestBlockwiseChecks:
         h_p = np.zeros((4, 4), dtype=complex)
         h_p[0, 1] = h_p[1, 0] = 1.0
         h_p[1, 2] = h_p[2, 1] = h_p[2, 3] = h_p[3, 2] = 1e-10
-        blocks = [v * np.eye(2) for v in (1e308, 5e307, -1e308, -1.5e308)]
-        assert dynamics.conditioned_commutator_norm(h_p, blocks) == 5e307
+        blocks = tuple(Operator(v * np.eye(2)) for v in (1e308, 5e307, -1e308, -1.5e308))
+        h = TrinaryHamiltonian(dims=TrinaryDims(2, 1, 4), h_p=Operator(h_p), blocks=blocks)
+        assert check_pmc(h).commutator_norm == 5e307
+
+    def test_coupling_against_an_overflowing_difference_reads_inf(self):
+        # B_0 - B_1 = 2 B_0 overflows in both parts, and 1 * (inf + inf j) is NaN + NaN j:
+        # a product past the double range, so the check fails and evolution is refused
+        z = 1e308 + 1e308j
+        b = np.array([[0, z], [np.conj(z), 0]])
+        h_p = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
+        dims = TrinaryDims(2, 1, 2)
+        h = TrinaryHamiltonian(dims=dims, h_p=h_p, blocks=(Operator(b), Operator(-b)))
+        assert check_pmc(h) == CommutatorCheck(commutator_norm=np.inf, satisfied=False)
+        with pytest.raises(FactorizationPreconditionError):
+            evolve_factorized(h, random_state(dims, 39), 0.5)
 
     @pytest.mark.parametrize("d", CHECK_DS)
     @pytest.mark.parametrize("kind", ["sapmc", "shared", "violating"])
     def test_s_basis_zero_couplings_skipped_bit_for_bit(self, d, kind):
         for i in range(CHECK_CASES // 4):
             block = random_block_structure(d, d, 9000 * d + i, kind=kind)
-            assert check_sapmc(block).commutator_norm == every_block_commutator_norm(*block._triple)
+            core = block._core
+            want = every_block_commutator_norm(core.program, core.blocks, core.basis)
+            assert check_sapmc(block).commutator_norm == want
 
     @pytest.mark.parametrize("d", CHECK_DS)
     @pytest.mark.parametrize("kind", ["pmc", "violating"])
@@ -604,7 +622,8 @@ class TestEvolveFactorized:
         h = random_trinary_hamiltonian(TrinaryDims(2, 3, 5), 32, kind="coupled")
         w = seeded_random("unitary", 5, 33).entries
         psi = seeded_random("state", 30, 34).amplitudes.reshape(5, 6)
-        prop = FactorizedPropagator(h.h_p.entries, [b.entries for b in h.blocks], w)
+        h = TrinaryHamiltonian(dims=h.dims, h_p=h.h_p, blocks=h.blocks, programming_basis=w)
+        prop = h.propagator()
         # program step, block step, then the rotation back, computed alike on both sides
         bound = chained_bound(spectral_step_bound(5), spectral_step_bound(6), 2 * product_bound(5))
         for t in (0.0, 0.7):
@@ -842,6 +861,62 @@ class TestEvolveDispatch:
             assert np.array_equal(evolve_full(h, state, t).dense.amplitudes, want)
             oracle = hermitian_propagator(h.full_operator(), t).apply(state.dense)
             assert np.max(np.abs(want - oracle.amplitudes)) <= 1e-13
+
+
+def count_labelling(monkeypatch) -> list:
+    """From now on, record the h' of each ``dynamics._zero_pattern_components`` call."""
+    calls = []
+    label = dynamics._zero_pattern_components
+
+    def counting_label(h):
+        calls.append(h)
+        return label(h)
+
+    monkeypatch.setattr(dynamics, "_zero_pattern_components", counting_label)
+    return calls
+
+
+class TestOneCorePerHamiltonian:
+    """h' is framed and labelled once per Hamiltonian, when it is built; the check, both
+    propagators and the assembler read that one core."""
+
+    @pytest.mark.parametrize("kind", ["pmc", "coupled", "violating"])
+    def test_check_and_both_propagators_label_once(self, monkeypatch, kind):
+        h = random_trinary_hamiltonian(DIMS, 83, kind=kind)
+        w = seeded_random("unitary", DIMS.d_p, 84).entries
+        calls = count_labelling(monkeypatch)
+        h = TrinaryHamiltonian(dims=DIMS, h_p=h.h_p, blocks=h.blocks, programming_basis=w)
+        check_pmc(h)
+        h.propagator()
+        DensePropagator(h)
+        h.full_operator()
+        assert len(calls) == 1 and calls[0] is h._core.h
+
+    def test_block_structure_labels_once(self, monkeypatch):
+        calls = count_labelling(monkeypatch)
+        block = random_block_structure(3, 2, 85, kind="sapmc")
+        check_sapmc(block)
+        evolve_programmed_block(block, seeded_random("state", 6, 86), 0.4)
+        block.assemble()
+        assert len(calls) == 1
+
+    def test_evolve_command_labels_once_per_segment(self, monkeypatch, tmp_path, capsys):
+        segments = [
+            {"duration": 0.5, "hamiltonian": {"random": "pmc"}},
+            {"duration": 0.75, "hamiltonian": {"random": "coupled"}},
+            {"duration": 1.0, "hamiltonian": {"random": "pmc"}},
+        ]
+        payload = {
+            "schema": 1, "kind": "dynamics", "seed": 87, "dims": [2, 2, 4],
+            "times": [0.25 * i for i in range(9)], "segments": segments,
+        }
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(payload))
+        calls = count_labelling(monkeypatch)
+        assert main(["evolve", str(path), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["pmc_fallback"] is False
+        assert len(calls) == len(segments)
 
 
 # The dense walk and the factorized walk, each with the closed-form segment
