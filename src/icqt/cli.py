@@ -18,14 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .born import dual_born_report, textbook_comparison
-from .dynamics import (
-    DensePropagator,
-    ScheduleError,
-    TrinaryHamiltonian,
-    check_pmc,
-    check_sapmc,
-    schedule_states,
-)
+from .dynamics import ScheduleError, check_sapmc, entanglement_trajectory
 from .icqc import CapacityError, run as icqc_run
 from .linalg import seeded_random, subseed
 from .scenario import (
@@ -49,7 +42,6 @@ from .trinary import (
     TrinaryState,
     apply_programmed,
     build_programmed_unitary,
-    dual_entropies,
     validate_informational_completeness,
 )
 
@@ -81,35 +73,15 @@ def cmd_evolve(scenario: Scenario, out_dir: Path) -> int:
     check_finite_evolution(segments, times[-1])
     state = parse_initial_state(payload, dims, scenario.seed)
 
-    pmc_checks = [check_pmc(h) for _, h, _ in segments]
-    pmc_ok = all(c.satisfied for c in pmc_checks)
     sapmc_doc = [
         {"segment": k, "block": n, **asdict(check_sapmc(structure))}
         for k, (_, _, structures) in enumerate(segments)
         for n, structure in enumerate(structures)
         if structure is not None
     ] or None  # null when no block is structured
+    traj = entanglement_trajectory([(d, h) for d, h, _ in segments], state, times)
 
-    # The dense reference walk, zipped with the factorized walk when every
-    # segment satisfies the condition; the report reads the last of each pair.
-    schedule = [(duration, h) for duration, h, _ in segments]
-    walks = [schedule_states(schedule, state, times, DensePropagator)]
-    if pmc_ok:
-        walks.append(schedule_states(schedule, state, times, TrinaryHamiltonian.propagator))
-    s_psa = np.zeros(len(times))
-    s_branches = np.zeros((len(times), dims.d_p))
-    deviations = []
-    for i, pair in enumerate(zip(*walks)):
-        full, current = pair[0], pair[-1]
-        if pmc_ok:
-            deviations.append(np.max(np.abs(current.dense.amplitudes - full.dense.amplitudes)))
-        s_psa[i], s_branches[i] = dual_entropies(current)
-    deviation = max(deviations, default=None)
-
-    rows = [
-        [t, s_psa[i]] + [s_branches[i, r] for r in range(dims.d_p)]
-        for i, t in enumerate(times)
-    ]
+    rows = [[t, traj.s_psa[i], *traj.s_sa_branches[i]] for i, t in enumerate(times)]
     header = ["t", "S_PSA"] + [f"S_SA_branch_{r}" for r in range(dims.d_p)]
     write_csv(out_dir / "trajectory.csv", header, rows)
 
@@ -118,15 +90,15 @@ def cmd_evolve(scenario: Scenario, out_dir: Path) -> int:
         "seed": scenario.seed,
         "dims": [dims.d_s, dims.d_a, dims.d_p],
         "times": times,
-        "pmc": [{"segment": k, **asdict(c)} for k, c in enumerate(pmc_checks)],
+        "pmc": [{"segment": k, **asdict(c)} for k, c in enumerate(traj.checks)],
         "sapmc": sapmc_doc,
-        "pmc_fallback": not pmc_ok,
-        "factorized_full_max_deviation": deviation,
-        "final_S_PSA": s_psa[-1],
-        "monotone_psa": np.all(np.diff(s_psa) >= -1e-9),
+        "pmc_fallback": not traj.used_factorized,
+        "factorized_full_max_deviation": traj.max_deviation,
+        "final_S_PSA": traj.s_psa[-1],
+        "monotone_psa": np.all(np.diff(traj.s_psa) >= -1e-9),
     }
     sys.stdout.write(write_json(out_dir / "summary.json", doc))
-    if not pmc_ok:
+    if not traj.used_factorized:
         sys.stderr.write("warning: measurability condition violated; dense evolution used\n")
     return 0
 

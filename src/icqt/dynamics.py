@@ -14,7 +14,8 @@ components of the exact zero pattern of h'.  The blockwise check,
 [A, B] = 0 and the factorized step is exact.
 
 Time dependence is piecewise constant: ``schedule_states`` walks a list of
-(duration, hamiltonian) segments back to back with the propagator it is given.
+(duration, hamiltonian) segments back to back with the propagator it is given, and
+``entanglement_trajectory`` picks the propagator and cross-checks it against the dense one.
 """
 
 from __future__ import annotations
@@ -338,6 +339,15 @@ def evolve_programmed_block(
     return StateVector(out.reshape(-1))
 
 
+def _end(durations: Sequence[float]) -> float:
+    """``math.fsum`` of nonnegative durations; a sum past the double range lies past
+    every finite time, and reads inf."""
+    try:
+        return math.fsum(durations)
+    except OverflowError:  # intermediate overflow in fsum
+        return math.inf
+
+
 def schedule_states(
     segments: Sequence[tuple[float, TrinaryHamiltonian]], state: TrinaryState,
     times: Sequence[float],
@@ -346,8 +356,8 @@ def schedule_states(
     """Yield the state at each time (ascending from 0) under back-to-back segments.
 
     ``propagator(h)`` decomposes a segment once; each is dropped before the next
-    is built.  A time lies in the first segment whose end (``math.fsum`` of the durations
-    so far) is at or past it, one step from that segment's start: the time minus the
+    is built.  A time lies in the first segment whose end (``_end`` of the durations so
+    far) is at or past it, one step from that segment's start: the time minus the
     earlier durations, clamped to [0, duration].  Every time is mapped first, so a
     too-short schedule raises ``ScheduleError``, and a segment whose dims differ from the
     state's ``DimensionError``, before any segment is decomposed.
@@ -360,7 +370,7 @@ def schedule_states(
     if not all(duration >= 0 for duration, _ in segments):
         raise ScheduleError("segment durations must be nonnegative")
     durations = [duration for duration, _ in segments]
-    ends = [math.fsum(durations[: k + 1]) for k in range(len(durations))]
+    ends = [_end(durations[: k + 1]) for k in range(len(durations))]
     steps = [[] for _ in durations]  # steps[k]: the steps of the times in segment k
     for t in times:
         k = bisect.bisect_left(ends, t)
@@ -405,33 +415,55 @@ def evolve_swapped_factorized(
 
 @dataclass(frozen=True)
 class EntanglementTrajectory:
-    """Entropies along an evolution: P|(SA) and per-branch S|A, per time."""
+    """Entropies along an evolution: P|(SA) and per-branch S|A, per time, as read-only arrays.
+
+    ``checks`` holds one measurability check per segment.  ``max_deviation`` is the
+    largest entry gap between the factorized and dense states, or None on the dense
+    fallback.
+    """
 
     times: tuple[float, ...]
     s_psa: np.ndarray
     s_sa_branches: np.ndarray  # shape (len(times), d_p)
-    used_factorized: bool
+    checks: tuple[CommutatorCheck, ...]
+    max_deviation: float | None
 
     def __post_init__(self):
-        object.__setattr__(self, "s_psa", np.asarray(self.s_psa, dtype=float))
-        object.__setattr__(self, "s_sa_branches", np.asarray(self.s_sa_branches, dtype=float))
+        for name in ("s_psa", "s_sa_branches"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+
+    @property
+    def used_factorized(self) -> bool:
+        return all(check.satisfied for check in self.checks)
 
 
 def entanglement_trajectory(
-    h: TrinaryHamiltonian, state: TrinaryState, times: Sequence[float]
+    segments: Sequence[tuple[float, TrinaryHamiltonian]], state: TrinaryState,
+    times: Sequence[float],
 ) -> EntanglementTrajectory:
-    """Record dual entropies at the given times (ascending, starting at 0)."""
-    times = tuple(float(t) for t in times)
-    factorized = check_pmc(h).satisfied
-    propagator = TrinaryHamiltonian.propagator if factorized else DensePropagator
+    """Record dual entropies at the given times (ascending, from 0) under back-to-back
+    segments, walked by ``schedule_states``; a single Hamiltonian h is [(math.inf, h)].
 
+    Every segment is checked once, those past the last time too.  When every check
+    holds, the factorized walk is recorded and the dense reference walks beside it;
+    otherwise the dense walk is recorded.
+    """
+    times = tuple(float(t) for t in times)
+    checks = tuple(check_pmc(h) for _, h in segments)
+    walks = [schedule_states(segments, state, times, DensePropagator)]
+    if all(check.satisfied for check in checks):
+        walks.append(schedule_states(segments, state, times, TrinaryHamiltonian.propagator))
     s_psa = np.zeros(len(times))
-    s_branches = np.zeros((len(times), h.dims.d_p))
-    for k, current in enumerate(schedule_states([(np.inf, h)], state, times, propagator)):
+    s_branches = np.zeros((len(times), state.dims.d_p))
+    deviations = []
+    for k, pair in enumerate(zip(*walks)):
+        dense, current = pair[0], pair[-1]
+        if len(pair) == 2:
+            deviations.append(np.max(np.abs(current.dense.amplitudes - dense.dense.amplitudes)))
         s_psa[k], s_branches[k] = dual_entropies(current)
-    return EntanglementTrajectory(
-        times=times, s_psa=s_psa, s_sa_branches=s_branches, used_factorized=factorized
-    )
+    return EntanglementTrajectory(times, s_psa, s_branches, checks, max(deviations, default=None))
 
 
 def random_trinary_hamiltonian(

@@ -156,7 +156,9 @@ class Operator:
         return is_unitary_matrix(self.entries)
 
     def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= HERMITICITY_TOL)
+        """max|H - H^dagger| <= HERMITICITY_TOL; a difference that overflows reads inf, quietly."""
+        with np.errstate(over="ignore"):
+            return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= HERMITICITY_TOL)
 
     def apply(self, psi: StateVector) -> StateVector:
         if psi.dim != self.dim:

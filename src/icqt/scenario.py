@@ -97,8 +97,11 @@ def parse_vector(obj, dim: int, what: str) -> StateVector:
     if obj == "uniform":
         return StateVector.uniform(dim)
     if isinstance(obj, str) and obj.startswith("basis"):
+        digits = obj[len("basis"):]
         try:
-            index = int(obj[len("basis"):])
+            if not (digits.isascii() and digits.isdigit()):  # int() also reads signs, spaces, _
+                raise ValueError(digits)
+            index = int(digits)  # which refuses more digits than Python reads
         except ValueError:
             raise ScenarioError(f"{what}: bad basis name {obj!r}") from None
         if not 0 <= index < dim:

@@ -215,7 +215,7 @@ def bounds_and_creation_battery(seed: int, cases: int, dims_list=DEFAULT_DIMS) -
         dims = dims_list[i % len(dims_list)]
         h = random_trinary_hamiltonian(dims, subseed(seed, 50, i), kind="pmc")
         state = _random_separable(dims, subseed(seed, 51, i))
-        traj = entanglement_trajectory(h, state, times)
+        traj = entanglement_trajectory([(np.inf, h)], state, times)
         worst_bound = max(
             worst_bound,
             float(np.max(traj.s_psa) - np.log(dims.d_p)),

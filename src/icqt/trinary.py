@@ -72,11 +72,13 @@ class TrinaryDims:
 
 
 def _check_orthonormal(basis: np.ndarray, dim: int, what: str) -> np.ndarray:
-    b = np.asarray(basis, dtype=complex)
+    """``basis`` as an owned, read-only complex copy, checked to be dim x dim and unitary."""
+    b = np.array(basis, dtype=complex)
     if b.shape != (dim, dim):
         raise DimensionError(f"{what} must be a {dim}x{dim} matrix of basis columns")
     if not is_unitary_matrix(b):
         raise ValueError(f"{what} columns are not orthonormal")
+    b.setflags(write=False)
     return b
 
 

@@ -68,6 +68,19 @@ class TestScenarioLoading:
         out = parse_vector(complex_to_pairs(v), 2, "v")
         assert np.max(np.abs(out.amplitudes - v)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "name", ["basis +1", "basis1 ", "basis\u0661", "basis1_0", "basis-1", "basis"]
+    )
+    def test_parse_vector_basis_index_is_ascii_digits(self, name):
+        # int() reads signs, spaces, "_" and non-ASCII digits; the name takes none of them
+        with pytest.raises(ScenarioError, match="bad basis name"):
+            parse_vector(name, 12, "v")
+
+    def test_parse_vector_basis_index(self):
+        assert np.array_equal(parse_vector("basis01", 4, "v").amplitudes, np.eye(4)[1])
+        with pytest.raises(ScenarioError, match="basis index 4 out of range"):
+            parse_vector("basis4", 4, "v")
+
     def test_pairs_to_complex_validates(self):
         with pytest.raises(ValueError):
             pairs_to_complex([1.0, 2.0])
@@ -209,6 +222,15 @@ class TestEvolveCommand:
         assert doc["pmc_fallback"] is True
         assert doc["factorized_full_max_deviation"] is None
         assert "warning" in captured.err
+
+    def test_segment_ends_past_the_double_range(self, tmp_path, capsys):
+        # 1e308 + 1e308 overflows math.fsum: the second segment ends past every time
+        segments = [{"duration": 1e308, "hamiltonian": {"random": "pmc"}}] * 2
+        payload = base("dynamics", dims=[2, 2, 4], times=[0.0, 1.0], segments=segments)
+        path = write_scenario(tmp_path, "e.json", payload)
+        assert main(["evolve", path, "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pmc_fallback"] is False and len(doc["pmc"]) == 2
 
     def test_segment_walk_equals_replay_from_zero(self, tmp_path, capsys):
         # a coupled segment, a custom programming basis, t = 0 and times on
@@ -913,6 +935,13 @@ class TestInputErrors:
         err = self.run_over_cap(tmp_path, capsys, "born", payload)
         assert err.endswith(" exceeds the cap 4096 (set ICQT_MAX_DIM to raise it)\n")
         assert len(err) < 3 * digits + 200
+
+    def test_hermiticity_check_overflowing(self, tmp_path, capsys):
+        # h_p - h_p^dagger overflows: not Hermitian, with no numpy warning on stderr
+        h_p = complex_to_pairs(np.array([[0, 1.7e308], [-1.7e308, 0]]))
+        hamiltonian = {"h_p": h_p, "blocks": [ID2, ID2]}
+        payload = base("dynamics", dims=[2, 1, 2], times=[0.0], hamiltonian=hamiltonian)
+        assert "not Hermitian" in self.run_bad(tmp_path, capsys, "evolve", payload)
 
     BIG = complex_to_pairs(np.diag([1.5e308, 1.5e308]))
     ONE = complex_to_pairs(np.diag([1.0, 2.0]))

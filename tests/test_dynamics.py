@@ -122,6 +122,36 @@ class TestTrinaryHamiltonian:
         )
         assert np.max(np.abs(h.full_operator().entries - want)) < 1e-12
 
+    def test_owns_a_read_only_copy_of_the_programming_basis(self):
+        # rewriting the caller's complex basis once changed programming_basis and
+        # full_operator, while check_pmc and the propagators kept the old frame
+        pmc = random_trinary_hamiltonian(DIMS, 11, kind="pmc")
+        w = np.eye(4, dtype=complex)
+        h = TrinaryHamiltonian(dims=DIMS, h_p=pmc.h_p, blocks=pmc.blocks, programming_basis=w)
+        w[:] = standard_basis("X", 4)
+        fresh = TrinaryHamiltonian(
+            dims=DIMS, h_p=pmc.h_p, blocks=pmc.blocks, programming_basis=np.eye(4)
+        )
+        assert np.array_equal(h.programming_basis, np.eye(4))
+        assert not h.programming_basis.flags.writeable
+        assert np.array_equal(h.full_operator().entries, fresh.full_operator().entries)
+        assert check_pmc(h) == check_pmc(fresh)
+        state = random_state(DIMS, 12)
+        want = expm_hermitian(h.full_operator().entries, 0.7) @ state.dense.amplitudes
+        got = DensePropagator(h).evolve(state, 0.7).dense.amplitudes
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_owns_a_read_only_copy_of_the_s_basis(self):
+        w = np.eye(2, dtype=complex)
+        block = ProgrammedBlockStructure(
+            s_basis=w, a_generators=(Operator.identity(2), Operator(np.diag([1.0, -1.0]))),
+            h_s=Operator(np.diag([0.5, 2.0])),
+        )
+        w[:] = standard_basis("X", 2)
+        assert np.array_equal(block.s_basis, np.eye(2))
+        assert not block.s_basis.flags.writeable
+        assert check_sapmc(block).satisfied
+
 
 def build_level(level, h_program, blocks, basis):
     """One conditioned Hamiltonian (3 program states, 2-dim blocks) at each level."""
@@ -747,18 +777,19 @@ class TestTrajectory:
             blocks=(Operator(np.zeros((4, 4))),) * 4,
         )
         state = random_state(DIMS, 9)
-        traj = entanglement_trajectory(h, state, [0.0, 0.5, 1.0])
+        traj = entanglement_trajectory([(np.inf, h)], state, [0.0, 0.5, 1.0])
         assert np.max(np.abs(traj.s_psa - traj.s_psa[0])) < 1e-10
         assert np.max(np.abs(traj.s_sa_branches - traj.s_sa_branches[0])) < 1e-10
 
     def test_state_dims_must_match(self):
         h = random_trinary_hamiltonian(DIMS, 26, kind="pmc")
+        state = random_state(TrinaryDims(4, 1, 4), 27)
         with pytest.raises(DimensionError, match="dims differ"):
-            entanglement_trajectory(h, random_state(TrinaryDims(4, 1, 4), 27), [0.0, 0.5])
+            entanglement_trajectory([(np.inf, h)], state, [0.0, 0.5])
 
     def test_creation_from_separable(self):
         h = random_trinary_hamiltonian(DIMS, 26, kind="pmc")
-        traj = entanglement_trajectory(h, separable_state(DIMS, 27), [0.0, 0.1])
+        traj = entanglement_trajectory([(np.inf, h)], separable_state(DIMS, 27), [0.0, 0.1])
         assert traj.s_psa[0] < 1e-9
         assert traj.s_psa[1] > 1e-6
 
@@ -768,7 +799,7 @@ class TestTrajectory:
         pairs = [(0.5 + 0j, StateVector(basis_sa[:, r])) for r in range(4)]
         state = TrinaryState.from_branches(DIMS, pairs)
         h = random_trinary_hamiltonian(DIMS, 29, kind="pmc")
-        traj = entanglement_trajectory(h, state, [0.0, 0.3, 0.9])
+        traj = entanglement_trajectory([(np.inf, h)], state, [0.0, 0.3, 0.9])
         assert np.all(traj.s_psa <= np.log(4) + 1e-9)
         assert abs(traj.s_psa[0] - np.log(4)) < 1e-9
 
@@ -776,13 +807,13 @@ class TestTrajectory:
         h = random_trinary_hamiltonian(DIMS, 30, kind="pmc")
         state = random_state(DIMS, 31)
         with pytest.raises(ValueError):
-            entanglement_trajectory(h, state, [0.1, 0.5])
+            entanglement_trajectory([(np.inf, h)], state, [0.1, 0.5])
         with pytest.raises(ValueError):
-            entanglement_trajectory(h, state, [0.0, 0.5, 0.2])
+            entanglement_trajectory([(np.inf, h)], state, [0.0, 0.5, 0.2])
 
     def test_dense_fallback_when_pmc_violated(self):
         h = random_trinary_hamiltonian(DIMS, 32, kind="violating")
-        traj = entanglement_trajectory(h, random_state(DIMS, 33), [0.0, 0.2])
+        traj = entanglement_trajectory([(np.inf, h)], random_state(DIMS, 33), [0.0, 0.2])
         assert not traj.used_factorized
 
     def test_custom_programming_basis_matches_pointwise_full(self):
@@ -799,7 +830,7 @@ class TestTrajectory:
         )
         state = random_state(DIMS, 82)
         times = [0.0, 0.3, 0.8]
-        traj = entanglement_trajectory(h, state, times)
+        traj = entanglement_trajectory([(np.inf, h)], state, times)
         assert traj.used_factorized
         for k, t in enumerate(times):
             s_psa, s_branches = dual_entropies(evolve_full(h, state, t))
@@ -807,8 +838,17 @@ class TestTrajectory:
             assert np.max(np.abs(traj.s_sa_branches[k] - s_branches)) <= 1e-9
 
 
+def schedule_of(kinds, seed):
+    """Segments of durations 0.5, 0.75 and 1.0 of the seeded Hamiltonian kinds."""
+    return [
+        (duration, random_trinary_hamiltonian(DIMS, seed + k, kind=kind))
+        for k, (duration, kind) in enumerate(zip((0.5, 0.75, 1.0), kinds))
+    ]
+
+
 class TestEvolveDispatch:
-    """entanglement_trajectory picks its propagator with one measurability check."""
+    """entanglement_trajectory picks its propagator with one measurability check per
+    segment, and walks the dense reference beside the factorized walk."""
 
     def assert_states_of(self, monkeypatch, h, prop, used_factorized):
         # the states whose entropies the trajectory records equal prop's
@@ -820,7 +860,7 @@ class TestEvolveDispatch:
 
         monkeypatch.setattr(dynamics, "dual_entropies", recording_entropies)
         state, times = random_state(DIMS, 91), [0.0, 0.6]
-        traj = entanglement_trajectory(h, state, times)
+        traj = entanglement_trajectory([(np.inf, h)], state, times)
         assert traj.used_factorized is used_factorized
         assert len(seen) == len(times)
         for t, got in zip(times, seen):
@@ -835,6 +875,8 @@ class TestEvolveDispatch:
         self.assert_states_of(monkeypatch, h, DensePropagator(h), False)
 
     def test_checks_the_condition_once(self, monkeypatch):
+        # once per segment; the last of three lies past the last time, and is
+        # checked all the same
         calls = []
 
         def counting_check(h):
@@ -843,8 +885,60 @@ class TestEvolveDispatch:
 
         monkeypatch.setattr(dynamics, "check_pmc", counting_check)
         h = random_trinary_hamiltonian(DIMS, 94, kind="coupled")
-        entanglement_trajectory(h, random_state(DIMS, 95), [0.0, 0.3, 0.6])
-        assert len(calls) == 1
+        for segments in ([(np.inf, h)], schedule_of(["pmc", "coupled", "pmc"], 100)):
+            calls.clear()
+            traj = entanglement_trajectory(segments, random_state(DIMS, 95), [0.0, 0.3, 0.6])
+            assert [id(h) for h in calls] == [id(h) for _, h in segments]
+            assert traj.checks == tuple(check_pmc(h) for _, h in segments)
+
+    def test_schedule_records_the_factorized_walk_and_its_dense_gap(self):
+        segments = schedule_of(["pmc", "coupled", "pmc"], 100)
+        state, times = random_state(DIMS, 104), [0.0, 0.25, 0.5, 0.9, 1.25, 2.0]
+        traj = entanglement_trajectory(segments, state, times)
+        factorized = list(schedule_states(segments, state, times, TrinaryHamiltonian.propagator))
+        dense = list(schedule_states(segments, state, times, DensePropagator))
+        assert traj.used_factorized
+        for k, current in enumerate(factorized):
+            s_psa, s_branches = dual_entropies(current)
+            assert traj.s_psa[k] == s_psa
+            assert np.array_equal(traj.s_sa_branches[k], s_branches)
+        gaps = [
+            np.max(np.abs(f.dense.amplitudes - d.dense.amplitudes))
+            for f, d in zip(factorized, dense)
+        ]
+        assert traj.max_deviation == max(gaps)
+        assert traj.max_deviation <= 1e-12
+
+    @pytest.mark.parametrize(
+        "kinds, times",
+        [(["pmc", "violating", "pmc"], [0.0, 0.3, 0.9, 2.0]),
+         (["pmc", "coupled", "violating"], [0.0, 0.3, 0.9])],  # the last one is never reached
+        ids=["reached", "past-the-last-time"],
+    )
+    def test_a_violating_segment_records_the_dense_walk(self, kinds, times):
+        segments = schedule_of(kinds, 110)
+        state = random_state(DIMS, 114)
+        traj = entanglement_trajectory(segments, state, times)
+        assert not traj.used_factorized
+        assert traj.max_deviation is None
+        assert [c.satisfied for c in traj.checks] == [kind != "violating" for kind in kinds]
+        for k, current in enumerate(schedule_states(segments, state, times, DensePropagator)):
+            s_psa, s_branches = dual_entropies(current)
+            assert traj.s_psa[k] == s_psa
+            assert np.array_equal(traj.s_sa_branches[k], s_branches)
+
+    def test_entropy_arrays_are_read_only_copies(self):
+        h = random_trinary_hamiltonian(DIMS, 98, kind="pmc")
+        traj = entanglement_trajectory([(np.inf, h)], random_state(DIMS, 99), [0.0, 0.4])
+        for values in (traj.s_psa, traj.s_sa_branches):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+        s_psa = np.zeros(2)
+        copy = dynamics.EntanglementTrajectory(
+            traj.times, s_psa, traj.s_sa_branches, traj.checks, traj.max_deviation
+        )
+        s_psa[0] = 1.0
+        assert copy.s_psa[0] == 0.0
 
     def test_dense_propagator_serves_every_time(self):
         # One decomposition, reused: equal (not close) to the one-vector
@@ -994,6 +1088,17 @@ class TestSchedule:
         assert [id(h) for h in built] == [id(h) for _, h in segments[:2]]
         for walk in WALKS:
             self.assert_walk_matches(segments[:2], state, [0.0, 0.5, 1.1], walk)
+
+    def test_segment_ends_past_the_double_range_read_as_infinite(self):
+        # 1e308 + 1e308 overflows math.fsum; that end lies past every finite time
+        segments = [
+            (1e308, random_trinary_hamiltonian(DIMS, 64, kind="pmc")),
+            (1e308, random_trinary_hamiltonian(DIMS, 65, kind="coupled")),
+            (1.0, random_trinary_hamiltonian(DIMS, 66, kind="pmc")),
+        ]
+        state = random_state(DIMS, 67)
+        for walk in WALKS:
+            self.assert_walk_matches(segments, state, [0.0, 1.0], walk)
 
     def test_rejects_negative_duration(self):
         h = random_trinary_hamiltonian(DIMS, 37, kind="pmc")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -640,6 +642,15 @@ class TestComponentSpectrum:
         x = seeded_random("state", dims.total, 5)
         got = DensePropagator(h).evolve(TrinaryState.from_dense(dims, x), 0.7)
         assert np.array_equal(got.dense.amplitudes, want.apply(x.amplitudes[:, None], 0.7)[:, 0])
+
+
+class TestHermiticity:
+    def test_overflowing_difference_is_not_hermitian_and_quiet(self):
+        # h - h^dagger overflows to inf, which is above the tolerance
+        op = Operator(np.array([[0, 1.7e308], [-1.7e308, 0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not op.is_hermitian()
 
 
 class TestCommutatorNorm:

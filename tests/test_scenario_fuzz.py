@@ -4,8 +4,9 @@ Each example draws a small valid scenario of one kind, then either runs it
 as drawn or replaces or drops parts of it at random with arbitrary JSON, and
 runs the matching command.  The draws cover dims, named bases, gates,
 programs and property-suite dims; an evolve scenario draws its schedule
-(segments of zero and nonzero durations, times on, between and past the
-segment boundaries) and its product initial state, and a born scenario draws
+(segments of zero and nonzero durations, and of 1e308, two of which end past
+the double range; times on, between and past the segment boundaries) and its
+product initial state, and a born scenario draws
 its branch amplitudes g from 0, 0.5, 1 and values around 1e-7, whose squares
 straddle the empty-branch tolerance.  Vector entries of born g and
 system_state and of the evolve product state are also drawn from 1e-200,
@@ -14,7 +15,8 @@ such a vector cannot be normalized in double precision.  Integers past the
 double range (+-10^400) and past Python's 4,300-digit limit for reading an
 integer literal are drawn as scalars, vector entries, gate angles, times and
 durations; the second is written into the file as raw text, since
-``json.dumps`` refuses it.  Whatever the input,
+``json.dumps`` refuses it.  Scalars of +-1.7e308, whose differences overflow,
+are drawn too.  Whatever the input,
 the CLI keeps its contract: exit 0, 1 or 2, exactly one stderr line on exit
 2, and never a traceback.  A born report that exits 0 has every nonempty
 outcome row summing to 1.
@@ -85,7 +87,7 @@ SCALARS = st.one_of(
     st.booleans(),
     st.integers(-3, 6),
     st.floats(-1e3, 1e3),
-    st.sampled_from([float("nan"), float("inf"), -0.0, 1e300]),
+    st.sampled_from([float("nan"), float("inf"), -0.0, 1e300, 1.7e308, -1.7e308]),
     HUGE,
     st.sampled_from(["Z", "X", "Y", "basis0", "basis9", "uniform", "pmc", "random", ""]),
     st.text(max_size=3),
@@ -115,7 +117,9 @@ HAMILTONIANS = [seg["hamiltonian"] for seg in VALID["evolve"]["segments"]] + [{"
 
 def draw_schedule(data, payload):
     """``payload`` with drawn segments and times; the last time may fall past the end."""
-    durations = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=4))
+    durations = data.draw(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e308]), min_size=1, max_size=4)
+    )
     ends = list(itertools.accumulate(durations))
     points = sorted({0.0, *ends, *(end + 0.125 for end in ends)})
     times = [0.0] + sorted(data.draw(st.lists(st.sampled_from(points), max_size=4)))

@@ -26,6 +26,7 @@ from icqt.trinary import (
     apply_programmed,
     build_pointer_measurement,
     _branch_spectra,
+    _check_orthonormal,
     _real_unit_rows,
     _unit_rows,
     build_programmed_unitary,
@@ -77,6 +78,14 @@ class TestDims:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             TrinaryDims(0, 2, 4)
+
+
+def test_checked_basis_is_an_owned_read_only_copy():
+    w = standard_basis("X", 2)
+    b = _check_orthonormal(w, 2, "basis")
+    w[:] = np.eye(2)
+    assert np.array_equal(b, standard_basis("X", 2))
+    assert not b.flags.writeable
 
 
 class TestPointerMeasurement:
