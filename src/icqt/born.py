@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import StateVector, schmidt_decompose
-from .trinary import EMPTY_BRANCH_TOL, EmptyBranchError, TrinaryState, _branch_spectra, _empty
+from .trinary import (
+    EMPTY_BRANCH_TOL,
+    EmptyBranchError,
+    TrinaryDims,
+    TrinaryState,
+    _branch_spectra,
+    _empty,
+)
 
 CLAMP_TOL = 1e-12
 DEGENERACY_TOL = 1e-8
@@ -109,14 +116,16 @@ def dual_born_report(state: TrinaryState) -> DualBornReport:
     documented in ``linalg._singular_values`` (a values-only SVD against the full one).
     """
     weights = state.branch_weights()
-    return _dual_born_report(state, _branch_spectra(state, weights), weights)
+    spectra = _branch_spectra(state.dims, state.as_matrix(), weights)
+    return _dual_born_report(state.dims, spectra, weights)
 
 
 def _dual_born_report(
-    state: TrinaryState, spectra: np.ndarray, weights: np.ndarray
+    dims: TrinaryDims, spectra: np.ndarray, weights: np.ndarray
 ) -> DualBornReport:
-    """``dual_born_report`` from the Schmidt coefficients and ``branch_weights`` of every branch."""
-    outcome, degenerate = _outcome_rows(spectra, state.dims.d_s)
+    """``dual_born_report`` from the dims, the Schmidt coefficients and the ``branch_weights``
+    of every branch."""
+    outcome, degenerate = _outcome_rows(spectra, dims.d_s)
     return DualBornReport(
         decision_probs=_clamp(weights),
         outcome_probs=outcome,

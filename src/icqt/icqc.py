@@ -12,14 +12,23 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import sqrt
 from typing import Sequence
 
 import numpy as np
 
 from .born import DualBornReport, _dual_born_report
-from .linalg import StateVector, _check_unit, entanglement_entropy
-from .trinary import TrinaryDims, TrinaryState, _branch_spectra, _product_into, branch_entropies
+from .linalg import StateVector, _check_unit, _cut_entropy
+from .serialize import _echo
+from .trinary import (
+    TrinaryDims,
+    TrinaryState,
+    _branch_spectra,
+    _product_into,
+    _weights,
+    branch_entropies,
+)
 
 DEFAULT_MAX_DIM = 4096
 _SHOWN_BITS = 64  # a refused total of more bits is named by its formula alone
@@ -38,6 +47,8 @@ _FIXED_GATES = {
 for _m in _FIXED_GATES.values():
     _m.setflags(write=False)
 _ROTATIONS = ("RX", "RY", "RZ")
+# Kinds whose matrix is real whatever the angle: CNOT, the real fixed gates and RY.
+_REAL_KINDS = frozenset(["CNOT", "RY", *(k for k, m in _FIXED_GATES.items() if not m.imag.any())])
 REGISTERS = ("P", "S", "A")
 # Trailing length from which one batched 2x2 product per leading index beats one
 # 2-D product with m (x) I_rest (timed at 2^10 and 2^20 amplitudes).
@@ -54,7 +65,7 @@ def max_total_dim() -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise CapacityError(f"ICQT_MAX_DIM must be an integer, got {raw!r}") from exc
+        raise CapacityError(f"ICQT_MAX_DIM must be an integer, got {_echo(raw)}") from exc
 
 
 def check_capacity(total: int, what: str, quantity: str = "full dimension") -> None:
@@ -72,7 +83,7 @@ def check_register_capacity(n: int) -> None:
     """``check_capacity`` of 2^(4n), the full dimension of n-qubit registers.  Any power past
     2^max(cap bits, _SHOWN_BITS) is refused alike, so none larger is built (500 MB at n = 10^9)."""
     exponent = min(4 * n, max(max_total_dim().bit_length(), _SHOWN_BITS))
-    check_capacity(2**exponent, f"2^{4 * n}")
+    check_capacity(2**exponent, f"2^{_echo(4 * n)}")
 
 
 def _rotation(kind: str, angle: float) -> np.ndarray:
@@ -101,7 +112,7 @@ class GateOp:
         object.__setattr__(self, "targets", targets)
         for reg, _ in targets:
             if reg not in REGISTERS:
-                raise ValueError(f"unknown register {reg!r}")
+                raise ValueError(f"unknown register {_echo(reg)}")
         if len(set(targets)) != len(targets):
             raise ValueError("gate targets must be distinct")
         if self.kind == "CNOT":
@@ -116,12 +127,17 @@ class GateOp:
                 need = "needs an" if self.angle is None else "takes no"
                 raise ValueError(f"{self.kind} {need} angle")
         else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+            raise ValueError(f"unknown gate kind {_echo(self.kind)}")
 
     def matrix(self) -> np.ndarray:
         if self.kind in _FIXED_GATES:
             return _FIXED_GATES[self.kind]
         return _rotation(self.kind, float(self.angle))
+
+
+def _real_gate(gate: GateOp) -> bool:
+    """Whether ``gate``'s matrix has zero imaginary part (``-0.0`` too); CNOT is real."""
+    return gate.kind in _REAL_KINDS or not gate.matrix().imag.any()
 
 
 def _register_axis(reg: str, qubit: int, layout: dict[str, tuple[int, int]]) -> int:
@@ -145,8 +161,16 @@ def _apply_single(arr: np.ndarray, m: np.ndarray, axis: int, out: np.ndarray) ->
     if rest >= _BATCHED_REST:
         np.matmul(m, block, out=out.reshape(block.shape))
         return
-    wide = (m[:, None, :, None] * np.eye(rest)[None, :, None, :]).reshape(2 * rest, 2 * rest)
+    wide = (m[:, None, :, None] * _identity(rest)[None, :, None, :]).reshape(2 * rest, 2 * rest)
     np.matmul(block.reshape(-1, 2 * rest), wide.T, out=out.reshape(-1, 2 * rest))
+
+
+@lru_cache(maxsize=None)
+def _identity(rest: int) -> np.ndarray:
+    """The read-only float64 identity of size ``rest``, built once per size."""
+    eye = np.eye(rest)
+    eye.setflags(write=False)
+    return eye
 
 
 def _apply_cnot(arr: np.ndarray, control: int, target: int, out: np.ndarray) -> None:
@@ -165,7 +189,14 @@ def _apply_gates_nd(
     arr: np.ndarray, gates: Sequence[GateOp], layout: dict[str, tuple[int, int]], spare: np.ndarray
 ) -> np.ndarray:
     """Apply ``gates`` to the C-ordered amplitudes ``arr``, writing each gate's result into
-    the other of ``arr`` and ``spare`` (same size); returns the one that holds the result."""
+    the other of ``arr`` and ``spare`` (same size and dtype); returns the one that holds the
+    result.
+
+    A float64 ``arr`` takes a contiguous float64 copy of each gate's matrix, whose
+    imaginary part the caller has found zero (``_real_gate``): the strided ``m.real``
+    view would take matmul off BLAS.
+    """
+    real = not np.iscomplexobj(arr)
     for gate in gates:
         if gate.kind == "CNOT":
             (creg, cq), (treg, tq) = gate.targets
@@ -174,7 +205,8 @@ def _apply_gates_nd(
             _apply_cnot(arr, c, t, spare)
         else:
             reg, q = gate.targets[0]
-            _apply_single(arr, gate.matrix(), _register_axis(reg, q, layout), spare)
+            m = gate.matrix()
+            _apply_single(arr, m.real.copy() if real else m, _register_axis(reg, q, layout), spare)
         arr, spare = spare, arr
     return arr
 
@@ -317,12 +349,12 @@ def _programmed_stage(amps: np.ndarray, config: IcqcConfig) -> np.ndarray:
     circuit, possibly its one spare).
 
     Each row is one S x A block of 4^n amplitudes; its circuit alternates between the
-    row and one spare row.  The finite and norm check runs between the two stages.
+    row and one spare row of its dtype.  The finite and norm check runs between the two stages.
     """
     n = config.n
     rows = amps.reshape(config.dims.d_p, config.dims.d_sa)
     sa_layout = _sa_layout(n)
-    spare = np.empty(config.dims.d_sa, dtype=complex)
+    spare = np.empty(config.dims.d_sa, dtype=amps.dtype)
     for p, circuit in enumerate(config.program_table):
         row = rows[p]
         if _apply_gates_nd(row, circuit, sa_layout, spare) is spare:
@@ -350,50 +382,81 @@ def apply_programmed_op(state: TrinaryState, config: IcqcConfig) -> TrinaryState
 
 @dataclass(frozen=True)
 class IcqcRunReport:
-    final_state: TrinaryState
+    """The entropies and the Born report of a run, with its read-only final amplitudes.
+
+    ``amplitudes`` is the run's buffer itself: float64 when every gate of the
+    run is real, else complex128.  ``final_state`` is built on its first read
+    and kept: a complex buffer is wrapped without a copy, a real one is copied
+    once into complex128.
+    """
+
+    amplitudes: np.ndarray
+    dims: TrinaryDims
     s_psa: float
     s_sa_branches: np.ndarray
     mean_s_sa: float
     born: DualBornReport
 
+    @cached_property
+    def final_state(self) -> TrinaryState:
+        amps = self.amplitudes
+        owned = amps if np.iscomplexobj(amps) else amps.astype(np.complex128)
+        return TrinaryState.from_dense(self.dims, StateVector._owning(owned))
+
+
+def _real_run(config: IcqcConfig) -> bool:
+    """Whether every gate of the run, in the gate stage, a branch circuit or the P-only
+    circuit, is real (``_real_gate``); the start always is."""
+    circuits = (config.gate_sequence, *config.program_table, config.post_program_p_circuit)
+    return all(_real_gate(gate) for circuit in circuits for gate in circuit)
+
 
 def run(config: IcqcConfig) -> IcqcRunReport:
     """init -> gate stage -> programmed stage -> dual entropies and Born report.
 
-    The stages hold at most two state-sized arrays: the initial amplitudes are
-    written straight into one buffer (bit for bit ``init_state``), the gate
-    stage alternates between it and one spare, and the programmed stage
-    rewrites the buffer's rows in place (``apply_gates`` and
-    ``apply_programmed_op`` run the same kernels on a copy).  The finite and
-    norm check runs on the buffer at the end of each stage, and the buffer
-    becomes the final state, read-only, without a copy.
+    The buffer's dtype is chosen once, before the start is written: float64
+    when every gate of the run is real (``_real_run``), else complex128.  The
+    stages hold at most two buffer-sized arrays: the initial amplitudes are
+    written straight into the buffer (bit for bit ``init_state``, whose
+    complex start has zero imaginary parts), the gate stage alternates
+    between it and one spare, and the programmed stage rewrites the buffer's
+    rows in place (``apply_gates`` and ``apply_programmed_op`` run the same
+    kernels on a complex copy).  The finite and norm check runs on the buffer
+    at the end of each stage, and the buffer is then frozen.
 
-    The entropies and the report equal ``dual_entropies`` and
-    ``dual_born_report`` of the final state bit for bit: both read one
-    ``branch_spectra`` pass over its amplitudes and one ``branch_weights``.
+    The entropies and the report read the buffer's (d_p, d_sa) rows without
+    a copy: one P|(SA) ``_cut_entropy``, then one ``_weights`` and one
+    ``_branch_spectra`` pass shared by the entropies and the report.  A
+    complex run's equal ``dual_entropies`` and ``dual_born_report`` of the
+    final state bit for bit; a real run's equal those of its complex-typed
+    copy within the bounds documented in ``linalg``.
     """
     n, dims = config.n, config.dims
     factors = _initial_factors(n, config.initial)
-    amps = np.empty(dims.total, dtype=complex)
+    amps = np.empty(dims.total, dtype=np.float64 if _real_run(config) else np.complex128)
     _product_into(amps, *factors)
     _check_unit(amps)
     if config.gate_sequence:
         amps = _apply_gates_nd(amps, config.gate_sequence, _full_layout(n), np.empty_like(amps))
         _check_unit(amps)
     amps = _programmed_stage(amps, config)
-    state = TrinaryState.from_dense(dims, StateVector._owning(amps))
-    # P|(SA) first, as in dual_entropies: an icqc-n5 process (seed 2026, 2 vCPU) peaked at
-    # 81.5-82.1 MB this way and at 82.1-82.4 MB the other way (ru_maxrss, 3 runs each)
-    s_psa = entanglement_entropy(state.dense, (dims.d_p, dims.d_sa))
-    weights = state.branch_weights()
-    spectra = _branch_spectra(state, weights)
+    _check_unit(amps)
+    amps.setflags(write=False)
+    rows = amps.reshape(dims.d_p, dims.d_sa)
+    # P|(SA) first, as in dual_entropies: on a real icqc-n5 buffer (seed 2026, 2 vCPU) a
+    # process peaked at 63.5-64.2 MB this way and at 64.9-65.0 MB the other way (ru_maxrss,
+    # 4 runs each)
+    s_psa = _cut_entropy(rows)
+    weights = _weights(rows)
+    spectra = _branch_spectra(dims, rows, weights)
     branches = branch_entropies(spectra)
     return IcqcRunReport(
-        final_state=state,
+        amplitudes=amps,
+        dims=dims,
         s_psa=s_psa,
         s_sa_branches=branches,
         mean_s_sa=float(np.mean(branches)),
-        born=_dual_born_report(state, spectra, weights),
+        born=_dual_born_report(dims, spectra, weights),
     )
 
 
@@ -408,7 +471,7 @@ def pointer_branch_circuit(basis_name: str) -> tuple[GateOp, ...]:
     if basis_name == "Y":
         s0 = (("S", 0),)
         return (GateOp("SDG", s0), GateOp("H", s0), cnot, GateOp("H", s0), GateOp("S", s0))
-    raise ValueError(f"unknown basis name {basis_name!r}")
+    raise ValueError(f"unknown basis name {_echo(basis_name)}")
 
 
 def tomographic_program_n1() -> tuple[tuple[GateOp, ...], ...]:

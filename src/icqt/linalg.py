@@ -56,8 +56,8 @@ def _as_complex(a, ndim: int) -> np.ndarray:
 
 
 def _check_unit(arr: np.ndarray) -> None:
-    """icqt's one state rule for a C-contiguous 1-d complex128 array: nonempty, finite
-    entries, and a squared norm within NORM_TOL of 1."""
+    """icqt's one state rule for a C-contiguous 1-d complex128 or float64 array: nonempty,
+    finite entries, and a squared norm within NORM_TOL of 1."""
     if arr.size < 1:
         raise DimensionError("empty state vector")
     _check_finite(arr)
@@ -273,9 +273,10 @@ def _conj_gram_lower(a: np.ndarray) -> np.ndarray:
     """Lower triangle of conj(A) A^T in A's dtype, upper triangle zero, built _GRAM_ROWS rows
     at a time.
 
-    Each block of a complex A conjugates only its own rows; a real A is read as it
-    is, and the transposed factor is a view.  Each product is written straight
-    into its block of the Gram matrix.
+    Each block of a complex A conjugates only its own rows, and one block's
+    conjugate is dropped before the next is made; a real A is read as it is, and
+    the transposed factor is a view.  Each product is written straight into its
+    block of the Gram matrix.
     """
     k = a.shape[0]
     complex_a = np.iscomplexobj(a)
@@ -284,36 +285,44 @@ def _conj_gram_lower(a: np.ndarray) -> np.ndarray:
         hi = min(lo + _GRAM_ROWS, k)
         rows = a[lo:hi].conj() if complex_a else a[lo:hi]
         np.matmul(rows, a[:hi].T, out=gram[lo:hi, :hi])
+        del rows
     return gram
 
 
 def entanglement_entropy(psi: StateVector, dims: tuple[int, int]) -> float:
-    """Von Neumann entropy (nats) of either reduced state of a pure state.
+    """Von Neumann entropy (nats) of either reduced state of a pure state: ``_cut_entropy``
+    of its (dim_l, dim_r) cut matrix."""
+    return _cut_entropy(_cut_matrix(psi, dims))
+
+
+def _cut_entropy(cut: np.ndarray) -> float:
+    """Von Neumann entropy (nats) of either reduced state of the pure state whose cut
+    matrix M is ``cut`` (complex128 or float64, read as it is, never copied whole).
 
     The entropy reads only the squared Schmidt coefficients, which are the
     eigenvalues of the reduced state on the smaller side: M M^dagger, or
-    M^T conj(M) when dim_l > dim_r, for the cut matrix M.  One ``eigvalsh``
-    of the complex conjugate of that Gram matrix (the same spectrum, lower
-    triangle only) costs less than the values-only SVD of M.  A real M
-    (``_real_if_exact``) gives a real Gram matrix and a float64 ``eigvalsh``.
-    Round-off negatives are masked by ``shannon_entropy``.  Should
-    ``eigvalsh`` not converge, the entropy is taken from the values-only SVD
-    of M, in M's dtype, as ``branch_schmidt_coefficients`` takes it for one row.
-    The real copy of M is dropped before ``eigvalsh``, so it never sits under
-    the solver's workspace; the fallback takes it again.
+    M^T conj(M) when dim_l > dim_r.  One ``eigvalsh`` of the complex conjugate
+    of that Gram matrix (the same spectrum, lower triangle only) costs less
+    than the values-only SVD of M.  A real M, or the real copy of a complex
+    one (``_real_if_exact``), gives a real Gram matrix and a float64
+    ``eigvalsh``.  Round-off negatives are masked by ``shannon_entropy``.
+    Should ``eigvalsh`` not converge, the entropy is taken from the
+    values-only SVD of M, in M's dtype, as ``branch_schmidt_coefficients``
+    takes it for one row.  A real copy of M is dropped before ``eigvalsh``,
+    so it never sits under the solver's workspace; the fallback takes it again.
 
     The Schmidt coefficients themselves stay on the SVD: a zero eigenvalue
     of +-4e-17 would read as a coefficient of about 6e-9, above the Born
     report's emptiness tolerance and within its degeneracy tolerance of its
     neighbour, so every rank-deficient branch would read as degenerate.
     """
-    m = _real_if_exact(_cut_matrix(psi, dims))
+    m = _real_if_exact(cut)
     gram = _conj_gram_lower(m if m.shape[0] <= m.shape[1] else m.T)
     del m
     try:
         p = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError:
-        s = _singular_values(_real_if_exact(_cut_matrix(psi, dims)))
+        s = _singular_values(_real_if_exact(cut))
         p = s * s
     return shannon_entropy(p)
 

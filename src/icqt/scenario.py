@@ -18,7 +18,7 @@ import numpy as np
 from .icqc import GateOp, IcqcConfig, check_capacity, check_register_capacity, random_program
 from .icqc import tomographic_program_n1
 from .linalg import Operator, StateVector, seeded_random, subseed
-from .serialize import pairs_to_complex
+from .serialize import _echo, pairs_to_complex
 from .suite import DEFAULT_COUNTS
 from .trinary import TrinaryDims, TrinaryState, _check_orthonormal, standard_basis
 from .dynamics import ProgrammedBlockStructure, TrinaryHamiltonian, random_trinary_hamiltonian
@@ -60,10 +60,11 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
     if data.get("schema") != SCHEMA_VERSION:
-        raise ScenarioError(f"unsupported schema {data.get('schema')!r}, expected {SCHEMA_VERSION}")
+        schema = _echo(data.get("schema"))
+        raise ScenarioError(f"unsupported schema {schema}, expected {SCHEMA_VERSION}")
     kind = data.get("kind")
     if kind not in KINDS:
-        raise ScenarioError(f"kind must be one of {KINDS}, got {kind!r}")
+        raise ScenarioError(f"kind must be one of {KINDS}, got {_echo(kind)}")
     seed = data.get("seed", 0) if seed_override is None else seed_override
     if not _is_int(seed) or seed < 0 or seed >= 2**64:
         raise ScenarioError("seed must be an unsigned 64-bit integer")
@@ -79,7 +80,7 @@ def parse_dims(payload: dict) -> TrinaryDims:
     ):
         raise ScenarioError("dims must be a list [d_s, d_a, d_p] of positive integers")
     d_s, d_a, d_p = dims
-    check_capacity(d_s * d_a * d_p, f"{d_s}*{d_a}*{d_p}")
+    check_capacity(d_s * d_a * d_p, "*".join(_echo(d) for d in dims))
     return TrinaryDims(d_s=d_s, d_a=d_a, d_p=d_p)
 
 
@@ -103,7 +104,7 @@ def parse_vector(obj, dim: int, what: str) -> StateVector:
                 raise ValueError(digits)
             index = int(digits)  # which refuses more digits than Python reads
         except ValueError:
-            raise ScenarioError(f"{what}: bad basis name {obj!r}") from None
+            raise ScenarioError(f"{what}: bad basis name {_echo(obj)}") from None
         if not 0 <= index < dim:
             raise ScenarioError(f"{what}: basis index {index} out of range")
         return StateVector.basis(dim, index)
@@ -181,7 +182,9 @@ def parse_hamiltonian(
     if "random" in obj:
         kind = obj["random"]
         if kind not in ("pmc", "coupled", "violating"):
-            raise ScenarioError(f"hamiltonian.random must be pmc/coupled/violating, got {kind!r}")
+            raise ScenarioError(
+                f"hamiltonian.random must be pmc/coupled/violating, got {_echo(kind)}"
+            )
         return random_trinary_hamiltonian(dims, subseed(seed, 7), kind=kind), [None] * dims.d_p
     for key in ("h_p", "blocks"):
         if key not in obj:
@@ -356,7 +359,7 @@ def parse_icqc_config(payload: dict, seed: int) -> IcqcConfig:
         if not _is_int(depth) or depth < 0:
             raise ScenarioError("program.random.depth must be a nonnegative integer")
         # the table holds 4^n circuits of depth + 1 gates each
-        check_capacity(4**n * (depth + 1), f"4^{n}*({depth}+1)", "random program gate count")
+        check_capacity(4**n * (depth + 1), f"4^{n}*({_echo(depth)}+1)", "random program gate count")
         table = random_program(n, depth, np.random.default_rng(subseed(seed, 9)))
     elif isinstance(program, list):
         table = tuple(

@@ -7,11 +7,23 @@ sorted, so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import os
+import reprlib
 import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+# An input value echoed in an error message is cut to this many characters.
+ECHO_CHARS = 60
+
+
+def _echo(value) -> str:
+    """``value`` as an error message shows it: its ``reprlib`` form (long strings and
+    numbers, deep or long containers shortened inside), cut to ECHO_CHARS characters, so
+    a message about bad input stays one short line however large the input."""
+    text = reprlib.repr(value)
+    return text if len(text) <= ECHO_CHARS else text[: ECHO_CHARS - 3] + "..."
 
 
 def _float_text(x) -> str:

@@ -22,6 +22,7 @@ from .linalg import (
     is_unitary_matrix,
     shannon_entropy,
 )
+from .serialize import _echo
 
 GRAM_RANK_TOL = 1e-8
 EMPTY_BRANCH_TOL = 1e-14
@@ -101,7 +102,7 @@ def standard_basis(name: str, dim: int) -> np.ndarray:
         if dim != 2:
             raise ValueError("Y basis is only defined for dim 2")
         return np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2)
-    raise ValueError(f"unknown basis name {name!r}")
+    raise ValueError(f"unknown basis name {_echo(name)}")
 
 
 def cyclic_shift(dim: int) -> Operator:
@@ -239,14 +240,21 @@ class TrinaryState:
 
 def _product_into(out: np.ndarray, chi: StateVector, psi: StateVector, phi: StateVector) -> None:
     """Write the amplitudes of |chi> (x) |psi> (x) |phi> into ``out``, bit for bit
-    ``np.kron(chi, np.kron(psi, phi))``: numpy's kron is this one broadcast product."""
-    sa = np.kron(psi.amplitudes, phi.amplitudes)
-    np.multiply(chi.amplitudes[:, None], sa, out=out.reshape(chi.dim, sa.size))
+    ``np.kron(chi, np.kron(psi, phi))``: numpy's kron is this one broadcast product.
+
+    A float64 ``out`` takes the product of the factors' real parts, which is the real
+    part of the complex one bit for bit when every factor is real (a b - 0 0 = a b).
+    """
+    p, s, a = (v.amplitudes if np.iscomplexobj(out) else v.amplitudes.real for v in (chi, psi, phi))
+    sa = np.kron(s, a)
+    np.multiply(p[:, None], sa, out=out.reshape(p.size, sa.size))
 
 
 def _weights(rows: np.ndarray) -> np.ndarray:
-    """|g_r|^2 of each row of a stack of amplitude rows."""
-    return np.sum(np.abs(rows) ** 2, axis=1)
+    """|g_r|^2 of each row of a stack of amplitude rows, complex or real; a real row's
+    squares are the squares of its moduli bit for bit, without a modulus array."""
+    moduli = np.abs(rows) if np.iscomplexobj(rows) else rows
+    return np.sum(moduli * moduli, axis=1)
 
 
 def _empty(weights: np.ndarray) -> np.ndarray:
@@ -256,14 +264,19 @@ def _empty(weights: np.ndarray) -> np.ndarray:
 
 
 def _row_norms(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The 2-norm of every row of a stack as a (k, 1) column, inf for an empty row.
+    """The 2-norm of every row of a complex or real stack as a (k, 1) column, inf for an
+    empty row.
 
     ``weights`` are the rows' ``_weights``.  The norm is ``np.linalg.norm(row)`` bit for
-    bit: both are sqrt(re . re + im . im) from BLAS dot products, here batched over
-    strided views of the rows.
+    bit: both are sqrt(re . re + im . im), or sqrt(x . x) for a real row, from BLAS dot
+    products, here batched over the rows (strided views of a complex stack's parts).
     """
-    re, im = rows.real, rows.imag
-    norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
+    if np.iscomplexobj(rows):
+        re, im = rows.real, rows.imag
+        squares = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    else:
+        squares = rows[:, None, :] @ rows[:, :, None]
+    norms = np.sqrt(squares)[:, 0]
     norms[_empty(weights)] = np.inf
     return norms
 
@@ -275,16 +288,19 @@ def _unit_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _real_unit_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
-    """The real part of ``_unit_rows(rows, weights)`` bit for bit, as float64, when every
-    imaginary part of it is zero; else None.
+    """Every row of a stack over its own 2-norm as float64 when the result is real; else None.
 
-    For the rows of a unit state (every norm at most 1 within NORM_TOL, so no nonzero
-    imaginary part times 1 / c rounds to zero) those imaginary parts are all zero
+    Real rows give ``rows * (1 / norm)`` at once.  For complex rows this is the real
+    part of ``_unit_rows(rows, weights)`` bit for bit, when every imaginary part of it
+    is zero.  For the rows of a unit state (every norm at most 1 within NORM_TOL, so
+    no nonzero imaginary part times 1 / c rounds to zero) those imaginary parts are all zero
     exactly when no nonempty row has a nonzero imaginary part (-0.0 is zero; an
     empty row becomes zeros).  numpy divides a complex entry by a real c as
     (re + im * 0.0) * (1 / c), not re / c, so the real rows are built in that
     order, and no complex quotient is formed.
     """
+    if not np.iscomplexobj(rows):
+        return rows * (1.0 / _row_norms(rows, weights))
     re, im = rows.real, rows.imag
     if (np.any(im, axis=1) & ~_empty(weights)).any():
         return None
@@ -299,17 +315,16 @@ def branch_spectra(state: TrinaryState) -> np.ndarray:
 
     The rows are normalized as ``branch_state`` normalizes them; an empty one gets zeros.
     """
-    return _branch_spectra(state, state.branch_weights())
+    return _branch_spectra(state.dims, state.as_matrix(), state.branch_weights())
 
 
-def _branch_spectra(state: TrinaryState, weights: np.ndarray) -> np.ndarray:
-    """``branch_spectra`` given the state's ``branch_weights``, so callers take them once.
+def _branch_spectra(dims: TrinaryDims, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``branch_spectra`` of the (d_p, d_sa) amplitude rows ``rows``, complex128 or float64,
+    given their ``_weights``, so callers take them once.
 
     Real unit rows (``_real_unit_rows``) go to the float64 kernel as they are, so the
     stack is never formed in complex; otherwise the complex ``_unit_rows`` go.
     """
-    dims = state.dims
-    rows = state.as_matrix()
     unit = _real_unit_rows(rows, weights)
     if unit is None:
         unit = _unit_rows(rows, weights)

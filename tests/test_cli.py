@@ -726,6 +726,46 @@ class TestInputErrors:
         payload = base("icqc", n=1, program={"random": {}}, **{field: value})
         assert f"{field} must be an integer" in self.run_bad(tmp_path, capsys, "icqc", payload)
 
+    LONG = "Q" * 5000
+
+    @pytest.mark.parametrize(
+        "command, payload, env, echoed",
+        [
+            ("born", {**base("born"), "schema": LONG}, None, "unsupported schema"),
+            ("born", {**base("born"), "kind": LONG}, None, "kind must be one of"),
+            ("born", base("born", dims=[2, 2, 2], branch_bases=["Z", "X"], g="basis" + "1" * 4995),
+             None, "g: bad basis name"),
+            ("evolve", base("dynamics", dims=[2, 1, 2], times=[0.0], hamiltonian={"random": LONG}),
+             None, "hamiltonian.random must be"),
+            ("icqc", base("icqc", n=1, program={"random": {}}), LONG, "ICQT_MAX_DIM must be"),
+            ("icqc", base("icqc", n=1, program={"random": {}},
+                          gates=[{"kind": "X", "targets": [[LONG, 0]]}]),
+             None, "gates[0]: unknown register"),
+            ("icqc", base("icqc", n=1, program={"random": {}},
+                          gates=[{"kind": LONG, "targets": [["S", 0]]}]),
+             None, "gates[0]: unknown gate kind"),
+            ("validate", base("trinary-build", dims=[2, 2, 4], branch_bases=[LONG, "Z", "Z", "Z"]),
+             None, "branch_bases[0]: unknown basis name"),
+            # integers of 4,300 digits, the most that JSON reads, in a refused formula
+            ("born", base("born", dims=[10**4299, 2, 2], branch_bases=["Z"]), None,
+             "full dimension 1"),
+            ("icqc", base("icqc", n=10**4299, program={"random": {}}), None,
+             "full dimension 2^4"),
+            ("icqc", base("icqc", n=1, program={"random": {"depth": 10**4299}}), None,
+             "random program gate count 4^1*(1"),
+        ],
+        ids=["schema", "kind", "basis-index", "random-hamiltonian", "max-dim", "register",
+             "gate-kind", "basis-name", "dims", "register-size", "program-depth"],
+    )
+    def test_long_input_echoed_short(self, tmp_path, capsys, monkeypatch, command, payload, env,
+                                     echoed):
+        # a 5,000-character value once came back whole on the one stderr line
+        if env is not None:
+            monkeypatch.setenv("ICQT_MAX_DIM", env)
+        err = self.run_bad(tmp_path, capsys, command, payload)
+        assert echoed in err
+        assert len(err.encode()) < 200
+
     def test_segment_duration_a_boolean(self, tmp_path, capsys):
         segments = [{"duration": True, "hamiltonian": {"random": "pmc"}}]
         payload = base("dynamics", dims=[2, 1, 2], times=[0.0], segments=segments)

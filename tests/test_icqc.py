@@ -1,13 +1,20 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from icqt import icqc
 from icqt.born import dual_born_report
 from icqt.icqc import (
+    _FIXED_GATES,
+    _ROTATIONS,
     CapacityError,
     GateOp,
     IcqcConfig,
+    _apply_single,
+    _real_gate,
     apply_gates,
     apply_programmed_op,
     init_state,
@@ -35,6 +42,9 @@ from oracles import (
     single_qubit_gate,
     squared_value_bound,
 )
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def identity_program(n):
@@ -65,6 +75,16 @@ class TestGateOp:
     def test_unknown_register(self):
         with pytest.raises(ValueError):
             GateOp("X", (("Q", 0),))
+
+    @pytest.mark.parametrize("kind", [*_FIXED_GATES, *_ROTATIONS, "CNOT"])
+    def test_real_gate_is_a_zero_imaginary_part(self, kind):
+        if kind == "CNOT":
+            assert _real_gate(GateOp("CNOT", (("S", 0), ("A", 0))))
+            return
+        angles = [None] if kind in _FIXED_GATES else [0.0, -0.0, 0.3, np.pi, 2 * np.pi]
+        for angle in angles:
+            gate = GateOp(kind, (("S", 0),), angle=angle)
+            assert _real_gate(gate) == (not gate.matrix().imag.any()), (kind, angle)
 
 
 class TestInitState:
@@ -173,6 +193,28 @@ class TestApplyGates:
                     got = apply_gates(state, [gate]).dense.amplitudes
                     want = single_qubit_gate(arr, gate.matrix(), offset + q).reshape(-1)
                     assert np.max(np.abs(got - want)) <= 4 * EPS
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_short_rest_takes_one_identity_per_size(self, dtype, monkeypatch):
+        # m (x) I_rest is built bit for bit as from a fresh np.eye(rest), which no gate
+        # calls once its size has been seen
+        amps = seeded_random("state", 256, 8).amplitudes
+        arr = amps if dtype is complex else np.ascontiguousarray(amps.real)
+        m = GateOp("RY", (("S", 0),), angle=0.7).matrix()
+        m = m if dtype is complex else m.real.copy()
+        for axis in range(3, 8):  # rests 16 down to 1
+            rest = 2 ** (7 - axis)
+            out = np.empty_like(arr)
+            _apply_single(arr, m, axis, out)
+            wide = (m[:, None, :, None] * np.eye(rest)[None, :, None, :]).reshape(2 * rest, 2 * rest)
+            want = np.matmul(arr.reshape(-1, 2 * rest), wide.T)
+            assert out.tobytes() == want.reshape(-1).tobytes()
+        calls = []
+        eye = np.eye
+        monkeypatch.setattr(np, "eye", lambda *a, **k: calls.append(a) or eye(*a, **k))
+        for axis in range(3, 8):
+            _apply_single(arr, m, axis, np.empty_like(arr))
+        assert calls == []
 
 
 class TestRegisterLaw:
@@ -366,14 +408,31 @@ class TestRun:
         ),
         "zx-uniform": IcqcConfig(n=1, program_table=ZX_PROGRAM),
         "random-n2": parse_icqc_config({"n": 2, "program": {"random": {"depth": 3}}}, 11),
+        # every stage real: gates on all registers, the random table, then a P-only circuit
+        "p-circuit": IcqcConfig(
+            n=2,
+            gate_sequence=N2_CONFIG.gate_sequence + (GateOp("RY", (("P", 1),), angle=0.3),),
+            program_table=random_program(2, 4, np.random.default_rng(5)),
+            post_program_p_circuit=(GateOp("H", (("P", 0),)), GateOp("CNOT", (("P", 0), ("P", 3)))),
+        ),
     }
 
     @pytest.mark.parametrize("name", REAL_CONFIGS)
-    def test_real_run_within_bounds_of_the_complex_typed_copy(self, name, complex_typed):
+    def test_real_run_within_bounds_of_the_complex_typed_copy(
+        self, name, spectral_calls, complex_typed
+    ):
         config = self.REAL_CONFIGS[name]
         report = run(config)
+        assert report.amplitudes.dtype == np.float64
+        assert {call[2] for call in spectral_calls} == {"float64"}
         assert not report.final_state.dense.amplitudes.imag.any()
+        spectral_calls.clear()
         want = complex_typed(run, config)
+        # the copy runs in a complex128 buffer and takes complex128 kernels throughout
+        assert want.amplitudes.dtype == np.complex128
+        assert {call[2] for call in spectral_calls} == {"complex128"}
+        gap = report.final_state.dense.amplitudes - want.final_state.dense.amplitudes
+        assert np.max(np.abs(gap)) <= 64 * EPS
         d = config.dims
         assert abs(report.s_psa - want.s_psa) <= entropy_bound((d.d_p, d.d_sa))
         gap = report.s_sa_branches - want.s_sa_branches
@@ -398,27 +457,115 @@ class TestRun:
         assert np.array_equal(report.s_sa_branches, want.s_sa_branches)
         assert np.array_equal(report.born.outcome_probs, want.born.outcome_probs)
 
+    @staticmethod
+    def bench_config(n, *extra_gates):
+        """The icqc-n5 benchmark scenario at n: gates on all registers, then a random table."""
+        gates = [
+            {"kind": "H", "targets": [["S", 0]]},
+            {"kind": "CNOT", "targets": [["S", 0], ["A", 0]]},
+            {"kind": "RY", "targets": [["P", 1]], "angle": 0.3},
+            *extra_gates,
+        ]
+        return parse_icqc_config({"n": n, "gates": gates, "program": {"random": {"depth": 4}}}, 2026)
+
+    @staticmethod
+    def traced_peak(f, *args):
+        tracemalloc.start()
+        try:
+            out = f(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("n", [4, 5])
     def test_run_holds_two_states(self, n, monkeypatch):
-        # the icqc-n5 benchmark scenario: gates on all registers, then a random table;
-        # the buffer and its spare through the gate stage, then the P|(SA) step's
-        # state, real cut copy and real Gram matrix of half a state each
+        # a real run holds two float64 arrays of the state's length (16 * total bytes):
+        # the buffer and its spare through the gate stage, then the buffer beside the
+        # P|(SA) Gram matrix or the branch unit rows; no cut copy and no complex array
         monkeypatch.setenv("ICQT_MAX_DIM", str(2**20))
-        scenario = {
-            "n": n,
-            "gates": [
-                {"kind": "H", "targets": [["S", 0]]},
-                {"kind": "CNOT", "targets": [["S", 0], ["A", 0]]},
-                {"kind": "RY", "targets": [["P", 1]], "angle": 0.3},
-            ],
-            "program": {"random": {"depth": 4}},
-        }
-        config = parse_icqc_config(scenario, 2026)
-        tracemalloc.start()
-        run(config)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak < 2.1 * 16 * config.dims.total
+        config = self.bench_config(n)
+        report, peak = self.traced_peak(run, config)
+        assert report.amplitudes.dtype == np.float64
+        assert peak < 1.2 * 16 * config.dims.total
+
+    @pytest.mark.parametrize(
+        "gate, bound",
+        [
+            # T on S0, which the H before it has emptied: a complex buffer of real
+            # amplitudes, whose cut takes a real copy and a real Gram matrix of half a
+            # state each
+            ({"kind": "T", "targets": [["S", 0]]}, 2.1),
+            # S on P0 makes half the rows imaginary: the complex Gram matrix (one state
+            # at n = 4) and one conjugated block of 128 of its rows (half a state)
+            ({"kind": "S", "targets": [["P", 0]]}, 2.6),
+        ],
+        ids=["real-valued", "complex-valued"],
+    )
+    def test_complex_run_holds_two_states(self, gate, bound, monkeypatch):
+        # one complex gate makes the run complex: the buffer and its spare through the
+        # gate stage, then the buffer beside the P|(SA) step or the branch unit rows
+        monkeypatch.setenv("ICQT_MAX_DIM", str(2**16))
+        config = self.bench_config(4, gate)
+        report, peak = self.traced_peak(run, config)
+        assert report.amplitudes.dtype == np.complex128
+        assert peak < bound * 16 * config.dims.total
+
+    def test_real_run_makes_its_complex_state_only_when_read(self, monkeypatch):
+        monkeypatch.setenv("ICQT_MAX_DIM", str(2**16))
+        config = self.bench_config(4)
+        size = 16 * config.dims.total  # bytes of one complex128 state
+        report, peak = self.traced_peak(run, config)
+        # the float64 buffer of size / 2 lives through the whole run, so a complex128
+        # array of the state's length beside it would lift the peak to 1.5 * size
+        assert peak < 1.2 * size
+        assert "final_state" not in vars(report)
+        state, read_peak = self.traced_peak(lambda: report.final_state)
+        assert read_peak >= size  # the one complex copy, made on the first read
+        assert report.final_state is state
+        amps = state.dense.amplitudes
+        assert amps.dtype == np.complex128 and not amps.flags.writeable
+        assert amps.real.tobytes() == report.amplitudes.tobytes() and not amps.imag.any()
+
+    COMPLEX_GATE_AT = {
+        "gates": lambda c: IcqcConfig(
+            n=2, gate_sequence=c.gate_sequence + (GateOp("T", (("P", 1),)),),
+            program_table=c.program_table,
+        ),
+        "branch": lambda c: IcqcConfig(
+            n=2, gate_sequence=c.gate_sequence,
+            program_table=tuple(
+                circuit + (GateOp("S", (("A", 1),)),) if p == 5 else circuit
+                for p, circuit in enumerate(c.program_table)
+            ),
+        ),
+        "p-circuit": lambda c: IcqcConfig(
+            n=2, gate_sequence=c.gate_sequence, program_table=c.program_table,
+            post_program_p_circuit=(GateOp("H", (("P", 0),)), GateOp("SDG", (("P", 2),))),
+        ),
+        "scenario": lambda c: parse_icqc_config(
+            json.loads((SCENARIOS / "icqc_tomographic.json").read_text()), 9
+        ),
+    }
+
+    @pytest.mark.parametrize("where", COMPLEX_GATE_AT)
+    def test_one_complex_gate_keeps_the_complex_run_and_its_bits(self, where):
+        # the stepwise path runs the unchanged complex kernels on complex copies, and the
+        # report of its final state is the report a complex run gave before real buffers
+        config = self.COMPLEX_GATE_AT[where](self.REAL_CONFIGS["p-circuit"])
+        assert not icqc._real_run(config)
+        report = run(config)
+        assert report.amplitudes.dtype == np.complex128
+        start = init_state(config.n, config.initial)
+        state = apply_programmed_op(apply_gates(start, config.gate_sequence), config)
+        assert report.amplitudes.tobytes() == state.dense.amplitudes.tobytes()
+        assert report.final_state.dense.amplitudes is report.amplitudes  # no copy
+        s_psa, branches = dual_entropies(state)
+        assert report.s_psa == s_psa
+        assert report.s_sa_branches.tobytes() == branches.tobytes()
+        alone = dual_born_report(state)
+        for field in ("decision_probs", "outcome_probs"):
+            assert getattr(report.born, field).tobytes() == getattr(alone, field).tobytes()
+        assert (report.born.degenerate, report.born.empty) == (alone.degenerate, alone.empty)
 
     def test_final_state_is_read_only_and_never_written_again(self):
         config = IcqcConfig(

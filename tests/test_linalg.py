@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from icqt.linalg import (
     NormalizationError,
     Operator,
     StateVector,
+    _conj_gram_lower,
     branch_schmidt_coefficients,
     commutator_norm,
     entanglement_entropy,
@@ -415,6 +417,18 @@ class TestEntropy:
             want = full_svd_entropy(psi.amplitudes.reshape(dims))
             assert got >= 0
             assert abs(got - want) <= entropy_bound(dims)
+
+    def test_complex_gram_holds_one_conjugated_block(self):
+        # a 256 x 256 complex cut: the Gram matrix (one cut's size) and one conjugated
+        # block of 128 rows (half of it); two blocks alive at once read 2.0
+        a = seeded_random("state", 256 * 256, 3).amplitudes.reshape(256, 256)
+        tracemalloc.start()
+        try:
+            _conj_gram_lower(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * a.nbytes
 
     @pytest.mark.parametrize("dims", [(4, 4), (3, 8), (8, 3), (130, 129)])
     def test_rank_one_and_two_cuts(self, dims):

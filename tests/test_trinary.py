@@ -29,6 +29,7 @@ from icqt.trinary import (
     _check_orthonormal,
     _real_unit_rows,
     _unit_rows,
+    _weights,
     build_programmed_unitary,
     branch_spectra,
     dual_entropies,
@@ -37,6 +38,7 @@ from icqt.trinary import (
     validate_informational_completeness,
 )
 from oracles import (
+    EPS,
     apply_programmed_loop,
     branch_entropies_loop,
     branch_spectra_loop,
@@ -47,6 +49,7 @@ from oracles import (
     operator_span_rank,
     pauli_projectors,
     readout_operators_loop,
+    singular_value_bound,
     unit_rows_loop,
 )
 
@@ -527,12 +530,12 @@ class TestRealTypedBranchRows:
             rows, weights = state.as_matrix(), state.branch_weights()
             want = branch_schmidt_coefficients(_unit_rows(rows, weights), (dims.d_s, dims.d_a))
             spectral_calls.clear()
-            got = _branch_spectra(state, weights)
+            got = _branch_spectra(dims, rows, weights)
             dtype = "complex128" if name == "complex" else "float64"
             assert [call[2] for call in spectral_calls] == [dtype], name
             assert got.shape == want.shape and np.all(got == want), name
             report = dual_born_report(state)
-            parent = _dual_born_report(state, want, weights)
+            parent = _dual_born_report(dims, want, weights)
             for field in dataclasses.fields(report):
                 assert np.array_equal(getattr(report, field.name), getattr(parent, field.name))
             unit = _real_unit_rows(rows, weights)
@@ -541,6 +544,24 @@ class TestRealTypedBranchRows:
             else:  # the real parts of the complex quotients, bit for bit
                 want_rows = np.ascontiguousarray(_unit_rows(rows, weights).real)
                 assert unit.tobytes() == want_rows.tobytes()
+
+    @pytest.mark.parametrize("dims", DIMS, ids=str)
+    def test_float64_rows_are_read_as_they_are(self, dims, spectral_calls):
+        # the rows of a real ICQC run buffer: the same weights and emptiness, bit for bit,
+        # and unit rows and spectra within round-off of the complex-typed rows' (the
+        # float64 norms are contiguous dot products, not strided ones)
+        rows = self.states(dims)["real"].as_matrix()
+        real = np.ascontiguousarray(rows.real)
+        weights = _weights(real)
+        assert weights.tobytes() == _weights(rows).tobytes()
+        unit = _real_unit_rows(real, weights)
+        assert unit.dtype == np.float64 and not unit[1].any()
+        assert np.max(np.abs(unit - _real_unit_rows(rows, weights))) <= 4 * EPS
+        spectral_calls.clear()
+        got = _branch_spectra(dims, real, weights)
+        assert [call[2] for call in spectral_calls] == ["float64"]
+        gap = got - _branch_spectra(dims, rows, weights)
+        assert np.max(np.abs(gap)) <= singular_value_bound((dims.d_s, dims.d_a))
 
     def test_branch_state_keeps_the_complex_division(self):
         state = self.states(TrinaryDims(2, 3, 6))["real"]
