@@ -348,19 +348,17 @@ def _end(durations: Sequence[float]) -> float:
         return math.inf
 
 
-def schedule_states(
+def _segment_steps(
     segments: Sequence[tuple[float, TrinaryHamiltonian]], state: TrinaryState,
     times: Sequence[float],
-    propagator: Callable[[TrinaryHamiltonian], DensePropagator | FactorizedPropagator],
-) -> Iterator[TrinaryState]:
-    """Yield the state at each time (ascending from 0) under back-to-back segments.
+) -> list[list[float]]:
+    """The steps of ``times`` in each segment up to the one holding the last time.
 
-    ``propagator(h)`` decomposes a segment once; each is dropped before the next
-    is built.  A time lies in the first segment whose end (``_end`` of the durations so
-    far) is at or past it, one step from that segment's start: the time minus the
-    earlier durations, clamped to [0, duration].  Every time is mapped first, so a
-    too-short schedule raises ``ScheduleError``, and a segment whose dims differ from the
-    state's ``DimensionError``, before any segment is decomposed.
+    A time lies in the first segment whose end (``_end`` of the durations so far) is at
+    or past it, one step from that segment's start: the time minus the earlier
+    durations, clamped to [0, duration].  A too-short schedule raises
+    ``ScheduleError``, and a segment whose dims differ from the state's
+    ``DimensionError``.
     """
     if any(h.dims != state.dims for _, h in segments):
         raise DimensionError("hamiltonian and state dims differ")
@@ -379,8 +377,23 @@ def schedule_states(
         for duration in durations[:k]:
             t -= duration
         steps[k].append(min(max(t, 0.0), durations[k]))
-    del steps[k + 1 :]  # the segments past the last time are never decomposed
+    del steps[k + 1 :]
+    return steps
 
+
+def schedule_states(
+    segments: Sequence[tuple[float, TrinaryHamiltonian]], state: TrinaryState,
+    times: Sequence[float],
+    propagator: Callable[[TrinaryHamiltonian], DensePropagator | FactorizedPropagator],
+) -> Iterator[TrinaryState]:
+    """Yield the state at each time (ascending from 0) under back-to-back segments.
+
+    ``propagator(h)`` decomposes a segment once; each is dropped before the next
+    is built.  Every time is mapped first (``_segment_steps``), so a bad schedule is
+    refused before any segment is decomposed, and the segments past the last time
+    never are.
+    """
+    steps = _segment_steps(segments, state, times)
     start = state
     for k, ((duration, h), segment_steps) in enumerate(zip(segments, steps)):
         prop = propagator(h)
@@ -417,9 +430,9 @@ def evolve_swapped_factorized(
 class EntanglementTrajectory:
     """Entropies along an evolution: P|(SA) and per-branch S|A, per time, as read-only arrays.
 
-    ``checks`` holds one measurability check per segment.  ``max_deviation`` is the
-    largest entry gap between the factorized and dense states, or None on the dense
-    fallback.
+    ``checks`` holds one measurability check per segment the walk reaches.
+    ``max_deviation`` is the largest entry gap between the factorized and dense states,
+    or None on the dense fallback.
     """
 
     times: tuple[float, ...]
@@ -446,11 +459,13 @@ def entanglement_trajectory(
     """Record dual entropies at the given times (ascending, from 0) under back-to-back
     segments, walked by ``schedule_states``; a single Hamiltonian h is [(math.inf, h)].
 
-    Every segment is checked once, those past the last time too.  When every check
-    holds, the factorized walk is recorded and the dense reference walks beside it;
-    otherwise the dense walk is recorded.
+    Each segment the walk reaches is checked once, after the schedule is mapped
+    (``_segment_steps``); the segments past the last time are neither checked nor
+    decomposed.  When every check holds, the factorized walk is recorded and the dense
+    reference walks beside it; otherwise the dense walk is recorded.
     """
     times = tuple(float(t) for t in times)
+    segments = segments[: len(_segment_steps(segments, state, times))]
     checks = tuple(check_pmc(h) for _, h in segments)
     walks = [schedule_states(segments, state, times, DensePropagator)]
     if all(check.satisfied for check in checks):

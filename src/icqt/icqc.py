@@ -411,6 +411,15 @@ def _real_run(config: IcqcConfig) -> bool:
     return all(_real_gate(gate) for circuit in circuits for gate in circuit)
 
 
+def _real_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows a run's spectra read: a contiguous float64 copy of complex rows whose every
+    imaginary part is zero (-0.0 too), else ``rows`` as they are.  The strided ``.real``
+    view would slow the Gram products and the batched SVD."""
+    if np.iscomplexobj(rows) and not rows.imag.any():
+        return np.ascontiguousarray(rows.real)
+    return rows
+
+
 def run(config: IcqcConfig) -> IcqcRunReport:
     """init -> gate stage -> programmed stage -> dual entropies and Born report.
 
@@ -424,12 +433,16 @@ def run(config: IcqcConfig) -> IcqcRunReport:
     kernels on a complex copy).  The finite and norm check runs on the buffer
     at the end of each stage, and the buffer is then frozen.
 
-    The entropies and the report read the buffer's (d_p, d_sa) rows without
-    a copy: one P|(SA) ``_cut_entropy``, then one ``_weights`` and one
-    ``_branch_spectra`` pass shared by the entropies and the report.  A
-    complex run's equal ``dual_entropies`` and ``dual_born_report`` of the
-    final state bit for bit; a real run's equal those of its complex-typed
-    copy within the bounds documented in ``linalg``.
+    This is icqt's one choice of float64 for a spectrum; the kernels take the
+    dtype they are given.  The entropies and the report read the buffer's
+    (d_p, d_sa) rows without a copy, except that a complex run whose
+    amplitudes end exactly real (a T on an emptied qubit, or S then SDG)
+    passes a contiguous float64 copy of them (``_real_rows``): one P|(SA)
+    ``_cut_entropy``, then one ``_weights`` and one ``_branch_spectra`` pass
+    shared by the entropies and the report.  A run whose spectra read complex
+    rows equals ``dual_entropies`` and ``dual_born_report`` of its final state
+    bit for bit; one whose spectra read float64 rows equals its complex-typed
+    run (complex buffer and kernels) within the bounds documented in ``linalg``.
     """
     n, dims = config.n, config.dims
     factors = _initial_factors(n, config.initial)
@@ -442,7 +455,7 @@ def run(config: IcqcConfig) -> IcqcRunReport:
     amps = _programmed_stage(amps, config)
     _check_unit(amps)
     amps.setflags(write=False)
-    rows = amps.reshape(dims.d_p, dims.d_sa)
+    rows = _real_rows(amps.reshape(dims.d_p, dims.d_sa))
     # P|(SA) first, as in dual_entropies: on a real icqc-n5 buffer (seed 2026, 2 vCPU) a
     # process peaked at 63.5-64.2 MB this way and at 64.9-65.0 MB the other way (ru_maxrss,
     # 4 runs each)

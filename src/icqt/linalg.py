@@ -22,7 +22,9 @@ SCHMIDT_TOL = 1e-12  # coefficients below this count as rank zero
 _NORM_CHUNK = 2**16
 # Rows of a reduced-state Gram matrix formed per product: at a 1024 x 1024 cut a block's
 # conjugated rows take 2 MB, and the lower triangle needs about 56% of the full product.
+# A complex cut of more rows conjugates at most 1/_GRAM_SHARE of them per product.
 _GRAM_ROWS = 128
+_GRAM_SHARE = 16
 
 
 class DimensionError(ValueError):
@@ -216,23 +218,6 @@ def schmidt_decompose(psi: StateVector, dims: tuple[int, int]) -> SchmidtDecompo
     return SchmidtDecomposition(u=u, coefficients=s, vh=vh, cut=dims)
 
 
-def _real_if_exact(a: np.ndarray) -> np.ndarray:
-    """A contiguous copy of the real part of a complex ``a`` when every imaginary part is
-    exactly zero (-0.0 too), else ``a`` itself; a real ``a`` is returned as it is.
-
-    The values-only kernels read amplitudes through this: on real data the
-    float64 LAPACK and BLAS routines give the same spectrum as the complex
-    ones within the bounds documented in ``_singular_values`` and at a
-    fraction of the cost.  One imaginary part of any size keeps ``a``, and
-    its bits.  The copy is contiguous because the strided ``a.real`` view
-    slows the Gram products and the batched SVD: by 20 to 40 ms of about
-    0.2 s on a 1024 x 1024 cut and its 1024 branches of 32 x 32 (2 vCPU).
-    """
-    if not np.iscomplexobj(a):
-        return a
-    return np.ascontiguousarray(a.real) if not a.imag.any() else a
-
-
 def _singular_values(matrix: np.ndarray) -> np.ndarray:
     """Descending singular values from the values-only SVD; full SVD if it fails.
 
@@ -254,15 +239,15 @@ def branch_schmidt_coefficients(rows: np.ndarray, dims: tuple[int, int]) -> np.n
     """Descending Schmidt coefficients, without bases, across the (dimL, dimR) cut of every
     row of a matrix.
 
-    The whole stack is real or complex (``_real_if_exact``).  Row i of the
-    result is the one-row result of rows[i], bit for bit, when both take the
-    same dtype: one batched values-only SVD of the (k, dimL, dimR) stack runs
-    the same LAPACK call on each matrix.  Should it not converge,
+    The stack is read in the dtype of ``rows``, complex128 or float64.  Row i
+    of the result is the one-row result of rows[i], bit for bit, when both
+    take the same dtype: one batched values-only SVD of the (k, dimL, dimR)
+    stack runs the same LAPACK call on each matrix.  Should it not converge,
     the rows are taken one at a time in the stack's dtype, so every row that
     converges alone keeps its bits.  Each row equals the coefficients of
     ``schmidt_decompose`` within the bound documented in ``_singular_values``.
     """
-    stack = _real_if_exact(rows.reshape(-1, *dims))
+    stack = rows.reshape(-1, *dims)
     try:
         return np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError:
@@ -270,19 +255,22 @@ def branch_schmidt_coefficients(rows: np.ndarray, dims: tuple[int, int]) -> np.n
 
 
 def _conj_gram_lower(a: np.ndarray) -> np.ndarray:
-    """Lower triangle of conj(A) A^T in A's dtype, upper triangle zero, built _GRAM_ROWS rows
-    at a time.
+    """Lower triangle of conj(A) A^T in A's dtype, upper triangle zero, built in blocks of at
+    most _GRAM_ROWS rows.
 
     Each block of a complex A conjugates only its own rows, and one block's
-    conjugate is dropped before the next is made; a real A is read as it is, and
-    the transposed factor is a view.  Each product is written straight into its
-    block of the Gram matrix.
+    conjugate is dropped before the next is made; a complex A of more than
+    _GRAM_ROWS rows takes blocks of at most 1/_GRAM_SHARE of its rows, so the
+    conjugate stays a small share of the Gram matrix.  A real A is read as it
+    is, and the transposed factor is a view.  Each product is written straight
+    into its block of the Gram matrix.
     """
     k = a.shape[0]
     complex_a = np.iscomplexobj(a)
+    step = min(_GRAM_ROWS, k // _GRAM_SHARE) if complex_a and k > _GRAM_ROWS else _GRAM_ROWS
     gram = np.zeros((k, k), dtype=a.dtype)
-    for lo in range(0, k, _GRAM_ROWS):
-        hi = min(lo + _GRAM_ROWS, k)
+    for lo in range(0, k, step):
+        hi = min(lo + step, k)
         rows = a[lo:hi].conj() if complex_a else a[lo:hi]
         np.matmul(rows, a[:hi].T, out=gram[lo:hi, :hi])
         del rows
@@ -303,26 +291,23 @@ def _cut_entropy(cut: np.ndarray) -> float:
     eigenvalues of the reduced state on the smaller side: M M^dagger, or
     M^T conj(M) when dim_l > dim_r.  One ``eigvalsh`` of the complex conjugate
     of that Gram matrix (the same spectrum, lower triangle only) costs less
-    than the values-only SVD of M.  A real M, or the real copy of a complex
-    one (``_real_if_exact``), gives a real Gram matrix and a float64
-    ``eigvalsh``.  Round-off negatives are masked by ``shannon_entropy``.
-    Should ``eigvalsh`` not converge, the entropy is taken from the
-    values-only SVD of M, in M's dtype, as ``branch_schmidt_coefficients``
-    takes it for one row.  A real copy of M is dropped before ``eigvalsh``,
-    so it never sits under the solver's workspace; the fallback takes it again.
+    than the values-only SVD of M.  A float64 M, such as the rows ``icqc.run``
+    passes for real amplitudes, gives a real Gram matrix and a float64
+    ``eigvalsh``; a complex M keeps complex128 whatever its imaginary parts.
+    Round-off negatives are masked by ``shannon_entropy``.  Should ``eigvalsh``
+    not converge, the entropy is taken from the values-only SVD of M, in M's
+    dtype, as ``branch_schmidt_coefficients`` takes it for one row.
 
     The Schmidt coefficients themselves stay on the SVD: a zero eigenvalue
     of +-4e-17 would read as a coefficient of about 6e-9, above the Born
     report's emptiness tolerance and within its degeneracy tolerance of its
     neighbour, so every rank-deficient branch would read as degenerate.
     """
-    m = _real_if_exact(cut)
-    gram = _conj_gram_lower(m if m.shape[0] <= m.shape[1] else m.T)
-    del m
+    gram = _conj_gram_lower(cut if cut.shape[0] <= cut.shape[1] else cut.T)
     try:
         p = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError:
-        s = _singular_values(_real_if_exact(cut))
+        s = _singular_values(cut)
         p = s * s
     return shannon_entropy(p)
 

@@ -282,32 +282,11 @@ def _row_norms(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Every complex row of a stack over its own 2-norm (``_row_norms``); an empty row
-    becomes zeros (over inf).  ``branch_state`` and every complex branch spectrum read it."""
-    return rows / _row_norms(rows, weights)
-
-
-def _real_unit_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
-    """Every row of a stack over its own 2-norm as float64 when the result is real; else None.
-
-    Real rows give ``rows * (1 / norm)`` at once.  For complex rows this is the real
-    part of ``_unit_rows(rows, weights)`` bit for bit, when every imaginary part of it
-    is zero.  For the rows of a unit state (every norm at most 1 within NORM_TOL, so
-    no nonzero imaginary part times 1 / c rounds to zero) those imaginary parts are all zero
-    exactly when no nonempty row has a nonzero imaginary part (-0.0 is zero; an
-    empty row becomes zeros).  numpy divides a complex entry by a real c as
-    (re + im * 0.0) * (1 / c), not re / c, so the real rows are built in that
-    order, and no complex quotient is formed.
-    """
-    if not np.iscomplexobj(rows):
-        return rows * (1.0 / _row_norms(rows, weights))
-    re, im = rows.real, rows.imag
-    if (np.any(im, axis=1) & ~_empty(weights)).any():
-        return None
-    unit = im * 0.0
-    unit += re
-    unit *= 1.0 / _row_norms(rows, weights)
-    return unit
+    """Every row of a stack over its own 2-norm (``_row_norms``), in the stack's dtype; an
+    empty row becomes zeros (over inf).  Complex rows are divided by the norm, as
+    ``branch_state`` reads them; float64 rows are scaled by ``1 / norm``."""
+    norms = _row_norms(rows, weights)
+    return rows / norms if np.iscomplexobj(rows) else rows * (1.0 / norms)
 
 
 def branch_spectra(state: TrinaryState) -> np.ndarray:
@@ -319,16 +298,10 @@ def branch_spectra(state: TrinaryState) -> np.ndarray:
 
 
 def _branch_spectra(dims: TrinaryDims, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``branch_spectra`` of the (d_p, d_sa) amplitude rows ``rows``, complex128 or float64,
-    given their ``_weights``, so callers take them once.
-
-    Real unit rows (``_real_unit_rows``) go to the float64 kernel as they are, so the
-    stack is never formed in complex; otherwise the complex ``_unit_rows`` go.
-    """
-    unit = _real_unit_rows(rows, weights)
-    if unit is None:
-        unit = _unit_rows(rows, weights)
-    return branch_schmidt_coefficients(unit, (dims.d_s, dims.d_a))
+    """``branch_spectra`` of the (d_p, d_sa) amplitude rows ``rows``, given their
+    ``_weights``, so callers take them once.  The unit rows and the SVD keep the dtype
+    of ``rows``, complex128 or float64."""
+    return branch_schmidt_coefficients(_unit_rows(rows, weights), (dims.d_s, dims.d_a))
 
 
 def branch_entropies(spectra: np.ndarray) -> np.ndarray:

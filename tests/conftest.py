@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icqt import icqc, linalg, trinary
+from icqt import icqc
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -31,21 +31,19 @@ def spectral_calls(monkeypatch):
 
 @pytest.fixture
 def complex_typed(monkeypatch):
-    """``call(f, *args)``: f(*args) with every ICQC run buffer and every values-only
-    spectrum in complex128.
+    """``call(f, *args)``: f(*args) with every ICQC run in a complex128 buffer whose
+    spectra read its complex rows.
 
-    That is how icqt runs and takes the spectra of amplitudes with a nonzero
-    imaginary part, and how it ran and took every one before real amplitudes
-    went to float64 buffers and kernels; on a real run or state it gives the
-    run or the spectra of its complex-typed copy.  Branch spectra then take
-    the complex unit rows too.
+    That is how icqt runs a circuit with a gate whose matrix is not real, and
+    how it ran every circuit before real amplitudes went to float64 buffers and
+    kernels; on a real run it gives the run of its complex-typed copy.  The
+    library kernels take their input's dtype, so nothing else is patched.
     """
 
     def call(f, *args):
         with monkeypatch.context() as m:
             m.setattr(icqc, "_real_run", lambda config: False)
-            m.setattr(linalg, "_real_if_exact", lambda a: a)
-            m.setattr(trinary, "_real_unit_rows", lambda rows, weights: None)
+            m.setattr(icqc, "_real_rows", lambda rows: rows)
             return f(*args)
 
     return call

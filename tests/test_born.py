@@ -5,6 +5,7 @@ import pytest
 
 from icqt.born import (
     EmptyBranchError,
+    _dual_born_report,
     conventional_oracle,
     decision_probabilities,
     dual_born_report,
@@ -13,6 +14,7 @@ from icqt.born import (
 )
 from icqt.linalg import (
     StateVector,
+    _cut_entropy,
     entanglement_entropy,
     schmidt_decompose,
     seeded_random,
@@ -23,7 +25,10 @@ from icqt.suite import BORN_TOL
 from icqt.trinary import (
     TrinaryDims,
     TrinaryState,
+    _branch_spectra,
+    _weights,
     apply_programmed,
+    branch_entropies,
     branch_spectra,
     build_programmed_unitary,
     dual_entropies,
@@ -246,25 +251,28 @@ def designed_real_state(dims: TrinaryDims, seed: int) -> TrinaryState:
 
 
 class TestRealAmplitudes:
-    """A real state's entropies and Born report against its complex-typed copy's.
+    """The entropies and Born report of a real state's float64 rows, as a real ICQC run
+    reads them, against its complex-typed state's.
 
-    Real amplitudes take the float64 kernels, so the spectra agree within the
+    The float64 rows take the float64 kernels, so the spectra agree within the
     derived bounds, not bit for bit; the flags agree exactly.
     """
 
     @pytest.mark.parametrize(
         "dims", [TrinaryDims(2, 2, 4), TrinaryDims(3, 4, 5), TrinaryDims(4, 3, 6), TrinaryDims(4, 4, 16)]
     )
-    def test_within_bounds_of_the_complex_typed_copy(self, dims, complex_typed):
+    def test_within_bounds_of_the_complex_typed_copy(self, dims):
         state = designed_real_state(dims, 7)
-        got_psa, got_branches = dual_entropies(state)
-        want_psa, want_branches = complex_typed(dual_entropies, state)
-        assert abs(got_psa - want_psa) <= entropy_bound((dims.d_p, dims.d_sa))
-        assert np.max(np.abs(got_branches - want_branches)) <= entropy_bound((dims.d_s, dims.d_a))
-        spectra = branch_spectra(state)
-        gap = spectra - complex_typed(branch_spectra, state)
+        rows = np.ascontiguousarray(state.as_matrix().real)
+        weights = _weights(rows)
+        spectra = _branch_spectra(dims, rows, weights)
+        want_psa, want_branches = dual_entropies(state)
+        assert abs(_cut_entropy(rows) - want_psa) <= entropy_bound((dims.d_p, dims.d_sa))
+        gap = branch_entropies(spectra) - want_branches
+        assert np.max(np.abs(gap)) <= entropy_bound((dims.d_s, dims.d_a))
+        gap = spectra - branch_spectra(state)
         assert np.max(np.abs(gap)) <= singular_value_bound((dims.d_s, dims.d_a))
-        got, want = dual_born_report(state), complex_typed(dual_born_report, state)
+        got, want = _dual_born_report(dims, spectra, weights), dual_born_report(state)
         assert got.degenerate == want.degenerate
         assert got.empty == want.empty
         assert np.array_equal(got.decision_probs, want.decision_probs)

@@ -224,13 +224,14 @@ class TestEvolveCommand:
         assert "warning" in captured.err
 
     def test_segment_ends_past_the_double_range(self, tmp_path, capsys):
-        # 1e308 + 1e308 overflows math.fsum: the second segment ends past every time
+        # 1e308 + 1e308 overflows math.fsum: the second segment ends past every time,
+        # so the walk reaches, and checks, the first alone
         segments = [{"duration": 1e308, "hamiltonian": {"random": "pmc"}}] * 2
         payload = base("dynamics", dims=[2, 2, 4], times=[0.0, 1.0], segments=segments)
         path = write_scenario(tmp_path, "e.json", payload)
         assert main(["evolve", path, "--out", str(tmp_path / "out")]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["pmc_fallback"] is False and len(doc["pmc"]) == 2
+        assert doc["pmc_fallback"] is False and [c["segment"] for c in doc["pmc"]] == [0]
 
     def test_segment_walk_equals_replay_from_zero(self, tmp_path, capsys):
         # a coupled segment, a custom programming basis, t = 0 and times on
@@ -309,30 +310,34 @@ class TestEvolveCommand:
 
     def test_time_at_a_decimal_schedule_end(self, tmp_path, capsys, monkeypatch):
         # 1.1 - 0.5 rounds to 0.6000000000000001 > 0.6, yet 1.1 is the
-        # schedule's end: it steps the second segment whole, and the third
-        # segment, never reached, is never decomposed
+        # schedule's end: it steps the second segment whole, and a violating third
+        # segment, never reached, is neither checked nor decomposed
         eigh_calls = []
         eigh = np.linalg.eigh
 
         def counting_eigh(*args, **kwargs):
-            eigh_calls.append(args)
+            eigh_calls.append(np.shape(args[0]))
             return eigh(*args, **kwargs)
 
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         segments = [
             {"duration": 0.5, "hamiltonian": {"random": "pmc"}},
             {"duration": 0.6, "hamiltonian": {"random": "coupled"}},
         ]
         payload = base("dynamics", dims=[2, 1, 2], times=[0.0, 1.1], segments=segments)
-        path = write_scenario(tmp_path, "e.json", payload)
-        assert main(["evolve", path, "--out", str(tmp_path / "two")]) == 0
-        capsys.readouterr()
-
-        segments.append({"duration": 1.0, "hamiltonian": {"random": "violating"}})
-        path = write_scenario(tmp_path, "e3.json", payload)
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        assert main(["evolve", path, "--out", str(tmp_path / "three")]) == 0
-        assert "dense evolution used" in capsys.readouterr().err
-        assert len(eigh_calls) == 2  # the dense walk decomposes segments 0 and 1 only
+        runs = []
+        for name in ("two", "three"):
+            eigh_calls.clear()
+            path = write_scenario(tmp_path, f"{name}.json", payload)
+            assert main(["evolve", path, "--out", str(tmp_path / name)]) == 0
+            runs.append((capsys.readouterr(), list(eigh_calls)))
+            segments.append({"duration": 1.0, "hamiltonian": {"random": "violating"}})
+        (two, two_eigh), (three, three_eigh) = runs
+        assert three.err == two.err == ""
+        assert three.out == two.out
+        doc = json.loads(three.out)
+        assert doc["pmc_fallback"] is False and [c["segment"] for c in doc["pmc"]] == [0, 1]
+        assert three_eigh == two_eigh  # the factorized and dense walks of segments 0 and 1
 
     def test_segments_and_sapmc_report(self, tmp_path, capsys):
         from icqt.dynamics import random_block_structure

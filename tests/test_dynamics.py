@@ -875,8 +875,8 @@ class TestEvolveDispatch:
         self.assert_states_of(monkeypatch, h, DensePropagator(h), False)
 
     def test_checks_the_condition_once(self, monkeypatch):
-        # once per segment; the last of three lies past the last time, and is
-        # checked all the same
+        # once per segment the walk reaches; the last of three lies past the last
+        # time, and is not checked
         calls = []
 
         def counting_check(h):
@@ -888,8 +888,9 @@ class TestEvolveDispatch:
         for segments in ([(np.inf, h)], schedule_of(["pmc", "coupled", "pmc"], 100)):
             calls.clear()
             traj = entanglement_trajectory(segments, random_state(DIMS, 95), [0.0, 0.3, 0.6])
-            assert [id(h) for h in calls] == [id(h) for _, h in segments]
-            assert traj.checks == tuple(check_pmc(h) for _, h in segments)
+            reached = segments[:2]
+            assert [id(h) for h in calls] == [id(h) for _, h in reached]
+            assert traj.checks == tuple(check_pmc(h) for _, h in reached)
 
     def test_schedule_records_the_factorized_walk_and_its_dense_gap(self):
         segments = schedule_of(["pmc", "coupled", "pmc"], 100)
@@ -912,8 +913,8 @@ class TestEvolveDispatch:
     @pytest.mark.parametrize(
         "kinds, times",
         [(["pmc", "violating", "pmc"], [0.0, 0.3, 0.9, 2.0]),
-         (["pmc", "coupled", "violating"], [0.0, 0.3, 0.9])],  # the last one is never reached
-        ids=["reached", "past-the-last-time"],
+         (["pmc", "coupled", "violating"], [0.0, 0.3, 1.5])],  # the last one reached
+        ids=["reached", "reached-last"],
     )
     def test_a_violating_segment_records_the_dense_walk(self, kinds, times):
         segments = schedule_of(kinds, 110)
@@ -926,6 +927,30 @@ class TestEvolveDispatch:
             s_psa, s_branches = dual_entropies(current)
             assert traj.s_psa[k] == s_psa
             assert np.array_equal(traj.s_sa_branches[k], s_branches)
+
+    def test_an_unreached_violating_segment_is_not_checked(self, monkeypatch):
+        # segments of 0.5 each, the violating one past the last time: the walk is
+        # factorized, with the dense reference beside it over the two reached segments
+        segments = [
+            (0.5, random_trinary_hamiltonian(DIMS, 110 + k, kind=kind))
+            for k, kind in enumerate(["pmc", "coupled", "violating"])
+        ]
+        state, times = random_state(DIMS, 114), [0.0, 0.3, 0.6]
+        built = []
+
+        def recording_dense(h):
+            built.append(h)
+            return DensePropagator(h)
+
+        monkeypatch.setattr(dynamics, "DensePropagator", recording_dense)
+        traj = entanglement_trajectory(segments, state, times)
+        assert traj.used_factorized
+        assert traj.checks == tuple(check_pmc(h) for _, h in segments[:2])
+        assert 0.0 <= traj.max_deviation <= 1e-12
+        assert [id(h) for h in built] == [id(h) for _, h in segments[:2]]
+        walk = schedule_states(segments, state, times, TrinaryHamiltonian.propagator)
+        for k, current in enumerate(walk):
+            assert traj.s_psa[k] == dual_entropies(current)[0]
 
     def test_entropy_arrays_are_read_only_copies(self):
         h = random_trinary_hamiltonian(DIMS, 98, kind="pmc")

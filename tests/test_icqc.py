@@ -23,7 +23,14 @@ from icqt.icqc import (
     run,
     tomographic_program_n1,
 )
-from icqt.linalg import _NORM_CHUNK, StateVector, entanglement_entropy, seeded_random, subseed
+from icqt.linalg import (
+    _NORM_CHUNK,
+    StateVector,
+    _cut_entropy,
+    entanglement_entropy,
+    seeded_random,
+    subseed,
+)
 from icqt.scenario import parse_icqc_config
 from icqt.trinary import (
     EMPTY_BRANCH_TOL,
@@ -369,19 +376,30 @@ class TestRun:
         program_table=tuple((GateOp("RY", (("S", p % 2),), angle=0.1 * p),) for p in range(16)),
     )
 
+    # S on P0 after the uniform start makes half the rows imaginary
+    N2_COMPLEX = IcqcConfig(
+        n=2,
+        gate_sequence=N2_CONFIG.gate_sequence + (GateOp("S", (("P", 0),)),),
+        program_table=N2_CONFIG.program_table,
+    )
+
     def test_branch_spectra_taken_once(self, spectral_calls):
         # one eigvalsh of the P|(SA) Gram matrix, one batched values-only SVD
         # shared by both reports: no singular vector is computed and thrown away;
-        # H, CNOT and RY keep every amplitude real, so both take float64
-        report = run(self.N2_CONFIG)
-        assert sorted(spectral_calls) == [
-            ("eigvalsh", (16, 16), "float64"),
-            ("svd", (16, 4, 4), "float64", False),
-        ]
-        rows = report.final_state.as_matrix()
-        assert abs(report.s_psa - full_svd_entropy(rows)) <= entropy_bound((16, 16))
-        want = branch_entropies_loop(rows, (4, 4), EMPTY_BRANCH_TOL)
-        assert np.max(np.abs(report.s_sa_branches - want)) <= entropy_bound((4, 4))
+        # H, CNOT and RY keep every amplitude real, so both take float64, and the
+        # complex run's take complex128
+        for config, dtype in ((self.N2_CONFIG, "float64"), (self.N2_COMPLEX, "complex128")):
+            spectral_calls.clear()
+            report = run(config)
+            assert sorted(spectral_calls) == [
+                ("eigvalsh", (16, 16), dtype),
+                ("svd", (16, 4, 4), dtype, False),
+            ]
+            rows = report.final_state.as_matrix()
+            assert abs(report.s_psa - full_svd_entropy(rows)) <= entropy_bound((16, 16))
+            want = branch_entropies_loop(rows, (4, 4), EMPTY_BRANCH_TOL)
+            assert np.max(np.abs(report.s_sa_branches - want)) <= entropy_bound((4, 4))
+        # the complex run's spectra read its final state's rows: equal bit for bit
         s_psa, branches = dual_entropies(report.final_state)
         assert report.s_psa == s_psa
         assert np.array_equal(report.s_sa_branches, branches)
@@ -433,7 +451,16 @@ class TestRun:
         assert {call[2] for call in spectral_calls} == {"complex128"}
         gap = report.final_state.dense.amplitudes - want.final_state.dense.amplitudes
         assert np.max(np.abs(gap)) <= 64 * EPS
-        d = config.dims
+        self.assert_within_bounds(report, want, config.dims)
+        if name == "zx-pointers":
+            assert report.born.degenerate == (True, False, False, False)
+            assert report.born.empty == (False, False, True, True)
+            assert report.born.outcome_probs[1, 1] <= squared_value_bound((2, 2))
+
+    @staticmethod
+    def assert_within_bounds(report, want, d):
+        """``report``, whose spectra read float64 rows, within the ``oracles`` bounds of
+        ``want``, whose spectra read complex ones, with the same flags."""
         assert abs(report.s_psa - want.s_psa) <= entropy_bound((d.d_p, d.d_sa))
         gap = report.s_sa_branches - want.s_sa_branches
         assert np.max(np.abs(gap)) <= entropy_bound((d.d_s, d.d_a))
@@ -442,10 +469,44 @@ class TestRun:
         assert np.array_equal(report.born.decision_probs, want.born.decision_probs)
         gap = report.born.outcome_probs - want.born.outcome_probs
         assert np.max(np.abs(gap)) <= squared_value_bound((d.d_s, d.d_a))
-        if name == "zx-pointers":
-            assert report.born.degenerate == (True, False, False, False)
-            assert report.born.empty == (False, False, True, True)
-            assert report.born.outcome_probs[1, 1] <= squared_value_bound((2, 2))
+
+    REAL_VALUED_GATES = {
+        # T on S0, which the H before it has emptied
+        "t-on-emptied-s0": [{"kind": "T", "targets": [["S", 0]]}],
+        # S then SDG on P0: i * -i is 1 exactly
+        "s-then-sdg-on-p0": [
+            {"kind": "S", "targets": [["P", 0]]}, {"kind": "SDG", "targets": [["P", 0]]}
+        ],
+    }
+
+    @pytest.mark.parametrize("name", REAL_VALUED_GATES)
+    def test_complex_run_of_real_amplitudes_takes_float64_spectra(
+        self, name, spectral_calls, complex_typed
+    ):
+        config = self.bench_config(2, *self.REAL_VALUED_GATES[name])
+        report = run(config)
+        amps = report.amplitudes
+        assert amps.dtype == np.complex128 and not amps.imag.any()
+        assert {call[2] for call in spectral_calls} == {"float64"}
+        d = config.dims
+        assert report.s_psa == _cut_entropy(np.ascontiguousarray(amps.real).reshape(d.d_p, d.d_sa))
+        assert report.final_state.dense.amplitudes is amps  # no copy
+        spectral_calls.clear()
+        want = complex_typed(run, config)
+        assert {call[2] for call in spectral_calls} == {"complex128"}
+        assert want.amplitudes.tobytes() == amps.tobytes()
+        self.assert_within_bounds(report, want, d)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_imaginary_parts_give_a_contiguous_real_copy(self, zero):
+        rows = seeded_random("state", 64, 5).amplitudes.reshape(8, 8).copy()
+        rows.imag = zero
+        real = icqc._real_rows(rows)
+        assert real.dtype == np.float64 and real.flags.c_contiguous
+        assert real.tobytes() == rows.real.tobytes()
+        rows.imag[3, 5] = 1e-300
+        assert icqc._real_rows(rows) is rows
+        assert icqc._real_rows(real) is real
 
     def test_complex_run_keeps_its_bits(self, spectral_calls, complex_typed):
         # the tomographic table's Y pointer (S and SDG) makes amplitudes complex
@@ -492,12 +553,13 @@ class TestRun:
         "gate, bound",
         [
             # T on S0, which the H before it has emptied: a complex buffer of real
-            # amplitudes, whose cut takes a real copy and a real Gram matrix of half a
-            # state each
+            # amplitudes, whose spectra read a float64 copy of half a state, beside a
+            # real Gram matrix or the real unit rows of half a state each
             ({"kind": "T", "targets": [["S", 0]]}, 2.1),
             # S on P0 makes half the rows imaginary: the complex Gram matrix (one state
-            # at n = 4) and one conjugated block of 128 of its rows (half a state)
-            ({"kind": "S", "targets": [["P", 0]]}, 2.6),
+            # at n = 4) and one conjugated block of 16 of its rows (1/16 of a state),
+            # then the complex unit rows (one state)
+            ({"kind": "S", "targets": [["P", 0]]}, 2.2),
         ],
         ids=["real-valued", "complex-valued"],
     )

@@ -14,6 +14,7 @@ from icqt.linalg import (
     Operator,
     StateVector,
     _conj_gram_lower,
+    _cut_entropy,
     branch_schmidt_coefficients,
     commutator_norm,
     entanglement_entropy,
@@ -48,10 +49,15 @@ def one_row_coefficients(psi, dims):
     return branch_schmidt_coefficients(psi.amplitudes[None], dims)[0]
 
 
-def real_state(dim, seed) -> StateVector:
-    """A unit state whose amplitudes are real: every imaginary part is exactly 0."""
+def real_amplitudes(dim, seed) -> np.ndarray:
+    """Float64 unit amplitudes, as the buffer of a real ICQC run holds them."""
     x = np.random.default_rng(seed).normal(size=dim)
-    return StateVector(x / np.linalg.norm(x))
+    return x / np.linalg.norm(x)
+
+
+def real_state(dim, seed) -> StateVector:
+    """The complex-typed state of ``real_amplitudes``: every imaginary part is exactly 0."""
+    return StateVector(real_amplitudes(dim, seed))
 
 
 def with_imaginary_parts(psi, imag) -> StateVector:
@@ -253,7 +259,7 @@ class TestBranchSchmidtCoefficients:
 
     @staticmethod
     def per_row(rows, dims):
-        return np.array([one_row_coefficients(StateVector(row), dims) for row in rows])
+        return np.array([branch_schmidt_coefficients(row[None], dims)[0] for row in rows])
 
     @pytest.mark.parametrize("k, d_l, d_r", [(81, 9, 9), (16, 4, 4), (7, 3, 4), (1, 2, 2)])
     def test_equals_per_row_coefficients(self, k, d_l, d_r):
@@ -263,8 +269,8 @@ class TestBranchSchmidtCoefficients:
         assert np.array_equal(got, self.per_row(rows, (d_l, d_r)))
 
     def test_rows_one_at_a_time_when_the_stack_does_not_converge(self, monkeypatch):
-        # complex rows, then real ones, which take float64 row by row
-        stacks = [self.rows(7, 3, 4), np.array([real_state(12, i).amplitudes for i in range(7)])]
+        # complex rows, then float64 ones, which take float64 row by row
+        stacks = [self.rows(7, 3, 4), np.array([real_amplitudes(12, i) for i in range(7)])]
         wants = [self.per_row(rows, (3, 4)) for rows in stacks]
         svd = np.linalg.svd
 
@@ -393,17 +399,17 @@ class TestEntropy:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
-        # complex states, then real ones, whose SVD route takes float64
+        # complex cuts, then float64 ones, whose SVD route takes float64
         makers = [
-            (lambda dim, seed: seeded_random("state", dim, seed), "complex128"),
-            (real_state, "float64"),
+            (lambda dim, seed: seeded_random("state", dim, seed).amplitudes, "complex128"),
+            (real_amplitudes, "float64"),
         ]
         for make, dtype in makers:
             spectral_calls.clear()
             for seed, dims in enumerate(self.CUTS):
-                psi = make(dims[0] * dims[1], seed)
-                s = one_row_coefficients(psi, dims)
-                assert entanglement_entropy(psi, dims) == shannon_entropy(s * s)
+                cut = make(dims[0] * dims[1], seed).reshape(dims)
+                s = branch_schmidt_coefficients(cut[None], dims)[0]
+                assert _cut_entropy(cut) == shannon_entropy(s * s)
             assert {call[2] for call in spectral_calls} == {dtype}
         assert gram_calls == [(min(dims), min(dims)) for dims in self.CUTS] * 2
 
@@ -420,7 +426,7 @@ class TestEntropy:
 
     def test_complex_gram_holds_one_conjugated_block(self):
         # a 256 x 256 complex cut: the Gram matrix (one cut's size) and one conjugated
-        # block of 128 rows (half of it); two blocks alive at once read 2.0
+        # block of 16 rows (1/16 of it); two blocks alive at once read 1.125
         a = seeded_random("state", 256 * 256, 3).amplitudes.reshape(256, 256)
         tracemalloc.start()
         try:
@@ -428,7 +434,7 @@ class TestEntropy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.6 * a.nbytes
+        assert peak < 1.1 * a.nbytes
 
     @pytest.mark.parametrize("dims", [(4, 4), (3, 8), (8, 3), (130, 129)])
     def test_rank_one_and_two_cuts(self, dims):
@@ -461,16 +467,19 @@ class TestEntropy:
 
 
 class TestRealAmplitudes:
-    """The values-only kernels take float64 when every imaginary part is exactly zero."""
+    """The values-only kernels take the dtype they are given: float64 rows, as a real ICQC
+    run passes them, take float64, and a complex-typed state keeps complex128 whatever
+    its imaginary parts."""
 
     @staticmethod
-    def kernels(psi):
-        """Every values-only kernel on a 12-dim state: the entropy, the coefficients and the
-        coefficients of its three rows of 4 as 2 x 2 cuts."""
+    def kernels(amps):
+        """Every values-only kernel on 12 amplitudes: the entropy and the coefficients of
+        their 3 x 4 cut, and the coefficients of its three rows of 4 as 2 x 2 cuts."""
+        cut = amps.reshape(3, 4)
         return (
-            entanglement_entropy(psi, (3, 4)),
-            one_row_coefficients(psi, (3, 4)),
-            branch_schmidt_coefficients(psi.amplitudes.reshape(3, 4), (2, 2)),
+            _cut_entropy(cut),
+            branch_schmidt_coefficients(cut[None], (3, 4))[0],
+            branch_schmidt_coefficients(cut, (2, 2)),
         )
 
     @staticmethod
@@ -478,43 +487,45 @@ class TestRealAmplitudes:
         return [call[2] for call in calls]
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
-    def test_zero_imaginary_parts_reach_float64_kernels(self, zero, spectral_calls):
+    def test_zero_imaginary_parts_keep_the_complex_kernels(self, zero, spectral_calls):
         psi = with_imaginary_parts(real_state(12, 1), zero)
         assert np.all(np.signbit(psi.amplitudes.imag) == np.signbit(zero))
-        self.kernels(psi)
+        got = self.kernels(psi.amplitudes)
         assert [call[:2] for call in spectral_calls] == [
             ("eigvalsh", (3, 3)), ("svd", (1, 3, 4)), ("svd", (3, 2, 2))
         ]
+        assert self.dtypes(spectral_calls) == ["complex128"] * 3
+        assert got[0] == entanglement_entropy(psi, (3, 4))
+        spectral_calls.clear()
+        self.kernels(real_amplitudes(12, 1))
         assert self.dtypes(spectral_calls) == ["float64"] * 3
         # the state and its Schmidt vectors stay complex
         sd = schmidt_decompose(psi, (3, 4))
         assert psi.amplitudes.dtype == sd.u.dtype == sd.vh.dtype == np.complex128
 
-    def test_one_tiny_imaginary_part_keeps_the_complex_kernels_and_bits(
-        self, spectral_calls, complex_typed
-    ):
+    def test_one_tiny_imaginary_part_keeps_the_complex_kernels_and_bits(self, spectral_calls):
         imag = np.zeros(12)
         imag[5] = 1e-300
-        psi = with_imaginary_parts(real_state(12, 1), imag)
-        got = self.kernels(psi)
+        cut = with_imaginary_parts(real_state(12, 1), imag).amplitudes.reshape(3, 4)
+        got = self.kernels(cut)
         assert self.dtypes(spectral_calls) == ["complex128"] * 3
-        for g, want in zip(got, complex_typed(self.kernels, psi)):
-            assert np.array_equal(g, want)
+        assert got[0] == shannon_entropy(np.linalg.eigvalsh(_conj_gram_lower(cut)))
+        assert np.array_equal(got[1], np.linalg.svd(cut, compute_uv=False))
+        assert np.array_equal(got[2], np.linalg.svd(cut.reshape(3, 2, 2), compute_uv=False))
 
     # (1, 6) and (6, 1) are rank one; 129 rows on the smaller side take two Gram row blocks
     @pytest.mark.parametrize("dims", [(2, 2), (3, 4), (4, 3), (5, 5), (1, 6), (6, 1), (129, 131)])
-    def test_within_bounds_of_the_complex_typed_copy(self, dims, complex_typed):
-        rank_deficient = real_state(dims[0], 3).amplitudes[:, None] * real_state(dims[1], 4).amplitudes
-        for psi in (real_state(dims[0] * dims[1], sum(dims)), StateVector(rank_deficient.reshape(-1))):
-            got = entanglement_entropy(psi, dims)
-            want = complex_typed(entanglement_entropy, psi, dims)
-            assert abs(got - want) <= entropy_bound(dims)
-            gap = one_row_coefficients(psi, dims) - complex_typed(one_row_coefficients, psi, dims)
+    def test_within_bounds_of_the_complex_typed_copy(self, dims):
+        rank_deficient = real_amplitudes(dims[0], 3)[:, None] * real_amplitudes(dims[1], 4)
+        for amps in (real_amplitudes(dims[0] * dims[1], sum(dims)), rank_deficient.reshape(-1)):
+            cut, psi = amps.reshape(dims), StateVector(amps)
+            assert abs(_cut_entropy(cut) - entanglement_entropy(psi, dims)) <= entropy_bound(dims)
+            gap = branch_schmidt_coefficients(cut[None], dims)[0] - one_row_coefficients(psi, dims)
             assert np.max(np.abs(gap)) <= singular_value_bound(dims)
 
     def test_full_svd_when_no_values_only_svd_converges(self, monkeypatch, spectral_calls):
-        psi = real_state(12, 2)
-        rows = psi.amplitudes.reshape(3, 4)
+        amps = real_amplitudes(12, 2)
+        rows = amps.reshape(3, 4)
         svd = np.linalg.svd
 
         def unconverged(a, *args, compute_uv=True, **kwargs):
@@ -523,12 +534,12 @@ class TestRealAmplitudes:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", unconverged)
-        want = np.linalg.svd(rows.real, full_matrices=False)[1]
-        assert np.array_equal(one_row_coefficients(psi, (3, 4)), want)
-        per_row = [np.linalg.svd(r.real.reshape(2, 2), full_matrices=False)[1] for r in rows]
+        got = branch_schmidt_coefficients(rows[None], (3, 4))[0]
+        assert np.array_equal(got, np.linalg.svd(rows, full_matrices=False)[1])
+        per_row = [np.linalg.svd(r.reshape(2, 2), full_matrices=False)[1] for r in rows]
         assert np.array_equal(branch_schmidt_coefficients(rows, (2, 2)), per_row)
         assert set(self.dtypes(spectral_calls)) == {"float64"}
-        gap = one_row_coefficients(psi, (3, 4)) - schmidt_decompose(psi, (3, 4)).coefficients
+        gap = got - schmidt_decompose(StateVector(amps), (3, 4)).coefficients
         assert np.max(np.abs(gap)) <= singular_value_bound((3, 4))
 
 

@@ -27,7 +27,6 @@ from icqt.trinary import (
     build_pointer_measurement,
     _branch_spectra,
     _check_orthonormal,
-    _real_unit_rows,
     _unit_rows,
     _weights,
     build_programmed_unitary,
@@ -497,8 +496,9 @@ def schmidt_form(state):
 
 
 class TestRealTypedBranchRows:
-    """Real unit rows go to the branch SVD as float64 and give, with ==, the spectra and
-    Born report of the complex formula ``branch_schmidt_coefficients(_unit_rows(...))``."""
+    """The branch spectra keep the dtype of the rows they are given: complex rows take the
+    complex formula ``branch_schmidt_coefficients(_unit_rows(...))`` whatever their
+    imaginary parts, and float64 rows, as a real ICQC run passes them, take float64."""
 
     DIMS = [TrinaryDims(2, 3, 6), TrinaryDims(4, 4, 16)]
 
@@ -507,7 +507,7 @@ class TestRealTypedBranchRows:
         """Real (with -0.0 real parts), -0.0 imaginary parts, a nonzero imaginary part in
         an empty row only, and complex; row 1 is empty in the first three."""
         rows = np.random.default_rng(dims.total).normal(size=(dims.d_p, dims.d_sa))
-        rows[0, ::3] = -0.0  # (re + im * 0.0) / c is +0.0 here, re / c would be -0.0
+        rows[0, ::3] = -0.0
         rows[1] = 0.0
         rows /= np.linalg.norm(rows)
         real = rows.astype(complex)
@@ -531,19 +531,12 @@ class TestRealTypedBranchRows:
             want = branch_schmidt_coefficients(_unit_rows(rows, weights), (dims.d_s, dims.d_a))
             spectral_calls.clear()
             got = _branch_spectra(dims, rows, weights)
-            dtype = "complex128" if name == "complex" else "float64"
-            assert [call[2] for call in spectral_calls] == [dtype], name
-            assert got.shape == want.shape and np.all(got == want), name
+            assert [call[2] for call in spectral_calls] == ["complex128"], name
+            assert got.tobytes() == want.tobytes(), name
             report = dual_born_report(state)
             parent = _dual_born_report(dims, want, weights)
             for field in dataclasses.fields(report):
                 assert np.array_equal(getattr(report, field.name), getattr(parent, field.name))
-            unit = _real_unit_rows(rows, weights)
-            if name == "complex":
-                assert unit is None
-            else:  # the real parts of the complex quotients, bit for bit
-                want_rows = np.ascontiguousarray(_unit_rows(rows, weights).real)
-                assert unit.tobytes() == want_rows.tobytes()
 
     @pytest.mark.parametrize("dims", DIMS, ids=str)
     def test_float64_rows_are_read_as_they_are(self, dims, spectral_calls):
@@ -554,9 +547,10 @@ class TestRealTypedBranchRows:
         real = np.ascontiguousarray(rows.real)
         weights = _weights(real)
         assert weights.tobytes() == _weights(rows).tobytes()
-        unit = _real_unit_rows(real, weights)
+        unit = _unit_rows(real, weights)
         assert unit.dtype == np.float64 and not unit[1].any()
-        assert np.max(np.abs(unit - _real_unit_rows(rows, weights))) <= 4 * EPS
+        assert unit[0].tobytes() == (real[0] * (1.0 / np.linalg.norm(real[0]))).tobytes()
+        assert np.max(np.abs(unit - _unit_rows(rows, weights))) <= 4 * EPS
         spectral_calls.clear()
         got = _branch_spectra(dims, real, weights)
         assert [call[2] for call in spectral_calls] == ["float64"]
@@ -706,8 +700,8 @@ class TestStandardBasis:
                 assert b[j, k] == [1, 1j, -1, -1j][quarters] / np.sqrt(dim)
 
     def test_zx_pointers_keep_a_real_state_real(self, spectral_calls):
-        # Z and X pointers on a real start: every amplitude stays real, so the
-        # P|(SA) Gram eigvalsh and the branch SVD take float64
+        # Z and X pointers on a real start: every amplitude stays real, and the complex
+        # state's P|(SA) Gram eigvalsh and branch SVD keep its dtype, complex128
         bases = [standard_basis(b, 2) for b in ("Z", "X", "Z", "X")]
         psi = StateVector(np.array([0.6, 0.8], dtype=complex))
         start = TrinaryState.from_product(DIMS224, StateVector.uniform(4), psi, StateVector.basis(2, 0))
@@ -715,6 +709,6 @@ class TestStandardBasis:
         assert not state.dense.amplitudes.imag.any()
         dual_entropies(state)
         assert sorted(spectral_calls) == [
-            ("eigvalsh", (4, 4), "float64"),
-            ("svd", (4, 2, 2), "float64", False),
+            ("eigvalsh", (4, 4), "complex128"),
+            ("svd", (4, 2, 2), "complex128", False),
         ]
