@@ -46,7 +46,6 @@ from .dynamics import (
     evolve_swapped_factorized,
     random_block_structure,
     random_trinary_hamiltonian,
-    schedule_states,
 )
 from .born import (
     DualBornReport,

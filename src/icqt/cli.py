@@ -73,13 +73,13 @@ def cmd_evolve(scenario: Scenario, out_dir: Path) -> int:
     check_finite_evolution(segments, times[-1])
     state = parse_initial_state(payload, dims, scenario.seed)
 
+    traj = entanglement_trajectory([(d, h) for d, h, _ in segments], state, times)
     sapmc_doc = [
         {"segment": k, "block": n, **asdict(check_sapmc(structure))}
-        for k, (_, _, structures) in enumerate(segments)
+        for k, (_, _, structures) in enumerate(segments[: len(traj.checks)])
         for n, structure in enumerate(structures)
         if structure is not None
-    ] or None  # null when no block is structured
-    traj = entanglement_trajectory([(d, h) for d, h, _ in segments], state, times)
+    ] or None  # null when no reached block is structured
 
     rows = [[t, traj.s_psa[i], *traj.s_sa_branches[i]] for i, t in enumerate(times)]
     header = ["t", "S_PSA"] + [f"S_SA_branch_{r}" for r in range(dims.d_p)]

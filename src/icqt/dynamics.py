@@ -13,9 +13,9 @@ components of the exact zero pattern of h'.  The blockwise check,
 (A + B) and the kron-free assembler all read it.  When the check holds,
 [A, B] = 0 and the factorized step is exact.
 
-Time dependence is piecewise constant: ``schedule_states`` walks a list of
-(duration, hamiltonian) segments back to back with the propagator it is given, and
-``entanglement_trajectory`` picks the propagator and cross-checks it against the dense one.
+Time dependence is piecewise constant: ``entanglement_trajectory`` walks a list of
+(duration, hamiltonian) segments back to back, each reached segment by its own path
+(factorized when its check holds, dense otherwise), beside the dense reference.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -381,29 +381,6 @@ def _segment_steps(
     return steps
 
 
-def schedule_states(
-    segments: Sequence[tuple[float, TrinaryHamiltonian]], state: TrinaryState,
-    times: Sequence[float],
-    propagator: Callable[[TrinaryHamiltonian], DensePropagator | FactorizedPropagator],
-) -> Iterator[TrinaryState]:
-    """Yield the state at each time (ascending from 0) under back-to-back segments.
-
-    ``propagator(h)`` decomposes a segment once; each is dropped before the next
-    is built.  Every time is mapped first (``_segment_steps``), so a bad schedule is
-    refused before any segment is decomposed, and the segments past the last time
-    never are.
-    """
-    steps = _segment_steps(segments, state, times)
-    start = state
-    for k, ((duration, h), segment_steps) in enumerate(zip(segments, steps)):
-        prop = propagator(h)
-        for step in segment_steps:
-            yield prop.evolve(start, step)
-        if k + 1 < len(steps):
-            start = prop.evolve(start, duration)
-        del prop
-
-
 def evolve_swapped_factorized(
     h_sa: Operator,
     blocks_on_p: Sequence[Operator],
@@ -431,8 +408,8 @@ class EntanglementTrajectory:
     """Entropies along an evolution: P|(SA) and per-branch S|A, per time, as read-only arrays.
 
     ``checks`` holds one measurability check per segment the walk reaches.
-    ``max_deviation`` is the largest entry gap between the factorized and dense states,
-    or None on the dense fallback.
+    ``max_deviation`` is the largest entry gap between the recorded and dense reference
+    states, or None when no reached segment was factorized.
     """
 
     times: tuple[float, ...]
@@ -457,28 +434,36 @@ def entanglement_trajectory(
     times: Sequence[float],
 ) -> EntanglementTrajectory:
     """Record dual entropies at the given times (ascending, from 0) under back-to-back
-    segments, walked by ``schedule_states``; a single Hamiltonian h is [(math.inf, h)].
+    (duration, hamiltonian) segments; a single Hamiltonian h is [(math.inf, h)].
 
-    Each segment the walk reaches is checked once, after the schedule is mapped
-    (``_segment_steps``); the segments past the last time are neither checked nor
-    decomposed.  When every check holds, the factorized walk is recorded and the dense
-    reference walks beside it; otherwise the dense walk is recorded.
+    Every time is mapped first (``_segment_steps``), so a bad schedule is refused before
+    any check or decomposition, and the segments past the last time are neither checked
+    nor decomposed.  Each reached segment is checked once and decomposed once into the
+    dense reference; it is stepped by its factorized propagator when its check holds and
+    by that reference otherwise, and both are dropped before the next segment is built.
+    The reference state walks beside the recorded one over the whole schedule.
     """
     times = tuple(float(t) for t in times)
-    segments = segments[: len(_segment_steps(segments, state, times))]
-    checks = tuple(check_pmc(h) for _, h in segments)
-    walks = [schedule_states(segments, state, times, DensePropagator)]
-    if all(check.satisfied for check in checks):
-        walks.append(schedule_states(segments, state, times, TrinaryHamiltonian.propagator))
-    s_psa = np.zeros(len(times))
-    s_branches = np.zeros((len(times), state.dims.d_p))
-    deviations = []
-    for k, pair in enumerate(zip(*walks)):
-        dense, current = pair[0], pair[-1]
-        if len(pair) == 2:
-            deviations.append(np.max(np.abs(current.dense.amplitudes - dense.dense.amplitudes)))
-        s_psa[k], s_branches[k] = dual_entropies(current)
-    return EntanglementTrajectory(times, s_psa, s_branches, checks, max(deviations, default=None))
+    steps = _segment_steps(segments, state, times)
+    checks, entropies, deviations = [], [], []
+    current = reference = state
+    for k, ((duration, h), segment_steps) in enumerate(zip(segments, steps)):
+        checks.append(check_pmc(h))
+        dense = DensePropagator(h)
+        prop = h.propagator() if checks[-1].satisfied else dense
+        for step in segment_steps:
+            now = prop.evolve(current, step)
+            gap = now.dense.amplitudes - dense.evolve(reference, step).dense.amplitudes
+            deviations.append(np.max(np.abs(gap)))
+            entropies.append(dual_entropies(now))
+        if k + 1 < len(steps):
+            current, reference = prop.evolve(current, duration), dense.evolve(reference, duration)
+        del dense, prop
+    s_psa, s_branches = zip(*entropies)
+    factorized = any(check.satisfied for check in checks)
+    return EntanglementTrajectory(
+        times, s_psa, s_branches, tuple(checks), max(deviations) if factorized else None
+    )
 
 
 def random_trinary_hamiltonian(

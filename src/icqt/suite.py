@@ -206,10 +206,12 @@ def born_battery(seed: int, cases_per_dim: int) -> PropertyResult:
 
 
 def bounds_and_creation_battery(seed: int, cases: int, dims_list=DEFAULT_DIMS) -> PropertyResult:
-    """Entropy bounds along trajectories plus entanglement creation at t=0.1."""
+    """Entropy bounds along trajectories plus entanglement creation at t=0.1; each
+    trajectory's factorized walk must stay within FACTORIZATION_TOL of the dense one."""
     t0 = time.perf_counter()
     weakest_creation = np.inf
     worst_bound = 0.0
+    deviations = []
     times = (0.0, 0.05, 0.1)
     for i in range(cases):
         dims = dims_list[i % len(dims_list)]
@@ -224,7 +226,11 @@ def bounds_and_creation_battery(seed: int, cases: int, dims_list=DEFAULT_DIMS) -
             float(-np.min(traj.s_sa_branches)),
         )
         weakest_creation = min(weakest_creation, float(traj.s_psa[-1]))
-    passed = weakest_creation > CREATION_MIN and worst_bound <= ENTROPY_TOL
+        deviations.append(traj.max_deviation)
+    passed = (
+        weakest_creation > CREATION_MIN and worst_bound <= ENTROPY_TOL
+        and all(d <= FACTORIZATION_TOL for d in deviations)
+    )
     return PropertyResult(
         name="bounds-and-creation",
         passed=passed,

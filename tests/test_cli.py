@@ -366,6 +366,55 @@ class TestEvolveCommand:
         assert doc["sapmc"] is not None
         assert all(entry["satisfied"] for entry in doc["sapmc"])
 
+    @pytest.mark.parametrize("last", [0.1, 0.8])
+    def test_sapmc_lists_only_reached_segments(self, tmp_path, capsys, last):
+        # the structured second segment violates sapmc (h_s = sigma x against distinct
+        # generators in the Z basis); at t = 0.1 it is never reached, so never checked
+        sx, sz = [[0, 1], [1, 0]], [[1, 0], [0, -1]]
+        structured = {
+            "s_basis": "Z",
+            "a_generators": [complex_to_pairs(np.array(sz)), complex_to_pairs(np.array(sx))],
+            "h_s": complex_to_pairs(np.array(sx)),
+        }
+        zero4 = complex_to_pairs(np.zeros((4, 4)))
+        payload = base(
+            "dynamics",
+            dims=[2, 2, 4],
+            times=[0.0, last],
+            segments=[
+                {"duration": 0.5, "hamiltonian": {"random": "pmc"}},
+                {"duration": 0.6, "hamiltonian": {"h_p": zero4, "blocks": [structured] * 4}},
+            ],
+        )
+        path = write_scenario(tmp_path, "e.json", payload)
+        assert main(["evolve", path, "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        reached = [0] if last < 0.5 else [0, 1]
+        assert [c["segment"] for c in doc["pmc"]] == reached
+        if last < 0.5:
+            assert doc["sapmc"] is None
+        else:
+            assert [(e["segment"], e["block"]) for e in doc["sapmc"]] == [(1, n) for n in range(4)]
+            assert not any(e["satisfied"] for e in doc["sapmc"])
+
+    def test_violating_middle_segment_keeps_the_cross_check(self, tmp_path, capsys):
+        # only the violating segment is stepped densely: the report still falls back and
+        # warns, with the deviation of the factorized segments beside the dense reference
+        kinds = ["pmc", "violating", "pmc"]
+        segments = [
+            {"duration": d, "hamiltonian": {"random": kind}}
+            for d, kind in zip((0.5, 0.75, 1.0), kinds)
+        ]
+        payload = base("dynamics", dims=[2, 2, 4], times=[0.0, 0.3, 0.9, 2.0], segments=segments)
+        path = write_scenario(tmp_path, "e.json", payload)
+        assert main(["evolve", path, "--out", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert [c["satisfied"] for c in doc["pmc"]] == [True, False, True]
+        assert doc["pmc_fallback"] is True
+        assert 0.0 < doc["factorized_full_max_deviation"] <= 1e-12
+        assert captured.err == "warning: measurability condition violated; dense evolution used\n"
+
 
 class TestBornCommand:
     def test_zxyz_on_plus(self, tmp_path, capsys):

@@ -24,7 +24,6 @@ from icqt.dynamics import (
     evolve_swapped_factorized,
     random_block_structure,
     random_trinary_hamiltonian,
-    schedule_states,
 )
 from icqt.linalg import (
     DimensionError,
@@ -87,7 +86,8 @@ class TestTrinaryHamiltonian:
     @pytest.mark.parametrize("kind", ["pmc", "coupled", "violating"])
     @pytest.mark.parametrize("custom_basis", [False, True])
     def test_full_operator_equals_kron_form(self, kind, custom_basis):
-        # the dense reference diagonalises the kron form, entry for entry
+        # the assembler writes the kron form, entry for entry; the dense reference
+        # assembles only the blocks of its components
         h = random_trinary_hamiltonian(TrinaryDims(2, 3, 5), 9, kind=kind)
         if custom_basis:
             h = in_programming_basis(h, 10)
@@ -838,31 +838,74 @@ class TestTrajectory:
             assert np.max(np.abs(traj.s_sa_branches[k] - s_branches)) <= 1e-9
 
 
-def schedule_of(kinds, seed):
-    """Segments of durations 0.5, 0.75 and 1.0 of the seeded Hamiltonian kinds."""
+def schedule_of(kinds, seed, durations=(0.5, 0.75, 1.0)):
+    """Segments of the given durations of the seeded Hamiltonian kinds, seeds seed + k."""
     return [
         (duration, random_trinary_hamiltonian(DIMS, seed + k, kind=kind))
-        for k, (duration, kind) in enumerate(zip((0.5, 0.75, 1.0), kinds))
+        for k, (duration, kind) in enumerate(zip(durations, kinds))
     ]
 
 
+def recorded_walk(monkeypatch, segments, state, times):
+    """The trajectory, and the states whose entropies it records, one per time."""
+    seen = []
+
+    def recording_entropies(current):
+        seen.append(current)
+        return dual_entropies(current)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "dual_entropies", recording_entropies)
+        traj = entanglement_trajectory(segments, state, times)
+    assert len(seen) == len(times)
+    return traj, seen
+
+
+def own_path_step(h, state, t):
+    """One closed-form step of a segment by its own path: factorized when its check
+    holds, dense otherwise."""
+    return (evolve_factorized if check_pmc(h).satisfied else evolve_full)(h, state, t)
+
+
+def assert_walks_by_segment(monkeypatch, segments, state, times):
+    """The recorded states equal ``schedule_walk`` with ``own_path_step``, and
+    ``max_deviation`` the largest gap to ``schedule_walk`` with ``evolve_full`` (None when
+    no reached segment is factorized), all with ==."""
+    traj, seen = recorded_walk(monkeypatch, segments, state, times)
+    gaps = []
+    for t, got in zip(times, seen):
+        want = schedule_walk(segments, state, t, own_path_step)
+        assert np.array_equal(got.dense.amplitudes, want.dense.amplitudes)
+        dense = schedule_walk(segments, state, t, evolve_full)
+        gaps.append(np.max(np.abs(got.dense.amplitudes - dense.dense.amplitudes)))
+    factorized = any(check.satisfied for check in traj.checks)
+    assert traj.max_deviation == (max(gaps) if factorized else None)
+    return traj, seen
+
+
+def count_builds(monkeypatch) -> tuple[list, list]:
+    """From now on, record the Hamiltonian of each dense and each factorized propagator
+    built, in two lists."""
+    dense, factorized = [], []
+    for name, built in (("DensePropagator", dense), ("FactorizedPropagator", factorized)):
+
+        def recording(h, make=getattr(dynamics, name), built=built):
+            built.append(h)
+            return make(h)
+
+        monkeypatch.setattr(dynamics, name, recording)
+    return dense, factorized
+
+
 class TestEvolveDispatch:
-    """entanglement_trajectory picks its propagator with one measurability check per
-    segment, and walks the dense reference beside the factorized walk."""
+    """entanglement_trajectory picks each reached segment's propagator with one
+    measurability check, and walks the dense reference beside the recorded walk."""
 
     def assert_states_of(self, monkeypatch, h, prop, used_factorized):
         # the states whose entropies the trajectory records equal prop's
-        seen = []
-
-        def recording_entropies(state):
-            seen.append(state)
-            return dual_entropies(state)
-
-        monkeypatch.setattr(dynamics, "dual_entropies", recording_entropies)
         state, times = random_state(DIMS, 91), [0.0, 0.6]
-        traj = entanglement_trajectory([(np.inf, h)], state, times)
+        traj, seen = recorded_walk(monkeypatch, [(np.inf, h)], state, times)
         assert traj.used_factorized is used_factorized
-        assert len(seen) == len(times)
         for t, got in zip(times, seen):
             assert np.array_equal(got.dense.amplitudes, prop.evolve(state, t).dense.amplitudes)
 
@@ -892,22 +935,16 @@ class TestEvolveDispatch:
             assert [id(h) for h in calls] == [id(h) for _, h in reached]
             assert traj.checks == tuple(check_pmc(h) for _, h in reached)
 
-    def test_schedule_records_the_factorized_walk_and_its_dense_gap(self):
+    def test_schedule_records_the_factorized_walk_and_its_dense_gap(self, monkeypatch):
         segments = schedule_of(["pmc", "coupled", "pmc"], 100)
         state, times = random_state(DIMS, 104), [0.0, 0.25, 0.5, 0.9, 1.25, 2.0]
-        traj = entanglement_trajectory(segments, state, times)
-        factorized = list(schedule_states(segments, state, times, TrinaryHamiltonian.propagator))
-        dense = list(schedule_states(segments, state, times, DensePropagator))
+        traj, _ = assert_walks_by_segment(monkeypatch, segments, state, times)
         assert traj.used_factorized
-        for k, current in enumerate(factorized):
-            s_psa, s_branches = dual_entropies(current)
+        for k, t in enumerate(times):
+            want = schedule_walk(segments, state, t, evolve_factorized)
+            s_psa, s_branches = dual_entropies(want)
             assert traj.s_psa[k] == s_psa
             assert np.array_equal(traj.s_sa_branches[k], s_branches)
-        gaps = [
-            np.max(np.abs(f.dense.amplitudes - d.dense.amplitudes))
-            for f, d in zip(factorized, dense)
-        ]
-        assert traj.max_deviation == max(gaps)
         assert traj.max_deviation <= 1e-12
 
     @pytest.mark.parametrize(
@@ -916,17 +953,28 @@ class TestEvolveDispatch:
          (["pmc", "coupled", "violating"], [0.0, 0.3, 1.5])],  # the last one reached
         ids=["reached", "reached-last"],
     )
-    def test_a_violating_segment_records_the_dense_walk(self, kinds, times):
+    def test_a_violating_segment_alone_steps_densely(self, monkeypatch, kinds, times):
+        # the satisfied segments keep the factorized path and the dense cross-check
         segments = schedule_of(kinds, 110)
         state = random_state(DIMS, 114)
-        traj = entanglement_trajectory(segments, state, times)
+        traj, seen = assert_walks_by_segment(monkeypatch, segments, state, times)
         assert not traj.used_factorized
-        assert traj.max_deviation is None
         assert [c.satisfied for c in traj.checks] == [kind != "violating" for kind in kinds]
-        for k, current in enumerate(schedule_states(segments, state, times, DensePropagator)):
+        assert 0.0 < traj.max_deviation <= 1e-12
+        for k, current in enumerate(seen):
             s_psa, s_branches = dual_entropies(current)
             assert traj.s_psa[k] == s_psa
             assert np.array_equal(traj.s_sa_branches[k], s_branches)
+
+    def test_a_violating_only_schedule_records_the_dense_walk(self, monkeypatch):
+        segments = schedule_of(["violating"] * 3, 120)
+        state, times = random_state(DIMS, 124), [0.0, 0.3, 0.9, 2.0]
+        traj, seen = assert_walks_by_segment(monkeypatch, segments, state, times)
+        assert [c.satisfied for c in traj.checks] == [False] * 3
+        assert traj.max_deviation is None
+        for t, got in zip(times, seen):
+            want = schedule_walk(segments, state, t, evolve_full)
+            assert np.array_equal(got.dense.amplitudes, want.dense.amplitudes)
 
     def test_an_unreached_violating_segment_is_not_checked(self, monkeypatch):
         # segments of 0.5 each, the violating one past the last time: the walk is
@@ -936,20 +984,15 @@ class TestEvolveDispatch:
             for k, kind in enumerate(["pmc", "coupled", "violating"])
         ]
         state, times = random_state(DIMS, 114), [0.0, 0.3, 0.6]
-        built = []
-
-        def recording_dense(h):
-            built.append(h)
-            return DensePropagator(h)
-
-        monkeypatch.setattr(dynamics, "DensePropagator", recording_dense)
+        dense, factorized = count_builds(monkeypatch)
         traj = entanglement_trajectory(segments, state, times)
         assert traj.used_factorized
         assert traj.checks == tuple(check_pmc(h) for _, h in segments[:2])
         assert 0.0 <= traj.max_deviation <= 1e-12
-        assert [id(h) for h in built] == [id(h) for _, h in segments[:2]]
-        walk = schedule_states(segments, state, times, TrinaryHamiltonian.propagator)
-        for k, current in enumerate(walk):
+        reached = [id(h) for _, h in segments[:2]]
+        assert [id(h) for h in dense] == [id(h) for h in factorized] == reached
+        for k, t in enumerate(times):
+            current = schedule_walk(segments, state, t, evolve_factorized)
             assert traj.s_psa[k] == dual_entropies(current)[0]
 
     def test_entropy_arrays_are_read_only_copies(self):
@@ -1038,132 +1081,111 @@ class TestOneCorePerHamiltonian:
         assert len(calls) == len(segments)
 
 
-# The dense walk and the factorized walk, each with the closed-form segment
-# step that the oracle replays from t = 0.
-WALKS = {
-    "dense": (DensePropagator, evolve_full),
-    "factorized": (TrinaryHamiltonian.propagator, evolve_factorized),
+# Base kinds of a schedule, walked with every segment factorized, every segment
+# dense, or the two alternating from a dense first segment.
+PATHS = {
+    "factorized": lambda kinds: kinds,
+    "dense": lambda kinds: ["violating"] * len(kinds),
+    "mixed": lambda kinds: [kind if k % 2 else "violating" for k, kind in enumerate(kinds)],
 }
 
 
 class TestSchedule:
-    """schedule_states against oracles.schedule_walk, state for state with ==."""
+    """The walk of entanglement_trajectory against oracles.schedule_walk, each segment by
+    its own path, state for state with ==."""
 
-    def assert_walk_matches(self, segments, state, times, walk):
-        propagator, step = WALKS[walk]
-        got = list(schedule_states(segments, state, times, propagator))
-        assert len(got) == len(times)
-        for t, out in zip(times, got):
-            want = schedule_walk(segments, state, t, step)
-            assert np.array_equal(out.dense.amplitudes, want.dense.amplitudes)
-
-    def test_two_segments_match_manual(self):
+    def test_two_segments_match_manual(self, monkeypatch):
         # t = 0, inside each segment, on the boundary and at the schedule end
-        segments = [
-            (0.5, random_trinary_hamiltonian(DIMS, 34, kind="pmc")),
-            (0.7, random_trinary_hamiltonian(DIMS, 35, kind="coupled")),
-        ]
         state = random_state(DIMS, 36)
-        for walk in WALKS:
-            self.assert_walk_matches(segments, state, [0.0, 0.2, 0.5, 0.9, 1.2], walk)
+        for path in PATHS.values():
+            segments = schedule_of(path(["pmc", "coupled"]), 34, (0.5, 0.7))
+            assert_walks_by_segment(monkeypatch, segments, state, [0.0, 0.2, 0.5, 0.9, 1.2])
 
-    @pytest.mark.parametrize("walk", sorted(WALKS))
-    def test_zero_duration_segments(self, walk):
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_zero_duration_segments(self, monkeypatch, path):
         # zero-duration segments first, in the middle and last; t = 0 falls
         # in the first one and t = 0.5 on the boundary before the middle one
-        kinds = ["pmc", "coupled", "pmc", "coupled", "pmc"]
-        durations = [0.0, 0.5, 0.0, 0.75, 0.0]
-        segments = [
-            (d, random_trinary_hamiltonian(DIMS, 44 + k, kind=kind))
-            for k, (d, kind) in enumerate(zip(durations, kinds))
-        ]
+        kinds = PATHS[path](["pmc", "coupled", "pmc", "coupled", "pmc"])
+        segments = schedule_of(kinds, 44, (0.0, 0.5, 0.0, 0.75, 0.0))
         state = random_state(DIMS, 49)
-        self.assert_walk_matches(segments, state, [0.0, 0.0, 0.3, 0.5, 0.8, 1.25], walk)
+        assert_walks_by_segment(monkeypatch, segments, state, [0.0, 0.0, 0.3, 0.5, 0.8, 1.25])
 
-    def test_violating_segment_evolves_densely(self):
+    def test_violating_segment_evolves_densely(self, monkeypatch):
         segments = [
             (0.3, random_trinary_hamiltonian(DIMS, 41, kind="pmc")),
             (0.4, random_trinary_hamiltonian(DIMS, 42, kind="violating")),
             (0.5, random_trinary_hamiltonian(DIMS, 40, kind="coupled")),
         ]
         state = random_state(DIMS, 43)
-        self.assert_walk_matches(segments, state, [0.0, 0.3, 0.5, 0.7, 1.0], "dense")
+        traj, _ = assert_walks_by_segment(monkeypatch, segments, state, [0.0, 0.3, 0.5, 0.7, 1.0])
+        assert [c.satisfied for c in traj.checks] == [True, False, True]
 
-    def test_time_at_a_decimal_schedule_end(self):
+    def test_time_at_a_decimal_schedule_end(self, monkeypatch):
         # 1.1 - 0.5 rounds to 0.6000000000000001 > 0.6, yet 1.1 is where the
         # second segment ends: it steps that segment whole, and the third one
         # is never decomposed
-        built = []
-
-        def propagator(h):
-            built.append(h)
-            return DensePropagator(h)
-
-        segments = [
-            (0.5, random_trinary_hamiltonian(DIMS, 60, kind="pmc")),
-            (0.6, random_trinary_hamiltonian(DIMS, 61, kind="coupled")),
-            (1.0, random_trinary_hamiltonian(DIMS, 62, kind="violating")),
-        ]
+        segments = schedule_of(["pmc", "coupled", "violating"], 60, (0.5, 0.6, 1.0))
         state = random_state(DIMS, 63)
-        *_, got = schedule_states(segments, state, [0.0, 1.1], propagator)
-        want = DensePropagator(segments[1][1]).evolve(
-            DensePropagator(segments[0][1]).evolve(state, 0.5), 0.6
+        want = segments[1][1].propagator().evolve(
+            segments[0][1].propagator().evolve(state, 0.5), 0.6
         )
+        dense, factorized = count_builds(monkeypatch)
+        _, (_, got) = recorded_walk(monkeypatch, segments, state, [0.0, 1.1])
         assert np.array_equal(got.dense.amplitudes, want.dense.amplitudes)
-        assert [id(h) for h in built] == [id(h) for _, h in segments[:2]]
-        for walk in WALKS:
-            self.assert_walk_matches(segments[:2], state, [0.0, 0.5, 1.1], walk)
+        reached = [id(h) for _, h in segments[:2]]
+        assert [id(h) for h in dense] == [id(h) for h in factorized] == reached
+        for path in PATHS.values():
+            two = schedule_of(path(["pmc", "coupled"]), 60, (0.5, 0.6))
+            assert_walks_by_segment(monkeypatch, two, state, [0.0, 0.5, 1.1])
 
-    def test_segment_ends_past_the_double_range_read_as_infinite(self):
+    def test_segment_ends_past_the_double_range_read_as_infinite(self, monkeypatch):
         # 1e308 + 1e308 overflows math.fsum; that end lies past every finite time
-        segments = [
-            (1e308, random_trinary_hamiltonian(DIMS, 64, kind="pmc")),
-            (1e308, random_trinary_hamiltonian(DIMS, 65, kind="coupled")),
-            (1.0, random_trinary_hamiltonian(DIMS, 66, kind="pmc")),
-        ]
         state = random_state(DIMS, 67)
-        for walk in WALKS:
-            self.assert_walk_matches(segments, state, [0.0, 1.0], walk)
+        for path in PATHS.values():
+            segments = schedule_of(path(["pmc", "coupled", "pmc"]), 64, (1e308, 1e308, 1.0))
+            assert_walks_by_segment(monkeypatch, segments, state, [0.0, 1.0])
 
     def test_rejects_negative_duration(self):
         h = random_trinary_hamiltonian(DIMS, 37, kind="pmc")
-        with pytest.raises(ValueError):
-            next(schedule_states([(-0.1, h)], random_state(DIMS, 38), [0.0], DensePropagator))
+        with pytest.raises(ScheduleError, match="nonnegative"):
+            entanglement_trajectory([(-0.1, h)], random_state(DIMS, 38), [0.0])
 
-    def test_decomposes_each_segment_reached_once(self):
-        built = []
+    def test_decomposes_each_segment_reached_once(self, monkeypatch):
+        # one dense propagator per reached segment, plus a factorized one when its
+        # check holds; the fourth segment, past the last time, builds neither
+        dense, factorized = count_builds(monkeypatch)
+        state = random_state(DIMS, 54)
+        for path in PATHS.values():
+            segments = schedule_of(path(["pmc", "coupled"] * 2), 50, (0.5,) * 4)
+            dense.clear()
+            factorized.clear()
+            traj = entanglement_trajectory(segments, state, [0.0, 0.2, 0.4, 1.2])
+            reached = [h for _, h in segments[:3]]
+            assert [id(h) for h in dense] == [id(h) for h in reached]
+            assert [id(h) for h in factorized] == [
+                id(h) for h, check in zip(reached, traj.checks) if check.satisfied
+            ]
 
-        def propagator(h):
-            built.append(h)
-            return DensePropagator(h)
-
-        hs = [random_trinary_hamiltonian(DIMS, 50 + k, kind="violating") for k in range(4)]
-        segments = [(0.5, h) for h in hs]
-        list(schedule_states(segments, random_state(DIMS, 54), [0.0, 0.2, 0.4, 1.2], propagator))
-        assert [id(h) for h in built] == [id(h) for h in hs[:3]]
-
-    def test_too_short_schedule_raises_before_any_decomposition(self):
-        built = []
+    def test_too_short_schedule_raises_before_any_decomposition(self, monkeypatch):
+        dense, factorized = count_builds(monkeypatch)
         h = random_trinary_hamiltonian(DIMS, 55, kind="pmc")
-        walk = schedule_states(
-            [(0.5, h), (0.25, h)], random_state(DIMS, 56), [0.0, 0.5, 0.8], built.append
-        )
         with pytest.raises(ScheduleError, match="shorter than requested time 0.8"):
-            next(walk)
-        assert built == []
+            entanglement_trajectory([(0.5, h), (0.25, h)], random_state(DIMS, 56), [0.0, 0.5, 0.8])
+        assert dense == factorized == []
 
-    def test_segment_dims_differing_from_the_state_raise_before_any_decomposition(self):
+    def test_segment_dims_differing_from_the_state_raise_before_any_decomposition(
+        self, monkeypatch
+    ):
         # equal d_p and d_sa, so the amplitude matrices alone would fit: h at
         # (d_s, d_a) = (2, 2), the state at (4, 1); a later segment is checked too
-        built = []
+        dense, factorized = count_builds(monkeypatch)
         state = random_state(TrinaryDims(4, 1, 4), 60)
         h = random_trinary_hamiltonian(TrinaryDims(4, 1, 4), 61, kind="pmc")
         other = random_trinary_hamiltonian(DIMS, 62, kind="pmc")
         for segments in ([(1.0, other)], [(0.5, h), (0.5, other)]):
-            walk = schedule_states(segments, state, [0.0, 0.2], built.append)
             with pytest.raises(DimensionError, match="dims differ"):
-                next(walk)
-        assert built == []
+                entanglement_trajectory(segments, state, [0.0, 0.2])
+        assert dense == factorized == []
 
     def test_drops_each_decomposition_before_the_next(self):
         # total 1296: one total x total complex matrix is 26.9 MB, and a live
@@ -1179,8 +1201,7 @@ class TestSchedule:
         def walk_peak(segments, times):
             tracemalloc.start()
             try:
-                for _ in schedule_states(segments, state, times, DensePropagator):
-                    pass
+                entanglement_trajectory(segments, state, times)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -1,5 +1,7 @@
 """The suite's case counts: one default mapping, overridden by name from a scenario."""
 
+import dataclasses
+
 import pytest
 
 from icqt import suite
@@ -58,6 +60,22 @@ def test_unknown_count_name_raises_type_error(battery_calls):
     with pytest.raises(TypeError, match="born_case"):
         suite.run_property_suite(7, born_case=2)
     assert battery_calls == []
+
+
+@pytest.mark.parametrize("deviation", [1e-6, float("nan")])
+def test_bounds_battery_fails_on_a_gap_to_the_dense_reference(monkeypatch, deviation):
+    # the trajectories walk the dense reference beside the factorized walk; a gap past
+    # FACTORIZATION_TOL fails the battery, and worst and notes read as before
+    walk = suite.entanglement_trajectory
+    clean = suite.bounds_and_creation_battery(7, 4)
+
+    def drifting(*args):
+        return dataclasses.replace(walk(*args), max_deviation=deviation)
+
+    monkeypatch.setattr(suite, "entanglement_trajectory", drifting)
+    result = suite.bounds_and_creation_battery(7, 4)
+    assert clean.passed and not result.passed
+    assert (result.worst, result.notes) == (clean.worst, clean.notes)
 
 
 class TestParseSuiteOptions:
