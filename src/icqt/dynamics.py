@@ -176,13 +176,14 @@ class _Conditioned:
         return CommutatorCheck(commutator_norm=norm, satisfied=norm <= COMMUTATION_TOL)
 
 
-def _checked_propagator(check: CommutatorCheck, core: _Conditioned) -> FactorizedPropagator:
-    """The factorized propagator of ``core``, whose measurability ``check`` must hold."""
+def _checked_propagator(check: CommutatorCheck, h) -> FactorizedPropagator:
+    """The factorized propagator of ``h`` (as ``_ConditionedPropagator`` takes it), whose
+    measurability ``check`` must hold."""
     if not check.satisfied:
         raise FactorizationPreconditionError(
             f"measurability condition violated (commutator norm {check.commutator_norm:.3e})"
         )
-    return FactorizedPropagator(core)
+    return FactorizedPropagator(h)
 
 
 @dataclass(frozen=True)
@@ -264,11 +265,13 @@ class _ConditionedPropagator:
     ``h`` is a Hamiltonian of any level, or a bare ``_Conditioned`` core (the swapped
     level).  Over the conditioning states H reads A + B; a subclass splits the core into
     factors, each a list of component spectra (``_component_spectra``); a step applies
-    them in turn in that frame.
+    them in turn in that frame.  Only a ``TrinaryHamiltonian``'s propagator ``evolve``s a
+    trinary state, and only one of its dims.
     """
 
     def __init__(self, h):
         core = h if isinstance(h, _Conditioned) else h._core
+        self._dims = h.dims if isinstance(h, TrinaryHamiltonian) else None
         self._basis = core.basis
         self._factors = self._factorize(core)
 
@@ -281,7 +284,10 @@ class _ConditionedPropagator:
         return psi if w is None else w @ psi
 
     def evolve(self, state: TrinaryState, t: float) -> TrinaryState:
-        """``apply`` on the (d_p, d_sa) amplitude matrix of a trinary state."""
+        """``apply`` on the (d_p, d_sa) amplitude matrix of a trinary state of the
+        Hamiltonian's dims."""
+        if state.dims != self._dims:
+            raise DimensionError("hamiltonian and state dims differ")
         out = self.apply(state.as_matrix(), t)
         return TrinaryState.from_dense(state.dims, StateVector(out.reshape(-1)))
 
@@ -312,8 +318,6 @@ class DensePropagator(_ConditionedPropagator):
 
 def evolve_full(h: TrinaryHamiltonian, state: TrinaryState, t: float) -> TrinaryState:
     """One step of ``DensePropagator``: the brute-force oracle."""
-    if h.dims != state.dims:
-        raise DimensionError("hamiltonian and state dims differ")
     return DensePropagator(h).evolve(state, t)
 
 
@@ -323,9 +327,7 @@ def evolve_factorized(h: TrinaryHamiltonian, state: TrinaryState, t: float) -> T
     ``h.propagator().evolve(state, t)`` is the same formula without the check
     (used to demonstrate that the condition is not vacuous).
     """
-    if h.dims != state.dims:
-        raise DimensionError("hamiltonian and state dims differ")
-    return _checked_propagator(check_pmc(h), h._core).evolve(state, t)
+    return _checked_propagator(check_pmc(h), h).evolve(state, t)
 
 
 def evolve_programmed_block(
@@ -334,7 +336,7 @@ def evolve_programmed_block(
     """Second-level factorized evolution of one S x A block."""
     if sa_state.dim != block.d_s * block.d_a:
         raise DimensionError("state does not live on this block's S x A space")
-    prop = _checked_propagator(check_sapmc(block), block._core)
+    prop = _checked_propagator(check_sapmc(block), block)
     out = prop.apply(sa_state.amplitudes.reshape(block.d_s, block.d_a), t)
     return StateVector(out.reshape(-1))
 
@@ -441,7 +443,8 @@ def entanglement_trajectory(
     nor decomposed.  Each reached segment is checked once and decomposed once into the
     dense reference; it is stepped by its factorized propagator when its check holds and
     by that reference otherwise, and both are dropped before the next segment is built.
-    The reference state walks beside the recorded one over the whole schedule.
+    The reference state walks beside the recorded one over the whole schedule; while every
+    segment so far was dense the two are one object, stepped once.
     """
     times = tuple(float(t) for t in times)
     steps = _segment_steps(segments, state, times)
@@ -451,13 +454,15 @@ def entanglement_trajectory(
         checks.append(check_pmc(h))
         dense = DensePropagator(h)
         prop = h.propagator() if checks[-1].satisfied else dense
+        shared = prop is dense and current is reference  # one step serves both walks
         for step in segment_steps:
             now = prop.evolve(current, step)
-            gap = now.dense.amplitudes - dense.evolve(reference, step).dense.amplitudes
-            deviations.append(np.max(np.abs(gap)))
+            ref = now if shared else dense.evolve(reference, step)
+            deviations.append(np.max(np.abs(now.dense.amplitudes - ref.dense.amplitudes)))
             entropies.append(dual_entropies(now))
         if k + 1 < len(steps):
-            current, reference = prop.evolve(current, duration), dense.evolve(reference, duration)
+            current = prop.evolve(current, duration)
+            reference = current if shared else dense.evolve(reference, duration)
         del dense, prop
     s_psa, s_branches = zip(*entropies)
     factorized = any(check.satisfied for check in checks)

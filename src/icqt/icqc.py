@@ -10,6 +10,8 @@ tests lives in the test suite, not here).
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -95,12 +97,25 @@ def _rotation(kind: str, angle: float) -> np.ndarray:
     return np.array([[np.exp(-1j * angle / 2), 0], [0, np.exp(1j * angle / 2)]], dtype=complex)
 
 
+def _finite_real(x) -> bool:
+    """A real number, not a bool, that a double holds finitely."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int past the double range
+        return False
+
+
 @dataclass(frozen=True)
 class GateOp:
     """One gate: a named single-qubit gate, a rotation, or CNOT.
 
     Targets are (register, qubit) pairs; CNOT takes (control, target) and may
-    span registers.
+    span registers.  A qubit is an integer, not a bool (a numpy integer is kept as
+    its int), whose range is the rule of the circuit holding the gate
+    (``_check_circuit``); an angle is a real number, not a bool, that a double holds
+    finitely.
     """
 
     kind: str
@@ -108,6 +123,11 @@ class GateOp:
     angle: float | None = None
 
     def __post_init__(self):
+        for _, q in self.targets:
+            if not isinstance(q, numbers.Integral) or isinstance(q, bool):
+                raise ValueError(f"qubit {_echo(q)} is not an integer")
+        if self.angle is not None and not _finite_real(self.angle):
+            raise ValueError(f"angle {_echo(self.angle)} is not a finite number")
         targets = tuple((str(reg), int(q)) for reg, q in self.targets)
         object.__setattr__(self, "targets", targets)
         for reg, _ in targets:
@@ -138,15 +158,6 @@ class GateOp:
 def _real_gate(gate: GateOp) -> bool:
     """Whether ``gate``'s matrix has zero imaginary part (``-0.0`` too); CNOT is real."""
     return gate.kind in _REAL_KINDS or not gate.matrix().imag.any()
-
-
-def _register_axis(reg: str, qubit: int, layout: dict[str, tuple[int, int]]) -> int:
-    if reg not in layout:
-        raise IndexError(f"register {reg} not present in this context")
-    offset, size = layout[reg]
-    if not 0 <= qubit < size:
-        raise IndexError(f"qubit {qubit} out of range for register {reg} of size {size}")
-    return offset + qubit
 
 
 def _apply_single(arr: np.ndarray, m: np.ndarray, axis: int, out: np.ndarray) -> None:
@@ -200,13 +211,11 @@ def _apply_gates_nd(
     for gate in gates:
         if gate.kind == "CNOT":
             (creg, cq), (treg, tq) = gate.targets
-            c = _register_axis(creg, cq, layout)
-            t = _register_axis(treg, tq, layout)
-            _apply_cnot(arr, c, t, spare)
+            _apply_cnot(arr, layout[creg][0] + cq, layout[treg][0] + tq, spare)
         else:
             reg, q = gate.targets[0]
             m = gate.matrix()
-            _apply_single(arr, m.real.copy() if real else m, _register_axis(reg, q, layout), spare)
+            _apply_single(arr, m.real.copy() if real else m, layout[reg][0] + q, spare)
         arr, spare = spare, arr
     return arr
 
@@ -219,14 +228,50 @@ def _sa_layout(n: int) -> dict[str, tuple[int, int]]:
     return {"S": (0, n), "A": (n, n)}
 
 
+def _check_circuit(where: str, gates, layout: dict[str, tuple[int, int]]) -> tuple[GateOp, ...]:
+    """The circuit rule: ``gates`` is a circuit of ``GateOp`` whose every target register is
+    in ``layout`` (register -> (first axis, size)) with its qubit in range, so the kernels
+    read each target's axis as ``layout[reg][0] + q`` unchecked.  Returns the circuit as a
+    tuple, so an iterator is not spent by the check."""
+    if isinstance(gates, GateOp):
+        raise ValueError(f"{where} must be a circuit of GateOp, got a single GateOp")
+    gates = tuple(gates)
+    for gate in gates:
+        if not isinstance(gate, GateOp):
+            raise ValueError(f"{where} must be a circuit of GateOp, got {type(gate).__name__}")
+        for reg, q in gate.targets:
+            if reg not in layout:
+                raise ValueError(f"{where} may not touch register {reg}")
+            size = layout[reg][1]
+            if not 0 <= q < size:
+                raise ValueError(
+                    f"{where}: qubit {q} out of range for register {reg} of size {size}"
+                )
+    return gates
+
+
+def _check_start(n, initial: str) -> None:
+    """The start rule: ``n`` is an int (not a bool) of at least 1, its registers pass
+    ``check_register_capacity`` before any power of ``n`` is taken, and ``initial`` is
+    'uniform' or 'zeros'."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {_echo(n)}")
+    check_register_capacity(n)
+    if initial not in ("uniform", "zeros"):
+        raise ValueError("initial must be 'uniform' or 'zeros'")
+
+
 @dataclass(frozen=True)
 class IcqcConfig:
     """Run configuration: registers, gate stage, and the programmed stage.
 
     ``program_table`` needs exactly 4^n entries, each a branch circuit: a
     sequence of ``GateOp`` on S and A.  The optional P-only circuit is applied
-    after the branch stage.  Register sizes other than n_a = n and n_p = 2n
-    are rejected.
+    after the branch stage.  ``n`` and ``initial`` follow the start rule
+    (``_check_start``, checked first), and each circuit the circuit rule
+    (``_check_circuit``) on its registers: P, S and A for the gate sequence, S
+    and A for a branch, P for the P-only circuit.  Register sizes other than
+    n_a = n and n_p = 2n are rejected.
     """
 
     n: int
@@ -238,8 +283,7 @@ class IcqcConfig:
     n_p: int | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _check_start(self.n, self.initial)
         n_a = self.n if self.n_a is None else self.n_a
         n_p = 2 * self.n if self.n_p is None else self.n_p
         if n_a != self.n or n_p != 2 * self.n:
@@ -249,35 +293,17 @@ class IcqcConfig:
             )
         object.__setattr__(self, "n_a", n_a)
         object.__setattr__(self, "n_p", n_p)
-        if self.initial not in ("uniform", "zeros"):
-            raise ValueError("initial must be 'uniform' or 'zeros'")
         if isinstance(self.program_table, GateOp):
             raise ValueError("program table must be a table of circuits, got a single GateOp")
         if len(self.program_table) != 4**self.n:
             raise ValueError(
                 f"program table needs {4 ** self.n} entries, got {len(self.program_table)}"
             )
-        circuits = [
-            ("gate sequence", self.gate_sequence, REGISTERS),
-            *((f"branch {p}", entry, ("S", "A")) for p, entry in enumerate(self.program_table)),
-            ("post-program circuit", self.post_program_p_circuit, ("P",)),
-        ]
-        sizes = {"P": n_p, "S": self.n, "A": n_a}
-        for where, gates, allowed in circuits:
-            if isinstance(gates, GateOp):
-                raise ValueError(f"{where} must be a circuit of GateOp, got a single GateOp")
-            for gate in gates:
-                if not isinstance(gate, GateOp):
-                    kind = type(gate).__name__
-                    raise ValueError(f"{where} must be a circuit of GateOp, got {kind}")
-                for reg, q in gate.targets:
-                    if reg not in allowed:
-                        raise ValueError(f"{where} may not touch register {reg}")
-                    if not 0 <= q < sizes[reg]:
-                        raise ValueError(
-                            f"{where}: qubit {q} out of range for register {reg} "
-                            f"of size {sizes[reg]}"
-                        )
+        full, sa = _full_layout(self.n), _sa_layout(self.n)
+        _check_circuit("gate sequence", self.gate_sequence, full)
+        for p, entry in enumerate(self.program_table):
+            _check_circuit(f"branch {p}", entry, sa)
+        _check_circuit("post-program circuit", self.post_program_p_circuit, {"P": full["P"]})
 
     @property
     def dims(self) -> TrinaryDims:
@@ -312,21 +338,16 @@ def random_program(n: int, depth: int, rng: np.random.Generator) -> tuple[tuple[
 
 def _initial_factors(n: int, initial: str) -> tuple[StateVector, StateVector, StateVector]:
     """The P, S and A factors of the uniform (or all-zeros with 'zeros') start of n-qubit
-    registers, after the capacity check."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    check_register_capacity(n)
+    registers, whose start ``_check_start`` has passed."""
     dims = _register_dims(n)
-    if initial not in ("uniform", "zeros"):
-        raise ValueError("initial must be 'uniform' or 'zeros'")
     return tuple(StateVector.uniform(d) if initial == "uniform" else StateVector.basis(d, 0)
                  for d in (dims.d_p, dims.d_s, dims.d_a))
 
 
 def init_state(n: int, initial: str = "uniform") -> TrinaryState:
     """Uniform superposition on every register (or all-zeros with 'zeros')."""
-    factors = _initial_factors(n, initial)
-    return TrinaryState.from_product(_register_dims(n), *factors)
+    _check_start(n, initial)
+    return TrinaryState.from_product(_register_dims(n), *_initial_factors(n, initial))
 
 
 def apply_gates(state: TrinaryState, gates: Sequence[GateOp]) -> TrinaryState:
@@ -338,8 +359,10 @@ def apply_gates(state: TrinaryState, gates: Sequence[GateOp]) -> TrinaryState:
     n = state.dims.d_s.bit_length() - 1
     if n < 1 or state.dims != _register_dims(n):
         raise ValueError("state does not match an n-qubit trinary register layout")
+    layout = _full_layout(n)
+    gates = _check_circuit("gate sequence", gates, layout)
     amps = state.dense.amplitudes.copy()
-    out = _apply_gates_nd(amps, gates, _full_layout(n), np.empty_like(amps))
+    out = _apply_gates_nd(amps, gates, layout, np.empty_like(amps))
     return TrinaryState.from_dense(state.dims, StateVector._owning(out))
 
 

@@ -77,6 +77,23 @@ class PropertyResult:
     notes: str = ""
 
 
+def _result(
+    name: str, worst: float, threshold: float, cases: int, t0: float,
+    passed: bool | None = None, notes: str = "",
+) -> PropertyResult:
+    """A battery's result, timed from its start ``t0``: it passes when ``worst <= threshold``
+    unless the battery gives its own verdict ``passed``."""
+    return PropertyResult(
+        name=name,
+        passed=worst <= threshold if passed is None else passed,
+        worst=worst,
+        threshold=threshold,
+        cases=cases,
+        elapsed_s=time.perf_counter() - t0,
+        notes=notes,
+    )
+
+
 def _random_separable(dims: TrinaryDims, seed: int) -> TrinaryState:
     return TrinaryState.from_product(
         dims,
@@ -96,7 +113,7 @@ def factorization_battery(
         for i in range(cases_per_dims):
             kind = "pmc" if i % 2 == 0 else "coupled"
             h = random_trinary_hamiltonian(dims, subseed(seed, 10, d_idx, i), kind=kind)
-            fact = _checked_propagator(check_pmc(h), h._core)
+            fact = _checked_propagator(check_pmc(h), h)
             state = TrinaryState.from_dense(
                 dims, seeded_random("state", dims.total, subseed(seed, 11, d_idx, i))
             )
@@ -105,14 +122,7 @@ def factorization_battery(
                 a = full.evolve(state, t).dense.amplitudes
                 b = fact.evolve(state, t).dense.amplitudes
                 worst = max(worst, float(np.max(np.abs(a - b))))
-    return PropertyResult(
-        name="factorization",
-        passed=worst <= FACTORIZATION_TOL,
-        worst=worst,
-        threshold=FACTORIZATION_TOL,
-        cases=len(dims_list) * cases_per_dims,
-        elapsed_s=time.perf_counter() - t0,
-    )
+    return _result("factorization", worst, FACTORIZATION_TOL, len(dims_list) * cases_per_dims, t0)
 
 
 def converse_battery(seed: int, cases: int) -> PropertyResult:
@@ -128,13 +138,9 @@ def converse_battery(seed: int, cases: int) -> PropertyResult:
         a = evolve_full(h, state, 1.0).dense.amplitudes
         b = h.propagator().evolve(state, 1.0).dense.amplitudes
         smallest = min(smallest, float(np.max(np.abs(a - b))))
-    return PropertyResult(
-        name="converse-probe",
+    return _result(
+        "converse-probe", smallest, CONVERSE_MIN_DEVIATION, cases, t0,
         passed=smallest > CONVERSE_MIN_DEVIATION,
-        worst=smallest,
-        threshold=CONVERSE_MIN_DEVIATION,
-        cases=cases,
-        elapsed_s=time.perf_counter() - t0,
         notes="worst is the smallest forced-factorized deviation; it must exceed the threshold",
     )
 
@@ -152,14 +158,8 @@ def block_battery(seed: int, cases_per_dim: int) -> PropertyResult:
             got = evolve_programmed_block(block, sa, t).amplitudes
             want = hermitian_propagator(block.assemble(), t).apply(sa).amplitudes
             worst = max(worst, float(np.max(np.abs(got - want))))
-    return PropertyResult(
-        name="block-factorization",
-        passed=worst <= FACTORIZATION_TOL,
-        worst=worst,
-        threshold=FACTORIZATION_TOL,
-        cases=len(SQUARE_D) * cases_per_dim,
-        elapsed_s=time.perf_counter() - t0,
-    )
+    cases = len(SQUARE_D) * cases_per_dim
+    return _result("block-factorization", worst, FACTORIZATION_TOL, cases, t0)
 
 
 def _branch_basis_set(d: int, d_p: int, seed: int) -> list[np.ndarray]:
@@ -195,14 +195,7 @@ def born_battery(seed: int, cases_per_dim: int) -> PropertyResult:
             dec = report.decision_probs
             worst = max(worst, float(np.max(np.abs(dec - np.abs(chi.amplitudes) ** 2))))
             worst = max(worst, textbook_comparison(report, psi, bases)[1])
-    return PropertyResult(
-        name="born-emergence",
-        passed=worst <= BORN_TOL,
-        worst=worst,
-        threshold=BORN_TOL,
-        cases=len(SQUARE_D) * cases_per_dim,
-        elapsed_s=time.perf_counter() - t0,
-    )
+    return _result("born-emergence", worst, BORN_TOL, len(SQUARE_D) * cases_per_dim, t0)
 
 
 def bounds_and_creation_battery(seed: int, cases: int, dims_list=DEFAULT_DIMS) -> PropertyResult:
@@ -231,13 +224,8 @@ def bounds_and_creation_battery(seed: int, cases: int, dims_list=DEFAULT_DIMS) -
         weakest_creation > CREATION_MIN and worst_bound <= ENTROPY_TOL
         and all(d <= FACTORIZATION_TOL for d in deviations)
     )
-    return PropertyResult(
-        name="bounds-and-creation",
-        passed=passed,
-        worst=weakest_creation,
-        threshold=CREATION_MIN,
-        cases=cases,
-        elapsed_s=time.perf_counter() - t0,
+    return _result(
+        "bounds-and-creation", weakest_creation, CREATION_MIN, cases, t0, passed=passed,
         notes=f"worst is the smallest S_PSA(0.1); max bound excess {worst_bound:.3e}",
     )
 
@@ -257,14 +245,7 @@ def shannon_identity_battery(seed: int, cases: int, dims_list=DEFAULT_DIMS) -> P
         lhs = shannon_entropy(decision_probabilities(state))
         rhs = entanglement_entropy(state.dense, (dims.d_p, dims.d_sa))
         worst = max(worst, abs(lhs - rhs))
-    return PropertyResult(
-        name="shannon-identity",
-        passed=worst <= ENTROPY_TOL,
-        worst=worst,
-        threshold=ENTROPY_TOL,
-        cases=cases,
-        elapsed_s=time.perf_counter() - t0,
-    )
+    return _result("shannon-identity", worst, ENTROPY_TOL, cases, t0)
 
 
 def schmidt_battery(seed: int, roundtrips: int) -> PropertyResult:
@@ -290,14 +271,7 @@ def schmidt_battery(seed: int, roundtrips: int) -> PropertyResult:
             )
             if drift > ENTROPY_TOL:
                 worst = max(worst, drift)
-    return PropertyResult(
-        name="schmidt-roundtrip",
-        passed=worst <= SCHMIDT_TOL,
-        worst=worst,
-        threshold=SCHMIDT_TOL,
-        cases=roundtrips,
-        elapsed_s=time.perf_counter() - t0,
-    )
+    return _result("schmidt-roundtrip", worst, SCHMIDT_TOL, roundtrips, t0)
 
 
 def icqc_battery(seed: int) -> PropertyResult:
@@ -325,14 +299,9 @@ def icqc_battery(seed: int) -> PropertyResult:
     live = ~np.array(report.born.empty)
     sums = [np.sum(report.born.decision_probs), *report.born.outcome_probs[live].sum(axis=1)]
     worst = max(worst, float(np.max(np.abs(np.array(sums) - 1.0))))
-    passed = law_enforced and worst <= FACTORIZATION_TOL
-    return PropertyResult(
-        name="icqc-structure",
-        passed=passed,
-        worst=worst,
-        threshold=FACTORIZATION_TOL,
-        cases=3,
-        elapsed_s=time.perf_counter() - t0,
+    return _result(
+        "icqc-structure", worst, FACTORIZATION_TOL, 3, t0,
+        passed=law_enforced and worst <= FACTORIZATION_TOL,
         notes="register law enforced" if law_enforced else "register law NOT enforced",
     )
 

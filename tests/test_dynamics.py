@@ -28,6 +28,7 @@ from icqt.dynamics import (
 from icqt.linalg import (
     DimensionError,
     HermiticityError,
+    HermitianSpectrum,
     Operator,
     StateVector,
     hermitian_propagator,
@@ -787,6 +788,16 @@ class TestTrajectory:
         with pytest.raises(DimensionError, match="dims differ"):
             entanglement_trajectory([(np.inf, h)], state, [0.0, 0.5])
 
+    def test_every_propagator_refuses_a_state_of_other_dims(self):
+        # the (d_p, d_sa) amplitude matrices would fit: (4, 1, 4) against (2, 2, 4)
+        h = random_trinary_hamiltonian(DIMS, 3, kind="pmc")
+        state = random_state(TrinaryDims(4, 1, 4), 27)
+        steps = [h.propagator().evolve, DensePropagator(h).evolve,
+                 lambda s, t: evolve_full(h, s, t), lambda s, t: evolve_factorized(h, s, t)]
+        for step in steps:
+            with pytest.raises(DimensionError, match="^hamiltonian and state dims differ$"):
+                step(state, 0.5)
+
     def test_creation_from_separable(self):
         h = random_trinary_hamiltonian(DIMS, 26, kind="pmc")
         traj = entanglement_trajectory([(np.inf, h)], separable_state(DIMS, 27), [0.0, 0.1])
@@ -975,6 +986,28 @@ class TestEvolveDispatch:
         for t, got in zip(times, seen):
             want = schedule_walk(segments, state, t, evolve_full)
             assert np.array_equal(got.dense.amplitudes, want.dense.amplitudes)
+
+    def test_an_all_dense_walk_steps_once(self, monkeypatch):
+        # while no segment has been factorized the recorded and reference states are one
+        # object: 7 times and 2 segment boundaries take 9 spectrum applications, not 18
+        segments = [
+            (0.5, random_trinary_hamiltonian(DIMS, 100 + k, "violating")) for k in range(3)
+        ]
+        state = TrinaryState.from_dense(DIMS, seeded_random("state", 16, 7))
+        times = [0.0, 0.2, 0.4, 0.6, 0.9, 1.2, 1.4]
+        calls = []
+        apply = HermitianSpectrum.apply
+
+        def counting_apply(spectrum, x, t):
+            calls.append(t)
+            return apply(spectrum, x, t)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(HermitianSpectrum, "apply", counting_apply)
+            entanglement_trajectory(segments, state, times)
+        assert len(calls) == 9
+        traj, _ = assert_walks_by_segment(monkeypatch, segments, state, times)
+        assert traj.max_deviation is None
 
     def test_an_unreached_violating_segment_is_not_checked(self, monkeypatch):
         # segments of 0.5 each, the violating one past the last time: the walk is

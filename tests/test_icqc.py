@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -83,6 +84,26 @@ class TestGateOp:
         with pytest.raises(ValueError):
             GateOp("X", (("Q", 0),))
 
+    @pytest.mark.parametrize("qubit", [0.9, True, "0", None])
+    def test_qubit_not_an_integer_rejected(self, qubit):
+        # neither truncated (0.9 would act on qubit 0) nor read as an int (True on qubit 1)
+        with pytest.raises(ValueError, match="is not an integer"):
+            GateOp("RY", (("S", qubit),), angle=0.1)
+
+    def test_numpy_integer_qubit_kept_as_an_int(self):
+        gate = GateOp("CNOT", (("S", np.int64(0)), ("A", np.uint8(1))))
+        assert gate.targets == (("S", 0), ("A", 1))
+        assert all(type(q) is int for _, q in gate.targets)
+
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf"), -np.inf, True, 10**400, "0.1"])
+    def test_angle_not_a_finite_number_rejected(self, angle):
+        with pytest.raises(ValueError, match="is not a finite number"):
+            GateOp("RY", (("S", 0),), angle=angle)
+
+    @pytest.mark.parametrize("angle", [0, -0.0, np.float32(0.5), np.int64(2), 10**300])
+    def test_finite_real_angle_accepted(self, angle):
+        assert GateOp("RZ", (("S", 0),), angle=angle).angle == angle
+
     @pytest.mark.parametrize("kind", [*_FIXED_GATES, *_ROTATIONS, "CNOT"])
     def test_real_gate_is_a_zero_imaginary_part(self, kind):
         if kind == "CNOT":
@@ -132,6 +153,28 @@ class TestInitState:
         monkeypatch.setenv("ICQT_MAX_DIM", "65536")
         assert init_state(3).dense.dim == 4096
 
+    def test_capacity_checked_before_any_power_of_n(self):
+        # 4**(10**7) alone would take about 0.2 s, and its digits cannot be printed
+        for make in (lambda: init_state(10**7), lambda: IcqcConfig(n=10**7, program_table=())):
+            start = time.perf_counter()
+            with pytest.raises(CapacityError) as err:
+                make()
+            assert time.perf_counter() - start < 0.1
+            assert "\n" not in str(err.value) and "2^40000000 exceeds the cap" in str(err.value)
+
+    @pytest.mark.parametrize("n", [True, 1.0, np.int64(1), 0, -1, "1"])
+    def test_n_must_be_a_positive_int(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            init_state(n)
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            IcqcConfig(n=n, program_table=identity_program(1))
+
+    def test_unknown_initial_rejected(self):
+        with pytest.raises(ValueError, match="initial must be"):
+            init_state(1, "ones")
+        with pytest.raises(ValueError, match="initial must be"):
+            IcqcConfig(n=1, program_table=identity_program(1), initial="ones")
+
 
 class TestApplyGates:
     def test_x_flips_bit(self):
@@ -175,8 +218,33 @@ class TestApplyGates:
         ) <= 1e-12
 
     def test_bounds_error(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             apply_gates(init_state(1), [GateOp("X", (("S", 1),))])
+
+    @pytest.mark.parametrize("target", [("S", 1), ("A", -1), ("P", 2), ("P", -3)])
+    def test_out_of_range_qubit_has_the_config_message(self, target):
+        gates = (GateOp("X", (target,)),)
+        with pytest.raises(ValueError) as config_err:
+            IcqcConfig(n=1, gate_sequence=gates, program_table=identity_program(1))
+        with pytest.raises(ValueError) as apply_err:
+            apply_gates(init_state(1), gates)
+        (reg, q), size = target, 2 if target[0] == "P" else 1
+        want = f"gate sequence: qubit {q} out of range for register {reg} of size {size}"
+        assert str(apply_err.value) == str(config_err.value) == want
+
+    def test_an_iterator_of_gates_is_checked_and_applied(self):
+        state = init_state(1, "zeros")
+        gates = [GateOp("X", (("S", 0),))]
+        out = apply_gates(state, iter(gates)).dense.amplitudes
+        assert np.array_equal(out, apply_gates(state, gates).dense.amplitudes)
+        assert not np.array_equal(out, state.dense.amplitudes)
+
+    def test_gates_checked_before_any_gate_runs(self):
+        # one bad gate at the end refuses the whole circuit, with no work done
+        gates = [GateOp("H", (("S", 0),)), "X"]
+        want = "^gate sequence must be a circuit of GateOp, got str$"
+        with pytest.raises(ValueError, match=want):
+            apply_gates(init_state(1), gates)
 
     @pytest.mark.parametrize("dims", [TrinaryDims(3, 3, 9), TrinaryDims(2, 2, 16)])
     def test_state_off_the_register_layout(self, dims):
