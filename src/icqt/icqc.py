@@ -185,15 +185,18 @@ def _identity(rest: int) -> np.ndarray:
 
 
 def _apply_cnot(arr: np.ndarray, control: int, target: int, out: np.ndarray) -> None:
-    """Write CNOT on the qubit axes (control, target) of the amplitudes ``arr`` into ``out``."""
-    shape = [2] * (arr.size.bit_length() - 1)
+    """Write CNOT on the qubit axes (control, target) of the amplitudes ``arr`` into ``out``:
+    two strided copies through the view (2^lo, 2, 2^(hi-lo-1), 2, 2^(n-hi-1)) of the lower
+    and higher axis, the control's 0 half as it is and its 1 half with the target's swapped."""
+    lo, hi = sorted((control, target))
+    shape = (2**lo, 2, 2 ** (hi - lo - 1), 2, arr.size >> (hi + 1))
     src, dst = arr.reshape(shape), out.reshape(shape)
-    sel: list = [slice(None)] * len(shape)
-    sel[control] = 0
-    dst[tuple(sel)] = src[tuple(sel)]
-    sel[control] = 1
-    one = tuple(sel)
-    dst[one] = np.flip(src[one], axis=target - (1 if target > control else 0))
+    if control < target:
+        dst[:, 0] = src[:, 0]
+        dst[:, 1] = src[:, 1, :, ::-1]
+    else:
+        dst[:, :, :, 0] = src[:, :, :, 0]
+        dst[:, :, :, 1] = src[:, ::-1, :, 1]
 
 
 def _apply_gates_nd(
@@ -265,13 +268,13 @@ def _check_start(n, initial: str) -> None:
 class IcqcConfig:
     """Run configuration: registers, gate stage, and the programmed stage.
 
-    ``program_table`` needs exactly 4^n entries, each a branch circuit: a
-    sequence of ``GateOp`` on S and A.  The optional P-only circuit is applied
-    after the branch stage.  ``n`` and ``initial`` follow the start rule
-    (``_check_start``, checked first), and each circuit the circuit rule
-    (``_check_circuit``) on its registers: P, S and A for the gate sequence, S
-    and A for a branch, P for the P-only circuit.  Register sizes other than
-    n_a = n and n_p = 2n are rejected.
+    ``program_table`` needs exactly 4^n entries, each a branch circuit on S and A;
+    the optional P-only circuit runs after the branch stage.  ``n`` and ``initial``
+    follow the start rule (``_check_start``, checked first), and each circuit the
+    circuit rule (``_check_circuit``) on its registers: P, S and A for the gate
+    sequence, S and A for a branch, P for the P-only circuit.  The fields keep the
+    tuples that rule returns, so a circuit or a table given as an iterator is read
+    once.  Register sizes other than n_a = n and n_p = 2n are rejected.
     """
 
     n: int
@@ -284,26 +287,28 @@ class IcqcConfig:
 
     def __post_init__(self):
         _check_start(self.n, self.initial)
-        n_a = self.n if self.n_a is None else self.n_a
-        n_p = 2 * self.n if self.n_p is None else self.n_p
-        if n_a != self.n or n_p != 2 * self.n:
+        object.__setattr__(self, "n_a", self.n if self.n_a is None else self.n_a)
+        object.__setattr__(self, "n_p", 2 * self.n if self.n_p is None else self.n_p)
+        if self.n_a != self.n or self.n_p != 2 * self.n:
             raise ValueError(
                 f"register law violated: need n_a = n and n_p = 2n, got "
-                f"n={self.n}, n_a={n_a}, n_p={n_p}"
+                f"n={self.n}, n_a={self.n_a}, n_p={self.n_p}"
             )
-        object.__setattr__(self, "n_a", n_a)
-        object.__setattr__(self, "n_p", n_p)
         if isinstance(self.program_table, GateOp):
             raise ValueError("program table must be a table of circuits, got a single GateOp")
-        if len(self.program_table) != 4**self.n:
-            raise ValueError(
-                f"program table needs {4 ** self.n} entries, got {len(self.program_table)}"
-            )
+        table = tuple(self.program_table)
+        if len(table) != 4**self.n:
+            raise ValueError(f"program table needs {4 ** self.n} entries, got {len(table)}")
         full, sa = _full_layout(self.n), _sa_layout(self.n)
-        _check_circuit("gate sequence", self.gate_sequence, full)
-        for p, entry in enumerate(self.program_table):
-            _check_circuit(f"branch {p}", entry, sa)
-        _check_circuit("post-program circuit", self.post_program_p_circuit, {"P": full["P"]})
+        kept = {  # the circuits the rule returns, so an iterator is read once
+            "gate_sequence": _check_circuit("gate sequence", self.gate_sequence, full),
+            "program_table": tuple(_check_circuit(f"branch {p}", c, sa) for p, c in enumerate(table)),
+            "post_program_p_circuit": _check_circuit(
+                "post-program circuit", self.post_program_p_circuit, {"P": full["P"]}
+            ),
+        }
+        for name, value in kept.items():
+            object.__setattr__(self, name, value)
 
     @property
     def dims(self) -> TrinaryDims:
@@ -374,29 +379,22 @@ def _programmed_stage(amps: np.ndarray, config: IcqcConfig) -> np.ndarray:
     Each row is one S x A block of 4^n amplitudes; its circuit alternates between the
     row and one spare row of its dtype.  The finite and norm check runs between the two stages.
     """
-    n = config.n
     rows = amps.reshape(config.dims.d_p, config.dims.d_sa)
-    sa_layout = _sa_layout(n)
+    sa_layout = _sa_layout(config.n)
     spare = np.empty(config.dims.d_sa, dtype=amps.dtype)
-    for p, circuit in enumerate(config.program_table):
-        row = rows[p]
+    for row, circuit in zip(rows, config.program_table):
         if _apply_gates_nd(row, circuit, sa_layout, spare) is spare:
             row[...] = spare
     if not config.post_program_p_circuit:
         return amps
     _check_unit(amps)
-    layout = _full_layout(n)
+    layout = _full_layout(config.n)
     return _apply_gates_nd(amps, config.post_program_p_circuit, layout, np.empty_like(amps))
 
 
 def apply_programmed_op(state: TrinaryState, config: IcqcConfig) -> TrinaryState:
-    """Branch circuits conditioned on P, then the optional P-only circuit.
-
-    Works row by row over programming values on one copy of the amplitudes: each
-    row is rewritten in place, with one spare S x A row of 4^n amplitudes as
-    workspace, and the copy becomes the new state.  A P-only circuit adds one
-    spare of the state's size.
-    """
+    """Branch circuits conditioned on P, then the optional P-only circuit
+    (``_programmed_stage``), on one copy of the amplitudes that becomes the new state."""
     if state.dims != config.dims:
         raise ValueError("state dims do not match the configuration")
     out = _programmed_stage(state.dense.amplitudes.copy(), config)
@@ -468,9 +466,8 @@ def run(config: IcqcConfig) -> IcqcRunReport:
     run (complex buffer and kernels) within the bounds documented in ``linalg``.
     """
     n, dims = config.n, config.dims
-    factors = _initial_factors(n, config.initial)
     amps = np.empty(dims.total, dtype=np.float64 if _real_run(config) else np.complex128)
-    _product_into(amps, *factors)
+    _product_into(amps, *_initial_factors(n, config.initial))
     _check_unit(amps)
     if config.gate_sequence:
         amps = _apply_gates_nd(amps, config.gate_sequence, _full_layout(n), np.empty_like(amps))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .icqc import GateOp, IcqcConfig, check_capacity, check_register_capacity, random_program
+from .icqc import CapacityError, GateOp, IcqcConfig, _check_start, check_capacity, random_program
 from .icqc import tomographic_program_n1
 from .linalg import Operator, StateVector, seeded_random, subseed
 from .serialize import _echo, pairs_to_complex
@@ -343,10 +343,15 @@ def parse_icqc_config(payload: dict, seed: int) -> IcqcConfig:
     for key in ("n_a", "n_p"):
         if key in payload and not _is_int(payload[key]):
             raise ScenarioError(f"{key} must be an integer")
-    check_register_capacity(n)
+    initial = payload.get("initial", "uniform")
+    try:  # the start rule, before any table of 4^n circuits is built
+        _check_start(n, initial)
+    except CapacityError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     gates = parse_gate_list(payload.get("gates"), "gates")
     p_circuit = parse_gate_list(payload.get("p_circuit"), "p_circuit")
-    initial = payload.get("initial", "uniform")
     program = payload.get("program")
     if program == "tomographic-zxyz":
         if n != 1:
@@ -362,9 +367,7 @@ def parse_icqc_config(payload: dict, seed: int) -> IcqcConfig:
         check_capacity(4**n * (depth + 1), f"4^{n}*({_echo(depth)}+1)", "random program gate count")
         table = random_program(n, depth, np.random.default_rng(subseed(seed, 9)))
     elif isinstance(program, list):
-        table = tuple(
-            parse_gate_list(entry, f"program[{p}]") for p, entry in enumerate(program)
-        )
+        table = tuple(parse_gate_list(entry, f"program[{p}]") for p, entry in enumerate(program))
     else:
         raise ScenarioError(
             "program must be 'tomographic-zxyz', {'random': {...}}, or a list of circuits"

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from icqt import cli
+from icqt import cli, scenario
 from icqt.cli import main
 from icqt.dynamics import check_pmc, evolve_factorized, evolve_full
 from icqt.icqc import CapacityError, init_state
@@ -856,6 +856,25 @@ class TestInputErrors:
         payload = base("icqc", n=8, program={"random": {"depth": 3}})
         err = self.run_over_cap(tmp_path, capsys, "icqc", payload)
         assert "2^32" in err
+
+    def test_icqc_start_rule_before_the_program_table(self, tmp_path, capsys, monkeypatch):
+        # the start rule refuses a bad initial before any of the 4^n circuits is drawn, and a
+        # register over the cap is still a capacity error, whatever the initial
+        def no_table(*args):
+            raise AssertionError("the random table was drawn")
+
+        monkeypatch.setattr(scenario, "random_program", no_table)
+        with pytest.raises(ScenarioError, match="^initial must be 'uniform' or 'zeros'$"):
+            parse_icqc_config({"n": 1, "initial": "bogus", "program": {"random": {}}}, 1)
+        payload = base("icqc", n=1, initial=5, program={"random": {}})
+        err = self.run_bad(tmp_path, capsys, "icqc", payload)
+        assert err == "scenario error: initial must be 'uniform' or 'zeros'\n"
+        payload = base("icqc", n=8, initial="bogus", program={"random": {}})
+        err = self.run_bad(tmp_path, capsys, "icqc", payload)
+        assert err == (
+            "capacity error: full dimension 2^32 = 4294967296 exceeds the cap 4096 "
+            "(set ICQT_MAX_DIM to raise it)\n"
+        )
 
     def test_random_program_depth_above_capacity(self, tmp_path, capsys):
         # depth 10^9 at n = 1 would build 4 * (10^9 + 1) gates before the run

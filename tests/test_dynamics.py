@@ -1221,12 +1221,14 @@ class TestSchedule:
         assert dense == factorized == []
 
     def test_drops_each_decomposition_before_the_next(self):
-        # total 1296: one total x total complex matrix is 26.9 MB, and a live
+        # total 256: one total x total complex matrix is 1.05 MB, and a live
         # dense decomposition holds at least its eigenvector matrix.  Walking a
         # second segment while the first one's decomposition were still alive
         # would add that whole matrix to the peak of walking one segment; the
-        # bound allows half of it (about 1.2x that peak).
-        dims = TrinaryDims(6, 6, 36)
+        # bound allows half of it.  One segment peaked at 2.17 MB and two at
+        # 2.18 MB, against a bound of 2.70 MB; with every decomposition kept
+        # alive two segments peaked at 3.23 MB.
+        dims = TrinaryDims(4, 4, 16)
         h1 = random_trinary_hamiltonian(dims, 57, kind="violating")
         h2 = random_trinary_hamiltonian(dims, 58, kind="violating")
         state = random_state(dims, 59)

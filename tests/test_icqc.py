@@ -292,6 +292,25 @@ class TestApplyGates:
         assert calls == []
 
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_cnot_is_the_index_permutation(self, n, dtype):
+        # qubit 0 is the most significant bit: CNOT flips the target's bit of every index
+        # whose control bit is set, so the output is the input read at the flipped index
+        amps = seeded_random("state", 2**n, n).amplitudes
+        arr = amps if dtype is np.complex128 else np.ascontiguousarray(amps.real)
+        index = np.arange(2**n)
+        for control in range(n):
+            for target in range(n):
+                if control == target:
+                    continue
+                bit = 1 << (n - 1 - control), 1 << (n - 1 - target)
+                flipped = np.where(index & bit[0], index ^ bit[1], index)
+                out = np.empty_like(arr)
+                icqc._apply_cnot(arr, control, target, out)
+                assert out.tobytes() == arr[flipped].tobytes(), (control, target)
+
+
 class TestRegisterLaw:
     def test_defaults_fill_in(self):
         cfg = IcqcConfig(n=2, program_table=identity_program(2))
@@ -334,6 +353,61 @@ class TestRegisterLaw:
                 program_table=identity_program(1),
                 post_program_p_circuit=(GateOp("X", (("S", 0),)),),
             )
+
+
+class TestKeptCircuits:
+    """The config runs the circuits its circuit rule returned, so an iterator or a
+    generator is read once, by the check, and then runs like a tuple."""
+
+    BELL = (GateOp("H", (("S", 0),)), GateOp("CNOT", (("S", 0), ("A", 0))))
+
+    @staticmethod
+    def assert_same_report(got, want):
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert (got.s_psa, got.mean_s_sa) == (want.s_psa, want.mean_s_sa)
+        assert got.s_sa_branches.tobytes() == want.s_sa_branches.tobytes()
+        for field in ("decision_probs", "outcome_probs"):
+            assert getattr(got.born, field).tobytes() == getattr(want.born, field).tobytes()
+        assert (got.born.degenerate, got.born.empty) == (want.born.degenerate, want.born.empty)
+
+    def test_an_iterator_gate_sequence_runs(self):
+        # a Bell pair in branch 0 of four: mean S|A entropy ln(2)/4
+        table = identity_program(1)
+        want = run(IcqcConfig(n=1, gate_sequence=self.BELL, program_table=table, initial="zeros"))
+        got = run(IcqcConfig(n=1, gate_sequence=iter(self.BELL), program_table=table, initial="zeros"))
+        assert want.mean_s_sa == pytest.approx(np.log(2) / 4, abs=1e-12)
+        self.assert_same_report(got, want)
+
+    def test_an_iterator_p_only_circuit_runs(self):
+        # X on P0 moves the zeros start's decision weight from p = 0 to p = 2
+        x = (GateOp("X", (("P", 0),)),)
+        for circuit in (x, iter(x)):
+            config = IcqcConfig(
+                n=1, program_table=tomographic_program_n1(), post_program_p_circuit=circuit,
+                initial="zeros",
+            )
+            assert run(config).born.decision_probs.tolist() == [0.0, 0.0, 1.0, 0.0]
+            assert config.post_program_p_circuit == x
+
+    def test_iterator_branches_and_a_generator_table_run_like_tuples(self):
+        table = tomographic_program_n1()
+        want = run(IcqcConfig(n=1, gate_sequence=self.BELL, program_table=table))
+        for given in (tuple(iter(c) for c in table), (c for c in table), iter(list(table))):
+            config = IcqcConfig(n=1, gate_sequence=self.BELL, program_table=given)
+            assert config.program_table == table
+            self.assert_same_report(run(config), want)
+            state = apply_programmed_op(init_state(1), config)
+            assert state.dense.amplitudes.tobytes() == (
+                apply_programmed_op(init_state(1), IcqcConfig(n=1, program_table=table))
+                .dense.amplitudes.tobytes()
+            )
+
+    def test_a_generator_table_is_checked_like_a_tuple(self):
+        with pytest.raises(ValueError, match="^program table needs 4 entries, got 3$"):
+            IcqcConfig(n=1, program_table=(() for _ in range(3)))
+        bad = (c for c in ((), (GateOp("X", (("P", 0),)),), (), ()))
+        with pytest.raises(ValueError, match="^branch 1 may not touch register P$"):
+            IcqcConfig(n=1, program_table=bad)
 
 
 class TestApplyProgrammedOp:

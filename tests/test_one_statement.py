@@ -1,14 +1,21 @@
 """Each rule below is stated once in ``src/icqt``, and its callers use that statement.
 
+Every rule is one test over one set of AST helpers: a matcher and the functions (or
+modules) of ``src/icqt`` allowed to match it.
+
 - The ICQC gate kernels work on circuits that ``icqc._check_circuit`` has passed, so
   none of them raises.
-- The ICQC start rule is ``icqc._check_start``: no other function of ``icqc.py`` calls
-  ``check_register_capacity``.
+- The ICQC start rule is ``icqc._check_start``: no other function of ``icqc.py`` or
+  ``scenario.py`` calls ``check_register_capacity``.
 - A battery's verdict and timer are ``suite._result``: no other function of ``suite.py``
   builds a ``PropertyResult``.
 - A trinary state's dims are checked against a Hamiltonian's by
   ``_ConditionedPropagator.evolve``, and early, before any decomposition, by
   ``_segment_steps``; no other function of ``dynamics.py`` raises that refusal.
+- ``dynamics.entanglement_trajectory`` is the one walk of a schedule: it alone reads
+  ``_segment_steps``, so a second walker with its own path decision shows.
+- ``icqc.py`` owns the float64 decision for a spectrum: no other module scans imaginary
+  parts (``x.imag.any()`` or ``np.any(x.imag)``); every other kernel takes its input's dtype.
 """
 
 import ast
@@ -17,6 +24,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "icqt"
+MODULES = tuple(path.name for path in sorted(PACKAGE.glob("*.py")))
 KERNELS = ("_apply_single", "_apply_cnot", "_apply_gates_nd", "_programmed_stage")
 DIMS_MESSAGE = "hamiltonian and state dims differ"
 
@@ -50,16 +58,24 @@ def innermost(tree: ast.Module, match) -> list[str]:
     return found
 
 
+def owners(match, *modules: str) -> set[tuple[str, str]]:
+    """(module, innermost function) of each match in ``modules`` of ``src/icqt``."""
+    return {(module, owner) for module in modules for owner in innermost(tree_of(module), match)}
+
+
+def named(node, name: str) -> bool:
+    """``name`` as a bare name read or as an attribute; defining it is not a read."""
+    return (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
 def calls_to(name: str):
-    """A call of ``name``, whether as a bare name or as an attribute."""
-    def match(node):
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        return (isinstance(func, ast.Name) and func.id == name) or (
-            isinstance(func, ast.Attribute) and func.attr == name
-        )
-    return match
+    return lambda node: isinstance(node, ast.Call) and named(node.func, name)
+
+
+def reads(name: str):
+    return lambda node: named(node, name)
 
 
 def raises_message(message: str):
@@ -71,6 +87,15 @@ def raises_message(message: str):
     return match
 
 
+def imag_scan(node) -> bool:
+    """``<expr>.imag.any(...)`` or ``<np>.any(<expr>.imag, ...)``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    if node.func.attr != "any":
+        return False
+    return named(node.func.value, "imag") or bool(node.args and named(node.args[0], "imag"))
+
+
 def test_the_guards_see_every_spelling():
     tree = ast.parse(
         "def _check_start(n): check_register_capacity(n)\n"
@@ -79,12 +104,26 @@ def test_the_guards_see_every_spelling():
         "    return inner\n"
         "class C:\n"
         "    def method(self): raise DimensionError('hamiltonian and state dims differ')\n"
+        "    def step(self): return _segment_steps\n"
         "check_register_capacity(1)\n"
+        "def _segment_steps(): return a.imag.any() + np.any(b.imag, axis=1)\n"
+        "def walk(): return dynamics._segment_steps(c.real.any(), np.any(d))\n"
+        "alias = _segment_steps\n"
     )
-    owners = innermost(tree, calls_to("check_register_capacity"))
-    assert owners == ["_check_start", "inner", "<module>"]
-    assert innermost(tree, raises_message(DIMS_MESSAGE)) == ["method"]
-    assert sorted(functions(tree)) == ["_check_start", "inner", "method", "other"]
+    owners_of = {
+        "check_register_capacity": innermost(tree, calls_to("check_register_capacity")),
+        DIMS_MESSAGE: innermost(tree, raises_message(DIMS_MESSAGE)),
+        "_segment_steps": innermost(tree, reads("_segment_steps")),
+        "imag": innermost(tree, imag_scan),
+    }
+    assert owners_of == {
+        "check_register_capacity": ["_check_start", "inner", "<module>"],
+        DIMS_MESSAGE: ["method"],
+        "_segment_steps": ["step", "walk", "<module>"],
+        "imag": ["_segment_steps", "_segment_steps"],
+    }
+    assert sorted(functions(tree)) == ["_check_start", "_segment_steps", "inner", "method",
+                                       "other", "step", "walk"]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -94,14 +133,23 @@ def test_no_gate_kernel_raises(kernel):
 
 
 def test_only_check_start_checks_register_capacity():
-    owners = innermost(tree_of("icqc.py"), calls_to("check_register_capacity"))
-    assert owners == ["_check_start"]
+    found = owners(calls_to("check_register_capacity"), "icqc.py", "scenario.py")
+    assert found == {("icqc.py", "_check_start")}
 
 
 def test_only_the_verdict_helper_builds_a_property_result():
-    assert innermost(tree_of("suite.py"), calls_to("PropertyResult")) == ["_result"]
+    assert owners(calls_to("PropertyResult"), "suite.py") == {("suite.py", "_result")}
 
 
 def test_the_dims_refusal_is_the_propagator_s_and_the_early_walk_s():
-    owners = innermost(tree_of("dynamics.py"), raises_message(DIMS_MESSAGE))
-    assert sorted(owners) == ["_segment_steps", "evolve"]
+    found = owners(raises_message(DIMS_MESSAGE), "dynamics.py")
+    assert found == {("dynamics.py", "_segment_steps"), ("dynamics.py", "evolve")}
+
+
+def test_only_entanglement_trajectory_maps_times_to_segments():
+    found = owners(reads("_segment_steps"), *MODULES)
+    assert found == {("dynamics.py", "entanglement_trajectory")}
+
+
+def test_only_icqc_scans_imaginary_parts():
+    assert {module for module, _ in owners(imag_scan, *MODULES)} == {"icqc.py"}
