@@ -36,6 +36,7 @@ from .linalg import (
     random_hermitian,
     seeded_random,
 )
+from .serialize import _is_finite
 from .trinary import TrinaryDims, TrinaryState, _check_orthonormal, dual_entropies
 
 COMMUTATION_TOL = 1e-10
@@ -46,7 +47,7 @@ class FactorizationPreconditionError(ValueError):
 
 
 class ScheduleError(ValueError):
-    """A schedule with a negative duration, or one that ends before a requested time."""
+    """A negative duration, times that break ``_check_times``, or a too-short schedule."""
 
 
 @dataclass(frozen=True)
@@ -350,6 +351,17 @@ def _end(durations: Sequence[float]) -> float:
         return math.inf
 
 
+def _check_times(times: Sequence[float]) -> tuple[float, ...]:
+    """The times rule: ``times`` is a nonempty sequence of finite numbers (``_is_finite``)
+    that starts at 0 and ascends; returns them as floats, or raises ``ScheduleError``."""
+    if not all(map(_is_finite, times)):
+        raise ScheduleError("times must be finite numbers")
+    times = tuple(map(float, times))
+    if not times or times[0] != 0.0 or any(b < a for a, b in zip(times, times[1:])):
+        raise ScheduleError("times must ascend and start at 0")
+    return times
+
+
 def _segment_steps(
     segments: Sequence[tuple[float, TrinaryHamiltonian]], state: TrinaryState,
     times: Sequence[float],
@@ -358,15 +370,12 @@ def _segment_steps(
 
     A time lies in the first segment whose end (``_end`` of the durations so far) is at
     or past it, one step from that segment's start: the time minus the earlier
-    durations, clamped to [0, duration].  A too-short schedule raises
-    ``ScheduleError``, and a segment whose dims differ from the state's
-    ``DimensionError``.
+    durations, clamped to [0, duration].  Bad times (``_check_times``) or durations and a
+    too-short schedule raise ``ScheduleError``, and dims that differ ``DimensionError``.
     """
     if any(h.dims != state.dims for _, h in segments):
         raise DimensionError("hamiltonian and state dims differ")
-    times = [float(t) for t in times]
-    if not times or times[0] != 0.0 or any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("times must ascend and start at 0")
+    times = _check_times(times)
     if not all(duration >= 0 for duration, _ in segments):
         raise ScheduleError("segment durations must be nonnegative")
     durations = [duration for duration, _ in segments]
@@ -446,7 +455,7 @@ def entanglement_trajectory(
     The reference state walks beside the recorded one over the whole schedule; while every
     segment so far was dense the two are one object, stepped once.
     """
-    times = tuple(float(t) for t in times)
+    times = tuple(times)
     steps = _segment_steps(segments, state, times)
     checks, entropies, deviations = [], [], []
     current = reference = state
@@ -466,6 +475,7 @@ def entanglement_trajectory(
         del dense, prop
     s_psa, s_branches = zip(*entropies)
     factorized = any(check.satisfied for check in checks)
+    times = tuple(map(float, times))  # finite numbers, by the times rule
     return EntanglementTrajectory(
         times, s_psa, s_branches, tuple(checks), max(deviations) if factorized else None
     )

@@ -10,8 +10,6 @@ tests lives in the test suite, not here).
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -22,7 +20,7 @@ import numpy as np
 
 from .born import DualBornReport, _dual_born_report
 from .linalg import StateVector, _check_unit, _cut_entropy
-from .serialize import _echo
+from .serialize import _echo, _is_finite, _is_int
 from .trinary import (
     TrinaryDims,
     TrinaryState,
@@ -97,25 +95,14 @@ def _rotation(kind: str, angle: float) -> np.ndarray:
     return np.array([[np.exp(-1j * angle / 2), 0], [0, np.exp(1j * angle / 2)]], dtype=complex)
 
 
-def _finite_real(x) -> bool:
-    """A real number, not a bool, that a double holds finitely."""
-    if not isinstance(x, numbers.Real) or isinstance(x, bool):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int past the double range
-        return False
-
-
 @dataclass(frozen=True)
 class GateOp:
     """One gate: a named single-qubit gate, a rotation, or CNOT.
 
     Targets are (register, qubit) pairs; CNOT takes (control, target) and may
-    span registers.  A qubit is an integer, not a bool (a numpy integer is kept as
+    span registers.  A qubit is an integer (``_is_int``; a numpy integer is kept as
     its int), whose range is the rule of the circuit holding the gate
-    (``_check_circuit``); an angle is a real number, not a bool, that a double holds
-    finitely.
+    (``_check_circuit``); an angle is a finite number (``_is_finite``).
     """
 
     kind: str
@@ -124,9 +111,9 @@ class GateOp:
 
     def __post_init__(self):
         for _, q in self.targets:
-            if not isinstance(q, numbers.Integral) or isinstance(q, bool):
+            if not _is_int(q):
                 raise ValueError(f"qubit {_echo(q)} is not an integer")
-        if self.angle is not None and not _finite_real(self.angle):
+        if self.angle is not None and not _is_finite(self.angle):
             raise ValueError(f"angle {_echo(self.angle)} is not a finite number")
         targets = tuple((str(reg), int(q)) for reg, q in self.targets)
         object.__setattr__(self, "targets", targets)
@@ -248,7 +235,7 @@ def _check_circuit(where: str, gates, layout: dict[str, tuple[int, int]]) -> tup
             size = layout[reg][1]
             if not 0 <= q < size:
                 raise ValueError(
-                    f"{where}: qubit {q} out of range for register {reg} of size {size}"
+                    f"{where}: qubit {_echo(q)} out of range for register {reg} of size {size}"
                 )
     return gates
 
@@ -256,7 +243,8 @@ def _check_circuit(where: str, gates, layout: dict[str, tuple[int, int]]) -> tup
 def _check_start(n, initial: str) -> None:
     """The start rule: ``n`` is an int (not a bool) of at least 1, its registers pass
     ``check_register_capacity`` before any power of ``n`` is taken, and ``initial`` is
-    'uniform' or 'zeros'."""
+    'uniform' or 'zeros'.  A numpy ``n``, which ``_is_int`` would take, is refused on
+    purpose: this rule guards ``4**n``, which a fixed-width integer would wrap."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {_echo(n)}")
     check_register_capacity(n)
@@ -274,7 +262,7 @@ class IcqcConfig:
     circuit rule (``_check_circuit``) on its registers: P, S and A for the gate
     sequence, S and A for a branch, P for the P-only circuit.  The fields keep the
     tuples that rule returns, so a circuit or a table given as an iterator is read
-    once.  Register sizes other than n_a = n and n_p = 2n are rejected.
+    once.  The integers (``_is_int``) n_a and n_p must obey the law n_a = n, n_p = 2n.
     """
 
     n: int
@@ -287,8 +275,11 @@ class IcqcConfig:
 
     def __post_init__(self):
         _check_start(self.n, self.initial)
-        object.__setattr__(self, "n_a", self.n if self.n_a is None else self.n_a)
-        object.__setattr__(self, "n_p", 2 * self.n if self.n_p is None else self.n_p)
+        for name, default in (("n_a", self.n), ("n_p", 2 * self.n)):
+            size = getattr(self, name)
+            if size is not None and not _is_int(size):
+                raise ValueError(f"{name} must be an integer, got {_echo(size)}")
+            object.__setattr__(self, name, default if size is None else int(size))
         if self.n_a != self.n or self.n_p != 2 * self.n:
             raise ValueError(
                 f"register law violated: need n_a = n and n_p = 2n, got "
@@ -325,7 +316,13 @@ def random_program(n: int, depth: int, rng: np.random.Generator) -> tuple[tuple[
 
     Each circuit is ``depth`` RY gates, each on a random S or A qubit at an angle
     uniform in [0, pi), then one CNOT from a random S qubit to a random A qubit.
+    Before any circuit is drawn, ``depth`` must be an integer (``_is_int``) of at least
+    0 and the gate count 4^n (depth + 1) must pass ``check_capacity``.
     """
+    if not _is_int(depth) or depth < 0:
+        raise ValueError(f"depth must be an integer >= 0, got {_echo(depth)}")
+    depth = int(depth)  # a numpy depth would wrap in the gate count
+    check_capacity(4**n * (depth + 1), f"4^{n}*({_echo(depth)}+1)", "random program gate count")
     table = []
     for _ in range(4**n):
         circ = [

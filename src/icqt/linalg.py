@@ -12,6 +12,8 @@ from typing import Literal
 
 import numpy as np
 
+from .serialize import _echo, _is_int
+
 NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-10
@@ -114,6 +116,9 @@ class StateVector:
 
     @staticmethod
     def basis(dim: int, index: int) -> StateVector:
+        """|index> of a dim-level space; ``index`` is an integer (``_is_int``) in [0, dim)."""
+        if not (_is_int(index) and 0 <= index < dim):
+            raise DimensionError(f"basis index {_echo(index)} out of range")
         amp = np.zeros(dim, dtype=complex)
         amp[index] = 1.0
         return StateVector(amp)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,10 +18,11 @@ import numpy as np
 from .icqc import CapacityError, GateOp, IcqcConfig, _check_start, check_capacity, random_program
 from .icqc import tomographic_program_n1
 from .linalg import Operator, StateVector, seeded_random, subseed
-from .serialize import _echo, pairs_to_complex
-from .suite import DEFAULT_COUNTS
+from .serialize import _echo, _is_finite, _is_int, pairs_to_complex
+from .suite import DEFAULT_COUNTS, _check_counts
 from .trinary import TrinaryDims, TrinaryState, _check_orthonormal, standard_basis
-from .dynamics import ProgrammedBlockStructure, TrinaryHamiltonian, random_trinary_hamiltonian
+from .dynamics import ProgrammedBlockStructure, TrinaryHamiltonian, _check_times
+from .dynamics import random_trinary_hamiltonian
 
 SCHEMA_VERSION = 1
 KINDS = ("trinary-build", "dynamics", "born", "icqc", "property-suite")
@@ -38,15 +39,16 @@ class Scenario:
     payload: dict
 
 
-def _is_finite(x) -> bool:
-    """A JSON int or float that a double holds finitely: no boolean, NaN or inf, and no
-    integer past the double range (which ``float`` and ``np.isfinite`` refuse by raising)."""
-    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
-
-
-def _is_int(x) -> bool:
-    """A JSON integer; booleans are not integers here."""
-    return isinstance(x, int) and not isinstance(x, bool)
+@contextmanager
+def _refusal(what: str = ""):
+    """The one bridge from a library refusal to a scenario error: a ``ValueError`` becomes
+    ``ScenarioError("<what>: <message>")`` (or the message alone), a ``CapacityError`` stays."""
+    try:
+        yield
+    except CapacityError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{what}: {exc}" if what else str(exc)) from exc
 
 
 def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenario:
@@ -72,16 +74,13 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
 
 
 def parse_dims(payload: dict) -> TrinaryDims:
-    dims = payload.get("dims")
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 3
-        or not all(_is_int(d) and d >= 1 for d in dims)
-    ):
+    raw = payload.get("dims")
+    if not isinstance(raw, list) or len(raw) != 3:
         raise ScenarioError("dims must be a list [d_s, d_a, d_p] of positive integers")
-    d_s, d_a, d_p = dims
-    check_capacity(d_s * d_a * d_p, "*".join(_echo(d) for d in dims))
-    return TrinaryDims(d_s=d_s, d_a=d_a, d_p=d_p)
+    with _refusal("dims"):
+        dims = TrinaryDims(*raw)
+    check_capacity(dims.total, "*".join(_echo(d) for d in raw))
+    return dims
 
 
 def parse_matrix(obj, dim: int, what: str) -> np.ndarray:
@@ -105,9 +104,8 @@ def parse_vector(obj, dim: int, what: str) -> StateVector:
             index = int(digits)  # which refuses more digits than Python reads
         except ValueError:
             raise ScenarioError(f"{what}: bad basis name {_echo(obj)}") from None
-        if not 0 <= index < dim:
-            raise ScenarioError(f"{what}: basis index {index} out of range")
-        return StateVector.basis(dim, index)
+        with _refusal(what):
+            return StateVector.basis(dim, index)
     try:
         v = pairs_to_complex(obj)
     except (ValueError, TypeError) as exc:
@@ -127,14 +125,10 @@ def parse_vector(obj, dim: int, what: str) -> StateVector:
 def parse_basis(obj, dim: int, what: str) -> tuple[np.ndarray, str | None]:
     """A named basis (Z/X/Y) or an explicit matrix of basis columns."""
     if isinstance(obj, str):
-        try:
+        with _refusal(what):
             return standard_basis(obj, dim), obj
-        except ValueError as exc:
-            raise ScenarioError(f"{what}: {exc}") from exc
-    try:
+    with _refusal():  # a ScenarioError of parse_matrix keeps its message
         return _check_orthonormal(parse_matrix(obj, dim, what), dim, what), None
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
 
 
 def parse_branch_bases(payload: dict, dims: TrinaryDims) -> tuple[list[np.ndarray], list[str]]:
@@ -165,12 +159,10 @@ def _parse_block(obj, dims: TrinaryDims, what: str) -> tuple[Operator, Programme
             for i, g in enumerate(gens)
         )
         h_s = Operator(parse_matrix(obj["h_s"], dims.d_s, f"{what}.h_s"))
-        try:
+        with _refusal(what):
             structure = ProgrammedBlockStructure(s_basis, a_generators, h_s)
             with np.errstate(over="ignore"):  # an overflow is refused as non-finite entries
                 return structure.assemble(), structure
-        except ValueError as exc:
-            raise ScenarioError(f"{what}: {exc}") from exc
     return Operator(parse_matrix(obj, dims.d_sa, what)), None
 
 
@@ -201,10 +193,8 @@ def parse_hamiltonian(
     basis = None
     if "programming_basis" in obj:
         basis = parse_matrix(obj["programming_basis"], dims.d_p, "hamiltonian.programming_basis")
-    try:
+    with _refusal("hamiltonian"):
         h = TrinaryHamiltonian(dims=dims, h_p=h_p, blocks=tuple(blocks), programming_basis=basis)
-    except ValueError as exc:
-        raise ScenarioError(f"hamiltonian: {exc}") from exc
     return h, structures
 
 
@@ -224,9 +214,9 @@ def parse_segments(
     for k, seg in enumerate(raw):
         if not isinstance(seg, dict) or "duration" not in seg or "hamiltonian" not in seg:
             raise ScenarioError(f"segments[{k}] needs 'duration' and 'hamiltonian'")
-        duration = seg["duration"]
-        if not (_is_finite(duration) or duration == math.inf) or duration < 0:
-            raise ScenarioError(f"segments[{k}].duration must be nonnegative")
+        duration = seg["duration"]  # its sign is the walk's rule (``_segment_steps``)
+        if not (_is_finite(duration) or duration == math.inf):
+            raise ScenarioError(f"segments[{k}].duration must be a number")
         h, structures = parse_hamiltonian(seg["hamiltonian"], dims, subseed(seed, 8, k))
         out.append((float(duration), h, structures))
     return out
@@ -264,14 +254,8 @@ def parse_times(payload: dict) -> tuple[float, ...]:
     raw = payload.get("times")
     if not isinstance(raw, list) or not raw:
         raise ScenarioError("times must be a nonempty list")
-    times = []
-    for t in raw:
-        if not _is_finite(t):
-            raise ScenarioError("times must be finite numbers")
-        times.append(float(t))
-    if times[0] != 0.0 or any(b < a for a, b in zip(times, times[1:])):
-        raise ScenarioError("times must ascend and start at 0")
-    return tuple(times)
+    with _refusal():
+        return _check_times(raw)
 
 
 def parse_initial_state(payload: dict, dims: TrinaryDims, seed: int) -> TrinaryState:
@@ -311,21 +295,11 @@ def parse_gate(obj, what: str) -> GateOp:
         raise ScenarioError(f"{what} must be an object with a 'kind' name and 'targets'")
     targets = obj["targets"]
     if not isinstance(targets, list) or not all(
-        isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) and _is_int(t[1])
-        for t in targets
+        isinstance(t, list) and len(t) == 2 and isinstance(t[0], str) for t in targets
     ):
         raise ScenarioError(f"{what}.targets must be [register, qubit] pairs")
-    angle = obj.get("angle")
-    if angle is not None and not _is_finite(angle):
-        raise ScenarioError(f"{what}.angle must be a finite number")
-    try:
-        return GateOp(
-            kind=obj["kind"],
-            targets=tuple((t[0], t[1]) for t in targets),
-            angle=None if angle is None else float(angle),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{what}: {exc}") from exc
+    with _refusal(what):
+        return GateOp(obj["kind"], tuple((t[0], t[1]) for t in targets), obj.get("angle"))
 
 
 def parse_gate_list(obj, what: str) -> tuple[GateOp, ...]:
@@ -338,18 +312,9 @@ def parse_gate_list(obj, what: str) -> tuple[GateOp, ...]:
 
 def parse_icqc_config(payload: dict, seed: int) -> IcqcConfig:
     n = payload.get("n")
-    if not _is_int(n) or n < 1:
-        raise ScenarioError("n must be a positive integer")
-    for key in ("n_a", "n_p"):
-        if key in payload and not _is_int(payload[key]):
-            raise ScenarioError(f"{key} must be an integer")
     initial = payload.get("initial", "uniform")
-    try:  # the start rule, before any table of 4^n circuits is built
+    with _refusal():  # the start rule, before any table of 4^n circuits is built
         _check_start(n, initial)
-    except CapacityError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
     gates = parse_gate_list(payload.get("gates"), "gates")
     p_circuit = parse_gate_list(payload.get("p_circuit"), "p_circuit")
     program = payload.get("program")
@@ -360,19 +325,16 @@ def parse_icqc_config(payload: dict, seed: int) -> IcqcConfig:
     elif isinstance(program, dict) and "random" in program:
         if not isinstance(program["random"], dict):
             raise ScenarioError("program.random must be an object")
-        depth = program["random"].get("depth", 3)
-        if not _is_int(depth) or depth < 0:
-            raise ScenarioError("program.random.depth must be a nonnegative integer")
-        # the table holds 4^n circuits of depth + 1 gates each
-        check_capacity(4**n * (depth + 1), f"4^{n}*({_echo(depth)}+1)", "random program gate count")
-        table = random_program(n, depth, np.random.default_rng(subseed(seed, 9)))
+        depth, rng = program["random"].get("depth", 3), np.random.default_rng(subseed(seed, 9))
+        with _refusal("program.random"):
+            table = random_program(n, depth, rng)
     elif isinstance(program, list):
         table = tuple(parse_gate_list(entry, f"program[{p}]") for p, entry in enumerate(program))
     else:
         raise ScenarioError(
             "program must be 'tomographic-zxyz', {'random': {...}}, or a list of circuits"
         )
-    try:
+    with _refusal():
         return IcqcConfig(
             n=n,
             gate_sequence=gates,
@@ -382,8 +344,6 @@ def parse_icqc_config(payload: dict, seed: int) -> IcqcConfig:
             n_a=payload.get("n_a"),
             n_p=payload.get("n_p"),
         )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
 
 
 def parse_emit_state(payload: dict) -> bool:
@@ -406,9 +366,7 @@ def parse_suite_options(payload: dict) -> dict:
         if not isinstance(dims_list, list) or not dims_list:
             raise ScenarioError("dims_list must be a nonempty list of [d_s, d_a, d_p]")
         options["dims_list"] = tuple(parse_dims({"dims": d}) for d in dims_list)
-    for key in DEFAULT_COUNTS:
-        if key in payload:
-            if not _is_int(payload[key]) or payload[key] < 1:
-                raise ScenarioError(f"{key} must be a positive integer")
-            options[key] = payload[key]
-    return options
+    counts = {key: payload[key] for key in DEFAULT_COUNTS if key in payload}
+    with _refusal():
+        _check_counts(counts)
+    return {**options, **counts}

@@ -6,6 +6,8 @@ sorted, so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import reprlib
 import tempfile
@@ -24,6 +26,20 @@ def _echo(value) -> str:
     a message about bad input stays one short line however large the input."""
     text = reprlib.repr(value)
     return text if len(text) <= ECHO_CHARS else text[: ECHO_CHARS - 3] + "..."
+
+
+def _is_int(x) -> bool:
+    """icqt's one integer rule: a Python or numpy integer; a bool is not one."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    """icqt's one finite-number rule: a real number, not a bool, that a double holds finitely:
+    no NaN or inf, and no integer past the double range (which ``float`` refuses by raising)."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int past the double range
+        return False
 
 
 def _float_text(x) -> str:

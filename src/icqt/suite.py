@@ -36,6 +36,7 @@ from .linalg import (
     subseed,
     tensor_product,
 )
+from .serialize import _is_int
 from .trinary import (
     TrinaryDims,
     TrinaryState,
@@ -64,6 +65,16 @@ DEFAULT_COUNTS = {
     "shannon_cases": 100,
     "schmidt_roundtrips": 1000,
 }
+
+
+def _check_counts(counts: dict) -> None:
+    """The count rule: each count has a DEFAULT_COUNTS name and is an integer >= 1 (``_is_int``)."""
+    unknown = sorted(set(counts) - set(DEFAULT_COUNTS))
+    if unknown:
+        raise TypeError(f"run_property_suite() got unknown counts {unknown}")
+    for name, count in counts.items():
+        if not _is_int(count) or count < 1:
+            raise ValueError(f"{name} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -307,10 +318,9 @@ def icqc_battery(seed: int) -> PropertyResult:
 
 
 def run_property_suite(seed: int, dims_list=DEFAULT_DIMS, **counts: int) -> list[PropertyResult]:
-    """Every battery in report order; ``counts`` override entries of DEFAULT_COUNTS by name."""
-    unknown = sorted(set(counts) - set(DEFAULT_COUNTS))
-    if unknown:
-        raise TypeError(f"run_property_suite() got unknown counts {unknown}")
+    """Every battery in report order; ``counts`` override entries of DEFAULT_COUNTS by name,
+    after the count rule (``_check_counts``) and before any battery runs."""
+    _check_counts(counts)
     c = {**DEFAULT_COUNTS, **counts}
     return [
         factorization_battery(seed, c["factorization_cases"], dims_list),

@@ -22,7 +22,7 @@ from .linalg import (
     is_unitary_matrix,
     shannon_entropy,
 )
-from .serialize import _echo
+from .serialize import _echo, _is_int
 
 GRAM_RANK_TOL = 1e-8
 EMPTY_BRANCH_TOL = 1e-14
@@ -42,7 +42,8 @@ class EmptyBranchError(ValueError):
 
 @dataclass(frozen=True)
 class TrinaryDims:
-    """Dimension triple (d_s, d_a, d_p) with the validity predicates."""
+    """Dimension triple (d_s, d_a, d_p), each an integer (``_is_int``) >= 1 kept as its
+    ``int`` so that ``total`` cannot wrap (else ``DimensionError``), with validity predicates."""
 
     d_s: int
     d_a: int
@@ -50,8 +51,10 @@ class TrinaryDims:
 
     def __post_init__(self):
         for name in ("d_s", "d_a", "d_p"):
-            if getattr(self, name) < 1:
-                raise DimensionError(f"{name} must be positive")
+            d = getattr(self, name)
+            if not _is_int(d) or d < 1:
+                raise DimensionError(f"{name} must be an integer >= 1, got {_echo(d)}")
+            object.__setattr__(self, name, int(d))
 
     @property
     def d_sa(self) -> int:

@@ -759,7 +759,7 @@ class TestInputErrors:
     def test_gate_angle_not_a_finite_number(self, tmp_path, capsys, angle):
         gates = [{"kind": "RY", "targets": [["S", 0]], "angle": angle}]
         payload = base("icqc", n=1, gates=gates, program={"random": {}})
-        assert "gates[0].angle" in self.run_bad(tmp_path, capsys, "icqc", payload)
+        assert "gates[0]: angle" in self.run_bad(tmp_path, capsys, "icqc", payload)
 
     @pytest.mark.parametrize("emit_state", ["false", 1, 0, []], ids=["string", "one", "zero", "list"])
     def test_emit_state_not_a_boolean(self, tmp_path, capsys, emit_state):
@@ -771,7 +771,7 @@ class TestInputErrors:
     def test_gate_qubit_a_boolean(self, tmp_path, capsys):
         gates = [{"kind": "X", "targets": [["P", True]]}]  # P holds two qubits at n = 1
         payload = base("icqc", n=1, gates=gates, program={"random": {}})
-        assert "gates[0].targets" in self.run_bad(tmp_path, capsys, "icqc", payload)
+        assert "gates[0]: qubit True" in self.run_bad(tmp_path, capsys, "icqc", payload)
 
     @pytest.mark.parametrize("field", ["n_a", "n_p"])
     @pytest.mark.parametrize("value", [True, 2.0, "1"])
@@ -807,9 +807,15 @@ class TestInputErrors:
              "full dimension 2^4"),
             ("icqc", base("icqc", n=1, program={"random": {"depth": 10**4299}}), None,
              "random program gate count 4^1*(1"),
+            ("born", base("born", dims=[2, 2, 2], branch_bases=["Z", "X"], g="basis" + "1" * 4000),
+             None, "g: basis index 1"),
+            ("icqc", base("icqc", n=1, program={"random": {}},
+                          gates=[{"kind": "X", "targets": [["P", 10**4299]]}]),
+             None, "gate sequence: qubit 1"),
         ],
         ids=["schema", "kind", "basis-index", "random-hamiltonian", "max-dim", "register",
-             "gate-kind", "basis-name", "dims", "register-size", "program-depth"],
+             "gate-kind", "basis-name", "dims", "register-size", "program-depth", "basis-range",
+             "qubit-range"],
     )
     def test_long_input_echoed_short(self, tmp_path, capsys, monkeypatch, command, payload, env,
                                      echoed):
@@ -885,7 +891,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("depth", [True, False])
     def test_random_program_depth_a_boolean(self, tmp_path, capsys, depth):
         payload = base("icqc", n=1, program={"random": {"depth": depth}})
-        assert "program.random.depth" in self.run_bad(tmp_path, capsys, "icqc", payload)
+        assert "program.random: depth" in self.run_bad(tmp_path, capsys, "icqc", payload)
 
     @pytest.mark.parametrize("spec", [[], 3, "deep", None])
     def test_random_program_not_an_object(self, tmp_path, capsys, spec):
@@ -1008,7 +1014,7 @@ class TestInputErrors:
             ("evolve", "hamiltonian.h_p", lambda x: base(
                 "dynamics", dims=[2, 1, 2], times=[0.0],
                 hamiltonian={"h_p": [[[x, 0], [0, 0]], [[0, 0], [1, 0]]], "blocks": [ID2, ID2]})),
-            ("icqc", "gates[0].angle", lambda x: base(
+            ("icqc", "gates[0]: angle", lambda x: base(
                 "icqc", n=1, program={"random": {}},
                 gates=[{"kind": "RY", "targets": [["S", 0]], "angle": x}])),
             ("born", "system_state", lambda x: base(

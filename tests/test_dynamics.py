@@ -815,12 +815,31 @@ class TestTrajectory:
         assert abs(traj.s_psa[0] - np.log(4)) < 1e-9
 
     def test_times_validation(self):
+        # [0, 0.5, 0.2] once raised a bare ValueError
         h = random_trinary_hamiltonian(DIMS, 30, kind="pmc")
         state = random_state(DIMS, 31)
-        with pytest.raises(ValueError):
-            entanglement_trajectory([(np.inf, h)], state, [0.1, 0.5])
-        with pytest.raises(ValueError):
-            entanglement_trajectory([(np.inf, h)], state, [0.0, 0.5, 0.2])
+        for times in ([0.1, 0.5], [0.0, 0.5, 0.2], []):
+            with pytest.raises(ScheduleError, match="^times must ascend and start at 0$"):
+                entanglement_trajectory([(np.inf, h)], state, times)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 10**400, True])
+    def test_times_rule_before_any_check_or_decomposition(self, monkeypatch, bad):
+        # [0, nan] once passed the walk's rule and failed later, after the check and the
+        # decomposition
+        def never(*args):
+            raise AssertionError("the schedule was checked or decomposed")
+
+        h = random_trinary_hamiltonian(DIMS, 30, kind="pmc")
+        state = random_state(DIMS, 31)
+        monkeypatch.setattr(dynamics, "check_pmc", never)
+        monkeypatch.setattr(dynamics, "DensePropagator", never)
+        with pytest.raises(ScheduleError, match="^times must be finite numbers$"):
+            entanglement_trajectory([(np.inf, h)], state, [0.0, bad])
+
+    def test_times_kept_as_floats(self):
+        h = random_trinary_hamiltonian(DIMS, 30, kind="pmc")
+        traj = entanglement_trajectory([(np.inf, h)], random_state(DIMS, 31), iter([0, 1]))
+        assert traj.times == (0.0, 1.0) and all(type(t) is float for t in traj.times)
 
     def test_dense_fallback_when_pmc_violated(self):
         h = random_trinary_hamiltonian(DIMS, 32, kind="violating")

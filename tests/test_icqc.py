@@ -321,6 +321,17 @@ class TestRegisterLaw:
         with pytest.raises(ValueError):
             IcqcConfig(n=1, program_table=identity_program(1), **bad)
 
+    @pytest.mark.parametrize("bad", [{"n_a": True}, {"n_p": 2.0}, {"n_a": "1"}])
+    def test_rejects_a_size_that_is_not_an_integer(self, bad):
+        # True and 2.0 equal the sizes 1 and 2 at n = 1, and were once stored as given
+        (name,) = bad
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            IcqcConfig(n=1, program_table=identity_program(1), **bad)
+
+    def test_numpy_sizes_kept_as_ints(self):
+        cfg = IcqcConfig(n=1, program_table=identity_program(1), n_a=np.int64(1), n_p=np.int8(2))
+        assert (cfg.n_a, cfg.n_p) == (1, 2) and type(cfg.n_a) is type(cfg.n_p) is int
+
     def test_program_table_arity(self):
         with pytest.raises(ValueError):
             IcqcConfig(n=1, program_table=tuple([()] * 3))
@@ -805,6 +816,18 @@ class TestRandomProgram:
             (ry("A", 2.5799651661104637), ry("S", 2.5040674617684413), cnot),
             (ry("S", 0.952004445895042), ry("S", 0.8746998575470308), cnot),
         )
+
+    @pytest.mark.parametrize("depth", [-3, True, 2.5, "3"])
+    def test_depth_not_a_nonnegative_integer_refused_before_any_draw(self, depth):
+        # depth -3 once gave CNOT-only circuits and True one RY per circuit; no rng is read
+        with pytest.raises(ValueError, match="^depth must be an integer >= 0, got "):
+            random_program(1, depth, None)
+
+    def test_gate_count_over_the_cap_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setenv("ICQT_MAX_DIM", "256")
+        assert sum(map(len, random_program(1, np.int64(63), np.random.default_rng(1)))) == 256
+        with pytest.raises(CapacityError, match=r"4\^1\*\(64\+1\) = 260 exceeds the cap 256"):
+            random_program(1, np.int64(64), None)
 
     def test_scenario_table_is_the_generator_at_subseed_nine(self):
         config = parse_icqc_config({"n": 2, "program": {"random": {"depth": 3}}}, 11)

@@ -89,7 +89,14 @@ class TestStateVector:
 
     def test_basis_and_uniform(self):
         assert StateVector.basis(4, 2).amplitudes[2] == 1.0
+        assert np.allclose(StateVector.basis(4, np.int64(3)).amplitudes, np.eye(4)[3])
         assert np.allclose(StateVector.uniform(4).amplitudes, 0.5)
+
+    @pytest.mark.parametrize("index", [-1, 4, True, 1.0])
+    def test_basis_index_out_of_range(self, index):
+        # -1 once gave |3> and True the normalization error of a state with every entry 1
+        with pytest.raises(DimensionError, match="^basis index .* out of range$"):
+            StateVector.basis(4, index)
 
     def test_immutable(self):
         psi = StateVector.basis(2, 0)

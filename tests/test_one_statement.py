@@ -16,6 +16,14 @@ modules) of ``src/icqt`` allowed to match it.
   ``_segment_steps``, so a second walker with its own path decision shows.
 - ``icqc.py`` owns the float64 decision for a spectrum: no other module scans imaginary
   parts (``x.imag.any()`` or ``np.any(x.imag)``); every other kernel takes its input's dtype.
+- The integer rule and the finite-number rule are ``serialize._is_int`` and
+  ``serialize._is_finite``: no other module reads ``numbers.Integral`` or ``numbers.Real``
+  or defines a predicate of those names (or the old ``_finite_real``).
+- Input rules are owned by the library values: ``scenario.py`` reads ``_is_int`` for the
+  seed alone and ``_is_finite`` for the duration's shape alone, and maps every library
+  refusal through one adapter, ``scenario._refusal``; besides it, only the JSON decoding
+  and the two ``pairs_to_complex`` reads build a ``ScenarioError`` from a caught
+  ``ValueError``'s message.
 """
 
 import ast
@@ -26,6 +34,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "icqt"
 MODULES = tuple(path.name for path in sorted(PACKAGE.glob("*.py")))
 KERNELS = ("_apply_single", "_apply_cnot", "_apply_gates_nd", "_programmed_stage")
+PREDICATES = ("_is_int", "_is_finite", "_finite_real")
 DIMS_MESSAGE = "hamiltonian and state dims differ"
 
 
@@ -96,6 +105,35 @@ def imag_scan(node) -> bool:
     return named(node.func.value, "imag") or bool(node.args and named(node.args[0], "imag"))
 
 
+def numbers_abc(node) -> bool:
+    """A read of ``numbers.Integral`` or ``numbers.Real``, bare or as an attribute."""
+    return named(node, "Integral") or named(node, "Real")
+
+
+def defines(*names: str):
+    """A ``def`` (a method too) of one of ``names``, or an assignment to one."""
+    def match(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return node.name in names
+        return isinstance(node, ast.Name) and node.id in names and isinstance(node.ctx, ast.Store)
+    return match
+
+
+def rewraps_value_error(node) -> bool:
+    """An ``except`` clause that catches ``ValueError`` (alone or in a tuple) under a name
+    and raises a ``ScenarioError`` built from that name, so from the caught message."""
+    if not (isinstance(node, ast.ExceptHandler) and node.type is not None and node.name):
+        return False
+    if not any(named(n, "ValueError") for n in ast.walk(node.type)):
+        return False
+    return any(
+        isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+        and named(n.exc.func, "ScenarioError")
+        and any(isinstance(m, ast.Name) and m.id == node.name for m in ast.walk(n.exc))
+        for statement in node.body for n in ast.walk(statement)
+    )
+
+
 def test_the_guards_see_every_spelling():
     tree = ast.parse(
         "def _check_start(n): check_register_capacity(n)\n"
@@ -116,6 +154,49 @@ def test_the_guard_sees_both_spellings():
     tree = ast.parse("def f(): return a.imag.any() + np.any(b.imag, axis=1)\n"
                      "c.real.any()\nnp.any(d)\n")
     assert innermost(tree, imag_scan) == ["f", "f"]
+
+
+def test_the_number_guard_sees_every_spelling():
+    tree = ast.parse(
+        "import numbers\n"
+        "from numbers import Integral\n"
+        "def f(x): return isinstance(x, numbers.Integral)\n"
+        "def g(x): return isinstance(x, (numbers.Real, str))\n"
+        "def h(x): return isinstance(x, Integral)\n"
+        "def k(x): return x.real + np.real(x)\n"
+        "Real = 1\n"
+    )
+    assert innermost(tree, numbers_abc) == ["f", "g", "h"]
+
+
+def test_the_definition_guard_sees_every_spelling():
+    tree = ast.parse(
+        "def _is_int(x): pass\n"
+        "class C:\n"
+        "    def _is_finite(self): pass\n"
+        "_finite_real = lambda x: x\n"
+        "def f():\n"
+        "    _is_int = 1\n"
+        "    return _is_int\n"
+        "def g(): return _is_int(1) + serialize._is_finite(2)\n"
+    )
+    assert innermost(tree, defines(*PREDICATES)) == ["_is_int", "_is_finite", "<module>", "f"]
+
+
+def test_the_rewrap_guard_sees_every_spelling():
+    handlers = {
+        "a": "except ValueError as exc: raise ScenarioError(str(exc)) from exc",
+        "b": "except (TypeError, ValueError) as e: raise scenario.ScenarioError(f'x: {e}')",
+        "c": "except ValueError as e: raise ScenarioError(e.args[0])",
+        "d": "except ValueError: raise ScenarioError('bad') from None",
+        "e": "except ValueError as exc: raise ScenarioError('bad') from exc",
+        "f": "except KeyError as exc: raise ScenarioError(str(exc))",
+        "g": "except ValueError as exc: raise OtherError(str(exc))",
+    }
+    tree = ast.parse("".join(
+        f"def {name}():\n    try:\n        pass\n    {handler}\n" for name, handler in handlers.items()
+    ))
+    assert innermost(tree, rewraps_value_error) == ["a", "b", "c"]
 
 
 def test_the_guard_sees_every_spelling():
@@ -157,3 +238,24 @@ def test_only_entanglement_trajectory_maps_times_to_segments():
 
 def test_only_icqc_scans_imaginary_parts():
     assert {module for module, _ in owners(imag_scan, *MODULES)} == {"icqc.py"}
+
+
+def test_only_serialize_reads_the_number_abcs():
+    assert {module for module, _ in owners(numbers_abc, *MODULES)} == {"serialize.py"}
+
+
+def test_only_serialize_defines_the_number_predicates():
+    assert {module for module, _ in owners(defines(*PREDICATES), *MODULES)} == {"serialize.py"}
+
+
+def test_scenario_reads_the_predicates_for_the_seed_and_the_duration_shape_alone():
+    tree = tree_of("scenario.py")
+    assert innermost(tree, reads("_is_int")) == ["load_scenario"]
+    assert innermost(tree, reads("_is_finite")) == ["parse_segments"]
+
+
+def test_scenario_maps_library_refusals_through_one_adapter():
+    # besides the adapter: the JSON decoding and the two pairs_to_complex reads, which
+    # also catch a TypeError or RecursionError and name what they read
+    found = innermost(tree_of("scenario.py"), rewraps_value_error)
+    assert sorted(found) == ["_refusal", "load_scenario", "parse_matrix", "parse_vector"]

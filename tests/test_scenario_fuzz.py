@@ -16,9 +16,13 @@ double range (+-10^400) and past Python's 4,300-digit limit for reading an
 integer literal are drawn as scalars, vector entries, gate angles, times and
 durations; the second is written into the file as raw text, since
 ``json.dumps`` refuses it.  Scalars of +-1.7e308, whose differences overflow,
-are drawn too.  Whatever the input,
+are drawn too.  So are the values the library's input rules refuse: a random
+program depth of -1, 2.5 or true, register sizes n_a or n_p of true, 2.0 or 3,
+a suite count of 0, -1 or true, times holding a JSON NaN or a descending pair,
+and a basis name past its dimension.  Whatever the input,
 the CLI keeps its contract: exit 0, 1 or 2, exactly one stderr line on exit
-2, and never a traceback.  A born report that exits 0 has every nonempty
+2, and never a traceback.  A report written on exit 0 or 1 is strict JSON (no
+bare NaN or Infinity), and a born report that exits 0 has every nonempty
 outcome row summing to 1.
 """
 
@@ -35,6 +39,10 @@ from hypothesis import strategies as st
 
 from icqt.cli import main
 
+REPORTS = {
+    "validate": "completeness.json", "evolve": "summary.json", "born": "born_report.json",
+    "icqc": "icqc_report.json", "suite": "suite_report.json",
+}
 COUNTS = dict.fromkeys(
     ("factorization_cases", "converse_cases", "block_cases", "born_cases",
      "creation_cases", "shannon_cases", "schmidt_roundtrips"), 1
@@ -115,8 +123,14 @@ def mutate(data, value):
 HAMILTONIANS = [seg["hamiltonian"] for seg in VALID["evolve"]["segments"]] + [{"random": "violating"}]
 
 
+def refused(data, values, odds=4):
+    """One of ``values`` (1 in ``odds``), else None."""
+    return data.draw(st.sampled_from(values)) if data.draw(st.integers(1, odds)) == 1 else None
+
+
 def draw_schedule(data, payload):
-    """``payload`` with drawn segments and times; the last time may fall past the end."""
+    """``payload`` with drawn segments and times; the last time may fall past the end, and
+    the times may hold a NaN or a descending pair."""
     durations = data.draw(
         st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e308]), min_size=1, max_size=4)
     )
@@ -132,7 +146,8 @@ def draw_schedule(data, payload):
             times[-1] = data.draw(HUGE)
         else:
             segments[k - len(times)]["duration"] = data.draw(HUGE)
-    return dict(payload, times=times, segments=segments)
+    bad = refused(data, [[float("nan")], [0.5, 0.25]], odds=6)
+    return dict(payload, times=times + (bad or []), segments=segments)
 
 
 DIMS = [[2, 2, 4], [2, 2, 2], [3, 3, 9], [2, 3, 3], [1, 1, 1]]
@@ -145,7 +160,8 @@ AMPLITUDES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, *TINY]), EXTREME)
 def draw_evolve(data, payload):
     """``draw_schedule`` plus a product initial state of named or drawn vectors."""
     d_s, d_a, d_p = payload["dims"]
-    names = payload["initial_state"]["product"]
+    names = dict(payload["initial_state"]["product"], chi=refused(data, ["basis2", "basis7"])
+                 or "uniform")
     product = {
         key: names[key] if data.draw(st.booleans())
         else [[data.draw(AMPLITUDES), 0.0] for _ in range(dim)]
@@ -167,7 +183,9 @@ def draw_validate(data, payload):
 
 def draw_born(data, payload):
     d_s, _, d_p = dims = data.draw(st.sampled_from(DIMS[:4]))
-    g = [[data.draw(AMPLITUDES), 0.0] for _ in range(d_p)]
+    g = refused(data, [f"basis{d_p}", f"basis{d_p + 1}"]) or [
+        [data.draw(AMPLITUDES), 0.0] for _ in range(d_p)
+    ]
     entries = st.one_of(FLOATS, EXTREME)
     system = [[data.draw(entries), data.draw(entries)] for _ in range(d_s)]
     return dict(
@@ -191,10 +209,12 @@ def draw_gate(data, sizes):
 def draw_icqc(data, payload):
     n = data.draw(st.sampled_from([1, 2]))
     sizes = {"P": 2 * n, "S": n, "A": n}
-    programs = [{"random": {"depth": depth}} for depth in range(4)]
+    programs = [{"random": {"depth": depth}} for depth in [0, 1, 2, 3, -1, 2.5, True]]
     program = data.draw(st.sampled_from(programs + ["tomographic-zxyz"] * (n == 1)))
+    laws = {key: refused(data, [True, 2.0, 3, size]) for key, size in (("n_a", n), ("n_p", 2 * n))}
     return dict(
         payload, seed=data.draw(st.integers(0, 2**32)), n=n,
+        **{key: size for key, size in laws.items() if size is not None},
         initial=data.draw(st.sampled_from(["zeros", "uniform"])),
         gates=[draw_gate(data, sizes) for _ in range(data.draw(st.integers(0, 3)))],
         p_circuit=[draw_gate(data, {"P": 2 * n}) for _ in range(data.draw(st.integers(0, 2)))],
@@ -204,13 +224,19 @@ def draw_icqc(data, payload):
 
 def draw_suite(data, payload):
     dims_list = data.draw(st.lists(st.sampled_from(DIMS[:3]), min_size=1, max_size=2))
-    return dict(payload, seed=data.draw(st.integers(0, 2**32)), dims_list=dims_list)
+    count = {data.draw(st.sampled_from(sorted(COUNTS))): refused(data, [0, -1, True])}
+    return dict(payload, seed=data.draw(st.integers(0, 2**32)), dims_list=dims_list,
+                **{key: value for key, value in count.items() if value is not None})
 
 
 DRAWS = {
     "validate": draw_validate, "evolve": draw_evolve, "born": draw_born,
     "icqc": draw_icqc, "suite": draw_suite,
 }
+
+
+def not_json(constant):
+    raise ValueError(f"the report holds a bare {constant}")
 
 
 @pytest.mark.parametrize("command", sorted(VALID))
@@ -231,8 +257,9 @@ def test_mutated_scenario_keeps_the_exit_contract(monkeypatch, command, data):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, str(path), "--out", tmp])
-        report = Path(tmp) / "born_report.json"
-        born = json.loads(report.read_text()) if command == "born" and code == 0 else None
+        report = Path(tmp) / REPORTS[command]
+        doc = json.loads(report.read_text(), parse_constant=not_json) if code in (0, 1) else None
+    born = doc if command == "born" and code == 0 else None
     stderr = err.getvalue()
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr

@@ -62,6 +62,14 @@ def test_unknown_count_name_raises_type_error(battery_calls):
     assert battery_calls == []
 
 
+@pytest.mark.parametrize("value", [0, -1, True, 1.0, "3"])
+def test_count_rule_before_any_battery_runs(battery_calls, value):
+    # converse_cases=0 once passed converse-probe on no case, with worst = inf
+    with pytest.raises(ValueError, match="^converse_cases must be a positive integer$"):
+        suite.run_property_suite(1, converse_cases=value)
+    assert battery_calls == []
+
+
 @pytest.mark.parametrize("deviation", [1e-6, float("nan")])
 def test_bounds_battery_fails_on_a_gap_to_the_dense_reference(monkeypatch, deviation):
     # the trajectories walk the dense reference beside the factorized walk; a gap past

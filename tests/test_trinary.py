@@ -81,6 +81,17 @@ class TestDims:
         with pytest.raises(ValueError):
             TrinaryDims(0, 2, 4)
 
+    @pytest.mark.parametrize("triple", [(2.0, 2, 4), (True, 1, 1), (2, "2", 4), (2, 2, None)])
+    def test_rejects_a_dim_that_is_not_an_integer(self, triple):
+        # 2.0 and True once passed, and (2.0, True, 4) had total 8.0
+        with pytest.raises(DimensionError, match="must be an integer >= 1"):
+            TrinaryDims(*triple)
+
+    def test_numpy_dims_kept_as_ints(self):
+        dims = TrinaryDims(np.int64(2), np.uint8(2), np.int32(4))
+        assert dims == TrinaryDims(2, 2, 4)
+        assert all(type(d) is int for d in (dims.d_s, dims.d_a, dims.d_p, dims.total))
+
 
 def test_checked_basis_is_an_owned_read_only_copy():
     w = standard_basis("X", 2)
