@@ -38,20 +38,14 @@ from .scenario import (
 )
 from .serialize import complex_to_pairs, write_csv, write_json
 from .suite import run_property_suite
-from .trinary import (
-    TrinaryState,
-    apply_programmed,
-    build_programmed_unitary,
-    validate_informational_completeness,
-)
+from .trinary import TrinaryState, apply_programmed, validate_informational_completeness
 
 def cmd_validate(scenario: Scenario, out_dir: Path) -> int:
     dims = parse_dims(scenario.payload)
-    bases, labels = parse_branch_bases(scenario.payload, dims)
+    pu, _, labels = parse_branch_bases(scenario.payload, dims)
     probe = None
     if "probe_apparatus" in scenario.payload:
         probe = parse_vector(scenario.payload["probe_apparatus"], dims.d_a, "probe_apparatus")
-    pu = build_programmed_unitary(dims, bases)
     report = validate_informational_completeness(pu, probe)
     doc = {
         "kind": scenario.kind,
@@ -106,8 +100,7 @@ def cmd_evolve(scenario: Scenario, out_dir: Path) -> int:
 def cmd_born(scenario: Scenario, out_dir: Path) -> int:
     payload = scenario.payload
     dims = parse_dims(payload)
-    bases, labels = parse_branch_bases(payload, dims)
-    pu = build_programmed_unitary(dims, bases)
+    pu, bases, labels = parse_branch_bases(payload, dims)
 
     g = payload.get("g", "uniform")
     chi = parse_vector(g, dims.d_p, "g")

@@ -36,7 +36,7 @@ from .linalg import (
     random_hermitian,
     seeded_random,
 )
-from .serialize import _is_finite
+from .serialize import _echo, _is_finite
 from .trinary import TrinaryDims, TrinaryState, _check_orthonormal, dual_entropies
 
 COMMUTATION_TOL = 1e-10
@@ -516,7 +516,7 @@ def random_trinary_hamiltonian(
         h_p = seeded_random("hermitian", d_p, rng.integers(2**32))
         blocks = tuple(random_hermitian(rng, d_sa) for _ in range(d_p))
     else:
-        raise ValueError(f"unknown kind {kind!r}")
+        raise ValueError(f"unknown kind {_echo(kind)}, expected pmc, coupled or violating")
     return TrinaryHamiltonian(dims=dims, h_p=h_p, blocks=blocks)
 
 
@@ -544,5 +544,5 @@ def random_block_structure(
         h_s = random_hermitian(rng, d_s)
         gens = tuple(random_hermitian(rng, d_a) for _ in range(d_s))
     else:
-        raise ValueError(f"unknown kind {kind!r}")
+        raise ValueError(f"unknown kind {_echo(kind)}, expected sapmc, shared or violating")
     return ProgrammedBlockStructure(s_basis=basis, a_generators=gens, h_s=h_s)

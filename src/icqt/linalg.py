@@ -383,7 +383,7 @@ def seeded_random(kind: Literal["state", "unitary", "hermitian"], dim: int, seed
         return Operator(q)
     if kind == "hermitian":
         return random_hermitian(rng, dim)
-    raise ValueError(f"unknown kind {kind!r}")
+    raise ValueError(f"unknown kind {_echo(kind)}, expected state, unitary or hermitian")
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> Operator:

@@ -19,8 +19,9 @@ from .icqc import CapacityError, GateOp, IcqcConfig, _check_start, check_capacit
 from .icqc import tomographic_program_n1
 from .linalg import Operator, StateVector, seeded_random, subseed
 from .serialize import _echo, _is_finite, _is_int, pairs_to_complex
-from .suite import DEFAULT_COUNTS, _check_counts
-from .trinary import TrinaryDims, TrinaryState, _check_orthonormal, standard_basis
+from .suite import DEFAULT_COUNTS, _check_options
+from .trinary import ProgrammedUnitary, TrinaryDims, TrinaryState, _check_orthonormal
+from .trinary import build_programmed_unitary, standard_basis
 from .dynamics import ProgrammedBlockStructure, TrinaryHamiltonian, _check_times
 from .dynamics import random_trinary_hamiltonian
 
@@ -131,17 +132,18 @@ def parse_basis(obj, dim: int, what: str) -> tuple[np.ndarray, str | None]:
         return _check_orthonormal(parse_matrix(obj, dim, what), dim, what), None
 
 
-def parse_branch_bases(payload: dict, dims: TrinaryDims) -> tuple[list[np.ndarray], list[str]]:
-    """One basis per programming state, with its label: the basis name, or "custom" for a matrix."""
+def parse_branch_bases(payload: dict, dims: TrinaryDims) -> tuple[ProgrammedUnitary, list, list]:
+    """The programmed unitary of one basis per programming state, the bases and their labels."""
     raw = payload.get("branch_bases")
-    if not isinstance(raw, list) or len(raw) != dims.d_p:
-        raise ScenarioError(f"branch_bases must list {dims.d_p} bases (one per programming state)")
+    if not isinstance(raw, list):
+        raise ScenarioError("branch_bases must be a list of bases (one per programming state)")
     bases, labels = [], []
     for r, obj in enumerate(raw):
         basis, label = parse_basis(obj, dims.d_s, f"branch_bases[{r}]")
         bases.append(basis)
         labels.append("custom" if label is None else label)
-    return bases, labels
+    with _refusal("branch_bases"):
+        return build_programmed_unitary(dims, bases), bases, labels
 
 
 def _parse_block(obj, dims: TrinaryDims, what: str) -> tuple[Operator, ProgrammedBlockStructure | None]:
@@ -152,8 +154,8 @@ def _parse_block(obj, dims: TrinaryDims, what: str) -> tuple[Operator, Programme
                 raise ScenarioError(f"{what}: structured block needs '{key}'")
         s_basis, _ = parse_basis(obj["s_basis"], dims.d_s, f"{what}.s_basis")
         gens = obj["a_generators"]
-        if not isinstance(gens, list) or len(gens) != dims.d_s:
-            raise ScenarioError(f"{what}.a_generators must list {dims.d_s} matrices")
+        if not isinstance(gens, list):
+            raise ScenarioError(f"{what}.a_generators must be a list of matrices")
         a_generators = tuple(
             Operator(parse_matrix(g, dims.d_a, f"{what}.a_generators[{i}]"))
             for i, g in enumerate(gens)
@@ -172,19 +174,16 @@ def parse_hamiltonian(
     if not isinstance(obj, dict):
         raise ScenarioError("hamiltonian must be an object")
     if "random" in obj:
-        kind = obj["random"]
-        if kind not in ("pmc", "coupled", "violating"):
-            raise ScenarioError(
-                f"hamiltonian.random must be pmc/coupled/violating, got {_echo(kind)}"
-            )
-        return random_trinary_hamiltonian(dims, subseed(seed, 7), kind=kind), [None] * dims.d_p
+        with _refusal("hamiltonian.random"):
+            h = random_trinary_hamiltonian(dims, subseed(seed, 7), kind=obj["random"])
+        return h, [None] * dims.d_p
     for key in ("h_p", "blocks"):
         if key not in obj:
             raise ScenarioError(f"hamiltonian needs '{key}' (or 'random')")
     h_p = Operator(parse_matrix(obj["h_p"], dims.d_p, "hamiltonian.h_p"))
     raw_blocks = obj["blocks"]
-    if not isinstance(raw_blocks, list) or len(raw_blocks) != dims.d_p:
-        raise ScenarioError(f"hamiltonian.blocks must list {dims.d_p} blocks")
+    if not isinstance(raw_blocks, list):
+        raise ScenarioError("hamiltonian.blocks must be a list of blocks")
     blocks, structures = [], []
     for n, raw in enumerate(raw_blocks):
         block, structure = _parse_block(raw, dims, f"hamiltonian.blocks[{n}]")
@@ -252,7 +251,7 @@ def check_finite_evolution(segments, horizon: float) -> None:
 
 def parse_times(payload: dict) -> tuple[float, ...]:
     raw = payload.get("times")
-    if not isinstance(raw, list) or not raw:
+    if not isinstance(raw, list):
         raise ScenarioError("times must be a nonempty list")
     with _refusal():
         return _check_times(raw)
@@ -363,10 +362,10 @@ def parse_suite_options(payload: dict) -> dict:
     options = {}
     dims_list = payload.get("dims_list")
     if dims_list is not None:
-        if not isinstance(dims_list, list) or not dims_list:
+        if not isinstance(dims_list, list):
             raise ScenarioError("dims_list must be a nonempty list of [d_s, d_a, d_p]")
         options["dims_list"] = tuple(parse_dims({"dims": d}) for d in dims_list)
-    counts = {key: payload[key] for key in DEFAULT_COUNTS if key in payload}
+    options.update((key, payload[key]) for key in DEFAULT_COUNTS if key in payload)
     with _refusal():
-        _check_counts(counts)
-    return {**options, **counts}
+        _check_options(**options)
+    return options

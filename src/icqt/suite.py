@@ -67,8 +67,15 @@ DEFAULT_COUNTS = {
 }
 
 
-def _check_counts(counts: dict) -> None:
-    """The count rule: each count has a DEFAULT_COUNTS name and is an integer >= 1 (``_is_int``)."""
+def _check_options(dims_list=DEFAULT_DIMS, **counts) -> None:
+    """The option rule over ``run_property_suite``'s keywords: ``dims_list`` holds at least one
+    dims, each with d_p <= d_s*d_a (the Shannon battery draws d_p orthonormal S x A states),
+    and each count has a DEFAULT_COUNTS name and is an integer >= 1 (``_is_int``)."""
+    if not dims_list:
+        raise ValueError("dims_list must be a nonempty list of [d_s, d_a, d_p]")
+    for i, d in enumerate(dims_list):
+        if d.d_p > d.d_sa:
+            raise ValueError(f"dims_list[{i}]: d_p {d.d_p} > d_s*d_a {d.d_sa}: too few S x A states")
     unknown = sorted(set(counts) - set(DEFAULT_COUNTS))
     if unknown:
         raise TypeError(f"run_property_suite() got unknown counts {unknown}")
@@ -319,8 +326,8 @@ def icqc_battery(seed: int) -> PropertyResult:
 
 def run_property_suite(seed: int, dims_list=DEFAULT_DIMS, **counts: int) -> list[PropertyResult]:
     """Every battery in report order; ``counts`` override entries of DEFAULT_COUNTS by name,
-    after the count rule (``_check_counts``) and before any battery runs."""
-    _check_counts(counts)
+    after the option rule (``_check_options``) and before any battery runs."""
+    _check_options(dims_list, **counts)
     c = {**DEFAULT_COUNTS, **counts}
     return [
         factorization_battery(seed, c["factorization_cases"], dims_list),

@@ -38,6 +38,13 @@ def base(kind, **extra):
     return doc
 
 
+def structured_blocks(generators: int) -> dict:
+    """A Hamiltonian at dims [2, 1, 2] whose two structured blocks hold ``generators``
+    1x1 apparatus generators each (d_s = 2 are needed)."""
+    block = {"s_basis": "Z", "h_s": ID2, "a_generators": [[[[1, 0]]]] * generators}
+    return {"h_p": ID2, "blocks": [block, block]}
+
+
 class TestScenarioLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError):
@@ -790,7 +797,7 @@ class TestInputErrors:
             ("born", base("born", dims=[2, 2, 2], branch_bases=["Z", "X"], g="basis" + "1" * 4995),
              None, "g: bad basis name"),
             ("evolve", base("dynamics", dims=[2, 1, 2], times=[0.0], hamiltonian={"random": LONG}),
-             None, "hamiltonian.random must be"),
+             None, "hamiltonian.random: unknown kind"),
             ("icqc", base("icqc", n=1, program={"random": {}}), LONG, "ICQT_MAX_DIM must be"),
             ("icqc", base("icqc", n=1, program={"random": {}},
                           gates=[{"kind": "X", "targets": [[LONG, 0]]}]),
@@ -825,6 +832,46 @@ class TestInputErrors:
         err = self.run_bad(tmp_path, capsys, command, payload)
         assert echoed in err
         assert len(err.encode()) < 200
+
+    POINTER = "branch_bases: apparatus dim 2 < system dim 3: not enough pointer positions"
+
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            # d_a < d_s and a d_p past d_s*d_a once gave tracebacks with exit 1
+            ("validate", base("trinary-build", dims=[3, 2, 6], branch_bases=["Z", "X"] * 3),
+             POINTER),
+            ("born", base("born", dims=[3, 2, 6], branch_bases=["Z", "X"] * 3), POINTER),
+            ("suite", base("property-suite", dims_list=[[1, 1, 2]]),
+             "dims_list[0]: d_p 2 > d_s*d_a 1: too few S x A states"),
+            ("suite", base("property-suite", dims_list=[[2, 2, 4], [1, 1, 2]]),
+             "dims_list[1]: d_p 2 > d_s*d_a 1: too few S x A states"),
+            ("suite", base("property-suite", dims_list=[]),
+             "dims_list must be a nonempty list of [d_s, d_a, d_p]"),
+            ("validate", base("trinary-build", dims=[2, 2, 4], branch_bases=["Z", "X", "Y"]),
+             "branch_bases: need 4 branch bases, got 3"),
+            ("born", base("born", dims=[2, 2, 2], branch_bases=["Z", "X", "Y"]),
+             "branch_bases: need 2 branch bases, got 3"),
+            ("evolve", base("dynamics", dims=[2, 1, 2], times=[0.0],
+                            hamiltonian={"h_p": ID2, "blocks": [ID2]}),
+             "hamiltonian: need 2 blocks, got 1"),
+            ("evolve", base("dynamics", dims=[2, 1, 2], times=[0.0],
+                            hamiltonian=structured_blocks(generators=1)),
+             "hamiltonian.blocks[0]: need 2 apparatus generators, got 1"),
+            ("evolve", base("dynamics", dims=[2, 1, 2], times=[0.0],
+                            hamiltonian=structured_blocks(generators=3)),
+             "hamiltonian.blocks[0]: need 2 apparatus generators, got 3"),
+            ("evolve", base("dynamics", dims=[2, 1, 2], times=[0.0], hamiltonian={"random": "sapmc"}),
+             "hamiltonian.random: unknown kind 'sapmc', expected pmc, coupled or violating"),
+            ("evolve", base("dynamics", dims=[2, 1, 2], times=[], hamiltonian={"random": "pmc"}),
+             "times must ascend and start at 0"),
+        ],
+        ids=["validate-pointer", "born-pointer", "suite-dims", "suite-second-dims",
+             "suite-no-dims", "branch-bases-short", "branch-bases-long", "blocks",
+             "a-generators-short", "a-generators-long", "random-kind", "times-empty"],
+    )
+    def test_refused_by_the_library_rule(self, tmp_path, capsys, command, payload, message):
+        assert self.run_bad(tmp_path, capsys, command, payload) == f"scenario error: {message}\n"
 
     def test_segment_duration_a_boolean(self, tmp_path, capsys):
         segments = [{"duration": True, "hamiltonian": {"random": "pmc"}}]

@@ -1280,3 +1280,19 @@ class TestSwappedRoles:
         blocks_p = tuple(seeded_random("hermitian", 4, 70 + m) for m in range(4))
         with pytest.raises(FactorizationPreconditionError):
             evolve_swapped_factorized(h_sa, blocks_p, random_state(DIMS, 40), 1.0)
+
+
+@pytest.mark.parametrize(
+    "draw, kinds",
+    [
+        (lambda kind: random_trinary_hamiltonian(DIMS, 1, kind=kind), "pmc, coupled or violating"),
+        (lambda kind: random_block_structure(2, 2, 1, kind=kind), "sapmc, shared or violating"),
+        (lambda kind: seeded_random(kind, 2, 1), "state, unitary or hermitian"),
+    ],
+    ids=["hamiltonian", "block", "seeded"],
+)
+def test_unknown_kind_echoed_short_with_the_known_kinds(draw, kinds):
+    # a 5,000-character kind once came back whole in a 5,015-character message
+    with pytest.raises(ValueError, match=f"^unknown kind 'QQQ.*', expected {kinds}$") as info:
+        draw("Q" * 5000)
+    assert len(str(info.value)) < 120

@@ -24,9 +24,14 @@ modules) of ``src/icqt`` allowed to match it.
   refusal through one adapter, ``scenario._refusal``; besides it, only the JSON decoding
   and the two ``pairs_to_complex`` reads build a ``ScenarioError`` from a caught
   ``ValueError``'s message.
+- Count and kind rules are the library's too: ``scenario.py`` compares no ``len(...)``
+  with a ``TrinaryDims`` field (the branch, block and generator counts are
+  ``build_programmed_unitary``'s and ``_Conditioned``'s) and names no random Hamiltonian
+  kind (``random_trinary_hamiltonian`` states them).
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -36,6 +41,8 @@ MODULES = tuple(path.name for path in sorted(PACKAGE.glob("*.py")))
 KERNELS = ("_apply_single", "_apply_cnot", "_apply_gates_nd", "_programmed_stage")
 PREDICATES = ("_is_int", "_is_finite", "_finite_real")
 DIMS_MESSAGE = "hamiltonian and state dims differ"
+DIMS_FIELDS = ("d_s", "d_a", "d_p", "d_sa")
+HAMILTONIAN_KINDS = re.compile(r"\b(pmc|coupled|violating)\b")
 
 
 def tree_of(module: str) -> ast.Module:
@@ -134,6 +141,24 @@ def rewraps_value_error(node) -> bool:
     )
 
 
+def len_against_dims(node) -> bool:
+    """A comparison that reads ``len(...)`` and a ``TrinaryDims`` field (``dims.d_p``, or a
+    bare ``d_p``) anywhere in its operands."""
+    if not isinstance(node, ast.Compare):
+        return False
+    inside = list(ast.walk(node))
+    return any(calls_to("len")(n) for n in inside) and any(
+        named(n, field) for n in inside for field in DIMS_FIELDS
+    )
+
+
+def names_a_hamiltonian_kind(node) -> bool:
+    """A string constant (an f-string's parts too) holding the word pmc, coupled or violating."""
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and bool(
+        HAMILTONIAN_KINDS.search(node.value)
+    )
+
+
 def test_the_guards_see_every_spelling():
     tree = ast.parse(
         "def _check_start(n): check_register_capacity(n)\n"
@@ -211,6 +236,21 @@ def test_the_guard_sees_every_spelling():
     assert innermost(tree, reads("_segment_steps")) == ["walk", "other", "<module>", "step"]
 
 
+def test_the_count_and_kind_guards_see_every_spelling():
+    tree = ast.parse(
+        "def a(raw, dims): return len(raw) != dims.d_p\n"
+        "def b(gens, d_s): return not gens or len(gens) > d_s\n"
+        "def c(x, dims): return dims.d_sa == len(x[0])\n"
+        "def d(raw): return len(raw) != 3\n"
+        "def e(dims): return dims.d_p > dims.d_sa\n"
+        "def f(kind): return kind in ('pmc', 'coupled')\n"
+        "def g(kind): raise ValueError(f'must be violating, got {kind}')\n"
+        "def h(kind): return kind == 'sapmc' or kind == 'PMC'\n"
+    )
+    assert innermost(tree, len_against_dims) == ["a", "b", "c"]
+    assert innermost(tree, names_a_hamiltonian_kind) == ["f", "f", "g"]
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_no_gate_kernel_raises(kernel):
     body = functions(tree_of("icqc.py"))[kernel]
@@ -259,3 +299,9 @@ def test_scenario_maps_library_refusals_through_one_adapter():
     # also catch a TypeError or RecursionError and name what they read
     found = innermost(tree_of("scenario.py"), rewraps_value_error)
     assert sorted(found) == ["_refusal", "load_scenario", "parse_matrix", "parse_vector"]
+
+
+def test_scenario_states_no_count_or_kind_rule():
+    tree = tree_of("scenario.py")
+    found = innermost(tree, len_against_dims), innermost(tree, names_a_hamiltonian_kind)
+    assert found == ([], [])

@@ -18,8 +18,11 @@ durations; the second is written into the file as raw text, since
 ``json.dumps`` refuses it.  Scalars of +-1.7e308, whose differences overflow,
 are drawn too.  So are the values the library's input rules refuse: a random
 program depth of -1, 2.5 or true, register sizes n_a or n_p of true, 2.0 or 3,
-a suite count of 0, -1 or true, times holding a JSON NaN or a descending pair,
-and a basis name past its dimension.  Whatever the input,
+a suite count of 0, -1 or true, a suite dims_list that is empty or holds
+[1, 1, 2] (d_p past d_s*d_a), born and validate dims of [3, 2, 6] (fewer
+pointer positions than system levels), a branch_bases list one too long or
+short, an unknown random Hamiltonian kind, times holding a JSON NaN or a
+descending pair, and a basis name past its dimension.  Whatever the input,
 the CLI keeps its contract: exit 0, 1 or 2, exactly one stderr line on exit
 2, and never a traceback.  A report written on exit 0 or 1 is strict JSON (no
 bare NaN or Infinity), and a born report that exits 0 has every nonempty
@@ -146,11 +149,15 @@ def draw_schedule(data, payload):
             times[-1] = data.draw(HUGE)
         else:
             segments[k - len(times)]["duration"] = data.draw(HUGE)
+    kind = refused(data, ["sapmc", "PMC", ""], odds=6)
+    if kind is not None:
+        segments[-1]["hamiltonian"] = {"random": kind}
     bad = refused(data, [[float("nan")], [0.5, 0.25]], odds=6)
     return dict(payload, times=times + (bad or []), segments=segments)
 
 
 DIMS = [[2, 2, 4], [2, 2, 2], [3, 3, 9], [2, 3, 3], [1, 1, 1]]
+SHORT_POINTER = [3, 2, 6]  # d_a < d_s: too few pointer positions for a branch basis
 TINY = [1e-7 * (1 + k * 2.0**-52) for k in range(-8, 9)]
 FLOATS = st.floats(-2, 2, allow_nan=False)
 EXTREME = st.one_of(st.sampled_from([1e-200, 1e-160, 1e308]), HUGE)
@@ -171,18 +178,20 @@ def draw_evolve(data, payload):
 
 
 def draw_bases(data, d_s, d_p):
+    """d_p named bases, or one more or one fewer."""
     names = ["Z", "X", "Y"] if d_s == 2 else ["Z", "X"]
-    return [data.draw(st.sampled_from(names)) for _ in range(d_p)]
+    count = d_p + (refused(data, [-1, 1], odds=8) or 0)
+    return [data.draw(st.sampled_from(names)) for _ in range(count)]
 
 
 def draw_validate(data, payload):
-    d_s, _, d_p = dims = data.draw(st.sampled_from(DIMS))
+    d_s, _, d_p = dims = data.draw(st.sampled_from(DIMS + [SHORT_POINTER]))
     probe = data.draw(st.sampled_from(["basis0", "uniform"]))
     return dict(payload, dims=dims, branch_bases=draw_bases(data, d_s, d_p), probe_apparatus=probe)
 
 
 def draw_born(data, payload):
-    d_s, _, d_p = dims = data.draw(st.sampled_from(DIMS[:4]))
+    d_s, _, d_p = dims = data.draw(st.sampled_from(DIMS[:4] + [SHORT_POINTER]))
     g = refused(data, [f"basis{d_p}", f"basis{d_p + 1}"]) or [
         [data.draw(AMPLITUDES), 0.0] for _ in range(d_p)
     ]
@@ -224,6 +233,8 @@ def draw_icqc(data, payload):
 
 def draw_suite(data, payload):
     dims_list = data.draw(st.lists(st.sampled_from(DIMS[:3]), min_size=1, max_size=2))
+    bad = refused(data, [[], [[1, 1, 2]], [*dims_list, [1, 1, 2]]])
+    dims_list = dims_list if bad is None else bad
     count = {data.draw(st.sampled_from(sorted(COUNTS))): refused(data, [0, -1, True])}
     return dict(payload, seed=data.draw(st.integers(0, 2**32)), dims_list=dims_list,
                 **{key: value for key, value in count.items() if value is not None})

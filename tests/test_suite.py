@@ -70,6 +70,31 @@ def test_count_rule_before_any_battery_runs(battery_calls, value):
     assert battery_calls == []
 
 
+@pytest.mark.parametrize(
+    "dims_list, message",
+    [
+        ((), "^dims_list must be a nonempty list"),  # once a ZeroDivisionError
+        # once an IndexError in the Shannon battery, which needs d_p orthonormal S x A states
+        ((TrinaryDims(2, 2, 4), TrinaryDims(1, 1, 2)),
+         r"^dims_list\[1\]: d_p 2 > d_s\*d_a 1: too few S x A states$"),
+    ],
+    ids=["empty", "d_p-past-d_sa"],
+)
+def test_dims_rule_before_any_battery_runs(battery_calls, dims_list, message):
+    with pytest.raises(ValueError, match=message):
+        suite.run_property_suite(1, dims_list=dims_list)
+    assert battery_calls == []
+
+
+def test_dims_at_d_p_equal_to_d_sa_pass_the_rule(battery_calls):
+    suite.run_property_suite(1, dims_list=(TrinaryDims(1, 2, 2),))
+    assert [name for name, _ in battery_calls] == list(BATTERIES)
+
+
+def test_shannon_battery_at_d_p_equal_to_d_sa():
+    assert suite.shannon_identity_battery(1, 4, (TrinaryDims(1, 2, 2), TrinaryDims(2, 1, 2))).passed
+
+
 @pytest.mark.parametrize("deviation", [1e-6, float("nan")])
 def test_bounds_battery_fails_on_a_gap_to_the_dense_reference(monkeypatch, deviation):
     # the trajectories walk the dense reference beside the factorized walk; a gap past
