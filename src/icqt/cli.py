@@ -24,7 +24,6 @@ from .linalg import seeded_random, subseed
 from .scenario import (
     Scenario,
     ScenarioError,
-    check_finite_evolution,
     load_scenario,
     parse_branch_bases,
     parse_dims,
@@ -64,7 +63,6 @@ def cmd_evolve(scenario: Scenario, out_dir: Path) -> int:
     dims = parse_dims(payload)
     times = parse_times(payload)
     segments = parse_segments(payload, dims, scenario.seed)
-    check_finite_evolution(segments, times[-1])
     state = parse_initial_state(payload, dims, scenario.seed)
 
     traj = entanglement_trajectory([(d, h) for d, h, _ in segments], state, times)

@@ -103,8 +103,6 @@ def _component_spectra(core: _Conditioned, blocks: np.ndarray | None = None) -> 
         matrices = core.h[index[:, :, None], index[:, None, :]]
         if blocks is not None:
             matrices = _assemble_conditioned(matrices, blocks[index], None)
-        if not np.isfinite(matrices).all():  # finite blocks may still sum past the double range
-            raise ValueError("non-finite entries")
         groups.append((index, HermitianSpectrum.of(matrices)))
     return groups
 
@@ -127,6 +125,12 @@ class _Conditioned:
     ``components``, the per-size stacks of the components of h' (``_zero_pattern_components``).
     ``dims`` is (program dim, block dim), a block dim of None meaning the first
     block's; ``names`` name the program side, a block and the basis in messages.
+
+    It owns the overflow rule: ``scale`` = program dim max|H_prog| + block dim max|B_n|
+    bounds every assembled entry, entry of h' and eigenvalue; program dim max|H_prog| and
+    2 max|B_n| bound the factors of each h'[n, m] (B_n - B_m) that ``check`` forms (none
+    when H_prog is 0), and their product it.  A level where a bound is not finite is
+    refused, so nothing built from it overflows.
     """
 
     def __init__(self, h_program: Operator, blocks: Sequence[Operator], basis, dims, names):
@@ -145,9 +149,15 @@ class _Conditioned:
                 raise HermiticityError(f"{block} {n} is not Hermitian")
         self.basis = None if basis is None else _check_orthonormal(basis, program_dim, basis_name)
         self.program, self.blocks = h_program.entries, [b.entries for b in blocks]
+        peak_program = float(np.max(np.abs(self.program)))
+        peak_block = max(float(np.max(np.abs(b))) for b in self.blocks)
+        self.scale = program_dim * peak_program + block_dim * peak_block
+        if not math.isfinite(self.scale):
+            raise ValueError(f"{program} and the {block}s overflow a double")
+        if peak_program and not math.isfinite(program_dim * peak_program * (2 * peak_block)):
+            raise ValueError("the measurability commutator overflows a double")
         w = self.basis
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing h' is refused later
-            self.h = self.program if w is None else w.conj().T @ self.program @ w
+        self.h = self.program if w is None else w.conj().T @ self.program @ w
         self.components = _zero_pattern_components(self.h)
 
     def assemble(self) -> Operator:
@@ -159,21 +169,17 @@ class _Conditioned:
 
         The norm is taken in the conditioning basis, where block (n, m) of the
         commutator is h'[n, m] (B_n - B_m).  Only the rows inside a component of h' are
-        taken: every other block, and a lone state's, is exactly 0, as is a block whose
-        h'[n, m] is 0 (times an overflowing B_n - B_m that is NaN), so the max keeps its
-        bits.  A NaN under a nonzero h'[n, m] is a product past the double range and
-        reads inf.  Row j of every component of one size at a time: memory
+        taken: every other block, and a lone state's, is exactly 0, so the max keeps its
+        bits.  Row j of every component of one size at a time: memory
         len(blocks) * d_block^2.
         """
         h, stack = self.h, np.stack(self.blocks)
         norm = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow still reads inf
-            for index in self.components:
-                for n in index.T if index.shape[1] > 1 else ():
-                    coupling = h[n[:, None], index][..., None, None]
-                    row = np.abs(coupling * (stack[n][:, None] - stack[index]))
-                    peak = float(np.max(row, where=coupling != 0, initial=0.0))
-                    norm = max(norm, math.inf if math.isnan(peak) else peak)
+        for index in self.components:
+            for n in index.T if index.shape[1] > 1 else ():
+                coupling = h[n[:, None], index][..., None, None]
+                row = np.abs(coupling * (stack[n][:, None] - stack[index]))
+                norm = max(norm, float(row.max()))
         return CommutatorCheck(commutator_norm=norm, satisfied=norm <= COMMUTATION_TOL)
 
 
@@ -370,8 +376,10 @@ def _segment_steps(
 
     A time lies in the first segment whose end (``_end`` of the durations so far) is at
     or past it, one step from that segment's start: the time minus the earlier
-    durations, clamped to [0, duration].  Bad times (``_check_times``) or durations and a
-    too-short schedule raise ``ScheduleError``, and dims that differ ``DimensionError``.
+    durations, clamped to [0, duration].  Bad times (``_check_times``) or durations, a
+    too-short schedule and a reached segment stepped to a time t on the schedule whose
+    ``scale`` t overflows a double (``_Conditioned``) raise ``ScheduleError``, and dims
+    that differ ``DimensionError``.
     """
     if any(h.dims != state.dims for _, h in segments):
         raise DimensionError("hamiltonian and state dims differ")
@@ -389,6 +397,9 @@ def _segment_steps(
             t -= duration
         steps[k].append(min(max(t, 0.0), durations[k]))
     del steps[k + 1 :]
+    for j, ((_, h), t) in enumerate(zip(segments, ends[:k] + [times[-1]])):
+        if not math.isfinite(h._core.scale * t):
+            raise ScheduleError(f"segment {j}: the Hamiltonian overflows a double by t = {t}")
     return steps
 
 

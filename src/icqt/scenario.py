@@ -163,36 +163,36 @@ def _parse_block(obj, dims: TrinaryDims, what: str) -> tuple[Operator, Programme
         h_s = Operator(parse_matrix(obj["h_s"], dims.d_s, f"{what}.h_s"))
         with _refusal(what):
             structure = ProgrammedBlockStructure(s_basis, a_generators, h_s)
-            with np.errstate(over="ignore"):  # an overflow is refused as non-finite entries
-                return structure.assemble(), structure
+        return structure.assemble(), structure
     return Operator(parse_matrix(obj, dims.d_sa, what)), None
 
 
 def parse_hamiltonian(
-    obj, dims: TrinaryDims, seed: int
+    obj, dims: TrinaryDims, seed: int, what: str
 ) -> tuple[TrinaryHamiltonian, list[ProgrammedBlockStructure | None]]:
+    """The Hamiltonian at field path ``what``, which every refusal names."""
     if not isinstance(obj, dict):
-        raise ScenarioError("hamiltonian must be an object")
+        raise ScenarioError(f"{what} must be an object")
     if "random" in obj:
-        with _refusal("hamiltonian.random"):
+        with _refusal(f"{what}.random"):
             h = random_trinary_hamiltonian(dims, subseed(seed, 7), kind=obj["random"])
         return h, [None] * dims.d_p
     for key in ("h_p", "blocks"):
         if key not in obj:
-            raise ScenarioError(f"hamiltonian needs '{key}' (or 'random')")
-    h_p = Operator(parse_matrix(obj["h_p"], dims.d_p, "hamiltonian.h_p"))
+            raise ScenarioError(f"{what} needs '{key}' (or 'random')")
+    h_p = Operator(parse_matrix(obj["h_p"], dims.d_p, f"{what}.h_p"))
     raw_blocks = obj["blocks"]
     if not isinstance(raw_blocks, list):
-        raise ScenarioError("hamiltonian.blocks must be a list of blocks")
+        raise ScenarioError(f"{what}.blocks must be a list of blocks")
     blocks, structures = [], []
     for n, raw in enumerate(raw_blocks):
-        block, structure = _parse_block(raw, dims, f"hamiltonian.blocks[{n}]")
+        block, structure = _parse_block(raw, dims, f"{what}.blocks[{n}]")
         blocks.append(block)
         structures.append(structure)
     basis = None
     if "programming_basis" in obj:
-        basis = parse_matrix(obj["programming_basis"], dims.d_p, "hamiltonian.programming_basis")
-    with _refusal("hamiltonian"):
+        basis = parse_matrix(obj["programming_basis"], dims.d_p, f"{what}.programming_basis")
+    with _refusal(what):
         h = TrinaryHamiltonian(dims=dims, h_p=h_p, blocks=tuple(blocks), programming_basis=basis)
     return h, structures
 
@@ -204,7 +204,7 @@ def parse_segments(
     if "segments" in payload and "hamiltonian" in payload:
         raise ScenarioError("give either 'hamiltonian' or 'segments', not both")
     if "hamiltonian" in payload:
-        h, structures = parse_hamiltonian(payload["hamiltonian"], dims, seed)
+        h, structures = parse_hamiltonian(payload["hamiltonian"], dims, seed, "hamiltonian")
         return [(np.inf, h, structures)]
     raw = payload.get("segments")
     if not isinstance(raw, list) or not raw:
@@ -216,37 +216,10 @@ def parse_segments(
         duration = seg["duration"]  # its sign is the walk's rule (``_segment_steps``)
         if not (_is_finite(duration) or duration == math.inf):
             raise ScenarioError(f"segments[{k}].duration must be a number")
-        h, structures = parse_hamiltonian(seg["hamiltonian"], dims, subseed(seed, 8, k))
+        what = f"segments[{k}].hamiltonian"
+        h, structures = parse_hamiltonian(seg["hamiltonian"], dims, subseed(seed, 8, k), what)
         out.append((float(duration), h, structures))
     return out
-
-
-def _peak(operators) -> float:
-    """The largest entry magnitude of any of ``operators``."""
-    with np.errstate(over="ignore"):  # |re + i im| may overflow alone
-        return max(float(np.max(np.abs(op.entries))) for op in operators)
-
-
-def check_finite_evolution(segments, horizon: float) -> None:
-    """Refuse a segment whose evolution to time ``horizon`` or whose measurability check
-    overflows a double: (d_p max|h_p| + d_sa max_n max|B_n|) max(horizon, 1) bounds every
-    assembled entry and phase w t, and 2 d_p max|h_p| max_n max|B_n| every commutator entry
-    h'[n, m] (B_n - B_m), as |h'| <= d_p max|h_p| in any basis; alike for structured blocks."""
-    for k, (_, h, structures) in enumerate(segments):
-        peak_p, peak_b = _peak([h.h_p]), _peak(h.blocks)
-        bound = (h.dims.d_p * peak_p + h.dims.d_sa * peak_b) * max(horizon, 1.0)
-        if not math.isfinite(bound):
-            raise ScenarioError(f"segment {k}: the Hamiltonian overflows a double by t = {horizon}")
-        levels = [("", h.dims.d_p, peak_p, peak_b)] + [
-            (f"hamiltonian.blocks[{n}]: ", s.d_s, _peak([s.h_s]), _peak(s.a_generators))
-            for n, s in enumerate(structures)
-            if s is not None
-        ]
-        for what, dim, peak_program, peak_block in levels:
-            if not math.isfinite(2 * dim * peak_program * peak_block):
-                raise ScenarioError(
-                    f"segment {k}: {what}the measurability commutator overflows a double"
-                )
 
 
 def parse_times(payload: dict) -> tuple[float, ...]:

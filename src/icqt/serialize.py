@@ -20,11 +20,24 @@ import numpy as np
 ECHO_CHARS = 60
 
 
+class _EchoRepr(reprlib.Repr):
+    """``reprlib``'s form, but an integer past Python's decimal digit limit shows its size."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"<int of {x.bit_length()} bits>"
+
+
+_ECHO = _EchoRepr()
+
+
 def _echo(value) -> str:
-    """``value`` as an error message shows it: its ``reprlib`` form (long strings and
+    """``value`` as an error message shows it: its ``_EchoRepr`` form (long strings and
     numbers, deep or long containers shortened inside), cut to ECHO_CHARS characters, so
     a message about bad input stays one short line however large the input."""
-    text = reprlib.repr(value)
+    text = _ECHO.repr(value)
     return text if len(text) <= ECHO_CHARS else text[: ECHO_CHARS - 3] + "..."
 
 

@@ -36,7 +36,7 @@ from .linalg import (
     subseed,
     tensor_product,
 )
-from .serialize import _is_int
+from .serialize import _echo, _is_int
 from .trinary import (
     TrinaryDims,
     TrinaryState,
@@ -75,7 +75,8 @@ def _check_options(dims_list=DEFAULT_DIMS, **counts) -> None:
         raise ValueError("dims_list must be a nonempty list of [d_s, d_a, d_p]")
     for i, d in enumerate(dims_list):
         if d.d_p > d.d_sa:
-            raise ValueError(f"dims_list[{i}]: d_p {d.d_p} > d_s*d_a {d.d_sa}: too few S x A states")
+            d_p, d_sa = _echo(d.d_p), _echo(d.d_sa)
+            raise ValueError(f"dims_list[{i}]: d_p {d_p} > d_s*d_a {d_sa}: too few S x A states")
     unknown = sorted(set(counts) - set(DEFAULT_COUNTS))
     if unknown:
         raise TypeError(f"run_property_suite() got unknown counts {unknown}")

@@ -148,12 +148,12 @@ class ProgrammedUnitary:
     def __post_init__(self):
         if len(self.branches) != self.dims.d_p:
             raise BranchCountError(
-                f"got {len(self.branches)} branches for d_p = {self.dims.d_p}"
+                f"got {len(self.branches)} branches for d_p = {_echo(self.dims.d_p)}"
             )
         for r, u in enumerate(self.branches):
             if u.dim != self.dims.d_sa:
                 raise DimensionError(f"branch {r} acts on dim {u.dim}, "
-                                     f"expected {self.dims.d_sa}")
+                                     f"expected {_echo(self.dims.d_sa)}")
             if not u.is_unitary():
                 raise ValueError(f"branch {r} is not unitary")
 
@@ -171,7 +171,7 @@ def build_programmed_unitary(
     """Programmed unitary whose branch r pointer-measures branch_bases[r]."""
     if len(branch_bases) != dims.d_p:
         raise BranchCountError(
-            f"need {dims.d_p} branch bases, got {len(branch_bases)}"
+            f"need {_echo(dims.d_p)} branch bases, got {len(branch_bases)}"
         )
     branches = tuple(build_pointer_measurement(basis, dims.d_a) for basis in branch_bases)
     return ProgrammedUnitary(dims=dims, branches=branches)
@@ -193,7 +193,7 @@ class TrinaryState:
     def __post_init__(self):
         if self.dense.dim != self.dims.total:
             raise DimensionError(
-                f"dense dim {self.dense.dim} != d_p*d_s*d_a = {self.dims.total}"
+                f"dense dim {self.dense.dim} != d_p*d_s*d_a = {_echo(self.dims.total)}"
             )
 
     @staticmethod
@@ -216,7 +216,7 @@ class TrinaryState:
         rows = g[:, None] * np.array([sa.amplitudes for _, sa in pairs])
         if rows.shape != (dims.d_p, dims.d_sa):
             raise DimensionError(
-                f"branch pairs give shape {rows.shape}, expected ({dims.d_p}, {dims.d_sa})"
+                f"branch pairs give shape {rows.shape}, expected {_echo((dims.d_p, dims.d_sa))}"
             )
         return TrinaryState.from_dense(dims, StateVector(rows.reshape(-1)))
 

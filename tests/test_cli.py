@@ -18,7 +18,7 @@ from icqt.scenario import (
     parse_segments,
     parse_vector,
 )
-from icqt.serialize import complex_to_pairs, dumps, pairs_to_complex, write_json
+from icqt.serialize import _echo, complex_to_pairs, dumps, pairs_to_complex, write_json
 from icqt.trinary import dual_entropies
 from oracles import schedule_walk
 
@@ -43,6 +43,37 @@ def structured_blocks(generators: int) -> dict:
     1x1 apparatus generators each (d_s = 2 are needed)."""
     block = {"s_basis": "Z", "h_s": ID2, "a_generators": [[[[1, 0]]]] * generators}
     return {"h_p": ID2, "blocks": [block, block]}
+
+
+BIG = complex_to_pairs(np.diag([1.5e308, 1.5e308]))
+ONE = complex_to_pairs(np.diag([1.0, 2.0]))
+HUGE = complex_to_pairs(np.diag([1e200, 0]))
+SWAP = complex_to_pairs(np.array([[0, 1e200], [1e200, 0]]))
+
+# Hamiltonians at dims [2, 1, 2] whose evolution or measurability check overflows a double,
+# by name: (hamiltonian, times, the refusal's message).  The core refuses all but the
+# phases when the Hamiltonian is built; the walk refuses the phases.
+OVERFLOWING = {
+    "entries": ({"h_p": BIG, "blocks": [BIG, BIG]}, [0.0, 1.0],  # 2 * 1.5e308 + 1 * 1.5e308
+                "scenario error: hamiltonian: h_p and the blocks overflow a double"),
+    "phases": ({"h_p": ONE, "blocks": [ONE, ONE]}, [0.0, 1e308],  # phases w t past 1.8e308
+               "scenario error: segment 0: the Hamiltonian overflows a double by t = 1e+308"),
+    "framed": ({"h_p": complex_to_pairs(np.full((2, 2), 1e308)), "blocks": [ONE, ONE],
+                "programming_basis": complex_to_pairs(np.array([[1, 1], [1, -1]]) / np.sqrt(2))},
+               [0.0, 1.0],  # h'[0, 0] would be 2e308: refused before h' is framed
+               "scenario error: hamiltonian: h_p and the blocks overflow a double"),
+    "structured-block": (
+        {"h_p": ONE, "blocks": [{"s_basis": "Z", "a_generators": [[[[1.5e308, 0]]]] * 2,
+                                 "h_s": BIG}] * 2}, [0.0],
+        "scenario error: hamiltonian.blocks[0]: "
+        "h_s and the apparatus generators overflow a double"),
+    "commutator": ({"h_p": SWAP, "blocks": [HUGE, complex_to_pairs(np.diag([-1e200, 0]))]}, [0.0],
+                   "scenario error: hamiltonian: the measurability commutator overflows a double"),
+    "structured-commutator": (  # 2 * 1e200 * 2e200 at the block level
+        {"h_p": ONE, "blocks": [{"s_basis": "Z", "a_generators": [[[[1e200, 0]]], [[[-1e200, 0]]]],
+                                 "h_s": SWAP}] * 2}, [0.0],
+        "scenario error: hamiltonian.blocks[0]: the measurability commutator overflows a double"),
+}
 
 
 class TestScenarioLoading:
@@ -116,6 +147,15 @@ class TestSerialize:
         assert dumps({**doc, "mixed": mixed}) == dumps({**numpy_doc, "mixed": mixed})
         assert "-0" not in dumps(doc)
         assert dumps({"x": [0.5, -0.0]}) == '{\n  "x": [\n    0.5,\n    0\n  ]\n}\n'
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [(10**5000, "<int of 16610 bits>"), ([10**5000, 2], "[<int of 16610 bits>, 2]")],
+        ids=["int", "list"],
+    )
+    def test_echo_shows_an_integer_past_the_digit_limit_by_its_size(self, value, text):
+        # repr refuses an integer of more than 4,300 decimal digits with a ValueError
+        assert _echo(value) == text
 
     def test_write_json_returns_the_written_text(self, tmp_path):
         doc = {"b": [1.5, None], "a": "x"}
@@ -1109,34 +1149,25 @@ class TestInputErrors:
         payload = base("dynamics", dims=[2, 1, 2], times=[0.0], hamiltonian=hamiltonian)
         assert "not Hermitian" in self.run_bad(tmp_path, capsys, "evolve", payload)
 
-    BIG = complex_to_pairs(np.diag([1.5e308, 1.5e308]))
-    ONE = complex_to_pairs(np.diag([1.0, 2.0]))
-    HUGE = complex_to_pairs(np.diag([1e200, 0]))
-    SWAP = complex_to_pairs(np.array([[0, 1e200], [1e200, 0]]))
-
-    @pytest.mark.parametrize(
-        "hamiltonian, times, message",
-        [
-            ({"h_p": BIG, "blocks": [BIG, BIG]}, [0.0, 1.0],  # entries of 1.5e308 + 1.5e308
-             "segment 0: the Hamiltonian overflows a double by t = 1.0"),
-            ({"h_p": ONE, "blocks": [ONE, ONE]}, [0.0, 1e308],  # phases w t past 1.8e308
-             "segment 0: the Hamiltonian overflows a double by t = 1e+308"),
-            ({"h_p": complex_to_pairs(np.full((2, 2), 1e308)), "blocks": [ONE, ONE],
-              "programming_basis": complex_to_pairs(np.array([[1, 1], [1, -1]]) / np.sqrt(2))},
-             [0.0, 1.0],  # h'[0, 0] = 2e308 overflows, silently, when h is built
-             "segment 0: the Hamiltonian overflows a double by t = 1.0"),
-            ({"h_p": ONE, "blocks": [{"s_basis": "Z", "a_generators": [[[[1.5e308, 0]]]] * 2,
-                                      "h_s": BIG}] * 2}, [0.0],
-             "hamiltonian.blocks[0]: non-finite entries"),
-            ({"h_p": SWAP, "blocks": [HUGE, complex_to_pairs(np.diag([-1e200, 0]))]}, [0.0],
-             "segment 0: the measurability commutator overflows a double"),  # 1e200 * 2e200
-            ({"h_p": ONE, "blocks": [{"s_basis": "Z", "a_generators": [[[[1e200, 0]]],
-                                                                        [[[-1e200, 0]]]],
-                                      "h_s": SWAP}] * 2}, [0.0],
-             "segment 0: hamiltonian.blocks[0]: the measurability commutator overflows a double"),
-        ],
-        ids=["entries", "phases", "framed", "structured-block", "commutator", "structured-commutator"],
-    )
+    @pytest.mark.parametrize("hamiltonian, times, message", OVERFLOWING.values(), ids=OVERFLOWING)
     def test_hamiltonian_overflowing_a_double(self, tmp_path, capsys, hamiltonian, times, message):
         payload = base("dynamics", dims=[2, 1, 2], times=times, hamiltonian=hamiltonian)
         assert message in self.run_bad(tmp_path, capsys, "evolve", payload)
+
+    @pytest.mark.parametrize(
+        "hamiltonian, message",
+        [
+            ({"h_p": ID2, "blocks": [ID2]}, "segments[1].hamiltonian: need 2 blocks, got 1"),
+            ({"random": "PMC"}, "segments[1].hamiltonian.random: unknown kind 'PMC'"),
+            (OVERFLOWING["entries"][0], "segments[1].hamiltonian: h_p and the blocks overflow"),
+            ({"h_p": ID2, "blocks": [ID2, "X"]}, "segments[1].hamiltonian.blocks[1]: "),
+        ],
+        ids=["block count", "random kind", "overflow", "block"],
+    )
+    def test_a_refusal_inside_a_segment_names_its_path(self, tmp_path, capsys, hamiltonian, message):
+        segments = [{"duration": 1.0, "hamiltonian": {"random": "pmc"}},
+                    {"duration": 1.0, "hamiltonian": hamiltonian}]
+        payload = base("dynamics", dims=[2, 1, 2], times=[0.0], segments=segments)
+        assert self.run_bad(tmp_path, capsys, "evolve", payload).startswith(
+            f"scenario error: {message}"
+        )

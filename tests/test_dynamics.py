@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -216,6 +217,45 @@ class TestConditionedValidation:
                 with pytest.raises(error, match=match):
                     build_level(level, h_program, blocks, basis)
 
+    NAMES = {"P|SA": ("h_p", "block"), "S|A": ("h_s", "apparatus generator"),
+             "SA|P": ("h_sa", "swapped block")}
+
+    @pytest.mark.parametrize("level", ["P|SA", "S|A", "SA|P"])
+    @pytest.mark.parametrize("case", ["program", "block", "commutator"])
+    def test_overflow_refused_when_built(self, level, case):
+        # the scale 3 max|H_prog| + 2 max|B_n| past the double range, or, with it finite,
+        # the commutator bound 3 max|H_prog| 2 max|B_n|: refused without a warning
+        h_program, blocks, basis = self.GOOD
+        program, block = self.NAMES[level]
+        message = f"^{program} and the {block}s overflow a double$"
+        if case == "program":
+            h_program = Operator(np.diag([1.0, 1.5e308, 1.0]))
+        elif case == "block":
+            blocks = blocks[:2] + (Operator(1e308 * np.eye(2)),)
+        else:
+            h_program = Operator(np.array([[0, 1e200, 0], [1e200, 0, 0], [0, 0, 1]]))
+            blocks = tuple(Operator(v * np.eye(2)) for v in (1e200, -1e200, 0.0))
+            message = "^the measurability commutator overflows a double$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                build_level(level, h_program, blocks, basis)
+
+    @pytest.mark.parametrize("level", ["P|SA", "S|A", "SA|P"])
+    def test_entries_of_1e150_build_and_check(self, level):
+        # scale 3e150 + 2e150 and commutator bound 3e150 2e150 are finite: the level is
+        # built and checked, and the check reads 1e150 (1e150 - -1e150) bit for bit
+        h_program = Operator(np.array([[0, 1e150, 0], [1e150, 0, 0], [0, 0, 1e150]]))
+        blocks = tuple(Operator(v * np.eye(2)) for v in (1e150, -1e150, 1e150))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if level == "SA|P":
+                with pytest.raises(FactorizationPreconditionError, match="norm 2.000e\\+300"):
+                    build_level(level, h_program, blocks, None)
+            else:
+                check = build_level(level, h_program, blocks, None)._core.check()
+                assert check == CommutatorCheck(commutator_norm=1e150 * 2e150, satisfied=False)
+
 
 class TestCheckPmc:
     def test_diagonal_h_p_satisfied(self):
@@ -375,28 +415,35 @@ class TestBlockwiseChecks:
             if kind in ("pmc", "coupled"):
                 assert norm == dense_pmc_norm(h) == 0.0
 
-    def test_zero_coupling_against_an_overflowing_difference_is_an_exact_zero(self):
-        # h' is the path 0-1-2-3, one component; B_0 - B_2 and B_1 - B_3 overflow where
-        # h' is 0, so every row holds one NaN product, yet those blocks are exactly 0
-        # and the coupled (0, 1) block, 1 * (1e308 - 5e307) = 5e307, is the norm
+    def test_zero_coupling_against_an_overflowing_difference_is_refused_when_built(self):
+        # h' is the path 0-1-2-3 and B_0 - B_2, B_1 - B_3 overflow where h' is 0; the
+        # blocks alone, 2 * 1.5e308 at block dim 2, put the scale past the double range
         h_p = np.zeros((4, 4), dtype=complex)
         h_p[0, 1] = h_p[1, 0] = 1.0
         h_p[1, 2] = h_p[2, 1] = h_p[2, 3] = h_p[3, 2] = 1e-10
         blocks = tuple(Operator(v * np.eye(2)) for v in (1e308, 5e307, -1e308, -1.5e308))
-        h = TrinaryHamiltonian(dims=TrinaryDims(2, 1, 4), h_p=Operator(h_p), blocks=blocks)
-        assert check_pmc(h).commutator_norm == 5e307
+        with pytest.raises(ValueError, match="^h_p and the blocks overflow a double$"):
+            TrinaryHamiltonian(dims=TrinaryDims(2, 1, 4), h_p=Operator(h_p), blocks=blocks)
 
-    def test_coupling_against_an_overflowing_difference_reads_inf(self):
-        # B_0 - B_1 = 2 B_0 overflows in both parts, and 1 * (inf + inf j) is NaN + NaN j:
-        # a product past the double range, so the check fails and evolution is refused
+    def test_coupling_against_an_overflowing_difference_is_refused_when_built(self):
+        # B_0 - B_1 = 2 B_0 overflows in both parts, and so does the scale: 2 |1e308 + 1e308 j|
         z = 1e308 + 1e308j
         b = np.array([[0, z], [np.conj(z), 0]])
         h_p = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
-        dims = TrinaryDims(2, 1, 2)
-        h = TrinaryHamiltonian(dims=dims, h_p=h_p, blocks=(Operator(b), Operator(-b)))
-        assert check_pmc(h) == CommutatorCheck(commutator_norm=np.inf, satisfied=False)
-        with pytest.raises(FactorizationPreconditionError):
-            evolve_factorized(h, random_state(dims, 39), 0.5)
+        blocks = (Operator(b), Operator(-b))
+        with pytest.raises(ValueError, match="^h_p and the blocks overflow a double$"):
+            TrinaryHamiltonian(dims=TrinaryDims(2, 1, 2), h_p=h_p, blocks=blocks)
+
+    def test_a_difference_past_the_double_range_is_refused_under_a_coupling_alone(self):
+        # at block dim 1 the scale 2e-10 + 1e308 is finite and so is 2 * 2 * 1e-10 * 1e308,
+        # yet the check would form B_0 - B_1 = 2e308; with h' zero it forms no difference
+        blocks = (Operator(np.array([[1e308]])), Operator(np.array([[-1e308]])))
+        dims = TrinaryDims(1, 1, 2)
+        coupled = Operator(np.array([[0, 1e-10], [1e-10, 0]], dtype=complex))
+        with pytest.raises(ValueError, match="^the measurability commutator overflows a double$"):
+            TrinaryHamiltonian(dims=dims, h_p=coupled, blocks=blocks)
+        h = TrinaryHamiltonian(dims=dims, h_p=Operator(np.zeros((2, 2))), blocks=blocks)
+        assert check_pmc(h) == CommutatorCheck(commutator_norm=0.0, satisfied=True)
 
     @pytest.mark.parametrize("d", CHECK_DS)
     @pytest.mark.parametrize("kind", ["sapmc", "shared", "violating"])
@@ -1196,6 +1243,23 @@ class TestSchedule:
         for path in PATHS.values():
             segments = schedule_of(path(["pmc", "coupled", "pmc"]), 64, (1e308, 1e308, 1.0))
             assert_walks_by_segment(monkeypatch, segments, state, [0.0, 1.0])
+
+    def test_phases_past_the_double_range_raise_before_any_check(self, monkeypatch):
+        # scale t bounds every phase w t of a reached segment, t the last time it is
+        # stepped to: 1e308 in the last segment, or the end 1e308 of a passed one
+        dense, factorized = count_builds(monkeypatch)
+        checked = []
+        monkeypatch.setattr(dynamics, "check_pmc", checked.append)
+        h = random_trinary_hamiltonian(DIMS, 65, kind="pmc")
+        state = random_state(DIMS, 66)
+        for segments, times, message in [
+            ([(math.inf, h)], [0.0, 1e308], "segment 0: .* by t = 1e\\+308"),
+            ([(1.0, h), (math.inf, h)], [0.0, 0.5, 1e308], "segment 1: .* by t = 1e\\+308"),
+            ([(1e308, h), (math.inf, h)], [0.0, 1.5e308], "segment 0: .* by t = 1e\\+308"),
+        ]:
+            with pytest.raises(ScheduleError, match=f"^{message}$"):
+                entanglement_trajectory(segments, state, times)
+        assert checked == dense == factorized == []
 
     def test_rejects_negative_duration(self):
         h = random_trinary_hamiltonian(DIMS, 37, kind="pmc")

@@ -28,6 +28,9 @@ modules) of ``src/icqt`` allowed to match it.
   with a ``TrinaryDims`` field (the branch, block and generator counts are
   ``build_programmed_unitary``'s and ``_Conditioned``'s) and names no random Hamiltonian
   kind (``random_trinary_hamiltonian`` states them).
+- The overflow rule is ``dynamics._Conditioned``'s, and the walk's bound on a time is
+  ``_segment_steps``'s: no module but ``dynamics.py`` holds a string literal, docstrings
+  aside, that names an overflow.
 """
 
 import ast
@@ -159,6 +162,22 @@ def names_a_hamiltonian_kind(node) -> bool:
     )
 
 
+def without_docstrings(tree: ast.Module) -> ast.Module:
+    """``tree`` with the docstring of the module and of each class and function emptied."""
+    for node in ast.walk(tree):
+        kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        if isinstance(node, kinds) and ast.get_docstring(node, clean=False) is not None:
+            node.body[0].value.value = ""
+    return tree
+
+
+def names_an_overflow(node) -> bool:
+    """A string constant (an f-string's parts too) holding the word overflow, in any case."""
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+        "overflow" in node.value.lower()
+    )
+
+
 def test_the_guards_see_every_spelling():
     tree = ast.parse(
         "def _check_start(n): check_register_capacity(n)\n"
@@ -251,6 +270,21 @@ def test_the_count_and_kind_guards_see_every_spelling():
     assert innermost(tree, names_a_hamiltonian_kind) == ["f", "f", "g"]
 
 
+def test_the_overflow_guard_sees_every_spelling():
+    tree = without_docstrings(ast.parse(
+        '"""A module that overflows."""\n'
+        "def f(): raise ValueError('the commutator overflows a double')\n"
+        "def g(k): raise ScenarioError(f'segment {k}: Overflow by t = {k}')\n"
+        "def h():\n"
+        "    'Refuse what overflows.'\n"
+        "    return overflow  # an overflow\n"
+        "class C:\n"
+        '    """An overflow."""\n'
+        "    message = 'no overflow here'\n"
+    ))
+    assert innermost(tree, names_an_overflow) == ["f", "g", "<module>"]
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_no_gate_kernel_raises(kernel):
     body = functions(tree_of("icqc.py"))[kernel]
@@ -305,3 +339,11 @@ def test_scenario_states_no_count_or_kind_rule():
     tree = tree_of("scenario.py")
     found = innermost(tree, len_against_dims), innermost(tree, names_a_hamiltonian_kind)
     assert found == ([], [])
+
+
+def test_only_dynamics_names_an_overflow():
+    found = {
+        module for module in MODULES
+        if innermost(without_docstrings(tree_of(module)), names_an_overflow)
+    }
+    assert found == {"dynamics.py"}

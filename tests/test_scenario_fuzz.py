@@ -26,7 +26,10 @@ descending pair, and a basis name past its dimension.  Whatever the input,
 the CLI keeps its contract: exit 0, 1 or 2, exactly one stderr line on exit
 2, and never a traceback.  A report written on exit 0 or 1 is strict JSON (no
 bare NaN or Infinity), and a born report that exits 0 has every nonempty
-outcome row summing to 1.
+outcome row summing to 1.  The draws reach the rarest refusals in only some
+runs, so those also run every time from a fixed list, ``RARE``: validate and
+born at dims [3, 2, 6], a dims_list of [] and of [[1, 1, 2]], and the
+Hamiltonians of ``test_cli.OVERFLOWING``, each of which must exit 2.
 """
 
 import contextlib
@@ -41,6 +44,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from icqt.cli import main
+from test_cli import OVERFLOWING
 
 REPORTS = {
     "validate": "completeness.json", "evolve": "summary.json", "born": "born_report.json",
@@ -250,18 +254,11 @@ def not_json(constant):
     raise ValueError(f"the report holds a bare {constant}")
 
 
-@pytest.mark.parametrize("command", sorted(VALID))
-@settings(
-    max_examples=40,
-    deadline=5000,
-    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
-)
-@given(data=st.data())
-def test_mutated_scenario_keeps_the_exit_contract(monkeypatch, command, data):
-    monkeypatch.setenv("ICQT_MAX_DIM", "256")  # small operators whatever the dims say
-    payload = DRAWS[command](data, VALID[command])
-    if data.draw(st.booleans()):  # else the drawn scenario runs as drawn
-        payload = mutate(data, payload)
+def assert_exit_contract(command, payload) -> int:
+    """Run ``command`` on ``payload`` and assert the CLI contract: exit 0, 1 or 2, exactly
+    one stderr line on exit 2 and never a traceback; on exit 0 or 1 a strict-JSON report,
+    and a born report that exits 0 has every nonempty outcome row summing to 1.  Returns
+    the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(payload).replace(json.dumps(RAW_HUGE), "9" * 4301))
@@ -279,3 +276,41 @@ def test_mutated_scenario_keeps_the_exit_contract(monkeypatch, command, data):
     if born is not None:
         for row, empty in zip(born["outcome_probs"], born["empty"]):
             assert empty or abs(sum(row) - 1.0) <= 1e-10
+    return code
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+@settings(
+    max_examples=40,
+    deadline=5000,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_mutated_scenario_keeps_the_exit_contract(monkeypatch, command, data):
+    monkeypatch.setenv("ICQT_MAX_DIM", "256")  # small operators whatever the dims say
+    payload = DRAWS[command](data, VALID[command])
+    if data.draw(st.booleans()):  # else the drawn scenario runs as drawn
+        payload = mutate(data, payload)
+    assert_exit_contract(command, payload)
+
+
+ONE_HAMILTONIAN = {key: value for key, value in VALID["evolve"].items() if key != "segments"}
+RARE = {  # refusals the draws above reach in only some runs, by name: (command, payload)
+    "validate-short-pointer": ("validate", dict(VALID["validate"], dims=SHORT_POINTER,
+                                                branch_bases=["Z"] * 6)),
+    "born-short-pointer": ("born", dict(VALID["born"], dims=SHORT_POINTER, branch_bases=["Z"] * 6,
+                                        system_state="uniform")),
+    "suite-no-dims": ("suite", dict(VALID["suite"], dims_list=[])),
+    "suite-d_p-past-d_sa": ("suite", dict(VALID["suite"], dims_list=[[1, 1, 2]])),
+    **{
+        f"evolve-overflowing-{name}": (
+            "evolve", dict(ONE_HAMILTONIAN, dims=[2, 1, 2], times=times, hamiltonian=hamiltonian)
+        )
+        for name, (hamiltonian, times, _) in OVERFLOWING.items()
+    },
+}
+
+
+@pytest.mark.parametrize("command, payload", RARE.values(), ids=RARE)
+def test_rare_refusal_keeps_the_exit_contract(command, payload):
+    assert assert_exit_contract(command, payload) == 2

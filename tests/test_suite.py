@@ -77,8 +77,11 @@ def test_count_rule_before_any_battery_runs(battery_calls, value):
         # once an IndexError in the Shannon battery, which needs d_p orthonormal S x A states
         ((TrinaryDims(2, 2, 4), TrinaryDims(1, 1, 2)),
          r"^dims_list\[1\]: d_p 2 > d_s\*d_a 1: too few S x A states$"),
+        # once the generic ValueError of writing a d_p past Python's decimal digit limit
+        ((TrinaryDims(1, 1, 10**5000),),
+         r"^dims_list\[0\]: d_p <int of 16610 bits> > d_s\*d_a 1: too few S x A states$"),
     ],
-    ids=["empty", "d_p-past-d_sa"],
+    ids=["empty", "d_p-past-d_sa", "d_p-past-the-digit-limit"],
 )
 def test_dims_rule_before_any_battery_runs(battery_calls, dims_list, message):
     with pytest.raises(ValueError, match=message):

@@ -53,6 +53,7 @@ from oracles import (
 )
 
 DIMS224 = TrinaryDims(2, 2, 4)
+HUGE_D_P = TrinaryDims(1, 1, 10**5000)  # a d_p past Python's decimal digit limit
 PLUS = StateVector(np.array([1, 1], dtype=complex) / np.sqrt(2))
 
 
@@ -723,3 +724,26 @@ class TestStandardBasis:
             ("eigvalsh", (4, 4), "complex128"),
             ("svd", (4, 2, 2), "complex128", False),
         ]
+
+
+@pytest.mark.parametrize(
+    "build, error, shown",
+    [
+        (lambda: TrinaryState(HUGE_D_P, StateVector.uniform(2)), DimensionError,
+         "dense dim 2 != d_p*d_s*d_a = <int of 16610 bits>"),
+        (lambda: TrinaryState.from_branches(HUGE_D_P, [(1.0, StateVector.uniform(1))]),
+         DimensionError, "branch pairs give shape (1, 1), expected (<int of 16610 bits>, 1)"),
+        (lambda: ProgrammedUnitary(HUGE_D_P, ()), BranchCountError,
+         "got 0 branches for d_p = <int of 16610 bits>"),
+        (lambda: ProgrammedUnitary(TrinaryDims(1, 10**5000, 1), (Operator.identity(1),)),
+         DimensionError, "branch 0 acts on dim 1, expected <int of 16610 bits>"),
+        (lambda: build_programmed_unitary(HUGE_D_P, []), BranchCountError,
+         "need <int of 16610 bits> branch bases, got 0"),
+    ],
+    ids=["state", "from-branches", "branch-count", "branch-dim", "branch-bases"],
+)
+def test_dims_past_the_digit_limit_are_echoed_by_their_size(build, error, shown):
+    # each message once raised the generic ValueError of writing such an integer
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == shown
