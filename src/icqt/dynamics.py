@@ -149,8 +149,9 @@ class _Conditioned:
                 raise HermiticityError(f"{block} {n} is not Hermitian")
         self.basis = None if basis is None else _check_orthonormal(basis, program_dim, basis_name)
         self.program, self.blocks = h_program.entries, [b.entries for b in blocks]
-        peak_program = float(np.max(np.abs(self.program)))
-        peak_block = max(float(np.max(np.abs(b))) for b in self.blocks)
+        with np.errstate(over="ignore"):  # |re + i im| past the range reads inf, refused below
+            peak_program = float(np.max(np.abs(self.program)))
+            peak_block = max(float(np.max(np.abs(b))) for b in self.blocks)
         self.scale = program_dim * peak_program + block_dim * peak_block
         if not math.isfinite(self.scale):
             raise ValueError(f"{program} and the {block}s overflow a double")

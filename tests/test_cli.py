@@ -56,6 +56,10 @@ SWAP = complex_to_pairs(np.array([[0, 1e200], [1e200, 0]]))
 OVERFLOWING = {
     "entries": ({"h_p": BIG, "blocks": [BIG, BIG]}, [0.0, 1.0],  # 2 * 1.5e308 + 1 * 1.5e308
                 "scenario error: hamiltonian: h_p and the blocks overflow a double"),
+    "complex-entries": (  # |1.5e308 + 1.5e308i| past the range, both parts finite
+        {"h_p": complex_to_pairs(np.array([[0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0]])),
+         "blocks": [ONE, ONE]}, [0.0],
+        "scenario error: hamiltonian: h_p and the blocks overflow a double"),
     "phases": ({"h_p": ONE, "blocks": [ONE, ONE]}, [0.0, 1e308],  # phases w t past 1.8e308
                "scenario error: segment 0: the Hamiltonian overflows a double by t = 1e+308"),
     "framed": ({"h_p": complex_to_pairs(np.full((2, 2), 1e308)), "blocks": [ONE, ONE],

@@ -221,10 +221,14 @@ class TestConditionedValidation:
              "SA|P": ("h_sa", "swapped block")}
 
     @pytest.mark.parametrize("level", ["P|SA", "S|A", "SA|P"])
-    @pytest.mark.parametrize("case", ["program", "block", "commutator"])
+    @pytest.mark.parametrize(
+        "case", ["program", "block", "complex program", "complex block", "commutator"]
+    )
     def test_overflow_refused_when_built(self, level, case):
         # the scale 3 max|H_prog| + 2 max|B_n| past the double range, or, with it finite,
-        # the commutator bound 3 max|H_prog| 2 max|B_n|: refused without a warning
+        # the commutator bound 3 max|H_prog| 2 max|B_n|: refused without a warning.  A
+        # complex entry's magnitude can overflow while both its parts are finite.
+        z = 1.5e308 + 1.5e308j
         h_program, blocks, basis = self.GOOD
         program, block = self.NAMES[level]
         message = f"^{program} and the {block}s overflow a double$"
@@ -232,6 +236,10 @@ class TestConditionedValidation:
             h_program = Operator(np.diag([1.0, 1.5e308, 1.0]))
         elif case == "block":
             blocks = blocks[:2] + (Operator(1e308 * np.eye(2)),)
+        elif case == "complex program":
+            h_program = Operator(np.array([[0, z, 0], [np.conj(z), 0, 0], [0, 0, 1]]))
+        elif case == "complex block":
+            blocks = blocks[:2] + (Operator(np.array([[0, z], [np.conj(z), 0]])),)
         else:
             h_program = Operator(np.array([[0, 1e200, 0], [1e200, 0, 0], [0, 0, 1]]))
             blocks = tuple(Operator(v * np.eye(2)) for v in (1e200, -1e200, 0.0))
