@@ -24,7 +24,6 @@ from .trinary import (
     TrinaryDims,
     TrinaryState,
     apply_programmed,
-    build_pointer_measurement,
     build_programmed_unitary,
     dual_entropies,
     standard_basis,

@@ -130,7 +130,8 @@ class _Conditioned:
     bounds every assembled entry, entry of h' and eigenvalue; program dim max|H_prog| and
     2 max|B_n| bound the factors of each h'[n, m] (B_n - B_m) that ``check`` forms (none
     when H_prog is 0), and their product it.  A level where a bound is not finite is
-    refused, so nothing built from it overflows.
+    refused, so nothing built from it overflows.  Its one time rule, ``check_time``,
+    bounds every phase w t of a step by ``scale`` |t|.
     """
 
     def __init__(self, h_program: Operator, blocks: Sequence[Operator], basis, dims, names):
@@ -160,6 +161,12 @@ class _Conditioned:
         w = self.basis
         self.h = self.program if w is None else w.conj().T @ self.program @ w
         self.components = _zero_pattern_components(self.h)
+
+    def check_time(self, t: float) -> None:
+        """The time rule: refuse a t whose ``scale`` |t| is not finite (NaN included), so
+        no phase of a step for time t overflows."""
+        if not math.isfinite(self.scale * abs(float(t))):
+            raise ValueError(f"the Hamiltonian overflows a double by t = {t}")
 
     def assemble(self) -> Operator:
         """H_prog (x) I + sum_n |e_n><e_n| (x) B_n on the full space."""
@@ -281,10 +288,13 @@ class _ConditionedPropagator:
         core = h if isinstance(h, _Conditioned) else h._core
         self._dims = h.dims if isinstance(h, TrinaryHamiltonian) else None
         self._basis = core.basis
+        self._check_time = core.check_time
         self._factors = self._factorize(core)
 
     def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """Evolve a (program_dim, target_dim) amplitude matrix for time t."""
+        """Evolve a (program_dim, target_dim) amplitude matrix for a time t that the core's
+        time rule (``_Conditioned.check_time``) passes."""
+        self._check_time(t)
         w = self._basis
         psi = psi if w is None else w.conj().T @ psi
         for groups in self._factors:
@@ -378,8 +388,8 @@ def _segment_steps(
     A time lies in the first segment whose end (``_end`` of the durations so far) is at
     or past it, one step from that segment's start: the time minus the earlier
     durations, clamped to [0, duration].  Bad times (``_check_times``) or durations, a
-    too-short schedule and a reached segment stepped to a time t on the schedule whose
-    ``scale`` t overflows a double (``_Conditioned``) raise ``ScheduleError``, and dims
+    too-short schedule and a reached segment stepped to a time t on the schedule that its
+    time rule (``_Conditioned.check_time``) refuses raise ``ScheduleError``, and dims
     that differ ``DimensionError``.
     """
     if any(h.dims != state.dims for _, h in segments):
@@ -399,8 +409,10 @@ def _segment_steps(
         steps[k].append(min(max(t, 0.0), durations[k]))
     del steps[k + 1 :]
     for j, ((_, h), t) in enumerate(zip(segments, ends[:k] + [times[-1]])):
-        if not math.isfinite(h._core.scale * t):
-            raise ScheduleError(f"segment {j}: the Hamiltonian overflows a double by t = {t}")
+        try:
+            h._core.check_time(t)
+        except ValueError as exc:
+            raise ScheduleError(f"segment {j}: {exc}") from None
     return steps
 
 

@@ -159,9 +159,6 @@ class Operator:
     def identity(dim: int) -> Operator:
         return Operator(np.eye(dim, dtype=complex))
 
-    def is_unitary(self) -> bool:
-        return is_unitary_matrix(self.entries)
-
     def is_hermitian(self) -> bool:
         """max|H - H^dagger| <= HERMITICITY_TOL; a difference that overflows reads inf, quietly."""
         with np.errstate(over="ignore"):

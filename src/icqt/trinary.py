@@ -2,8 +2,8 @@
 
 A trinary state lives on P x S x A with composite index
 ``(p * d_s + s) * d_a + a``.  A programmed unitary is a family of d_P
-unitary blocks on S x A, one per programming basis state; it is stored as
-blocks and only densified on request.
+pointer measurements on S x A, one per programming basis state; it is
+stored as their branch bases, and no matrix of it is built.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from .linalg import (
     DimensionError,
-    Operator,
     StateVector,
     branch_schmidt_coefficients,
     entanglement_entropy,
@@ -79,7 +78,7 @@ def _check_orthonormal(basis: np.ndarray, dim: int, what: str) -> np.ndarray:
     """``basis`` as an owned, read-only complex copy, checked to be dim x dim and unitary."""
     b = np.array(basis, dtype=complex)
     if b.shape != (dim, dim):
-        raise DimensionError(f"{what} must be a {dim}x{dim} matrix of basis columns")
+        raise DimensionError(f"{what} must be a {_echo(dim)}x{_echo(dim)} matrix of basis columns")
     if not is_unitary_matrix(b):
         raise ValueError(f"{what} columns are not orthonormal")
     b.setflags(write=False)
@@ -108,73 +107,41 @@ def standard_basis(name: str, dim: int) -> np.ndarray:
     raise ValueError(f"unknown basis name {_echo(name)}")
 
 
-def cyclic_shift(dim: int) -> Operator:
-    """The pointer shift X with X|k> = |k+1 mod dim>."""
-    x = np.zeros((dim, dim), dtype=complex)
-    x[(np.arange(dim) + 1) % dim, np.arange(dim)] = 1.0
-    return Operator(x)
-
-
-def build_pointer_measurement(basis: np.ndarray, d_a: int) -> Operator:
-    """Pointer-measurement unitary sum_j |b_j><b_j| (x) X^j on S x A.
-
-    The apparatus realizes the momentum-shift pointer as a cyclic shift, so
-    applying the result to |psi> (x) |0,A> leaves the apparatus pointing at
-    the measured basis index.
-    """
-    d_s = len(basis)
-    if d_a < d_s:
-        raise PointerCapacityError(
-            f"apparatus dim {d_a} < system dim {d_s}: not enough pointer positions"
-        )
-    b = _check_orthonormal(basis, d_s, "pointer basis")
-    shift = cyclic_shift(d_a).entries
-    u = np.zeros((d_s * d_a, d_s * d_a), dtype=complex)
-    power = np.eye(d_a, dtype=complex)
-    for j in range(d_s):
-        proj = np.outer(b[:, j], b[:, j].conj())
-        u += np.kron(proj, power)
-        power = shift @ power
-    return Operator(u)
-
-
 @dataclass(frozen=True)
 class ProgrammedUnitary:
-    """Block family {(|r,P>, U_SA(r))}; one unitary per programming state."""
+    """Pointer program {(|r,P>, U_r)}, held as its branch bases only.
+
+    On programming state r it applies U_r = sum_j |b_j><b_j| (x) X^j, with b_j the
+    columns of ``bases[r]`` and X|k> = |k+1 mod d_a> the pointer shift, so applying
+    U_r to |psi> (x) |0,A> leaves the apparatus pointing at the measured basis index.
+    ``bases`` becomes a read-only (d_p, d_s, d_s) stack of checked bases, and no
+    matrix of U_r is built.
+    """
 
     dims: TrinaryDims
-    branches: tuple[Operator, ...]
+    bases: np.ndarray
 
     def __post_init__(self):
-        if len(self.branches) != self.dims.d_p:
+        dims = self.dims
+        if len(self.bases) != dims.d_p:
             raise BranchCountError(
-                f"got {len(self.branches)} branches for d_p = {_echo(self.dims.d_p)}"
+                f"need {_echo(dims.d_p)} branch bases, got {len(self.bases)}"
             )
-        for r, u in enumerate(self.branches):
-            if u.dim != self.dims.d_sa:
-                raise DimensionError(f"branch {r} acts on dim {u.dim}, "
-                                     f"expected {_echo(self.dims.d_sa)}")
-            if not u.is_unitary():
-                raise ValueError(f"branch {r} is not unitary")
-
-    def densify(self) -> Operator:
-        """Full block-diagonal unitary on P x S x A (test/oracle use)."""
-        d_p, d_sa = self.dims.d_p, self.dims.d_sa
-        full = np.zeros((d_p, d_sa, d_p, d_sa), dtype=complex)
-        full[np.arange(d_p), :, np.arange(d_p), :] = [u.entries for u in self.branches]
-        return Operator(full.reshape(d_p * d_sa, d_p * d_sa))
+        if dims.d_a < dims.d_s:
+            raise PointerCapacityError(
+                f"apparatus dim {_echo(dims.d_a)} < system dim {_echo(dims.d_s)}: "
+                "not enough pointer positions"
+            )
+        bases = np.stack([_check_orthonormal(b, dims.d_s, "pointer basis") for b in self.bases])
+        bases.setflags(write=False)
+        object.__setattr__(self, "bases", bases)
 
 
 def build_programmed_unitary(
     dims: TrinaryDims, branch_bases: Sequence[np.ndarray]
 ) -> ProgrammedUnitary:
     """Programmed unitary whose branch r pointer-measures branch_bases[r]."""
-    if len(branch_bases) != dims.d_p:
-        raise BranchCountError(
-            f"need {_echo(dims.d_p)} branch bases, got {len(branch_bases)}"
-        )
-    branches = tuple(build_pointer_measurement(basis, dims.d_a) for basis in branch_bases)
-    return ProgrammedUnitary(dims=dims, branches=branches)
+    return ProgrammedUnitary(dims, branch_bases)
 
 
 @dataclass(frozen=True)
@@ -319,13 +286,23 @@ def dual_entropies(state: TrinaryState) -> tuple[float, np.ndarray]:
     return s_psa, branch_entropies(branch_spectra(state))
 
 
+def _shift_index(dims: TrinaryDims) -> np.ndarray:
+    """The (d_s, d_a) index (a - j) mod d_a: X^j moves apparatus entry (a - j) mod d_a to a."""
+    return (np.arange(dims.d_a) - np.arange(dims.d_s)[:, None]) % dims.d_a
+
+
 def apply_programmed(pu: ProgrammedUnitary, state: TrinaryState) -> TrinaryState:
-    """Apply a programmed unitary block-wise (no full-space matrix is built)."""
+    """Apply a programmed unitary in three batched moves over the (d_s, d_a) rows: rotate
+    row r into its pointer frame (B_r^dagger), shift its line j by j along A with one
+    gather, and rotate back (B_r).  O(d_p d_s^2 d_a) time; no matrix of U_r is built."""
     if pu.dims != state.dims:
         raise DimensionError("programmed unitary and state dims differ")
-    stack = np.stack([u.entries for u in pu.branches])
-    out = stack @ state.as_matrix()[..., None]  # one matrix-vector product per branch
-    return TrinaryState.from_dense(state.dims, StateVector(out.reshape(-1)))
+    dims = state.dims
+    out = np.empty(dims.total, dtype=complex)
+    rows = out.reshape(dims.d_p, dims.d_s, dims.d_a)  # the result's buffer holds the frames
+    np.matmul(pu.bases.conj().swapaxes(1, 2), state.as_matrix().reshape(rows.shape), out=rows)
+    np.matmul(pu.bases, rows[:, np.arange(dims.d_s)[:, None], _shift_index(dims)], out=rows)
+    return TrinaryState.from_dense(dims, StateVector._owning(out))
 
 
 def pointer_readout_operators(pu: ProgrammedUnitary, probe_a: StateVector) -> np.ndarray:
@@ -333,17 +310,16 @@ def pointer_readout_operators(pu: ProgrammedUnitary, probe_a: StateVector) -> np
 
     Entry [r, a] is K^dag K with K = (I (x) <a|) U_r (I (x) |probe_a>), i.e.
     the probability operator for the pointer of branch r to land on ``a``
-    when the apparatus starts in the probe state.  For a pointer measurement
-    these are exactly the projectors onto the measured basis.
+    when the apparatus starts in the probe state.  For U_r = sum_j |b_j><b_j| (x) X^j
+    it is sum_j |probe[(a - j) mod d_a]|^2 |b_j><b_j|, taken here from the bases:
+    for a basis probe, exactly the projectors onto the measured basis.
     """
     dims = pu.dims
     if probe_a.dim != dims.d_a:
         raise DimensionError("probe state must live on the apparatus")
-    u = np.stack([b.entries for b in pu.branches])
-    u = u.reshape(dims.d_p, dims.d_s, dims.d_a, dims.d_s, dims.d_a)
-    # K_{r,a}[s_out, s_in] = sum_a_in U_r[s_out, a, s_in, a_in] probe[a_in]
-    kraus = np.einsum("riasb,b->rias", u, probe_a.amplitudes)
-    return np.einsum("rias,riat->rast", kraus.conj(), kraus)
+    weights = (np.abs(probe_a.amplitudes) ** 2)[_shift_index(dims).T]  # (d_a, d_s)
+    b = pu.bases[:, None]
+    return (b * weights[:, None, :]) @ b.conj().swapaxes(2, 3)
 
 
 @dataclass(frozen=True)

@@ -325,6 +325,61 @@ def dense_programmed_matrix(branch_matrices) -> np.ndarray:
     return full
 
 
+def pointer_unitary(basis: np.ndarray, d_a: int) -> np.ndarray:
+    """Pointer-measurement unitary sum_j |b_j><b_j| (x) X^j on S x A, X|k> = |k+1 mod d_a>,
+    one np.kron term per column b_j of ``basis``."""
+    d_s = len(basis)
+    shift = np.zeros((d_a, d_a), dtype=complex)
+    shift[(np.arange(d_a) + 1) % d_a, np.arange(d_a)] = 1.0
+    u = np.zeros((d_s * d_a, d_s * d_a), dtype=complex)
+    power = np.eye(d_a, dtype=complex)
+    for j in range(d_s):
+        proj = np.outer(basis[:, j], basis[:, j].conj())
+        u += np.kron(proj, power)
+        power = shift @ power
+    return u
+
+
+def pointer_apply_bound(d_s: int, d_a: int) -> float:
+    """2-norm gap between two evaluations of a pointer program on a unit state, d_a >= d_s:
+    rotate, shift and rotate back, against the formed ``pointer_unitary`` of each branch.
+
+    Exactly, U = sum_j |b_j><b_j| (x) X^j = (B (x) I) S (B^dagger (x) I), with S the
+    shift of line j by j along A, an exact permutation.  Rotating into B^dagger and back
+    into B are two unitary d_s x d_s products, each off by at most a = ``product_bound(d_s)``
+    over a (d_s, d_a) row (column by column, in the Frobenius norm), so that evaluation
+    is off by at most (1 + a)^2 - 1.  Formed: since d_a >= d_s the powers X^j, j < d_s,
+    have disjoint supports, so each entry of U is one product b_j[s] conj(b_j[t]), off by
+    at most 2 eps of its size (Higham 3.5), and ||F||_2 <= ||F||_F <= 2 eps ||U||_F =
+    2 eps sqrt(n), n = d_s d_a; its product with the row costs ``product_bound(n)``, times
+    1 + 2 eps for the entries' growth.  Rows of a unit state have squared norms summing
+    to 1, so the same bounds hold over the whole state.
+    """
+    a = product_bound(d_s)
+    n = d_s * d_a
+    formed = 2 * EPS * math.sqrt(n) + product_bound(n) * (1 + 2 * EPS)
+    return (1 + a) ** 2 - 1 + formed
+
+
+def pointer_readout_bound(d_s: int, d_a: int) -> float:
+    """Entry gap between two evaluations of a pointer branch's readout operator
+    E_a = sum_j |p[(a - j) mod d_a]|^2 |b_j><b_j| (unitary B, unit probe p, d_a >= d_s).
+
+    From the bases: M = B diag(w) with the weights w = |p|^2 taken first (2 eps relative,
+    one more eps for M's products), then M B^dagger column by column: M has Frobenius
+    norm at most 1 and each column of B^dagger norm 1, so a column of length d_s costs
+    (d_s + 2) eps (Higham 3.6), and in all (d_s + 5) eps.  From the formed U: each
+    column of K = (I (x) <a|) U (I (x) |p>) is U times the unit vector e_s (x) p with its
+    rows selected (exact), off by at most d = 2 eps sqrt(n) + ``product_bound(n)``
+    (1 + 2 eps), n = d_s d_a, as in ``pointer_apply_bound``; K is a contraction with
+    columns of norm at most 1, so K^dagger K costs ``product_bound(d_s)`` per entry
+    plus 2 d + d^2 from the columns' errors.
+    """
+    n = d_s * d_a
+    d = 2 * EPS * math.sqrt(n) + product_bound(n) * (1 + 2 * EPS)
+    return (d_s + 5) * EPS + product_bound(d_s) + 2 * d + d * d
+
+
 def dense_trinary_hamiltonian(h_p: np.ndarray, blocks, basis: np.ndarray | None = None) -> np.ndarray:
     """H_P (x) I + sum_n |e_n><e_n| (x) B_n assembled without the library."""
     d_p = h_p.shape[0]

@@ -265,6 +265,65 @@ class TestConditionedValidation:
                 assert check == CommutatorCheck(commutator_norm=1e150 * 2e150, satisfied=False)
 
 
+class TestOneStepTimeRule:
+    """Every one-step entry point refuses a t whose ``scale`` |t| is not finite, by the
+    core's one time rule (``_Conditioned.check_time``), before any phase w t is taken."""
+
+    ENTRIES = ["evolve_full", "evolve_factorized", "propagator", "dense propagator",
+               "evolve_programmed_block", "evolve_swapped_factorized"]
+
+    @staticmethod
+    def step(entry, t, h=None):
+        h = random_trinary_hamiltonian(DIMS, 1, kind="pmc") if h is None else h
+        state = random_state(DIMS, 2)
+        if entry == "evolve_full":
+            return evolve_full(h, state, t)
+        if entry == "evolve_factorized":
+            return evolve_factorized(h, state, t)
+        if entry == "propagator":
+            return h.propagator().evolve(state, t)
+        if entry == "dense propagator":
+            return DensePropagator(h).evolve(state, t)
+        if entry == "evolve_programmed_block":
+            block = random_block_structure(2, 2, 3, kind="sapmc")
+            return evolve_programmed_block(block, seeded_random("state", 4, 4), t)
+        blocks_on_p = [Operator(np.diag([1.0, 2.0, 3.0, 4.0]))] * DIMS.d_sa
+        return evolve_swapped_factorized(Operator.identity(DIMS.d_sa), blocks_on_p, state, t)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize(
+        "t", [1e308, -1e308, math.inf, -math.inf, math.nan, np.float64(1e308)], ids=repr
+    )
+    def test_refused_with_one_value_error(self, entry, t):
+        with warnings.catch_warnings():  # before: numpy's overflow warning, or non-finite entries
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                self.step(entry, t)
+        assert str(info.value) == f"the Hamiltonian overflows a double by t = {t}"
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_a_large_finite_phase_evolves(self, entry):
+        # scale |t| stays finite at t = 1e300, so every phase w t does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = self.step(entry, 1e300)
+        assert abs(np.linalg.norm(getattr(out, "dense", out).amplitudes) - 1) < 1e-12
+
+    def test_a_zero_hamiltonian_passes_every_finite_time(self):
+        # scale 0: 0 t is finite for every finite t, and the state is unchanged
+        h = TrinaryHamiltonian(DIMS, Operator(np.zeros((4, 4))), (Operator(np.zeros((4, 4))),) * 4)
+        out = self.step("evolve_full", 1e308, h)
+        assert np.array_equal(out.dense.amplitudes, random_state(DIMS, 2).dense.amplitudes)
+        with pytest.raises(ValueError, match="by t = inf$"):
+            self.step("evolve_full", math.inf, h)
+
+    def test_the_walk_keeps_its_message(self):
+        h = random_trinary_hamiltonian(DIMS, 1, kind="pmc")
+        with pytest.raises(ScheduleError) as info:
+            entanglement_trajectory([(math.inf, h)], random_state(DIMS, 2), [0.0, 1e308])
+        assert str(info.value) == "segment 0: the Hamiltonian overflows a double by t = 1e+308"
+
+
 class TestCheckPmc:
     def test_diagonal_h_p_satisfied(self):
         h = random_trinary_hamiltonian(DIMS, 1, kind="pmc")

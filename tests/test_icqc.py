@@ -37,7 +37,6 @@ from icqt.trinary import (
     EMPTY_BRANCH_TOL,
     TrinaryDims,
     TrinaryState,
-    build_pointer_measurement,
     dual_entropies,
     standard_basis,
 )
@@ -47,6 +46,7 @@ from oracles import (
     dense_programmed_matrix,
     entropy_bound,
     full_svd_entropy,
+    pointer_unitary,
     single_qubit_gate,
     squared_value_bound,
 )
@@ -847,5 +847,5 @@ class TestPointerBranchCircuits:
             e[k] = 1.0
             cols.append(_apply_gates_nd(e, circ, _sa_layout(1), np.empty_like(e)))
         got = np.array(cols).T
-        want = build_pointer_measurement(standard_basis(name, 2), 2).entries
+        want = pointer_unitary(standard_basis(name, 2), 2)
         assert np.max(np.abs(got - want)) <= 1e-12

@@ -31,6 +31,9 @@ modules) of ``src/icqt`` allowed to match it.
 - The overflow rule is ``dynamics._Conditioned``'s, and the walk's bound on a time is
   ``_segment_steps``'s: no module but ``dynamics.py`` holds a string literal, docstrings
   aside, that names an overflow.
+- A Kronecker product is formed in two places only: ``trinary._product_into`` (a product
+  start) and ``linalg.tensor_product``; no other function of ``src/icqt`` reads ``kron``,
+  so no pointer or branch unitary is built as a matrix.
 """
 
 import ast
@@ -285,6 +288,21 @@ def test_the_overflow_guard_sees_every_spelling():
     assert innermost(tree, names_an_overflow) == ["f", "g", "<module>"]
 
 
+def test_the_kron_guard_sees_every_spelling():
+    tree = ast.parse(
+        "from numpy import kron\n"
+        "def f(a, b): return np.kron(a, b)\n"
+        "def g(a, b): return numpy.kron(a, kron(a, b))\n"
+        "def h(a):\n"
+        "    product = np.kron\n"
+        "    return product(a, a)\n"
+        "class C:\n"
+        "    def k(self): return self.kronecker + np.outer(1, 2)\n"
+        "    'a kron in a docstring'\n"
+    )
+    assert innermost(tree, reads("kron")) == ["f", "g", "g", "h"]
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_no_gate_kernel_raises(kernel):
     body = functions(tree_of("icqc.py"))[kernel]
@@ -347,3 +365,8 @@ def test_only_dynamics_names_an_overflow():
         if innermost(without_docstrings(tree_of(module)), names_an_overflow)
     }
     assert found == {"dynamics.py"}
+
+
+def test_only_the_product_start_and_tensor_product_form_a_kron():
+    found = owners(reads("kron"), *MODULES)
+    assert found == {("trinary.py", "_product_into"), ("linalg.py", "tensor_product")}

@@ -9,7 +9,6 @@ import pytest
 from icqt.born import DEGENERACY_TOL, EmptyBranchError, _dual_born_report, dual_born_report
 from icqt.linalg import (
     DimensionError,
-    Operator,
     StateVector,
     branch_schmidt_coefficients,
     entanglement_entropy,
@@ -24,7 +23,6 @@ from icqt.trinary import (
     TrinaryDims,
     TrinaryState,
     apply_programmed,
-    build_pointer_measurement,
     _branch_spectra,
     _check_orthonormal,
     _unit_rows,
@@ -47,6 +45,9 @@ from oracles import (
     full_svd_entropy,
     operator_span_rank,
     pauli_projectors,
+    pointer_apply_bound,
+    pointer_readout_bound,
+    pointer_unitary,
     readout_operators_loop,
     singular_value_bound,
     unit_rows_loop,
@@ -60,6 +61,27 @@ PLUS = StateVector(np.array([1, 1], dtype=complex) / np.sqrt(2))
 def zxyz_unitary(dims=DIMS224):
     bases = [standard_basis(b, dims.d_s) for b in ("Z", "X", "Y", "Z")]
     return build_programmed_unitary(dims, bases)
+
+
+def pointer(basis, d_a):
+    """The one-branch program (d_p = 1) that pointer-measures ``basis``."""
+    return build_programmed_unitary(TrinaryDims(len(basis), d_a, 1), [basis])
+
+
+def apply_to(pu, amplitudes):
+    """``apply_programmed`` on the state of the given amplitudes, as amplitudes."""
+    state = TrinaryState.from_dense(pu.dims, StateVector(amplitudes))
+    return apply_programmed(pu, state).dense.amplitudes
+
+
+def program_matrix(pu):
+    """The matrix of ``apply_programmed``, one basis state of P x S x A per column."""
+    return np.array([apply_to(pu, column) for column in np.eye(pu.dims.total)]).T
+
+
+def oracle_matrix(pu):
+    """The block-diagonal matrix of ``pointer_unitary`` of each of the program's bases."""
+    return dense_programmed_matrix([pointer_unitary(b, pu.dims.d_a) for b in pu.bases])
 
 
 class TestDims:
@@ -104,22 +126,20 @@ def test_checked_basis_is_an_owned_read_only_copy():
 
 class TestPointerMeasurement:
     def test_z_basis_is_cnot(self):
-        u = build_pointer_measurement(standard_basis("Z", 2), 2)
         cnot = np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
         )
-        assert np.array_equal(u.entries, cnot)
+        assert np.array_equal(program_matrix(pointer(standard_basis("Z", 2), 2)), cnot)
+        assert np.array_equal(pointer_unitary(standard_basis("Z", 2), 2), cnot)
 
     def test_z_on_plus_makes_bell(self):
-        u = build_pointer_measurement(standard_basis("Z", 2), 2)
-        out = u.apply(StateVector(np.kron(PLUS.amplitudes, [1, 0])))
+        out = apply_to(pointer(standard_basis("Z", 2), 2), np.kron(PLUS.amplitudes, [1, 0]))
         bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        assert np.max(np.abs(out.amplitudes - bell)) < 1e-15
+        assert np.max(np.abs(out - bell)) < 1e-15
 
     def test_x_basis_on_zero(self):
         # expected output computed by the explicit matrix oracle
         basis = standard_basis("X", 2)
-        u = build_pointer_measurement(basis, 2)
         matrix = np.zeros((4, 4), dtype=complex)
         shift = np.array([[0, 1], [1, 0]], dtype=complex)
         for j, power in enumerate((np.eye(2), shift)):
@@ -127,23 +147,23 @@ class TestPointerMeasurement:
             matrix += np.kron(proj, power)
         state_in = np.kron([1, 0], [1, 0]).astype(complex)
         want = matrix @ state_in
-        out = u.apply(StateVector(state_in))
-        assert np.max(np.abs(out.amplitudes - want)) < 1e-14
-        coeffs = schmidt_decompose(out, (2, 2)).coefficients
+        out = apply_to(pointer(basis, 2), state_in)
+        assert np.max(np.abs(out - want)) < 1e-14
+        coeffs = schmidt_decompose(StateVector(out), (2, 2)).coefficients
         assert np.allclose(coeffs, [1 / np.sqrt(2)] * 2, atol=1e-12)
 
     def test_qutrit_shift(self):
-        u = build_pointer_measurement(standard_basis("Z", 3), 3)
         state_in = np.zeros(9, dtype=complex)
         state_in[2 * 3 + 0] = 1.0  # |2>|0>
-        out = u.apply(StateVector(state_in))
+        out = apply_to(pointer(standard_basis("Z", 3), 3), state_in)
         want = np.zeros(9, dtype=complex)
         want[2 * 3 + 2] = 1.0  # |2>|2>
-        assert np.array_equal(out.amplitudes, want)
+        assert np.array_equal(out, want)
 
     def test_pointer_capacity(self):
-        with pytest.raises(PointerCapacityError):
-            build_pointer_measurement(standard_basis("Z", 3), 2)
+        message = "^apparatus dim 2 < system dim 3: not enough pointer positions$"
+        with pytest.raises(PointerCapacityError, match=message):
+            pointer(standard_basis("Z", 3), 2)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, 2.0])
     def test_rejects_a_basis_that_is_not_orthonormal(self, entry):
@@ -152,42 +172,51 @@ class TestPointerMeasurement:
         with warnings.catch_warnings():  # refused without a warning
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^pointer basis columns are not orthonormal$"):
-                build_pointer_measurement(basis, 2)
+                pointer(basis, 2)
 
     def test_branch_schmidt_equals_input_amplitudes(self):
         # pointer branch on |psi>|0>: Schmidt coefficients are sorted |<j|psi>|
         basis = seeded_random("unitary", 3, 5).entries
-        u = build_pointer_measurement(basis, 3)
         psi = seeded_random("state", 3, 6)
-        out = u.apply(StateVector(np.kron(psi.amplitudes, [1, 0, 0])))
-        coeffs = schmidt_decompose(out, (3, 3)).coefficients
+        out = apply_to(pointer(basis, 3), np.kron(psi.amplitudes, [1, 0, 0]))
+        coeffs = schmidt_decompose(StateVector(out), (3, 3)).coefficients
         want = np.sort(np.abs(basis.conj().T @ psi.amplitudes))[::-1]
         assert np.max(np.abs(coeffs - want)) < 1e-10
 
 
 class TestProgrammedUnitary:
-    def test_zxyz_densify_unitary(self):
-        assert zxyz_unitary().densify().is_unitary()
+    def test_zxyz_is_unitary(self):
+        matrix = program_matrix(zxyz_unitary())
+        assert np.max(np.abs(matrix.conj().T @ matrix - np.eye(16))) < 1e-12
 
     def test_all_z_constructs(self):
         pu = build_programmed_unitary(DIMS224, [standard_basis("Z", 2)] * 4)
-        assert len(pu.branches) == 4
+        assert pu.bases.shape == (4, 2, 2)
+        assert np.array_equal(pu.bases, np.broadcast_to(np.eye(2), (4, 2, 2)))
+
+    def test_bases_are_an_owned_read_only_stack(self):
+        w = [standard_basis("X", 2) for _ in range(4)]
+        pu = build_programmed_unitary(DIMS224, w)
+        w[0][:] = np.eye(2)
+        assert np.array_equal(pu.bases[0], standard_basis("X", 2))
+        assert not pu.bases.flags.writeable
+        assert pu.bases.dtype == np.complex128
 
     def test_wrong_branch_count(self):
-        with pytest.raises(BranchCountError):
+        with pytest.raises(BranchCountError, match="^need 4 branch bases, got 3$"):
             build_programmed_unitary(DIMS224, [standard_basis("Z", 2)] * 3)
 
-    def test_densify_block_diagonal_exact(self):
-        full = zxyz_unitary().densify().entries
+    def test_block_diagonal_exact(self):
+        full = program_matrix(zxyz_unitary())
         for r, rp in itertools.product(range(4), repeat=2):
             block = full[r * 4 : (r + 1) * 4, rp * 4 : (rp + 1) * 4]
             if r != rp:
                 assert np.all(block == 0)
 
     def test_non_unitary_branch_rejected(self):
-        branches = (Operator(np.ones((4, 4))),) + (Operator.identity(4),) * 3
-        with pytest.raises(ValueError, match="branch 0 is not unitary"):
-            ProgrammedUnitary(dims=DIMS224, branches=branches)
+        bases = (np.ones((2, 2)),) + (np.eye(2),) * 3
+        with pytest.raises(ValueError, match="^pointer basis columns are not orthonormal$"):
+            ProgrammedUnitary(dims=DIMS224, bases=bases)
 
 
 class TestTrinaryState:
@@ -234,9 +263,10 @@ class TestTrinaryState:
 
 class TestApplyProgrammed:
     def test_inert_program(self):
-        pu = ProgrammedUnitary(dims=DIMS224, branches=(Operator.identity(4),) * 4)
+        # Z pointers on |0>_S leave the apparatus at |0>_A: a product state stays one
+        pu = build_programmed_unitary(DIMS224, [standard_basis("Z", 2)] * 4)
         state = TrinaryState.from_product(
-            DIMS224, StateVector.basis(4, 0), PLUS, StateVector.basis(2, 0)
+            DIMS224, StateVector.basis(4, 0), StateVector.basis(2, 0), StateVector.basis(2, 0)
         )
         out = apply_programmed(pu, state)
         s_psa, s_branches = dual_entropies(out)
@@ -249,8 +279,7 @@ class TestApplyProgrammed:
             DIMS224, StateVector.uniform(4), PLUS, StateVector.basis(2, 0)
         )
         out = apply_programmed(pu, state)
-        dense = dense_programmed_matrix([pu.branches[r].entries for r in range(4)])
-        want = dense @ state.dense.amplitudes
+        want = oracle_matrix(pu) @ state.dense.amplitudes
         assert np.max(np.abs(out.dense.amplitudes - want)) <= 1e-10
         # P|(SA) entropy agrees with the Schmidt spectrum of the dense result
         coeffs = schmidt_decompose(out.dense, (4, 4)).coefficients
@@ -261,8 +290,7 @@ class TestApplyProgrammed:
         pu = zxyz_unitary()
         state = TrinaryState.from_dense(DIMS224, seeded_random("state", 16, 3))
         out = apply_programmed(pu, state)
-        dense = dense_programmed_matrix([pu.branches[r].entries for r in range(4)])
-        want = dense @ state.dense.amplitudes
+        want = oracle_matrix(pu) @ state.dense.amplitudes
         assert np.max(np.abs(out.dense.amplitudes - want)) <= 1e-10
 
     def test_dual_entropy_bounds(self):
@@ -272,6 +300,92 @@ class TestApplyProgrammed:
             s_psa, s_branches = dual_entropies(apply_programmed(pu, state))
             assert 0 <= s_psa <= np.log(4) + 1e-9
             assert np.all(s_branches <= np.log(2) + 1e-9)
+
+
+class TestMatrixFreePointer:
+    """``apply_programmed`` and ``pointer_readout_operators`` read the branch bases alone,
+    and agree with the formed ``pointer_unitary`` of each branch within the derived
+    bounds: every shipped basis name, seeded random bases, a pointer that wraps
+    (d_a > d_s), a basis probe and a random one."""
+
+    DIMS = [TrinaryDims(d, d, d * d) for d in (2, 3, 4, 5)] + [
+        TrinaryDims(2, 3, 4), TrinaryDims(3, 5, 9),
+    ]
+
+    @staticmethod
+    def programs(dims):
+        """The shipped names in turn over the branches (Y at d_s = 2 only), and seeded bases."""
+        names = "ZXY" if dims.d_s == 2 else "ZX"
+        named = [standard_basis(names[r % len(names)], dims.d_s) for r in range(dims.d_p)]
+        seeded = [seeded_random("unitary", dims.d_s, 70 + r).entries for r in range(dims.d_p)]
+        return {"named": build_programmed_unitary(dims, named),
+                "random": build_programmed_unitary(dims, seeded)}
+
+    @staticmethod
+    def states(dims):
+        """A seeded state and a seeded product start."""
+        return [
+            TrinaryState.from_dense(dims, seeded_random("state", dims.total, 72)),
+            TrinaryState.from_product(
+                dims, seeded_random("state", dims.d_p, 73), seeded_random("state", dims.d_s, 74),
+                seeded_random("state", dims.d_a, 75),
+            ),
+        ]
+
+    @pytest.mark.parametrize("dims", DIMS, ids=str)
+    def test_apply_matches_the_formed_unitaries(self, dims):
+        bound = pointer_apply_bound(dims.d_s, dims.d_a)
+        for name, pu in self.programs(dims).items():
+            dense = oracle_matrix(pu)
+            for state in self.states(dims):
+                got = apply_programmed(pu, state).dense.amplitudes
+                assert np.linalg.norm(got - dense @ state.dense.amplitudes) <= bound, name
+
+    @pytest.mark.parametrize("dims", DIMS, ids=str)
+    def test_readout_matches_the_formed_unitaries(self, dims):
+        bound = pointer_readout_bound(dims.d_s, dims.d_a)
+        probes = {"basis": StateVector.basis(dims.d_a, 1), "random": seeded_random("state", dims.d_a, 76)}
+        for name, pu in self.programs(dims).items():
+            for kind, probe in probes.items():
+                got = pointer_readout_operators(pu, probe)
+                assert got.shape == (dims.d_p, dims.d_a, dims.d_s, dims.d_s)
+                for r, basis in enumerate(pu.bases):
+                    u = pointer_unitary(basis, dims.d_a)
+                    want = readout_operators_loop(u, dims.d_s, dims.d_a, probe.amplitudes)
+                    assert np.max(np.abs(got[r] - np.array(want))) <= bound, (name, kind, r)
+
+    @pytest.mark.parametrize("triple", [(2, 3, 4), (3, 5, 9)])
+    def test_wrapping_pointer_is_a_cyclic_shift(self, triple):
+        # Z pointers move |j>_S |a>_A to |j>_S |a + j mod d_a>_A, exactly
+        dims = TrinaryDims(*triple)
+        pu = build_programmed_unitary(dims, [standard_basis("Z", dims.d_s)] * dims.d_p)
+        for j, a in itertools.product(range(dims.d_s), range(dims.d_a)):
+            start = TrinaryState.from_product(
+                dims, StateVector.basis(dims.d_p, 0), StateVector.basis(dims.d_s, j),
+                StateVector.basis(dims.d_a, a),
+            )
+            want = TrinaryState.from_product(
+                dims, StateVector.basis(dims.d_p, 0), StateVector.basis(dims.d_s, j),
+                StateVector.basis(dims.d_a, (a + j) % dims.d_a),
+            )
+            assert np.array_equal(apply_programmed(pu, start).dense.amplitudes,
+                                  want.dense.amplitudes)
+
+    def test_build_apply_and_report_hold_a_few_states(self):
+        """At (12, 12, 144) the (d_p, d_s, d_s) bases hold one state's bytes, and the
+        build, the apply (one result buffer that holds the frames too, the gathered rows
+        and a conjugate of the bases) and the dual Born report peak below four state
+        sizes.  One formed d_sa x d_sa unitary per branch would hold d_sa = 144 states."""
+        dims = TrinaryDims(12, 12, 144)
+        bases = [seeded_random("unitary", 12, 80 + r).entries for r in range(dims.d_p)]
+        state = TrinaryState.from_dense(dims, seeded_random("state", dims.total, 81))
+        tracemalloc.start()
+        try:
+            dual_born_report(apply_programmed(build_programmed_unitary(dims, bases), state))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * state.dense.amplitudes.nbytes
 
 
 class TestDualEntropies:
@@ -419,7 +533,8 @@ class TestAmplitudesOnly:
 
 
 class TestBatchedBranchPasses:
-    """The one-pass branch kernels equal their per-branch loops (tests/oracles.py) with ==."""
+    """The one-pass branch kernels equal their per-branch loops (tests/oracles.py) with ==;
+    ``apply_programmed``, which forms no branch matrix, is within ``pointer_apply_bound``."""
 
     DIMS = [TrinaryDims(d, d, d * d) for d in (2, 3, 5)] + [TrinaryDims(8, 8, 64)]  # 64 x 64
 
@@ -476,12 +591,14 @@ class TestBatchedBranchPasses:
 
     @pytest.mark.parametrize("dims", DIMS, ids=str)
     def test_apply_programmed(self, dims):
+        # rotate, shift and rotate back against one formed pointer unitary per branch
         seeded = [seeded_random("unitary", dims.d_s, 40 + r).entries for r in range(dims.d_p)]
         pu = build_programmed_unitary(dims, seeded)
-        matrices = [u.entries for u in pu.branches]
+        matrices = [pointer_unitary(b, dims.d_a) for b in pu.bases]
         for state in self.states(dims):
             want = apply_programmed_loop(matrices, state.as_matrix())
-            assert np.array_equal(apply_programmed(pu, state).as_matrix(), want)
+            gap = np.linalg.norm(apply_programmed(pu, state).as_matrix() - want)
+            assert gap <= pointer_apply_bound(dims.d_s, dims.d_a)
 
     def test_branch_spectra_allocates_one_state_sized_array(self):
         """Beyond the state, the pass holds one state-sized array: the unit rows.
@@ -655,21 +772,16 @@ class TestCompleteness:
                 want = np.outer(basis[:, j], basis[:, j].conj())
                 assert np.max(np.abs(ops[r, j] - want)) < 1e-12
 
-    @staticmethod
-    def random_unitaries(dims, seed):
-        return ProgrammedUnitary(
-            dims,
-            tuple(seeded_random("unitary", dims.d_sa, seed + r) for r in range(dims.d_p)),
-        )
-
     @pytest.mark.parametrize("triple", [(2, 2, 4), (3, 3, 9), (2, 3, 6), (4, 4, 16)])
     @pytest.mark.parametrize("program", ["random", "z-pointers", "zx-pointers"])
     def test_frame_rank_equals_the_loop_span_rank(self, triple, program):
-        # random branch unitaries reach the full rank d_s^2; Z pointers alone span
-        # d_s projectors, Z and X pointers 2 d_s - 1 (the identity is shared)
+        # d_p > d_s random pointer bases reach the full rank d_s^2 under a generic
+        # probe; Z pointers alone span d_s projectors, Z and X pointers 2 d_s - 1 (the
+        # identity is shared)
         dims = TrinaryDims(*triple)
         if program == "random":
-            pu = self.random_unitaries(dims, 300)
+            bases = [seeded_random("unitary", dims.d_s, 300 + r).entries for r in range(dims.d_p)]
+            pu = build_programmed_unitary(dims, bases)
         else:
             names = "ZX" if program == "zx-pointers" else "Z"
             bases = [standard_basis(names[r % len(names)], dims.d_s) for r in range(dims.d_p)]
@@ -677,8 +789,10 @@ class TestCompleteness:
         probe = seeded_random("state", dims.d_a, 301)
         ops = [
             e
-            for u in pu.branches
-            for e in readout_operators_loop(u.entries, dims.d_s, dims.d_a, probe.amplitudes)
+            for b in pu.bases
+            for e in readout_operators_loop(
+                pointer_unitary(b, dims.d_a), dims.d_s, dims.d_a, probe.amplitudes
+            )
         ]
         rank = validate_informational_completeness(pu, probe).tomographic_rank
         assert rank == operator_span_rank(ops)
@@ -734,13 +848,18 @@ class TestStandardBasis:
         (lambda: TrinaryState.from_branches(HUGE_D_P, [(1.0, StateVector.uniform(1))]),
          DimensionError, "branch pairs give shape (1, 1), expected (<int of 16610 bits>, 1)"),
         (lambda: ProgrammedUnitary(HUGE_D_P, ()), BranchCountError,
-         "got 0 branches for d_p = <int of 16610 bits>"),
-        (lambda: ProgrammedUnitary(TrinaryDims(1, 10**5000, 1), (Operator.identity(1),)),
-         DimensionError, "branch 0 acts on dim 1, expected <int of 16610 bits>"),
+         "need <int of 16610 bits> branch bases, got 0"),
+        (lambda: ProgrammedUnitary(TrinaryDims(10**5000, 10**5000, 1), (np.eye(1),)),
+         DimensionError,
+         "pointer basis must be a <int of 16610 bits>x<int of 16610 bits> matrix of basis columns"),
         (lambda: build_programmed_unitary(HUGE_D_P, []), BranchCountError,
          "need <int of 16610 bits> branch bases, got 0"),
+        (lambda: build_programmed_unitary(TrinaryDims(10**5000, 1, 1), [np.eye(1)]),
+         PointerCapacityError,
+         "apparatus dim 1 < system dim <int of 16610 bits>: not enough pointer positions"),
     ],
-    ids=["state", "from-branches", "branch-count", "branch-dim", "branch-bases"],
+    ids=["state", "from-branches", "branch-count", "branch-dim", "branch-bases",
+         "pointer-capacity"],
 )
 def test_dims_past_the_digit_limit_are_echoed_by_their_size(build, error, shown):
     # each message once raised the generic ValueError of writing such an integer
