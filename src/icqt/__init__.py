@@ -3,7 +3,6 @@
 from .linalg import (
     DimensionError,
     HermiticityError,
-    KindMismatchError,
     NormalizationError,
     Operator,
     SchmidtDecomposition,
@@ -14,7 +13,6 @@ from .linalg import (
     schmidt_decompose,
     seeded_random,
     shannon_entropy,
-    tensor_product,
 )
 from .trinary import (
     BranchCountError,

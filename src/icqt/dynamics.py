@@ -10,7 +10,8 @@ They share one core, ``_Conditioned``, built once per Hamiltonian: it validates
 A + B with A = h' (x) I and B the block diagonal of the B_n, and labels the
 components of the exact zero pattern of h'.  The blockwise check,
 ``FactorizedPropagator`` (A, then B), the dense reference ``DensePropagator``
-(A + B) and the kron-free assembler all read it.  When the check holds,
+(A + B, assembled per component in the frame) and the block assembler
+``ProgrammedBlockStructure.assemble`` all read it.  When the check holds,
 [A, B] = 0 and the factorized step is exact.
 
 Time dependence is piecewise constant: ``entanglement_trajectory`` walks a list of
@@ -56,22 +57,19 @@ class CommutatorCheck:
     satisfied: bool
 
 
-def _assemble_conditioned(h_program, blocks, basis) -> np.ndarray:
-    """H_prog (x) I + sum_n |e_n><e_n| (x) B_n as one dense array.
-
-    The blocks are written into a (d, d_block, d, d_block) view, then H_prog is
-    added on its block diagonal: entry for entry the Kronecker form with the
-    programmed terms summed first.  With basis None, leading batch axes of
-    ``h_program`` and ``blocks`` give one such matrix per batch index.
-    """
-    *batch, d, b, _ = np.shape(blocks)
+def _assemble_conditioned(h_program, blocks: np.ndarray) -> np.ndarray:
+    """h_program (x) I plus the block diagonal of the (d, d_block, d_block) ``blocks`` (the
+    frame's A + B), entry for entry the Kronecker form; leading batch axes of both give one
+    matrix per batch index."""
+    *batch, d, b, _ = blocks.shape
     out = np.zeros((*batch, d, b, d, b), dtype=complex)
-    for n, block in enumerate(np.moveaxis(blocks, -3, 0)):
-        if basis is None:
-            out[..., n, :, n, :] = block
-        else:
-            proj = np.outer(basis[:, n], basis[:, n].conj())
-            out += proj[:, None, :, None] * block[None, :, None, :]
+    out[..., range(d), :, range(d), :] = np.moveaxis(blocks, -3, 0)
+    return _add_program(out, h_program)
+
+
+def _add_program(out: np.ndarray, h_program) -> np.ndarray:
+    """A (..., d, d_block, d, d_block) programmed part plus h_program (x) I, in place."""
+    *batch, d, b = out.shape[:-2]
     out[..., range(b), :, range(b)] += h_program
     return out.reshape(*batch, d * b, d * b)
 
@@ -102,7 +100,7 @@ def _component_spectra(core: _Conditioned, blocks: np.ndarray | None = None) -> 
     for index in core.components:
         matrices = core.h[index[:, :, None], index[:, None, :]]
         if blocks is not None:
-            matrices = _assemble_conditioned(matrices, blocks[index], None)
+            matrices = _assemble_conditioned(matrices, blocks[index])
         groups.append((index, HermitianSpectrum.of(matrices)))
     return groups
 
@@ -163,14 +161,25 @@ class _Conditioned:
         self.components = _zero_pattern_components(self.h)
 
     def check_time(self, t: float) -> None:
-        """The time rule: refuse a t whose ``scale`` |t| is not finite (NaN included), so
-        no phase of a step for time t overflows."""
-        if not math.isfinite(self.scale * abs(float(t))):
-            raise ValueError(f"the Hamiltonian overflows a double by t = {t}")
+        """The time rule: refuse a t that is not a finite number (``_is_finite``) or whose
+        ``scale`` |t| is not finite, so no phase of a step for time t overflows."""
+        finite = _is_finite(t)
+        if not (finite and math.isfinite(self.scale * abs(float(t)))):
+            shown = _echo(float(t) if finite else t)
+            raise ValueError(f"the Hamiltonian overflows a double by t = {shown}")
 
     def assemble(self) -> Operator:
-        """H_prog (x) I + sum_n |e_n><e_n| (x) B_n on the full space."""
-        return Operator(_assemble_conditioned(self.program, self.blocks, self.basis))
+        """H_prog (x) I + sum_n |e_n><e_n| (x) B_n on the full space.  Over a custom basis the
+        programmed part is one product of the (d^2, d) projector stack with the (d, d_block^2)
+        block stack, copied once into (d, d_block, d, d_block) order: two full arrays at most."""
+        w, blocks = self.basis, np.stack(self.blocks)
+        if w is None:
+            return Operator(_assemble_conditioned(self.program, blocks))
+        d, b = blocks.shape[:2]
+        programmed = (w[:, None] * w.conj()).reshape(d * d, d) @ blocks.reshape(d, b * b)
+        out = np.ascontiguousarray(programmed.reshape(d, d, b, b).swapaxes(1, 2))
+        del programmed, blocks
+        return Operator(_add_program(out, self.program))
 
     def check(self) -> CommutatorCheck:
         """Max-entry norm of [sum_n |e_n><e_n| (x) B_n, H_prog (x) I], blockwise.
@@ -222,10 +231,6 @@ class TrinaryHamiltonian:
         )
         object.__setattr__(self, "programming_basis", core.basis)
         object.__setattr__(self, "_core", core)
-
-    def full_operator(self) -> Operator:
-        """H_P (x) I plus sum_n |e_n><e_n| (x) block_n on the full space."""
-        return self._core.assemble()
 
     def propagator(self) -> FactorizedPropagator:
         """The factorized propagator; exact only when ``check_pmc`` holds."""

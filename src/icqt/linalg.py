@@ -12,7 +12,7 @@ from typing import Literal
 
 import numpy as np
 
-from .serialize import _echo, _is_int
+from .serialize import _echo, _is_finite, _is_int
 
 NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
@@ -31,10 +31,6 @@ _GRAM_SHARE = 16
 
 class DimensionError(ValueError):
     """Operands have incompatible or non-factorizable dimensions."""
-
-
-class KindMismatchError(TypeError):
-    """Mixed state/operator operands where one kind is required."""
 
 
 class NormalizationError(ValueError):
@@ -196,17 +192,6 @@ class SchmidtDecomposition:
         return StateVector(((self.u * self.coefficients) @ self.vh).reshape(-1))
 
 
-def tensor_product(a, b):
-    """Kronecker product of two states or two operators (never mixed)."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(np.kron(a.entries, b.entries))
-    raise KindMismatchError(
-        f"cannot tensor {type(a).__name__} with {type(b).__name__}"
-    )
-
-
 def _cut_matrix(psi: StateVector, dims: tuple[int, int]) -> np.ndarray:
     dim_l, dim_r = dims
     if dim_l * dim_r != psi.dim:
@@ -349,10 +334,15 @@ class HermitianSpectrum:
 
 
 def hermitian_propagator(h: Operator, t: float) -> Operator:
-    """exp(-i H t) for Hermitian H: its spectrum applied to the identity."""
+    """exp(-i H t) for Hermitian H and a finite number t: its spectrum applied to the identity.
+    Phases w t past the double range end quietly in the ``Operator`` check's refusal."""
     if not h.is_hermitian():
         raise HermiticityError("propagator generator must be Hermitian")
-    return Operator(HermitianSpectrum.of(h.entries).apply(np.eye(h.dim), t))
+    if not _is_finite(t):
+        raise ValueError(f"time {_echo(t)} is not a finite number")
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = HermitianSpectrum.of(h.entries).apply(np.eye(h.dim), t)
+    return Operator(u)
 
 
 def commutator_norm(a: Operator, b: Operator) -> float:

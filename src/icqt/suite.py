@@ -34,7 +34,6 @@ from .linalg import (
     seeded_random,
     shannon_entropy,
     subseed,
-    tensor_product,
 )
 from .serialize import _echo, _is_int
 from .trinary import (
@@ -281,9 +280,10 @@ def schmidt_battery(seed: int, roundtrips: int) -> PropertyResult:
             worst, float(np.max(np.abs(sd.reconstruct().amplitudes - psi.amplitudes)))
         )
         if i % 10 == 0:
-            u_l = seeded_random("unitary", d_l, subseed(seed, 72, i))
-            u_r = seeded_random("unitary", d_r, subseed(seed, 73, i))
-            rotated = tensor_product(u_l, u_r).apply(psi)
+            u_l = seeded_random("unitary", d_l, subseed(seed, 72, i)).entries
+            u_r = seeded_random("unitary", d_r, subseed(seed, 73, i)).entries
+            # (U_l (x) U_r) psi is U_l M U_r^T on the (d_l, d_r) cut matrix M of psi
+            rotated = StateVector((u_l @ psi.amplitudes.reshape(d_l, d_r) @ u_r.T).reshape(-1))
             drift = abs(
                 entanglement_entropy(rotated, (d_l, d_r))
                 - entanglement_entropy(psi, (d_l, d_r))

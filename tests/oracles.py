@@ -393,6 +393,34 @@ def dense_trinary_hamiltonian(h_p: np.ndarray, blocks, basis: np.ndarray | None 
     return full
 
 
+def dense_hamiltonian(h) -> np.ndarray:
+    """The full-space matrix of a TrinaryHamiltonian, by ``dense_trinary_hamiltonian``."""
+    blocks = [b.entries for b in h.blocks]
+    return dense_trinary_hamiltonian(h.h_p.entries, blocks, h.programming_basis)
+
+
+def assembly_bound(h_program: np.ndarray, blocks) -> float:
+    """Largest entry gap between two assemblies of H_prog (x) I + sum_n |e_n><e_n| (x) B_n over
+    a unitary basis W of d columns e_n: the library's one product of the projector stack
+    with the block stack, and ``dense_trinary_hamiltonian``.
+
+    With s = max|H_prog| + max_n max|B_n|: entry ((i, k), (j, l)) of the programmed part
+    is an inner product of length d of the projector entries w_in conj(w_jn) with the
+    b_n = B_n[k, l].  Each projector entry is one complex product, off by at most 2 eps
+    of its size (Higham 3.5), and the inner product, as in ``product_bound``, by at most
+    (d + 2) eps sum_n |w_in| |w_jn| |b_n|, and that sum is at most max|B_n| since the rows
+    of W are unit vectors (Cauchy-Schwarz); adding H_prog costs eps s more.  The oracle
+    forms each term by two complex products (4 eps) and adds the d terms to
+    H_prog[i, j] delta_kl one at a time (d eps / 2 of the sum of their sizes, Higham 4.2).
+    So each side is off by at most (d + 5) eps s to first order; (d + 6) covers the
+    second-order terms, and the gap is at most twice that.
+    """
+    d = h_program.shape[0]
+    s = float(np.max(np.abs(h_program))) + max(float(np.max(np.abs(b))) for b in blocks)
+    per_side = product_bound(d) / math.sqrt(d) + 4 * EPS  # (d + 6) eps
+    return 2 * per_side * s
+
+
 def programmed_part(h) -> np.ndarray:
     """sum_n |e_n><e_n| (x) block_n of a TrinaryHamiltonian, by np.kron per term."""
     d_p = h.dims.d_p

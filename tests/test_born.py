@@ -19,7 +19,6 @@ from icqt.linalg import (
     schmidt_decompose,
     seeded_random,
     shannon_entropy,
-    tensor_product,
 )
 from icqt.suite import BORN_TOL
 from icqt.trinary import (
@@ -78,10 +77,7 @@ class TestDecisionProbabilities:
         state = TrinaryState.from_dense(DIMS, seeded_random("state", 16, 5))
         u_sa = seeded_random("unitary", 4, 6)
         rotated = TrinaryState.from_dense(
-            DIMS,
-            tensor_product(
-                type(u_sa).identity(4), u_sa
-            ).apply(state.dense),
+            DIMS, StateVector(np.kron(np.eye(4), u_sa.entries) @ state.dense.amplitudes)
         )
         assert np.max(
             np.abs(decision_probabilities(rotated) - decision_probabilities(state))

@@ -38,8 +38,10 @@ from icqt.linalg import (
 )
 from icqt.trinary import TrinaryDims, TrinaryState, dual_entropies, standard_basis
 from oracles import (
+    assembly_bound,
     chained_bound,
     dense_block,
+    dense_hamiltonian,
     dense_pmc_norm,
     dense_sapmc_norm,
     dense_swapped_norm,
@@ -77,28 +79,40 @@ def sigma(which):
     }[which]
 
 
+def hamiltonian_bound(h) -> float:
+    """``assembly_bound`` of a TrinaryHamiltonian's own H_P and blocks."""
+    return assembly_bound(h.h_p.entries, [b.entries for b in h.blocks])
+
+
 class TestTrinaryHamiltonian:
+    """The full operator, assembled by the core (``h._core.assemble()``), against the kron
+    oracles; the dense reference assembles only the blocks of its components."""
+
     def test_full_operator_matches_oracle(self):
         h = random_trinary_hamiltonian(DIMS, 3, kind="pmc")
         want = dense_trinary_hamiltonian(
             h.h_p.entries, [b.entries for b in h.blocks]
         )
-        assert np.max(np.abs(h.full_operator().entries - want)) < 1e-14
+        assert np.max(np.abs(h._core.assemble().entries - want)) < 1e-14
 
     @pytest.mark.parametrize("kind", ["pmc", "coupled", "violating"])
     @pytest.mark.parametrize("custom_basis", [False, True])
     def test_full_operator_equals_kron_form(self, kind, custom_basis):
-        # the assembler writes the kron form, entry for entry; the dense reference
-        # assembles only the blocks of its components
+        # entry for entry in the computational basis; over a custom basis the projector
+        # stack times the block stack sums each entry in its own order
         h = random_trinary_hamiltonian(TrinaryDims(2, 3, 5), 9, kind=kind)
         if custom_basis:
             h = in_programming_basis(h, 10)
         want = np.kron(h.h_p.entries, np.eye(h.dims.d_sa)) + programmed_part(h)
-        assert np.array_equal(h.full_operator().entries, want)
+        got = h._core.assemble().entries
+        if custom_basis:
+            assert np.max(np.abs(got - want)) <= hamiltonian_bound(h)
+        else:
+            assert np.array_equal(got, want)
 
     def test_full_operator_hermitian(self):
         h = random_trinary_hamiltonian(DIMS, 4, kind="violating")
-        f = h.full_operator().entries
+        f = h._core.assemble().entries
         assert np.max(np.abs(f - f.conj().T)) <= 1e-12
 
     def test_rejects_non_hermitian_block(self):
@@ -122,11 +136,11 @@ class TestTrinaryHamiltonian:
         want = dense_trinary_hamiltonian(
             np.zeros((4, 4)), [b.entries for b in h.blocks], basis
         )
-        assert np.max(np.abs(h.full_operator().entries - want)) < 1e-12
+        assert np.max(np.abs(h._core.assemble().entries - want)) < 1e-12
 
     def test_owns_a_read_only_copy_of_the_programming_basis(self):
         # rewriting the caller's complex basis once changed programming_basis and
-        # full_operator, while check_pmc and the propagators kept the old frame
+        # the assembled operator, while check_pmc and the propagators kept the old frame
         pmc = random_trinary_hamiltonian(DIMS, 11, kind="pmc")
         w = np.eye(4, dtype=complex)
         h = TrinaryHamiltonian(dims=DIMS, h_p=pmc.h_p, blocks=pmc.blocks, programming_basis=w)
@@ -136,10 +150,10 @@ class TestTrinaryHamiltonian:
         )
         assert np.array_equal(h.programming_basis, np.eye(4))
         assert not h.programming_basis.flags.writeable
-        assert np.array_equal(h.full_operator().entries, fresh.full_operator().entries)
+        assert np.array_equal(h._core.assemble().entries, fresh._core.assemble().entries)
         assert check_pmc(h) == check_pmc(fresh)
         state = random_state(DIMS, 12)
-        want = expm_hermitian(h.full_operator().entries, 0.7) @ state.dense.amplitudes
+        want = expm_hermitian(dense_hamiltonian(h), 0.7) @ state.dense.amplitudes
         got = DensePropagator(h).evolve(state, 0.7).dense.amplitudes
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -302,6 +316,14 @@ class TestOneStepTimeRule:
         assert str(info.value) == f"the Hamiltonian overflows a double by t = {t}"
 
     @pytest.mark.parametrize("entry", ENTRIES)
+    def test_an_int_past_the_double_range_is_refused(self, entry):
+        # before: OverflowError (int too large to convert to float) from float(t)
+        with pytest.raises(ValueError) as info:
+            self.step(entry, 10**400)
+        shown = "100000000000000000...0000000000000000000"  # the echoed form
+        assert str(info.value) == f"the Hamiltonian overflows a double by t = {shown}"
+
+    @pytest.mark.parametrize("entry", ENTRIES)
     def test_a_large_finite_phase_evolves(self, entry):
         # scale |t| stays finite at t = 1e300, so every phase w t does
         with warnings.catch_warnings():
@@ -380,6 +402,44 @@ class TestCheckSapmc:
             proj = np.outer(block.s_basis[:, i], block.s_basis[:, i].conj())
             want = want + np.kron(proj, block.a_generators[i].entries)
         assert np.max(np.abs(block.assemble().entries - want)) <= 1e-12
+
+
+class TestAssembly:
+    """``_Conditioned.assemble`` against the kron oracles: entry for entry in the
+    computational basis, within ``assembly_bound`` over any other basis, where the
+    programmed part is one product of the projector stack with the block stack."""
+
+    @pytest.mark.parametrize("kind", ["sapmc", "shared", "violating"])
+    @pytest.mark.parametrize("d_s, d_a", [(2, 2), (3, 4), (4, 3)])
+    def test_block_within_the_bound(self, kind, d_s, d_a):
+        # sapmc and violating take a random S basis, shared the identity
+        for seed in range(3):
+            block = random_block_structure(d_s, d_a, seed, kind=kind)
+            generators = [g.entries for g in block.a_generators]
+            gap = np.max(np.abs(block.assemble().entries - dense_block(block)))
+            assert gap <= assembly_bound(block.h_s.entries, generators)
+
+    def test_block_in_the_computational_basis_is_the_kron_form(self):
+        drawn = random_block_structure(3, 2, 5, kind="violating")
+        block = ProgrammedBlockStructure(
+            s_basis=None, a_generators=drawn.a_generators, h_s=drawn.h_s
+        )
+        assert np.array_equal(block.assemble().entries, dense_block(block))
+
+    def test_custom_basis_peak_is_two_full_matrices(self):
+        # the product and its transposed copy, then that copy and the Operator's own
+        dims = TrinaryDims(6, 6, 36)
+        pmc = random_trinary_hamiltonian(dims, 5, kind="pmc")
+        h = conditioned_on(pmc, seeded_random("unitary", dims.d_p, 10).entries)
+        tracemalloc.start()
+        try:
+            assembled = h._core.assemble()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * dims.total**2 * 16
+        gap = np.max(np.abs(assembled.entries - dense_hamiltonian(h)))
+        assert gap <= hamiltonian_bound(h)
 
 
 CHECK_DS = (2, 3, 4)
@@ -582,7 +642,7 @@ class TestEvolveFull:
         else:
             h = random_trinary_hamiltonian(dims, 8, kind=kind)
         state = random_state(dims, 9)
-        want = expm_hermitian(h.full_operator().entries, 0.9) @ state.dense.amplitudes
+        want = expm_hermitian(dense_hamiltonian(h), 0.9) @ state.dense.amplitudes
         out = evolve_full(h, state, 0.9)
         assert np.max(np.abs(out.dense.amplitudes - want)) < 1e-12
 
@@ -633,7 +693,7 @@ class TestEvolveFull:
         h = TrinaryHamiltonian(dims=dims, h_p=Operator(h_p), blocks=(block,) * dims.d_p)
         state = random_state(dims, seed)
         for t in (1.3, 40.0):
-            want = expm_hermitian(h.full_operator().entries, t) @ state.dense.amplitudes
+            want = expm_hermitian(dense_hamiltonian(h), t) @ state.dense.amplitudes
             got = evolve_full(h, state, t).dense.amplitudes
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -1183,11 +1243,11 @@ class TestEvolveDispatch:
         prop = DensePropagator(h)
         psi = state.dense.amplitudes
         for t in (0.0, 0.3, 1.7):
-            w, v = np.linalg.eigh(h.full_operator().entries)
+            w, v = np.linalg.eigh(dense_hamiltonian(h))
             want = v @ (np.exp(-1j * w * t) * (v.T @ psi.conj()).conj())
             assert np.array_equal(prop.evolve(state, t).dense.amplitudes, want)
             assert np.array_equal(evolve_full(h, state, t).dense.amplitudes, want)
-            oracle = hermitian_propagator(h.full_operator(), t).apply(state.dense)
+            oracle = hermitian_propagator(Operator(dense_hamiltonian(h)), t).apply(state.dense)
             assert np.max(np.abs(want - oracle.amplitudes)) <= 1e-13
 
 
@@ -1217,7 +1277,7 @@ class TestOneCorePerHamiltonian:
         check_pmc(h)
         h.propagator()
         DensePropagator(h)
-        h.full_operator()
+        h._core.assemble()
         assert len(calls) == 1 and calls[0] is h._core.h
 
     def test_block_structure_labels_once(self, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from icqt.linalg import (
     DimensionError,
     HermiticityError,
-    KindMismatchError,
     NormalizationError,
     Operator,
     StateVector,
@@ -25,11 +25,12 @@ from icqt.linalg import (
     schmidt_decompose,
     seeded_random,
     shannon_entropy,
-    tensor_product,
 )
 from icqt.dynamics import DensePropagator, TrinaryHamiltonian
 from icqt.trinary import TrinaryDims, TrinaryState
 from oracles import (
+    dense_hamiltonian,
+    dense_kron,
     eigenvalue_entropy,
     entropy_bound,
     expm_hermitian,
@@ -144,45 +145,11 @@ class TestOwnedStateVector:
         assert str(owned.value) == str(copied.value)
 
 
-class TestTensorProduct:
-    def test_basis_states(self):
-        out = tensor_product(StateVector.basis(2, 0), StateVector.basis(2, 0))
-        assert out.amplitudes[0] == 1.0 and np.all(out.amplitudes[1:] == 0)
-
-    def test_identities(self):
-        out = tensor_product(Operator.identity(2), Operator.identity(3))
-        assert np.array_equal(out.entries, np.eye(6))
-
-    def test_matches_index_formula(self):
-        a = seeded_random("unitary", 2, 10).entries
-        b = seeded_random("unitary", 3, 11).entries
-        out = tensor_product(Operator(a), Operator(b)).entries
-        for i in range(2):
-            for j in range(3):
-                for k in range(2):
-                    for l in range(3):
-                        assert abs(out[i * 3 + j, k * 3 + l] - a[i, k] * b[j, l]) < 1e-14
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(KindMismatchError):
-            tensor_product(StateVector.basis(2, 0), Operator.identity(2))
-
-    @given(st.integers(0, 50))
-    @settings(max_examples=25, deadline=None)
-    def test_associative(self, seed):
-        a = seeded_random("state", 2, seed)
-        b = seeded_random("state", 3, seed + 1)
-        c = seeded_random("state", 2, seed + 2)
-        left = tensor_product(tensor_product(a, b), c)
-        right = tensor_product(a, tensor_product(b, c))
-        assert np.max(np.abs(left.amplitudes - right.amplitudes)) < 1e-14
-
-
 class TestPartialTrace:
     def test_product_state(self):
         psi = seeded_random("state", 3, 1)
         phi = seeded_random("state", 2, 2)
-        rho = projector(tensor_product(psi, phi))
+        rho = projector(StateVector(dense_kron(psi.amplitudes, phi.amplitudes)))
         left = partial_trace(rho, (3, 2), "left")
         assert np.max(np.abs(left.entries - projector(psi).entries)) < 1e-12
 
@@ -222,7 +189,7 @@ class TestSchmidt:
         assert sd.rank == 2
 
     def test_product(self):
-        psi = tensor_product(seeded_random("state", 2, 1), seeded_random("state", 2, 2))
+        psi = StateVector(dense_kron(*(seeded_random("state", 2, k).amplitudes for k in (1, 2))))
         sd = schmidt_decompose(psi, (2, 2))
         assert abs(sd.coefficients[0] - 1) < 1e-12
         assert sd.rank == 1
@@ -317,7 +284,7 @@ class TestBranchSchmidtCoefficients:
 
 class TestEntropy:
     def test_product_zero(self):
-        psi = tensor_product(seeded_random("state", 3, 1), seeded_random("state", 3, 2))
+        psi = StateVector(dense_kron(*(seeded_random("state", 3, k).amplitudes for k in (1, 2))))
         assert entanglement_entropy(psi, (3, 3)) < 1e-12
 
     def test_bell_ln2(self):
@@ -466,9 +433,10 @@ class TestEntropy:
     @settings(max_examples=20, deadline=None)
     def test_local_unitary_invariance(self, seed):
         psi = seeded_random("state", 12, seed)
-        u = tensor_product(
-            seeded_random("unitary", 3, seed + 100), seeded_random("unitary", 4, seed + 200)
-        )
+        u = Operator(dense_kron(
+            seeded_random("unitary", 3, seed + 100).entries,
+            seeded_random("unitary", 4, seed + 200).entries,
+        ))
         assert abs(
             entanglement_entropy(u.apply(psi), (3, 4)) - entanglement_entropy(psi, (3, 4))
         ) <= 1e-9
@@ -577,6 +545,25 @@ class TestPropagator:
         with pytest.raises(HermiticityError):
             hermitian_propagator(Operator(np.array([[0, 1], [0, 0]], dtype=complex)), 1.0)
 
+    @pytest.mark.parametrize(
+        "t", [math.inf, -math.inf, math.nan, 10**400], ids=["inf", "-inf", "nan", "10**400"]
+    )
+    def test_refuses_a_time_that_is_not_a_finite_number(self, t):
+        # before: numpy's invalid-value warning at inf and nan, OverflowError at 10**400
+        h = Operator(10 * seeded_random("hermitian", 3, 1).entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^time .* is not a finite number$"):
+                hermitian_propagator(h, t)
+
+    def test_phases_past_the_double_range_give_non_finite_entries_quietly(self):
+        # before: numpy's overflow warning from the phases w t at t = 1e308
+        h = Operator(10 * seeded_random("hermitian", 3, 1).entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^non-finite entries$"):
+                hermitian_propagator(h, 1e308)
+
     def test_spectrum_reused_across_times(self):
         h = seeded_random("hermitian", 5, 14)
         spectrum = HermitianSpectrum.of(h.entries)
@@ -639,7 +626,7 @@ class TestComponentSpectrum:
         groups = DensePropagator(h)._factors[0]
         assert sorted(index.shape for index, _ in groups) == [(1, 1), (1, 2), (1, 8), (2, 5)]
         values = np.concatenate([spectrum.values.ravel() for _, spectrum in groups])
-        whole = np.linalg.eigvalsh(h.full_operator().entries)
+        whole = np.linalg.eigvalsh(dense_hamiltonian(h))
         assert np.max(np.abs(np.sort(values) - whole)) < 1e-12
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -659,7 +646,7 @@ class TestComponentSpectrum:
         x = seeded_random("state", h.dims.total, seed)
         state = TrinaryState.from_dense(h.dims, x)
         for t in (0.0, 0.4, 2.3):
-            want = expm_hermitian(h.full_operator().entries, t) @ x.amplitudes
+            want = expm_hermitian(dense_hamiltonian(h), t) @ x.amplitudes
             got = prop.evolve(state, t).dense.amplitudes
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -668,7 +655,7 @@ class TestComponentSpectrum:
         blocks = tuple(seeded_random("hermitian", dims.d_sa, 10 + n) for n in range(dims.d_p))
         h = TrinaryHamiltonian(dims=dims, h_p=seeded_random("hermitian", 7, 4), blocks=blocks)
         ((index, spectrum),) = DensePropagator(h)._factors[0]
-        want = HermitianSpectrum.of(h.full_operator().entries)
+        want = HermitianSpectrum.of(dense_hamiltonian(h))
         assert np.array_equal(index, np.arange(7)[None])
         assert np.array_equal(spectrum.values[0], want.values)
         assert np.array_equal(spectrum.vectors[0], want.vectors)

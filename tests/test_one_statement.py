@@ -31,9 +31,9 @@ modules) of ``src/icqt`` allowed to match it.
 - The overflow rule is ``dynamics._Conditioned``'s, and the walk's bound on a time is
   ``_segment_steps``'s: no module but ``dynamics.py`` holds a string literal, docstrings
   aside, that names an overflow.
-- A Kronecker product is formed in two places only: ``trinary._product_into`` (a product
-  start) and ``linalg.tensor_product``; no other function of ``src/icqt`` reads ``kron``,
-  so no pointer or branch unitary is built as a matrix.
+- A Kronecker product is formed in one place only, ``trinary._product_into`` (a product
+  start); no other function of ``src/icqt`` reads ``kron``, so no pointer or branch
+  unitary, and no full-space operator, is built term by term as a Kronecker product.
 """
 
 import ast
@@ -367,6 +367,5 @@ def test_only_dynamics_names_an_overflow():
     assert found == {"dynamics.py"}
 
 
-def test_only_the_product_start_and_tensor_product_form_a_kron():
-    found = owners(reads("kron"), *MODULES)
-    assert found == {("trinary.py", "_product_into"), ("linalg.py", "tensor_product")}
+def test_only_the_product_start_forms_a_kron():
+    assert owners(reads("kron"), *MODULES) == {("trinary.py", "_product_into")}
