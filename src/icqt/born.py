@@ -20,22 +20,16 @@ from .trinary import (
     TrinaryDims,
     TrinaryState,
     _branch_spectra,
+    _check_orthonormal,
     _empty,
 )
 
-CLAMP_TOL = 1e-12
 DEGENERACY_TOL = 1e-8
-
-
-def _clamp(p: np.ndarray) -> np.ndarray:
-    if np.min(p) < -CLAMP_TOL:
-        raise ValueError("probability below the round-off clamp window")
-    return np.where(p < 0, 0.0, p)
 
 
 def decision_probabilities(state: TrinaryState) -> np.ndarray:
     """Probability of each programmed operation: |g_r|^2 per programming state."""
-    return _clamp(state.branch_weights())
+    return state.branch_weights()
 
 
 @dataclass(frozen=True)
@@ -61,7 +55,7 @@ def _outcome_rows(spectra: np.ndarray, d_s: int) -> tuple[np.ndarray, np.ndarray
     DEGENERACY_TOL and the smaller exceeds EMPTY_BRANCH_TOL; a zero row is not.
     """
     probs = np.zeros((len(spectra), d_s))
-    probs[:, : spectra.shape[1]] = _clamp(spectra**2)
+    probs[:, : spectra.shape[1]] = spectra**2
     close = np.abs(np.diff(spectra, axis=1)) < DEGENERACY_TOL
     return probs, np.any(close & (spectra[:, 1:] > EMPTY_BRANCH_TOL), axis=1)
 
@@ -75,12 +69,11 @@ def outcome_probabilities(state: TrinaryState, branch: int) -> OutcomeTable:
 
 
 def conventional_oracle(psi_s: StateVector, basis: np.ndarray) -> np.ndarray:
-    """Textbook Born rule |<b_j|psi>|^2, the reference the dual rule must match."""
-    b = np.asarray(basis, dtype=complex)
-    if b.shape != (psi_s.dim, psi_s.dim):
-        raise ValueError("basis must be a square matrix of columns on S")
-    amps = b.conj().T @ psi_s.amplitudes
-    return _clamp(np.abs(amps) ** 2)
+    """Textbook Born rule |<b_j|psi>|^2, the reference the dual rule must match.  ``basis``
+    follows icqt's one basis rule (``_check_orthonormal``): a dim x dim matrix of
+    orthonormal columns on S, else ``DimensionError`` or ``ValueError``."""
+    b = _check_orthonormal(basis, psi_s.dim, "basis")
+    return np.abs(b.conj().T @ psi_s.amplitudes) ** 2
 
 
 @dataclass(frozen=True)
@@ -127,7 +120,7 @@ def _dual_born_report(
     of every branch."""
     outcome, degenerate = _outcome_rows(spectra, dims.d_s)
     return DualBornReport(
-        decision_probs=_clamp(weights),
+        decision_probs=weights,
         outcome_probs=outcome,
         degenerate=tuple(bool(x) for x in degenerate),
         empty=tuple(bool(x) for x in _empty(weights)),

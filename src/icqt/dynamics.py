@@ -242,10 +242,11 @@ class ProgrammedBlockStructure:
     """Second-level structure of one S x A block.
 
     The block decomposes as sum_i |eps_i><eps_i| (x) H_A[i] + H_S (x) I over
-    an orthonormal S basis (columns of ``s_basis``).
+    an orthonormal S basis (columns of ``s_basis``); None means the computational
+    basis.
     """
 
-    s_basis: np.ndarray
+    s_basis: np.ndarray | None
     a_generators: tuple[Operator, ...]
     h_s: Operator
 
@@ -555,9 +556,9 @@ def random_block_structure(
     """Seeded second-level block structures.
 
     kind "sapmc": H_S diagonal in the block's S basis (condition holds);
-    kind "shared": identical apparatus generators with a generic H_S
-    (condition holds through the identity structure); kind "violating":
-    generic H_S against distinct generators.
+    kind "shared": identical apparatus generators with a generic H_S over the
+    computational basis (condition holds through the identity structure); kind
+    "violating": generic H_S against distinct generators.
     """
     rng = np.random.default_rng(seed)
     basis = seeded_random("unitary", d_s, rng.integers(2**32)).entries
@@ -568,7 +569,7 @@ def random_block_structure(
         h_s = random_hermitian(rng, d_s)
         shared = random_hermitian(rng, d_a)
         gens = tuple(shared for _ in range(d_s))
-        basis = np.eye(d_s, dtype=complex)
+        basis = None
     elif kind == "violating":
         h_s = random_hermitian(rng, d_s)
         gens = tuple(random_hermitian(rng, d_a) for _ in range(d_s))

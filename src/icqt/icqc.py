@@ -47,7 +47,8 @@ _FIXED_GATES = {
 for _m in _FIXED_GATES.values():
     _m.setflags(write=False)
 _ROTATIONS = ("RX", "RY", "RZ")
-# Kinds whose matrix is real whatever the angle: CNOT, the real fixed gates and RY.
+# Kinds whose matrix is real whatever the angle: CNOT, the real fixed gates and RY.  A run
+# of these alone is float64 (``_real_run``); this is icqt's one scan of imaginary parts.
 _REAL_KINDS = frozenset(["CNOT", "RY", *(k for k, m in _FIXED_GATES.items() if not m.imag.any())])
 REGISTERS = ("P", "S", "A")
 # Trailing length from which one batched 2x2 product per leading index beats one
@@ -142,11 +143,6 @@ class GateOp:
         return _rotation(self.kind, float(self.angle))
 
 
-def _real_gate(gate: GateOp) -> bool:
-    """Whether ``gate``'s matrix has zero imaginary part (``-0.0`` too); CNOT is real."""
-    return gate.kind in _REAL_KINDS or not gate.matrix().imag.any()
-
-
 def _apply_single(arr: np.ndarray, m: np.ndarray, axis: int, out: np.ndarray) -> None:
     """Write the 2x2 gate m on one qubit axis of the C-ordered amplitudes ``arr`` into ``out``.
 
@@ -193,9 +189,9 @@ def _apply_gates_nd(
     the other of ``arr`` and ``spare`` (same size and dtype); returns the one that holds the
     result.
 
-    A float64 ``arr`` takes a contiguous float64 copy of each gate's matrix, whose
-    imaginary part the caller has found zero (``_real_gate``): the strided ``m.real``
-    view would take matmul off BLAS.
+    A float64 ``arr`` takes a contiguous float64 copy of each gate's matrix, whose kind
+    the caller has found real (``_REAL_KINDS``): the strided ``m.real`` view would take
+    matmul off BLAS.
     """
     real = not np.iscomplexobj(arr)
     for gate in gates:
@@ -403,9 +399,9 @@ class IcqcRunReport:
     """The entropies and the Born report of a run, with its read-only final amplitudes.
 
     ``amplitudes`` is the run's buffer itself: float64 when every gate of the
-    run is real, else complex128.  ``final_state`` is built on its first read
-    and kept: a complex buffer is wrapped without a copy, a real one is copied
-    once into complex128.
+    run is of a real kind (``_real_run``), else complex128.  ``final_state`` is
+    built on its first read and kept: a complex buffer is wrapped without a
+    copy, a real one is copied once into complex128.
     """
 
     amplitudes: np.ndarray
@@ -424,43 +420,25 @@ class IcqcRunReport:
 
 def _real_run(config: IcqcConfig) -> bool:
     """Whether every gate of the run, in the gate stage, a branch circuit or the P-only
-    circuit, is real (``_real_gate``); the start always is."""
+    circuit, is of a real kind (``_REAL_KINDS``); the start always is real."""
     circuits = (config.gate_sequence, *config.program_table, config.post_program_p_circuit)
-    return all(_real_gate(gate) for circuit in circuits for gate in circuit)
-
-
-def _real_rows(rows: np.ndarray) -> np.ndarray:
-    """The rows a run's spectra read: a contiguous float64 copy of complex rows whose every
-    imaginary part is zero (-0.0 too), else ``rows`` as they are.  The strided ``.real``
-    view would slow the Gram products and the batched SVD."""
-    if np.iscomplexobj(rows) and not rows.imag.any():
-        return np.ascontiguousarray(rows.real)
-    return rows
+    return all(gate.kind in _REAL_KINDS for circuit in circuits for gate in circuit)
 
 
 def run(config: IcqcConfig) -> IcqcRunReport:
     """init -> gate stage -> programmed stage -> dual entropies and Born report.
 
-    The buffer's dtype is chosen once, before the start is written: float64
-    when every gate of the run is real (``_real_run``), else complex128.  The
-    stages hold at most two buffer-sized arrays: the initial amplitudes are
-    written straight into the buffer (bit for bit ``init_state``, whose
-    complex start has zero imaginary parts), the gate stage alternates
-    between it and one spare, and the programmed stage rewrites the buffer's
-    rows in place (``apply_gates`` and ``apply_programmed_op`` run the same
-    kernels on a complex copy).  The finite and norm check runs on the buffer
-    at the end of each stage, and the buffer is then frozen.
-
-    This is icqt's one choice of float64 for a spectrum; the kernels take the
-    dtype they are given.  The entropies and the report read the buffer's
-    (d_p, d_sa) rows without a copy, except that a complex run whose
-    amplitudes end exactly real (a T on an emptied qubit, or S then SDG)
-    passes a contiguous float64 copy of them (``_real_rows``): one P|(SA)
-    ``_cut_entropy``, then one ``_weights`` and one ``_branch_spectra`` pass
-    shared by the entropies and the report.  A run whose spectra read complex
-    rows equals ``dual_entropies`` and ``dual_born_report`` of its final state
-    bit for bit; one whose spectra read float64 rows equals its complex-typed
-    run (complex buffer and kernels) within the bounds documented in ``linalg``.
+    The buffer's dtype is icqt's one choice of float64, made before the run from the
+    gate kinds alone (``_real_run``): float64 when every gate is X, Z, H, RY or CNOT,
+    else complex128.  The kernels take the dtype they are given.  The start is
+    written straight into the buffer (bit for bit ``init_state``), the gate stage
+    alternates between it and one spare, the programmed stage rewrites its rows in
+    place, and the finite and norm check runs after each stage.  The frozen buffer's
+    (d_p, d_sa) rows are read without a copy: one P|(SA) ``_cut_entropy``, then one
+    ``_weights`` and one ``_branch_spectra`` pass shared by the entropies and the report.
+    A complex run equals ``dual_entropies`` and ``dual_born_report`` of its final state
+    bit for bit; a float64 run equals its complex-typed run within the bounds
+    documented in ``linalg``.
     """
     n, dims = config.n, config.dims
     amps = np.empty(dims.total, dtype=np.float64 if _real_run(config) else np.complex128)
@@ -472,7 +450,7 @@ def run(config: IcqcConfig) -> IcqcRunReport:
     amps = _programmed_stage(amps, config)
     _check_unit(amps)
     amps.setflags(write=False)
-    rows = _real_rows(amps.reshape(dims.d_p, dims.d_sa))
+    rows = amps.reshape(dims.d_p, dims.d_sa)
     # P|(SA) first, as in dual_entropies: on a real icqc-n5 buffer (seed 2026, 2 vCPU) a
     # process peaked at 63.5-64.2 MB this way and at 64.9-65.0 MB the other way (ru_maxrss,
     # 4 runs each)

@@ -68,11 +68,14 @@ DEFAULT_COUNTS = {
 
 def _check_options(dims_list=DEFAULT_DIMS, **counts) -> None:
     """The option rule over ``run_property_suite``'s keywords: ``dims_list`` holds at least one
-    dims, each with d_p <= d_s*d_a (the Shannon battery draws d_p orthonormal S x A states),
-    and each count has a DEFAULT_COUNTS name and is an integer >= 1 (``_is_int``)."""
+    dims, each with 2 <= d_p (at d_p = 1 no P|(SA) entanglement exists for the creation
+    battery to find) and d_p <= d_s*d_a (the Shannon battery draws d_p orthonormal S x A
+    states), and each count has a DEFAULT_COUNTS name and is an integer >= 1 (``_is_int``)."""
     if not dims_list:
         raise ValueError("dims_list must be a nonempty list of [d_s, d_a, d_p]")
     for i, d in enumerate(dims_list):
+        if d.d_p < 2:
+            raise ValueError(f"dims_list[{i}]: d_p {d.d_p} < 2: no P|(SA) entanglement to create")
         if d.d_p > d.d_sa:
             d_p, d_sa = _echo(d.d_p), _echo(d.d_sa)
             raise ValueError(f"dims_list[{i}]: d_p {d_p} > d_s*d_a {d_sa}: too few S x A states")

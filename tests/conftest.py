@@ -31,11 +31,10 @@ def spectral_calls(monkeypatch):
 
 @pytest.fixture
 def complex_typed(monkeypatch):
-    """``call(f, *args)``: f(*args) with every ICQC run in a complex128 buffer whose
-    spectra read its complex rows.
+    """``call(f, *args)``: f(*args) with every ICQC run in a complex128 buffer.
 
-    That is how icqt runs a circuit with a gate whose matrix is not real, and
-    how it ran every circuit before real amplitudes went to float64 buffers and
+    That is how icqt runs a circuit with a gate of a kind that is not real, and
+    how it ran every circuit before real kinds went to float64 buffers and
     kernels; on a real run it gives the run of its complex-typed copy.  The
     library kernels take their input's dtype, so nothing else is patched.
     """
@@ -43,7 +42,6 @@ def complex_typed(monkeypatch):
     def call(f, *args):
         with monkeypatch.context() as m:
             m.setattr(icqc, "_real_run", lambda config: False)
-            m.setattr(icqc, "_real_rows", lambda rows: rows)
             return f(*args)
 
     return call

@@ -13,6 +13,7 @@ from icqt.born import (
     textbook_comparison,
 )
 from icqt.linalg import (
+    DimensionError,
     StateVector,
     _cut_entropy,
     entanglement_entropy,
@@ -148,6 +149,16 @@ class TestConventionalOracle:
         assert np.max(
             np.abs(conventional_oracle(psi, basis) - born_probabilities(psi.amplitudes, basis))
         ) < 1e-14
+
+    def test_non_orthonormal_basis_refused(self):
+        # 2 I once gave the "probabilities" [2, 2]
+        with pytest.raises(ValueError, match="^basis columns are not orthonormal$"):
+            conventional_oracle(StateVector.uniform(2), 2 * np.eye(2))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (4,)])
+    def test_basis_of_another_shape_refused(self, shape):
+        with pytest.raises(DimensionError, match="^basis must be a 2x2 matrix of basis columns$"):
+            conventional_oracle(StateVector.uniform(2), np.ones(shape))
 
 
 class TestTextbookComparison:
@@ -306,20 +317,6 @@ class TestOneEmptinessRule:
             assert empty == raised
             flags.append(empty)
         assert set(flags) == {False, True}
-
-
-class TestClamping:
-    def test_round_off_negatives_clamped(self):
-        from icqt.born import _clamp
-
-        out = _clamp(np.array([0.5, -1e-13, 0.5]))
-        assert out[1] == 0.0 and np.all(out >= 0)
-
-    def test_genuine_negatives_rejected(self):
-        from icqt.born import _clamp
-
-        with pytest.raises(ValueError):
-            _clamp(np.array([0.5, -1e-6, 0.5]))
 
 
 class TestShannonIdentity:

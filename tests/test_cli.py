@@ -892,6 +892,9 @@ class TestInputErrors:
              "dims_list[1]: d_p 2 > d_s*d_a 1: too few S x A states"),
             ("suite", base("property-suite", dims_list=[]),
              "dims_list must be a nonempty list of [d_s, d_a, d_p]"),
+            # d_p = 1 once gave exit 1 with a failed bounds-and-creation battery
+            ("suite", base("property-suite", dims_list=[[2, 2, 1]]),
+             "dims_list[0]: d_p 1 < 2: no P|(SA) entanglement to create"),
             ("validate", base("trinary-build", dims=[2, 2, 4], branch_bases=["Z", "X", "Y"]),
              "branch_bases: need 4 branch bases, got 3"),
             ("born", base("born", dims=[2, 2, 2], branch_bases=["Z", "X", "Y"]),
@@ -911,8 +914,8 @@ class TestInputErrors:
              "times must ascend and start at 0"),
         ],
         ids=["validate-pointer", "born-pointer", "suite-dims", "suite-second-dims",
-             "suite-no-dims", "branch-bases-short", "branch-bases-long", "blocks",
-             "a-generators-short", "a-generators-long", "random-kind", "times-empty"],
+             "suite-no-dims", "suite-d_p-of-1", "branch-bases-short", "branch-bases-long",
+             "blocks", "a-generators-short", "a-generators-long", "random-kind", "times-empty"],
     )
     def test_refused_by_the_library_rule(self, tmp_path, capsys, command, payload, message):
         assert self.run_bad(tmp_path, capsys, command, payload) == f"scenario error: {message}\n"

@@ -412,12 +412,20 @@ class TestAssembly:
     @pytest.mark.parametrize("kind", ["sapmc", "shared", "violating"])
     @pytest.mark.parametrize("d_s, d_a", [(2, 2), (3, 4), (4, 3)])
     def test_block_within_the_bound(self, kind, d_s, d_a):
-        # sapmc and violating take a random S basis, shared the identity
+        # sapmc and violating take a random S basis, shared the computational one
         for seed in range(3):
             block = random_block_structure(d_s, d_a, seed, kind=kind)
             generators = [g.entries for g in block.a_generators]
             gap = np.max(np.abs(block.assemble().entries - dense_block(block)))
             assert gap <= assembly_bound(block.h_s.entries, generators)
+
+    @pytest.mark.parametrize("d_s, d_a", [(2, 2), (3, 4)])
+    def test_shared_block_is_in_the_computational_basis(self, d_s, d_a):
+        # a shared structure once took np.eye(d_s) as a custom basis, and so the
+        # projector-stack product in assemble() and a rotation by I in every check
+        block = random_block_structure(d_s, d_a, 4, kind="shared")
+        assert block.s_basis is None and block._core.basis is None
+        assert np.array_equal(block.assemble().entries, dense_block(block))
 
     def test_block_in_the_computational_basis_is_the_kron_form(self):
         drawn = random_block_structure(3, 2, 5, kind="violating")

@@ -14,8 +14,8 @@ from icqt.icqc import (
     CapacityError,
     GateOp,
     IcqcConfig,
+    _REAL_KINDS,
     _apply_single,
-    _real_gate,
     apply_gates,
     apply_programmed_op,
     init_state,
@@ -106,13 +106,13 @@ class TestGateOp:
 
     @pytest.mark.parametrize("kind", [*_FIXED_GATES, *_ROTATIONS, "CNOT"])
     def test_real_gate_is_a_zero_imaginary_part(self, kind):
+        # a kind is real exactly when its matrix is real at every angle of the grid
         if kind == "CNOT":
-            assert _real_gate(GateOp("CNOT", (("S", 0), ("A", 0))))
+            assert kind in _REAL_KINDS
             return
-        angles = [None] if kind in _FIXED_GATES else [0.0, -0.0, 0.3, np.pi, 2 * np.pi]
-        for angle in angles:
-            gate = GateOp(kind, (("S", 0),), angle=angle)
-            assert _real_gate(gate) == (not gate.matrix().imag.any()), (kind, angle)
+        angles = [None] if kind in _FIXED_GATES else [0.0, -0.0, 0.3, 1.0, np.pi, 2 * np.pi]
+        matrices = [GateOp(kind, (("S", 0),), angle=angle).matrix() for angle in angles]
+        assert (kind in _REAL_KINDS) == (not any(m.imag.any() for m in matrices))
 
 
 class TestInitState:
@@ -633,43 +633,44 @@ class TestRun:
     }
 
     @pytest.mark.parametrize("name", REAL_VALUED_GATES)
-    def test_complex_run_of_real_amplitudes_takes_float64_spectra(
+    def test_complex_run_of_real_amplitudes_reads_its_complex_rows(
         self, name, spectral_calls, complex_typed
     ):
+        # the dtype is fixed by the gate kinds before the run: amplitudes that end
+        # exactly real keep the complex buffer and take complex128 spectra
         config = self.bench_config(2, *self.REAL_VALUED_GATES[name])
         report = run(config)
         amps = report.amplitudes
         assert amps.dtype == np.complex128 and not amps.imag.any()
-        assert {call[2] for call in spectral_calls} == {"float64"}
-        d = config.dims
-        assert report.s_psa == _cut_entropy(np.ascontiguousarray(amps.real).reshape(d.d_p, d.d_sa))
-        assert report.final_state.dense.amplitudes is amps  # no copy
-        spectral_calls.clear()
-        want = complex_typed(run, config)
         assert {call[2] for call in spectral_calls} == {"complex128"}
-        assert want.amplitudes.tobytes() == amps.tobytes()
-        self.assert_within_bounds(report, want, d)
+        d = config.dims
+        assert report.s_psa == _cut_entropy(amps.reshape(d.d_p, d.d_sa))
+        assert report.final_state.dense.amplitudes is amps  # no copy
+        self.assert_same_bits(report, complex_typed(run, config))
 
-    @pytest.mark.parametrize("zero", [0.0, -0.0])
-    def test_zero_imaginary_parts_give_a_contiguous_real_copy(self, zero):
-        rows = seeded_random("state", 64, 5).amplitudes.reshape(8, 8).copy()
-        rows.imag = zero
-        real = icqc._real_rows(rows)
-        assert real.dtype == np.float64 and real.flags.c_contiguous
-        assert real.tobytes() == rows.real.tobytes()
-        rows.imag[3, 5] = 1e-300
-        assert icqc._real_rows(rows) is rows
-        assert icqc._real_rows(real) is real
+    def test_rotation_by_zero_runs_complex(self, spectral_calls, complex_typed):
+        # RZ(0) is the identity, yet RZ is not a real kind
+        config = self.bench_config(2, {"kind": "RZ", "targets": [["S", 1]], "angle": 0.0})
+        report = run(config)
+        assert report.amplitudes.dtype == np.complex128 and not report.amplitudes.imag.any()
+        assert {call[2] for call in spectral_calls} == {"complex128"}
+        self.assert_same_bits(report, complex_typed(run, config))
+
+    @staticmethod
+    def assert_same_bits(report, want):
+        assert want.amplitudes.tobytes() == report.amplitudes.tobytes()
+        assert report.s_psa == want.s_psa
+        assert report.s_sa_branches.tobytes() == want.s_sa_branches.tobytes()
+        for field in ("decision_probs", "outcome_probs"):
+            assert getattr(report.born, field).tobytes() == getattr(want.born, field).tobytes()
+        assert (report.born.degenerate, report.born.empty) == (want.born.degenerate, want.born.empty)
 
     def test_complex_run_keeps_its_bits(self, spectral_calls, complex_typed):
         # the tomographic table's Y pointer (S and SDG) makes amplitudes complex
         config = IcqcConfig(n=1, program_table=tomographic_program_n1())
         report = run(config)
         assert {call[2] for call in spectral_calls} == {"complex128"}
-        want = complex_typed(run, config)
-        assert report.s_psa == want.s_psa
-        assert np.array_equal(report.s_sa_branches, want.s_sa_branches)
-        assert np.array_equal(report.born.outcome_probs, want.born.outcome_probs)
+        self.assert_same_bits(report, complex_typed(run, config))
 
     @staticmethod
     def bench_config(n, *extra_gates):
@@ -705,16 +706,12 @@ class TestRun:
     @pytest.mark.parametrize(
         "gate, bound",
         [
-            # T on S0, which the H before it has emptied: a complex buffer of real
-            # amplitudes, whose spectra read a float64 copy of half a state, beside a
-            # real Gram matrix or the real unit rows of half a state each
-            ({"kind": "T", "targets": [["S", 0]]}, 2.1),
             # S on P0 makes half the rows imaginary: the complex Gram matrix (one state
             # at n = 4) and one conjugated block of 16 of its rows (1/16 of a state),
             # then the complex unit rows (one state)
             ({"kind": "S", "targets": [["P", 0]]}, 2.2),
         ],
-        ids=["real-valued", "complex-valued"],
+        ids=["complex-valued"],
     )
     def test_complex_run_holds_two_states(self, gate, bound, monkeypatch):
         # one complex gate makes the run complex: the buffer and its spare through the

@@ -14,8 +14,10 @@ modules) of ``src/icqt`` allowed to match it.
   ``_segment_steps``; no other function of ``dynamics.py`` raises that refusal.
 - ``dynamics.entanglement_trajectory`` is the one walk of a schedule: it alone reads
   ``_segment_steps``, so a second walker with its own path decision shows.
-- ``icqc.py`` owns the float64 decision for a spectrum: no other module scans imaginary
-  parts (``x.imag.any()`` or ``np.any(x.imag)``); every other kernel takes its input's dtype.
+- ``icqc.py`` owns the float64 decision, made from gate kinds alone: the one scan of
+  imaginary parts (``x.imag.any()`` or ``np.any(x.imag)``) in ``src/icqt`` is the
+  import-time derivation of ``icqc._REAL_KINDS`` from the fixed gates, so no function
+  scans amplitudes or a gate's matrix, and every kernel takes its input's dtype.
 - The integer rule and the finite-number rule are ``serialize._is_int`` and
   ``serialize._is_finite``: no other module reads ``numbers.Integral`` or ``numbers.Real``
   or defines a predicate of those names (or the old ``_finite_real``).
@@ -329,7 +331,7 @@ def test_only_entanglement_trajectory_maps_times_to_segments():
 
 
 def test_only_icqc_scans_imaginary_parts():
-    assert {module for module, _ in owners(imag_scan, *MODULES)} == {"icqc.py"}
+    assert owners(imag_scan, *MODULES) == {("icqc.py", "<module>")}
 
 
 def test_only_serialize_reads_the_number_abcs():

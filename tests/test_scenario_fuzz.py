@@ -28,8 +28,9 @@ the CLI keeps its contract: exit 0, 1 or 2, exactly one stderr line on exit
 bare NaN or Infinity), and a born report that exits 0 has every nonempty
 outcome row summing to 1.  The draws reach the rarest refusals in only some
 runs, so those also run every time from a fixed list, ``RARE``: validate and
-born at dims [3, 2, 6], a dims_list of [] and of [[1, 1, 2]], and the
-Hamiltonians of ``test_cli.OVERFLOWING``, each of which must exit 2.
+born at dims [3, 2, 6], a dims_list of [], of [[1, 1, 2]] and of [[2, 2, 1]]
+(d_p below 2), and the Hamiltonians of ``test_cli.OVERFLOWING``, each of which
+must exit 2.
 """
 
 import contextlib
@@ -302,6 +303,7 @@ RARE = {  # refusals the draws above reach in only some runs, by name: (command,
                                         system_state="uniform")),
     "suite-no-dims": ("suite", dict(VALID["suite"], dims_list=[])),
     "suite-d_p-past-d_sa": ("suite", dict(VALID["suite"], dims_list=[[1, 1, 2]])),
+    "suite-d_p-of-1": ("suite", dict(VALID["suite"], dims_list=[[2, 2, 1]])),
     **{
         f"evolve-overflowing-{name}": (
             "evolve", dict(ONE_HAMILTONIAN, dims=[2, 1, 2], times=times, hamiltonian=hamiltonian)

@@ -80,8 +80,13 @@ def test_count_rule_before_any_battery_runs(battery_calls, value):
         # once the generic ValueError of writing a d_p past Python's decimal digit limit
         ((TrinaryDims(1, 1, 10**5000),),
          r"^dims_list\[0\]: d_p <int of 16610 bits> > d_s\*d_a 1: too few S x A states$"),
+        # once a failed bounds-and-creation battery: at d_p = 1, S_PSA is 0 at every time
+        ((TrinaryDims(2, 2, 4), TrinaryDims(2, 2, 1)),
+         r"^dims_list\[1\]: d_p 1 < 2: no P\|\(SA\) entanglement to create$"),
+        ((TrinaryDims(1, 1, 1),),
+         r"^dims_list\[0\]: d_p 1 < 2: no P\|\(SA\) entanglement to create$"),
     ],
-    ids=["empty", "d_p-past-d_sa", "d_p-past-the-digit-limit"],
+    ids=["empty", "d_p-past-d_sa", "d_p-past-the-digit-limit", "d_p-of-1", "all-of-1"],
 )
 def test_dims_rule_before_any_battery_runs(battery_calls, dims_list, message):
     with pytest.raises(ValueError, match=message):
