@@ -17,6 +17,7 @@ from .linalg import StateVector, schmidt_decompose
 from .trinary import (
     EMPTY_BRANCH_TOL,
     EmptyBranchError,
+    ProgrammedUnitary,
     TrinaryDims,
     TrinaryState,
     _branch_spectra,
@@ -90,14 +91,19 @@ class DualBornReport:
     empty: tuple[bool, ...]
 
 
-def textbook_comparison(report: DualBornReport, psi_s: StateVector, bases: list) -> tuple[np.ndarray, float]:
-    """The textbook rows of ``psi_s``, one per branch basis, and the report's distance from them.
+def textbook_comparison(
+    report: DualBornReport, psi_s: StateVector, pu: ProgrammedUnitary
+) -> tuple[np.ndarray, float]:
+    """The textbook rows of ``psi_s``, one per branch basis of ``pu``, and the report's distance
+    from them.
 
-    Row r is ``conventional_oracle(psi_s, bases[r])`` sorted descending, as the report's
-    outcome rows are.  The distance is the largest entry gap over the nonempty branches
-    (0.0 when every branch is empty): an empty branch has no outcome row to compare.
+    Row r is ``conventional_oracle(psi_s, pu.bases[r])`` sorted descending, as the report's
+    outcome rows are, from one batched product over the bases ``pu`` has checked.  The distance
+    is the largest entry gap over the nonempty branches (0.0 when every branch is empty): an
+    empty branch has no outcome row to compare.
     """
-    rows = np.array([np.sort(conventional_oracle(psi_s, b))[::-1] for b in bases])
+    amplitudes = pu.bases.conj().swapaxes(1, 2) @ psi_s.amplitudes
+    rows = np.sort(np.abs(amplitudes) ** 2, axis=1)[:, ::-1]
     live = ~np.array(report.empty)
     return rows, float(np.max(np.abs(report.outcome_probs - rows)[live], initial=0.0))
 

@@ -31,7 +31,6 @@ from .scenario import (
     parse_icqc_config,
     parse_initial_state,
     parse_segments,
-    parse_suite_options,
     parse_times,
     parse_vector,
 )
@@ -41,7 +40,7 @@ from .trinary import TrinaryState, apply_programmed, validate_informational_comp
 
 def cmd_validate(scenario: Scenario, out_dir: Path) -> int:
     dims = parse_dims(scenario.payload)
-    pu, _, labels = parse_branch_bases(scenario.payload, dims)
+    pu, labels = parse_branch_bases(scenario.payload, dims)
     probe = None
     if "probe_apparatus" in scenario.payload:
         probe = parse_vector(scenario.payload["probe_apparatus"], dims.d_a, "probe_apparatus")
@@ -98,7 +97,7 @@ def cmd_evolve(scenario: Scenario, out_dir: Path) -> int:
 def cmd_born(scenario: Scenario, out_dir: Path) -> int:
     payload = scenario.payload
     dims = parse_dims(payload)
-    pu, bases, labels = parse_branch_bases(payload, dims)
+    pu, labels = parse_branch_bases(payload, dims)
 
     g = payload.get("g", "uniform")
     chi = parse_vector(g, dims.d_p, "g")
@@ -112,7 +111,7 @@ def cmd_born(scenario: Scenario, out_dir: Path) -> int:
     state = apply_programmed(pu, TrinaryState.from_product(dims, chi, psi, phi))
     report = dual_born_report(state)
 
-    conv, max_dev = textbook_comparison(report, psi, bases)
+    conv, max_dev = textbook_comparison(report, psi, pu)
     doc = {
         "kind": scenario.kind,
         "seed": scenario.seed,
@@ -147,7 +146,7 @@ def cmd_icqc(scenario: Scenario, out_dir: Path) -> int:
 
 
 def cmd_suite(scenario: Scenario, out_dir: Path) -> int:
-    results = run_property_suite(scenario.seed, **parse_suite_options(scenario.payload))
+    results = run_property_suite(scenario.seed)
     doc = {
         "kind": scenario.kind,
         "seed": scenario.seed,

@@ -19,7 +19,6 @@ from .icqc import CapacityError, GateOp, IcqcConfig, _check_start, check_capacit
 from .icqc import tomographic_program_n1
 from .linalg import Operator, StateVector, seeded_random, subseed
 from .serialize import _echo, _is_finite, _is_int, pairs_to_complex
-from .suite import DEFAULT_COUNTS, _check_options
 from .trinary import ProgrammedUnitary, TrinaryDims, TrinaryState, _check_orthonormal
 from .trinary import build_programmed_unitary, standard_basis
 from .dynamics import ProgrammedBlockStructure, TrinaryHamiltonian, _check_times
@@ -62,9 +61,9 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
         raise ScenarioError(f"invalid JSON in {p}: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
-    if data.get("schema") != SCHEMA_VERSION:
-        schema = _echo(data.get("schema"))
-        raise ScenarioError(f"unsupported schema {schema}, expected {SCHEMA_VERSION}")
+    schema = data.get("schema")
+    if not (_is_int(schema) and schema == SCHEMA_VERSION):
+        raise ScenarioError(f"unsupported schema {_echo(schema)}, expected {SCHEMA_VERSION}")
     kind = data.get("kind")
     if kind not in KINDS:
         raise ScenarioError(f"kind must be one of {KINDS}, got {_echo(kind)}")
@@ -132,8 +131,8 @@ def parse_basis(obj, dim: int, what: str) -> tuple[np.ndarray, str | None]:
         return _check_orthonormal(parse_matrix(obj, dim, what), dim, what), None
 
 
-def parse_branch_bases(payload: dict, dims: TrinaryDims) -> tuple[ProgrammedUnitary, list, list]:
-    """The programmed unitary of one basis per programming state, the bases and their labels."""
+def parse_branch_bases(payload: dict, dims: TrinaryDims) -> tuple[ProgrammedUnitary, list]:
+    """The programmed unitary of one basis per programming state, and the bases' labels."""
     raw = payload.get("branch_bases")
     if not isinstance(raw, list):
         raise ScenarioError("branch_bases must be a list of bases (one per programming state)")
@@ -143,7 +142,7 @@ def parse_branch_bases(payload: dict, dims: TrinaryDims) -> tuple[ProgrammedUnit
         bases.append(basis)
         labels.append("custom" if label is None else label)
     with _refusal("branch_bases"):
-        return build_programmed_unitary(dims, bases), bases, labels
+        return build_programmed_unitary(dims, bases), labels
 
 
 def _parse_block(obj, dims: TrinaryDims, what: str) -> tuple[Operator, ProgrammedBlockStructure | None]:
@@ -327,18 +326,3 @@ def parse_emit_state(payload: dict) -> bool:
     if not isinstance(emit, bool):
         raise ScenarioError("emit_state must be true or false")
     return emit
-
-
-def parse_suite_options(payload: dict) -> dict:
-    """The ``run_property_suite`` keyword arguments a property-suite scenario sets: ``dims_list``
-    and the counts of DEFAULT_COUNTS it names."""
-    options = {}
-    dims_list = payload.get("dims_list")
-    if dims_list is not None:
-        if not isinstance(dims_list, list):
-            raise ScenarioError("dims_list must be a nonempty list of [d_s, d_a, d_p]")
-        options["dims_list"] = tuple(parse_dims({"dims": d}) for d in dims_list)
-    options.update((key, payload[key]) for key in DEFAULT_COUNTS if key in payload)
-    with _refusal():
-        _check_options(**options)
-    return options

@@ -3,8 +3,8 @@
 Each battery returns a PropertyResult with the worst measured deviation and
 its threshold; the CLI ``suite`` subcommand serializes them and fails the
 process if any battery fails.  All randomness is derived from one root seed
-through fixed per-battery splits, so a given (scenario, seed) pair always
-reproduces the same numbers.
+through fixed per-battery splits, and every size is fixed, so a given seed
+always reproduces the same numbers.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .linalg import (
     shannon_entropy,
     subseed,
 )
-from .serialize import _echo, _is_int
 from .trinary import (
     TrinaryDims,
     TrinaryState,
@@ -54,7 +53,7 @@ CREATION_MIN = 1e-6
 DEFAULT_DIMS = (TrinaryDims(2, 2, 4), TrinaryDims(3, 3, 9))
 SQUARE_D = (2, 3)  # d of the (d, d) block and (d, d, d^2) Born batteries
 EVOLUTION_TIMES = (0.1, 0.5, 1.0, 2.0)
-# Each battery's case count in ``run_property_suite``, keyed by the keyword that overrides it
+# Each battery's case count in ``run_property_suite``
 DEFAULT_COUNTS = {
     "factorization_cases": 50,  # per dims
     "converse_cases": 10,
@@ -64,27 +63,6 @@ DEFAULT_COUNTS = {
     "shannon_cases": 100,
     "schmidt_roundtrips": 1000,
 }
-
-
-def _check_options(dims_list=DEFAULT_DIMS, **counts) -> None:
-    """The option rule over ``run_property_suite``'s keywords: ``dims_list`` holds at least one
-    dims, each with 2 <= d_p (at d_p = 1 no P|(SA) entanglement exists for the creation
-    battery to find) and d_p <= d_s*d_a (the Shannon battery draws d_p orthonormal S x A
-    states), and each count has a DEFAULT_COUNTS name and is an integer >= 1 (``_is_int``)."""
-    if not dims_list:
-        raise ValueError("dims_list must be a nonempty list of [d_s, d_a, d_p]")
-    for i, d in enumerate(dims_list):
-        if d.d_p < 2:
-            raise ValueError(f"dims_list[{i}]: d_p {d.d_p} < 2: no P|(SA) entanglement to create")
-        if d.d_p > d.d_sa:
-            d_p, d_sa = _echo(d.d_p), _echo(d.d_sa)
-            raise ValueError(f"dims_list[{i}]: d_p {d_p} > d_s*d_a {d_sa}: too few S x A states")
-    unknown = sorted(set(counts) - set(DEFAULT_COUNTS))
-    if unknown:
-        raise TypeError(f"run_property_suite() got unknown counts {unknown}")
-    for name, count in counts.items():
-        if not _is_int(count) or count < 1:
-            raise ValueError(f"{name} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -201,8 +179,7 @@ def born_battery(seed: int, cases_per_dim: int) -> PropertyResult:
     worst = 0.0
     for d in SQUARE_D:
         dims = TrinaryDims(d, d, d * d)
-        bases = _branch_basis_set(d, dims.d_p, subseed(seed, 41, d))
-        pu = build_programmed_unitary(dims, bases)
+        pu = build_programmed_unitary(dims, _branch_basis_set(d, dims.d_p, subseed(seed, 41, d)))
         for i in range(cases_per_dim):
             psi = seeded_random("state", d, subseed(seed, 42, d, i))
             rng = np.random.default_rng(subseed(seed, 43, d, i))
@@ -215,7 +192,7 @@ def born_battery(seed: int, cases_per_dim: int) -> PropertyResult:
             report = dual_born_report(state)
             dec = report.decision_probs
             worst = max(worst, float(np.max(np.abs(dec - np.abs(chi.amplitudes) ** 2))))
-            worst = max(worst, textbook_comparison(report, psi, bases)[1])
+            worst = max(worst, textbook_comparison(report, psi, pu)[1])
     return _result("born-emergence", worst, BORN_TOL, len(SQUARE_D) * cases_per_dim, t0)
 
 
@@ -327,11 +304,9 @@ def icqc_battery(seed: int) -> PropertyResult:
     )
 
 
-def run_property_suite(seed: int, dims_list=DEFAULT_DIMS, **counts: int) -> list[PropertyResult]:
-    """Every battery in report order; ``counts`` override entries of DEFAULT_COUNTS by name,
-    after the option rule (``_check_options``) and before any battery runs."""
-    _check_options(dims_list, **counts)
-    c = {**DEFAULT_COUNTS, **counts}
+def run_property_suite(seed: int) -> list[PropertyResult]:
+    """Every battery in report order, at DEFAULT_DIMS and DEFAULT_COUNTS as they read when called."""
+    c, dims_list = DEFAULT_COUNTS, DEFAULT_DIMS
     return [
         factorization_battery(seed, c["factorization_cases"], dims_list),
         converse_battery(seed, c["converse_cases"]),

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icqt import icqc
+from icqt import icqc, suite
+from icqt.trinary import TrinaryDims
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -45,3 +46,15 @@ def complex_typed(monkeypatch):
             return f(*args)
 
     return call
+
+
+@pytest.fixture
+def small_suite(monkeypatch):
+    """``run_property_suite`` at two cases per battery count and the dims (2, 2, 4) alone.
+
+    The suite's sizes are fixed constants, read when it is called; a test that runs the
+    whole battery through the CLI shrinks them here to keep its run short.
+    """
+    for name in suite.DEFAULT_COUNTS:
+        monkeypatch.setitem(suite.DEFAULT_COUNTS, name, 2)
+    monkeypatch.setattr(suite, "DEFAULT_DIMS", (TrinaryDims(2, 2, 4),))

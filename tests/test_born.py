@@ -168,7 +168,7 @@ class TestTextbookComparison:
         state, bases = zxyz_state(seeded_random("state", 4, 4), self.PSI)
         report = dual_born_report(state)
         assert not any(report.empty)
-        rows, gap = textbook_comparison(report, self.PSI, bases)
+        rows, gap = textbook_comparison(report, self.PSI, build_programmed_unitary(DIMS, bases))
         assert np.array_equal(rows, [np.sort(conventional_oracle(self.PSI, b))[::-1] for b in bases])
         assert gap == np.max(np.abs(report.outcome_probs - rows))
         assert gap <= BORN_TOL
@@ -178,7 +178,7 @@ class TestTextbookComparison:
         state, bases = zxyz_state(g, self.PSI)
         report = dual_born_report(state)
         assert report.empty == (False, True, False, True)
-        rows, gap = textbook_comparison(report, self.PSI, bases)
+        rows, gap = textbook_comparison(report, self.PSI, build_programmed_unitary(DIMS, bases))
         assert gap == np.max(np.abs(report.outcome_probs[[0, 2]] - rows[[0, 2]]))
         # an empty branch's zero row is at least 1/d_s from its textbook row
         assert np.max(np.abs(report.outcome_probs - rows)) >= 0.5 > gap

@@ -603,25 +603,37 @@ class TestIcqcCommand:
         assert abs(sum(doc["decision_probs"]) - 1) <= 1e-9
 
 
+def untimed(data: bytes) -> list[bytes]:
+    """The lines of a suite report but its "elapsed_s" lines, which are wall-clock timings."""
+    return [line for line in data.splitlines() if b'"elapsed_s"' not in line]
+
+
+@pytest.mark.usefixtures("small_suite")
 class TestSuiteCommand:
     def test_small_suite_passes(self, tmp_path, capsys):
-        payload = base(
-            "property-suite",
-            factorization_cases=4,
-            converse_cases=2,
-            block_cases=4,
-            born_cases=4,
-            creation_cases=4,
-            shannon_cases=4,
-            schmidt_roundtrips=40,
-        )
-        path = write_scenario(tmp_path, "s.json", payload)
+        path = write_scenario(tmp_path, "s.json", base("property-suite"))
         code = main(["suite", path, "--out", str(tmp_path / "out")])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["all_passed"] is True
-        names = {p["name"] for p in doc["properties"]}
-        assert "converse-probe" in names  # the injected pmc-violating battery
+        cases = {p["name"]: p["cases"] for p in doc["properties"]}
+        assert "converse-probe" in cases  # the injected pmc-violating battery
+        # the cases that ran: two per count, over SQUARE_D's two d for block and born
+        assert list(cases.values()) == [2, 2, 4, 4, 2, 2, 2, 3]
+
+    def test_sizes_in_the_scenario_are_ignored(self, tmp_path, capsys):
+        # a property-suite scenario reads its seed alone; the suite's sizes are constants
+        payloads = {
+            "plain": base("property-suite"),
+            "sized": base("property-suite", dims_list=[[3, 3, 9]], converse_cases=1),
+        }
+        runs = []
+        for name, payload in payloads.items():
+            path, out = write_scenario(tmp_path, f"{name}.json", payload), tmp_path / name
+            assert main(["suite", path, "--out", str(out)]) == 0
+            runs.append((untimed(capsys.readouterr().out.encode()),
+                         untimed((out / "suite_report.json").read_bytes())))
+        assert runs[0] == runs[1]
 
 
 class TestSeedSplitting:
@@ -689,15 +701,9 @@ class TestDeterminism:
         rotated = h.programming_basis.conj().T @ h.h_p.entries @ h.programming_basis
         assert np.max(np.abs(rotated - np.diag(np.diag(rotated)))) > 0.1
 
-    def test_suite_byte_identical_but_timings(self, tmp_path, capsys):
+    def test_suite_byte_identical_but_timings(self, tmp_path, capsys, small_suite):
         # the "elapsed_s" lines are wall-clock timings; every other byte repeats
-        counts = ("factorization", "converse", "block", "born", "creation", "shannon")
-        payload = base("property-suite", schmidt_roundtrips=20, **{f"{c}_cases": 2 for c in counts})
-        path = write_scenario(tmp_path, "suite.json", payload)
-
-        def untimed(data: bytes):
-            return [line for line in data.splitlines() if b'"elapsed_s"' not in line]
-
+        path = write_scenario(tmp_path, "suite.json", base("property-suite"))
         runs = []
         for out in ("a", "b"):
             report = tmp_path / out / "suite_report.json"
@@ -720,16 +726,12 @@ class TestDeterminism:
         ).read_bytes()
 
 
+@pytest.mark.usefixtures("small_suite")
 class TestOutputErrors:
     """An --out that is not a directory, or a report that cannot be written, exits 2 with
     one line; the --out check comes before the scenario is loaded."""
 
-    SUITE = base(
-        "property-suite",
-        schmidt_roundtrips=2,
-        **{f"{c}_cases": 1 for c in ("factorization", "converse", "block", "born", "creation", "shannon")},
-    )
-    PAYLOADS = {**dict(TestDeterminism.COMMANDS), "suite": SUITE}
+    PAYLOADS = {**dict(TestDeterminism.COMMANDS), "suite": base("property-suite")}
     FIRST_REPORT = {
         "evolve": "trajectory.csv",
         "validate": "completeness.json",
@@ -886,15 +888,6 @@ class TestInputErrors:
             ("validate", base("trinary-build", dims=[3, 2, 6], branch_bases=["Z", "X"] * 3),
              POINTER),
             ("born", base("born", dims=[3, 2, 6], branch_bases=["Z", "X"] * 3), POINTER),
-            ("suite", base("property-suite", dims_list=[[1, 1, 2]]),
-             "dims_list[0]: d_p 2 > d_s*d_a 1: too few S x A states"),
-            ("suite", base("property-suite", dims_list=[[2, 2, 4], [1, 1, 2]]),
-             "dims_list[1]: d_p 2 > d_s*d_a 1: too few S x A states"),
-            ("suite", base("property-suite", dims_list=[]),
-             "dims_list must be a nonempty list of [d_s, d_a, d_p]"),
-            # d_p = 1 once gave exit 1 with a failed bounds-and-creation battery
-            ("suite", base("property-suite", dims_list=[[2, 2, 1]]),
-             "dims_list[0]: d_p 1 < 2: no P|(SA) entanglement to create"),
             ("validate", base("trinary-build", dims=[2, 2, 4], branch_bases=["Z", "X", "Y"]),
              "branch_bases: need 4 branch bases, got 3"),
             ("born", base("born", dims=[2, 2, 2], branch_bases=["Z", "X", "Y"]),
@@ -913,12 +906,18 @@ class TestInputErrors:
             ("evolve", base("dynamics", dims=[2, 1, 2], times=[], hamiltonian={"random": "pmc"}),
              "times must ascend and start at 0"),
         ],
-        ids=["validate-pointer", "born-pointer", "suite-dims", "suite-second-dims",
-             "suite-no-dims", "suite-d_p-of-1", "branch-bases-short", "branch-bases-long",
+        ids=["validate-pointer", "born-pointer", "branch-bases-short", "branch-bases-long",
              "blocks", "a-generators-short", "a-generators-long", "random-kind", "times-empty"],
     )
     def test_refused_by_the_library_rule(self, tmp_path, capsys, command, payload, message):
         assert self.run_bad(tmp_path, capsys, command, payload) == f"scenario error: {message}\n"
+
+    @pytest.mark.parametrize("schema, shown", [(True, "True"), (1.0, "1.0"), ("1", "'1'")])
+    def test_schema_is_the_integer_one(self, tmp_path, capsys, schema, shown):
+        # true and 1.0 equal 1 in Python, and were once read as schema 1
+        payload = {**base("born", dims=[2, 2, 2], branch_bases=["Z", "X"]), "schema": schema}
+        err = self.run_bad(tmp_path, capsys, "born", payload)
+        assert err == f"scenario error: unsupported schema {shown}, expected 1\n"
 
     def test_segment_duration_a_boolean(self, tmp_path, capsys):
         segments = [{"duration": True, "hamiltonian": {"random": "pmc"}}]
@@ -999,7 +998,7 @@ class TestInputErrors:
         with pytest.raises(CapacityError, match="= 260 exceeds the cap 256"):
             parse_icqc_config({"n": 1, "program": {"random": {"depth": 64}}}, 1)
 
-    def test_init_state_above_capacity(self, tmp_path, capsys, monkeypatch):
+    def test_init_state_above_capacity(self, tmp_path, capsys, monkeypatch, small_suite):
         # n = 8 unchecked would allocate 2^32 amplitudes (64 GiB)
         tracemalloc.start()
         try:
@@ -1011,12 +1010,7 @@ class TestInputErrors:
         assert peak < 2**20
         # through the CLI: the suite's icqc battery runs an n = 2 register
         monkeypatch.setenv("ICQT_MAX_DIM", "255")
-        counts = dict.fromkeys(
-            ("factorization_cases", "converse_cases", "block_cases", "born_cases",
-             "creation_cases", "shannon_cases", "schmidt_roundtrips"), 1
-        )
-        payload = base("property-suite", dims_list=[[2, 2, 4]], **counts)
-        err = self.run_bad(tmp_path, capsys, "suite", payload)
+        err = self.run_bad(tmp_path, capsys, "suite", base("property-suite"))
         assert "2^8 = 256 exceeds the cap 255" in err
 
     @pytest.mark.parametrize("raw", ["abc", "\u00b2", "4.0e3"])

@@ -22,10 +22,10 @@ modules) of ``src/icqt`` allowed to match it.
   ``serialize._is_finite``: no other module reads ``numbers.Integral`` or ``numbers.Real``
   or defines a predicate of those names (or the old ``_finite_real``).
 - Input rules are owned by the library values: ``scenario.py`` reads ``_is_int`` for the
-  seed alone and ``_is_finite`` for the duration's shape alone, and maps every library
-  refusal through one adapter, ``scenario._refusal``; besides it, only the JSON decoding
-  and the two ``pairs_to_complex`` reads build a ``ScenarioError`` from a caught
-  ``ValueError``'s message.
+  schema and the seed alone and ``_is_finite`` for the duration's shape alone, and maps
+  every library refusal through one adapter, ``scenario._refusal``; besides it, only the
+  JSON decoding and the two ``pairs_to_complex`` reads build a ``ScenarioError`` from a
+  caught ``ValueError``'s message.
 - Count and kind rules are the library's too: ``scenario.py`` compares no ``len(...)``
   with a ``TrinaryDims`` field (the branch, block and generator counts are
   ``build_programmed_unitary``'s and ``_Conditioned``'s) and names no random Hamiltonian
@@ -343,8 +343,9 @@ def test_only_serialize_defines_the_number_predicates():
 
 
 def test_scenario_reads_the_predicates_for_the_seed_and_the_duration_shape_alone():
+    # _is_int twice in load_scenario: for the schema and for the seed
     tree = tree_of("scenario.py")
-    assert innermost(tree, reads("_is_int")) == ["load_scenario"]
+    assert innermost(tree, reads("_is_int")) == ["load_scenario", "load_scenario"]
     assert innermost(tree, reads("_is_finite")) == ["parse_segments"]
 
 

@@ -3,7 +3,7 @@
 Each example draws a small valid scenario of one kind, then either runs it
 as drawn or replaces or drops parts of it at random with arbitrary JSON, and
 runs the matching command.  The draws cover dims, named bases, gates,
-programs and property-suite dims; an evolve scenario draws its schedule
+programs and property-suite seeds; an evolve scenario draws its schedule
 (segments of zero and nonzero durations, and of 1e308, two of which end past
 the double range; times on, between and past the segment boundaries) and its
 product initial state, and a born scenario draws
@@ -18,19 +18,16 @@ durations; the second is written into the file as raw text, since
 ``json.dumps`` refuses it.  Scalars of +-1.7e308, whose differences overflow,
 are drawn too.  So are the values the library's input rules refuse: a random
 program depth of -1, 2.5 or true, register sizes n_a or n_p of true, 2.0 or 3,
-a suite count of 0, -1 or true, a suite dims_list that is empty or holds
-[1, 1, 2] (d_p past d_s*d_a), born and validate dims of [3, 2, 6] (fewer
-pointer positions than system levels), a branch_bases list one too long or
-short, an unknown random Hamiltonian kind, times holding a JSON NaN or a
-descending pair, and a basis name past its dimension.  Whatever the input,
-the CLI keeps its contract: exit 0, 1 or 2, exactly one stderr line on exit
-2, and never a traceback.  A report written on exit 0 or 1 is strict JSON (no
+born and validate dims of [3, 2, 6] (fewer pointer positions than system
+levels), a branch_bases list one too long or short, an unknown random
+Hamiltonian kind, times holding a JSON NaN or a descending pair, and a basis
+name past its dimension.  Whatever the input, the CLI keeps its contract:
+exit 0, 1 or 2, exactly one stderr line on exit 2, and never a traceback.  A report written on exit 0 or 1 is strict JSON (no
 bare NaN or Infinity), and a born report that exits 0 has every nonempty
 outcome row summing to 1.  The draws reach the rarest refusals in only some
 runs, so those also run every time from a fixed list, ``RARE``: validate and
-born at dims [3, 2, 6], a dims_list of [], of [[1, 1, 2]] and of [[2, 2, 1]]
-(d_p below 2), and the Hamiltonians of ``test_cli.OVERFLOWING``, each of which
-must exit 2.
+born at dims [3, 2, 6] and the Hamiltonians of ``test_cli.OVERFLOWING``, each of
+which must exit 2.  The suite runs at the sizes of the ``small_suite`` fixture.
 """
 
 import contextlib
@@ -51,10 +48,6 @@ REPORTS = {
     "validate": "completeness.json", "evolve": "summary.json", "born": "born_report.json",
     "icqc": "icqc_report.json", "suite": "suite_report.json",
 }
-COUNTS = dict.fromkeys(
-    ("factorization_cases", "converse_cases", "block_cases", "born_cases",
-     "creation_cases", "shannon_cases", "schmidt_roundtrips"), 1
-)
 
 VALID = {
     "validate": {
@@ -88,9 +81,7 @@ VALID = {
                   {"kind": "RY", "targets": [["S", 0]], "angle": 0.3}],
         "program": {"random": {"depth": 2}},
     },
-    "suite": {
-        "schema": 1, "kind": "property-suite", "seed": 5, "dims_list": [[2, 2, 4]], **COUNTS,
-    },
+    "suite": {"schema": 1, "kind": "property-suite", "seed": 5},
 }
 
 # Integers a double cannot hold, and one that json cannot read: RAW_HUGE stands
@@ -237,12 +228,7 @@ def draw_icqc(data, payload):
 
 
 def draw_suite(data, payload):
-    dims_list = data.draw(st.lists(st.sampled_from(DIMS[:3]), min_size=1, max_size=2))
-    bad = refused(data, [[], [[1, 1, 2]], [*dims_list, [1, 1, 2]]])
-    dims_list = dims_list if bad is None else bad
-    count = {data.draw(st.sampled_from(sorted(COUNTS))): refused(data, [0, -1, True])}
-    return dict(payload, seed=data.draw(st.integers(0, 2**32)), dims_list=dims_list,
-                **{key: value for key, value in count.items() if value is not None})
+    return dict(payload, seed=data.draw(st.integers(0, 2**32)))
 
 
 DRAWS = {
@@ -287,7 +273,7 @@ def assert_exit_contract(command, payload) -> int:
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(data=st.data())
-def test_mutated_scenario_keeps_the_exit_contract(monkeypatch, command, data):
+def test_mutated_scenario_keeps_the_exit_contract(monkeypatch, small_suite, command, data):
     monkeypatch.setenv("ICQT_MAX_DIM", "256")  # small operators whatever the dims say
     payload = DRAWS[command](data, VALID[command])
     if data.draw(st.booleans()):  # else the drawn scenario runs as drawn
@@ -301,9 +287,6 @@ RARE = {  # refusals the draws above reach in only some runs, by name: (command,
                                                 branch_bases=["Z"] * 6)),
     "born-short-pointer": ("born", dict(VALID["born"], dims=SHORT_POINTER, branch_bases=["Z"] * 6,
                                         system_state="uniform")),
-    "suite-no-dims": ("suite", dict(VALID["suite"], dims_list=[])),
-    "suite-d_p-past-d_sa": ("suite", dict(VALID["suite"], dims_list=[[1, 1, 2]])),
-    "suite-d_p-of-1": ("suite", dict(VALID["suite"], dims_list=[[2, 2, 1]])),
     **{
         f"evolve-overflowing-{name}": (
             "evolve", dict(ONE_HAMILTONIAN, dims=[2, 1, 2], times=times, hamiltonian=hamiltonian)
